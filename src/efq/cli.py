@@ -40,6 +40,7 @@ from .errors import ConfigError, NumericalError, VerificationFailure
 from .transfer import RationalDiscreteTF
 
 THREADS_ENV = "EFQ_THREADS"
+CSV_CHUNK_ROWS = 1 << 16
 
 
 # ----------------------------------------------------------------------
@@ -84,24 +85,32 @@ def _json_safe(value):
     return value
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, cfg_sha: str, columns: list[str], rows: list[list]) -> None:
-    lines = [f"# config_sha256={cfg_sha}", ",".join(columns)]
-    lines.extend(",".join(_fmt_cell(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _csv_column(col: np.ndarray):
+    """Cell strings of one column: bool as 1/0, int as str, float as repr."""
+    if col.dtype.kind == "b":
+        col = col.astype(np.int8)
+    # tolist() yields Python ints and floats, whose repr is str(int) and the
+    # shortest round-tripping float text.
+    return map(repr, col.tolist())
+
+
+def _write_csv(path: Path, cfg_sha: str, rows: np.ndarray) -> None:
+    """Write a structured array as CSV under a config-hash comment line.
+
+    The header is the field names. Rows are formatted and written
+    CSV_CHUNK_ROWS at a time, so memory stays bounded for long traces.
+    """
+    names = rows.dtype.names
+    with open(path, "w") as fh:
+        fh.write(f"# config_sha256={cfg_sha}\n{','.join(names)}\n")
+        for start in range(0, len(rows), CSV_CHUNK_ROWS):
+            chunk = rows[start : start + CSV_CHUNK_ROWS]
+            lines = map(",".join, zip(*(_csv_column(chunk[name]) for name in names)))
+            fh.write("\n".join(lines) + "\n")
 
 
 def _load_setup(args) -> tuple[ExperimentConfig, str]:
@@ -158,8 +167,6 @@ def cmd_design(args) -> int:
     solved = _pool_map(solve, cells)
 
     cell_payload = []
-    csv_rows = []
-    omegas = p_base.grid.omegas
     for (bits, lam), (prob, sol) in zip(cells, solved):
         logmean = spectral.log_geometric_mean(sol.r_opt)
         cell_payload.append(
@@ -178,12 +185,20 @@ def cmd_design(args) -> int:
                 "logmean_check": logmean,
             }
         )
-        for om, rv in zip(omegas, sol.r_opt.values):
-            csv_rows.append([bits, lam, float(om), float(rv)])
         _say(args, f"design bits={bits} lambda={lam}: distortion {design_mod.db(sol.distortion):.4f} dB")
 
     _write_json(out / "design.json", {"schema_version": SCHEMA_VERSION, "config_sha256": sha, "cells": cell_payload})
-    _write_csv(out / "design_r_opt.csv", sha, ["bits", "lambda", "omega", "r_opt"], csv_rows)
+    omegas = p_base.grid.omegas
+    r_opt = np.rec.fromarrays(
+        [
+            np.repeat([bits for bits, _ in cells], len(omegas)),
+            np.repeat([lam for _, lam in cells], len(omegas)),
+            np.tile(omegas, len(cells)),
+            np.concatenate([sol.r_opt.values for _, sol in solved]),
+        ],
+        names="bits,lambda,omega,r_opt",
+    )
+    _write_csv(out / "design_r_opt.csv", sha, r_opt)
     _say(args, f"wrote {out / 'design.json'} and {out / 'design_r_opt.csv'}")
     return 0
 
@@ -219,12 +234,8 @@ def cmd_rd_curve(args) -> int:
         ]
         for row in rows
     ]
-    _write_csv(
-        out / "rd_curve.csv",
-        sha,
-        ["bits", "lambda", "gamma", "D", "D_uniform", "bound", "D_db", "D_uniform_db", "bound_db", "identity_residual"],
-        csv_rows,
-    )
+    names = "bits,lambda,gamma,D,D_uniform,bound,D_db,D_uniform_db,bound_db,identity_residual"
+    _write_csv(out / "rd_curve.csv", sha, np.rec.fromrecords(csv_rows, names=names))
     for row in rows:
         _say(
             args,
@@ -397,11 +408,11 @@ def cmd_simulate(args) -> int:
             result = simulate.summarize_run(traces, plant_d, score.achieved_mse)
             runs.append((seed, result))
             if args.trace and not trace_written:
-                trace_rows = [
-                    [k, traces.x[k], traces.u[k], traces.v[k], traces.w[k], bool(traces.overload[k])]
-                    for k in range(len(traces.x))
-                ]
-                _write_csv(out / "trace.csv", sha, ["k", "x", "u", "v", "w", "overload"], trace_rows)
+                trace = np.rec.fromarrays(
+                    [np.arange(len(traces.x)), traces.x, traces.u, traces.v, traces.w, traces.overload],
+                    names="k,x,u,v,w,overload",
+                )
+                _write_csv(out / "trace.csv", sha, trace)
                 trace_written = True
             _say(
                 args,
@@ -452,12 +463,8 @@ def cmd_simulate(args) -> int:
         out / "simulate.json",
         {"schema_version": SCHEMA_VERSION, "config_sha256": sha, "cells": cell_payloads},
     )
-    _write_csv(
-        out / "simulate_runs.csv",
-        sha,
-        ["bits", "lambda", "seed", "empirical_mse", "predicted_mse", "overload_rate", "w_variance", "sigma_u_sq"],
-        csv_rows,
-    )
+    names = "bits,lambda,seed,empirical_mse,predicted_mse,overload_rate,w_variance,sigma_u_sq"
+    _write_csv(out / "simulate_runs.csv", sha, np.rec.fromrecords(csv_rows, names=names))
     _say(args, f"wrote {out / 'simulate.json'} and {out / 'simulate_runs.csv'}")
     return 0
 

@@ -4,12 +4,11 @@ Two immutable rational-filter types live here: ``ContinuousTF`` for the
 analog plant model (polynomials in s, plus the sampling period it will be
 discretized with) and ``RationalDiscreteTF`` for discrete-time filters
 (polynomials in z^-1, ascending delay). Helpers evaluate complex frequency
-responses, impulse responses, and JSON round-trips.
+responses and impulse responses.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,19 +153,3 @@ def impulse_response_truncated(
             return h
         length *= 2
 
-
-def tf_to_json_dict(tf: RationalDiscreteTF) -> dict:
-    """Serialize as {num: [...], den: [...]} with exact binary64 round-trip."""
-    return {"num": list(tf.num), "den": list(tf.den)}
-
-
-def tf_from_json_dict(obj: dict) -> RationalDiscreteTF:
-    return RationalDiscreteTF(obj["num"], obj["den"])
-
-
-def tf_to_json(tf: RationalDiscreteTF) -> str:
-    return json.dumps(tf_to_json_dict(tf))
-
-
-def tf_from_json(text: str) -> RationalDiscreteTF:
-    return tf_from_json_dict(json.loads(text))

@@ -4,9 +4,12 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from efq.cli import main
+from efq import simulate
+from efq.cli import CSV_CHUNK_ROWS, _write_csv, main
+from efq.transfer import RationalDiscreteTF
 
 SMALL_CONFIG = {
     "schema_version": 1,
@@ -36,6 +39,44 @@ def read_csv(path):
     assert lines[0].startswith("# config_sha256=")
     rows = list(csv.DictReader(lines[1:]))
     return lines[0].split("=", 1)[1], rows
+
+
+def reference_csv(sha, columns, rows):
+    """Row-by-row oracle for _write_csv: bool as 1/0, int as str, float as repr."""
+
+    def fmt(value):
+        if isinstance(value, (bool, np.bool_)):
+            return str(int(value))
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return repr(float(value))
+
+    lines = [f"# config_sha256={sha}", ",".join(columns)]
+    lines.extend(",".join(fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+class TestWriteCsv:
+    def test_edge_values_match_row_oracle(self, tmp_path):
+        floats = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-05, 1e16, 0.1 + 0.2]
+        rows = [
+            (i, np.int64(-(10**15) * i), i % 2 == 1, np.bool_(i % 3 == 0), f, np.float64(-f))
+            for i, f in enumerate(floats)
+        ]
+        columns = ["py_int", "np_int", "py_bool", "np_bool", "py_float", "np_float"]
+        path = tmp_path / "edge.csv"
+        _write_csv(path, "abc", np.rec.fromrecords(rows, names=columns))
+        assert path.read_text() == reference_csv("abc", columns, rows)
+
+    @pytest.mark.parametrize("n", [0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+    def test_chunk_boundaries_match_row_oracle(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        columns = [np.arange(n), rng.standard_normal(n), rng.random(n) < 0.5]
+        path = tmp_path / "chunks.csv"
+        _write_csv(path, "abc", np.rec.fromarrays(columns, names="k,x,flag"))
+        expected = reference_csv("abc", ["k", "x", "flag"], zip(*columns))
+        # Compared as lines, so a mismatch reports its first index, not a full text diff.
+        assert path.read_text().split("\n") == expected.split("\n")
 
 
 class TestDesignCommand:
@@ -197,11 +238,18 @@ class TestSimulateCommand:
             main(["simulate", "--config", config_path, "--out", str(out), "--trace", "--quiet"]) == 0
         )
         _, rows = read_csv(out / "trace.csv")
-        assert len(rows) == SMALL_CONFIG["sim"]["length"]
         assert set(rows[0]) == {"k", "x", "u", "v", "w", "overload"}
-        for row in rows[:100]:
-            v = float(row["v"])
-            assert v != 0.0  # mid-rise output never sits at zero
+        assert [row["k"] for row in rows] == [str(k) for k in range(SMALL_CONFIG["sim"]["length"])]
+        assert {row["overload"] for row in rows} <= {"0", "1"}
+        # The trace is the first run of the first cell; its columns must be
+        # aligned and exact for the loop identity v - x = R[z] w to hold.
+        flt = json.loads((out / "simulate.json").read_text())["cells"][0]["filter"]
+        traces = simulate.LoopTraces(
+            **{name: np.array([float(row[name]) for row in rows]) for name in ("x", "u", "v", "w")},
+            overload=np.array([row["overload"] == "1" for row in rows]),
+        )
+        residual = simulate.loop_identity_residual(traces, RationalDiscreteTF(flt["num"], flt["den"]))
+        assert residual <= 1e-10
 
     def test_reuses_fit_artifact(self, config_path, tmp_path):
         out = tmp_path / "out"
