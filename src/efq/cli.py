@@ -372,15 +372,16 @@ def cmd_simulate(args) -> int:
     plant = cfg.plant_tf()
     grid = cfg.grid()
     filters = _filters_from_artifact(args.fit, sha) if args.fit else None
-    # One plant fit per oversampling factor, shared by that factor's cells.
+    # One plant fit per oversampling factor, shared by that factor's cells;
+    # each must leave samples past its burn-in before any loop runs.
     sim_plants = {}
     for lam in sorted(set(cfg.lambda_list)):
         plant_d = simulate.discretize_plant(plant, lam)
+        simulate.plant_burn_in(plant_d, cfg.sim.length)
         sim_plants[lam] = (plant_d, spectral.amplitude_of_tf(plant_d, grid))
 
-    cell_payloads = []
-    csv_rows = []
-    trace_written = False
+    cells = []  # (plant_d, predicted MSE, payload without runs)
+    lanes = []  # one per (cell, seed), in that order
     for bits, lam in _cells(cfg):
         gamma = design_mod.gamma_from_bits(bits, cfg.loading_factor)
         if filters is not None:
@@ -400,24 +401,38 @@ def cmd_simulate(args) -> int:
         sigma_u_sq, sigma_w_sq = simulate.predicted_loop_variances(score.norm_sq, gamma)
         qspec = design_mod.QuantizerSpec.for_sigma_u(bits, cfg.loading_factor, math.sqrt(sigma_u_sq))
         quantizer = simulate.MidRiseQuantizer.from_spec(qspec)
-        period = plant.sample_period / lam
-
-        runs = []
+        cell = {
+            "bits": bits,
+            "lambda": lam,
+            "gamma": gamma,
+            "filter": {"num": list(shaper.num), "den": list(shaper.den)},
+            "quantizer": {"step": quantizer.step, "saturation": quantizer.saturation},
+            "sigma_u_sq_pred": sigma_u_sq,
+            "sigma_w_sq_pred": sigma_w_sq,
+            "predicted_mse": score.achieved_mse,
+        }
+        cells.append((plant_d, score.achieved_mse, cell))
         for seed in cfg.sim.seeds:
             model = simulate.SignalModel(
                 kind=cfg.sim.input_kind, seed=seed, length=cfg.sim.length, ct_pole=cfg.sim.ct_pole
             )
-            x = simulate.gen_input(model, period)
-            traces = simulate.run_feedback_loop(x, shaper, quantizer)
-            result = simulate.summarize_run(traces, plant_d, score.achieved_mse)
-            runs.append((seed, result))
-            if args.trace and not trace_written:
+            lanes.append(simulate.Lane(model, plant.sample_period / lam, shaper, quantizer))
+
+    lane_traces = simulate.run_lanes(lanes)
+    csv_rows = []
+    for plant_d, predicted, cell in cells:
+        bits, lam = cell["bits"], cell["lambda"]
+        runs = []
+        for seed in cfg.sim.seeds:
+            traces = next(lane_traces)
+            result = simulate.summarize_run(traces, plant_d, predicted)
+            if args.trace and not csv_rows and not runs:  # the first lane only
                 trace = np.rec.fromarrays(
                     [np.arange(len(traces.x)), traces.x, traces.u, traces.v, traces.w, traces.overload],
                     names="k,x,u,v,w,overload",
                 )
                 _write_csv(out / "trace.csv", sha, trace)
-                trace_written = True
+            runs.append((seed, result))
             _say(
                 args,
                 f"simulate bits={bits} lambda={lam} seed={seed}: empirical {result.empirical_mse:.6g} "
@@ -428,36 +443,24 @@ def cmd_simulate(args) -> int:
         mean = float(np.mean(empiricals))
         std = float(np.std(empiricals, ddof=1)) if len(empiricals) > 1 else 0.0
         ci95 = 1.96 * std / math.sqrt(len(empiricals)) if len(empiricals) > 1 else 0.0
-        cell_payloads.append(
+        cell["runs"] = [
             {
-                "bits": bits,
-                "lambda": lam,
-                "gamma": gamma,
-                "filter": {"num": list(shaper.num), "den": list(shaper.den)},
-                "quantizer": {"step": quantizer.step, "saturation": quantizer.saturation},
-                "sigma_u_sq_pred": sigma_u_sq,
-                "sigma_w_sq_pred": sigma_w_sq,
-                "predicted_mse": score.achieved_mse,
-                "runs": [
-                    {
-                        "seed": seed,
-                        "empirical_mse": r.empirical_mse,
-                        "overload_count": r.overload_count,
-                        "overload_rate": r.overload_rate,
-                        "w_variance": r.w_variance,
-                        "sigma_u_sq": r.sigma_u_sq,
-                        "max_abs_w_autocorr": max(abs(c) for c in r.w_autocorr),
-                    }
-                    for seed, r in runs
-                ],
-                "aggregate": {
-                    "mean_empirical_mse": mean,
-                    "std_empirical_mse": std,
-                    "ci95_halfwidth": ci95,
-                    "mean_over_predicted": mean / score.achieved_mse if score.achieved_mse > 0 else math.inf,
-                },
+                "seed": seed,
+                "empirical_mse": r.empirical_mse,
+                "overload_count": r.overload_count,
+                "overload_rate": r.overload_rate,
+                "w_variance": r.w_variance,
+                "sigma_u_sq": r.sigma_u_sq,
+                "max_abs_w_autocorr": max(abs(c) for c in r.w_autocorr),
             }
-        )
+            for seed, r in runs
+        ]
+        cell["aggregate"] = {
+            "mean_empirical_mse": mean,
+            "std_empirical_mse": std,
+            "ci95_halfwidth": ci95,
+            "mean_over_predicted": mean / predicted if predicted > 0 else math.inf,
+        }
         for seed, r in runs:
             csv_rows.append(
                 [bits, lam, seed, r.empirical_mse, r.predicted_mse, r.overload_rate, r.w_variance, r.sigma_u_sq]
@@ -465,7 +468,7 @@ def cmd_simulate(args) -> int:
 
     _write_json(
         out / "simulate.json",
-        {"schema_version": SCHEMA_VERSION, "config_sha256": sha, "cells": cell_payloads},
+        {"schema_version": SCHEMA_VERSION, "config_sha256": sha, "cells": [cell for _, _, cell in cells]},
     )
     names = "bits,lambda,seed,empirical_mse,predicted_mse,overload_rate,w_variance,sigma_u_sq"
     _write_csv(out / "simulate_runs.csv", sha, np.rec.fromrecords(csv_rows, names=names))

@@ -9,13 +9,15 @@ causal because R has unity head). Per sample,
 so the quantized output satisfies v = x + R[z] w identically, and the final
 output error after the plant is P[z](v - x) = P[z] R[z] w. This module
 generates test inputs with prescribed second-order statistics, runs the
-loop sample by sample, and compares measured error power against the
-analytic prediction.
+loop sample by sample (one lane at a time, or many independent lanes
+stepped together), and compares measured error power against the analytic
+prediction.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,12 @@ FIT_LOW = 1e-3
 # Plant zeros with |real part| below this (relative) count as on the j*omega
 # axis, where the log-magnitude is unbounded.
 AXIS_TOL = 1e-9
+
+# run_lanes: the u buffer of one lane group holds at most this many
+# lane-samples (16 MiB); with fewer than MIN_BATCH_LANES lanes per group the
+# per-step numpy overhead outweighs the batching and the scalar loop runs.
+LANE_BUFFER_SAMPLES = 1 << 21
+MIN_BATCH_LANES = 16
 
 
 @dataclass(frozen=True)
@@ -76,6 +84,15 @@ def quantize_midrise(xi: float, q: MidRiseQuantizer) -> tuple[float, bool]:
     return level, False
 
 
+def quantize_array(u: np.ndarray, q: MidRiseQuantizer) -> tuple[np.ndarray, np.ndarray]:
+    """``quantize_midrise`` of every sample of u: (levels, overload flags),
+    bit for bit."""
+    d, sat = q.step, q.saturation
+    level = (np.floor(u / d) + 0.5) * d
+    overload = ((level > sat) & (u > sat + 0.5 * d)) | ((level < -sat) & (u < -(sat + 0.5 * d)))
+    return np.clip(level, -sat, sat), overload
+
+
 @dataclass(frozen=True)
 class SignalModel:
     """Test-input description: colored (first-order analog spectrum sampled
@@ -107,6 +124,24 @@ class LoopTraces:
     v: np.ndarray
     w: np.ndarray
     overload: np.ndarray
+
+
+def loop_traces(x: np.ndarray, u: np.ndarray, q: MidRiseQuantizer) -> LoopTraces:
+    """Traces of a loop run from its input x and quantizer inputs u: v, w
+    and the overload flags are elementwise functions of u."""
+    v, overload = quantize_array(u, q)
+    return LoopTraces(x=x, u=u, v=v, w=v - u, overload=overload)
+
+
+@dataclass(frozen=True)
+class Lane:
+    """One loop run: a seeded input at a sample period, a shaper and a
+    quantizer."""
+
+    model: SignalModel
+    sample_period: float
+    shaper: RationalDiscreteTF | FIRFilter
+    quantizer: MidRiseQuantizer
 
 
 @dataclass(frozen=True)
@@ -224,6 +259,18 @@ def discretize_plant(plant: ContinuousTF, oversampling: int = 1) -> RationalDisc
     return RationalDiscreteTF(num * (dc * den.sum() / num.sum()), den)
 
 
+def _feedback_coefficients(r: RationalDiscreteTF | FIRFilter) -> tuple[list[float], list[float]]:
+    """(R - 1, denominator) of a unity-head shaper, ascending delay, both
+    padded to order + 1 taps; the first tap of R - 1 is zero."""
+    tf = as_discrete_tf(r)
+    m = tf.order
+    num = list(tf.num) + [0.0] * (m + 1 - len(tf.num))
+    den = list(tf.den) + [0.0] * (m + 1 - len(tf.den))
+    if abs(num[0] - 1.0) > HEAD_TOL:
+        raise ValueError(f"feedback filter must have unity head, got {num[0]!r}")
+    return [num[i] - den[i] for i in range(m + 1)], den
+
+
 def run_feedback_loop(
     x: np.ndarray, r: RationalDiscreteTF | FIRFilter, q: MidRiseQuantizer
 ) -> LoopTraces:
@@ -232,27 +279,19 @@ def run_feedback_loop(
     The feedback filter R[z] - 1 is realized in transposed direct form II;
     its state update consumes only past errors (R's unity head makes the
     difference strictly causal), enforced structurally: the current output
-    depends only on stored state.
+    depends only on stored state. Only u is recorded; ``loop_traces``
+    rebuilds the rest.
     """
-    tf = as_discrete_tf(r)
-    m = tf.order
-    num = list(tf.num) + [0.0] * (m + 1 - len(tf.num))
-    den = list(tf.den) + [0.0] * (m + 1 - len(tf.den))
-    if abs(num[0] - 1.0) > HEAD_TOL:
-        raise ValueError(f"feedback filter must have unity head, got {num[0]!r}")
-    f = [num[i] - den[i] for i in range(m + 1)]  # R - 1, ascending delay; f[0] = 0
+    f, den = _feedback_coefficients(r)
+    m = len(f) - 1
 
     x_arr = np.ascontiguousarray(np.asarray(x, dtype=float))
     xs = x_arr.tolist()
     n = len(xs)
     u_out = [0.0] * n
-    v_out = [0.0] * n
-    w_out = [0.0] * n
-    ov_out = bytearray(n)
 
     d = q.step
     sat = q.saturation
-    ov_edge = sat + 0.5 * d
     floor = math.floor
     state = [0.0] * (m + 2)  # state[1..m] live, state[m+1] stays zero
 
@@ -262,28 +301,120 @@ def run_feedback_loop(
         level = (floor(u / d) + 0.5) * d
         if level > sat:
             level = sat
-            if u > ov_edge:
-                ov_out[k] = 1
         elif level < -sat:
             level = -sat
-            if u < -ov_edge:
-                ov_out[k] = 1
         w = level - u
         for i in range(1, m):
             state[i] = f[i] * w - den[i] * y + state[i + 1]
         if m >= 1:
             state[m] = f[m] * w - den[m] * y
         u_out[k] = u
-        v_out[k] = level
-        w_out[k] = w
 
-    return LoopTraces(
-        x=x_arr,
-        u=np.array(u_out),
-        v=np.array(v_out),
-        w=np.array(w_out),
-        overload=np.array(ov_out, dtype=bool),
-    )
+    return loop_traces(x_arr, np.array(u_out), q)
+
+
+def run_feedback_lanes(
+    x: np.ndarray, shapers: Sequence[RationalDiscreteTF | FIRFilter], quantizers: Sequence[MidRiseQuantizer]
+) -> np.ndarray:
+    """``run_feedback_loop`` on many lanes at once: column j of x (shape
+    samples x lanes) runs through shapers[j] and quantizers[j].
+
+    Each time step advances every lane with a few numpy operations on
+    per-lane steps, saturations and TDF-II coefficients zero-padded to the
+    highest order, in the scalar loop's operation order, so each lane's u
+    equals ``run_feedback_loop``'s bit for bit (up to the sign of an exactly
+    zero u where x holds -0.0). x is overwritten with u and returned;
+    ``loop_traces`` rebuilds v, w and the overload flags.
+    """
+    n, lanes = x.shape
+    if len(shapers) != lanes or len(quantizers) != lanes:
+        raise ValueError("need one shaper and one quantizer per lane")
+    coeffs = [_feedback_coefficients(r) for r in shapers]
+    m = max(1, max(len(f) for f, _ in coeffs) - 1)
+    fd = np.zeros((2, m + 1, lanes))  # R - 1 and the denominator, zero-padded
+    for j, (f, den) in enumerate(coeffs):
+        fd[0, : len(f), j] = f
+        fd[1, : len(den), j] = den
+    fd = fd[:, 1:]  # taps 1..m, aligned with state[1..m]
+    d = np.array([q.step for q in quantizers])
+    sat = np.array([q.saturation for q in quantizers])
+    neg_sat = -sat
+
+    # Two blocks swap roles each step. Row 0 of a block holds w and rows
+    # 1..m hold state[1..m], so rows 0-1 of the current block are (w, y)
+    # and one multiply forms f[i] w and den[i] y for every row i.
+    blocks = np.zeros((2, m + 1, lanes))
+    roles = [
+        (cur[1], cur[0], cur[:2, None], nxt[1:], nxt[1:-1], cur[2:])
+        for cur, nxt in ((blocks[0], blocks[1]), (blocks[1], blocks[0]))
+    ]
+    level = np.empty(lanes)
+    products = np.empty((2, m, lanes))
+    f_w, den_y = products
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    for k in range(n):
+        y, w, w_y, nxt_state, nxt_low, cur_high = roles[k & 1]
+        u = x[k]
+        add(u, y, out=u)
+        np.divide(u, d, out=level)
+        np.floor(level, out=level)
+        add(level, 0.5, out=level)
+        multiply(level, d, out=level)
+        np.minimum(level, sat, out=level)
+        np.maximum(level, neg_sat, out=level)
+        subtract(level, u, out=w)
+        # state[i] = f[i] w - den[i] y + state[i + 1], with state[m + 1] = 0
+        multiply(fd, w_y, out=products)
+        subtract(f_w, den_y, out=nxt_state)
+        add(nxt_low, cur_high, out=nxt_low)
+    return x
+
+
+def lane_group_size(lanes: int, length: int) -> int:
+    """Lanes per group in ``run_lanes``: as even and as equal as the
+    LANE_BUFFER_SAMPLES budget allows, or 0 where fewer than
+    MIN_BATCH_LANES would be stepped together and the scalar loop is used."""
+    fit = LANE_BUFFER_SAMPLES // length // 2 * 2
+    if min(fit, lanes) < MIN_BATCH_LANES:
+        return 0
+    groups = -(-lanes // fit)
+    size = -(-lanes // groups)
+    return size + size % 2
+
+
+def run_lanes(lanes: Sequence[Lane]) -> Iterator[LoopTraces]:
+    """Traces of every lane, in order, each equal to ``run_feedback_loop``
+    on ``gen_input`` of the lane.
+
+    Lanes of one length run in groups of ``lane_group_size`` through
+    ``run_feedback_lanes``, so only one group's u buffer is held; each lane's
+    input is generated again for its traces. Too few lanes per group run on
+    the scalar loop.
+    """
+    if not lanes:
+        return
+    n = lanes[0].model.length
+    if any(lane.model.length != n for lane in lanes):
+        raise ValueError("lanes must share one input length")
+    size = lane_group_size(len(lanes), n)
+    if size == 0:
+        for lane in lanes:
+            yield run_feedback_loop(gen_input(lane.model, lane.sample_period), lane.shaper, lane.quantizer)
+        return
+    for start in range(0, len(lanes), size):
+        group = lanes[start : start + size]
+        buf = np.empty((n, len(group)))
+        for j, lane in enumerate(group):
+            buf[:, j] = gen_input(lane.model, lane.sample_period)
+        run_feedback_lanes(buf, [lane.shaper for lane in group], [lane.quantizer for lane in group])
+        for j, lane in enumerate(group):
+            x = gen_input(lane.model, lane.sample_period)
+            u = buf[:, j].copy()
+            if np.isfinite(u / lane.quantizer.step).all():
+                yield loop_traces(x, u, lane.quantizer)
+            else:  # the scalar loop's floor raises on a non-finite u/step; numpy carries on
+                yield run_feedback_loop(x, lane.shaper, lane.quantizer)
+        del buf  # release before the next group is allocated
 
 
 def filter_memory_estimate(tf: RationalDiscreteTF) -> int:
@@ -305,10 +436,18 @@ def _plant_error(v: np.ndarray, x: np.ndarray, plant_d: RationalDiscreteTF) -> t
     x = np.asarray(x, dtype=float)
     if v.shape != x.shape:
         raise ValueError("v and x must have equal length")
-    burn = max(1000, 20 * filter_memory_estimate(plant_d))
-    if len(v) <= 2 * burn:
-        raise ValueError(f"need more than {2 * burn} samples to discard a {burn}-sample burn-in")
+    burn = plant_burn_in(plant_d, len(v))
     return signal.lfilter(plant_d.num, plant_d.den, v - x), burn
+
+
+def plant_burn_in(plant_d: RationalDiscreteTF, length: int) -> int:
+    """Transient burn-in of max(1000, 20x filter memory) samples discarded
+    from a plant-filtered error of `length` samples; raises ValueError
+    unless `length` exceeds twice the burn-in."""
+    burn = max(1000, 20 * filter_memory_estimate(plant_d))
+    if length <= 2 * burn:
+        raise ValueError(f"need more than {2 * burn} samples to discard a {burn}-sample burn-in")
+    return burn
 
 
 def empirical_mse(v: np.ndarray, x: np.ndarray, plant_d: RationalDiscreteTF) -> float:

@@ -9,7 +9,7 @@ import pytest
 
 from efq import simulate
 from efq.cli import CSV_CHUNK_ROWS, _write_csv, main
-from efq.transfer import RationalDiscreteTF
+from efq.transfer import ContinuousTF, RationalDiscreteTF
 
 SMALL_CONFIG = {
     "schema_version": 1,
@@ -250,6 +250,61 @@ class TestSimulateCommand:
         )
         residual = simulate.loop_identity_residual(traces, RationalDiscreteTF(flt["num"], flt["den"]))
         assert residual <= 1e-10
+
+    def test_batched_lanes_match_scalar_oracle(self, tmp_path):
+        config = dict(SMALL_CONFIG, sim=dict(SMALL_CONFIG["sim"], seeds=[0, 1, 2, 3, 4]))
+        length = config["sim"]["length"]
+        assert simulate.lane_group_size(4 * 5, length) > 0  # 4 cells x 5 seeds take the batched path
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out), "--trace", "--quiet"]) == 0
+
+        plant = ContinuousTF(config["plant"]["num"], config["plant"]["den"], config["plant"]["sample_period"])
+        payload = json.loads((out / "simulate.json").read_text())
+        oracle_traces = []
+        for cell in payload["cells"]:
+            lam = cell["lambda"]
+            shaper = RationalDiscreteTF(cell["filter"]["num"], cell["filter"]["den"])
+            quant = simulate.MidRiseQuantizer(**cell["quantizer"])
+            plant_d = simulate.discretize_plant(plant, lam)
+            assert [run["seed"] for run in cell["runs"]] == config["sim"]["seeds"]
+            for run in cell["runs"]:
+                model = simulate.SignalModel(kind="colored", seed=run["seed"], length=length)
+                traces = simulate.run_feedback_loop(
+                    simulate.gen_input(model, plant.sample_period / lam), shaper, quant
+                )
+                oracle_traces.append(traces)
+                result = simulate.summarize_run(traces, plant_d, cell["predicted_mse"])
+                assert run == {
+                    "seed": run["seed"],
+                    "empirical_mse": result.empirical_mse,
+                    "overload_count": result.overload_count,
+                    "overload_rate": result.overload_rate,
+                    "w_variance": result.w_variance,
+                    "sigma_u_sq": result.sigma_u_sq,
+                    "max_abs_w_autocorr": max(abs(c) for c in result.w_autocorr),
+                }
+        _, rows = read_csv(out / "trace.csv")
+        first = oracle_traces[0]
+        for name in ("x", "u", "v", "w"):
+            assert np.array_equal(np.array([float(row[name]) for row in rows]), getattr(first, name)), name
+        assert np.array_equal(np.array([row["overload"] == "1" for row in rows]), first.overload)
+
+    def test_short_length_fails_before_any_loop(self, tmp_path, monkeypatch, capsys):
+        config = dict(SMALL_CONFIG, sim=dict(SMALL_CONFIG["sim"], length=1500))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+
+        def no_loop(*args, **kwargs):
+            raise AssertionError("a loop ran before the length check")
+
+        monkeypatch.setattr(simulate, "run_feedback_loop", no_loop)
+        monkeypatch.setattr(simulate, "run_feedback_lanes", no_loop)
+        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == 1
+        assert "need more than 2000 samples to discard a 1000-sample burn-in" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "simulate.json").exists()
 
     def test_reuses_fit_artifact(self, config_path, tmp_path):
         out = tmp_path / "out"

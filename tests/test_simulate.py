@@ -9,9 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
-from efq.design import QuantizerSpec, gamma_from_bits
-from efq.fitting import FIRFilter, as_discrete_tf, complete_report, norm_constrained_fir
+from efq.design import DesignProblem, QuantizerSpec, gamma_from_bits, optimal_shaper, solve_min_mse
+from efq.fitting import (
+    FIRFilter,
+    as_discrete_tf,
+    complete_report,
+    evaluate_fit,
+    norm_constrained_fir,
+    yule_walker_fit,
+)
 from efq.simulate import (
+    Lane,
     LoopTraces,
     MidRiseQuantizer,
     SignalModel,
@@ -20,14 +28,19 @@ from efq.simulate import (
     excised_mse,
     filter_memory_estimate,
     gen_input,
+    lane_group_size,
     loop_identity_residual,
+    loop_traces,
     predicted_loop_variances,
+    quantize_array,
     quantize_midrise,
+    run_feedback_lanes,
     run_feedback_loop,
+    run_lanes,
     summarize_run,
     whiteness_stat,
 )
-from efq.spectral import amplitude_of_tf, band_mean
+from efq.spectral import amplitude_of_tf, band_mean, oversample_response
 from efq.transfer import ContinuousTF, RationalDiscreteTF, frequency_response
 
 
@@ -78,6 +91,32 @@ def test_quantizer_properties(xi):
         assert abs(level - xi) <= q.step / 2.0 + 1e-12
     else:
         assert abs(xi) > q.saturation + q.step / 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.sampled_from([MidRiseQuantizer(step=0.25, saturation=2.125), MidRiseQuantizer(step=0.1, saturation=0.35)]),
+    half_steps=st.lists(st.integers(min_value=-60, max_value=60), max_size=20),
+    others=st.lists(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False), max_size=20),
+)
+def test_quantize_array_matches_quantize_midrise(q, half_steps, others):
+    # Exact half-steps, +-saturation and +-(saturation + step/2) with their
+    # float neighbours are where the level, clip and overload rules switch.
+    edges = np.array([q.saturation, q.saturation + q.step / 2.0])
+    edges = np.concatenate([edges, -edges])
+    u = np.concatenate(
+        [
+            np.array(half_steps, dtype=float) * (q.step / 2.0),
+            edges,
+            np.nextafter(edges, np.inf),
+            np.nextafter(edges, -np.inf),
+            others,
+        ]
+    )
+    levels, overload = quantize_array(u, q)
+    expected = [quantize_midrise(float(xi), q) for xi in u]
+    assert levels.tolist() == [level for level, _ in expected]
+    assert overload.tolist() == [flag for _, flag in expected]
 
 
 class TestSignalGenerators:
@@ -190,6 +229,124 @@ class TestLoop:
         assert 0.0 <= result.overload_rate < 0.05
         assert result.empirical_mse > 0.0
         assert len(result.w_autocorr) == 20
+
+
+@pytest.fixture(scope="module")
+def mixed_lanes(plant, p_base):
+    """(x, shaper, quantizer) per lane: yw IIR shapers of orders 2-4, qcqp
+    FIR shapers of orders 1 and 4, R = 1, a 1-bit lane, a collapsing (8, 4)
+    lane and a zero-input lane."""
+    n = 20_000
+
+    def design(bits, lam):
+        p_lam = oversample_response(p_base, lam)
+        gamma = gamma_from_bits(bits, 4.0)
+        return p_lam, gamma, solve_min_mse(DesignProblem(p=p_lam, gamma=gamma))
+
+    def lane(bits, lam, shaper, seed):
+        p_lam, gamma, _ = design(bits, lam)
+        sigma_u_sq, _ = predicted_loop_variances(evaluate_fit(shaper, p_lam, gamma).norm_sq, gamma)
+        quant = MidRiseQuantizer.from_spec(QuantizerSpec.for_sigma_u(bits, 4.0, math.sqrt(sigma_u_sq)))
+        x = gen_input(SignalModel(kind="colored", seed=seed, length=n), plant.sample_period / lam)
+        return x, shaper, quant
+
+    def qcqp(bits, lam, order):
+        p_lam, _, sol = design(bits, lam)
+        return norm_constrained_fir(p_lam, order, sol.norm_r_sq).fitted
+
+    p_8, _, sol_8 = design(8, 1)
+    lanes = [lane(8, 1, yule_walker_fit(optimal_shaper(sol_8.alpha_opt, p_8), order), order) for order in (2, 3, 4)]
+    lanes += [lane(4, 2, qcqp(4, 2, order), 5 + order) for order in (1, 4)]
+    lanes.append(lane(3, 1, FIRFilter((1.0,)), 10))
+    lanes.append(lane(1, 1, qcqp(1, 1, 4), 11))
+    lanes.append(lane(8, 4, qcqp(8, 4, 4), 1))
+    _, shaper, quant = lane(4, 2, qcqp(4, 2, 4), 12)
+    lanes.append((np.zeros(n), shaper, quant))
+    return lanes
+
+
+def _lanes_at_once(lanes):
+    x = np.stack([x for x, _, _ in lanes], axis=1)
+    return run_feedback_lanes(x, [r for _, r, _ in lanes], [q for _, _, q in lanes])
+
+
+class TestLaneKernel:
+    def test_each_lane_matches_scalar_loop(self, mixed_lanes):
+        u = _lanes_at_once(mixed_lanes)
+        overloads = []
+        for j, (x, shaper, quant) in enumerate(mixed_lanes):
+            expected = run_feedback_loop(x, shaper, quant)
+            got = loop_traces(x, u[:, j], quant)
+            for name in ("u", "v", "w", "overload"):
+                assert np.array_equal(getattr(got, name), getattr(expected, name)), (j, name)
+            overloads.append(int(np.count_nonzero(expected.overload)))
+        # The set covers overload-free lanes and a collapsed one.
+        assert min(overloads) == 0
+        assert max(overloads) > 1000
+
+    def test_grouping_and_order_leave_lanes_unchanged(self, mixed_lanes):
+        whole = _lanes_at_once(mixed_lanes)
+        split = np.concatenate([_lanes_at_once(mixed_lanes[i : i + 3]) for i in range(0, len(mixed_lanes), 3)], axis=1)
+        assert np.array_equal(split, whole)
+        perm = np.random.default_rng(3).permutation(len(mixed_lanes))
+        permuted = _lanes_at_once([mixed_lanes[j] for j in perm])
+        assert np.array_equal(permuted, whole[:, perm])
+
+    def test_lane_count_mismatch_rejected(self, mixed_lanes):
+        x, shaper, quant = mixed_lanes[0]
+        with pytest.raises(ValueError):
+            run_feedback_lanes(np.stack([x, x], axis=1), [shaper], [quant, quant])
+
+    @pytest.mark.parametrize(
+        ("lanes", "length", "size"),
+        [(160, 60_000, 32), (17, 20_000, 18), (40, 20_000, 40), (8, 20_000, 0), (5, 1_000_000, 0), (40, 200_000, 0)],
+    )
+    def test_group_size(self, lanes, length, size):
+        assert lane_group_size(lanes, length) == size
+
+
+class TestRunLanes:
+    @pytest.fixture(scope="class")
+    def shapers(self):
+        return [FIRFilter((1.0, -0.8)), RationalDiscreteTF([1.0, -1.1, 0.4], [1.0, -0.5]), FIRFilter((1.0,))]
+
+    def lanes(self, count, shapers, quant=MidRiseQuantizer(step=0.125, saturation=1.9375)):
+        return [
+            Lane(SignalModel(kind="colored", seed=seed, length=3000), 0.1, shapers[seed % len(shapers)], quant)
+            for seed in range(count)
+        ]
+
+    @pytest.mark.parametrize("count", [15, 16, 37])
+    def test_matches_scalar_loop_on_either_path(self, shapers, count):
+        assert (lane_group_size(count, 3000) > 0) == (count >= 16)  # 15 lanes take the scalar path
+        lanes = self.lanes(count, shapers)
+        got = list(run_lanes(lanes))
+        assert len(got) == count
+        for lane, traces in zip(lanes, got):
+            x = gen_input(lane.model, lane.sample_period)
+            expected = run_feedback_loop(x, lane.shaper, lane.quantizer)
+            for name in ("x", "u", "v", "w", "overload"):
+                assert np.array_equal(getattr(traces, name), getattr(expected, name))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_batched_lane_raises_as_scalar_loop(self, shapers):
+        # u / step overflows: the scalar loop's floor raises, and so must the
+        # batched path rather than return what numpy made of it.
+        tiny = MidRiseQuantizer(step=2.0**-1030, saturation=3 * 2.0**-1031)
+        lanes = self.lanes(16, shapers)
+        lanes[5] = dataclasses.replace(lanes[5], quantizer=tiny)
+        assert lane_group_size(len(lanes), 3000) > 0
+        x = gen_input(lanes[5].model, lanes[5].sample_period)
+        with pytest.raises(OverflowError):
+            run_feedback_loop(x, lanes[5].shaper, tiny)
+        with pytest.raises(OverflowError):
+            list(run_lanes(lanes))
+
+    def test_unequal_lengths_rejected(self, shapers):
+        lanes = self.lanes(2, shapers)
+        lanes[1] = dataclasses.replace(lanes[1], model=dataclasses.replace(lanes[1].model, length=10))
+        with pytest.raises(ValueError):
+            list(run_lanes(lanes))
 
 
 class TestEmpiricalMSE:
