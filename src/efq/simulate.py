@@ -21,7 +21,9 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, signal
+# scipy is imported inside the functions that call it: loading scipy.signal
+# and scipy.optimize takes longer than all of design, rd-curve or fit, which
+# never call them.
 
 from .design import QuantizerSpec
 from .fitting import FIRFilter, as_discrete_tf, yule_walker_fit
@@ -160,6 +162,8 @@ class SimulationResult:
 def gen_colored_input(model: SignalModel, sample_period: float) -> np.ndarray:
     """First-order autoregressive Gaussian input with pole exp(-ct_pole*T),
     started at stationarity and rescaled to exact target sample variance."""
+    from scipy import signal
+
     if model.kind != "colored":
         raise ValueError("model.kind must be 'colored'")
     if sample_period <= 0:
@@ -221,6 +225,8 @@ def discretize_plant(plant: ContinuousTF, oversampling: int = 1) -> RationalDisc
     The band limit at pi/oversampling that ``ct_frequency_map`` applies to
     design spectra has no rational counterpart and is not imitated.
     """
+    from scipy import optimize
+
     if oversampling < 1 or int(oversampling) != oversampling:
         raise ValueError("oversampling factor must be a positive integer")
     zeros = np.roots(plant.num)
@@ -432,6 +438,8 @@ def filter_memory_estimate(tf: RationalDiscreteTF) -> int:
 def _plant_error(v: np.ndarray, x: np.ndarray, plant_d: RationalDiscreteTF) -> tuple[np.ndarray, int]:
     """Plant-filtered reconstruction error P[z](v-x) and the transient
     burn-in of max(1000, 20x filter memory) samples to discard from it."""
+    from scipy import signal
+
     v = np.asarray(v, dtype=float)
     x = np.asarray(x, dtype=float)
     if v.shape != x.shape:
@@ -505,6 +513,8 @@ def whiteness_stat(w: np.ndarray, max_lag: int) -> float:
 def loop_identity_residual(traces: LoopTraces, r: RationalDiscreteTF | FIRFilter) -> float:
     """Max per-sample deviation of v - x from R[z] applied to the recorded
     errors; zero up to round-off by construction of the loop."""
+    from scipy import signal
+
     tf = as_discrete_tf(r)
     shaped = signal.lfilter(tf.num, tf.den, traces.w)
     return float(np.max(np.abs(traces.v - traces.x - shaped)))

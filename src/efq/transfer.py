@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
+# scipy.signal is imported inside impulse_response, its one caller here, so
+# that importing efq loads numpy only.
 
 from .errors import NumericalError
 
@@ -114,6 +115,8 @@ def frequency_response(tf: RationalDiscreteTF, omegas: np.ndarray) -> np.ndarray
 
 def impulse_response(tf: RationalDiscreteTF, length: int) -> np.ndarray:
     """First `length` impulse-response samples by direct recursion."""
+    from scipy import signal
+
     if length < 1:
         raise ValueError("length must be positive")
     delta = np.zeros(length)

@@ -3,10 +3,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import efq
 from efq import simulate
 from efq.cli import CSV_CHUNK_ROWS, _write_csv, main
 from efq.transfer import ContinuousTF, RationalDiscreteTF
@@ -102,12 +107,15 @@ class TestDesignCommand:
         assert (out1 / "design_r_opt.csv").read_bytes() == (out2 / "design_r_opt.csv").read_bytes()
 
     def test_thread_count_does_not_change_output(self, config_path, tmp_path, monkeypatch):
+        # Every command that maps its cells over the thread pool.
+        outputs = {"design": "design.json", "rd-curve": "rd_curve.csv", "fit": "fit.json"}
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        monkeypatch.setenv("EFQ_THREADS", "1")
-        assert main(["design", "--config", config_path, "--out", str(out1), "--quiet"]) == 0
-        monkeypatch.setenv("EFQ_THREADS", "4")
-        assert main(["design", "--config", config_path, "--out", str(out2), "--quiet"]) == 0
-        assert (out1 / "design.json").read_bytes() == (out2 / "design.json").read_bytes()
+        for threads, out in (("1", out1), ("4", out2)):
+            monkeypatch.setenv("EFQ_THREADS", threads)
+            for command in outputs:
+                assert main([command, "--config", config_path, "--out", str(out), "--quiet"]) == 0
+        for name in outputs.values():
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_grid_override_changes_hash(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -334,6 +342,43 @@ class TestVerifyCommand:
         payload = json.loads((out / "verify.json").read_text())
         assert payload["all_pass"] is True
         assert all(c["pass"] for c in payload["checks"])
+
+
+# Runs design, rd-curve and both fit methods, then prints the scipy modules loaded.
+SCIPY_FREE_STAGES = """
+import json, sys
+import efq
+from efq.cli import main
+
+qcqp, yw, out = sys.argv[1:]
+for argv in (
+    ["design", "--config", qcqp],
+    ["rd-curve", "--config", qcqp],
+    ["fit", "--config", qcqp, "--design", out + "/design.json"],
+    ["fit", "--config", yw],
+):
+    if main([*argv, "--out", out, "--quiet"]) != 0:
+        sys.exit(f"efq {argv[0]} failed")
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+class TestStartup:
+    def test_design_rd_curve_and_fit_never_load_scipy(self, config_path, tmp_path):
+        # A fresh process: this test session has imported scipy already.
+        yw_path = tmp_path / "yw.json"
+        yw_path.write_text(json.dumps(dict(SMALL_CONFIG, fit={"method": "yw", "order": 4})))
+        src = str(Path(efq.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_FREE_STAGES, config_path, str(yw_path), str(tmp_path / "out")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 class TestErrorHandling:

@@ -26,7 +26,14 @@ from efq.design import (
     upper_bound,
 )
 from efq.errors import InfeasibleError
-from efq.spectral import AmplitudeResponse, FrequencyGrid, constant_response, l2_norm_sq
+from efq.spectral import (
+    AmplitudeResponse,
+    FrequencyGrid,
+    constant_response,
+    l2_norm_sq,
+    log_geometric_mean,
+    oversample_response,
+)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -159,6 +166,15 @@ class TestSolve:
         prob = DesignProblem(p=p_base, gamma=gamma_from_bits(2, 4.0))
         sol = solve_min_mse(prob)
         assert sol.norm_r_sq < prob.nu
+
+    def test_lower_bracket_reaches_tiny_alpha(self, p_base):
+        # alpha_opt is about 4.2e-74 here, below what 200 halvings of 1e-12 reach.
+        prob = DesignProblem(p=oversample_response(p_base, 8), gamma=gamma_from_bits(16, 4.0))
+        sol = solve_min_mse(prob)
+        assert sol.alpha_opt < 1e-70
+        assert abs(sol.theta_opt**2 / sol.alpha_opt - prob.nu) <= 1e-10 * prob.nu
+        assert prob.nu - sol.norm_r_sq > 0.0
+        assert abs(log_geometric_mean(sol.r_opt)) <= 1e-8
 
 
 class TestMonotonicity:
