@@ -26,15 +26,14 @@ from .design import (
     OptimalDesign,
     QuantizerSpec,
     RDRow,
+    collapse_residual,
     db,
     design_for_nu,
     design_mse,
     gamma_from_bits,
     geomean_amplitude,
     optimal_shaper,
-    predicted_output_mse,
     rd_curve,
-    rd_point,
     shaped_noise_gain,
     shaper_norm_sq,
     solve_min_mse,
@@ -103,6 +102,7 @@ __all__ = [
     "as_discrete_tf",
     "band_integral",
     "band_mean",
+    "collapse_residual",
     "complete_report",
     "config_hash",
     "ct_frequency_map",
@@ -125,10 +125,8 @@ __all__ = [
     "normalize_head",
     "optimal_shaper",
     "oversample_response",
-    "predicted_output_mse",
     "quantize_midrise",
     "rd_curve",
-    "rd_point",
     "run_feedback_loop",
     "save_config",
     "shaped_noise_gain",

@@ -115,9 +115,9 @@ def _write_csv(path: Path, cfg_sha: str, rows: np.ndarray) -> None:
 
 def _load_setup(args) -> tuple[ExperimentConfig, str]:
     cfg = load_config(args.config) if args.config else default_config()
-    if getattr(args, "grid", None):
+    if args.grid is not None:
         cfg = dataclasses.replace(cfg, n_points=args.grid)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seeds=(args.seed,)))
     validate_config(cfg)
     return cfg, config_hash(cfg)
@@ -142,11 +142,48 @@ def _base_response(cfg: ExperimentConfig) -> spectral.AmplitudeResponse:
     return spectral.ct_frequency_map(cfg.plant_tf(), 1, cfg.grid())
 
 
-def _solve_cell(p_base, bits, lam, loading_factor):
-    gamma = design_mod.gamma_from_bits(bits, loading_factor)
-    p_lam = spectral.oversample_response(p_base, lam)
-    prob = design_mod.DesignProblem(p=p_lam, gamma=gamma)
-    return prob, design_mod.solve_min_mse(prob)
+def _positive(value) -> float:
+    if type(value) not in (int, float) or not 0 < value < math.inf:
+        raise ValueError(f"expected a finite positive number, got {value!r}")
+    return value
+
+
+def _shaper(value) -> RationalDiscreteTF:
+    return fitting.normalize_head(RationalDiscreteTF(value["num"], value["den"]))
+
+
+def _read_cells(path: str, kind: str, sha: str, cells, fields: dict) -> dict:
+    """Parsed fields of each of ``cells`` in an upstream JSON artifact,
+    keyed by (bits, lambda); ``fields`` maps each field name to its parser.
+
+    An unreadable file, another configuration's hash, a missing cell or a
+    field its parser rejects raises ConfigError naming the file and field.
+    """
+    try:
+        artifact = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {kind} artifact {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{kind} artifact {path} is not valid JSON: {exc}") from exc
+    if not isinstance(artifact, dict) or not isinstance(artifact.get("cells"), list):
+        raise ConfigError(f"{kind} artifact {path} is not a JSON object with a 'cells' list")
+    if artifact.get("config_sha256") != sha:
+        raise ConfigError(f"{kind} artifact {path} was produced with a different configuration")
+    rows = [c for c in artifact["cells"] if isinstance(c, dict)]
+    parsed = {}
+    for bits, lam in cells:
+        cell = next((c for c in rows if (c.get("bits"), c.get("lambda")) == (bits, lam)), None)
+        if cell is None:
+            raise ConfigError(f"{kind} artifact {path} has no cell for bits={bits} lambda={lam}")
+        parsed[bits, lam] = {}
+        for name, parse in fields.items():
+            try:
+                parsed[bits, lam][name] = parse(cell.get(name))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"{kind} artifact {path}: bits={bits} lambda={lam} has an invalid {name!r}: {exc}"
+                ) from exc
+    return parsed
 
 
 # ----------------------------------------------------------------------
@@ -160,28 +197,29 @@ def cmd_design(args) -> int:
 
     def solve(cell):
         bits, lam = cell
-        prob, sol = _solve_cell(p_base, bits, lam, cfg.loading_factor)
-        return prob, sol
+        gamma = design_mod.gamma_from_bits(bits, cfg.loading_factor)
+        return gamma, design_mod.design_for_nu(p_base, gamma + 1.0, lam)
 
     cells = _cells(cfg)
     solved = _pool_map(solve, cells)
 
     cell_payload = []
-    for (bits, lam), (prob, sol) in zip(cells, solved):
+    for (bits, lam), (gamma, sol) in zip(cells, solved):
+        nu = gamma + 1.0
         logmean = spectral.log_geometric_mean(sol.r_opt)
         cell_payload.append(
             {
                 "bits": bits,
                 "lambda": lam,
-                "gamma": prob.gamma,
-                "nu": prob.nu,
+                "gamma": gamma,
+                "nu": nu,
                 "alpha_opt": sol.alpha_opt,
                 "theta_opt": sol.theta_opt,
                 "distortion": sol.distortion,
                 "distortion_db": design_mod.db(sol.distortion),
                 "norm_r_sq": sol.norm_r_sq,
                 "n_of_alpha": sol.n_of_alpha,
-                "feasibility_margin": prob.nu - sol.norm_r_sq,
+                "feasibility_margin": nu - sol.norm_r_sq,
                 "logmean_check": logmean,
             }
         )
@@ -250,36 +288,31 @@ def cmd_rd_curve(args) -> int:
 # fit
 
 
-def _design_lookup(cfg, sha, design_path) -> dict | None:
-    if not design_path:
-        return None
-    try:
-        artifact = json.loads(Path(design_path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read design artifact {design_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"design artifact {design_path} is not valid JSON: {exc}") from exc
-    if artifact.get("config_sha256") != sha:
-        raise ConfigError("design artifact was produced with a different configuration")
-    return {(c["bits"], c["lambda"]): c for c in artifact["cells"]}
+def _fit_cell(fit_cfg, p_lam, gamma: float, alpha: float, budget: float) -> fitting.FitReport:
+    """Fit one cell's shaper to its design: ``alpha`` is the design's MSE
+    and ``budget`` its shaper norm ||r_opt||^2, the qcqp norm cap."""
+    if fit_cfg.method == "qcqp":
+        pre = fitting.norm_constrained_fir(p_lam, fit_cfg.order, budget)
+        return fitting.complete_report(pre, p_lam, gamma, ideal_mse=alpha)
+    target = design_mod.optimal_shaper(alpha, p_lam)
+    return fitting.evaluate_fit(fitting.yule_walker_fit(target, fit_cfg.order), p_lam, gamma, ideal_mse=alpha)
 
 
-def _fit_cell(cfg, p_base, bits, lam, designed: dict | None):
-    gamma = design_mod.gamma_from_bits(bits, cfg.loading_factor)
-    p_lam = spectral.oversample_response(p_base, lam)
-    if designed is None:
-        prob, sol = _solve_cell(p_base, bits, lam, cfg.loading_factor)
-        alpha, budget = sol.alpha_opt, sol.norm_r_sq
-    else:
-        alpha, budget = designed["alpha_opt"], designed["norm_r_sq"]
-    if cfg.fit.method == "qcqp":
-        pre = fitting.norm_constrained_fir(p_lam, cfg.fit.order, budget)
-        report = fitting.complete_report(pre, p_lam, gamma, ideal_mse=alpha)
-    else:
-        target = design_mod.optimal_shaper(alpha, p_lam)
-        fitted = fitting.yule_walker_fit(target, cfg.fit.order)
-        report = fitting.evaluate_fit(fitted, p_lam, gamma, ideal_mse=alpha)
-    return gamma, report
+def _fit_cells(cfg, p_base, designed: dict | None = None) -> list:
+    """(gamma, fit report) per cell in ``_cells`` order, fitted to the
+    ``designed`` artifact cells, or to designs solved here when it is None."""
+
+    def run(cell):
+        bits, lam = cell
+        gamma = design_mod.gamma_from_bits(bits, cfg.loading_factor)
+        if designed is None:
+            sol = design_mod.design_for_nu(p_base, gamma + 1.0, lam)
+            alpha, budget = sol.alpha_opt, sol.norm_r_sq
+        else:
+            alpha, budget = designed[cell]["alpha_opt"], designed[cell]["norm_r_sq"]
+        return gamma, _fit_cell(cfg.fit, spectral.oversample_response(p_base, lam), gamma, alpha, budget)
+
+    return _pool_map(run, _cells(cfg))
 
 
 def _report_payload(bits, lam, gamma, report) -> dict:
@@ -308,18 +341,11 @@ def _report_payload(bits, lam, gamma, report) -> dict:
 def cmd_fit(args) -> int:
     cfg, sha = _load_setup(args)
     out = _out_dir(args)
-    p_base = _base_response(cfg)
-    lookup = _design_lookup(cfg, sha, args.design)
-
-    def run(cell):
-        bits, lam = cell
-        designed = lookup.get((bits, lam)) if lookup else None
-        if lookup is not None and designed is None:
-            raise ConfigError(f"design artifact has no cell for bits={bits} lambda={lam}")
-        return _fit_cell(cfg, p_base, bits, lam, designed)
-
     cells = _cells(cfg)
-    results = _pool_map(run, cells)
+    designed = None
+    if args.design:
+        designed = _read_cells(args.design, "design", sha, cells, {"alpha_opt": _positive, "norm_r_sq": _positive})
+    results = _fit_cells(cfg, _base_response(cfg), designed)
 
     payload_cells = []
     for (bits, lam), (gamma, report) in zip(cells, results):
@@ -349,29 +375,25 @@ def cmd_fit(args) -> int:
 # simulate
 
 
-def _filters_from_artifact(path: str, sha: str) -> dict:
-    try:
-        artifact = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read fit artifact {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"fit artifact {path} is not valid JSON: {exc}") from exc
-    if artifact.get("config_sha256") != sha:
-        raise ConfigError("fit artifact was produced with a different configuration")
-    out = {}
-    for cell in artifact["cells"]:
-        flt = cell["filter"]
-        out[(cell["bits"], cell["lambda"])] = fitting.normalize_head(RationalDiscreteTF(flt["num"], flt["den"]))
-    return out
+def _loop_quantizer(shaper, p_sim, bits: int, lam: int, gamma: float, loading_factor: float):
+    """Score a shaper on the simulation plant and size the loop's quantizer
+    for the sigma_u it predicts. Returns (score, sigma_u^2, sigma_w^2,
+    quantizer); an infeasible shaper raises NumericalError."""
+    score = fitting.evaluate_fit(shaper, p_sim, gamma)
+    if not score.feasible:
+        raise NumericalError(f"fitted shaper infeasible at bits={bits} lambda={lam}: ||R||^2 = {score.norm_sq:.6g}")
+    sigma_u_sq, sigma_w_sq = simulate.predicted_loop_variances(score.norm_sq, gamma)
+    qspec = design_mod.QuantizerSpec.for_sigma_u(bits, loading_factor, math.sqrt(sigma_u_sq))
+    return score, sigma_u_sq, sigma_w_sq, simulate.MidRiseQuantizer.from_spec(qspec)
 
 
 def cmd_simulate(args) -> int:
     cfg, sha = _load_setup(args)
     out = _out_dir(args)
-    p_base = _base_response(cfg)
     plant = cfg.plant_tf()
     grid = cfg.grid()
-    filters = _filters_from_artifact(args.fit, sha) if args.fit else None
+    cell_list = _cells(cfg)
+    fitted = _read_cells(args.fit, "fit", sha, cell_list, {"filter": _shaper}) if args.fit else None
     # One plant fit per oversampling factor, shared by that factor's cells;
     # each must leave samples past its burn-in before any loop runs.
     sim_plants = {}
@@ -380,27 +402,17 @@ def cmd_simulate(args) -> int:
         simulate.plant_burn_in(plant_d, cfg.sim.length)
         sim_plants[lam] = (plant_d, spectral.amplitude_of_tf(plant_d, grid))
 
+    if fitted is not None:
+        shapers = [fitted[cell]["filter"] for cell in cell_list]
+    else:
+        shapers = [fitting.as_discrete_tf(report.fitted) for _, report in _fit_cells(cfg, _base_response(cfg))]
+
     cells = []  # (plant_d, predicted MSE, payload without runs)
     lanes = []  # one per (cell, seed), in that order
-    for bits, lam in _cells(cfg):
+    for (bits, lam), shaper in zip(cell_list, shapers):
         gamma = design_mod.gamma_from_bits(bits, cfg.loading_factor)
-        if filters is not None:
-            shaper = filters.get((bits, lam))
-            if shaper is None:
-                raise ConfigError(f"fit artifact has no cell for bits={bits} lambda={lam}")
-        else:
-            _, report = _fit_cell(cfg, p_base, bits, lam, None)
-            shaper = fitting.as_discrete_tf(report.fitted)
-
         plant_d, p_sim = sim_plants[lam]
-        score = fitting.evaluate_fit(shaper, p_sim, gamma)
-        if not score.feasible:
-            raise NumericalError(
-                f"fitted shaper infeasible at bits={bits} lambda={lam}: ||R||^2 = {score.norm_sq:.6g}"
-            )
-        sigma_u_sq, sigma_w_sq = simulate.predicted_loop_variances(score.norm_sq, gamma)
-        qspec = design_mod.QuantizerSpec.for_sigma_u(bits, cfg.loading_factor, math.sqrt(sigma_u_sq))
-        quantizer = simulate.MidRiseQuantizer.from_spec(qspec)
+        score, sigma_u_sq, sigma_w_sq, quantizer = _loop_quantizer(shaper, p_sim, bits, lam, gamma, cfg.loading_factor)
         cell = {
             "bits": bits,
             "lambda": lam,
@@ -489,6 +501,8 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
     p_base = _base_response(cfg)
     bits_sorted = sorted(set(cfg.bits_list))
     lams = sorted(set(cfg.lambda_list))
+    lane_bits = max(bits_sorted)
+    lane_design = None  # the loop lane's cell: (lane_bits, 1)
 
     worst_root = 0.0
     worst_identity = 0.0
@@ -502,14 +516,15 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
         gamma = design_mod.gamma_from_bits(bits, cfg.loading_factor)
         nu = gamma + 1.0
         for lam in lams:
-            prob, sol = _solve_cell(p_base, bits, lam, cfg.loading_factor)
+            sol = design_mod.design_for_nu(p_base, nu, lam)
+            if (bits, lam) == (lane_bits, 1):
+                lane_design = sol
             ratio = sol.theta_opt**2 / sol.alpha_opt
             worst_root = max(worst_root, abs(ratio - nu) / nu)
-            collapsed = design_mod.design_for_nu(p_base, nu**lam, 1).distortion
-            worst_identity = max(worst_identity, abs(sol.distortion - collapsed) / sol.distortion)
+            worst_identity = max(worst_identity, design_mod.collapse_residual(p_base, nu, lam, sol.distortion))
             bound = design_mod.upper_bound(nu, lam, p_base)
             worst_bound = max(worst_bound, sol.distortion / bound - 1.0)
-            worst_margin = min(worst_margin, prob.nu - sol.norm_r_sq)
+            worst_margin = min(worst_margin, nu - sol.norm_r_sq)
             worst_logmean = max(worst_logmean, abs(spectral.log_geometric_mean(sol.r_opt)))
             alpha_fine = design_mod.design_for_nu(p_fine, nu, lam).alpha_opt
             worst_grid = max(worst_grid, abs(alpha_fine - sol.alpha_opt) / sol.alpha_opt)
@@ -543,20 +558,18 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
     record("fir_kkt_stationarity", worst_stat, 1e-8, worst_stat <= 1e-8)
     record("fir_kkt_complementary_slackness", worst_slack, 1e-8, worst_slack <= 1e-8)
 
-    bits = max(bits_sorted)
-    gamma = design_mod.gamma_from_bits(bits, cfg.loading_factor)
-    _, report = _fit_cell(cfg, p_base, bits, 1, None)
+    gamma = design_mod.gamma_from_bits(lane_bits, cfg.loading_factor)
+    if lane_design is None:
+        lane_design = design_mod.design_for_nu(p_base, gamma + 1.0, 1)
+    report = _fit_cell(cfg.fit, p_base, gamma, lane_design.alpha_opt, lane_design.norm_r_sq)
     shaper = fitting.as_discrete_tf(report.fitted)
-    plant_d = simulate.discretize_plant(cfg.plant_tf(), 1)
-    p_sim = spectral.amplitude_of_tf(plant_d, cfg.grid())
-    score = fitting.evaluate_fit(shaper, p_sim, gamma)
-    sigma_u_sq, _ = simulate.predicted_loop_variances(score.norm_sq, gamma)
-    qspec = design_mod.QuantizerSpec.for_sigma_u(bits, cfg.loading_factor, math.sqrt(sigma_u_sq))
+    p_sim = spectral.amplitude_of_tf(simulate.discretize_plant(cfg.plant_tf(), 1), cfg.grid())
+    *_, quantizer = _loop_quantizer(shaper, p_sim, lane_bits, 1, gamma, cfg.loading_factor)
     model = simulate.SignalModel(
         kind=cfg.sim.input_kind, seed=cfg.sim.seeds[0], length=min(cfg.sim.length, 20000), ct_pole=cfg.sim.ct_pole
     )
     x = simulate.gen_input(model, cfg.plant.sample_period)
-    traces = simulate.run_feedback_loop(x, shaper, simulate.MidRiseQuantizer.from_spec(qspec))
+    traces = simulate.run_feedback_loop(x, shaper, quantizer)
     residual = simulate.loop_identity_residual(traces, shaper)
     record("loop_identity_residual", residual, 1e-10, residual <= 1e-10)
     ov_rate = float(np.count_nonzero(traces.overload)) / len(x)
@@ -603,10 +616,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, out_required: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, out_default: str | None = "efq-out") -> None:
         p.add_argument("--config", help="JSON configuration file (defaults to the built-in benchmark setup)")
-        if out_required:
-            p.add_argument("--out", default="efq-out", help="output directory (default: efq-out)")
+        out_help = f"output directory (default: {out_default})" if out_default else "optional output directory"
+        p.add_argument("--out", default=out_default, help=out_help)
         p.add_argument("--seed", type=int, help="override the simulation seed list with a single seed")
         p.add_argument("--grid", type=int, help="override the frequency-grid resolution")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
@@ -631,11 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")
-    p_verify.add_argument("--config", help="JSON configuration file (defaults to the built-in benchmark setup)")
-    p_verify.add_argument("--out", help="optional output directory for verify.json")
-    p_verify.add_argument("--seed", type=int, help="override the simulation seed list with a single seed")
-    p_verify.add_argument("--grid", type=int, help="override the frequency-grid resolution")
-    p_verify.add_argument("--quiet", action="store_true", help="suppress per-check output")
+    common(p_verify, out_default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -35,6 +35,7 @@ from .errors import InfeasibleError, NumericalError
 from .spectral import (
     AmplitudeResponse,
     band_mean,
+    constant_response,
     is_almost_constant,
     l2_norm_sq,
     log_geometric_mean,
@@ -212,7 +213,7 @@ def solve_min_mse(prob: DesignProblem) -> OptimalDesign:
         return OptimalDesign(
             alpha_opt=alpha,
             theta_opt=math.sqrt(c_sq + alpha),
-            r_opt=p.constant_like(1.0),
+            r_opt=constant_response(p.grid, 1.0),
             distortion=alpha,
             norm_r_sq=1.0,
             n_of_alpha=c_sq,
@@ -272,38 +273,22 @@ def solve_min_mse(prob: DesignProblem) -> OptimalDesign:
     )
 
 
-def predicted_sigma_w_sq(design: OptimalDesign, prob: DesignProblem, sigma_x_sq: float = 1.0) -> float:
-    """Quantizer-error variance implied by the variance balance:
-    sigma_x^2 / (nu - ||r||^2)."""
-    if sigma_x_sq < 0:
-        raise ValueError("sigma_x_sq must be nonnegative")
-    slack = prob.nu - design.norm_r_sq
-    if slack <= 0:
-        raise InfeasibleError(f"design is infeasible: nu - ||r||^2 = {slack:.6g}")
-    return sigma_x_sq / slack
-
-
-def predicted_output_mse(design: OptimalDesign, prob: DesignProblem, sigma_x_sq: float = 1.0) -> float:
-    """Predicted output error power ||p*r||^2 * sigma_w^2."""
-    return design.n_of_alpha * predicted_sigma_w_sq(design, prob, sigma_x_sq)
-
-
 def design_for_nu(p_base: AmplitudeResponse, nu: float, oversampling: int = 1) -> OptimalDesign:
-    """Solve the design at a given nu on the oversampled plant response."""
+    """Solve the design at a given nu on the oversampled plant response: the
+    design entry point, with nu = gamma_from_bits(bits, loading_factor) + 1."""
     if nu <= 1:
         raise ValueError(f"nu must exceed 1, got {nu}")
     p_lam = oversample_response(p_base, oversampling)
     return solve_min_mse(DesignProblem(p=p_lam, gamma=nu - 1.0))
 
 
-def rd_point(
-    p_base: AmplitudeResponse, oversampling: int, bits: int, loading_factor: float
-) -> tuple[float, float]:
-    """Distortion (MSE per unit input variance) and alpha at one operating
-    point (bit depth, oversampling factor)."""
-    gamma = gamma_from_bits(bits, loading_factor)
-    design = design_for_nu(p_base, gamma + 1.0, oversampling)
-    return design.distortion, design.alpha_opt
+def collapse_residual(p_base: AmplitudeResponse, nu: float, oversampling: int, distortion: float) -> float:
+    """|D(nu, lam) - D(nu^lam, 1)| / D(nu, lam), given D(nu, lam); at lam = 1
+    both sides are one problem, so it is 0 without a solve."""
+    if oversampling == 1:
+        return 0.0
+    collapsed = design_for_nu(p_base, nu**oversampling, 1).distortion
+    return abs(distortion - collapsed) / distortion
 
 
 def upper_bound(nu: float, oversampling: int, p_base: AmplitudeResponse) -> float:
@@ -366,7 +351,6 @@ def rd_curve(
         nu = gamma + 1.0
         for lam in sorted(set(int(v) for v in lambda_list)):
             design = design_for_nu(p_base, nu, lam)
-            d_collapsed = design_for_nu(p_base, nu**lam, 1).distortion if lam > 1 else design.distortion
             p_lam = oversample_response(p_base, lam)
             rows.append(
                 RDRow(
@@ -376,7 +360,7 @@ def rd_curve(
                     distortion=design.distortion,
                     d_uniform=l2_norm_sq(p_lam) / gamma,
                     bound=upper_bound(nu, lam, p_base),
-                    identity_residual=abs(design.distortion - d_collapsed) / design.distortion,
+                    identity_residual=collapse_residual(p_base, nu, lam, design.distortion),
                 )
             )
     return rows

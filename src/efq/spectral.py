@@ -96,9 +96,6 @@ class AmplitudeResponse:
             return AmplitudeResponse(self.grid, values)
         return AmplitudeResponse(self.grid, values, self.cutoff, edge_below, edge_above)
 
-    def constant_like(self, value: float) -> "AmplitudeResponse":
-        return AmplitudeResponse(self.grid, np.full(self.grid.n_points, float(value)))
-
 
 def constant_response(grid: FrequencyGrid, value: float) -> AmplitudeResponse:
     return AmplitudeResponse(grid, np.full(grid.n_points, float(value)))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import efq
-from efq import simulate
+from efq import design, simulate
 from efq.cli import CSV_CHUNK_ROWS, _write_csv, main
 from efq.transfer import ContinuousTF, RationalDiscreteTF
 
@@ -344,6 +344,70 @@ class TestVerifyCommand:
         assert all(c["pass"] for c in payload["checks"])
 
 
+class TestStagesAgree:
+    def test_cli_matches_library_and_stages_match_each_other(self, config_path, tmp_path):
+        out = tmp_path / "out"
+        for command in ("design", "rd-curve", "verify"):
+            assert main([command, "--config", config_path, "--out", str(out), "--quiet"]) == 0
+
+        cfg = efq.load_config(config_path)
+        p_base = efq.ct_frequency_map(cfg.plant_tf(), 1, cfg.grid())
+        cells = json.loads((out / "design.json").read_text())["cells"]
+        assert len(cells) == 4
+        for cell in cells:
+            nu = design.gamma_from_bits(cell["bits"], cfg.loading_factor) + 1.0
+            expected = design.design_for_nu(p_base, nu, cell["lambda"])
+            for name in ("alpha_opt", "theta_opt", "distortion", "norm_r_sq", "n_of_alpha"):
+                assert cell[name] == getattr(expected, name), (cell["bits"], cell["lambda"], name)
+
+        # verify and rd-curve must define the collapse residual and the bound alike.
+        measured = {c["name"]: c["measured"] for c in json.loads((out / "verify.json").read_text())["checks"]}
+        _, rows = read_csv(out / "rd_curve.csv")
+        assert measured["oversampling_collapse_identity"] == max(float(r["identity_residual"]) for r in rows)
+        assert measured["distortion_upper_bound_slack"] == max(float(r["D"]) / float(r["bound"]) - 1.0 for r in rows)
+
+
+REPO = Path(__file__).resolve().parents[1]
+SUBCOMMANDS = ("design", "rd-curve", "fit", "simulate", "verify")
+
+
+def run_python(args, timeout=300):
+    """Run python in a fresh process with this checkout's src on the path."""
+    src = str(Path(efq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
+
+
+class TestEntryPoints:
+    def test_readme_example_runs(self):
+        readme = (REPO / "README.md").read_text()
+        block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+        proc = run_python(["-c", block])
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "scripts/fit_study.py --bits 2 --lambdas 1,2 --grid 1024",
+            "scripts/simulation_check.py --bits 8 --length 20000 --seeds 0 --grid 1024 --excise",
+        ],
+        ids=["fit_study", "simulation_check"],
+    )
+    def test_script_runs(self, command):
+        script, *args = command.split()
+        proc = run_python([str(REPO / script), *args])
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_help_lists_common_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out
+        for flag in ("--config", "--out", "--seed", "--grid", "--quiet"):
+            assert flag in usage, (command, flag)
+
+
 # Runs design, rd-curve and both fit methods, then prints the scipy modules loaded.
 SCIPY_FREE_STAGES = """
 import json, sys
@@ -368,17 +432,17 @@ class TestStartup:
         # A fresh process: this test session has imported scipy already.
         yw_path = tmp_path / "yw.json"
         yw_path.write_text(json.dumps(dict(SMALL_CONFIG, fit={"method": "yw", "order": 4})))
-        src = str(Path(efq.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c", SCIPY_FREE_STAGES, config_path, str(yw_path), str(tmp_path / "out")],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
+        proc = run_python(["-c", SCIPY_FREE_STAGES, config_path, str(yw_path), str(tmp_path / "out")])
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def drop_field(name):
+    return lambda artifact: dict(artifact, cells=[{k: v for k, v in c.items() if k != name} for c in artifact["cells"]])
+
+
+def null_field(name):
+    return lambda artifact: dict(artifact, cells=[dict(c, **{name: None}) for c in artifact["cells"]])
 
 
 class TestErrorHandling:
@@ -412,6 +476,34 @@ class TestErrorHandling:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         assert main(["design", "--config", str(path), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("command", ["design", "verify"])
+    @pytest.mark.parametrize("grid", ["0", "63"])
+    def test_grid_below_minimum_rejected(self, config_path, tmp_path, capsys, command, grid):
+        assert main([command, "--config", config_path, "--out", str(tmp_path), "--grid", grid, "--quiet"]) == 1
+        assert f"n_points: must be an integer >= 64, got {grid}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stage, damage, named",
+        [
+            ("fit", null_field("alpha_opt"), "'alpha_opt'"),
+            ("fit", drop_field("alpha_opt"), "'alpha_opt'"),
+            ("fit", lambda artifact: artifact["cells"], "not a JSON object"),
+            ("simulate", drop_field("filter"), "'filter'"),
+        ],
+        ids=["null_alpha", "missing_alpha", "json_array", "missing_filter"],
+    )
+    def test_malformed_upstream_artifact_rejected(self, config_path, tmp_path, capsys, stage, damage, named):
+        upstream, flag = {"fit": ("design", "--design"), "simulate": ("fit", "--fit")}[stage]
+        out = tmp_path / "out"
+        assert main([upstream, "--config", config_path, "--out", str(out), "--quiet"]) == 0
+        path = out / f"{upstream}.json"
+        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+        capsys.readouterr()
+        assert main([stage, "--config", config_path, "--out", str(out), flag, str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert str(path) in err and named in err, err
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -10,22 +10,21 @@ from hypothesis import strategies as st
 from efq.design import (
     DesignProblem,
     QuantizerSpec,
+    collapse_residual,
     db,
     design_for_nu,
     design_mse,
     gamma_from_bits,
     geomean_amplitude,
     optimal_shaper,
-    predicted_output_mse,
-    predicted_sigma_w_sq,
     rd_curve,
-    rd_point,
     shaped_noise_gain,
     shaper_norm_sq,
     solve_min_mse,
     upper_bound,
 )
 from efq.errors import InfeasibleError
+from efq.simulate import predicted_loop_variances
 from efq.spectral import (
     AmplitudeResponse,
     FrequencyGrid,
@@ -147,7 +146,8 @@ class TestSolve:
         resp = constant_response(grid, 1.0)
         prob = DesignProblem(p=resp, gamma=1.0)
         sol = solve_min_mse(prob)
-        assert predicted_sigma_w_sq(sol, prob) == pytest.approx(1.0, rel=1e-12)
+        _, sigma_w_sq = predicted_loop_variances(sol.norm_r_sq, prob.gamma)
+        assert sigma_w_sq == pytest.approx(1.0, rel=1e-12)
 
     def test_identically_zero_plant_rejected(self, grid):
         with pytest.raises(ValueError):
@@ -160,7 +160,8 @@ class TestSolve:
     def test_predicted_mse_equals_distortion(self, p_base):
         prob = DesignProblem(p=p_base, gamma=gamma_from_bits(4, 4.0))
         sol = solve_min_mse(prob)
-        assert predicted_output_mse(sol, prob) == pytest.approx(sol.distortion, rel=1e-10)
+        _, sigma_w_sq = predicted_loop_variances(sol.norm_r_sq, prob.gamma)
+        assert sol.n_of_alpha * sigma_w_sq == pytest.approx(sol.distortion, rel=1e-10)
 
     def test_norm_feasible(self, p_base):
         prob = DesignProblem(p=p_base, gamma=gamma_from_bits(2, 4.0))
@@ -200,12 +201,19 @@ class TestOversampledDesign:
             direct = design_for_nu(p_base, nu, lam).distortion
             collapsed = design_for_nu(p_base, nu**lam, 1).distortion
             assert abs(direct - collapsed) / direct <= 1e-6
+            assert collapse_residual(p_base, nu, lam, direct) == abs(direct - collapsed) / direct
+        assert collapse_residual(p_base, 5.0, 1, 0.3) == 0.0
 
-    def test_rd_point_matches_solver(self, p_base):
-        dist, alpha = rd_point(p_base, 2, 4, 4.0)
-        assert dist == pytest.approx(alpha, rel=1e-12)
-        nu = gamma_from_bits(4, 4.0) + 1.0
-        assert dist == pytest.approx(design_for_nu(p_base, nu, 2).distortion, rel=1e-12)
+    def test_design_for_nu_is_the_cell_solve(self, p_base):
+        # A cell's design at (4 bits, lambda 2): its distortion is its alpha,
+        # and it is bit for bit the solve on the oversampled problem at gamma.
+        gamma = gamma_from_bits(4, 4.0)
+        design = design_for_nu(p_base, gamma + 1.0, 2)
+        assert design.distortion == pytest.approx(design.alpha_opt, rel=1e-12)
+        direct = solve_min_mse(DesignProblem(p=oversample_response(p_base, 2), gamma=gamma))
+        for name in ("alpha_opt", "theta_opt", "distortion", "norm_r_sq", "n_of_alpha"):
+            assert getattr(design, name) == getattr(direct, name), name
+        assert np.array_equal(design.r_opt.values, direct.r_opt.values)
 
 
 class TestUpperBound:
