@@ -153,6 +153,26 @@ class TestSolve:
         with pytest.raises(ValueError):
             DesignProblem(p=constant_response(grid, 0.0), gamma=1.0)
 
+    @pytest.mark.parametrize("peak", [2.0**511, 1.3e154, 1e200])
+    @pytest.mark.parametrize("at_edge", [False, True])
+    def test_plant_whose_square_overflows_rejected(self, grid, peak, at_edge):
+        """p^2 must stay finite: the solve fails up front, not after its bracket loop."""
+        vals = np.ones(grid.n_points)
+        if at_edge:
+            resp = AmplitudeResponse(grid, vals, cutoff=1.0, edge_below=peak, edge_above=0.0)
+        else:
+            vals[5] = peak
+            resp = AmplitudeResponse(grid, vals)
+        with pytest.raises(ValueError, match="too large"):
+            DesignProblem(p=resp, gamma=1.0)
+        with pytest.raises(ValueError, match="too large"):
+            design_for_nu(resp, 2.0, 1)
+
+    def test_largest_admissible_plant_integrates_finitely(self, grid):
+        big = constant_response(grid, np.nextafter(2.0**511, 0.0))
+        sol = solve_min_mse(DesignProblem(p=big, gamma=1.0))
+        assert math.isfinite(l2_norm_sq(big)) and math.isfinite(sol.distortion)
+
     def test_nonpositive_gamma_rejected(self, cosine_response):
         with pytest.raises(ValueError):
             DesignProblem(p=cosine_response, gamma=0.0)

@@ -49,6 +49,13 @@ class TestAmplitudeResponse:
         with pytest.raises(ValueError):
             AmplitudeResponse(grid, vals)
 
+    @pytest.mark.parametrize("edge", [math.nan, math.inf])
+    @pytest.mark.parametrize("side", ["edge_below", "edge_above"])
+    def test_nonfinite_edges_rejected(self, grid, side, edge):
+        edges = {"edge_below": 1.0, "edge_above": 0.0, side: edge}
+        with pytest.raises(ValueError, match="edge values must be finite"):
+            AmplitudeResponse(grid, np.ones(grid.n_points), cutoff=1.0, **edges)
+
     def test_cutoff_requires_both_edges(self, grid):
         vals = np.ones(grid.n_points)
         with pytest.raises(ValueError):
