@@ -11,8 +11,11 @@ synthesis routes:
   yw    order-(n,n) IIR fitted to the ideal magnitude by autocorrelation
         matching (Yule-Walker), then scored on the same objective
 
-Cells where the loss exceeds a method-specific budget (0.5 dB for qcqp,
-2 dB for yw by default) are flagged in the rightmost column.
+Both routes run through ``efq.fit_cell``, the function ``efq fit`` calls,
+and are scored against the design's optimal MSE alpha, so the CSV losses
+equal ``fit.json``'s ``loss_db``. Cells where the loss exceeds a
+method-specific budget (0.5 dB for qcqp, 2 dB for yw by default) are
+flagged in the rightmost column.
 
 Usage:
     python3 scripts/fit_study.py [--order 4] [--bits 1..8] [--lambdas 1,2,3,4]
@@ -23,22 +26,16 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 from pathlib import Path
 
 from efq import (
     FrequencyGrid,
-    complete_report,
     ct_frequency_map,
-    db,
     default_config,
     design_for_nu,
-    evaluate_fit,
+    fit_cell,
     gamma_from_bits,
-    norm_constrained_fir,
-    optimal_shaper,
     oversample_response,
-    yule_walker_fit,
 )
 
 
@@ -60,19 +57,8 @@ def loss_pair(p_base, bits: int, lam: int, order: int, loading: float) -> tuple[
     gamma = gamma_from_bits(bits, loading)
     design = design_for_nu(p_base, gamma + 1.0, lam)
     p_lam = oversample_response(p_base, lam)
-
-    pre = norm_constrained_fir(p_lam, order, design.norm_r_sq)
-    qcqp = complete_report(pre, p_lam, gamma, ideal_mse=design.distortion)
-
-    target = optimal_shaper(design.alpha_opt, p_lam)
-    yw = evaluate_fit(yule_walker_fit(target, order), p_lam, gamma, ideal_mse=design.distortion)
-
-    def loss(report):
-        if not math.isfinite(report.achieved_mse):
-            return math.inf
-        return db(report.achieved_mse / report.ideal_mse)
-
-    return loss(qcqp), loss(yw)
+    qcqp, yw = (fit_cell(m, order, p_lam, gamma, design.alpha_opt, design.norm_r_sq) for m in ("qcqp", "yw"))
+    return qcqp.loss_db, yw.loss_db
 
 
 def main() -> None:

@@ -32,26 +32,22 @@ import numpy as np
 
 from efq import (
     FrequencyGrid,
-    MidRiseQuantizer,
-    QuantizerSpec,
     SignalModel,
     amplitude_of_tf,
     as_discrete_tf,
-    complete_report,
     ct_frequency_map,
     db,
     default_config,
     design_for_nu,
     discretize_plant,
+    fit_cell,
     gamma_from_bits,
-    gen_input,
     loop_identity_residual,
-    norm_constrained_fir,
+    loop_quantizer,
     oversample_response,
-    run_feedback_loop,
     summarize_run,
 )
-from efq.simulate import excised_mse, filter_memory_estimate, predicted_loop_variances
+from efq.simulate import Lane, excised_mse, filter_memory_estimate, run_lanes
 
 
 def main() -> None:
@@ -74,16 +70,12 @@ def main() -> None:
 
     gamma = gamma_from_bits(args.bits, args.loading)
     design = design_for_nu(p_base, gamma + 1.0, args.lam)
-    pre = norm_constrained_fir(p_lam, args.order, design.norm_r_sq)
-    shaper = as_discrete_tf(pre.fitted)
+    fit = fit_cell("qcqp", args.order, p_lam, gamma, design.alpha_opt, design.norm_r_sq)
+    shaper = as_discrete_tf(fit.fitted)
 
     plant_d = discretize_plant(plant, args.lam)
     p_sim = amplitude_of_tf(plant_d, grid)
-    score = complete_report(pre, p_sim, gamma, ideal_mse=design.distortion)
-    sigma_u_sq, _ = predicted_loop_variances(score.norm_sq, gamma)
-    quant = MidRiseQuantizer.from_spec(
-        QuantizerSpec.for_sigma_u(args.bits, args.loading, math.sqrt(sigma_u_sq))
-    )
+    score, _, _, quant = loop_quantizer(shaper, p_sim, args.bits, args.loading)
     period = plant.sample_period / args.lam
     window = 10 * filter_memory_estimate(plant_d)
 
@@ -100,10 +92,9 @@ def main() -> None:
     print("-" * len(cols))
 
     ratios = []
-    for seed in [int(s) for s in args.seeds.split(",")]:
-        model = SignalModel(kind="colored", seed=seed, length=args.length)
-        x = gen_input(model, period)
-        traces = run_feedback_loop(x, shaper, quant)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    lanes = [Lane(SignalModel(kind="colored", seed=seed, length=args.length), period, shaper, quant) for seed in seeds]
+    for seed, traces in zip(seeds, run_lanes(lanes)):
         result = summarize_run(traces, plant_d, score.achieved_mse)
         resid = loop_identity_residual(traces, shaper)
         ratio = result.empirical_mse / result.predicted_mse

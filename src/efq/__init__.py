@@ -18,7 +18,6 @@ from .config import (
     config_hash,
     default_config,
     load_config,
-    save_config,
     validate_config,
 )
 from .design import (
@@ -46,6 +45,8 @@ from .fitting import (
     as_discrete_tf,
     complete_report,
     evaluate_fit,
+    fir_kkt_residuals,
+    fit_cell,
     norm_constrained_fir,
     normalize_head,
     yule_walker_fit,
@@ -57,6 +58,7 @@ from .simulate import (
     discretize_plant,
     gen_input,
     loop_identity_residual,
+    loop_quantizer,
     quantize_midrise,
     run_feedback_loop,
     summarize_run,
@@ -112,6 +114,8 @@ __all__ = [
     "design_mse",
     "discretize_plant",
     "evaluate_fit",
+    "fir_kkt_residuals",
+    "fit_cell",
     "frequency_response",
     "gamma_from_bits",
     "gen_input",
@@ -121,6 +125,7 @@ __all__ = [
     "load_config",
     "log_geometric_mean",
     "loop_identity_residual",
+    "loop_quantizer",
     "norm_constrained_fir",
     "normalize_head",
     "optimal_shaper",
@@ -128,10 +133,8 @@ __all__ = [
     "quantize_midrise",
     "rd_curve",
     "run_feedback_loop",
-    "save_config",
     "shaped_noise_gain",
     "shaper_norm_sq",
-    "simulate",
     "solve_min_mse",
     "summarize_run",
     "upper_bound",

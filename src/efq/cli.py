@@ -288,16 +288,6 @@ def cmd_rd_curve(args) -> int:
 # fit
 
 
-def _fit_cell(fit_cfg, p_lam, gamma: float, alpha: float, budget: float) -> fitting.FitReport:
-    """Fit one cell's shaper to its design: ``alpha`` is the design's MSE
-    and ``budget`` its shaper norm ||r_opt||^2, the qcqp norm cap."""
-    if fit_cfg.method == "qcqp":
-        pre = fitting.norm_constrained_fir(p_lam, fit_cfg.order, budget)
-        return fitting.complete_report(pre, p_lam, gamma, ideal_mse=alpha)
-    target = design_mod.optimal_shaper(alpha, p_lam)
-    return fitting.evaluate_fit(fitting.yule_walker_fit(target, fit_cfg.order), p_lam, gamma, ideal_mse=alpha)
-
-
 def _fit_cells(cfg, p_base, designed: dict | None = None) -> list:
     """(gamma, fit report) per cell in ``_cells`` order, fitted to the
     ``designed`` artifact cells, or to designs solved here when it is None."""
@@ -310,18 +300,14 @@ def _fit_cells(cfg, p_base, designed: dict | None = None) -> list:
             alpha, budget = sol.alpha_opt, sol.norm_r_sq
         else:
             alpha, budget = designed[cell]["alpha_opt"], designed[cell]["norm_r_sq"]
-        return gamma, _fit_cell(cfg.fit, spectral.oversample_response(p_base, lam), gamma, alpha, budget)
+        p_lam = spectral.oversample_response(p_base, lam)
+        return gamma, fitting.fit_cell(cfg.fit.method, cfg.fit.order, p_lam, gamma, alpha, budget)
 
     return _pool_map(run, _cells(cfg))
 
 
 def _report_payload(bits, lam, gamma, report) -> dict:
     tf = fitting.as_discrete_tf(report.fitted)
-    loss_db = (
-        design_mod.db(report.achieved_mse / report.ideal_mse)
-        if math.isfinite(report.achieved_mse) and report.ideal_mse > 0
-        else math.inf
-    )
     return {
         "bits": bits,
         "lambda": lam,
@@ -334,7 +320,7 @@ def _report_payload(bits, lam, gamma, report) -> dict:
         "achieved_mse_db": design_mod.db(report.achieved_mse) if math.isfinite(report.achieved_mse) else math.inf,
         "ideal_mse": report.ideal_mse,
         "ideal_mse_db": design_mod.db(report.ideal_mse),
-        "loss_db": loss_db,
+        "loss_db": report.loss_db,
     }
 
 
@@ -375,18 +361,6 @@ def cmd_fit(args) -> int:
 # simulate
 
 
-def _loop_quantizer(shaper, p_sim, bits: int, lam: int, gamma: float, loading_factor: float):
-    """Score a shaper on the simulation plant and size the loop's quantizer
-    for the sigma_u it predicts. Returns (score, sigma_u^2, sigma_w^2,
-    quantizer); an infeasible shaper raises NumericalError."""
-    score = fitting.evaluate_fit(shaper, p_sim, gamma)
-    if not score.feasible:
-        raise NumericalError(f"fitted shaper infeasible at bits={bits} lambda={lam}: ||R||^2 = {score.norm_sq:.6g}")
-    sigma_u_sq, sigma_w_sq = simulate.predicted_loop_variances(score.norm_sq, gamma)
-    qspec = design_mod.QuantizerSpec.for_sigma_u(bits, loading_factor, math.sqrt(sigma_u_sq))
-    return score, sigma_u_sq, sigma_w_sq, simulate.MidRiseQuantizer.from_spec(qspec)
-
-
 def cmd_simulate(args) -> int:
     cfg, sha = _load_setup(args)
     out = _out_dir(args)
@@ -412,7 +386,7 @@ def cmd_simulate(args) -> int:
     for (bits, lam), shaper in zip(cell_list, shapers):
         gamma = design_mod.gamma_from_bits(bits, cfg.loading_factor)
         plant_d, p_sim = sim_plants[lam]
-        score, sigma_u_sq, sigma_w_sq, quantizer = _loop_quantizer(shaper, p_sim, bits, lam, gamma, cfg.loading_factor)
+        score, sigma_u_sq, sigma_w_sq, quantizer = simulate.loop_quantizer(shaper, p_sim, bits, cfg.loading_factor)
         cell = {
             "bits": bits,
             "lambda": lam,
@@ -546,13 +520,7 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
         order = int(rng.integers(1, 6))
         budget = 1.0 + float(rng.uniform(0.01, 2.0))
         report = fitting.norm_constrained_fir(plant_r, order, budget)
-        rho = fitting.gram_autocorrelations(plant_r, order)
-        idx = np.abs(np.subtract.outer(np.arange(order), np.arange(order)))
-        a_mat, b_vec = rho[idx], rho[1 : order + 1]
-        x = np.array(report.fitted.taps[1:])
-        mu = report.kkt_multiplier
-        stat = float(np.linalg.norm(a_mat @ x + mu * x + b_vec)) / max(float(np.linalg.norm(b_vec)), 1e-300)
-        slack = abs(mu * (float(np.dot(x, x)) - (budget - 1.0)))
+        stat, slack = fitting.fir_kkt_residuals(plant_r, report, budget)
         worst_stat = max(worst_stat, stat)
         worst_slack = max(worst_slack, slack)
     record("fir_kkt_stationarity", worst_stat, 1e-8, worst_stat <= 1e-8)
@@ -561,18 +529,19 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
     gamma = design_mod.gamma_from_bits(lane_bits, cfg.loading_factor)
     if lane_design is None:
         lane_design = design_mod.design_for_nu(p_base, gamma + 1.0, 1)
-    report = _fit_cell(cfg.fit, p_base, gamma, lane_design.alpha_opt, lane_design.norm_r_sq)
+    report = fitting.fit_cell(
+        cfg.fit.method, cfg.fit.order, p_base, gamma, lane_design.alpha_opt, lane_design.norm_r_sq
+    )
     shaper = fitting.as_discrete_tf(report.fitted)
     p_sim = spectral.amplitude_of_tf(simulate.discretize_plant(cfg.plant_tf(), 1), cfg.grid())
-    *_, quantizer = _loop_quantizer(shaper, p_sim, lane_bits, 1, gamma, cfg.loading_factor)
+    *_, quantizer = simulate.loop_quantizer(shaper, p_sim, lane_bits, cfg.loading_factor)
     model = simulate.SignalModel(
         kind=cfg.sim.input_kind, seed=cfg.sim.seeds[0], length=min(cfg.sim.length, 20000), ct_pole=cfg.sim.ct_pole
     )
-    x = simulate.gen_input(model, cfg.plant.sample_period)
-    traces = simulate.run_feedback_loop(x, shaper, quantizer)
+    (traces,) = simulate.run_lanes([simulate.Lane(model, cfg.plant.sample_period, shaper, quantizer)])
     residual = simulate.loop_identity_residual(traces, shaper)
     record("loop_identity_residual", residual, 1e-10, residual <= 1e-10)
-    ov_rate = float(np.count_nonzero(traces.overload)) / len(x)
+    ov_rate = float(np.count_nonzero(traces.overload)) / len(traces.x)
     record("overload_rate", ov_rate, 0.05, ov_rate < 0.05)
 
     return checks

@@ -177,10 +177,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config_from_dict(data)
 
 
-def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(canonical_json(config_to_dict(cfg)) + "\n")
-
-
 def canonical_json(obj) -> str:
     """Deterministic JSON text: sorted keys, no whitespace variance, exact
     binary64 round-trip for floats (repr formatting)."""

@@ -64,7 +64,7 @@ ALMOST_CONSTANT_TOL = 1e-9
 MAX_PLANT_AMPLITUDE = 2.0**511
 
 ROOT_REL_TOL = 1e-12
-MAX_BRACKET_STEPS = 200
+MAX_BISECTION_STEPS = 200
 
 # Sign certificates for the bisection replay in solve_min_mse. In x = ln(alpha),
 # log_ratio is, in exact arithmetic on the computed samples,
@@ -75,7 +75,7 @@ MAX_BRACKET_STEPS = 200
 #     E = (log2(n) + 24) u max|ln(p^2 + alpha)|,  u = 2^-53:
 # a few u per sample for the add, log and products, log2(n) + 16 for numpy's
 # pairwise sum, and a few for the exp, logs and subtractions after it. The
-# replay evaluates normal floats up to 2^200, where max|ln| <= 709, so E is
+# replay evaluates normal floats only, where max|ln| <= 709.8, so E is
 # about 3e-12 at n = 2^17 and below 7e-12 for any n below 2^60. Once the
 # computed value at alpha_left exceeds SIGN_TOL >= 2E, the exact value
 # exceeds E there and at every smaller alpha, so the computed sign is
@@ -86,9 +86,10 @@ MAX_NEWTON_STEPS = 16
 # the last slope and re-aim from a miss, at most MAX_PROBES times a side.
 NEWTON_RESIDUAL = 1e-6
 MAX_PROBES = 3
-# The Newton pass stays within the alphas the bracket loops can reach.
+# The Newton pass stays within the alphas the bracket loops can reach: the
+# smallest normal float and the largest power of two.
 X_MIN = math.log(sys.float_info.min)
-X_MAX = MAX_BRACKET_STEPS * math.log(2.0)
+X_MAX = (sys.float_info.max_exp - 1) * math.log(2.0)
 
 
 def db(ratio: float) -> float:
@@ -150,33 +151,34 @@ class QuantizerSpec:
     @classmethod
     def for_sigma_u(cls, bits: int, loading_factor: float, sigma_u: float = 1.0) -> "QuantizerSpec":
         """Size the quantizer so saturation = loading_factor * sigma_u."""
-        if bits < 1 or int(bits) != bits:
-            raise ValueError("bits must be a positive integer")
-        if loading_factor <= 0:
-            raise ValueError("loading_factor must be positive")
+        gamma = gamma_from_bits(bits, loading_factor)
         if sigma_u <= 0:
             raise ValueError("sigma_u must be positive")
-        levels = (1 << int(bits)) - 1
         saturation = loading_factor * sigma_u
-        step = 2.0 * saturation / levels
         return cls(
             bits=int(bits),
             loading_factor=float(loading_factor),
-            step=step,
+            step=2.0 * saturation / _levels(bits),
             saturation=saturation,
-            gamma=gamma_from_bits(int(bits), loading_factor),
+            gamma=gamma,
         )
+
+
+def _levels(bits: int) -> int:
+    """2^bits - 1: the steps between a b-bit mid-rise quantizer's extreme
+    levels, which span 2 * saturation."""
+    if bits < 1 or int(bits) != bits:
+        raise ValueError("bits must be a positive integer")
+    return (1 << int(bits)) - 1
 
 
 def gamma_from_bits(bits: int, loading_factor: float) -> float:
     """Noise-ratio gamma = sigma_u^2/sigma_w^2 for a b-bit mid-rise quantizer
     under the white uniform-error model (sigma_w^2 = d^2/12) with saturation
     at loading_factor standard deviations of the input."""
-    if bits < 1 or int(bits) != bits:
-        raise ValueError("bits must be a positive integer")
+    levels = _levels(bits)
     if loading_factor <= 0:
         raise ValueError("loading_factor must be positive")
-    levels = (1 << int(bits)) - 1
     return 3.0 * levels * levels / (loading_factor * loading_factor)
 
 
@@ -216,14 +218,8 @@ def _shaper(theta: float, alpha: float, p: AmplitudeResponse) -> AmplitudeRespon
     # can differ in the last bit, and each keeps the bits it always had.
     values = theta / np.sqrt(p.values * p.values + alpha)
     if p.cutoff is None:
-        return AmplitudeResponse(p.grid, values)
-    return AmplitudeResponse(
-        p.grid,
-        values,
-        cutoff=p.cutoff,
-        edge_below=theta / math.sqrt(p.edge_below**2 + alpha),
-        edge_above=theta / math.sqrt(p.edge_above**2 + alpha),
-    )
+        return p.with_values(values)
+    return p.with_values(values, theta / math.sqrt(p.edge_below**2 + alpha), theta / math.sqrt(p.edge_above**2 + alpha))
 
 
 def geomean_amplitude(alpha: float, p: AmplitudeResponse) -> float:
@@ -373,24 +369,25 @@ def solve_min_mse(prob: DesignProblem) -> OptimalDesign:
             return -1.0
         return log_ratio(alpha)
 
+    # alpha_opt grows with the plant's scale and falls with nu and with the
+    # band limit: about 4e-74 at 16 bits and oversampling 8. Double up to the
+    # largest float and halve down to the smallest normal one.
     lo, hi = 1e-12, 1.0
-    for _ in range(MAX_BRACKET_STEPS):
-        if signed(hi) < 0:
-            break
+    while not signed(hi) < 0:
         hi *= 2.0
-    else:
-        raise NumericalError("failed to bracket the optimal alpha from above")
-    # alpha_opt falls with nu and with the band limit: about 4e-74 at 16 bits
-    # and oversampling 8. Halve all the way down to the smallest normal float.
+        if hi > sys.float_info.max:
+            raise NumericalError("failed to bracket the optimal alpha from above")
     while not signed(lo) > 0:
         lo /= 2.0
         if lo < sys.float_info.min:
             raise NumericalError("failed to bracket the optimal alpha from below")
 
-    for _ in range(MAX_BRACKET_STEPS):
+    for _ in range(MAX_BISECTION_STEPS):
         if hi / lo - 1.0 <= ROOT_REL_TOL:
             break
         mid = math.sqrt(lo * hi)
+        if not 0.0 < mid < math.inf:  # lo * hi underflowed (alpha below ~1e-162) or overflowed
+            mid = math.sqrt(lo) * math.sqrt(hi)
         if signed(mid) > 0:
             lo = mid
         else:

@@ -15,7 +15,9 @@ Two routes from an ideal shaping response to an implementable filter:
   and a secular equation in the Lagrange multiplier.
 
 ``evaluate_fit`` scores any candidate filter against a plant response and
-noise ratio, producing the same MSE functional the designer minimizes.
+noise ratio, producing the same MSE functional the designer minimizes;
+``fit_cell`` runs either route on one design cell and scores it, and
+``fir_kkt_residuals`` certifies a ``norm_constrained_fir`` result.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .design import db, optimal_shaper
 from .errors import NumericalError
 from .spectral import AmplitudeResponse, l2_norm_sq, power_cosine_moment
 from .transfer import (
@@ -79,6 +82,14 @@ class FitReport:
     norm_sq: float
     feasible: bool
     kkt_multiplier: float | None = None
+
+    @property
+    def loss_db(self) -> float:
+        """Realizability loss achieved/ideal in dB; inf for an infeasible fit
+        or an ideal MSE that is not positive."""
+        if math.isfinite(self.achieved_mse) and self.ideal_mse > 0:
+            return db(self.achieved_mse / self.ideal_mse)
+        return math.inf
 
 
 def as_discrete_tf(fit: RationalDiscreteTF | FIRFilter) -> RationalDiscreteTF:
@@ -203,16 +214,10 @@ def yule_walker_fit(target: AmplitudeResponse, order: int) -> RationalDiscreteTF
     a_mag = np.abs(np.polyval(a[::-1], np.exp(-1j * om)))
     resid_vals = target.values * a_mag
     if target.cutoff is None:
-        residual = AmplitudeResponse(target.grid, resid_vals)
+        residual = target.with_values(resid_vals)
     else:
         a_mag_wc = abs(np.polyval(a[::-1], np.exp(-1j * target.cutoff)))
-        residual = AmplitudeResponse(
-            target.grid,
-            resid_vals,
-            cutoff=target.cutoff,
-            edge_below=target.edge_below * a_mag_wc,
-            edge_above=target.edge_above * a_mag_wc,
-        )
+        residual = target.with_values(resid_vals, target.edge_below * a_mag_wc, target.edge_above * a_mag_wc)
     q = np.array([power_cosine_moment(residual, k) for k in range(order + 1)])
     c = _minimum_phase_from_autocorr(q)
     energy = float(np.dot(c, c))
@@ -242,6 +247,16 @@ def gram_autocorrelations(
     if len(g) < max_lag + 1:
         g = np.concatenate([g, np.zeros(max_lag + 1 - len(g))])
     return np.array([float(np.dot(g[: len(g) - k], g[k:])) for k in range(max_lag + 1)])
+
+
+def _fir_quadratic_form(plant: RationalDiscreteTF | AmplitudeResponse, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b) with ||P*R||^2 = rho(0) + 2b'x + x'Ax over the free taps x of
+    R = 1 + x1 z^-1 + ... + x_order z^-order."""
+    rho = gram_autocorrelations(plant, order)
+    # A[i,j] = rho(|i-j|) for shifts 1..order; b[i] = rho(i) couples tap i to
+    # the fixed unity head.
+    idx = np.abs(np.subtract.outer(np.arange(order), np.arange(order)))
+    return rho[idx], rho[1 : order + 1].copy()
 
 
 def _solve_sphere_constrained_quadratic(
@@ -323,12 +338,7 @@ def norm_constrained_fir(
         raise ValueError("order must be at least 1")
     if norm_budget < 1.0:
         raise ValueError("norm_budget below 1 admits no unity-head filter")
-    rho = gram_autocorrelations(plant, order)
-    # A[i,j] = rho(|i-j|) for shifts 1..order; b[i] = rho(i) couples tap i to
-    # the fixed unity head.
-    idx = np.abs(np.subtract.outer(np.arange(order), np.arange(order)))
-    a_mat = rho[idx]
-    b_vec = rho[1 : order + 1].copy()
+    a_mat, b_vec = _fir_quadratic_form(plant, order)
     x, mu = _solve_sphere_constrained_quadratic(a_mat, b_vec, norm_budget - 1.0)
     taps = np.concatenate([[1.0], x])
     fitted = FIRFilter(taps)
@@ -342,6 +352,20 @@ def norm_constrained_fir(
     )
 
 
+def fir_kkt_residuals(
+    plant: RationalDiscreteTF | AmplitudeResponse, report: FitReport, norm_budget: float
+) -> tuple[float, float]:
+    """KKT residuals of a ``norm_constrained_fir`` report against its plant
+    and budget: stationarity |(A + mu I) x + b| / |b| and complementary
+    slackness |mu (||x||^2 - (budget - 1))|. Both vanish at the exact
+    minimizer under the norm cap."""
+    x = np.array(report.fitted.taps[1:])
+    a_mat, b_vec = _fir_quadratic_form(plant, len(x))
+    mu = report.kkt_multiplier
+    stationarity = float(np.linalg.norm(a_mat @ x + mu * x + b_vec)) / max(float(np.linalg.norm(b_vec)), 1e-300)
+    return stationarity, abs(mu * (float(np.dot(x, x)) - (norm_budget - 1.0)))
+
+
 def shaped_noise_norm_sq(
     fit: RationalDiscreteTF | FIRFilter, p: AmplitudeResponse
 ) -> tuple[float, float]:
@@ -351,16 +375,10 @@ def shaped_noise_norm_sq(
     r_vals = np.abs(frequency_response(tf, om))
     norm_sq = l2_norm_sq(AmplitudeResponse(p.grid, r_vals))
     if p.cutoff is None:
-        shaped = AmplitudeResponse(p.grid, p.values * r_vals)
+        shaped = p.with_values(p.values * r_vals)
     else:
         r_wc = abs(tf.eval(np.exp(-1j * p.cutoff)))
-        shaped = AmplitudeResponse(
-            p.grid,
-            p.values * r_vals,
-            cutoff=p.cutoff,
-            edge_below=p.edge_below * r_wc,
-            edge_above=p.edge_above * r_wc,
-        )
+        shaped = p.with_values(p.values * r_vals, p.edge_below * r_wc, p.edge_above * r_wc)
     return l2_norm_sq(shaped), norm_sq
 
 
@@ -396,3 +414,17 @@ def complete_report(report: FitReport, p: AmplitudeResponse, gamma: float, ideal
     return evaluate_fit(
         report.fitted, p, gamma, ideal_mse=ideal_mse, kkt_multiplier=report.kkt_multiplier
     )
+
+
+def fit_cell(
+    method: str, order: int, p: AmplitudeResponse, gamma: float, alpha: float, norm_budget: float
+) -> FitReport:
+    """Fit one design cell's shaper on its (oversampled) plant p and score it
+    against the design's MSE alpha: "qcqp" is ``norm_constrained_fir`` under
+    the design's shaper norm ``norm_budget``, "yw" the ``yule_walker_fit`` of
+    ``optimal_shaper(alpha, p)``."""
+    if method == "qcqp":
+        return complete_report(norm_constrained_fir(p, order, norm_budget), p, gamma, ideal_mse=alpha)
+    if method == "yw":
+        return evaluate_fit(yule_walker_fit(optimal_shaper(alpha, p), order), p, gamma, ideal_mse=alpha)
+    raise ValueError(f"unknown fit method {method!r}")

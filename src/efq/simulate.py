@@ -25,9 +25,10 @@ import numpy as np
 # and scipy.optimize takes longer than all of design, rd-curve or fit, which
 # never call them.
 
-from .design import QuantizerSpec
-from .fitting import FIRFilter, as_discrete_tf, yule_walker_fit
-from .spectral import FrequencyGrid, ct_frequency_map
+from .design import QuantizerSpec, gamma_from_bits
+from .errors import NumericalError
+from .fitting import FIRFilter, FitReport, as_discrete_tf, evaluate_fit, yule_walker_fit
+from .spectral import AmplitudeResponse, FrequencyGrid, ct_frequency_map
 from .transfer import ContinuousTF, RationalDiscreteTF
 
 HEAD_TOL = 1e-12
@@ -104,7 +105,6 @@ class SignalModel:
     seed: int
     length: int
     ct_pole: float = 2.62
-    variance: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("colored", "white"):
@@ -113,8 +113,6 @@ class SignalModel:
             raise ValueError("length must be positive")
         if self.ct_pole <= 0:
             raise ValueError("ct_pole must be positive")
-        if self.variance <= 0:
-            raise ValueError("variance must be positive")
 
 
 @dataclass(frozen=True)
@@ -159,43 +157,27 @@ class SimulationResult:
     sigma_u_sq: float
 
 
-def gen_colored_input(model: SignalModel, sample_period: float) -> np.ndarray:
-    """First-order autoregressive Gaussian input with pole exp(-ct_pole*T),
-    started at stationarity and rescaled to exact target sample variance."""
-    from scipy import signal
-
-    if model.kind != "colored":
-        raise ValueError("model.kind must be 'colored'")
-    if sample_period <= 0:
-        raise ValueError("sample_period must be positive")
-    rng = np.random.default_rng(model.seed)
-    pole = math.exp(-model.ct_pole * sample_period)
-    x_prev = rng.standard_normal()
-    innov = rng.standard_normal(model.length)
-    scale = math.sqrt(1.0 - pole * pole)
-    x, _ = signal.lfilter([scale], [1.0, -pole], innov, zi=np.array([pole * x_prev]))
-    sd = float(np.std(x))
-    if sd == 0.0:
-        raise ValueError("degenerate input sequence (zero variance)")
-    return x * (math.sqrt(model.variance) / sd)
-
-
-def gen_white_input(model: SignalModel) -> np.ndarray:
-    """Seeded zero-mean Gaussian sequence, rescaled to exact sample variance."""
-    if model.kind != "white":
-        raise ValueError("model.kind must be 'white'")
-    rng = np.random.default_rng(model.seed)
-    x = rng.standard_normal(model.length)
-    sd = float(np.std(x))
-    if sd == 0.0:
-        raise ValueError("degenerate input sequence (zero variance)")
-    return x * (math.sqrt(model.variance) / sd)
-
-
 def gen_input(model: SignalModel, sample_period: float) -> np.ndarray:
+    """The model's seeded Gaussian input, rescaled to exact unit sample
+    variance: white, or first-order autoregressive with pole
+    exp(-ct_pole*T) started at stationarity."""
+    rng = np.random.default_rng(model.seed)
     if model.kind == "colored":
-        return gen_colored_input(model, sample_period)
-    return gen_white_input(model)
+        from scipy import signal
+
+        if sample_period <= 0:
+            raise ValueError("sample_period must be positive")
+        pole = math.exp(-model.ct_pole * sample_period)
+        x_prev = rng.standard_normal()
+        innov = rng.standard_normal(model.length)
+        scale = math.sqrt(1.0 - pole * pole)
+        x, _ = signal.lfilter([scale], [1.0, -pole], innov, zi=np.array([pole * x_prev]))
+    else:
+        x = rng.standard_normal(model.length)
+    sd = float(np.std(x))
+    if sd == 0.0:
+        raise ValueError("degenerate input sequence (zero variance)")
+    return x * (1.0 / sd)
 
 
 def _reflect_inside(coeffs: np.ndarray) -> np.ndarray:
@@ -520,19 +502,33 @@ def loop_identity_residual(traces: LoopTraces, r: RationalDiscreteTF | FIRFilter
     return float(np.max(np.abs(traces.v - traces.x - shaped)))
 
 
-def predicted_loop_variances(
-    norm_r_sq: float, gamma: float, sigma_x_sq: float = 1.0
-) -> tuple[float, float]:
-    """(sigma_u^2, sigma_w^2) implied by the variance balance at a unity-head
-    shaper of squared norm ||R||^2: sigma_w^2 = sigma_x^2/(nu - ||R||^2) and
-    sigma_u^2 = sigma_x^2 + (||R||^2 - 1) sigma_w^2, using ||R-1||^2 =
-    ||R||^2 - 1 for unity-head filters."""
+def predicted_loop_variances(norm_r_sq: float, gamma: float) -> tuple[float, float]:
+    """(sigma_u^2, sigma_w^2) per unit input variance implied by the variance
+    balance at a unity-head shaper of squared norm ||R||^2:
+    sigma_w^2 = 1/(nu - ||R||^2) and sigma_u^2 = 1 + (||R||^2 - 1) sigma_w^2,
+    using ||R-1||^2 = ||R||^2 - 1 for unity-head filters."""
     nu = gamma + 1.0
     if norm_r_sq >= nu:
         raise ValueError(f"infeasible shaper: ||R||^2 = {norm_r_sq:.6g} >= nu = {nu:.6g}")
-    sigma_w_sq = sigma_x_sq / (nu - norm_r_sq)
-    sigma_u_sq = sigma_x_sq + (norm_r_sq - 1.0) * sigma_w_sq
+    sigma_w_sq = 1.0 / (nu - norm_r_sq)
+    sigma_u_sq = 1.0 + (norm_r_sq - 1.0) * sigma_w_sq
     return sigma_u_sq, sigma_w_sq
+
+
+def loop_quantizer(
+    shaper: RationalDiscreteTF | FIRFilter, p_sim: AmplitudeResponse, bits: int, loading_factor: float
+) -> tuple[FitReport, float, float, MidRiseQuantizer]:
+    """Set up a loop lane's quantizer: score the shaper on the simulation
+    plant p_sim and size a bits-bit quantizer for the sigma_u the variance
+    balance predicts. Returns (score, sigma_u^2, sigma_w^2, quantizer); an
+    infeasible shaper raises NumericalError."""
+    gamma = gamma_from_bits(bits, loading_factor)
+    score = evaluate_fit(shaper, p_sim, gamma)
+    if not score.feasible:
+        raise NumericalError(f"shaper infeasible at {bits} bits on the simulation plant: ||R||^2 = {score.norm_sq:.6g}")
+    sigma_u_sq, sigma_w_sq = predicted_loop_variances(score.norm_sq, gamma)
+    qspec = QuantizerSpec.for_sigma_u(bits, loading_factor, math.sqrt(sigma_u_sq))
+    return score, sigma_u_sq, sigma_w_sq, MidRiseQuantizer.from_spec(qspec)
 
 
 def summarize_run(

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior on a small configuration."""
 
 import csv
+import inspect
 import json
 import math
 import os
@@ -378,6 +379,23 @@ def run_python(args, timeout=300):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
 
 
+# The report of scripts/simulation_check.py on one short lane, as its own
+# hand-written quantizer set-up and loop printed it.
+SIMULATION_CHECK_STDOUT = """\
+cell: bits=8 lambda=1 order=4 loading=4.0
+shaper taps: [1.0, -1.116942, 0.230829, -0.087225, 0.029458]
+predicted MSE 6.111487e-07 (-62.139 dB), ideal 6.108487e-07 (-62.141 dB)
+quantizer: step 3.137423e-02, saturation 4.000215e+00
+
+ seed overloads  ovl_rate    empirical   ratio  identity      excised exc_ratio exc_frac
+----------------------------------------------------------------------------------------
+    0         2  1.00e-04 6.662605e-07  1.0902  3.89e-16 6.079637e-07    0.9948 6.89e-03
+
+empirical/predicted ratio: mean 1.0902, 95% CI half-width nan, range [1.0902, 1.0902]
+(excision window: 130 samples after each overload)
+"""
+
+
 class TestEntryPoints:
     def test_readme_example_runs(self):
         readme = (REPO / "README.md").read_text()
@@ -397,6 +415,31 @@ class TestEntryPoints:
         script, *args = command.split()
         proc = run_python([str(REPO / script), *args])
         assert proc.returncode == 0, proc.stderr
+
+    def test_fit_study_losses_equal_efq_fit(self, tmp_path):
+        """fit_study.py and ``efq fit`` score both methods alike, to the bit."""
+        csv_path = tmp_path / "fit_study.csv"
+        args = ["--bits", "2,3", "--lambdas", "1,2", "--grid", "1024", "--csv", str(csv_path)]
+        proc = run_python([str(REPO / "scripts/fit_study.py"), *args])
+        assert proc.returncode == 0, proc.stderr
+        study = {(int(r["bits"]), int(r["lambda"])): r for r in csv.DictReader(csv_path.open())}
+        assert len(study) == 4
+        for method in ("qcqp", "yw"):
+            config = tmp_path / f"{method}.json"
+            config.write_text(json.dumps(dict(SMALL_CONFIG, n_points=1024, fit={"method": method, "order": 4})))
+            out = tmp_path / method
+            assert main(["fit", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+            for cell in json.loads((out / "fit.json").read_text())["cells"]:
+                row = study[cell["bits"], cell["lambda"]]
+                assert float(row[f"{method}_loss_db"]) == cell["loss_db"], (method, cell["bits"], cell["lambda"])
+
+    def test_simulation_check_output_is_unchanged(self):
+        """The script's lane set-up and loop run through ``loop_quantizer`` and
+        ``run_lanes``; its report stays the one its hand-written loop printed."""
+        command = "--bits 8 --length 20000 --seeds 0 --grid 1024 --excise"
+        proc = run_python([str(REPO / "scripts/simulation_check.py"), *command.split()])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == SIMULATION_CHECK_STDOUT
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_help_lists_common_flags(self, command, capsys):
@@ -425,6 +468,13 @@ for argv in (
         sys.exit(f"efq {argv[0]} failed")
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
+
+
+class TestPublicSurface:
+    def test_all_lists_every_public_name_but_modules(self):
+        public = {name for name, value in vars(efq).items() if not name.startswith("_") and not inspect.ismodule(value)}
+        assert len(efq.__all__) == len(set(efq.__all__))
+        assert set(efq.__all__) == public
 
 
 class TestStartup:

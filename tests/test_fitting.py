@@ -1,5 +1,6 @@
 """Realizable filter synthesis: norm-constrained FIR and Yule-Walker IIR."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ from efq.fitting import (
     as_discrete_tf,
     complete_report,
     evaluate_fit,
+    fir_kkt_residuals,
+    fit_cell,
     gram_autocorrelations,
     levinson,
     norm_constrained_fir,
@@ -236,3 +239,78 @@ def test_kkt_certificate_property(budget, order, seed):
     assert float(np.linalg.norm(grad)) <= 1e-8 * scale
     slack = mu * (float(np.dot(x, x)) - (budget - 1.0))
     assert abs(slack) <= 1e-8
+
+
+def random_fir_plant(seed: int):
+    """A seeded 4-tap FIR plant with a dominant head, as ``efq verify`` draws them."""
+    taps = np.random.default_rng(seed).standard_normal(4)
+    taps[0] = 1.0 + abs(taps[0])
+    return FIRFilter(taps).as_tf()
+
+
+class TestKKTCertificate:
+    """``fir_kkt_residuals`` vanishes on exact fits and flags broken ones."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("budget", [1.01, 1.5, 3.0])
+    def test_small_on_fir_plant_fits(self, seed, budget):
+        plant = random_fir_plant(seed)
+        report = norm_constrained_fir(plant, 1 + seed % 5, budget)
+        assert max(fir_kkt_residuals(plant, report, budget)) <= 1e-8
+
+    @pytest.mark.parametrize("lam", [1, 3])
+    def test_small_on_amplitude_plant_fits(self, p_base, lam):
+        p_lam = oversample_response(p_base, lam)
+        design = solve_min_mse(DesignProblem(p=p_lam, gamma=gamma_from_bits(4, 4.0)))
+        for budget in (1.05, design.norm_r_sq):
+            report = norm_constrained_fir(p_lam, 4, budget)
+            assert max(fir_kkt_residuals(p_lam, report, budget)) <= 1e-8, budget
+
+    @pytest.mark.parametrize("tap", [1, 2, 3])
+    def test_perturbed_tap_fails(self, tap):
+        plant = random_fir_plant(tap)
+        report = norm_constrained_fir(plant, 3, 1.5)
+        taps = list(report.fitted.taps)
+        taps[tap] += 1e-3
+        stationarity, _ = fir_kkt_residuals(plant, dataclasses.replace(report, fitted=FIRFilter(taps)), 1.5)
+        assert stationarity > 1e-5
+
+    def test_dropped_multiplier_fails_on_active_cap(self):
+        plant = random_fir_plant(0)
+        report = norm_constrained_fir(plant, 3, 1.01)
+        assert report.kkt_multiplier > 1e-3  # the cap is active
+        stationarity, _ = fir_kkt_residuals(plant, dataclasses.replace(report, kkt_multiplier=0.0), 1.01)
+        assert stationarity > 1e-5
+
+    def test_slackness_flags_a_multiplier_on_a_slack_cap(self):
+        plant = random_fir_plant(0)
+        report = norm_constrained_fir(plant, 3, 100.0)
+        assert report.kkt_multiplier == 0.0
+        _, slackness = fir_kkt_residuals(plant, dataclasses.replace(report, kkt_multiplier=1e-3), 100.0)
+        assert slackness > 1e-5
+
+
+class TestFitCell:
+    @pytest.mark.parametrize("lam", [1, 2])
+    def test_is_the_two_routes(self, p_base, lam):
+        p_lam = oversample_response(p_base, lam)
+        gamma = gamma_from_bits(3, 4.0)
+        design = solve_min_mse(DesignProblem(p=p_lam, gamma=gamma))
+        qcqp = fit_cell("qcqp", 4, p_lam, gamma, design.alpha_opt, design.norm_r_sq)
+        pre = norm_constrained_fir(p_lam, 4, design.norm_r_sq)
+        assert qcqp == complete_report(pre, p_lam, gamma, ideal_mse=design.alpha_opt)
+        yw = fit_cell("yw", 4, p_lam, gamma, design.alpha_opt, design.norm_r_sq)
+        fitted = yule_walker_fit(optimal_shaper(design.alpha_opt, p_lam), 4)
+        assert yw == evaluate_fit(fitted, p_lam, gamma, ideal_mse=design.alpha_opt)
+        for report in (qcqp, yw):
+            assert report.loss_db == db(report.achieved_mse / design.alpha_opt)
+
+    def test_unknown_method_rejected(self, p_base):
+        with pytest.raises(ValueError, match="unknown fit method"):
+            fit_cell("lms", 4, p_base, 1.0, 0.1, 1.5)
+
+    def test_loss_of_infeasible_or_unscored_fit_is_infinite(self, grid):
+        p = constant_response(grid, 1.0)
+        infeasible = evaluate_fit(FIRFilter([1.0, 2.0]), p, 1.0, ideal_mse=0.5)
+        assert not infeasible.feasible and infeasible.loss_db == math.inf
+        assert norm_constrained_fir(p, 2, 1.5).loss_db == math.inf  # ideal_mse is NaN

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import signal
 
 from efq.design import DesignProblem, QuantizerSpec, gamma_from_bits, optimal_shaper, solve_min_mse
+from efq.errors import NumericalError
 from efq.fitting import (
     FIRFilter,
     as_discrete_tf,
@@ -30,6 +31,7 @@ from efq.simulate import (
     gen_input,
     lane_group_size,
     loop_identity_residual,
+    loop_quantizer,
     loop_traces,
     predicted_loop_variances,
     quantize_array,
@@ -164,6 +166,19 @@ def loop_setup(plant, p_base, grid):
     x = gen_input(model, plant.sample_period)
     traces = run_feedback_loop(x, shaper, quant)
     return shaper, plant_d, quant, score, traces
+
+
+class TestLoopQuantizer:
+    def test_is_the_hand_set_up(self, loop_setup, grid):
+        shaper, plant_d, quant, score, _ = loop_setup
+        got_score, sigma_u_sq, sigma_w_sq, got_quant = loop_quantizer(shaper, amplitude_of_tf(plant_d, grid), 8, 4.0)
+        assert got_quant == quant
+        assert (got_score.achieved_mse, got_score.norm_sq) == (score.achieved_mse, score.norm_sq)
+        assert (sigma_u_sq, sigma_w_sq) == predicted_loop_variances(score.norm_sq, gamma_from_bits(8, 4.0))
+
+    def test_infeasible_shaper_rejected(self, p_base):
+        with pytest.raises(NumericalError, match="infeasible"):
+            loop_quantizer(FIRFilter([1.0, 3.0]), p_base, 1, 4.0)
 
 
 class TestLoop:

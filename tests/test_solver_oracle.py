@@ -48,10 +48,13 @@ def make_plant(kind: str, n: int, seed: int) -> AmplitudeResponse:
         values = rng.uniform(0.5, 2.0) * (1.0 + eps * np.cos(om))
     elif kind == "wide_range":
         values = np.exp(rng.uniform(15.0, 30.0) * np.cos(om + rng.uniform(0.0, 0.5)))
+    elif seed % 2 == 0:
+        # alpha beyond the largest float at 1 bit: a nearly flat plant just
+        # under the amplitude cap, where alpha is about 5.3 mean(p^2)
+        values = 0.95 * design.MAX_PLANT_AMPLITUDE * (1.0 + 0.05 * np.cos(om))
     else:
-        # beyond the bracket's reach above and below: both solvers must raise alike
-        scale = (1e45, 1e-152)[seed % 2]
-        values = scale * np.exp(0.5 * np.cos(om))
+        # alpha below the smallest normal float at 16 bits and lambda 8
+        values = 1e-152 * np.exp(0.5 * np.cos(om))
     return AmplitudeResponse(grid, values)
 
 
@@ -86,14 +89,65 @@ def test_solve_matches_reference_bit_for_bit(kind, n):
                 assert got.get(field) == want[field], (kind, n, seed, bits, lam, field)
 
 
+# (seed, lambda, bits) of the out_of_range plants whose alpha has no float
+OUT_OF_RANGE_CELLS = ((0, 1, 1), (1, 8, 16))
+
+
 @pytest.mark.parametrize("n", [64, 65])
 def test_bracket_failures_match_reference(n):
-    """Scaled far up or down, a plant puts alpha beyond either bracket loop."""
-    for seed in range(2):
+    """A plant whose alpha lies beyond the float range fails as the reference does."""
+    for seed, lam, bits in OUT_OF_RANGE_CELLS:
         p_base = make_plant("out_of_range", n, seed)
-        for lam, bits in ((1, 1), (1, 8), (8, 16)):
-            prob = DesignProblem(p=oversample_response(p_base, lam), gamma=gamma_from_bits(bits, 4.0))
-            assert outcome(solve_min_mse, prob) == outcome(ref.solve_min_mse, prob), (seed, bits, lam)
+        prob = DesignProblem(p=oversample_response(p_base, lam), gamma=gamma_from_bits(bits, 4.0))
+        got = outcome(solve_min_mse, prob)
+        assert "error" in got
+        assert got == outcome(ref.solve_min_mse, prob), (seed, bits, lam)
+
+
+def root_residual(sol, nu: float) -> float:
+    """|theta^2/alpha - nu| / nu, without forming theta^2 or nu * alpha."""
+    return abs((sol.theta_opt / math.sqrt(sol.alpha_opt)) ** 2 - nu) / nu
+
+
+def scaled_problem(shape: np.ndarray, scale: float, bits: int) -> DesignProblem:
+    p = AmplitudeResponse(FrequencyGrid(len(shape)), scale * shape)
+    return DesignProblem(p=p, gamma=gamma_from_bits(bits, 4.0))
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_plants_beyond_the_old_brackets_solve(n):
+    """exp(0.5 cos) scaled by 1e45 (alpha above 2^200) and by 1e-152 (alpha
+    below 1e-162, where sqrt(lo * hi) underflows) failed in the reference;
+    alpha scales with the square of the plant, so each now matches the
+    reference's solve of the unscaled plant."""
+    shape = np.exp(0.5 * np.cos(FrequencyGrid(n).omegas))
+    for scale, bits in ((1e45, 1), (1e45, 8), (1e-152, 1)):
+        prob = scaled_problem(shape, scale, bits)
+        assert "error" in outcome(ref.solve_min_mse, prob)
+        sol = solve_min_mse(prob)
+        unit = ref.solve_min_mse(scaled_problem(shape, 1.0, bits))
+        assert sol.alpha_opt / scale**2 == pytest.approx(unit.alpha_opt, rel=1e-12), (scale, bits)
+        assert root_residual(sol, prob.nu) <= 1e-12, (scale, bits)
+
+
+@pytest.mark.parametrize("bits", [1, 4, 8])
+def test_root_residual_across_the_float_range(bits):
+    """Plants scaled so alpha runs from 1e-306 to 1e306, or to the amplitude
+    cap, solve with a root residual far below verify's 1e-10."""
+    om = FrequencyGrid(256).omegas
+    for shape in (np.sqrt(2.0 + 2.0 * np.cos(om)) + 0.1, np.exp(0.5 * np.cos(om))):
+        unit = solve_min_mse(scaled_problem(shape, 1.0, bits)).alpha_opt
+        alphas = []
+        for target in (10.0**k for k in range(-306, 307, 9)):
+            scale = math.sqrt(target) / math.sqrt(unit)
+            if not scale * shape.max() < design.MAX_PLANT_AMPLITUDE:
+                continue
+            prob = scaled_problem(shape, scale, bits)
+            sol = solve_min_mse(prob)
+            assert root_residual(sol, prob.nu) <= 1e-12, (bits, scale)
+            assert sol.alpha_opt / scale**2 == pytest.approx(unit, rel=1e-12), (bits, scale)
+            alphas.append(sol.alpha_opt)
+        assert min(alphas) < 1e-300 and max(alphas) > 1e295, bits
 
 
 def test_matrix_covers_every_branch():
