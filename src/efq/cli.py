@@ -40,7 +40,11 @@ from .errors import ConfigError, NumericalError, VerificationFailure
 from .transfer import RationalDiscreteTF
 
 THREADS_ENV = "EFQ_THREADS"
-CSV_CHUNK_ROWS = 1 << 16
+# _write_csv formats CSV_CHUNK_ROWS rows at a time (a few MB of strings), and
+# formats a column chunk once per distinct bit pattern when it has at most
+# one per CSV_FEW_DISTINCT rows.
+CSV_CHUNK_ROWS = 1 << 14
+CSV_FEW_DISTINCT = 2
 
 
 # ----------------------------------------------------------------------
@@ -89,28 +93,55 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n")
 
 
-def _csv_column(col: np.ndarray):
-    """Cell strings of one column: bool as 1/0, int as str, float as repr."""
+@dataclasses.dataclass(frozen=True)
+class CsvTable:
+    """A CSV table as named columns of equal length: 1-D arrays, or a range
+    for a row index. ``len()`` is the row count."""
+
+    columns: dict[str, np.ndarray | range]
+
+    @classmethod
+    def from_records(cls, names: str, records) -> "CsvTable":
+        """The table of row records, each column typed as np.rec.fromrecords
+        types it: ``np.array`` of the column's values."""
+        return cls({name: np.array(col) for name, col in zip(names.split(","), zip(*records), strict=True)})
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+
+def _csv_cells(col) -> list[str]:
+    """Cell strings of one column chunk: bool as 1/0, int as str, float as
+    repr. A chunk with at most one distinct bit pattern per CSV_FEW_DISTINCT
+    rows formats each pattern once and looks the cells up."""
+    if isinstance(col, range):
+        return list(map(repr, col))
     if col.dtype.kind == "b":
         col = col.astype(np.int8)
     # tolist() yields Python ints and floats, whose repr is str(int) and the
     # shortest round-tripping float text.
-    return map(repr, col.tolist())
+    bits = col.view(f"i{col.itemsize}")  # -0.0 and 0.0 are two patterns
+    patterns = np.sort(bits)
+    patterns = patterns[np.concatenate(([True], patterns[1:] != patterns[:-1]))]
+    if len(patterns) * CSV_FEW_DISTINCT > len(col):
+        return list(map(repr, col.tolist()))
+    texts = np.array(list(map(repr, patterns.view(col.dtype).tolist())), dtype=object)
+    return texts[np.searchsorted(patterns, bits)].tolist()
 
 
-def _write_csv(path: Path, cfg_sha: str, rows: np.ndarray) -> None:
-    """Write a structured array as CSV under a config-hash comment line.
+def _write_csv(path: Path, cfg_sha: str, rows: CsvTable) -> None:
+    """Write a table as CSV under a config-hash comment line.
 
-    The header is the field names. Rows are formatted and written
-    CSV_CHUNK_ROWS at a time, so memory stays bounded for long traces.
+    The header is the column names. Rows are formatted and written
+    CSV_CHUNK_ROWS at a time from the columns themselves, so memory stays
+    bounded for long traces.
     """
-    names = rows.dtype.names
+    names = list(rows.columns)
     with open(path, "w") as fh:
         fh.write(f"# config_sha256={cfg_sha}\n{','.join(names)}\n")
         for start in range(0, len(rows), CSV_CHUNK_ROWS):
-            chunk = rows[start : start + CSV_CHUNK_ROWS]
-            lines = map(",".join, zip(*(_csv_column(chunk[name]) for name in names)))
-            fh.write("\n".join(lines) + "\n")
+            cells = [_csv_cells(col[start : start + CSV_CHUNK_ROWS]) for col in rows.columns.values()]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _load_setup(args) -> tuple[ExperimentConfig, str]:
@@ -227,14 +258,13 @@ def cmd_design(args) -> int:
 
     _write_json(out / "design.json", {"schema_version": SCHEMA_VERSION, "config_sha256": sha, "cells": cell_payload})
     omegas = p_base.grid.omegas
-    r_opt = np.rec.fromarrays(
-        [
-            np.repeat([bits for bits, _ in cells], len(omegas)),
-            np.repeat([lam for _, lam in cells], len(omegas)),
-            np.tile(omegas, len(cells)),
-            np.concatenate([sol.r_opt.values for _, sol in solved]),
-        ],
-        names="bits,lambda,omega,r_opt",
+    r_opt = CsvTable(
+        {
+            "bits": np.repeat([bits for bits, _ in cells], len(omegas)),
+            "lambda": np.repeat([lam for _, lam in cells], len(omegas)),
+            "omega": np.tile(omegas, len(cells)),
+            "r_opt": np.concatenate([sol.r_opt.values for _, sol in solved]),
+        }
     )
     _write_csv(out / "design_r_opt.csv", sha, r_opt)
     _say(args, f"wrote {out / 'design.json'} and {out / 'design_r_opt.csv'}")
@@ -273,7 +303,7 @@ def cmd_rd_curve(args) -> int:
         for row in rows
     ]
     names = "bits,lambda,gamma,D,D_uniform,bound,D_db,D_uniform_db,bound_db,identity_residual"
-    _write_csv(out / "rd_curve.csv", sha, np.rec.fromrecords(csv_rows, names=names))
+    _write_csv(out / "rd_curve.csv", sha, CsvTable.from_records(names, csv_rows))
     for row in rows:
         _say(
             args,
@@ -413,9 +443,15 @@ def cmd_simulate(args) -> int:
             traces = next(lane_traces)
             result = simulate.summarize_run(traces, plant_d, predicted)
             if args.trace and not csv_rows and not runs:  # the first lane only
-                trace = np.rec.fromarrays(
-                    [np.arange(len(traces.x)), traces.x, traces.u, traces.v, traces.w, traces.overload],
-                    names="k,x,u,v,w,overload",
+                trace = CsvTable(
+                    {
+                        "k": range(len(traces.x)),
+                        "x": traces.x,
+                        "u": traces.u,
+                        "v": traces.v,
+                        "w": traces.w,
+                        "overload": traces.overload,
+                    }
                 )
                 _write_csv(out / "trace.csv", sha, trace)
             runs.append((seed, result))
@@ -457,7 +493,7 @@ def cmd_simulate(args) -> int:
         {"schema_version": SCHEMA_VERSION, "config_sha256": sha, "cells": [cell for _, _, cell in cells]},
     )
     names = "bits,lambda,seed,empirical_mse,predicted_mse,overload_rate,w_variance,sigma_u_sq"
-    _write_csv(out / "simulate_runs.csv", sha, np.rec.fromrecords(csv_rows, names=names))
+    _write_csv(out / "simulate_runs.csv", sha, CsvTable.from_records(names, csv_rows))
     _say(args, f"wrote {out / 'simulate.json'} and {out / 'simulate_runs.csv'}")
     return 0
 

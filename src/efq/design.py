@@ -62,6 +62,11 @@ ALMOST_CONSTANT_TOL = 1e-9
 # The design integrates p^2: below 2^511, p^2, the sum of two neighbouring
 # samples of it and its integral over [0, pi] all stay below the float max.
 MAX_PLANT_AMPLITUDE = 2.0**511
+# The largest alpha at which p^2 + alpha stays finite for every plant below
+# MAX_PLANT_AMPLITUDE (1.5 * 2^1023 less one unit in the last place): the
+# last upper bracket solve_min_mse tries. The float max itself would make
+# p^2 + alpha overflow.
+ALPHA_MAX = sys.float_info.max - MAX_PLANT_AMPLITUDE**2
 
 ROOT_REL_TOL = 1e-12
 MAX_BISECTION_STEPS = 200
@@ -86,8 +91,9 @@ MAX_NEWTON_STEPS = 16
 # the last slope and re-aim from a miss, at most MAX_PROBES times a side.
 NEWTON_RESIDUAL = 1e-6
 MAX_PROBES = 3
-# The Newton pass stays within the alphas the bracket loops can reach: the
-# smallest normal float and the largest power of two.
+# The Newton pass stays between the smallest normal float and the largest
+# power of two, where p^2 + alpha is finite with room to spare for exp's
+# rounding; no sign above 2^1023 is certified.
 X_MIN = math.log(sys.float_info.min)
 X_MAX = (sys.float_info.max_exp - 1) * math.log(2.0)
 
@@ -265,6 +271,26 @@ def optimal_shaper(alpha: float, p: AmplitudeResponse) -> AmplitudeResponse:
     return _shaper(_theta(alpha, _power(p)), alpha, p)
 
 
+def _bisect(signed, lo: float, hi: float) -> tuple[float, float]:
+    """Log-space bisection of [lo, hi], where signed(lo) > 0 >= signed(hi),
+    down to a relative width ROOT_REL_TOL or MAX_BISECTION_STEPS steps.
+
+    The midpoint is sqrt(lo * hi) while lo * hi is a normal float, and
+    sqrt(lo) * sqrt(hi) where it is subnormal, zero or infinite: a
+    subnormal product keeps too few bits to split the bracket.
+    """
+    for _ in range(MAX_BISECTION_STEPS):
+        if hi / lo - 1.0 <= ROOT_REL_TOL:
+            break
+        prod = lo * hi
+        mid = math.sqrt(prod) if sys.float_info.min <= prod < math.inf else math.sqrt(lo) * math.sqrt(hi)
+        if signed(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def _certified_window(log_ratio, slope) -> tuple[float, float]:
     """(a_left, a_right) with log_ratio(alpha) certified positive for every
     alpha <= a_left and negative for every alpha >= a_right.
@@ -371,27 +397,19 @@ def solve_min_mse(prob: DesignProblem) -> OptimalDesign:
 
     # alpha_opt grows with the plant's scale and falls with nu and with the
     # band limit: about 4e-74 at 16 bits and oversampling 8. Double up to the
-    # largest float and halve down to the smallest normal one.
+    # largest power of two, then try ALPHA_MAX; halve down to the smallest
+    # normal float.
     lo, hi = 1e-12, 1.0
     while not signed(hi) < 0:
-        hi *= 2.0
-        if hi > sys.float_info.max:
+        if hi == ALPHA_MAX:
             raise NumericalError("failed to bracket the optimal alpha from above")
+        hi = min(2.0 * hi, ALPHA_MAX)
     while not signed(lo) > 0:
         lo /= 2.0
         if lo < sys.float_info.min:
             raise NumericalError("failed to bracket the optimal alpha from below")
 
-    for _ in range(MAX_BISECTION_STEPS):
-        if hi / lo - 1.0 <= ROOT_REL_TOL:
-            break
-        mid = math.sqrt(lo * hi)
-        if not 0.0 < mid < math.inf:  # lo * hi underflowed (alpha below ~1e-162) or overflowed
-            mid = math.sqrt(lo) * math.sqrt(hi)
-        if signed(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(signed, lo, hi)
 
     x = 0.5 * (math.log(lo) + math.log(hi))
     for _ in range(4):

@@ -47,6 +47,9 @@ AXIS_TOL = 1e-9
 # per-step numpy overhead outweighs the batching and the scalar loop runs.
 LANE_BUFFER_SAMPLES = 1 << 21
 MIN_BATCH_LANES = 16
+# run_feedback_loop: samples per chunk of the scalar loop, which holds a
+# chunk's x and u as Python floats (about 4 MB).
+LOOP_CHUNK_SAMPLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -267,38 +270,46 @@ def run_feedback_loop(
     The feedback filter R[z] - 1 is realized in transposed direct form II;
     its state update consumes only past errors (R's unity head makes the
     difference strictly causal), enforced structurally: the current output
-    depends only on stored state. Only u is recorded; ``loop_traces``
-    rebuilds the rest.
+    depends only on stored state. The lane steps through x in
+    LOOP_CHUNK_SAMPLES-sample chunks: each chunk becomes a list of Python
+    floats and its u values are copied into one float64 array, so Python
+    objects are held for one chunk, not for the whole lane. Only u is
+    recorded; ``loop_traces`` rebuilds the rest.
     """
     f, den = _feedback_coefficients(r)
     m = len(f) - 1
+    taps = range(1, m)
 
     x_arr = np.ascontiguousarray(np.asarray(x, dtype=float))
-    xs = x_arr.tolist()
-    n = len(xs)
-    u_out = [0.0] * n
+    u_arr = np.empty(len(x_arr))
 
     d = q.step
     sat = q.saturation
+    neg_sat = -sat
     floor = math.floor
-    state = [0.0] * (m + 2)  # state[1..m] live, state[m+1] stays zero
+    # state[1..m] live, state[m+1] stays zero; at order 0, y reads that zero
+    # and the last update writes the unused state[0]
+    state = [0.0] * (m + 2)
 
-    for k in range(n):
-        y = state[1]
-        u = xs[k] + y
-        level = (floor(u / d) + 0.5) * d
-        if level > sat:
-            level = sat
-        elif level < -sat:
-            level = -sat
-        w = level - u
-        for i in range(1, m):
-            state[i] = f[i] * w - den[i] * y + state[i + 1]
-        if m >= 1:
+    for start in range(0, len(x_arr), LOOP_CHUNK_SAMPLES):
+        us = []
+        append = us.append
+        for xk in x_arr[start : start + LOOP_CHUNK_SAMPLES].tolist():
+            y = state[1]
+            u = xk + y
+            level = (floor(u / d) + 0.5) * d
+            if level > sat:
+                level = sat
+            elif level < neg_sat:
+                level = neg_sat
+            w = level - u
+            for i in taps:
+                state[i] = f[i] * w - den[i] * y + state[i + 1]
             state[m] = f[m] * w - den[m] * y
-        u_out[k] = u
+            append(u)
+        u_arr[start : start + len(us)] = us
 
-    return loop_traces(x_arr, np.array(u_out), q)
+    return loop_traces(x_arr, u_arr, q)
 
 
 def run_feedback_lanes(

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import efq
-from efq import design, simulate
-from efq.cli import CSV_CHUNK_ROWS, _write_csv, main
+from efq import cli, design, simulate
+from efq.cli import CSV_CHUNK_ROWS, CSV_FEW_DISTINCT, CsvTable, _write_csv, main
 from efq.transfer import ContinuousTF, RationalDiscreteTF
 
 SMALL_CONFIG = {
@@ -71,18 +71,64 @@ class TestWriteCsv:
         ]
         columns = ["py_int", "np_int", "py_bool", "np_bool", "py_float", "np_float"]
         path = tmp_path / "edge.csv"
-        _write_csv(path, "abc", np.rec.fromrecords(rows, names=columns))
+        _write_csv(path, "abc", CsvTable.from_records(",".join(columns), rows))
         assert path.read_text() == reference_csv("abc", columns, rows)
 
-    @pytest.mark.parametrize("n", [0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+    @pytest.mark.parametrize(
+        "n", [0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, *(4 * CSV_CHUNK_ROWS + d for d in (-1, 0, 1))]
+    )
     def test_chunk_boundaries_match_row_oracle(self, tmp_path, n):
         rng = np.random.default_rng(n)
         columns = [np.arange(n), rng.standard_normal(n), rng.random(n) < 0.5]
         path = tmp_path / "chunks.csv"
-        _write_csv(path, "abc", np.rec.fromarrays(columns, names="k,x,flag"))
+        _write_csv(path, "abc", CsvTable(dict(zip(["k", "x", "flag"], columns))))
         expected = reference_csv("abc", ["k", "x", "flag"], zip(*columns))
         # Compared as lines, so a mismatch reports its first index, not a full text diff.
         assert path.read_text().split("\n") == expected.split("\n")
+
+    def test_row_index_range_matches_row_oracle(self, tmp_path):
+        n = CSV_CHUNK_ROWS + 2
+        table = CsvTable({"k": range(n)})
+        assert len(table) == n
+        path = tmp_path / "range.csv"
+        _write_csv(path, "abc", table)
+        assert path.read_text() == reference_csv("abc", ["k"], ((k,) for k in range(n)))
+
+    def test_repeated_special_floats_across_a_chunk_boundary(self, tmp_path):
+        specials = np.array([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 0.25])
+        n = 2 * CSV_CHUNK_ROWS + 3
+        rng = np.random.default_rng(5)
+        col = specials[rng.integers(0, len(specials), n)]
+        col[CSV_CHUNK_ROWS - 1 : CSV_CHUNK_ROWS + 1] = [-0.0, 0.0]  # the two zeros straddle the boundary
+        levels = rng.integers(-3, 4, n) + 0.5
+        flags = rng.random(n) < 0.5
+        path = tmp_path / "special.csv"
+        _write_csv(path, "abc", CsvTable({"f": col, "level": levels, "flag": flags}))
+        expected = reference_csv("abc", ["f", "level", "flag"], zip(col, levels, flags))
+        assert path.read_text().split("\n") == expected.split("\n")
+        assert "-0.0" in path.read_text().split("\n")[CSV_CHUNK_ROWS + 1]
+
+    @pytest.mark.parametrize(
+        ("distinct", "formatted"),
+        [(CSV_CHUNK_ROWS // CSV_FEW_DISTINCT, "distinct"), (CSV_CHUNK_ROWS // CSV_FEW_DISTINCT + 1, "rows")],
+    )
+    def test_distinct_value_rule(self, tmp_path, monkeypatch, distinct, formatted):
+        # One chunk of floats with `distinct` bit patterns: at most one per
+        # CSV_FEW_DISTINCT rows formats each pattern once, one more formats every row.
+        rng = np.random.default_rng(distinct)
+        values = rng.standard_normal(distinct)
+        col = np.concatenate([values, values[rng.integers(0, distinct, CSV_CHUNK_ROWS - distinct)]])
+        calls = []
+
+        def counting_repr(value):
+            calls.append(value)
+            return repr(value)
+
+        monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+        path = tmp_path / "rule.csv"
+        _write_csv(path, "abc", CsvTable({"x": col}))
+        assert path.read_text() == reference_csv("abc", ["x"], ((v,) for v in col))
+        assert len(calls) == (distinct if formatted == "distinct" else CSV_CHUNK_ROWS)
 
 
 class TestDesignCommand:

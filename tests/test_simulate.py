@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
+import reference_loop
 from efq.design import DesignProblem, QuantizerSpec, gamma_from_bits, optimal_shaper, solve_min_mse
 from efq.errors import NumericalError
 from efq.fitting import (
@@ -20,6 +22,7 @@ from efq.fitting import (
     yule_walker_fit,
 )
 from efq.simulate import (
+    LOOP_CHUNK_SAMPLES,
     Lane,
     LoopTraces,
     MidRiseQuantizer,
@@ -362,6 +365,114 @@ class TestRunLanes:
         lanes[1] = dataclasses.replace(lanes[1], model=dataclasses.replace(lanes[1].model, length=10))
         with pytest.raises(ValueError):
             list(run_lanes(lanes))
+
+
+CHUNK = LOOP_CHUNK_SAMPLES
+
+
+def _same_bits(a, b):
+    # compared as bit patterns, so that -0.0 and 0.0 differ
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestScalarLoopOracle:
+    """The chunked scalar loop against the whole-lane reference loop: every
+    u bit for bit, and a failing lane fails alike."""
+
+    @pytest.fixture(scope="class")
+    def shapers(self, p_base):
+        gamma = gamma_from_bits(8, 4.0)
+        sol = solve_min_mse(DesignProblem(p=p_base, gamma=gamma))
+        return {
+            "order0": FIRFilter((1.0,)),
+            "order1": FIRFilter((1.0, -0.9)),
+            "order2": RationalDiscreteTF([1.0, -1.1, 0.4], [1.0, -0.5]),
+            "order3": FIRFilter((1.0, -1.5, 0.8, -0.2)),
+            "order4": norm_constrained_fir(p_base, 4, sol.norm_r_sq).fitted,
+            "fir16": norm_constrained_fir(p_base, 15, sol.norm_r_sq).fitted,
+            "yw4": yule_walker_fit(optimal_shaper(sol.alpha_opt, p_base), 4),
+        }
+
+    def lane(self, shapers, name, n, seed=0):
+        x = gen_input(SignalModel(kind="colored", seed=seed, length=n), 0.1)
+        x[::97] = -0.0  # exact zeros of either sign in x
+        x[1::97] = 0.0
+        return x, shapers[name], MidRiseQuantizer.from_spec(QuantizerSpec.for_sigma_u(8, 4.0, 1.3))
+
+    def assert_matches_reference(self, x, shaper, quant):
+        expected = reference_loop.run_feedback_loop(x, shaper, quant)
+        got = run_feedback_loop(x, shaper, quant)
+        for name in ("x", "u", "v", "w"):
+            assert _same_bits(getattr(got, name), getattr(expected, name)), name
+        assert np.array_equal(got.overload, expected.overload)
+        return got
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("name", ["yw4", "fir16"])
+    def test_lengths_around_the_chunk(self, shapers, name, n):
+        self.assert_matches_reference(*self.lane(shapers, name, n))
+
+    @pytest.mark.parametrize("name", ["order0", "order1", "order2", "order3", "order4"])
+    def test_every_order_across_chunks(self, shapers, name):
+        self.assert_matches_reference(*self.lane(shapers, name, 2 * CHUNK + 1, seed=1))
+
+    def test_short_and_empty_lanes(self, shapers):
+        quant = MidRiseQuantizer(step=0.25, saturation=1.875)
+        for n in (0, 1, 5):
+            self.assert_matches_reference(np.linspace(-3.0, 3.0, n), shapers["yw4"], quant)
+
+    def test_collapsing_lane(self, p_base, plant):
+        p_lam = oversample_response(p_base, 4)
+        gamma = gamma_from_bits(8, 4.0)
+        sol = solve_min_mse(DesignProblem(p=p_lam, gamma=gamma))
+        shaper = norm_constrained_fir(p_lam, 4, sol.norm_r_sq).fitted
+        sigma_u_sq, _ = predicted_loop_variances(evaluate_fit(shaper, p_lam, gamma).norm_sq, gamma)
+        quant = MidRiseQuantizer.from_spec(QuantizerSpec.for_sigma_u(8, 4.0, math.sqrt(sigma_u_sq)))
+        x = gen_input(SignalModel(kind="colored", seed=1, length=2 * CHUNK + 1), plant.sample_period / 4)
+        got = self.assert_matches_reference(x, shaper, quant)
+        assert np.count_nonzero(got.overload[CHUNK:]) > CHUNK // 2  # collapsed well before the second chunk
+
+    @pytest.mark.parametrize(
+        ("at", "value", "shaper"),
+        [
+            (CHUNK + 3, math.inf, "order4"),
+            (CHUNK + 3, -math.inf, "order2"),
+            (CHUNK, math.nan, "yw4"),
+            (2 * CHUNK, 1e308, "order3"),  # u/step overflows to inf
+            (CHUNK + 7, 4.0, "diverging"),  # a spike the feedback amplifies to inf
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_lane_fails_as_reference(self, shapers, at, value, shaper):
+        quant = MidRiseQuantizer(step=0.25, saturation=1.875)
+        r = FIRFilter((1.0, 3.0)) if shaper == "diverging" else shapers[shaper]
+        x = np.zeros(2 * CHUNK + 1) if shaper == "diverging" else self.lane(shapers, "order0", 2 * CHUNK + 1)[0]
+        x[at] = value
+        with pytest.raises((OverflowError, ValueError)) as expected:
+            reference_loop.run_feedback_loop(x, r, quant)
+        with pytest.raises(expected.type) as got:
+            run_feedback_loop(x, r, quant)
+        assert str(got.value) == str(expected.value)
+
+
+# tracemalloc peak of run_feedback_loop per sample at 2^18 samples: the
+# whole-lane reference loop peaks at about 89 B (two lists of Python floats),
+# the chunked loop at about 33 B (u, v, w, overload and one chunk's lists).
+LOOP_PEAK_BYTES_PER_SAMPLE = 48
+
+
+def test_scalar_loop_memory_is_bounded_per_sample():
+    n = 1 << 18
+    x = gen_input(SignalModel(kind="white", seed=0, length=n), 0.1)
+    shaper = FIRFilter((1.0,))
+    quant = MidRiseQuantizer(step=0.25, saturation=1.875)
+    tracemalloc.start()
+    try:
+        run_feedback_loop(x, shaper, quant)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= LOOP_PEAK_BYTES_PER_SAMPLE
 
 
 class TestEmpiricalMSE:

@@ -150,6 +150,73 @@ def test_root_residual_across_the_float_range(bits):
         assert min(alphas) < 1e-300 and max(alphas) > 1e295, bits
 
 
+# log2(ln 4 / ROOT_REL_TOL) is about 40.3: the steps a bisection of a bracket
+# [root / 2, 2 root] takes, give or take the rounding of its midpoints.
+BISECTION_STEPS_FROM_FACTOR_FOUR = 42
+
+
+def test_bisection_splits_brackets_across_the_float_range():
+    """Brackets [root / 2, 2 root] from the smallest normal float to
+    ALPHA_MAX, where lo * hi underflows or overflows, shrink to ROOT_REL_TOL
+    in the usual number of steps."""
+    for root in [10.0**k for k in range(-307, 308, 3)] + [2.0**-1022, 2.0**1023, design.ALPHA_MAX]:
+        lo, hi = max(root / 2.0, 2.0**-1022), min(2.0 * root, design.ALPHA_MAX)
+        steps = []
+
+        def signed(alpha):
+            steps.append(alpha)
+            return 1.0 if alpha < root else -1.0
+
+        lo, hi = design._bisect(signed, lo, hi)
+        assert hi / lo - 1.0 <= design.ROOT_REL_TOL, root
+        assert lo < root <= hi or lo == root, root
+        assert len(steps) <= BISECTION_STEPS_FROM_FACTOR_FOUR, (root, len(steps))
+
+
+def test_subnormal_midpoints_do_not_stall_the_solve(monkeypatch):
+    """exp(0.5 cos) * 1e-80 at 1 bit (alpha about 6.5e-160, so lo * hi is
+    subnormal) took all 200 bisection steps while sqrt(lo * hi) was the
+    midpoint; it takes about as many as the same plant at 1e-78."""
+    bisect = design._bisect
+    steps = []
+
+    def counted(signed, lo, hi):
+        def counting(alpha):
+            steps.append(alpha)
+            return signed(alpha)
+
+        return bisect(counting, lo, hi)
+
+    monkeypatch.setattr(design, "_bisect", counted)
+    shape = np.exp(0.5 * np.cos(FrequencyGrid(256).omegas))
+    counts = {}
+    for scale in (1e-78, 1e-80, 1e-81):
+        steps.clear()
+        sol = solve_min_mse(scaled_problem(shape, scale, 1))
+        assert root_residual(sol, scaled_problem(shape, scale, 1).nu) <= 1e-12, scale
+        counts[scale] = len(steps)
+    assert max(counts.values()) <= 60, counts
+
+
+def test_top_of_the_float_range_solves():
+    """(sqrt(2 + 2 cos) + 0.1) * 3e153 at 1 bit has alpha about 1.05e308,
+    above 2^1023, where the reference failed to bracket it; ALPHA_MAX
+    brackets it, and the solve matches the unscaled plant's alpha times the
+    square of the scale. ALPHA_MAX keeps p^2 + alpha finite up to the
+    amplitude cap."""
+    assert math.isfinite(np.nextafter(design.MAX_PLANT_AMPLITUDE, 0.0) ** 2 + design.ALPHA_MAX)
+    om = FrequencyGrid(256).omegas
+    shape = np.sqrt(2.0 + 2.0 * np.cos(om)) + 0.1
+    scale = 3e153
+    prob = scaled_problem(shape, scale, 1)
+    assert outcome(ref.solve_min_mse, prob)["error"][1] == "failed to bracket the optimal alpha from above"
+    sol = solve_min_mse(prob)
+    assert 2.0**1023 < sol.alpha_opt < design.ALPHA_MAX
+    assert root_residual(sol, prob.nu) <= 1e-12
+    unit = ref.solve_min_mse(scaled_problem(shape, 1.0, 1))
+    assert sol.alpha_opt / scale**2 == pytest.approx(unit.alpha_opt, rel=1e-12)
+
+
 def test_matrix_covers_every_branch():
     """The plants above reach the flat branch, tiny alpha and both bracket failures."""
     alphas, errors, flat = [], set(), 0
