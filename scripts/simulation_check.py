@@ -42,10 +42,11 @@ from efq import (
     discretize_plant,
     fit_cell,
     gamma_from_bits,
+    gen_input,
     loop_identity_residual,
     loop_quantizer,
     oversample_response,
-    summarize_run,
+    run_feedback_loop,
 )
 from efq.simulate import Lane, excised_mse, filter_memory_estimate, run_lanes
 
@@ -93,13 +94,17 @@ def main() -> None:
 
     ratios = []
     seeds = [int(s) for s in args.seeds.split(",")]
-    lanes = [Lane(SignalModel(kind="colored", seed=seed, length=args.length), period, shaper, quant) for seed in seeds]
-    for seed, traces in zip(seeds, run_lanes(lanes)):
-        result = summarize_run(traces, plant_d, score.achieved_mse)
+    lanes = [
+        Lane(SignalModel(kind="colored", seed=seed, length=args.length), period, shaper, quant, plant_d, score.achieved_mse)
+        for seed in seeds
+    ]
+    for lane, result in zip(lanes, run_lanes(lanes)):
+        # the loop identity and excision read whole traces: run this lane again
+        traces = run_feedback_loop(gen_input(lane.model, period), shaper, quant)
         resid = loop_identity_residual(traces, shaper)
         ratio = result.empirical_mse / result.predicted_mse
         ratios.append(ratio)
-        line = (f"{seed:>5} {result.overload_count:>9} {result.overload_rate:>9.2e} "
+        line = (f"{lane.model.seed:>5} {result.overload_count:>9} {result.overload_rate:>9.2e} "
                 f"{result.empirical_mse:>12.6e} {ratio:>7.4f} {resid:>9.2e}")
         if args.excise:
             exc, frac = excised_mse(traces, plant_d, window)

@@ -16,11 +16,13 @@ output file carries the configuration hash. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
 import os
 import sys
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -45,6 +47,7 @@ THREADS_ENV = "EFQ_THREADS"
 # one per CSV_FEW_DISTINCT rows.
 CSV_CHUNK_ROWS = 1 << 14
 CSV_FEW_DISTINCT = 2
+TRACE_COLUMNS = ("k", "x", "u", "v", "w", "overload")
 
 
 # ----------------------------------------------------------------------
@@ -129,19 +132,35 @@ def _csv_cells(col) -> list[str]:
     return texts[np.searchsorted(patterns, bits)].tolist()
 
 
-def _write_csv(path: Path, cfg_sha: str, rows: CsvTable) -> None:
-    """Write a table as CSV under a config-hash comment line.
+@contextlib.contextmanager
+def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[CsvTable], None]]:
+    """Open a CSV file under a config-hash comment line and a header of the
+    column names; yields a function that appends a table's rows. An
+    exception inside the block removes the file, so no truncated table is
+    left behind.
 
-    The header is the column names. Rows are formatted and written
-    CSV_CHUNK_ROWS at a time from the columns themselves, so memory stays
-    bounded for long traces.
+    Rows are formatted and written CSV_CHUNK_ROWS at a time from the columns
+    themselves, so memory stays bounded for long traces.
     """
-    names = list(rows.columns)
-    with open(path, "w") as fh:
-        fh.write(f"# config_sha256={cfg_sha}\n{','.join(names)}\n")
-        for start in range(0, len(rows), CSV_CHUNK_ROWS):
-            cells = [_csv_cells(col[start : start + CSV_CHUNK_ROWS]) for col in rows.columns.values()]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write(f"# config_sha256={cfg_sha}\n{','.join(names)}\n")
+
+            def append(rows: CsvTable) -> None:
+                for start in range(0, len(rows), CSV_CHUNK_ROWS):
+                    cells = [_csv_cells(col[start : start + CSV_CHUNK_ROWS]) for col in rows.columns.values()]
+                    fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+            yield append
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+
+
+def _write_csv(path: Path, cfg_sha: str, rows: CsvTable) -> None:
+    """Write a table as CSV (see ``_csv_file``)."""
+    with _csv_file(path, cfg_sha, rows.columns) as append:
+        append(rows)
 
 
 def _load_setup(args) -> tuple[ExperimentConfig, str]:
@@ -411,7 +430,7 @@ def cmd_simulate(args) -> int:
     else:
         shapers = [fitting.as_discrete_tf(report.fitted) for _, report in _fit_cells(cfg, _base_response(cfg))]
 
-    cells = []  # (plant_d, predicted MSE, payload without runs)
+    cells = []  # (predicted MSE, payload without runs)
     lanes = []  # one per (cell, seed), in that order
     for (bits, lam), shaper in zip(cell_list, shapers):
         gamma = design_mod.gamma_from_bits(bits, cfg.loading_factor)
@@ -427,40 +446,40 @@ def cmd_simulate(args) -> int:
             "sigma_w_sq_pred": sigma_w_sq,
             "predicted_mse": score.achieved_mse,
         }
-        cells.append((plant_d, score.achieved_mse, cell))
+        cells.append((score.achieved_mse, cell))
         for seed in cfg.sim.seeds:
             model = simulate.SignalModel(
                 kind=cfg.sim.input_kind, seed=seed, length=cfg.sim.length, ct_pole=cfg.sim.ct_pole
             )
-            lanes.append(simulate.Lane(model, plant.sample_period / lam, shaper, quantizer))
-
-    lane_traces = simulate.run_lanes(lanes)
-    csv_rows = []
-    for plant_d, predicted, cell in cells:
-        bits, lam = cell["bits"], cell["lambda"]
-        runs = []
-        for seed in cfg.sim.seeds:
-            traces = next(lane_traces)
-            result = simulate.summarize_run(traces, plant_d, predicted)
-            if args.trace and not csv_rows and not runs:  # the first lane only
-                trace = CsvTable(
-                    {
-                        "k": range(len(traces.x)),
-                        "x": traces.x,
-                        "u": traces.u,
-                        "v": traces.v,
-                        "w": traces.w,
-                        "overload": traces.overload,
-                    }
-                )
-                _write_csv(out / "trace.csv", sha, trace)
-            runs.append((seed, result))
-            _say(
-                args,
-                f"simulate bits={bits} lambda={lam} seed={seed}: empirical {result.empirical_mse:.6g} "
-                f"vs predicted {result.predicted_mse:.6g}, overload rate {result.overload_rate:.3g}",
+            lanes.append(
+                simulate.Lane(model, plant.sample_period / lam, shaper, quantizer, plant_d, score.achieved_mse)
             )
 
+    cell_runs = []  # per cell: (seed, SimulationResult) per seed
+    trace_file = _csv_file(out / "trace.csv", sha, TRACE_COLUMNS) if args.trace else contextlib.nullcontext()
+    with trace_file as append_trace:
+
+        def trace(start, traces):  # each chunk of the first lane
+            columns = {name: getattr(traces, name) for name in TRACE_COLUMNS[1:]}
+            append_trace(CsvTable({"k": range(start, start + len(traces.x)), **columns}))
+
+        results = simulate.run_lanes(lanes, trace if args.trace else None)
+        for _, cell in cells:
+            bits, lam = cell["bits"], cell["lambda"]
+            runs = []
+            for seed in cfg.sim.seeds:
+                result = next(results)
+                runs.append((seed, result))
+                _say(
+                    args,
+                    f"simulate bits={bits} lambda={lam} seed={seed}: empirical {result.empirical_mse:.6g} "
+                    f"vs predicted {result.predicted_mse:.6g}, overload rate {result.overload_rate:.3g}",
+                )
+            cell_runs.append(runs)
+
+    csv_rows = []
+    for (predicted, cell), runs in zip(cells, cell_runs):
+        bits, lam = cell["bits"], cell["lambda"]
         empiricals = np.array([r.empirical_mse for _, r in runs])
         mean = float(np.mean(empiricals))
         std = float(np.std(empiricals, ddof=1)) if len(empiricals) > 1 else 0.0
@@ -490,7 +509,7 @@ def cmd_simulate(args) -> int:
 
     _write_json(
         out / "simulate.json",
-        {"schema_version": SCHEMA_VERSION, "config_sha256": sha, "cells": [cell for _, _, cell in cells]},
+        {"schema_version": SCHEMA_VERSION, "config_sha256": sha, "cells": [cell for _, cell in cells]},
     )
     names = "bits,lambda,seed,empirical_mse,predicted_mse,overload_rate,w_variance,sigma_u_sq"
     _write_csv(out / "simulate_runs.csv", sha, CsvTable.from_records(names, csv_rows))
@@ -569,12 +588,13 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
         cfg.fit.method, cfg.fit.order, p_base, gamma, lane_design.alpha_opt, lane_design.norm_r_sq
     )
     shaper = fitting.as_discrete_tf(report.fitted)
-    p_sim = spectral.amplitude_of_tf(simulate.discretize_plant(cfg.plant_tf(), 1), cfg.grid())
-    *_, quantizer = simulate.loop_quantizer(shaper, p_sim, lane_bits, cfg.loading_factor)
+    # The quantizer is sized from ||R||^2, which reads only the grid, so the
+    # design plant sizes it as the simulation plant would.
+    *_, quantizer = simulate.loop_quantizer(shaper, p_base, lane_bits, cfg.loading_factor)
     model = simulate.SignalModel(
         kind=cfg.sim.input_kind, seed=cfg.sim.seeds[0], length=min(cfg.sim.length, 20000), ct_pole=cfg.sim.ct_pole
     )
-    (traces,) = simulate.run_lanes([simulate.Lane(model, cfg.plant.sample_period, shaper, quantizer)])
+    traces = simulate.run_feedback_loop(simulate.gen_input(model, cfg.plant.sample_period), shaper, quantizer)
     residual = simulate.loop_identity_residual(traces, shaper)
     record("loop_identity_residual", residual, 1e-10, residual <= 1e-10)
     ov_rate = float(np.count_nonzero(traces.overload)) / len(traces.x)

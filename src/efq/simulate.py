@@ -17,7 +17,7 @@ prediction.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +42,14 @@ FIT_LOW = 1e-3
 # axis, where the log-magnitude is unbounded.
 AXIS_TOL = 1e-9
 
-# run_lanes: the u buffer of one lane group holds at most this many
-# lane-samples (16 MiB); with fewer than MIN_BATCH_LANES lanes per group the
-# per-step numpy overhead outweighs the batching and the scalar loop runs.
+# Run statistics are defined over BLOCK-sample blocks aligned to the start of
+# a run and merged in block order; run_lanes advances its lanes one block at a
+# time.
+BLOCK = 1 << 13
+# run_lanes: a lane group's chunk buffer holds at most LANE_BUFFER_SAMPLES
+# lane-samples (16 MiB), so a group has at most LANE_BUFFER_SAMPLES // BLOCK
+# lanes; with fewer than MIN_BATCH_LANES lanes the per-step numpy overhead
+# outweighs the batching and the scalar loop runs.
 LANE_BUFFER_SAMPLES = 1 << 21
 MIN_BATCH_LANES = 16
 # run_feedback_loop: samples per chunk of the scalar loop, which holds a
@@ -139,12 +144,14 @@ def loop_traces(x: np.ndarray, u: np.ndarray, q: MidRiseQuantizer) -> LoopTraces
 @dataclass(frozen=True)
 class Lane:
     """One loop run: a seeded input at a sample period, a shaper and a
-    quantizer."""
+    quantizer, scored through a discrete plant against a predicted MSE."""
 
     model: SignalModel
     sample_period: float
     shaper: RationalDiscreteTF | FIRFilter
     quantizer: MidRiseQuantizer
+    plant: RationalDiscreteTF
+    predicted_mse: float
 
 
 @dataclass(frozen=True)
@@ -160,27 +167,45 @@ class SimulationResult:
     sigma_u_sq: float
 
 
+class _InputDraw:
+    """Draws of a model's input before rescaling: each call returns the next
+    `count` samples. One rng stream and, for colored input, one lfilter
+    state carry across calls, so the samples do not depend on how the draws
+    are split."""
+
+    def __init__(self, model: SignalModel, sample_period: float):
+        self.rng = np.random.default_rng(model.seed)
+        self.colored = model.kind == "colored"
+        if self.colored:
+            if sample_period <= 0:
+                raise ValueError("sample_period must be positive")
+            self.pole = math.exp(-model.ct_pole * sample_period)
+            self.zi = np.array([self.pole * self.rng.standard_normal()])
+            self.scale = math.sqrt(1.0 - self.pole * self.pole)
+
+    def __call__(self, count: int) -> np.ndarray:
+        x = self.rng.standard_normal(count)
+        if self.colored:
+            from scipy import signal
+
+            x, self.zi = signal.lfilter([self.scale], [1.0, -self.pole], x, zi=self.zi)
+        return x
+
+
+def _unit_scale(x: np.ndarray) -> float:
+    """1/std of an input sequence."""
+    sd = float(np.std(x))
+    if sd == 0.0:
+        raise ValueError("degenerate input sequence (zero variance)")
+    return 1.0 / sd
+
+
 def gen_input(model: SignalModel, sample_period: float) -> np.ndarray:
     """The model's seeded Gaussian input, rescaled to exact unit sample
     variance: white, or first-order autoregressive with pole
     exp(-ct_pole*T) started at stationarity."""
-    rng = np.random.default_rng(model.seed)
-    if model.kind == "colored":
-        from scipy import signal
-
-        if sample_period <= 0:
-            raise ValueError("sample_period must be positive")
-        pole = math.exp(-model.ct_pole * sample_period)
-        x_prev = rng.standard_normal()
-        innov = rng.standard_normal(model.length)
-        scale = math.sqrt(1.0 - pole * pole)
-        x, _ = signal.lfilter([scale], [1.0, -pole], innov, zi=np.array([pole * x_prev]))
-    else:
-        x = rng.standard_normal(model.length)
-    sd = float(np.std(x))
-    if sd == 0.0:
-        raise ValueError("degenerate input sequence (zero variance)")
-    return x * (1.0 / sd)
+    x = _InputDraw(model, sample_period)(model.length)
+    return x * _unit_scale(x)
 
 
 def _reflect_inside(coeffs: np.ndarray) -> np.ndarray:
@@ -263,7 +288,7 @@ def _feedback_coefficients(r: RationalDiscreteTF | FIRFilter) -> tuple[list[floa
 
 
 def run_feedback_loop(
-    x: np.ndarray, r: RationalDiscreteTF | FIRFilter, q: MidRiseQuantizer
+    x: np.ndarray, r: RationalDiscreteTF | FIRFilter, q: MidRiseQuantizer, state: np.ndarray | None = None
 ) -> LoopTraces:
     """Run the error-feedback loop sample by sample.
 
@@ -275,6 +300,11 @@ def run_feedback_loop(
     floats and its u values are copied into one float64 array, so Python
     objects are held for one chunk, not for the whole lane. Only u is
     recorded; ``loop_traces`` rebuilds the rest.
+
+    The loop starts at rest, or from `state`: a float array whose first
+    `order` entries hold the TDF-II registers, which on return hold the
+    registers after the last sample. Running a lane in consecutive pieces
+    and passing one state through them gives the whole lane's u bit for bit.
     """
     f, den = _feedback_coefficients(r)
     m = len(f) - 1
@@ -287,15 +317,17 @@ def run_feedback_loop(
     sat = q.saturation
     neg_sat = -sat
     floor = math.floor
-    # state[1..m] live, state[m+1] stays zero; at order 0, y reads that zero
-    # and the last update writes the unused state[0]
-    state = [0.0] * (m + 2)
+    # reg[1..m] live, reg[m+1] stays zero; at order 0, y reads that zero
+    # and the last update writes the unused reg[0]
+    reg = [0.0] * (m + 2)
+    if state is not None:
+        reg[1 : m + 1] = state[:m].tolist()
 
     for start in range(0, len(x_arr), LOOP_CHUNK_SAMPLES):
         us = []
         append = us.append
         for xk in x_arr[start : start + LOOP_CHUNK_SAMPLES].tolist():
-            y = state[1]
+            y = reg[1]
             u = xk + y
             level = (floor(u / d) + 0.5) * d
             if level > sat:
@@ -304,16 +336,21 @@ def run_feedback_loop(
                 level = neg_sat
             w = level - u
             for i in taps:
-                state[i] = f[i] * w - den[i] * y + state[i + 1]
-            state[m] = f[m] * w - den[m] * y
+                reg[i] = f[i] * w - den[i] * y + reg[i + 1]
+            reg[m] = f[m] * w - den[m] * y
             append(u)
         u_arr[start : start + len(us)] = us
 
+    if state is not None:
+        state[:m] = reg[1 : m + 1]
     return loop_traces(x_arr, u_arr, q)
 
 
 def run_feedback_lanes(
-    x: np.ndarray, shapers: Sequence[RationalDiscreteTF | FIRFilter], quantizers: Sequence[MidRiseQuantizer]
+    x: np.ndarray,
+    shapers: Sequence[RationalDiscreteTF | FIRFilter],
+    quantizers: Sequence[MidRiseQuantizer],
+    state: np.ndarray | None = None,
 ) -> np.ndarray:
     """``run_feedback_loop`` on many lanes at once: column j of x (shape
     samples x lanes) runs through shapers[j] and quantizers[j].
@@ -323,13 +360,18 @@ def run_feedback_lanes(
     highest order, in the scalar loop's operation order, so each lane's u
     equals ``run_feedback_loop``'s bit for bit (up to the sign of an exactly
     zero u where x holds -0.0). x is overwritten with u and returned;
-    ``loop_traces`` rebuilds v, w and the overload flags.
+    ``loop_traces`` rebuilds v, w and the overload flags. The lanes start at
+    rest, or from `state` (registers x lanes, at least the highest order
+    rows, as ``run_feedback_loop`` takes them per lane), which on return
+    holds the registers after the last sample.
     """
     n, lanes = x.shape
     if len(shapers) != lanes or len(quantizers) != lanes:
         raise ValueError("need one shaper and one quantizer per lane")
     coeffs = [_feedback_coefficients(r) for r in shapers]
     m = max(1, max(len(f) for f, _ in coeffs) - 1)
+    if state is not None and (state.ndim != 2 or state.shape[0] < m or state.shape[1] != lanes):
+        raise ValueError(f"state must have at least {m} rows and one column per lane")
     fd = np.zeros((2, m + 1, lanes))  # R - 1 and the denominator, zero-padded
     for j, (f, den) in enumerate(coeffs):
         fd[0, : len(f), j] = f
@@ -343,6 +385,8 @@ def run_feedback_lanes(
     # 1..m hold state[1..m], so rows 0-1 of the current block are (w, y)
     # and one multiply forms f[i] w and den[i] y for every row i.
     blocks = np.zeros((2, m + 1, lanes))
+    if state is not None:
+        blocks[0, 1:] = state[:m]
     roles = [
         (cur[1], cur[0], cur[:2, None], nxt[1:], nxt[1:-1], cur[2:])
         for cur, nxt in ((blocks[0], blocks[1]), (blocks[1], blocks[0]))
@@ -366,54 +410,89 @@ def run_feedback_lanes(
         multiply(fd, w_y, out=products)
         subtract(f_w, den_y, out=nxt_state)
         add(nxt_low, cur_high, out=nxt_low)
+    if state is not None:
+        state[:m] = blocks[n & 1, 1:]
     return x
 
 
-def lane_group_size(lanes: int, length: int) -> int:
-    """Lanes per group in ``run_lanes``: as even and as equal as the
-    LANE_BUFFER_SAMPLES budget allows, or 0 where fewer than
+def lane_group_size(lanes: int) -> int:
+    """Lanes per group in ``run_lanes``: as equal as groups of at most
+    LANE_BUFFER_SAMPLES // BLOCK lanes allow, or 0 where fewer than
     MIN_BATCH_LANES would be stepped together and the scalar loop is used."""
-    fit = LANE_BUFFER_SAMPLES // length // 2 * 2
+    fit = LANE_BUFFER_SAMPLES // BLOCK
     if min(fit, lanes) < MIN_BATCH_LANES:
         return 0
     groups = -(-lanes // fit)
-    size = -(-lanes // groups)
-    return size + size % 2
+    return -(-lanes // groups)
 
 
-def run_lanes(lanes: Sequence[Lane]) -> Iterator[LoopTraces]:
-    """Traces of every lane, in order, each equal to ``run_feedback_loop``
-    on ``gen_input`` of the lane.
+def run_lanes(
+    lanes: Sequence[Lane], trace: Callable[[int, LoopTraces], object] | None = None
+) -> Iterator[SimulationResult]:
+    """``summarize_run`` of every lane, in order: of ``run_feedback_loop`` on
+    ``gen_input`` of the lane, through the lane's plant against its
+    predicted MSE.
 
-    Lanes of one length run in groups of ``lane_group_size`` through
-    ``run_feedback_lanes``, so only one group's u buffer is held; each lane's
-    input is generated again for its traces. Too few lanes per group run on
-    the scalar loop.
+    Lanes of one length advance together in BLOCK-sample chunks, in groups
+    of ``lane_group_size`` through ``run_feedback_lanes``, or on the scalar
+    loop when there are too few; each lane carries its input draw, filter
+    state and ``RunStats``, so a group holds a few BLOCK x lanes arrays and
+    no whole lane. ``trace(start, traces)`` receives each chunk of the first
+    lane. A lane whose u/step turns non-finite raises the scalar loop's
+    exception when its result is due.
     """
     if not lanes:
         return
     n = lanes[0].model.length
     if any(lane.model.length != n for lane in lanes):
         raise ValueError("lanes must share one input length")
-    size = lane_group_size(len(lanes), n)
-    if size == 0:
-        for lane in lanes:
-            yield run_feedback_loop(gen_input(lane.model, lane.sample_period), lane.shaper, lane.quantizer)
-        return
+    size = lane_group_size(len(lanes)) or len(lanes)
     for start in range(0, len(lanes), size):
-        group = lanes[start : start + size]
-        buf = np.empty((n, len(group)))
-        for j, lane in enumerate(group):
-            buf[:, j] = gen_input(lane.model, lane.sample_period)
-        run_feedback_lanes(buf, [lane.shaper for lane in group], [lane.quantizer for lane in group])
-        for j, lane in enumerate(group):
-            x = gen_input(lane.model, lane.sample_period)
-            u = buf[:, j].copy()
-            if np.isfinite(u / lane.quantizer.step).all():
-                yield loop_traces(x, u, lane.quantizer)
-            else:  # the scalar loop's floor raises on a non-finite u/step; numpy carries on
-                yield run_feedback_loop(x, lane.shaper, lane.quantizer)
-        del buf  # release before the next group is allocated
+        yield from _run_group(lanes[start : start + size], trace if start == 0 else None)
+
+
+def _run_group(group: Sequence[Lane], trace) -> Iterator[SimulationResult]:
+    n = group[0].model.length
+    stats = [RunStats(lane.plant, n) for lane in group]
+    shapers = [lane.shaper for lane in group]
+    quantizers = [lane.quantizer for lane in group]
+    # gen_input chunk by chunk: the scale comes from a transient whole-lane
+    # draw, then a second draw is made and scaled one chunk at a time
+    scales = [_unit_scale(_InputDraw(lane.model, lane.sample_period)(n)) for lane in group]
+    draws = [_InputDraw(lane.model, lane.sample_period) for lane in group]
+    batched = len(group) >= MIN_BATCH_LANES
+    state = np.zeros((max(1, max(as_discrete_tf(r).order for r in shapers)), len(group)))
+    buf = np.empty((BLOCK, len(group))) if batched else None  # time-major, for the lane kernel
+    xs = [None] * len(group)
+    failures: dict[int, Exception] = {}
+    for start in range(0, n, BLOCK):
+        rows = min(BLOCK, n - start)
+        for j, (draw, scale) in enumerate(zip(draws, scales)):
+            xs[j] = draw(rows) * scale  # replaces the lane's previous chunk
+        if batched:
+            before = state.copy()
+            u = np.stack(xs, axis=1, out=buf[:rows])
+            run_feedback_lanes(u, shapers, quantizers, state)
+        for j, (x, shaper, quantizer) in enumerate(zip(xs, shapers, quantizers)):
+            if j in failures:
+                continue
+            try:
+                if not batched:
+                    traces = run_feedback_loop(x, shaper, quantizer, state[:, j])
+                elif np.isfinite((uj := u[:, j].copy()) / quantizer.step).all():
+                    traces = loop_traces(x, uj, quantizer)
+                else:  # numpy carries on where the scalar loop's floor raises: rerun the chunk on it
+                    traces = run_feedback_loop(x, shaper, quantizer, before[:, j].copy())
+            except (OverflowError, ValueError) as exc:  # raised when the lane's result is due
+                failures[j] = exc
+                continue
+            stats[j].add(traces)
+            if j == 0 and trace is not None:
+                trace(start, traces)
+    for j, lane in enumerate(group):
+        if j in failures:
+            raise failures[j]
+        yield stats[j].result(lane.predicted_mse)
 
 
 def filter_memory_estimate(tf: RationalDiscreteTF) -> int:
@@ -451,11 +530,148 @@ def plant_burn_in(plant_d: RationalDiscreteTF, length: int) -> int:
     return burn
 
 
+class _Moments:
+    """Count, mean and sum of squared deviations (M2) of the samples added so
+    far: two passes over each block, and blocks merged in the order added
+    (Chan, Golub & LeVeque)."""
+
+    def __init__(self):
+        self.count = 0
+        self.mean = 0.0
+        self.m2 = 0.0
+
+    def add(self, block: np.ndarray) -> None:
+        n = len(block)
+        if n == 0:
+            return
+        mean = float(np.add.reduce(block)) / n
+        dev = block - mean
+        m2 = float(np.add.reduce(dev * dev))
+        if self.count == 0:
+            self.count, self.mean, self.m2 = n, mean, m2
+            return
+        total = self.count + n
+        delta = mean - self.mean
+        self.mean += delta * n / total
+        self.m2 += m2 + delta * delta * self.count * n / total
+        self.count = total
+
+    @property
+    def variance(self) -> float:
+        return self.m2 / self.count
+
+
+class _LagProducts:
+    """Sums of w[i - k] w[i] over the samples added so far, k = 0..max_lag,
+    with w zero before its first sample. Each block forms one product row
+    per lag from the block and the max_lag samples before it, reduces each
+    row by numpy's pairwise sum and adds the sums in block order."""
+
+    def __init__(self, max_lag: int):
+        if max_lag < 1:
+            raise ValueError("max_lag must be at least 1")
+        self.count = 0
+        self.tail = np.zeros(max_lag)
+        self.sums = np.zeros(max_lag + 1)
+
+    def add(self, block: np.ndarray) -> None:
+        n = len(block)
+        if n == 0:
+            return
+        max_lag = len(self.tail)
+        ext = np.concatenate((self.tail, block))
+        # row k of this view of ext is ext[max_lag - k : max_lag - k + n], i.e. w[i - k]
+        rows = np.ndarray((max_lag + 1, n), dtype=float, buffer=ext, offset=8 * max_lag, strides=(-8, 8))
+        self.sums += np.add.reduce(rows * block, axis=-1)
+        self.tail = ext[n:].copy()
+        self.count += n
+
+    def autocorrelations(self) -> np.ndarray:
+        """Normalized autocorrelation at lags 1..max_lag."""
+        max_lag = len(self.tail)
+        if self.count <= max_lag + 1:
+            raise ValueError("sequence too short for the requested number of lags")
+        if self.sums[0] == 0.0:
+            return np.zeros(max_lag)
+        return self.sums[1:] / self.sums[0]
+
+
+class RunStats:
+    """Summary statistics of one loop run, accumulated from its traces.
+
+    Feed the run's traces in order with ``add``, in chunks whose lengths are
+    multiples of BLOCK except for the last. Every statistic is defined over
+    BLOCK-sample blocks aligned to the run's first sample, so any such
+    chunking gives the same bits as feeding the whole run:
+
+    * the overload count, exact;
+    * the variances of u, w and the plant-filtered error P[z](v - x) past
+      the burn-in (``plant_burn_in``): per block a two-pass count, mean and
+      M2, merged in block order;
+    * the lag products of w for ``autocorrelations``.
+
+    The plant filter carries its state across chunks, so the error is
+    ``lfilter`` of the whole run.
+    """
+
+    def __init__(self, plant_d: RationalDiscreteTF, length: int, max_lag: int = 20):
+        self.plant = plant_d
+        self.length = length
+        self.burn = plant_burn_in(plant_d, length)
+        self.zi = np.zeros(max(len(plant_d.num), len(plant_d.den)) - 1)
+        self.seen = 0
+        self.overloads = 0
+        self.u, self.w, self.err = _Moments(), _Moments(), _Moments()
+        self.lags = _LagProducts(max_lag)
+
+    def add(self, traces: LoopTraces) -> None:
+        from scipy import signal
+
+        if self.seen % BLOCK:
+            raise ValueError("only the last chunk of a run may end inside a block")
+        n = len(traces.x)
+        if self.seen + n > self.length:
+            raise ValueError("more samples than the run's length")
+        for i in range(0, n, BLOCK):
+            start = self.seen
+            x, u, v, w, overload = (a[i : i + BLOCK] for a in (traces.x, traces.u, traces.v, traces.w, traces.overload))
+            self.overloads += int(np.count_nonzero(overload))
+            self.u.add(u)
+            self.w.add(w)
+            self.lags.add(w)
+            err, self.zi = signal.lfilter(self.plant.num, self.plant.den, v - x, zi=self.zi)
+            self.err.add(err[max(self.burn - start, 0) :])
+            self.seen += len(x)
+
+    def result(self, predicted_mse: float) -> SimulationResult:
+        if self.seen != self.length:
+            raise ValueError(f"fed {self.seen} of the run's {self.length} samples")
+        return SimulationResult(
+            empirical_mse=self.err.variance,
+            predicted_mse=float(predicted_mse),
+            overload_count=self.overloads,
+            overload_rate=self.overloads / self.length,
+            w_variance=self.w.variance,
+            w_autocorr=tuple(self.lags.autocorrelations().tolist()),
+            sigma_u_sq=self.u.variance,
+        )
+
+
+def _kept_variance(err: np.ndarray, keep: np.ndarray) -> float:
+    """Variance of err where the mask `keep` holds, by BLOCK-aligned blocks
+    as ``RunStats`` defines it."""
+    moments = _Moments()
+    for start in range(0, len(err), BLOCK):
+        moments.add(err[start : start + BLOCK][keep[start : start + BLOCK]])
+    return moments.variance
+
+
 def empirical_mse(v: np.ndarray, x: np.ndarray, plant_d: RationalDiscreteTF) -> float:
     """Sample variance of the plant-filtered reconstruction error P[z](v-x),
-    after discarding a transient burn-in of max(1000, 20x filter memory)."""
+    after discarding a transient burn-in of max(1000, 20x filter memory);
+    per block as ``RunStats`` defines it."""
     err, burn = _plant_error(v, x, plant_d)
-    return float(np.var(err[burn:]))
+    return _kept_variance(err, np.arange(len(err)) >= burn)
 
 
 def excised_mse(traces: LoopTraces, plant_d: RationalDiscreteTF, window: int) -> tuple[float, float]:
@@ -481,20 +697,17 @@ def excised_mse(traces: LoopTraces, plant_d: RationalDiscreteTF, window: int) ->
     kept = int(np.count_nonzero(keep))
     if kept < 1000:
         raise ValueError("excision removed nearly all samples")
-    return float(np.var(err[keep])), 1.0 - kept / (n - burn)
+    return _kept_variance(err, keep), 1.0 - kept / (n - burn)
 
 
 def autocorrelations(w: np.ndarray, max_lag: int) -> np.ndarray:
-    """Normalized sample autocorrelation at lags 1..max_lag."""
+    """Normalized sample autocorrelation at lags 1..max_lag, from lag
+    products per block as ``RunStats`` defines them."""
     w = np.asarray(w, dtype=float)
-    if max_lag < 1:
-        raise ValueError("max_lag must be at least 1")
-    if len(w) <= max_lag + 1:
-        raise ValueError("sequence too short for the requested number of lags")
-    c0 = float(np.dot(w, w))
-    if c0 == 0.0:
-        return np.zeros(max_lag)
-    return np.array([float(np.dot(w[:-k], w[k:])) / c0 for k in range(1, max_lag + 1)])
+    lags = _LagProducts(max_lag)
+    for start in range(0, len(w), BLOCK):
+        lags.add(w[start : start + BLOCK])
+    return lags.autocorrelations()
 
 
 def whiteness_stat(w: np.ndarray, max_lag: int) -> float:
@@ -532,7 +745,8 @@ def loop_quantizer(
     """Set up a loop lane's quantizer: score the shaper on the simulation
     plant p_sim and size a bits-bit quantizer for the sigma_u the variance
     balance predicts. Returns (score, sigma_u^2, sigma_w^2, quantizer); an
-    infeasible shaper raises NumericalError."""
+    infeasible shaper raises NumericalError. The quantizer and feasibility
+    depend on ||R||^2 alone, which reads only p_sim's grid."""
     gamma = gamma_from_bits(bits, loading_factor)
     score = evaluate_fit(shaper, p_sim, gamma)
     if not score.feasible:
@@ -548,14 +762,8 @@ def summarize_run(
     predicted_mse: float,
     max_lag: int = 20,
 ) -> SimulationResult:
-    """Reduce loop traces to the comparison statistics."""
-    count = int(np.count_nonzero(traces.overload))
-    return SimulationResult(
-        empirical_mse=empirical_mse(traces.v, traces.x, plant_d),
-        predicted_mse=float(predicted_mse),
-        overload_count=count,
-        overload_rate=count / len(traces.x),
-        w_variance=float(np.var(traces.w)),
-        w_autocorr=tuple(autocorrelations(traces.w, max_lag)),
-        sigma_u_sq=float(np.var(traces.u)),
-    )
+    """Reduce loop traces to the comparison statistics: ``RunStats`` fed the
+    whole run."""
+    stats = RunStats(plant_d, len(traces.x), max_lag)
+    stats.add(traces)
+    return stats.result(predicted_mse)

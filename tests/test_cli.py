@@ -309,7 +309,7 @@ class TestSimulateCommand:
     def test_batched_lanes_match_scalar_oracle(self, tmp_path):
         config = dict(SMALL_CONFIG, sim=dict(SMALL_CONFIG["sim"], seeds=[0, 1, 2, 3, 4]))
         length = config["sim"]["length"]
-        assert simulate.lane_group_size(4 * 5, length) > 0  # 4 cells x 5 seeds take the batched path
+        assert simulate.lane_group_size(4 * 5) > 0  # 4 cells x 5 seeds take the batched path
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "out"
@@ -345,6 +345,45 @@ class TestSimulateCommand:
         for name in ("x", "u", "v", "w"):
             assert np.array_equal(np.array([float(row[name]) for row in rows]), getattr(first, name)), name
         assert np.array_equal(np.array([row["overload"] == "1" for row in rows]), first.overload)
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # The run statistics use no BLAS, so OpenBLAS's thread count, which
+        # splits long dot products differently, cannot change a bit.
+        config = dict(SMALL_CONFIG, sim=dict(SMALL_CONFIG["sim"], seeds=[0, 1, 2, 3, 4]))
+        assert simulate.lane_group_size(4 * 5) > 0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            code = f"import os, sys; os.environ['OPENBLAS_NUM_THREADS'] = {threads!r}; from efq.cli import main; sys.exit(main())"
+            proc = run_python(["-c", code, "simulate", "--config", str(path), "--out", str(out), "--quiet"])
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / name).read_bytes() for name in ("simulate.json", "simulate_runs.csv")])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_lane_fails_before_any_artifact(self, tmp_path, monkeypatch):
+        # One cell's quantizer steps so finely that u/step overflows once |u|
+        # reaches 4: its lanes fail as the scalar loop does, and no artifact is
+        # left, though the first lane's trace.csv was being written.
+        config = dict(SMALL_CONFIG, sim=dict(SMALL_CONFIG["sim"], seeds=[0, 1, 2, 3, 4]))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        loop_quantizer = simulate.loop_quantizer
+
+        def tiny_at_three_bits(shaper, p_sim, bits, loading_factor):
+            score, sigma_u_sq, sigma_w_sq, quantizer = loop_quantizer(shaper, p_sim, bits, loading_factor)
+            if bits == 3:
+                quantizer = simulate.MidRiseQuantizer(step=2.0**-1022, saturation=1.5 * 2.0**-1022)
+            return score, sigma_u_sq, sigma_w_sq, quantizer
+
+        monkeypatch.setattr(simulate, "loop_quantizer", tiny_at_three_bits)
+        out = tmp_path / "out"
+        with pytest.raises(OverflowError, match="cannot convert float infinity to integer"):
+            main(["simulate", "--config", str(path), "--out", str(out), "--trace", "--quiet"])
+        assert list(out.iterdir()) == []  # not even the first lane's trace.csv
 
     def test_short_length_fails_before_any_loop(self, tmp_path, monkeypatch, capsys):
         config = dict(SMALL_CONFIG, sim=dict(SMALL_CONFIG["sim"], length=1500))

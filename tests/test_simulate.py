@@ -22,11 +22,16 @@ from efq.fitting import (
     yule_walker_fit,
 )
 from efq.simulate import (
+    BLOCK,
+    LANE_BUFFER_SAMPLES,
     LOOP_CHUNK_SAMPLES,
+    MIN_BATCH_LANES,
     Lane,
     LoopTraces,
     MidRiseQuantizer,
+    RunStats,
     SignalModel,
+    autocorrelations,
     discretize_plant,
     empirical_mse,
     excised_mse,
@@ -36,6 +41,7 @@ from efq.simulate import (
     loop_identity_residual,
     loop_quantizer,
     loop_traces,
+    plant_burn_in,
     predicted_loop_variances,
     quantize_array,
     quantize_midrise,
@@ -316,11 +322,57 @@ class TestLaneKernel:
             run_feedback_lanes(np.stack([x, x], axis=1), [shaper], [quant, quant])
 
     @pytest.mark.parametrize(
-        ("lanes", "length", "size"),
-        [(160, 60_000, 32), (17, 20_000, 18), (40, 20_000, 40), (8, 20_000, 0), (5, 1_000_000, 0), (40, 200_000, 0)],
+        ("lanes", "size"),
+        [(160, 160), (17, 17), (40, 40), (8, 0), (5, 0), (15, 0), (16, 16), (256, 256), (257, 129), (600, 200)],
     )
-    def test_group_size(self, lanes, length, size):
-        assert lane_group_size(lanes, length) == size
+    def test_group_size(self, lanes, size):
+        assert LANE_BUFFER_SAMPLES // BLOCK == 256
+        assert lane_group_size(lanes) == size
+
+    @pytest.mark.parametrize("cuts", [(1,), (7, 8000), (BLOCK, BLOCK + 1, 15_000)])
+    def test_state_carries_across_pieces(self, mixed_lanes, cuts):
+        whole = _lanes_at_once(mixed_lanes)
+        x = np.stack([x for x, _, _ in mixed_lanes], axis=1)
+        shapers = [r for _, r, _ in mixed_lanes]
+        quantizers = [q for _, _, q in mixed_lanes]
+        state = np.zeros((4, len(mixed_lanes)))
+        pieces = [run_feedback_lanes(x[a:b], shapers, quantizers, state) for a, b in zip((0, *cuts), (*cuts, len(x)))]
+        assert np.array_equal(np.concatenate(pieces), whole)
+        for j, (xj, shaper, quant) in enumerate(mixed_lanes):  # and the scalar loop takes the same state
+            lane_state = np.zeros(4)
+            u = [run_feedback_loop(xj[a:b], shaper, quant, lane_state).u for a, b in zip((0, *cuts), (*cuts, len(xj)))]
+            assert np.array_equal(np.concatenate(u), whole[:, j]), j
+            assert np.array_equal(lane_state, state[:, j]), j
+
+    def test_state_shape_checked(self, mixed_lanes):
+        x = np.stack([x for x, _, _ in mixed_lanes], axis=1)[:10]
+        with pytest.raises(ValueError, match="state"):
+            run_feedback_lanes(x, [r for _, r, _ in mixed_lanes], [q for _, _, q in mixed_lanes], np.zeros((3, len(x.T))))
+
+
+def _lane(seed, length, shaper, quant, plant_d, period=0.1):
+    return Lane(SignalModel(kind="colored", seed=seed, length=length), period, shaper, quant, plant_d, 1e-3 * (seed + 1))
+
+
+def _oracle(lane):
+    """The whole-lane definition: summarize_run of the scalar loop on gen_input."""
+    traces = run_feedback_loop(gen_input(lane.model, lane.sample_period), lane.shaper, lane.quantizer)
+    return summarize_run(traces, lane.plant, lane.predicted_mse)
+
+
+# A quantizer whose u/step overflows once |u| reaches 4: with R = 1 the loop
+# input is the colored input itself, which first reaches 4 at a seed-dependent
+# sample.
+TINY = MidRiseQuantizer(step=2.0**-1022, saturation=1.5 * 2.0**-1022)
+
+
+def _first_failure(lane):
+    """Sample at which the scalar loop raises on a lane with R = 1, where u
+    is x, and the exception it raises."""
+    x = gen_input(lane.model, lane.sample_period)
+    with pytest.raises((OverflowError, ValueError)) as whole:
+        run_feedback_loop(x, lane.shaper, lane.quantizer)
+    return int(np.flatnonzero(~np.isfinite(x / lane.quantizer.step))[0]), whole.value
 
 
 class TestRunLanes:
@@ -328,43 +380,164 @@ class TestRunLanes:
     def shapers(self):
         return [FIRFilter((1.0, -0.8)), RationalDiscreteTF([1.0, -1.1, 0.4], [1.0, -0.5]), FIRFilter((1.0,))]
 
-    def lanes(self, count, shapers, quant=MidRiseQuantizer(step=0.125, saturation=1.9375)):
-        return [
-            Lane(SignalModel(kind="colored", seed=seed, length=3000), 0.1, shapers[seed % len(shapers)], quant)
-            for seed in range(count)
-        ]
+    @pytest.fixture(scope="class")
+    def plant_d(self, plant):
+        return discretize_plant(plant, 1)
+
+    def lanes(self, count, shapers, plant_d, length=2 * BLOCK + 17, quant=MidRiseQuantizer(step=0.125, saturation=1.9375)):
+        return [_lane(seed, length, shapers[seed % len(shapers)], quant, plant_d) for seed in range(count)]
 
     @pytest.mark.parametrize("count", [15, 16, 37])
-    def test_matches_scalar_loop_on_either_path(self, shapers, count):
-        assert (lane_group_size(count, 3000) > 0) == (count >= 16)  # 15 lanes take the scalar path
-        lanes = self.lanes(count, shapers)
+    def test_matches_scalar_loop_on_either_path(self, shapers, plant_d, count):
+        assert (lane_group_size(count) > 0) == (count >= MIN_BATCH_LANES)  # 15 lanes take the scalar path
+        lanes = self.lanes(count, shapers, plant_d)
         got = list(run_lanes(lanes))
-        assert len(got) == count
-        for lane, traces in zip(lanes, got):
-            x = gen_input(lane.model, lane.sample_period)
-            expected = run_feedback_loop(x, lane.shaper, lane.quantizer)
-            for name in ("x", "u", "v", "w", "overload"):
-                assert np.array_equal(getattr(traces, name), getattr(expected, name))
+        assert got == [_oracle(lane) for lane in lanes]
+
+    def test_result_does_not_depend_on_the_group(self, shapers, plant_d, p_base):
+        lanes = self.lanes(40, shapers + [norm_constrained_fir(p_base, 4, 1.5).fitted], plant_d)
+        lanes[9] = dataclasses.replace(lanes[9], quantizer=MidRiseQuantizer(step=0.5, saturation=0.75))  # overloads
+        whole = list(run_lanes(lanes))
+        assert whole[9].overload_count > 100
+        assert list(run_lanes(lanes[:16])) == whole[:16]
+        for j in (0, 9, 39):
+            assert list(run_lanes([lanes[j]])) == [whole[j]]  # alone, on the scalar loop
+        perm = np.random.default_rng(5).permutation(len(lanes))
+        assert list(run_lanes([lanes[j] for j in perm])) == [whole[j] for j in perm]
+
+    @pytest.mark.parametrize("length", [BLOCK - 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("count", [1, 16])
+    def test_lengths_around_the_block(self, shapers, plant_d, count, length):
+        lanes = self.lanes(count, shapers, plant_d, length=length)
+        assert list(run_lanes(lanes)) == [_oracle(lane) for lane in lanes]
+
+    def test_burn_in_ending_inside_a_later_block(self, shapers):
+        slow = RationalDiscreteTF([0.002], [1.0, -0.998])  # memory 500: a 10,000-sample burn-in
+        n = 3 * BLOCK
+        assert BLOCK < plant_burn_in(slow, n) < 2 * BLOCK
+        lanes = self.lanes(16, shapers, slow, length=n)
+        got = list(run_lanes(lanes))
+        assert got == [_oracle(lane) for lane in lanes]
+        traces = run_feedback_loop(gen_input(lanes[0].model, 0.1), lanes[0].shaper, lanes[0].quantizer)
+        assert got[0].empirical_mse == empirical_mse(traces.v, traces.x, slow)
+        err = signal.lfilter(slow.num, slow.den, traces.v - traces.x)
+        assert got[0].empirical_mse == pytest.approx(float(np.var(err[plant_burn_in(slow, n) :])), rel=1e-12)
+
+    def test_trace_receives_the_first_lane_chunk_by_chunk(self, shapers, plant_d):
+        lanes = self.lanes(16, shapers, plant_d)
+        chunks = []
+        list(run_lanes(lanes, lambda start, traces: chunks.append((start, traces))))
+        assert [start for start, _ in chunks] == [0, BLOCK, 2 * BLOCK]
+        expected = run_feedback_loop(gen_input(lanes[0].model, 0.1), lanes[0].shaper, lanes[0].quantizer)
+        for name in ("x", "u", "v", "w", "overload"):
+            got = np.concatenate([getattr(traces, name) for _, traces in chunks])
+            assert np.array_equal(got, getattr(expected, name)), name
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_batched_lane_raises_as_scalar_loop(self, shapers):
+    def test_batched_lane_raises_as_scalar_loop(self, shapers, plant_d):
         # u / step overflows: the scalar loop's floor raises, and so must the
         # batched path rather than return what numpy made of it.
         tiny = MidRiseQuantizer(step=2.0**-1030, saturation=3 * 2.0**-1031)
-        lanes = self.lanes(16, shapers)
+        lanes = self.lanes(16, shapers, plant_d)
         lanes[5] = dataclasses.replace(lanes[5], quantizer=tiny)
-        assert lane_group_size(len(lanes), 3000) > 0
+        assert lane_group_size(len(lanes)) > 0
         x = gen_input(lanes[5].model, lanes[5].sample_period)
         with pytest.raises(OverflowError):
             run_feedback_loop(x, lanes[5].shaper, tiny)
         with pytest.raises(OverflowError):
             list(run_lanes(lanes))
 
-    def test_unequal_lengths_rejected(self, shapers):
-        lanes = self.lanes(2, shapers)
+    @pytest.mark.parametrize("count", [8, 16, 40])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_late_failures_raise_in_lane_order(self, shapers, plant_d, count):
+        lanes = self.lanes(count, shapers, plant_d, length=3 * BLOCK)
+        for j in (3, 7):  # lane 3 fails in the third chunk, lane 7 in the second
+            lanes[j] = dataclasses.replace(lanes[j], shaper=FIRFilter((1.0,)), quantizer=TINY)
+        (at3, expected), (at7, _) = _first_failure(lanes[3]), _first_failure(lanes[7])
+        assert 2 * BLOCK <= at3 < 3 * BLOCK and BLOCK <= at7 < 2 * BLOCK
+        results = run_lanes(lanes)
+        assert [next(results) for _ in range(3)] == [_oracle(lane) for lane in lanes[:3]]
+        with pytest.raises(type(expected)) as got:
+            next(results)
+        assert str(got.value) == str(expected)
+
+    def test_unequal_lengths_rejected(self, shapers, plant_d):
+        lanes = self.lanes(2, shapers, plant_d)
         lanes[1] = dataclasses.replace(lanes[1], model=dataclasses.replace(lanes[1].model, length=10))
         with pytest.raises(ValueError):
             list(run_lanes(lanes))
+
+
+# tracemalloc peak of a run_lanes pass over 32 lanes of 2^16 samples, in
+# chunk buffers (BLOCK x lanes float64): the pass holds two of them plus
+# per-lane temporaries, about 2.9 in all at any length; a whole-lane buffer of
+# the same lanes would be 8 of them.
+PASS_PEAK_BUFFERS = 4
+
+
+def test_lane_pass_memory_is_bounded_by_the_chunk(plant):
+    lanes_n, n = 32, 1 << 16
+    plant_d = discretize_plant(plant, 1)
+    quant = MidRiseQuantizer(step=0.125, saturation=1.9375)
+    lanes = [_lane(seed, n, FIRFilter((1.0, -0.5)), quant, plant_d) for seed in range(lanes_n)]
+    list(run_lanes(lanes[:1]))  # imports and first-call set-up outside the measurement
+    tracemalloc.start()
+    try:
+        results = list(run_lanes(lanes))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(results) == lanes_n
+    assert peak <= PASS_PEAK_BUFFERS * 8 * BLOCK * lanes_n <= 8 * n * lanes_n / 2
+
+
+def _piece(traces, a, b):
+    return LoopTraces(*(arr[a:b] for arr in (traces.x, traces.u, traces.v, traces.w, traces.overload)))
+
+
+class TestRunStats:
+    @pytest.fixture(scope="class")
+    def run(self, plant):
+        plant_d = discretize_plant(plant, 2)
+        quant = MidRiseQuantizer(step=0.25, saturation=1.875)
+        x = gen_input(SignalModel(kind="colored", seed=4, length=5 * BLOCK + 123), 0.05)
+        return run_feedback_loop(x, FIRFilter((1.0, -0.7, 0.2)), quant), plant_d
+
+    def test_chunked_feed_equals_whole(self, run):
+        traces, plant_d = run
+        whole = summarize_run(traces, plant_d, 0.5)
+        for cuts in ((BLOCK,), (2 * BLOCK, 4 * BLOCK), (5 * BLOCK,)):
+            stats = RunStats(plant_d, len(traces.x))
+            for a, b in zip((0, *cuts), (*cuts, len(traces.x))):
+                stats.add(_piece(traces, a, b))
+            assert stats.result(0.5) == whole
+
+    def test_statistics_against_whole_array_formulas(self, run):
+        traces, plant_d = run
+        got = summarize_run(traces, plant_d, 0.5)
+        assert got.overload_count == int(np.count_nonzero(traces.overload))
+        assert got.sigma_u_sq == pytest.approx(float(np.var(traces.u)), rel=1e-13)
+        assert got.w_variance == pytest.approx(float(np.var(traces.w)), rel=1e-13)
+        err = signal.lfilter(plant_d.num, plant_d.den, traces.v - traces.x)
+        assert got.empirical_mse == pytest.approx(float(np.var(err[plant_burn_in(plant_d, len(err)) :])), rel=1e-13)
+        w = traces.w
+        dots = [float(np.sum(w[:-k] * w[k:])) / float(np.sum(w * w)) for k in range(1, 21)]
+        np.testing.assert_allclose(got.w_autocorr, dots, rtol=1e-12, atol=1e-15)
+        assert got.empirical_mse == empirical_mse(traces.v, traces.x, plant_d)
+        assert np.array_equal(got.w_autocorr, autocorrelations(w, 20))
+
+    def test_misaligned_and_incomplete_feeds_rejected(self, run):
+        traces, plant_d = run
+        pieces = [_piece(traces, a, b) for a, b in ((0, 100), (100, 200))]
+        stats = RunStats(plant_d, len(traces.x))
+        stats.add(pieces[0])
+        with pytest.raises(ValueError, match="inside a block"):
+            stats.add(pieces[1])
+        with pytest.raises(ValueError, match="fed 100"):
+            stats.result(0.5)
+        with pytest.raises(ValueError, match="more samples"):
+            RunStats(plant_d, 3000).add(traces)
 
 
 CHUNK = LOOP_CHUNK_SAMPLES
