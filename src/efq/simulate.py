@@ -22,14 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 # scipy is imported inside the functions that call it: loading scipy.signal
-# and scipy.optimize takes longer than all of design, rd-curve or fit, which
-# never call them.
+# and scipy.optimize takes longer than all of design, rd-curve, fit or verify,
+# which never call them. The lane pass (``_InputDraw.__call__``, ``RunStats``)
+# and ``_plant_error`` keep scipy.signal.lfilter, whose batched C loop a
+# long run needs; ``gen_input`` and ``loop_identity_residual`` take its
+# scipy-free equal, ``linear_filter``.
 
 from .design import QuantizerSpec, gamma_from_bits
 from .errors import NumericalError
 from .fitting import FIRFilter, FitReport, as_discrete_tf, evaluate_fit, yule_walker_fit
 from .spectral import AmplitudeResponse, FrequencyGrid, ct_frequency_map
-from .transfer import ContinuousTF, RationalDiscreteTF
+from .transfer import ContinuousTF, RationalDiscreteTF, linear_filter
 
 HEAD_TOL = 1e-12
 
@@ -203,8 +206,12 @@ def _unit_scale(x: np.ndarray) -> float:
 def gen_input(model: SignalModel, sample_period: float) -> np.ndarray:
     """The model's seeded Gaussian input, rescaled to exact unit sample
     variance: white, or first-order autoregressive with pole
-    exp(-ct_pole*T) started at stationarity."""
-    x = _InputDraw(model, sample_period)(model.length)
+    exp(-ct_pole*T) started at stationarity: ``_InputDraw``'s draw, filtered
+    by ``linear_filter``."""
+    draw = _InputDraw(model, sample_period)
+    x = draw.rng.standard_normal(model.length)
+    if draw.colored:
+        x, _ = linear_filter([draw.scale], [1.0, -draw.pole], x, zi=draw.zi)
     return x * _unit_scale(x)
 
 
@@ -719,10 +726,8 @@ def whiteness_stat(w: np.ndarray, max_lag: int) -> float:
 def loop_identity_residual(traces: LoopTraces, r: RationalDiscreteTF | FIRFilter) -> float:
     """Max per-sample deviation of v - x from R[z] applied to the recorded
     errors; zero up to round-off by construction of the loop."""
-    from scipy import signal
-
     tf = as_discrete_tf(r)
-    shaped = signal.lfilter(tf.num, tf.den, traces.w)
+    shaped = linear_filter(tf.num, tf.den, traces.w)
     return float(np.max(np.abs(traces.v - traces.x - shaped)))
 
 

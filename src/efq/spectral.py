@@ -20,6 +20,10 @@ once per grid size and shared read-only by every ``FrequencyGrid`` of that
 size; ``band_integral`` evaluates numpy's trapezoid expression on the cached
 steps in a single temporary, so each quadrature returns the same bits as
 ``np.trapezoid`` on freshly built nodes.
+
+A response is immutable, so what depends on it alone is kept on it: its
+band-limited dilation per oversampling factor and its flatness verdict per
+tolerance are each computed once, however many bit depths solve on it.
 """
 
 from __future__ import annotations
@@ -125,12 +129,27 @@ class AmplitudeResponse:
         object.__setattr__(self, "cutoff", cutoff)
         object.__setattr__(self, "edge_below", edge_below)
         object.__setattr__(self, "edge_above", edge_above)
+        object.__setattr__(self, "_memo", {})
 
     def with_values(self, values, edge_below=None, edge_above=None) -> "AmplitudeResponse":
         """Same grid and cutoff, new sample values (and matching edge limits)."""
         if self.cutoff is None:
             return AmplitudeResponse(self.grid, values)
         return AmplitudeResponse(self.grid, values, self.cutoff, edge_below, edge_above)
+
+
+def _memoized(resp: AmplitudeResponse, key, compute: Callable[[], object]):
+    """resp's memo entry `key`, from ``compute()`` on first use.
+
+    An entry is a deterministic function of the immutable response, so
+    threads racing on one key compute the same bits; the first value stored
+    is the one every caller gets.
+    """
+    memo = resp._memo
+    try:
+        return memo[key]
+    except KeyError:
+        return memo.setdefault(key, compute())
 
 
 def constant_response(grid: FrequencyGrid, value: float) -> AmplitudeResponse:
@@ -203,7 +222,8 @@ def oversample_response(resp: AmplitudeResponse, oversampling: int) -> Amplitude
 
     Linear interpolation resamples p onto the compressed band; the returned
     response keeps the same grid and records the band-edge jump so that
-    downstream quadrature stays accurate.
+    downstream quadrature stays accurate. It is built once per response and
+    factor.
     """
     if oversampling < 1 or int(oversampling) != oversampling:
         raise ValueError("oversampling factor must be a positive integer")
@@ -212,6 +232,10 @@ def oversample_response(resp: AmplitudeResponse, oversampling: int) -> Amplitude
         return resp
     if resp.cutoff is not None:
         raise ValueError("response is already bandlimited; oversample the base response instead")
+    return _memoized(resp, ("oversample", lam), lambda: _dilate(resp, lam))
+
+
+def _dilate(resp: AmplitudeResponse, lam: int) -> AmplitudeResponse:
     om = resp.grid.omegas
     wc = np.pi / lam
     values = np.zeros_like(om)
@@ -248,9 +272,14 @@ def ct_frequency_map(
 
 def is_almost_constant(resp: AmplitudeResponse, tol: float = 1e-9) -> bool:
     """True when the normalized self-weighted absolute deviation from the
-    mean, integral of |p - mean(p)|*p over integral of p^2, is below tol."""
+    mean, integral of |p - mean(p)|*p over integral of p^2, is below tol.
+    The verdict is kept per response and tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
+    return _memoized(resp, ("almost_constant", tol), lambda: _flatness_below(resp, tol))
+
+
+def _flatness_below(resp: AmplitudeResponse, tol: float) -> bool:
     denom = band_integral(resp, lambda om, p: p * p)
     if denom == 0.0:
         return True

@@ -536,7 +536,8 @@ class TestEntryPoints:
             assert flag in usage, (command, flag)
 
 
-# Runs design, rd-curve and both fit methods, then prints the scipy modules loaded.
+# Runs design, rd-curve, and fit and verify with both fit methods, then prints
+# the scipy modules loaded.
 SCIPY_FREE_STAGES = """
 import json, sys
 import efq
@@ -548,6 +549,8 @@ for argv in (
     ["rd-curve", "--config", qcqp],
     ["fit", "--config", qcqp, "--design", out + "/design.json"],
     ["fit", "--config", yw],
+    ["verify", "--config", qcqp],
+    ["verify", "--config", yw],
 ):
     if main([*argv, "--out", out, "--quiet"]) != 0:
         sys.exit(f"efq {argv[0]} failed")
@@ -563,7 +566,7 @@ class TestPublicSurface:
 
 
 class TestStartup:
-    def test_design_rd_curve_and_fit_never_load_scipy(self, config_path, tmp_path):
+    def test_design_rd_curve_fit_and_verify_never_load_scipy(self, config_path, tmp_path):
         # A fresh process: this test session has imported scipy already.
         yw_path = tmp_path / "yw.json"
         yw_path.write_text(json.dumps(dict(SMALL_CONFIG, fit={"method": "yw", "order": 4})))

@@ -51,6 +51,7 @@ from efq.simulate import (
     summarize_run,
     whiteness_stat,
 )
+from efq.simulate import _InputDraw, _unit_scale
 from efq.spectral import amplitude_of_tf, band_mean, oversample_response
 from efq.transfer import ContinuousTF, RationalDiscreteTF, frequency_response
 
@@ -158,6 +159,18 @@ class TestSignalGenerators:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             SignalModel(kind="pink", seed=0, length=100)
+
+    @pytest.mark.parametrize("kind", ["colored", "white"])
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, 3 * BLOCK + 5])
+    def test_chunked_draws_equal_gen_input(self, kind, n):
+        # The lane pass draws with scipy's lfilter, gen_input with
+        # linear_filter: chunk by chunk, scaled as the pass scales them, the
+        # draws are gen_input's samples bit for bit.
+        model = SignalModel(kind=kind, seed=n, length=n)
+        scale = _unit_scale(_InputDraw(model, 0.1)(n))
+        draw = _InputDraw(model, 0.1)
+        chunks = [draw(min(BLOCK, n - start)) * scale for start in range(0, n, BLOCK)]
+        assert np.concatenate(chunks).tobytes() == gen_input(model, 0.1).tobytes()
 
 
 @pytest.fixture(scope="module")

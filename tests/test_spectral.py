@@ -1,12 +1,16 @@
 """Frequency-grid containers and band-aware quadrature."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from efq import spectral
 from efq.spectral import (
     AmplitudeResponse,
     FrequencyGrid,
@@ -186,6 +190,36 @@ class TestOversampling:
         with pytest.raises(ValueError):
             oversample_response(p2, 2)
 
+    def test_built_once_per_response_and_factor(self, p_base):
+        fresh = AmplitudeResponse(p_base.grid, p_base.values)
+        for lam in (2, 3, 4):
+            first = oversample_response(fresh, lam)
+            assert oversample_response(fresh, lam) is first
+            assert first.values.tobytes() == spectral._dilate(fresh, lam).values.tobytes()
+
+    def test_racing_threads_get_one_response(self, p_base):
+        # Threads that miss the memo together may each build the response;
+        # the builds are equal bit for bit and every caller gets the one kept.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                fresh = AmplitudeResponse(p_base.grid, p_base.values)
+                start = threading.Barrier(8)
+
+                def racer():
+                    start.wait(timeout=60)
+                    return oversample_response(fresh, 3)
+
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(racer) for _ in range(8)]
+                    got = [f.result(timeout=60) for f in futures]
+                assert all(r is got[0] for r in got)
+                assert oversample_response(fresh, 3) is got[0]
+                assert got[0].values.tobytes() == spectral._dilate(fresh, 3).values.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
 
 class TestCTFrequencyMap:
     def test_first_order_pole_at_unit_frequency(self, grid):
@@ -215,6 +249,21 @@ class TestAlmostConstant:
     def test_tiny_ripple_passes(self, grid):
         vals = 1.0 + 1e-12 * np.cos(grid.omegas)
         assert is_almost_constant(AmplitudeResponse(grid, vals))
+
+    def test_verdict_is_kept_per_response_and_tol(self, grid, monkeypatch):
+        calls = []
+        inner = spectral.band_integral
+        monkeypatch.setattr(spectral, "band_integral", lambda resp, fn: calls.append(1) or inner(resp, fn))
+        vals = 1.0 + 1e-6 * np.cos(grid.omegas)
+        resp = AmplitudeResponse(grid, vals)
+        assert not is_almost_constant(resp, 1e-9)
+        assert len(calls) == 3
+        assert not is_almost_constant(resp, 1e-9)
+        assert len(calls) == 3
+        assert is_almost_constant(resp, 1e-3)
+        assert len(calls) == 6
+        assert not is_almost_constant(AmplitudeResponse(grid, vals), 1e-9)
+        assert len(calls) == 9
 
 
 @settings(max_examples=50, deadline=None)
