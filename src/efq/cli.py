@@ -96,21 +96,10 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n")
 
 
-@dataclasses.dataclass(frozen=True)
-class CsvTable:
-    """A CSV table as named columns of equal length: 1-D arrays, or a range
-    for a row index. ``len()`` is the row count."""
-
-    columns: dict[str, np.ndarray | range]
-
-    @classmethod
-    def from_records(cls, names: str, records) -> "CsvTable":
-        """The table of row records, each column typed as np.rec.fromrecords
-        types it: ``np.array`` of the column's values."""
-        return cls({name: np.array(col) for name, col in zip(names.split(","), zip(*records), strict=True)})
-
-    def __len__(self) -> int:
-        return len(next(iter(self.columns.values())))
+def _columns(names: str, records) -> dict[str, np.ndarray]:
+    """Named columns of row records, each typed as np.rec.fromrecords types
+    it: ``np.array`` of the column's values."""
+    return {name: np.array(col) for name, col in zip(names.split(","), zip(*records), strict=True)}
 
 
 def _csv_cells(col) -> list[str]:
@@ -133,9 +122,10 @@ def _csv_cells(col) -> list[str]:
 
 
 @contextlib.contextmanager
-def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[CsvTable], None]]:
+def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[dict], None]]:
     """Open a CSV file under a config-hash comment line and a header of the
-    column names; yields a function that appends a table's rows. An
+    column names; yields a function that appends the rows of a dict of named
+    columns of equal length (1-D arrays, or a range for a row index). An
     exception inside the block removes the file, so no truncated table is
     left behind.
 
@@ -146,9 +136,9 @@ def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[CsvTable], 
         with open(path, "w") as fh:
             fh.write(f"# config_sha256={cfg_sha}\n{','.join(names)}\n")
 
-            def append(rows: CsvTable) -> None:
-                for start in range(0, len(rows), CSV_CHUNK_ROWS):
-                    cells = [_csv_cells(col[start : start + CSV_CHUNK_ROWS]) for col in rows.columns.values()]
+            def append(columns: dict) -> None:
+                for start in range(0, len(next(iter(columns.values()))), CSV_CHUNK_ROWS):
+                    cells = [_csv_cells(col[start : start + CSV_CHUNK_ROWS]) for col in columns.values()]
                     fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
             yield append
@@ -157,10 +147,10 @@ def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[CsvTable], 
         raise
 
 
-def _write_csv(path: Path, cfg_sha: str, rows: CsvTable) -> None:
-    """Write a table as CSV (see ``_csv_file``)."""
-    with _csv_file(path, cfg_sha, rows.columns) as append:
-        append(rows)
+def _write_csv(path: Path, cfg_sha: str, columns: dict) -> None:
+    """Write named columns as CSV (see ``_csv_file``)."""
+    with _csv_file(path, cfg_sha, columns) as append:
+        append(columns)
 
 
 def _load_setup(args) -> tuple[ExperimentConfig, str]:
@@ -195,6 +185,13 @@ def _base_response(cfg: ExperimentConfig) -> spectral.AmplitudeResponse:
 def _positive(value) -> float:
     if type(value) not in (int, float) or not 0 < value < math.inf:
         raise ValueError(f"expected a finite positive number, got {value!r}")
+    return value
+
+
+def _norm_sq(value) -> float:
+    """||R||^2 of a unity-head shaper, which is at least 1."""
+    if _positive(value) < 1:
+        raise ValueError(f"a unity-head shaper has ||R||^2 >= 1, got {value!r}")
     return value
 
 
@@ -277,14 +274,12 @@ def cmd_design(args) -> int:
 
     _write_json(out / "design.json", {"schema_version": SCHEMA_VERSION, "config_sha256": sha, "cells": cell_payload})
     omegas = p_base.grid.omegas
-    r_opt = CsvTable(
-        {
-            "bits": np.repeat([bits for bits, _ in cells], len(omegas)),
-            "lambda": np.repeat([lam for _, lam in cells], len(omegas)),
-            "omega": np.tile(omegas, len(cells)),
-            "r_opt": np.concatenate([sol.r_opt.values for _, sol in solved]),
-        }
-    )
+    r_opt = {
+        "bits": np.repeat([bits for bits, _ in cells], len(omegas)),
+        "lambda": np.repeat([lam for _, lam in cells], len(omegas)),
+        "omega": np.tile(omegas, len(cells)),
+        "r_opt": np.concatenate([sol.r_opt.values for _, sol in solved]),
+    }
     _write_csv(out / "design_r_opt.csv", sha, r_opt)
     _say(args, f"wrote {out / 'design.json'} and {out / 'design_r_opt.csv'}")
     return 0
@@ -322,7 +317,7 @@ def cmd_rd_curve(args) -> int:
         for row in rows
     ]
     names = "bits,lambda,gamma,D,D_uniform,bound,D_db,D_uniform_db,bound_db,identity_residual"
-    _write_csv(out / "rd_curve.csv", sha, CsvTable.from_records(names, csv_rows))
+    _write_csv(out / "rd_curve.csv", sha, _columns(names, csv_rows))
     for row in rows:
         _say(
             args,
@@ -379,7 +374,7 @@ def cmd_fit(args) -> int:
     cells = _cells(cfg)
     designed = None
     if args.design:
-        designed = _read_cells(args.design, "design", sha, cells, {"alpha_opt": _positive, "norm_r_sq": _positive})
+        designed = _read_cells(args.design, "design", sha, cells, {"alpha_opt": _positive, "norm_r_sq": _norm_sq})
     results = _fit_cells(cfg, _base_response(cfg), designed)
 
     payload_cells = []
@@ -447,13 +442,13 @@ def cmd_simulate(args) -> int:
             "predicted_mse": score.achieved_mse,
         }
         cells.append((score.achieved_mse, cell))
+        period = plant.sample_period / lam
         for seed in cfg.sim.seeds:
             model = simulate.SignalModel(
                 kind=cfg.sim.input_kind, seed=seed, length=cfg.sim.length, ct_pole=cfg.sim.ct_pole
             )
-            lanes.append(
-                simulate.Lane(model, plant.sample_period / lam, shaper, quantizer, plant_d, score.achieved_mse)
-            )
+            name = f"bits={bits} lambda={lam} seed={seed}"
+            lanes.append(simulate.Lane(model, period, shaper, quantizer, plant_d, score.achieved_mse, name))
 
     cell_runs = []  # per cell: (seed, SimulationResult) per seed
     trace_file = _csv_file(out / "trace.csv", sha, TRACE_COLUMNS) if args.trace else contextlib.nullcontext()
@@ -461,7 +456,7 @@ def cmd_simulate(args) -> int:
 
         def trace(start, traces):  # each chunk of the first lane
             columns = {name: getattr(traces, name) for name in TRACE_COLUMNS[1:]}
-            append_trace(CsvTable({"k": range(start, start + len(traces.x)), **columns}))
+            append_trace({"k": range(start, start + len(traces.x)), **columns})
 
         results = simulate.run_lanes(lanes, trace if args.trace else None)
         for _, cell in cells:
@@ -512,7 +507,7 @@ def cmd_simulate(args) -> int:
         {"schema_version": SCHEMA_VERSION, "config_sha256": sha, "cells": [cell for _, cell in cells]},
     )
     names = "bits,lambda,seed,empirical_mse,predicted_mse,overload_rate,w_variance,sigma_u_sq"
-    _write_csv(out / "simulate_runs.csv", sha, CsvTable.from_records(names, csv_rows))
+    _write_csv(out / "simulate_runs.csv", sha, _columns(names, csv_rows))
     _say(args, f"wrote {out / 'simulate.json'} and {out / 'simulate_runs.csv'}")
     return 0
 

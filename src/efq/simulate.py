@@ -47,7 +47,7 @@ AXIS_TOL = 1e-9
 
 # Run statistics are defined over BLOCK-sample blocks aligned to the start of
 # a run and merged in block order; run_lanes advances its lanes one block at a
-# time.
+# time, and run_feedback_loop steps through x one block at a time.
 BLOCK = 1 << 13
 # run_lanes: a lane group's chunk buffer holds at most LANE_BUFFER_SAMPLES
 # lane-samples (16 MiB), so a group has at most LANE_BUFFER_SAMPLES // BLOCK
@@ -55,9 +55,6 @@ BLOCK = 1 << 13
 # outweighs the batching and the scalar loop runs.
 LANE_BUFFER_SAMPLES = 1 << 21
 MIN_BATCH_LANES = 16
-# run_feedback_loop: samples per chunk of the scalar loop, which holds a
-# chunk's x and u as Python floats (about 4 MB).
-LOOP_CHUNK_SAMPLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -147,7 +144,8 @@ def loop_traces(x: np.ndarray, u: np.ndarray, q: MidRiseQuantizer) -> LoopTraces
 @dataclass(frozen=True)
 class Lane:
     """One loop run: a seeded input at a sample period, a shaper and a
-    quantizer, scored through a discrete plant against a predicted MSE."""
+    quantizer, scored through a discrete plant against a predicted MSE.
+    `name` opens the message of a failure."""
 
     model: SignalModel
     sample_period: float
@@ -155,6 +153,7 @@ class Lane:
     quantizer: MidRiseQuantizer
     plant: RationalDiscreteTF
     predicted_mse: float
+    name: str = "lane"
 
 
 @dataclass(frozen=True)
@@ -302,11 +301,12 @@ def run_feedback_loop(
     The feedback filter R[z] - 1 is realized in transposed direct form II;
     its state update consumes only past errors (R's unity head makes the
     difference strictly causal), enforced structurally: the current output
-    depends only on stored state. The lane steps through x in
-    LOOP_CHUNK_SAMPLES-sample chunks: each chunk becomes a list of Python
-    floats and its u values are copied into one float64 array, so Python
-    objects are held for one chunk, not for the whole lane. Only u is
-    recorded; ``loop_traces`` rebuilds the rest.
+    depends only on stored state. The lane steps through x in BLOCK-sample
+    chunks: each chunk becomes a list of Python floats and its u values are
+    copied into one float64 array, so Python objects are held for one chunk,
+    not for the whole lane. Only u is recorded; ``loop_traces`` rebuilds the
+    rest. The loop stops with NumericalError at the first sample whose u/step
+    is not finite.
 
     The loop starts at rest, or from `state`: a float array whose first
     `order` entries hold the TDF-II registers, which on return hold the
@@ -330,23 +330,26 @@ def run_feedback_loop(
     if state is not None:
         reg[1 : m + 1] = state[:m].tolist()
 
-    for start in range(0, len(x_arr), LOOP_CHUNK_SAMPLES):
-        us = []
-        append = us.append
-        for xk in x_arr[start : start + LOOP_CHUNK_SAMPLES].tolist():
-            y = reg[1]
-            u = xk + y
-            level = (floor(u / d) + 0.5) * d
-            if level > sat:
-                level = sat
-            elif level < neg_sat:
-                level = neg_sat
-            w = level - u
-            for i in taps:
-                reg[i] = f[i] * w - den[i] * y + reg[i + 1]
-            reg[m] = f[m] * w - den[m] * y
-            append(u)
-        u_arr[start : start + len(us)] = us
+    try:
+        for start in range(0, len(x_arr), BLOCK):
+            us = []
+            append = us.append
+            for xk in x_arr[start : start + BLOCK].tolist():
+                y = reg[1]
+                u = xk + y
+                level = (floor(u / d) + 0.5) * d
+                if level > sat:
+                    level = sat
+                elif level < neg_sat:
+                    level = neg_sat
+                w = level - u
+                for i in taps:
+                    reg[i] = f[i] * w - den[i] * y + reg[i + 1]
+                reg[m] = f[m] * w - den[m] * y
+                append(u)
+            u_arr[start : start + len(us)] = us
+    except (OverflowError, ValueError):  # floor of an infinite or NaN u/step
+        raise _not_finite(start + len(us)) from None
 
     if state is not None:
         state[:m] = reg[1 : m + 1]
@@ -422,14 +425,15 @@ def run_feedback_lanes(
     return x
 
 
+def _not_finite(sample: int) -> NumericalError:
+    """The failure of a loop whose u/step is not finite at `sample`."""
+    return NumericalError(f"u/step is not finite at sample {sample}")
+
+
 def lane_group_size(lanes: int) -> int:
-    """Lanes per group in ``run_lanes``: as equal as groups of at most
-    LANE_BUFFER_SAMPLES // BLOCK lanes allow, or 0 where fewer than
-    MIN_BATCH_LANES would be stepped together and the scalar loop is used."""
-    fit = LANE_BUFFER_SAMPLES // BLOCK
-    if min(fit, lanes) < MIN_BATCH_LANES:
-        return 0
-    groups = -(-lanes // fit)
+    """Lanes per group in ``run_lanes`` (at least one lane): as equal as
+    groups of at most LANE_BUFFER_SAMPLES // BLOCK lanes allow."""
+    groups = -(-lanes // (LANE_BUFFER_SAMPLES // BLOCK))
     return -(-lanes // groups)
 
 
@@ -441,19 +445,20 @@ def run_lanes(
     predicted MSE.
 
     Lanes of one length advance together in BLOCK-sample chunks, in groups
-    of ``lane_group_size`` through ``run_feedback_lanes``, or on the scalar
-    loop when there are too few; each lane carries its input draw, filter
-    state and ``RunStats``, so a group holds a few BLOCK x lanes arrays and
-    no whole lane. ``trace(start, traces)`` receives each chunk of the first
-    lane. A lane whose u/step turns non-finite raises the scalar loop's
-    exception when its result is due.
+    of ``lane_group_size``: through ``run_feedback_lanes``, or on the scalar
+    loop in a group of fewer than MIN_BATCH_LANES lanes. Each lane carries
+    its input draw, filter state and ``RunStats``, so a group holds a few
+    BLOCK x lanes arrays and no whole lane. ``trace(start, traces)``
+    receives each chunk of the first lane. The pass stops at the first chunk
+    in which a lane's u/step is not finite, with a NumericalError naming
+    the first such lane (by `name`) and sample.
     """
     if not lanes:
         return
     n = lanes[0].model.length
     if any(lane.model.length != n for lane in lanes):
         raise ValueError("lanes must share one input length")
-    size = lane_group_size(len(lanes)) or len(lanes)
+    size = lane_group_size(len(lanes))
     for start in range(0, len(lanes), size):
         yield from _run_group(lanes[start : start + size], trace if start == 0 else None)
 
@@ -463,6 +468,7 @@ def _run_group(group: Sequence[Lane], trace) -> Iterator[SimulationResult]:
     stats = [RunStats(lane.plant, n) for lane in group]
     shapers = [lane.shaper for lane in group]
     quantizers = [lane.quantizer for lane in group]
+    steps = np.array([q.step for q in quantizers])
     # gen_input chunk by chunk: the scale comes from a transient whole-lane
     # draw, then a second draw is made and scaled one chunk at a time
     scales = [_unit_scale(_InputDraw(lane.model, lane.sample_period)(n)) for lane in group]
@@ -471,35 +477,38 @@ def _run_group(group: Sequence[Lane], trace) -> Iterator[SimulationResult]:
     state = np.zeros((max(1, max(as_discrete_tf(r).order for r in shapers)), len(group)))
     buf = np.empty((BLOCK, len(group))) if batched else None  # time-major, for the lane kernel
     xs = [None] * len(group)
-    failures: dict[int, Exception] = {}
     for start in range(0, n, BLOCK):
         rows = min(BLOCK, n - start)
         for j, (draw, scale) in enumerate(zip(draws, scales)):
             xs[j] = draw(rows) * scale  # replaces the lane's previous chunk
         if batched:
-            before = state.copy()
             u = np.stack(xs, axis=1, out=buf[:rows])
-            run_feedback_lanes(u, shapers, quantizers, state)
-        for j, (x, shaper, quantizer) in enumerate(zip(xs, shapers, quantizers)):
-            if j in failures:
-                continue
-            try:
-                if not batched:
-                    traces = run_feedback_loop(x, shaper, quantizer, state[:, j])
-                elif np.isfinite((uj := u[:, j].copy()) / quantizer.step).all():
-                    traces = loop_traces(x, uj, quantizer)
-                else:  # numpy carries on where the scalar loop's floor raises: rerun the chunk on it
-                    traces = run_feedback_loop(x, shaper, quantizer, before[:, j].copy())
-            except (OverflowError, ValueError) as exc:  # raised when the lane's result is due
-                failures[j] = exc
-                continue
+            with np.errstate(over="ignore", invalid="ignore"):  # a diverging lane fails below
+                run_feedback_lanes(u, shapers, quantizers, state)
+                # |u|/step rounds monotonically in |u|, so a lane's u/step is
+                # finite where its largest |u| over step is (NaN propagates)
+                finite = np.isfinite(np.maximum(u.max(axis=0), -u.min(axis=0)) / steps)
+                if not finite.all():  # stop at the lane and sample where the scalar loop would
+                    j = int(np.argmin(finite))
+                    raise _lane_failure(group[j], start, _not_finite(int(np.argmin(np.isfinite(u[:, j] / steps[j])))))
+        for j, (x, lane) in enumerate(zip(xs, group)):
+            if batched:
+                traces = loop_traces(x, u[:, j].copy(), lane.quantizer)
+            else:
+                try:
+                    traces = run_feedback_loop(x, lane.shaper, lane.quantizer, state[:, j])
+                except NumericalError as exc:
+                    raise _lane_failure(lane, start, exc) from None
             stats[j].add(traces)
             if j == 0 and trace is not None:
                 trace(start, traces)
-    for j, lane in enumerate(group):
-        if j in failures:
-            raise failures[j]
-        yield stats[j].result(lane.predicted_mse)
+    for lane, lane_stats in zip(group, stats):
+        yield lane_stats.result(lane.predicted_mse)
+
+
+def _lane_failure(lane: Lane, start: int, exc: NumericalError) -> NumericalError:
+    """A lane's loop failure in the chunk from sample `start`, under its name."""
+    return NumericalError(f"{lane.name}: {exc} of the chunk from sample {start}")
 
 
 def filter_memory_estimate(tf: RationalDiscreteTF) -> int:
@@ -715,12 +724,6 @@ def autocorrelations(w: np.ndarray, max_lag: int) -> np.ndarray:
     for start in range(0, len(w), BLOCK):
         lags.add(w[start : start + BLOCK])
     return lags.autocorrelations()
-
-
-def whiteness_stat(w: np.ndarray, max_lag: int) -> float:
-    """Largest absolute normalized autocorrelation over lags 1..max_lag;
-    near 4/sqrt(len(w)) or below for a white sequence."""
-    return float(np.max(np.abs(autocorrelations(w, max_lag))))
 
 
 def loop_identity_residual(traces: LoopTraces, r: RationalDiscreteTF | FIRFilter) -> float:

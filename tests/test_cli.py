@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 
 import efq
 from efq import cli, design, simulate
-from efq.cli import CSV_CHUNK_ROWS, CSV_FEW_DISTINCT, CsvTable, _write_csv, main
+from efq.cli import CSV_CHUNK_ROWS, CSV_FEW_DISTINCT, _columns, _write_csv, main
 from efq.transfer import ContinuousTF, RationalDiscreteTF
 
 SMALL_CONFIG = {
@@ -71,7 +72,7 @@ class TestWriteCsv:
         ]
         columns = ["py_int", "np_int", "py_bool", "np_bool", "py_float", "np_float"]
         path = tmp_path / "edge.csv"
-        _write_csv(path, "abc", CsvTable.from_records(",".join(columns), rows))
+        _write_csv(path, "abc", _columns(",".join(columns), rows))
         assert path.read_text() == reference_csv("abc", columns, rows)
 
     @pytest.mark.parametrize(
@@ -81,17 +82,15 @@ class TestWriteCsv:
         rng = np.random.default_rng(n)
         columns = [np.arange(n), rng.standard_normal(n), rng.random(n) < 0.5]
         path = tmp_path / "chunks.csv"
-        _write_csv(path, "abc", CsvTable(dict(zip(["k", "x", "flag"], columns))))
+        _write_csv(path, "abc", dict(zip(["k", "x", "flag"], columns)))
         expected = reference_csv("abc", ["k", "x", "flag"], zip(*columns))
         # Compared as lines, so a mismatch reports its first index, not a full text diff.
         assert path.read_text().split("\n") == expected.split("\n")
 
     def test_row_index_range_matches_row_oracle(self, tmp_path):
         n = CSV_CHUNK_ROWS + 2
-        table = CsvTable({"k": range(n)})
-        assert len(table) == n
         path = tmp_path / "range.csv"
-        _write_csv(path, "abc", table)
+        _write_csv(path, "abc", {"k": range(n)})
         assert path.read_text() == reference_csv("abc", ["k"], ((k,) for k in range(n)))
 
     def test_repeated_special_floats_across_a_chunk_boundary(self, tmp_path):
@@ -103,7 +102,7 @@ class TestWriteCsv:
         levels = rng.integers(-3, 4, n) + 0.5
         flags = rng.random(n) < 0.5
         path = tmp_path / "special.csv"
-        _write_csv(path, "abc", CsvTable({"f": col, "level": levels, "flag": flags}))
+        _write_csv(path, "abc", {"f": col, "level": levels, "flag": flags})
         expected = reference_csv("abc", ["f", "level", "flag"], zip(col, levels, flags))
         assert path.read_text().split("\n") == expected.split("\n")
         assert "-0.0" in path.read_text().split("\n")[CSV_CHUNK_ROWS + 1]
@@ -126,7 +125,7 @@ class TestWriteCsv:
 
         monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
         path = tmp_path / "rule.csv"
-        _write_csv(path, "abc", CsvTable({"x": col}))
+        _write_csv(path, "abc", {"x": col})
         assert path.read_text() == reference_csv("abc", ["x"], ((v,) for v in col))
         assert len(calls) == (distinct if formatted == "distinct" else CSV_CHUNK_ROWS)
 
@@ -309,7 +308,7 @@ class TestSimulateCommand:
     def test_batched_lanes_match_scalar_oracle(self, tmp_path):
         config = dict(SMALL_CONFIG, sim=dict(SMALL_CONFIG["sim"], seeds=[0, 1, 2, 3, 4]))
         length = config["sim"]["length"]
-        assert simulate.lane_group_size(4 * 5) > 0  # 4 cells x 5 seeds take the batched path
+        assert simulate.lane_group_size(4 * 5) >= simulate.MIN_BATCH_LANES  # 4 cells x 5 seeds take the batched path
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "out"
@@ -350,7 +349,7 @@ class TestSimulateCommand:
         # The run statistics use no BLAS, so OpenBLAS's thread count, which
         # splits long dot products differently, cannot change a bit.
         config = dict(SMALL_CONFIG, sim=dict(SMALL_CONFIG["sim"], seeds=[0, 1, 2, 3, 4]))
-        assert simulate.lane_group_size(4 * 5) > 0
+        assert simulate.lane_group_size(4 * 5) >= simulate.MIN_BATCH_LANES
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         outputs = []
@@ -362,28 +361,34 @@ class TestSimulateCommand:
             outputs.append([(out / name).read_bytes() for name in ("simulate.json", "simulate_runs.csv")])
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_non_finite_lane_fails_before_any_artifact(self, tmp_path, monkeypatch):
-        # One cell's quantizer steps so finely that u/step overflows once |u|
-        # reaches 4: its lanes fail as the scalar loop does, and no artifact is
-        # left, though the first lane's trace.csv was being written.
-        config = dict(SMALL_CONFIG, sim=dict(SMALL_CONFIG["sim"], seeds=[0, 1, 2, 3, 4]))
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        loop_quantizer = simulate.loop_quantizer
-
-        def tiny_at_three_bits(shaper, p_sim, bits, loading_factor):
-            score, sigma_u_sq, sigma_w_sq, quantizer = loop_quantizer(shaper, p_sim, bits, loading_factor)
-            if bits == 3:
-                quantizer = simulate.MidRiseQuantizer(step=2.0**-1022, saturation=1.5 * 2.0**-1022)
-            return score, sigma_u_sq, sigma_w_sq, quantizer
-
-        monkeypatch.setattr(simulate, "loop_quantizer", tiny_at_three_bits)
-        out = tmp_path / "out"
-        with pytest.raises(OverflowError, match="cannot convert float infinity to integer"):
-            main(["simulate", "--config", str(path), "--out", str(out), "--trace", "--quiet"])
-        assert list(out.iterdir()) == []  # not even the first lane's trace.csv
+    def test_non_finite_lane_fails_before_any_artifact(self, tmp_path):
+        # A fit.json whose 8-bit filter is 1 + 10 z^-1: the loop diverges
+        # once a lane saturates, on the scalar loop (4 seeds) and the lane
+        # kernel (16). simulate exits 2 with one message naming the lane and
+        # leaves no artifact, though the first lane's trace.csv was being
+        # written.
+        message = (
+            r"numerical failure: bits=8 lambda=1 seed=\d+: "
+            r"u/step is not finite at sample \d+ of the chunk from sample \d+"
+        )
+        for seeds in (4, 16):
+            sim = dict(SMALL_CONFIG["sim"], length=60000, seeds=list(range(seeds)))
+            config = dict(SMALL_CONFIG, bits_list=[8], lambda_list=[1], n_points=1024, sim=sim)
+            assert (simulate.lane_group_size(seeds) >= simulate.MIN_BATCH_LANES) == (seeds == 16)
+            path = tmp_path / f"config{seeds}.json"
+            path.write_text(json.dumps(config))
+            fit_dir, out = tmp_path / f"fit{seeds}", tmp_path / f"out{seeds}"
+            assert main(["fit", "--config", str(path), "--out", str(fit_dir), "--quiet"]) == 0
+            fit_path = fit_dir / "fit.json"
+            fit = json.loads(fit_path.read_text())
+            fit["cells"][0]["filter"] = {"num": [1.0, 10.0], "den": [1.0]}
+            fit_path.write_text(json.dumps(fit))
+            args = ["simulate", "--config", str(path), "--out", str(out), "--fit", str(fit_path), "--trace", "--quiet"]
+            proc = run_python(["-c", "import sys; from efq.cli import main; sys.exit(main())", *args])
+            assert proc.returncode == 2, proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert re.fullmatch(message, proc.stderr.splitlines()[-1]), proc.stderr
+            assert list(out.iterdir()) == []  # not even the first lane's trace.csv
 
     def test_short_length_fails_before_any_loop(self, tmp_path, monkeypatch, capsys):
         config = dict(SMALL_CONFIG, sim=dict(SMALL_CONFIG["sim"], length=1500))
@@ -579,8 +584,8 @@ def drop_field(name):
     return lambda artifact: dict(artifact, cells=[{k: v for k, v in c.items() if k != name} for c in artifact["cells"]])
 
 
-def null_field(name):
-    return lambda artifact: dict(artifact, cells=[dict(c, **{name: None}) for c in artifact["cells"]])
+def set_field(name, value):
+    return lambda artifact: dict(artifact, cells=[dict(c, **{name: value}) for c in artifact["cells"]])
 
 
 class TestErrorHandling:
@@ -624,12 +629,13 @@ class TestErrorHandling:
     @pytest.mark.parametrize(
         "stage, damage, named",
         [
-            ("fit", null_field("alpha_opt"), "'alpha_opt'"),
+            ("fit", set_field("alpha_opt", None), "'alpha_opt'"),
+            ("fit", set_field("norm_r_sq", 0.5), "'norm_r_sq'"),
             ("fit", drop_field("alpha_opt"), "'alpha_opt'"),
             ("fit", lambda artifact: artifact["cells"], "not a JSON object"),
             ("simulate", drop_field("filter"), "'filter'"),
         ],
-        ids=["null_alpha", "missing_alpha", "json_array", "missing_filter"],
+        ids=["null_alpha", "norm_below_one", "missing_alpha", "json_array", "missing_filter"],
     )
     def test_malformed_upstream_artifact_rejected(self, config_path, tmp_path, capsys, stage, damage, named):
         upstream, flag = {"fit": ("design", "--design"), "simulate": ("fit", "--fit")}[stage]

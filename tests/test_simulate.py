@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,6 @@ from efq.fitting import (
 from efq.simulate import (
     BLOCK,
     LANE_BUFFER_SAMPLES,
-    LOOP_CHUNK_SAMPLES,
     MIN_BATCH_LANES,
     Lane,
     LoopTraces,
@@ -49,7 +49,6 @@ from efq.simulate import (
     run_feedback_loop,
     run_lanes,
     summarize_run,
-    whiteness_stat,
 )
 from efq.simulate import _InputDraw, _unit_scale
 from efq.spectral import amplitude_of_tf, band_mean, oversample_response
@@ -336,7 +335,7 @@ class TestLaneKernel:
 
     @pytest.mark.parametrize(
         ("lanes", "size"),
-        [(160, 160), (17, 17), (40, 40), (8, 0), (5, 0), (15, 0), (16, 16), (256, 256), (257, 129), (600, 200)],
+        [(160, 160), (17, 17), (40, 40), (8, 8), (5, 5), (15, 15), (16, 16), (256, 256), (257, 129), (600, 200)],
     )
     def test_group_size(self, lanes, size):
         assert LANE_BUFFER_SAMPLES // BLOCK == 256
@@ -364,7 +363,8 @@ class TestLaneKernel:
 
 
 def _lane(seed, length, shaper, quant, plant_d, period=0.1):
-    return Lane(SignalModel(kind="colored", seed=seed, length=length), period, shaper, quant, plant_d, 1e-3 * (seed + 1))
+    model = SignalModel(kind="colored", seed=seed, length=length)
+    return Lane(model, period, shaper, quant, plant_d, 1e-3 * (seed + 1), f"seed={seed}")
 
 
 def _oracle(lane):
@@ -379,13 +379,11 @@ def _oracle(lane):
 TINY = MidRiseQuantizer(step=2.0**-1022, saturation=1.5 * 2.0**-1022)
 
 
-def _first_failure(lane):
-    """Sample at which the scalar loop raises on a lane with R = 1, where u
-    is x, and the exception it raises."""
-    x = gen_input(lane.model, lane.sample_period)
-    with pytest.raises((OverflowError, ValueError)) as whole:
-        run_feedback_loop(x, lane.shaper, lane.quantizer)
-    return int(np.flatnonzero(~np.isfinite(x / lane.quantizer.step))[0]), whole.value
+def _failing_sample(lane):
+    """Sample at which the scalar loop stops on the whole lane."""
+    with pytest.raises(NumericalError, match=r"^u/step is not finite at sample \d+$") as whole:
+        run_feedback_loop(gen_input(lane.model, lane.sample_period), lane.shaper, lane.quantizer)
+    return int(re.search(r"\d+$", str(whole.value))[0])
 
 
 class TestRunLanes:
@@ -402,7 +400,7 @@ class TestRunLanes:
 
     @pytest.mark.parametrize("count", [15, 16, 37])
     def test_matches_scalar_loop_on_either_path(self, shapers, plant_d, count):
-        assert (lane_group_size(count) > 0) == (count >= MIN_BATCH_LANES)  # 15 lanes take the scalar path
+        assert (lane_group_size(count) >= MIN_BATCH_LANES) == (count >= MIN_BATCH_LANES)  # 15: the scalar path
         lanes = self.lanes(count, shapers, plant_d)
         got = list(run_lanes(lanes))
         assert got == [_oracle(lane) for lane in lanes]
@@ -446,34 +444,29 @@ class TestRunLanes:
             got = np.concatenate([getattr(traces, name) for _, traces in chunks])
             assert np.array_equal(got, getattr(expected, name)), name
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_batched_lane_raises_as_scalar_loop(self, shapers, plant_d):
-        # u / step overflows: the scalar loop's floor raises, and so must the
-        # batched path rather than return what numpy made of it.
-        tiny = MidRiseQuantizer(step=2.0**-1030, saturation=3 * 2.0**-1031)
-        lanes = self.lanes(16, shapers, plant_d)
-        lanes[5] = dataclasses.replace(lanes[5], quantizer=tiny)
-        assert lane_group_size(len(lanes)) > 0
-        x = gen_input(lanes[5].model, lanes[5].sample_period)
-        with pytest.raises(OverflowError):
-            run_feedback_loop(x, lanes[5].shaper, tiny)
-        with pytest.raises(OverflowError):
-            list(run_lanes(lanes))
-
     @pytest.mark.parametrize("count", [8, 16, 40])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_late_failures_raise_in_lane_order(self, shapers, plant_d, count):
+    @pytest.mark.parametrize("failing", ["overflow", "diverging"])
+    def test_failing_lane_raises_alike_on_every_path(self, shapers, plant_d, count, failing):
+        # The pass stops at the first chunk in which a lane fails, naming the
+        # first failing lane in it and the sample where the scalar loop stops.
         lanes = self.lanes(count, shapers, plant_d, length=3 * BLOCK)
-        for j in (3, 7):  # lane 3 fails in the third chunk, lane 7 in the second
-            lanes[j] = dataclasses.replace(lanes[j], shaper=FIRFilter((1.0,)), quantizer=TINY)
-        (at3, expected), (at7, _) = _first_failure(lanes[3]), _first_failure(lanes[7])
-        assert 2 * BLOCK <= at3 < 3 * BLOCK and BLOCK <= at7 < 2 * BLOCK
-        results = run_lanes(lanes)
-        assert [next(results) for _ in range(3)] == [_oracle(lane) for lane in lanes[:3]]
-        with pytest.raises(type(expected)) as got:
-            next(results)
-        assert str(got.value) == str(expected)
+        if failing == "overflow":  # R = 1, so u is x, and u/step overflows once |x| reaches 4
+            for j in (3, 7):
+                lanes[j] = dataclasses.replace(lanes[j], shaper=FIRFilter((1.0,)), quantizer=TINY)
+            at3, at = _failing_sample(lanes[3]), _failing_sample(lanes[7])
+            assert 2 * BLOCK <= at3 < 3 * BLOCK and BLOCK <= at < 2 * BLOCK  # lane 7 fails first
+            x7 = gen_input(lanes[7].model, lanes[7].sample_period)
+            assert at == np.flatnonzero(np.abs(x7) >= 4.0)[0]
+            name = "seed=7"
+        else:  # u grows tenfold a step once it saturates, to inf and then NaN
+            lanes[3] = dataclasses.replace(lanes[3], shaper=FIRFilter((1.0, 10.0)))
+            at, name = _failing_sample(lanes[3]), "seed=3"
+        assert (lane_group_size(count) >= MIN_BATCH_LANES) == (count >= MIN_BATCH_LANES)
+        start = at - at % BLOCK
+        expected = f"{name}: u/step is not finite at sample {at - start} of the chunk from sample {start}"
+        with pytest.raises(NumericalError) as got:
+            list(run_lanes(lanes))
+        assert str(got.value) == expected
 
     def test_unequal_lengths_rejected(self, shapers, plant_d):
         lanes = self.lanes(2, shapers, plant_d)
@@ -553,7 +546,9 @@ class TestRunStats:
             RunStats(plant_d, 3000).add(traces)
 
 
-CHUNK = LOOP_CHUNK_SAMPLES
+# run_feedback_loop steps in BLOCK-sample chunks; lengths and failure
+# positions below sit at and around multiples of CHUNK, each a chunk boundary.
+CHUNK = 8 * BLOCK
 
 
 def _same_bits(a, b):
@@ -628,22 +623,26 @@ class TestScalarLoopOracle:
             (CHUNK + 7, 4.0, "diverging"),  # a spike the feedback amplifies to inf
         ],
     )
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_lane_fails_as_reference(self, shapers, at, value, shaper):
+        # The loop stops with NumericalError at the sample where the
+        # reference loop's floor raises: the reference runs the samples
+        # before it and fails on the prefix that ends with it.
         quant = MidRiseQuantizer(step=0.25, saturation=1.875)
         r = FIRFilter((1.0, 3.0)) if shaper == "diverging" else shapers[shaper]
         x = np.zeros(2 * CHUNK + 1) if shaper == "diverging" else self.lane(shapers, "order0", 2 * CHUNK + 1)[0]
         x[at] = value
-        with pytest.raises((OverflowError, ValueError)) as expected:
-            reference_loop.run_feedback_loop(x, r, quant)
-        with pytest.raises(expected.type) as got:
+        with pytest.raises(NumericalError, match=r"^u/step is not finite at sample \d+$") as got:
             run_feedback_loop(x, r, quant)
-        assert str(got.value) == str(expected.value)
+        k = int(re.search(r"\d+$", str(got.value))[0])
+        assert k == at if shaper != "diverging" else k > at
+        reference_loop.run_feedback_loop(x[:k], r, quant)
+        with pytest.raises((OverflowError, ValueError)):
+            reference_loop.run_feedback_loop(x[: k + 1], r, quant)
 
 
 # tracemalloc peak of run_feedback_loop per sample at 2^18 samples: the
 # whole-lane reference loop peaks at about 89 B (two lists of Python floats),
-# the chunked loop at about 33 B (u, v, w, overload and one chunk's lists).
+# the chunked loop at about 26 B (u, v, w, overload and one chunk's lists).
 LOOP_PEAK_BYTES_PER_SAMPLE = 48
 
 
@@ -720,20 +719,6 @@ class TestExcisedMSE:
         traces = LoopTraces(x=x, u=x, v=x, w=x, overload=np.ones(5_000, dtype=bool))
         with pytest.raises(ValueError):
             excised_mse(traces, plant_d, 1)
-
-
-class TestWhiteness:
-    def test_white_sequence_has_small_stat(self):
-        rng = np.random.default_rng(9)
-        w = rng.standard_normal(100_000)
-        assert whiteness_stat(w, 20) < 4.0 / math.sqrt(len(w))
-
-    def test_correlated_sequence_flagged(self):
-        rng = np.random.default_rng(9)
-        n = 100_000
-        e = rng.standard_normal(n)
-        w = e + np.concatenate([[0.0], 0.9 * e[:-1]])
-        assert whiteness_stat(w, 20) > 0.3
 
 
 class TestDiscretization:
