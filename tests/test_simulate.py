@@ -444,26 +444,50 @@ class TestRunLanes:
             got = np.concatenate([getattr(traces, name) for _, traces in chunks])
             assert np.array_equal(got, getattr(expected, name)), name
 
+    def test_batched_lane_raises_as_scalar_loop(self, shapers, plant_d):
+        # u / step overflows: the scalar loop stops with NumericalError, and so
+        # must the batched path rather than return what numpy made of it.
+        tiny = MidRiseQuantizer(step=2.0**-1030, saturation=3 * 2.0**-1031)
+        lanes = self.lanes(16, shapers, plant_d)
+        lanes[5] = dataclasses.replace(lanes[5], quantizer=tiny)
+        assert lane_group_size(len(lanes)) >= MIN_BATCH_LANES
+        at = _failing_sample(lanes[5])
+        start = at - at % BLOCK
+        expected = f"seed=5: u/step is not finite at sample {at - start} of the chunk from sample {start}"
+        with pytest.raises(NumericalError) as got:
+            list(run_lanes(lanes))
+        assert str(got.value) == expected
+
     @pytest.mark.parametrize("count", [8, 16, 40])
-    @pytest.mark.parametrize("failing", ["overflow", "diverging"])
-    def test_failing_lane_raises_alike_on_every_path(self, shapers, plant_d, count, failing):
-        # The pass stops at the first chunk in which a lane fails, naming the
-        # first failing lane in it and the sample where the scalar loop stops.
+    def test_late_failures_raise_in_lane_order(self, shapers, plant_d, count):
+        # The pass stops at the first chunk in which a lane fails and names
+        # the first lane, in lane order, that fails in it: lane 3 fails in the
+        # third chunk, lanes 5 and 7 in the second, lane 7 at an earlier
+        # sample, so lane 5 is named. R = 1, so u is x, and u/step overflows
+        # once |x| reaches 4.
         lanes = self.lanes(count, shapers, plant_d, length=3 * BLOCK)
-        if failing == "overflow":  # R = 1, so u is x, and u/step overflows once |x| reaches 4
-            for j in (3, 7):
-                lanes[j] = dataclasses.replace(lanes[j], shaper=FIRFilter((1.0,)), quantizer=TINY)
-            at3, at = _failing_sample(lanes[3]), _failing_sample(lanes[7])
-            assert 2 * BLOCK <= at3 < 3 * BLOCK and BLOCK <= at < 2 * BLOCK  # lane 7 fails first
-            x7 = gen_input(lanes[7].model, lanes[7].sample_period)
-            assert at == np.flatnonzero(np.abs(x7) >= 4.0)[0]
-            name = "seed=7"
-        else:  # u grows tenfold a step once it saturates, to inf and then NaN
-            lanes[3] = dataclasses.replace(lanes[3], shaper=FIRFilter((1.0, 10.0)))
-            at, name = _failing_sample(lanes[3]), "seed=3"
+        for j in (3, 5, 7):
+            lanes[j] = dataclasses.replace(lanes[j], shaper=FIRFilter((1.0,)), quantizer=TINY)
+        at3, at5, at7 = (_failing_sample(lanes[j]) for j in (3, 5, 7))
+        assert 2 * BLOCK <= at3 < 3 * BLOCK and BLOCK <= at7 < at5 < 2 * BLOCK
+        x5 = gen_input(lanes[5].model, lanes[5].sample_period)
+        assert at5 == np.flatnonzero(np.abs(x5) >= 4.0)[0]
+        assert (lane_group_size(count) >= MIN_BATCH_LANES) == (count >= MIN_BATCH_LANES)
+        expected = f"seed=5: u/step is not finite at sample {at5 - BLOCK} of the chunk from sample {BLOCK}"
+        with pytest.raises(NumericalError) as got:
+            list(run_lanes(lanes))
+        assert str(got.value) == expected
+
+    @pytest.mark.parametrize("count", [8, 16, 40])
+    def test_diverging_lane_raises_alike_on_every_path(self, shapers, plant_d, count):
+        # u grows tenfold a step once it saturates, to inf and then NaN; the
+        # pass stops where the scalar loop on the whole lane stops.
+        lanes = self.lanes(count, shapers, plant_d, length=3 * BLOCK)
+        lanes[3] = dataclasses.replace(lanes[3], shaper=FIRFilter((1.0, 10.0)))
+        at = _failing_sample(lanes[3])
         assert (lane_group_size(count) >= MIN_BATCH_LANES) == (count >= MIN_BATCH_LANES)
         start = at - at % BLOCK
-        expected = f"{name}: u/step is not finite at sample {at - start} of the chunk from sample {start}"
+        expected = f"seed=3: u/step is not finite at sample {at - start} of the chunk from sample {start}"
         with pytest.raises(NumericalError) as got:
             list(run_lanes(lanes))
         assert str(got.value) == expected
