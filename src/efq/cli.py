@@ -16,6 +16,7 @@ output file carries the configuration hash. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import json
@@ -121,6 +122,11 @@ def _csv_cells(col) -> list[str]:
     return texts[np.searchsorted(patterns, bits)].tolist()
 
 
+def _csv_text(columns) -> str:
+    """CSV lines of one chunk of equal-length columns."""
+    return "\n".join(map(",".join, zip(*map(_csv_cells, columns)))) + "\n"
+
+
 @contextlib.contextmanager
 def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[dict], None]]:
     """Open a CSV file under a config-hash comment line and a header of the
@@ -130,18 +136,46 @@ def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[dict], None
     left behind.
 
     Rows are formatted and written CSV_CHUNK_ROWS at a time from the columns
-    themselves, so memory stays bounded for long traces.
+    themselves, so memory stays bounded for long traces. The first
+    CSV_CHUNK_ROWS rows format in process; each later chunk formats on one
+    of ``_max_workers()`` forked processes (float repr holds the GIL), at
+    most two chunks a worker ahead of the file, and is written in row order.
+    An exception in the block or in a worker cancels the pending chunks and
+    joins every worker before the file is removed.
     """
+    workers = _max_workers()
     try:
-        with open(path, "w") as fh:
+        with open(path, "w") as fh, contextlib.ExitStack() as stack:
             fh.write(f"# config_sha256={cfg_sha}\n{','.join(names)}\n")
+            pending = collections.deque()  # chunk texts being formatted, in row order
+            pool = None
+            rows = 0
 
             def append(columns: dict) -> None:
+                nonlocal pool, rows
                 for start in range(0, len(next(iter(columns.values()))), CSV_CHUNK_ROWS):
-                    cells = [_csv_cells(col[start : start + CSV_CHUNK_ROWS]) for col in columns.values()]
-                    fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+                    chunk = [col[start : start + CSV_CHUNK_ROWS] for col in columns.values()]
+                    if rows < CSV_CHUNK_ROWS or workers == 1:
+                        fh.write(_csv_text(chunk))
+                    else:
+                        if pool is None:
+                            import multiprocessing  # only tables of more than one chunk pay the import
+                            from concurrent.futures import ProcessPoolExecutor
+
+                            # Forked workers inherit the loaded modules. No other thread runs
+                            # here (the cell thread pool has been joined), and no worker may
+                            # inherit unwritten text.
+                            fh.flush()
+                            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+                            stack.callback(pool.shutdown, cancel_futures=True)
+                        pending.append(pool.submit(_csv_text, chunk))
+                        if len(pending) > 2 * workers:
+                            fh.write(pending.popleft().result())
+                    rows += len(chunk[0])
 
             yield append
+            for future in pending:
+                fh.write(future.result())
     except BaseException:
         path.unlink(missing_ok=True)
         raise

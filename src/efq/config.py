@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -89,7 +91,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         _require(
             problems, isinstance(lam, int) and lam >= 1, f"lambda_list[{i}]", f"must be a positive integer, got {lam!r}"
         )
-    _require(problems, cfg.loading_factor > 0, "loading_factor", f"must be positive, got {cfg.loading_factor!r}")
+    _require(
+        problems, 0 < cfg.loading_factor < math.inf, "loading_factor", f"must be a finite positive number, got {cfg.loading_factor!r}"
+    )
     _require(
         problems,
         isinstance(cfg.n_points, int) and cfg.n_points >= MIN_N_POINTS,
@@ -109,7 +113,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _require(
         problems, cfg.sim.input_kind in INPUT_KINDS, "sim.input_kind", f"must be one of {INPUT_KINDS}, got {cfg.sim.input_kind!r}"
     )
-    _require(problems, cfg.sim.ct_pole > 0, "sim.ct_pole", f"must be positive, got {cfg.sim.ct_pole!r}")
+    _require(
+        problems, 0 < cfg.sim.ct_pole < math.inf, "sim.ct_pole", f"must be a finite positive number, got {cfg.sim.ct_pole!r}"
+    )
     if problems:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
 
@@ -118,6 +124,20 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     d = asdict(cfg)
     d["schema_version"] = SCHEMA_VERSION
     return d
+
+
+def _integer(value, path: str) -> int:
+    """An integral number (6e4 included) as an int; a bool, a string or a
+    fractional or non-finite number raises ConfigError naming ``path``."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ConfigError(f"{path}: must be an integer, got {value!r}")
+    return int(value)
+
+
+def _integers(values, path: str) -> tuple[int, ...]:
+    return tuple(_integer(v, f"{path}[{i}]") for i, v in enumerate(values))
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -146,21 +166,23 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     try:
         cfg = ExperimentConfig(
             plant=plant,
-            bits_list=tuple(int(b) for b in data.get("bits_list", base.bits_list)),
-            lambda_list=tuple(int(v) for v in data.get("lambda_list", base.lambda_list)),
+            bits_list=_integers(data.get("bits_list", base.bits_list), "bits_list"),
+            lambda_list=_integers(data.get("lambda_list", base.lambda_list), "lambda_list"),
             loading_factor=float(data.get("loading_factor", base.loading_factor)),
-            n_points=int(data.get("n_points", base.n_points)),
+            n_points=_integer(data.get("n_points", base.n_points), "n_points"),
             fit=FitConfig(
                 method=str(fit_data.get("method", base.fit.method)),
-                order=int(fit_data.get("order", base.fit.order)),
+                order=_integer(fit_data.get("order", base.fit.order), "fit.order"),
             ),
             sim=SimConfig(
-                length=int(sim_data.get("length", base.sim.length)),
-                seeds=tuple(int(s) for s in sim_data.get("seeds", base.sim.seeds)),
+                length=_integer(sim_data.get("length", base.sim.length), "sim.length"),
+                seeds=_integers(sim_data.get("seeds", base.sim.seeds), "sim.seeds"),
                 input_kind=str(sim_data.get("input_kind", base.sim.input_kind)),
                 ct_pole=float(sim_data.get("ct_pole", base.sim.ct_pole)),
             ),
         )
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed configuration value: {exc}") from exc
     validate_config(cfg)

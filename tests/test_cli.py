@@ -4,6 +4,7 @@ import csv
 import inspect
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -129,6 +130,29 @@ class TestWriteCsv:
         assert path.read_text() == reference_csv("abc", ["x"], ((v,) for v in col))
         assert len(calls) == (distinct if formatted == "distinct" else CSV_CHUNK_ROWS)
 
+    @pytest.mark.parametrize("where", ["block", "worker"])
+    def test_failure_after_the_workers_started_joins_them_and_removes_the_file(self, tmp_path, monkeypatch, where):
+        # An exception in the block, or in a worker formatting a later chunk,
+        # comes out unchanged, with every worker joined and no partial file.
+        monkeypatch.setenv("EFQ_THREADS", "2")
+        cells = cli._csv_cells
+
+        def cells_failing_past_the_first_chunk(col):
+            if where == "worker" and col[0] >= CSV_CHUNK_ROWS:
+                raise ArithmeticError("worker failed")
+            return cells(col)
+
+        monkeypatch.setattr(cli, "_csv_cells", cells_failing_past_the_first_chunk)
+        path = tmp_path / "failed.csv"
+        with pytest.raises(ArithmeticError, match=f"{where} failed"):
+            with cli._csv_file(path, "abc", ["x"]) as append:
+                append({"x": np.arange(4 * CSV_CHUNK_ROWS, dtype=float)})
+                assert multiprocessing.active_children()  # the workers are running
+                append({"x": np.arange(4 * CSV_CHUNK_ROWS, dtype=float) + 0.5})
+                raise ArithmeticError("block failed")
+        assert not path.exists()
+        assert multiprocessing.active_children() == []
+
 
 class TestDesignCommand:
     def test_writes_artifacts(self, config_path, tmp_path):
@@ -152,16 +176,32 @@ class TestDesignCommand:
         assert (out1 / "design.json").read_bytes() == (out2 / "design.json").read_bytes()
         assert (out1 / "design_r_opt.csv").read_bytes() == (out2 / "design_r_opt.csv").read_bytes()
 
-    def test_thread_count_does_not_change_output(self, config_path, tmp_path, monkeypatch):
-        # Every command that maps its cells over the thread pool.
-        outputs = {"design": "design.json", "rd-curve": "rd_curve.csv", "fit": "fit.json"}
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        for threads, out in (("1", out1), ("4", out2)):
+    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
+        # Every command that maps its cells over the thread pool, and both
+        # tables that format on worker processes: design_r_opt.csv (2 CSV
+        # chunks) and trace.csv (3 chunks and a row). EFQ_THREADS is set
+        # explicitly, so the worker processes run on a 1-core machine too.
+        sim = dict(SMALL_CONFIG["sim"], length=3 * CSV_CHUNK_ROWS + 1, seeds=[0])
+        config = dict(SMALL_CONFIG, n_points=8192, sim=sim)
+        assert 4 * config["n_points"] > CSV_CHUNK_ROWS  # 4 cells
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        outputs = {
+            "design": ("design.json", "design_r_opt.csv"),
+            "rd-curve": ("rd_curve.csv",),
+            "fit": ("fit.json",),
+            "simulate": ("simulate.json", "simulate_runs.csv", "trace.csv"),
+        }
+        artifacts = []
+        for threads in ("1", "2", "3"):
             monkeypatch.setenv("EFQ_THREADS", threads)
+            out = tmp_path / f"threads{threads}"
             for command in outputs:
-                assert main([command, "--config", config_path, "--out", str(out), "--quiet"]) == 0
-        for name in outputs.values():
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+                flags = ["--trace"] if command == "simulate" else []
+                assert main([command, "--config", str(path), "--out", str(out), "--quiet", *flags]) == 0
+            artifacts.append({name: (out / name).read_bytes() for names in outputs.values() for name in names})
+            assert multiprocessing.active_children() == []
+        assert artifacts[0] == artifacts[1] == artifacts[2]
 
     def test_grid_override_changes_hash(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -389,6 +429,29 @@ class TestSimulateCommand:
             assert "Traceback" not in proc.stderr
             assert re.fullmatch(message, proc.stderr.splitlines()[-1]), proc.stderr
             assert list(out.iterdir()) == []  # not even the first lane's trace.csv
+
+    def test_diverging_lane_joins_the_trace_workers(self, tmp_path, monkeypatch, capsys):
+        # Seed 6 of the diverging set-up above fails in its chunk from sample
+        # 32768, after trace.csv has sent chunks to worker processes: simulate
+        # still exits 2, joins every worker and leaves no artifact.
+        monkeypatch.setenv("EFQ_THREADS", "2")
+        sim = dict(SMALL_CONFIG["sim"], length=60000, seeds=[6])
+        config = dict(SMALL_CONFIG, bits_list=[8], lambda_list=[1], n_points=1024, sim=sim)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        fit_dir, out = tmp_path / "fit", tmp_path / "out"
+        assert main(["fit", "--config", str(path), "--out", str(fit_dir), "--quiet"]) == 0
+        fit_path = fit_dir / "fit.json"
+        fit = json.loads(fit_path.read_text())
+        fit["cells"][0]["filter"] = {"num": [1.0, 10.0], "den": [1.0]}
+        fit_path.write_text(json.dumps(fit))
+        capsys.readouterr()
+        args = ["simulate", "--config", str(path), "--out", str(out), "--fit", str(fit_path), "--trace", "--quiet"]
+        assert main(args) == 2
+        failed_at = int(re.search(r"of the chunk from sample (\d+)", capsys.readouterr().err).group(1))
+        assert failed_at > CSV_CHUNK_ROWS  # a trace chunk went to the workers
+        assert list(out.iterdir()) == []
+        assert multiprocessing.active_children() == []
 
     def test_short_length_fails_before_any_loop(self, tmp_path, monkeypatch, capsys):
         config = dict(SMALL_CONFIG, sim=dict(SMALL_CONFIG["sim"], length=1500))
