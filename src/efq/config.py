@@ -5,10 +5,12 @@ loading factor 4, colored first-order input)."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 import numbers
+import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -136,8 +138,55 @@ def _integer(value, path: str) -> int:
     return int(value)
 
 
-def _integers(values, path: str) -> tuple[int, ...]:
-    return tuple(_integer(v, f"{path}[{i}]") for i, v in enumerate(values))
+def _real(value, path: str) -> float:
+    """A JSON number as a float; a bool, a string or any other value raises
+    ConfigError naming ``path``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{path}: must be a number, got {value!r}")
+    return float(value)
+
+
+def _text(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: must be a string, got {value!r}")
+    return value
+
+
+_SCALARS = {int: _integer, float: _real, str: _text}
+
+
+def _value(kind, value, path: str):
+    """``value`` read as the field type ``kind``: a dataclass from a JSON
+    object, a tuple from a list, or a scalar."""
+    if dataclasses.is_dataclass(kind):
+        return _section(kind, value, path)
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: must be a list, got {value!r}")
+        item = typing.get_args(kind)[0]
+        return tuple(_value(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    return _SCALARS[kind](value, path)
+
+
+def _section(cls, data, path: str):
+    """The dataclass ``cls`` from the JSON object ``data``, each field read by
+    its type; an absent field takes its default. An unknown or missing field
+    raises ConfigError naming its dotted path."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: must be a JSON object, got {data!r}")
+    prefix = f"{path}." if path else ""
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(data) - {f.name for f in fields})
+    if unknown:
+        raise ConfigError("; ".join(f"{prefix}{name}: unknown field" for name in unknown))
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in fields:
+        if f.name in data:
+            values[f.name] = _value(hints[f.name], data[f.name], prefix + f.name)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{prefix}{f.name}: required field is missing")
+    return cls(**values)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -146,45 +195,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     version = data.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version: unsupported value {version!r} (expected {SCHEMA_VERSION})")
-    known = {"schema_version", "plant", "bits_list", "lambda_list", "loading_factor", "n_points", "fit", "sim"}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigError(f"unknown configuration fields: {', '.join(unknown)}")
-    if "plant" not in data:
-        raise ConfigError("plant: required field is missing")
-    base = default_config()
-    try:
-        plant = PlantConfig(
-            num=tuple(float(c) for c in data["plant"]["num"]),
-            den=tuple(float(c) for c in data["plant"]["den"]),
-            sample_period=float(data["plant"]["sample_period"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"plant: expected num/den coefficient lists and sample_period ({exc})") from exc
-    fit_data = data.get("fit", {})
-    sim_data = data.get("sim", {})
-    try:
-        cfg = ExperimentConfig(
-            plant=plant,
-            bits_list=_integers(data.get("bits_list", base.bits_list), "bits_list"),
-            lambda_list=_integers(data.get("lambda_list", base.lambda_list), "lambda_list"),
-            loading_factor=float(data.get("loading_factor", base.loading_factor)),
-            n_points=_integer(data.get("n_points", base.n_points), "n_points"),
-            fit=FitConfig(
-                method=str(fit_data.get("method", base.fit.method)),
-                order=_integer(fit_data.get("order", base.fit.order), "fit.order"),
-            ),
-            sim=SimConfig(
-                length=_integer(sim_data.get("length", base.sim.length), "sim.length"),
-                seeds=_integers(sim_data.get("seeds", base.sim.seeds), "sim.seeds"),
-                input_kind=str(sim_data.get("input_kind", base.sim.input_kind)),
-                ct_pole=float(sim_data.get("ct_pole", base.sim.ct_pole)),
-            ),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed configuration value: {exc}") from exc
+    cfg = _section(ExperimentConfig, {k: v for k, v in data.items() if k != "schema_version"}, "")
     validate_config(cfg)
     return cfg
 

@@ -24,8 +24,8 @@ import numpy as np
 # scipy is imported inside the functions that call it: loading scipy.signal
 # and scipy.optimize takes longer than all of design, rd-curve, fit or verify,
 # which never call them. The lane pass (``_InputDraw.__call__``, ``RunStats``)
-# and ``_plant_error`` keep scipy.signal.lfilter, whose batched C loop a
-# long run needs; ``gen_input`` and ``loop_identity_residual`` take its
+# and ``excised_mse`` keep scipy.signal.lfilter, whose batched C loop a long
+# run needs; ``gen_input`` and ``loop_identity_residual`` take its
 # scipy-free equal, ``linear_filter``.
 
 from .design import QuantizerSpec, gamma_from_bits
@@ -47,8 +47,10 @@ AXIS_TOL = 1e-9
 
 # Run statistics are defined over BLOCK-sample blocks aligned to the start of
 # a run and merged in block order; run_lanes advances its lanes one block at a
-# time, and run_feedback_loop steps through x one block at a time.
+# time, and run_feedback_loop steps through x one block at a time. A run's
+# w_autocorr holds the autocorrelation of w at lags 1..MAX_LAG.
 BLOCK = 1 << 13
+MAX_LAG = 20
 # run_lanes: a lane group's chunk buffer holds at most LANE_BUFFER_SAMPLES
 # lane-samples (16 MiB), so a group has at most LANE_BUFFER_SAMPLES // BLOCK
 # lanes; with fewer than MIN_BATCH_LANES lanes the per-step numpy overhead
@@ -523,19 +525,6 @@ def filter_memory_estimate(tf: RationalDiscreteTF) -> int:
     return memory
 
 
-def _plant_error(v: np.ndarray, x: np.ndarray, plant_d: RationalDiscreteTF) -> tuple[np.ndarray, int]:
-    """Plant-filtered reconstruction error P[z](v-x) and the transient
-    burn-in of max(1000, 20x filter memory) samples to discard from it."""
-    from scipy import signal
-
-    v = np.asarray(v, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if v.shape != x.shape:
-        raise ValueError("v and x must have equal length")
-    burn = plant_burn_in(plant_d, len(v))
-    return signal.lfilter(plant_d.num, plant_d.den, v - x), burn
-
-
 def plant_burn_in(plant_d: RationalDiscreteTF, length: int) -> int:
     """Transient burn-in of max(1000, 20x filter memory) samples discarded
     from a plant-filtered error of `length` samples; raises ValueError
@@ -624,13 +613,14 @@ class RunStats:
     * the variances of u, w and the plant-filtered error P[z](v - x) past
       the burn-in (``plant_burn_in``): per block a two-pass count, mean and
       M2, merged in block order;
-    * the lag products of w for ``autocorrelations``.
+    * the lag products of w at lags 0..MAX_LAG.
 
     The plant filter carries its state across chunks, so the error is
-    ``lfilter`` of the whole run.
+    ``lfilter`` of the whole run. A statistic that overflows is inf or NaN,
+    without a warning.
     """
 
-    def __init__(self, plant_d: RationalDiscreteTF, length: int, max_lag: int = 20):
+    def __init__(self, plant_d: RationalDiscreteTF, length: int):
         self.plant = plant_d
         self.length = length
         self.burn = plant_burn_in(plant_d, length)
@@ -638,8 +628,9 @@ class RunStats:
         self.seen = 0
         self.overloads = 0
         self.u, self.w, self.err = _Moments(), _Moments(), _Moments()
-        self.lags = _LagProducts(max_lag)
+        self.lags = _LagProducts(MAX_LAG)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def add(self, traces: LoopTraces) -> None:
         from scipy import signal
 
@@ -659,6 +650,7 @@ class RunStats:
             self.err.add(err[max(self.burn - start, 0) :])
             self.seen += len(x)
 
+    @np.errstate(invalid="ignore")
     def result(self, predicted_mse: float) -> SimulationResult:
         if self.seen != self.length:
             raise ValueError(f"fed {self.seen} of the run's {self.length} samples")
@@ -673,26 +665,11 @@ class RunStats:
         )
 
 
-def _kept_variance(err: np.ndarray, keep: np.ndarray) -> float:
-    """Variance of err where the mask `keep` holds, by BLOCK-aligned blocks
-    as ``RunStats`` defines it."""
-    moments = _Moments()
-    for start in range(0, len(err), BLOCK):
-        moments.add(err[start : start + BLOCK][keep[start : start + BLOCK]])
-    return moments.variance
-
-
-def empirical_mse(v: np.ndarray, x: np.ndarray, plant_d: RationalDiscreteTF) -> float:
-    """Sample variance of the plant-filtered reconstruction error P[z](v-x),
-    after discarding a transient burn-in of max(1000, 20x filter memory);
-    per block as ``RunStats`` defines it."""
-    err, burn = _plant_error(v, x, plant_d)
-    return _kept_variance(err, np.arange(len(err)) >= burn)
-
-
 def excised_mse(traces: LoopTraces, plant_d: RationalDiscreteTF, window: int) -> tuple[float, float]:
-    """Granular output MSE: ``empirical_mse`` with the `window` samples that
-    start at each overload also removed.
+    """Granular output MSE: the variance of the plant-filtered error
+    P[z](v - x) past the burn-in (``plant_burn_in``), with the `window`
+    samples that start at each overload also removed; per BLOCK-aligned
+    block as ``RunStats`` defines its variances.
 
     The MSE prediction assumes the quantizer never overloads; each clip
     injects an error burst that the plant spreads over its memory, so a
@@ -700,10 +677,13 @@ def excised_mse(traces: LoopTraces, plant_d: RationalDiscreteTF, window: int) ->
     of the error the model covers. Returns (MSE, fraction of the samples
     past the burn-in that the windows removed).
     """
+    from scipy import signal
+
     if window < 1:
         raise ValueError("window must be at least 1")
-    err, burn = _plant_error(traces.v, traces.x, plant_d)
-    n = len(err)
+    n = len(traces.x)
+    burn = plant_burn_in(plant_d, n)
+    err = signal.lfilter(plant_d.num, plant_d.den, traces.v - traces.x)
     starts = np.flatnonzero(traces.overload)
     edges = np.zeros(n + 1, dtype=np.int64)
     np.add.at(edges, starts, 1)
@@ -713,17 +693,10 @@ def excised_mse(traces: LoopTraces, plant_d: RationalDiscreteTF, window: int) ->
     kept = int(np.count_nonzero(keep))
     if kept < 1000:
         raise ValueError("excision removed nearly all samples")
-    return _kept_variance(err, keep), 1.0 - kept / (n - burn)
-
-
-def autocorrelations(w: np.ndarray, max_lag: int) -> np.ndarray:
-    """Normalized sample autocorrelation at lags 1..max_lag, from lag
-    products per block as ``RunStats`` defines them."""
-    w = np.asarray(w, dtype=float)
-    lags = _LagProducts(max_lag)
-    for start in range(0, len(w), BLOCK):
-        lags.add(w[start : start + BLOCK])
-    return lags.autocorrelations()
+    moments = _Moments()
+    for start in range(0, n, BLOCK):
+        moments.add(err[start : start + BLOCK][keep[start : start + BLOCK]])
+    return moments.variance, 1.0 - kept / (n - burn)
 
 
 def loop_identity_residual(traces: LoopTraces, r: RationalDiscreteTF | FIRFilter) -> float:
@@ -764,14 +737,9 @@ def loop_quantizer(
     return score, sigma_u_sq, sigma_w_sq, MidRiseQuantizer.from_spec(qspec)
 
 
-def summarize_run(
-    traces: LoopTraces,
-    plant_d: RationalDiscreteTF,
-    predicted_mse: float,
-    max_lag: int = 20,
-) -> SimulationResult:
+def summarize_run(traces: LoopTraces, plant_d: RationalDiscreteTF, predicted_mse: float) -> SimulationResult:
     """Reduce loop traces to the comparison statistics: ``RunStats`` fed the
     whole run."""
-    stats = RunStats(plant_d, len(traces.x), max_lag)
+    stats = RunStats(plant_d, len(traces.x))
     stats.add(traces)
     return stats.result(predicted_mse)

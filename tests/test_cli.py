@@ -401,6 +401,21 @@ class TestSimulateCommand:
             outputs.append([(out / name).read_bytes() for name in ("simulate.json", "simulate_runs.csv")])
         assert outputs[0] == outputs[1]
 
+    @staticmethod
+    def diverging_setup(tmp_path, seeds):
+        """(config, fit.json) paths of one 8-bit, lambda 1 cell at 60,000
+        samples whose fitted filter is replaced by 1 + 10 z^-1."""
+        sim = dict(SMALL_CONFIG["sim"], length=60000, seeds=seeds)
+        config = dict(SMALL_CONFIG, bits_list=[8], lambda_list=[1], n_points=1024, sim=sim)
+        path = tmp_path / f"config{len(seeds)}.json"
+        path.write_text(json.dumps(config))
+        fit_path = tmp_path / f"fit{len(seeds)}" / "fit.json"
+        assert main(["fit", "--config", str(path), "--out", str(fit_path.parent), "--quiet"]) == 0
+        fit = json.loads(fit_path.read_text())
+        fit["cells"][0]["filter"] = {"num": [1.0, 10.0], "den": [1.0]}
+        fit_path.write_text(json.dumps(fit))
+        return path, fit_path
+
     def test_non_finite_lane_fails_before_any_artifact(self, tmp_path):
         # A fit.json whose 8-bit filter is 1 + 10 z^-1: the loop diverges
         # once a lane saturates, on the scalar loop (4 seeds) and the lane
@@ -412,17 +427,9 @@ class TestSimulateCommand:
             r"u/step is not finite at sample \d+ of the chunk from sample \d+"
         )
         for seeds in (4, 16):
-            sim = dict(SMALL_CONFIG["sim"], length=60000, seeds=list(range(seeds)))
-            config = dict(SMALL_CONFIG, bits_list=[8], lambda_list=[1], n_points=1024, sim=sim)
             assert (simulate.lane_group_size(seeds) >= simulate.MIN_BATCH_LANES) == (seeds == 16)
-            path = tmp_path / f"config{seeds}.json"
-            path.write_text(json.dumps(config))
-            fit_dir, out = tmp_path / f"fit{seeds}", tmp_path / f"out{seeds}"
-            assert main(["fit", "--config", str(path), "--out", str(fit_dir), "--quiet"]) == 0
-            fit_path = fit_dir / "fit.json"
-            fit = json.loads(fit_path.read_text())
-            fit["cells"][0]["filter"] = {"num": [1.0, 10.0], "den": [1.0]}
-            fit_path.write_text(json.dumps(fit))
+            path, fit_path = self.diverging_setup(tmp_path, list(range(seeds)))
+            out = tmp_path / f"out{seeds}"
             args = ["simulate", "--config", str(path), "--out", str(out), "--fit", str(fit_path), "--trace", "--quiet"]
             proc = run_python(["-c", "import sys; from efq.cli import main; sys.exit(main())", *args])
             assert proc.returncode == 2, proc.stderr
@@ -430,21 +437,25 @@ class TestSimulateCommand:
             assert re.fullmatch(message, proc.stderr.splitlines()[-1]), proc.stderr
             assert list(out.iterdir()) == []  # not even the first lane's trace.csv
 
+    def test_diverging_scalar_lane_prints_its_failure_alone(self, tmp_path):
+        # Seed 4 of the set-up above grows huge but finite in its first chunk
+        # and fails in the next, so RunStats has seen squares that overflow:
+        # stderr holds the failure line and no numpy warning.
+        path, fit_path = self.diverging_setup(tmp_path, [4])
+        args = ["simulate", "--config", str(path), "--out", str(tmp_path / "out"), "--fit", str(fit_path), "--quiet"]
+        proc = run_python(["-c", "import sys; from efq.cli import main; sys.exit(main())", *args])
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "numerical failure: bits=8 lambda=1 seed=4: u/step is not finite at sample 9 of the chunk from sample 8192\n"
+        )
+
     def test_diverging_lane_joins_the_trace_workers(self, tmp_path, monkeypatch, capsys):
         # Seed 6 of the diverging set-up above fails in its chunk from sample
         # 32768, after trace.csv has sent chunks to worker processes: simulate
         # still exits 2, joins every worker and leaves no artifact.
         monkeypatch.setenv("EFQ_THREADS", "2")
-        sim = dict(SMALL_CONFIG["sim"], length=60000, seeds=[6])
-        config = dict(SMALL_CONFIG, bits_list=[8], lambda_list=[1], n_points=1024, sim=sim)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        fit_dir, out = tmp_path / "fit", tmp_path / "out"
-        assert main(["fit", "--config", str(path), "--out", str(fit_dir), "--quiet"]) == 0
-        fit_path = fit_dir / "fit.json"
-        fit = json.loads(fit_path.read_text())
-        fit["cells"][0]["filter"] = {"num": [1.0, 10.0], "den": [1.0]}
-        fit_path.write_text(json.dumps(fit))
+        path, fit_path = self.diverging_setup(tmp_path, [6])
+        out = tmp_path / "out"
         capsys.readouterr()
         args = ["simulate", "--config", str(path), "--out", str(out), "--fit", str(fit_path), "--trace", "--quiet"]
         assert main(args) == 2
@@ -667,6 +678,21 @@ class TestErrorHandling:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         assert main(["design", "--config", str(path), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("sim", "lenght", 5000, "sim.lenght: unknown field"),
+            ("plant", "sample_period", True, "plant.sample_period: must be a number, got True"),
+        ],
+    )
+    def test_nested_config_error_names_its_path(self, tmp_path, capsys, section, key, value, message):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg[section][key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["design", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     def test_invalid_bits_rejected(self, tmp_path):
         cfg = json.loads(json.dumps(SMALL_CONFIG))

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,15 +26,14 @@ from efq.fitting import (
 from efq.simulate import (
     BLOCK,
     LANE_BUFFER_SAMPLES,
+    MAX_LAG,
     MIN_BATCH_LANES,
     Lane,
     LoopTraces,
     MidRiseQuantizer,
     RunStats,
     SignalModel,
-    autocorrelations,
     discretize_plant,
-    empirical_mse,
     excised_mse,
     filter_memory_estimate,
     gen_input,
@@ -249,7 +249,7 @@ class TestLoop:
         traces = run_feedback_loop(x, shaper, quant)
         assert int(np.count_nonzero(traces.overload)) == 0
         plant_d = discretize_plant(plant, 1)
-        assert empirical_mse(traces.v, x, plant_d) < 1e-10
+        assert summarize_run(traces, plant_d, 0.0).empirical_mse < 1e-10
 
     def test_nonunity_head_rejected(self, plant):
         shaper = RationalDiscreteTF([0.9, 0.1], [1.0])
@@ -264,7 +264,7 @@ class TestLoop:
         assert result.predicted_mse == score.achieved_mse
         assert 0.0 <= result.overload_rate < 0.05
         assert result.empirical_mse > 0.0
-        assert len(result.w_autocorr) == 20
+        assert len(result.w_autocorr) == MAX_LAG == 20
 
 
 @pytest.fixture(scope="module")
@@ -430,7 +430,7 @@ class TestRunLanes:
         got = list(run_lanes(lanes))
         assert got == [_oracle(lane) for lane in lanes]
         traces = run_feedback_loop(gen_input(lanes[0].model, 0.1), lanes[0].shaper, lanes[0].quantizer)
-        assert got[0].empirical_mse == empirical_mse(traces.v, traces.x, slow)
+        assert got[0].empirical_mse == summarize_run(traces, slow, 0.0).empirical_mse
         err = signal.lfilter(slow.num, slow.den, traces.v - traces.x)
         assert got[0].empirical_mse == pytest.approx(float(np.var(err[plant_burn_in(slow, n) :])), rel=1e-12)
 
@@ -554,8 +554,6 @@ class TestRunStats:
         w = traces.w
         dots = [float(np.sum(w[:-k] * w[k:])) / float(np.sum(w * w)) for k in range(1, 21)]
         np.testing.assert_allclose(got.w_autocorr, dots, rtol=1e-12, atol=1e-15)
-        assert got.empirical_mse == empirical_mse(traces.v, traces.x, plant_d)
-        assert np.array_equal(got.w_autocorr, autocorrelations(w, 20))
 
     def test_misaligned_and_incomplete_feeds_rejected(self, run):
         traces, plant_d = run
@@ -568,6 +566,21 @@ class TestRunStats:
             stats.result(0.5)
         with pytest.raises(ValueError, match="more samples"):
             RunStats(plant_d, 3000).add(traces)
+
+    def test_overflow_gives_non_finite_statistics_without_a_warning(self, plant):
+        # u and w near 1e200 are finite, but their squares overflow.
+        plant_d = discretize_plant(plant, 1)
+        u = 1e200 * np.random.default_rng(0).standard_normal(3 * BLOCK)
+        traces = loop_traces(np.zeros_like(u), u, MidRiseQuantizer(step=0.25, saturation=1.875))
+        stats = RunStats(plant_d, len(u))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats.add(traces)
+            got = stats.result(0.5)
+        assert got.sigma_u_sq == got.w_variance == math.inf
+        assert not np.isfinite(got.w_autocorr).any()
+        assert math.isfinite(got.empirical_mse)
+        assert got.overload_count == len(u)
 
 
 # run_feedback_loop steps in BLOCK-sample chunks; lengths and failure
@@ -684,11 +697,16 @@ def test_scalar_loop_memory_is_bounded_per_sample():
     assert peak / n <= LOOP_PEAK_BYTES_PER_SAMPLE
 
 
+def _output_error(x, v):
+    """Traces of a run whose loop output is v for the input x, and no overload."""
+    return LoopTraces(x=x, u=x, v=v, w=v - x, overload=np.zeros(len(x), dtype=bool))
+
+
 class TestEmpiricalMSE:
     def test_zero_error_gives_zero(self, plant):
         plant_d = discretize_plant(plant, 1)
         x = np.random.default_rng(0).standard_normal(50_000)
-        assert empirical_mse(x, x, plant_d) == 0.0
+        assert summarize_run(_output_error(x, x), plant_d, 0.0).empirical_mse == 0.0
 
     def test_white_noise_through_plant_matches_parseval(self, plant, grid):
         plant_d = discretize_plant(plant, 1)
@@ -696,7 +714,7 @@ class TestEmpiricalMSE:
         n = 400_000
         x = np.zeros(n)
         noise = rng.uniform(-0.5, 0.5, n)
-        got = empirical_mse(x + noise, x, plant_d)
+        got = summarize_run(_output_error(x, x + noise), plant_d, 0.0).empirical_mse
         p_amp = amplitude_of_tf(plant_d, grid)
         expected = (1.0 / 12.0) * band_mean(p_amp, lambda om, v: v * v)
         assert got == pytest.approx(expected, rel=0.1)
@@ -705,7 +723,7 @@ class TestEmpiricalMSE:
         plant_d = discretize_plant(plant, 1)
         x = np.zeros(100)
         with pytest.raises(ValueError):
-            empirical_mse(x, x, plant_d)
+            summarize_run(_output_error(x, x), plant_d, 0.0)
 
 
 class TestExcisedMSE:
@@ -713,7 +731,7 @@ class TestExcisedMSE:
         _, plant_d, _, _, traces = loop_setup
         clean = dataclasses.replace(traces, overload=np.zeros_like(traces.overload))
         mse, removed = excised_mse(clean, plant_d, 50)
-        assert mse == empirical_mse(traces.v, traces.x, plant_d)
+        assert mse == summarize_run(traces, plant_d, 0.0).empirical_mse
         assert removed == 0.0
 
     def test_matches_per_overload_window_oracle(self, plant):
