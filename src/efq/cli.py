@@ -11,6 +11,13 @@ Subcommands:
 All commands are deterministic given the configuration and seeds; every
 output file carries the configuration hash. Exit codes: 0 success,
 1 validation error, 2 numerical failure, 3 invariant failure.
+
+The parallel work runs on forked worker processes, at most
+``_max_workers()`` of them (``EFQ_THREADS``; 1 keeps everything in
+process): each stage's cells, ``verify``'s design checks, the parts of
+``simulate``'s lane pass without ``--trace``, and the CSV chunks of a large
+table. Work splits the same way whatever the worker count, so every
+artifact is the same bytes.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -65,16 +71,55 @@ def _max_workers() -> int:
         if n < 1:
             raise ConfigError(f"{THREADS_ENV} must be at least 1, got {n}")
         return n
-    return min(8, os.cpu_count() or 1)
+    try:
+        cpus = len(os.sched_getaffinity(0))  # the CPUs this process may run on
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(8, cpus)
 
 
-def _pool_map(fn, items):
+@contextlib.contextmanager
+def _fork_pool(workers: int):
+    """A pool of `workers` forked processes; on exit the pending items are
+    cancelled and every worker is joined.
+
+    The workers fork at the first submit and inherit the loaded modules and
+    module state as they are then, so only items and results are pickled.
+    No other thread may run at that fork: no other pool may be open.
+    """
+    import multiprocessing  # only parallel work pays the import
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+_mapped = None  # the function _pool_map's workers apply, inherited at the fork
+
+
+def _apply_mapped(item):
+    return _mapped(item)
+
+
+def _pool_map(fn, items) -> list:
+    """``[fn(item) for item in items]``, on up to ``_max_workers()`` forked
+    processes for two items or more. The workers inherit `fn`, so a closure
+    maps as is; the first exception in item order comes out with its type
+    and message."""
+    global _mapped
     items = list(items)
-    workers = min(_max_workers(), len(items)) or 1
-    if workers == 1 or len(items) <= 1:
+    workers = min(_max_workers(), len(items))
+    if workers <= 1:
         return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    _mapped = fn
+    try:
+        with _fork_pool(workers) as pool:
+            return list(pool.map(_apply_mapped, items))
+    finally:
+        _mapped = None
 
 
 def _json_safe(value):
@@ -137,11 +182,11 @@ def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[dict], None
 
     Rows are formatted and written CSV_CHUNK_ROWS at a time from the columns
     themselves, so memory stays bounded for long traces. The first
-    CSV_CHUNK_ROWS rows format in process; each later chunk formats on one
-    of ``_max_workers()`` forked processes (float repr holds the GIL), at
-    most two chunks a worker ahead of the file, and is written in row order.
-    An exception in the block or in a worker cancels the pending chunks and
-    joins every worker before the file is removed.
+    CSV_CHUNK_ROWS rows format in process; each later chunk formats on a
+    ``_fork_pool`` of ``_max_workers()`` processes (float repr holds the
+    GIL), at most two chunks a worker ahead of the file, and is written in
+    row order. An exception in the block or in a worker cancels the pending
+    chunks and joins every worker before the file is removed.
     """
     workers = _max_workers()
     try:
@@ -159,15 +204,8 @@ def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[dict], None
                         fh.write(_csv_text(chunk))
                     else:
                         if pool is None:
-                            import multiprocessing  # only tables of more than one chunk pay the import
-                            from concurrent.futures import ProcessPoolExecutor
-
-                            # Forked workers inherit the loaded modules. No other thread runs
-                            # here (the cell thread pool has been joined), and no worker may
-                            # inherit unwritten text.
-                            fh.flush()
-                            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-                            stack.callback(pool.shutdown, cancel_futures=True)
+                            fh.flush()  # no worker may inherit unwritten text
+                            pool = stack.enter_context(_fork_pool(workers))
                         pending.append(pool.submit(_csv_text, chunk))
                         if len(pending) > 2 * workers:
                             fh.write(pending.popleft().result())
@@ -439,6 +477,29 @@ def cmd_fit(args) -> int:
 # simulate
 
 
+def _run_lane_parts(lanes: list) -> list:
+    """``simulate.run_lanes`` of `lanes` with no trace: each lane group's
+    ``simulate.lane_parts`` are mapped over the workers, and the results
+    joined in lane order. A failure is the one the serial pass meets first:
+    in the first group with a failing lane, the part failing at the earliest
+    chunk, and of those the first part, whose lane is the lowest."""
+
+    def run_part(part):
+        try:
+            return list(simulate.run_lanes(lanes[part.start : part.stop]))
+        except simulate.LaneFailure as exc:
+            return exc
+
+    results = []
+    for parts in simulate.lane_parts(len(lanes), _max_workers()):
+        outcomes = _pool_map(run_part, parts)
+        failures = [out for out in outcomes if isinstance(out, simulate.LaneFailure)]
+        if failures:
+            raise min(failures, key=lambda exc: exc.start)
+        results += [result for part in outcomes for result in part]
+    return results
+
+
 def cmd_simulate(args) -> int:
     cfg, sha = _load_setup(args)
     out = _out_dir(args)
@@ -492,7 +553,9 @@ def cmd_simulate(args) -> int:
             columns = {name: getattr(traces, name) for name in TRACE_COLUMNS[1:]}
             append_trace({"k": range(start, start + len(traces.x)), **columns})
 
-        results = simulate.run_lanes(lanes, trace if args.trace else None)
+        # Lane 0's chunks feed the trace writer, whose pool forks while the
+        # pass runs, so a traced pass runs in process.
+        results = simulate.run_lanes(lanes, trace) if args.trace else iter(_run_lane_parts(lanes))
         for _, cell in cells:
             bits, lam = cell["bits"], cell["lambda"]
             runs = []
@@ -557,36 +620,35 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
         checks.append({"name": name, "measured": measured, "tolerance": tolerance, "pass": bool(ok)})
 
     p_base = _base_response(cfg)
-    bits_sorted = sorted(set(cfg.bits_list))
-    lams = sorted(set(cfg.lambda_list))
-    lane_bits = max(bits_sorted)
-    lane_design = None  # the loop lane's cell: (lane_bits, 1)
+    p_fine = spectral.ct_frequency_map(cfg.plant_tf(), 1, spectral.FrequencyGrid(2 * cfg.n_points))
+    lane_bits = max(cfg.bits_list)
 
-    worst_root = 0.0
-    worst_identity = 0.0
-    worst_bound = -math.inf
-    worst_margin = math.inf
-    worst_logmean = 0.0
-    worst_grid = 0.0
-    fine = spectral.FrequencyGrid(2 * cfg.n_points)
-    p_fine = spectral.ct_frequency_map(cfg.plant_tf(), 1, fine)
-    for bits in bits_sorted:
-        gamma = design_mod.gamma_from_bits(bits, cfg.loading_factor)
-        nu = gamma + 1.0
-        for lam in lams:
-            sol = design_mod.design_for_nu(p_base, nu, lam)
-            if (bits, lam) == (lane_bits, 1):
-                lane_design = sol
-            ratio = sol.theta_opt**2 / sol.alpha_opt
-            worst_root = max(worst_root, abs(ratio - nu) / nu)
-            worst_identity = max(worst_identity, design_mod.collapse_residual(p_base, nu, lam, sol.distortion))
-            bound = design_mod.upper_bound(nu, lam, p_base)
-            worst_bound = max(worst_bound, sol.distortion / bound - 1.0)
-            worst_margin = min(worst_margin, nu - sol.norm_r_sq)
-            worst_logmean = max(worst_logmean, abs(spectral.log_geometric_mean(sol.r_opt)))
-            alpha_fine = design_mod.design_for_nu(p_fine, nu, lam).alpha_opt
-            worst_grid = max(worst_grid, abs(alpha_fine - sol.alpha_opt) / sol.alpha_opt)
+    def check_cell(cell):
+        """The six design residuals of a cell, and its design if it is the
+        loop lane's cell (lane_bits, 1)."""
+        bits, lam = cell
+        nu = design_mod.gamma_from_bits(bits, cfg.loading_factor) + 1.0
+        sol = design_mod.design_for_nu(p_base, nu, lam)
+        alpha_fine = design_mod.design_for_nu(p_fine, nu, lam).alpha_opt
+        residuals = (
+            abs(sol.theta_opt**2 / sol.alpha_opt - nu) / nu,
+            design_mod.collapse_residual(p_base, nu, lam, sol.distortion),
+            sol.distortion / design_mod.upper_bound(nu, lam, p_base) - 1.0,
+            nu - sol.norm_r_sq,
+            abs(spectral.log_geometric_mean(sol.r_opt)),
+            abs(alpha_fine - sol.alpha_opt) / sol.alpha_opt,
+        )
+        return residuals, sol if cell == (lane_bits, 1) else None
 
+    outcomes = _pool_map(check_cell, _cells(cfg))
+    root, identity, bound, margin, logmean, grid = zip(*(residuals for residuals, _ in outcomes))
+    # reduced in cell order
+    worst_root = max(0.0, *root)
+    worst_identity = max(0.0, *identity)
+    worst_bound = max(-math.inf, *bound)
+    worst_margin = min(math.inf, *margin)
+    worst_logmean = max(0.0, *logmean)
+    worst_grid = max(0.0, *grid)
     record("optimality_root_residual", worst_root, 1e-10, worst_root <= 1e-10)
     record("oversampling_collapse_identity", worst_identity, 1e-6, worst_identity <= 1e-6)
     record("distortion_upper_bound_slack", worst_bound, 1e-9, worst_bound <= 1e-9)
@@ -611,7 +673,8 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
     record("fir_kkt_complementary_slackness", worst_slack, 1e-8, worst_slack <= 1e-8)
 
     gamma = design_mod.gamma_from_bits(lane_bits, cfg.loading_factor)
-    if lane_design is None:
+    lane_design = next((sol for _, sol in outcomes if sol is not None), None)
+    if lane_design is None:  # no cell at lambda 1
         lane_design = design_mod.design_for_nu(p_base, gamma + 1.0, 1)
     report = fitting.fit_cell(
         cfg.fit.method, cfg.fit.order, p_base, gamma, lane_design.alpha_opt, lane_design.norm_r_sq

@@ -439,6 +439,26 @@ def lane_group_size(lanes: int) -> int:
     return -(-lanes // groups)
 
 
+def lane_parts(lanes: int, parts: int) -> list[list[range]]:
+    """The lane groups of ``run_lanes`` over `lanes` lanes (at least one),
+    each split into at most `parts` contiguous parts, as equal as may be, of
+    at least MIN_BATCH_LANES lanes; a group of fewer than 2 * MIN_BATCH_LANES
+    lanes is one part.
+
+    ``run_lanes`` on a part runs it as one group on its group's path, and
+    the lane kernel is elementwise per lane, so each lane's result is the
+    same bits. A failing lane of the whole pass is the first group's failure
+    with the earliest ``LaneFailure.start``, the lowest such part.
+    """
+    size = lane_group_size(lanes)
+    split = []
+    for first in range(0, lanes, size):
+        group = range(first, min(first + size, lanes))
+        k = max(1, min(parts, len(group) // MIN_BATCH_LANES))
+        split.append([group[len(group) * i // k : len(group) * (i + 1) // k] for i in range(k)])
+    return split
+
+
 def run_lanes(
     lanes: Sequence[Lane], trace: Callable[[int, LoopTraces], object] | None = None
 ) -> Iterator[SimulationResult]:
@@ -452,7 +472,7 @@ def run_lanes(
     its input draw, filter state and ``RunStats``, so a group holds a few
     BLOCK x lanes arrays and no whole lane. ``trace(start, traces)``
     receives each chunk of the first lane. The pass stops at the first chunk
-    in which a lane's u/step is not finite, with a NumericalError naming
+    in which a lane's u/step is not finite, with a ``LaneFailure`` naming
     the first such lane (by `name`) and sample.
     """
     if not lanes:
@@ -508,9 +528,21 @@ def _run_group(group: Sequence[Lane], trace) -> Iterator[SimulationResult]:
         yield lane_stats.result(lane.predicted_mse)
 
 
-def _lane_failure(lane: Lane, start: int, exc: NumericalError) -> NumericalError:
+class LaneFailure(NumericalError):
+    """A lane's loop failure in ``run_lanes``; `start` is the first sample of
+    the chunk it failed in."""
+
+    def __init__(self, message: str, start: int):
+        super().__init__(message)
+        self.start = start
+
+    def __reduce__(self):
+        return LaneFailure, (str(self), self.start)
+
+
+def _lane_failure(lane: Lane, start: int, exc: NumericalError) -> LaneFailure:
     """A lane's loop failure in the chunk from sample `start`, under its name."""
-    return NumericalError(f"{lane.name}: {exc} of the chunk from sample {start}")
+    return LaneFailure(f"{lane.name}: {exc} of the chunk from sample {start}", start)
 
 
 def filter_memory_estimate(tf: RationalDiscreteTF) -> int:

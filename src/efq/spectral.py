@@ -131,6 +131,11 @@ class AmplitudeResponse:
         object.__setattr__(self, "edge_above", edge_above)
         object.__setattr__(self, "_memo", {})
 
+    def __reduce__(self):
+        # Rebuilt through __init__, so a copy that crossed a process boundary
+        # has read-only values and an empty memo.
+        return AmplitudeResponse, (self.grid, self.values, self.cutoff, self.edge_below, self.edge_above)
+
     def with_values(self, values, edge_below=None, edge_above=None) -> "AmplitudeResponse":
         """Same grid and cutoff, new sample values (and matching edge limits)."""
         if self.cutoff is None:
@@ -142,8 +147,9 @@ def _memoized(resp: AmplitudeResponse, key, compute: Callable[[], object]):
     """resp's memo entry `key`, from ``compute()`` on first use.
 
     An entry is a deterministic function of the immutable response, so
-    threads racing on one key compute the same bits; the first value stored
-    is the one every caller gets.
+    threads racing on one key, or a copy of the response in another process,
+    compute the same bits; the first value stored is the one every caller
+    gets.
     """
     memo = resp._memo
     try:

@@ -1,10 +1,19 @@
 """Shared fixtures: the benchmark plant and precomputed frequency responses."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from efq.config import default_config
 from efq.spectral import AmplitudeResponse, FrequencyGrid, ct_frequency_map
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """The CLI stages fork worker processes; no test may leave one behind."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="session")

@@ -497,6 +497,60 @@ class TestSimulateCommand:
         assert rc == 0
 
 
+class TestWorkerProcesses:
+    def test_max_workers_counts_the_cpus_this_process_may_run_on(self, monkeypatch):
+        monkeypatch.delenv("EFQ_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 17}, raising=False)  # pinned to 2 of 64
+        assert cli._max_workers() == 2
+        monkeypatch.delattr(os, "sched_getaffinity")  # a platform without it
+        assert cli._max_workers() == 8
+        monkeypatch.setenv("EFQ_THREADS", "3")
+        assert cli._max_workers() == 3
+
+    def test_worker_count_does_not_change_verify_or_split_lanes(self, tmp_path, monkeypatch):
+        # verify's cells, and simulate's 48 lanes without --trace, which run
+        # as 1, 2 and 3 parts; no worker is left behind.
+        config = dict(SMALL_CONFIG, sim=dict(SMALL_CONFIG["sim"], seeds=list(range(12))))
+        assert [len(simulate.lane_parts(4 * 12, workers)[0]) for workers in (1, 2, 3)] == [1, 2, 3]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        names = ("verify.json", "simulate.json", "simulate_runs.csv")
+        artifacts = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("EFQ_THREADS", threads)
+            out = tmp_path / f"threads{threads}"
+            for command in ("verify", "simulate"):
+                assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 0
+                assert multiprocessing.active_children() == []
+            artifacts.append({name: (out / name).read_bytes() for name in names})
+        assert artifacts[0] == artifacts[1] == artifacts[2]
+
+    def test_lane_failure_reads_as_in_the_serial_pass(self, tmp_path):
+        # Two lanes of the diverging set-up fail: seed 6 in the first part
+        # (lanes 0-15), in its chunk from sample 32768, and seed 23 in the
+        # second, in its chunk from sample 8192. The serial pass stops at the
+        # earlier chunk, so every worker count names seed 23.
+        seeds = [0, 2, 3, 6, 7, 8, 9, 10, 12, 13, 14, 15, 16, 17, 18, 19]
+        seeds += [20, 21, 22, 23, 24, 25, 26, 29, 30, 31, 32, 33, 36, 37, 38, 39]
+        assert simulate.lane_parts(len(seeds), 2) == [[range(0, 16), range(16, 32)]]
+        path, fit_path = TestSimulateCommand.diverging_setup(tmp_path, seeds)
+        stderr = {}
+        for threads in ("1", "2", "3"):
+            out = tmp_path / f"out{threads}"
+            code = f"import os, sys; os.environ['EFQ_THREADS'] = {threads!r}; from efq.cli import main; sys.exit(main())"
+            args = ["simulate", "--config", str(path), "--out", str(out), "--fit", str(fit_path), "--quiet"]
+            proc = run_python(["-c", code, *args])
+            assert proc.returncode == 2, proc.stderr
+            assert list(out.iterdir()) == []
+            stderr[threads] = proc.stderr
+        assert re.fullmatch(
+            r"numerical failure: bits=8 lambda=1 seed=23: u/step is not finite at sample \d+ of the chunk from sample 8192\n",
+            stderr["1"],
+        )
+        assert stderr["2"] == stderr["3"] == stderr["1"]
+
+
 class TestVerifyCommand:
     def test_passes_on_small_config(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import re
 import tracemalloc
 import warnings
@@ -29,6 +30,7 @@ from efq.simulate import (
     MAX_LAG,
     MIN_BATCH_LANES,
     Lane,
+    LaneFailure,
     LoopTraces,
     MidRiseQuantizer,
     RunStats,
@@ -38,6 +40,7 @@ from efq.simulate import (
     filter_memory_estimate,
     gen_input,
     lane_group_size,
+    lane_parts,
     loop_identity_residual,
     loop_quantizer,
     loop_traces,
@@ -416,6 +419,32 @@ class TestRunLanes:
         perm = np.random.default_rng(5).permutation(len(lanes))
         assert list(run_lanes([lanes[j] for j in perm])) == [whole[j] for j in perm]
 
+    @pytest.mark.parametrize(
+        ("count", "parts", "split"),
+        [
+            (160, 2, [[range(0, 80), range(80, 160)]]),
+            (160, 3, [[range(0, 53), range(53, 106), range(106, 160)]]),
+            (160, 1, [[range(0, 160)]]),
+            (32, 8, [[range(0, 16), range(16, 32)]]),
+            (31, 8, [[range(0, 31)]]),
+            (5, 2, [[range(0, 5)]]),
+            (300, 2, [[range(0, 75), range(75, 150)], [range(150, 225), range(225, 300)]]),
+        ],
+    )
+    def test_lane_parts(self, count, parts, split):
+        # Each group of run_lanes splits into parts of MIN_BATCH_LANES lanes or more.
+        assert lane_parts(count, parts) == split
+
+    def test_parts_join_to_the_whole_pass(self, shapers, plant_d):
+        lanes = self.lanes(40, shapers, plant_d)
+        [parts] = lane_parts(len(lanes), 2)
+        assert [result for part in parts for result in run_lanes(lanes[part.start : part.stop])] == list(run_lanes(lanes))
+
+    def test_lane_failure_survives_pickle(self):
+        exc = pickle.loads(pickle.dumps(LaneFailure("seed=4: u/step is not finite", 8192)))
+        assert type(exc) is LaneFailure and isinstance(exc, NumericalError)
+        assert (str(exc), exc.start) == ("seed=4: u/step is not finite", 8192)
+
     @pytest.mark.parametrize("length", [BLOCK - 1, BLOCK, BLOCK + 1])
     @pytest.mark.parametrize("count", [1, 16])
     def test_lengths_around_the_block(self, shapers, plant_d, count, length):
@@ -474,9 +503,9 @@ class TestRunLanes:
         assert at5 == np.flatnonzero(np.abs(x5) >= 4.0)[0]
         assert (lane_group_size(count) >= MIN_BATCH_LANES) == (count >= MIN_BATCH_LANES)
         expected = f"seed=5: u/step is not finite at sample {at5 - BLOCK} of the chunk from sample {BLOCK}"
-        with pytest.raises(NumericalError) as got:
+        with pytest.raises(LaneFailure) as got:
             list(run_lanes(lanes))
-        assert str(got.value) == expected
+        assert (str(got.value), got.value.start) == (expected, BLOCK)
 
     @pytest.mark.parametrize("count", [8, 16, 40])
     def test_diverging_lane_raises_alike_on_every_path(self, shapers, plant_d, count):

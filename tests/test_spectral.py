@@ -1,6 +1,7 @@
 """Frequency-grid containers and band-aware quadrature."""
 
 import math
+import pickle
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -72,6 +73,25 @@ class TestAmplitudeResponse:
         assert resp.values[0] == 1.0
         with pytest.raises(ValueError):
             resp.values[0] = 2.0
+
+    @pytest.mark.parametrize("lam", [1, 3])
+    def test_pickle_round_trip_is_frozen_with_an_empty_memo(self, p_base, lam):
+        # Designs cross process boundaries: a copy rebuilds through
+        # __init__, so its values stay read-only and its memo starts empty.
+        resp = oversample_response(p_base, lam)
+        is_almost_constant(resp)
+        assert resp._memo
+        copy = pickle.loads(pickle.dumps(resp))
+        assert not copy.values.flags.writeable
+        assert copy.values.tobytes() == resp.values.tobytes()
+        assert (copy.grid, copy.cutoff, copy.edge_below, copy.edge_above) == (
+            resp.grid,
+            resp.cutoff,
+            resp.edge_below,
+            resp.edge_above,
+        )
+        assert copy._memo == {}
+        assert is_almost_constant(copy) == is_almost_constant(resp)
 
 
 class TestNorms:
