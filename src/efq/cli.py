@@ -503,29 +503,24 @@ def _run_lane_parts(lanes: list) -> list:
 def cmd_simulate(args) -> int:
     cfg, sha = _load_setup(args)
     out = _out_dir(args)
+    simulate.welch_segments(cfg.sim.length)  # a run too short to score exits 1 before any loop
     plant = cfg.plant_tf()
-    grid = cfg.grid()
+    p_base = _base_response(cfg)
     cell_list = _cells(cfg)
-    fitted = _read_cells(args.fit, "fit", sha, cell_list, {"filter": _shaper}) if args.fit else None
-    # One plant fit per oversampling factor, shared by that factor's cells;
-    # each must leave samples past its burn-in before any loop runs.
-    sim_plants = {}
-    for lam in sorted(set(cfg.lambda_list)):
-        plant_d = simulate.discretize_plant(plant, lam)
-        simulate.plant_burn_in(plant_d, cfg.sim.length)
-        sim_plants[lam] = (plant_d, spectral.amplitude_of_tf(plant_d, grid))
-
-    if fitted is not None:
+    if args.fit:
+        fitted = _read_cells(args.fit, "fit", sha, cell_list, {"filter": _shaper})
         shapers = [fitted[cell]["filter"] for cell in cell_list]
     else:
-        shapers = [fitting.as_discrete_tf(report.fitted) for _, report in _fit_cells(cfg, _base_response(cfg))]
+        shapers = [fitting.as_discrete_tf(report.fitted) for _, report in _fit_cells(cfg, p_base)]
+    # a lane is scored on the map its cell was designed on, on the Welch bins
+    plant_maps = {lam: spectral.ct_frequency_map(plant, lam, simulate.WELCH_GRID) for lam in set(cfg.lambda_list)}
 
     cells = []  # (predicted MSE, payload without runs)
     lanes = []  # one per (cell, seed), in that order
     for (bits, lam), shaper in zip(cell_list, shapers):
         gamma = design_mod.gamma_from_bits(bits, cfg.loading_factor)
-        plant_d, p_sim = sim_plants[lam]
-        score, sigma_u_sq, sigma_w_sq, quantizer = simulate.loop_quantizer(shaper, p_sim, bits, cfg.loading_factor)
+        p_lam = spectral.oversample_response(p_base, lam)
+        score, sigma_u_sq, sigma_w_sq, quantizer = simulate.loop_quantizer(shaper, p_lam, bits, cfg.loading_factor)
         cell = {
             "bits": bits,
             "lambda": lam,
@@ -539,11 +534,9 @@ def cmd_simulate(args) -> int:
         cells.append((score.achieved_mse, cell))
         period = plant.sample_period / lam
         for seed in cfg.sim.seeds:
-            model = simulate.SignalModel(
-                kind=cfg.sim.input_kind, seed=seed, length=cfg.sim.length, ct_pole=cfg.sim.ct_pole
-            )
+            model = simulate.SignalModel(cfg.sim.input_kind, seed, cfg.sim.length, cfg.sim.ct_pole)
             name = f"bits={bits} lambda={lam} seed={seed}"
-            lanes.append(simulate.Lane(model, period, shaper, quantizer, plant_d, score.achieved_mse, name))
+            lanes.append(simulate.Lane(model, period, shaper, quantizer, plant_maps[lam], score.achieved_mse, name))
 
     cell_runs = []  # per cell: (seed, SimulationResult) per seed
     trace_file = _csv_file(out / "trace.csv", sha, TRACE_COLUMNS) if args.trace else contextlib.nullcontext()
@@ -680,8 +673,6 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
         cfg.fit.method, cfg.fit.order, p_base, gamma, lane_design.alpha_opt, lane_design.norm_r_sq
     )
     shaper = fitting.as_discrete_tf(report.fitted)
-    # The quantizer is sized from ||R||^2, which reads only the grid, so the
-    # design plant sizes it as the simulation plant would.
     *_, quantizer = simulate.loop_quantizer(shaper, p_base, lane_bits, cfg.loading_factor)
     model = simulate.SignalModel(
         kind=cfg.sim.input_kind, seed=cfg.sim.seeds[0], length=min(cfg.sim.length, 20000), ct_pole=cfg.sim.ct_pole

@@ -16,23 +16,20 @@ prediction.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-# scipy is imported inside the functions that call it: loading scipy.signal
-# and scipy.optimize takes longer than all of design, rd-curve, fit or verify,
-# which never call them. The lane pass (``_InputDraw.__call__``, ``RunStats``)
-# and ``excised_mse`` keep scipy.signal.lfilter, whose batched C loop a long
-# run needs; ``gen_input`` and ``loop_identity_residual`` take its
-# scipy-free equal, ``linear_filter``.
+# scipy is imported only by ``discretize_plant``, which no CLI stage calls;
+# every filter here is ``linear_filter``, with scipy.signal.lfilter's bits.
 
 from .design import QuantizerSpec, gamma_from_bits
 from .errors import NumericalError
 from .fitting import FIRFilter, FitReport, as_discrete_tf, evaluate_fit, yule_walker_fit
 from .spectral import AmplitudeResponse, FrequencyGrid, ct_frequency_map
-from .transfer import ContinuousTF, RationalDiscreteTF, linear_filter
+from .transfer import ContinuousTF, RationalDiscreteTF, frequency_response, linear_filter
 
 HEAD_TOL = 1e-12
 
@@ -47,10 +44,13 @@ AXIS_TOL = 1e-9
 
 # Run statistics are defined over BLOCK-sample blocks aligned to the start of
 # a run and merged in block order; run_lanes advances its lanes one block at a
-# time, and run_feedback_loop steps through x one block at a time. A run's
-# w_autocorr holds the autocorrelation of w at lags 1..MAX_LAG.
+# time, and run_feedback_loop steps through x one block at a time. w_autocorr
+# spans lags 1..MAX_LAG; the output MSE is a Welch estimate over SEGMENT-sample
+# periodic Hann segments (two blocks) on the bins of WELCH_GRID.
 BLOCK = 1 << 13
 MAX_LAG = 20
+SEGMENT = 2 * BLOCK
+WELCH_GRID = FrequencyGrid(SEGMENT // 2 + 1)
 # run_lanes: a lane group's chunk buffer holds at most LANE_BUFFER_SAMPLES
 # lane-samples (16 MiB), so a group has at most LANE_BUFFER_SAMPLES // BLOCK
 # lanes; with fewer than MIN_BATCH_LANES lanes the per-step numpy overhead
@@ -146,14 +146,14 @@ def loop_traces(x: np.ndarray, u: np.ndarray, q: MidRiseQuantizer) -> LoopTraces
 @dataclass(frozen=True)
 class Lane:
     """One loop run: a seeded input at a sample period, a shaper and a
-    quantizer, scored through a discrete plant against a predicted MSE.
-    `name` opens the message of a failure."""
+    quantizer, scored by ``RunStats`` on a plant map (on WELCH_GRID, or a
+    rational plant) against a predicted MSE; `name` opens its failures."""
 
     model: SignalModel
     sample_period: float
     shaper: RationalDiscreteTF | FIRFilter
     quantizer: MidRiseQuantizer
-    plant: RationalDiscreteTF
+    plant_map: AmplitudeResponse | RationalDiscreteTF
     predicted_mse: float
     name: str = "lane"
 
@@ -172,10 +172,11 @@ class SimulationResult:
 
 
 class _InputDraw:
-    """Draws of a model's input before rescaling: each call returns the next
-    `count` samples. One rng stream and, for colored input, one lfilter
-    state carry across calls, so the samples do not depend on how the draws
-    are split."""
+    """A model's seeded Gaussian input, `count` samples a call: white, or
+    the stationary autoregression x_k = pole x_(k-1) + sqrt(1 - pole^2) e_k,
+    pole = exp(-ct_pole*T), from x_(-1) ~ N(0, 1), so every sample has unit
+    variance. The rng stream and the register zi = pole x_(k-1) carry across
+    calls, so the samples do not depend on how the draws are split."""
 
     def __init__(self, model: SignalModel, sample_period: float):
         self.rng = np.random.default_rng(model.seed)
@@ -190,30 +191,33 @@ class _InputDraw:
     def __call__(self, count: int) -> np.ndarray:
         x = self.rng.standard_normal(count)
         if self.colored:
-            from scipy import signal
-
-            x, self.zi = signal.lfilter([self.scale], [1.0, -self.pole], x, zi=self.zi)
+            x, self.zi = linear_filter([self.scale], [1.0, -self.pole], x, zi=self.zi)
         return x
 
 
-def _unit_scale(x: np.ndarray) -> float:
-    """1/std of an input sequence."""
-    sd = float(np.std(x))
-    if sd == 0.0:
-        raise ValueError("degenerate input sequence (zero variance)")
-    return 1.0 / sd
+def _draw_columns(draws: Sequence[_InputDraw], out: np.ndarray) -> np.ndarray:
+    """``draw(len(out))`` of each draw as the columns of out, bit for bit:
+    the colored draws' recursion runs in place one row at a time across
+    them, in ``linear_filter``'s order (y = zi + scale e, zi = pole y)."""
+    for j, draw in enumerate(draws):
+        out[:, j] = draw.rng.standard_normal(len(out))
+    colored = [draw.colored for draw in draws]
+    if any(colored):
+        mask = True if all(colored) else np.array(colored)  # a mask costs half a microsecond a row
+        pole, scale, zi = np.array([(d.pole, d.scale, d.zi[0]) if d.colored else (0, 0, 0) for d in draws]).T.copy()
+        np.multiply(out, scale, out=out, where=mask)
+        for row in out:
+            np.add(row, zi, out=row, where=mask)
+            np.multiply(row, pole, out=zi)
+        for draw, z in zip(draws, zi.tolist()):
+            if draw.colored:
+                draw.zi[0] = z
+    return out
 
 
 def gen_input(model: SignalModel, sample_period: float) -> np.ndarray:
-    """The model's seeded Gaussian input, rescaled to exact unit sample
-    variance: white, or first-order autoregressive with pole
-    exp(-ct_pole*T) started at stationarity: ``_InputDraw``'s draw, filtered
-    by ``linear_filter``."""
-    draw = _InputDraw(model, sample_period)
-    x = draw.rng.standard_normal(model.length)
-    if draw.colored:
-        x, _ = linear_filter([draw.scale], [1.0, -draw.pole], x, zi=draw.zi)
-    return x * _unit_scale(x)
+    """The model's seeded Gaussian input, ``_InputDraw``'s whole length."""
+    return _InputDraw(model, sample_period)(model.length)
 
 
 def _reflect_inside(coeffs: np.ndarray) -> np.ndarray:
@@ -229,20 +233,15 @@ def _reflect_inside(coeffs: np.ndarray) -> np.ndarray:
 
 
 def discretize_plant(plant: ContinuousTF, oversampling: int = 1) -> RationalDiscreteTF:
-    """Magnitude-matched discretization at period sample_period/oversampling.
-
-    Returns a stable rational filter of the plant's order whose magnitude
-    follows the exact frequency map |P(j*omega/T_s)|, T_s = T/oversampling,
-    over the whole digital band [0, pi]: the map the design scores filters
-    on. The start is ``yule_walker_fit`` of that magnitude; a
-    Levenberg-Marquardt fit of log-magnitude over FIT_POINTS log-spaced
-    frequencies in [FIT_LOW, pi] then polishes it, any root outside the unit
-    circle is reflected inside, and the numerator is rescaled so the DC gain
-    equals P(0) exactly. On the benchmark plant the magnitude error is below
-    0.1 % up to pi/2 and below 1.3 % over the full band for oversampling 1-4.
-    The band limit at pi/oversampling that ``ct_frequency_map`` applies to
-    design spectra has no rational counterpart and is not imitated.
-    """
+    """Magnitude-matched discretization at period sample_period/oversampling:
+    a stable rational filter of the plant's order whose magnitude follows
+    |P(j*omega/T_s)|, T_s = T/oversampling, over all of [0, pi], with no
+    band limit at pi/oversampling; ``excised_mse`` filters through it.
+    ``yule_walker_fit`` of that magnitude starts a Levenberg-Marquardt fit of
+    log-magnitude over FIT_POINTS log-spaced frequencies in [FIT_LOW, pi];
+    roots outside the unit circle are reflected inside and the DC gain is
+    set to P(0). On the benchmark plant the magnitude is within 0.1 % up to
+    pi/2 and 1.3 % over the band for oversampling 1-4."""
     from scipy import optimize
 
     if oversampling < 1 or int(oversampling) != oversampling:
@@ -463,17 +462,16 @@ def run_lanes(
     lanes: Sequence[Lane], trace: Callable[[int, LoopTraces], object] | None = None
 ) -> Iterator[SimulationResult]:
     """``summarize_run`` of every lane, in order: of ``run_feedback_loop`` on
-    ``gen_input`` of the lane, through the lane's plant against its
-    predicted MSE.
+    ``gen_input`` of the lane, on its plant map against its predicted MSE.
 
     Lanes of one length advance together in BLOCK-sample chunks, in groups
-    of ``lane_group_size``: through ``run_feedback_lanes``, or on the scalar
-    loop in a group of fewer than MIN_BATCH_LANES lanes. Each lane carries
-    its input draw, filter state and ``RunStats``, so a group holds a few
-    BLOCK x lanes arrays and no whole lane. ``trace(start, traces)``
-    receives each chunk of the first lane. The pass stops at the first chunk
-    in which a lane's u/step is not finite, with a ``LaneFailure`` naming
-    the first such lane (by `name`) and sample.
+    of ``lane_group_size``: through ``run_feedback_lanes`` and
+    ``_draw_columns``, or, under MIN_BATCH_LANES lanes, on the scalar loop
+    and each lane's ``_InputDraw``. Each lane carries its input draw, filter
+    state and ``RunStats``, so a group holds a few BLOCK x lanes arrays and
+    no whole lane. ``trace(start, traces)`` receives each chunk of the first
+    lane. The pass stops at the first chunk in which a lane's u/step is not
+    finite, with a ``LaneFailure`` naming the first such lane and sample.
     """
     if not lanes:
         return
@@ -487,24 +485,21 @@ def run_lanes(
 
 def _run_group(group: Sequence[Lane], trace) -> Iterator[SimulationResult]:
     n = group[0].model.length
-    stats = [RunStats(lane.plant, n) for lane in group]
+    stats = [RunStats(lane.plant_map, n) for lane in group]
     shapers = [lane.shaper for lane in group]
     quantizers = [lane.quantizer for lane in group]
     steps = np.array([q.step for q in quantizers])
-    # gen_input chunk by chunk: the scale comes from a transient whole-lane
-    # draw, then a second draw is made and scaled one chunk at a time
-    scales = [_unit_scale(_InputDraw(lane.model, lane.sample_period)(n)) for lane in group]
     draws = [_InputDraw(lane.model, lane.sample_period) for lane in group]
     batched = len(group) >= MIN_BATCH_LANES
     state = np.zeros((max(1, max(as_discrete_tf(r).order for r in shapers)), len(group)))
-    buf = np.empty((BLOCK, len(group))) if batched else None  # time-major, for the lane kernel
-    xs = [None] * len(group)
+    if batched:  # time-major, for the lane kernel
+        x_buf, u_buf = np.empty((BLOCK, len(group))), np.empty((BLOCK, len(group)))
     for start in range(0, n, BLOCK):
         rows = min(BLOCK, n - start)
-        for j, (draw, scale) in enumerate(zip(draws, scales)):
-            xs[j] = draw(rows) * scale  # replaces the lane's previous chunk
         if batched:
-            u = np.stack(xs, axis=1, out=buf[:rows])
+            x = _draw_columns(draws, x_buf[:rows])
+            u = u_buf[:rows]
+            np.copyto(u, x)
             with np.errstate(over="ignore", invalid="ignore"):  # a diverging lane fails below
                 run_feedback_lanes(u, shapers, quantizers, state)
                 # |u|/step rounds monotonically in |u|, so a lane's u/step is
@@ -513,12 +508,12 @@ def _run_group(group: Sequence[Lane], trace) -> Iterator[SimulationResult]:
                 if not finite.all():  # stop at the lane and sample where the scalar loop would
                     j = int(np.argmin(finite))
                     raise _lane_failure(group[j], start, _not_finite(int(np.argmin(np.isfinite(u[:, j] / steps[j])))))
-        for j, (x, lane) in enumerate(zip(xs, group)):
-            if batched:
-                traces = loop_traces(x, u[:, j].copy(), lane.quantizer)
+        for j, lane in enumerate(group):
+            if batched:  # fresh arrays: a trace may hold them past this chunk
+                traces = loop_traces(x[:, j].copy(), u[:, j].copy(), lane.quantizer)
             else:
                 try:
-                    traces = run_feedback_loop(x, lane.shaper, lane.quantizer, state[:, j])
+                    traces = run_feedback_loop(draws[j](rows), lane.shaper, lane.quantizer, state[:, j])
                 except NumericalError as exc:
                     raise _lane_failure(lane, start, exc) from None
             stats[j].add(traces)
@@ -605,89 +600,109 @@ class _LagProducts:
     row by numpy's pairwise sum and adds the sums in block order."""
 
     def __init__(self, max_lag: int):
-        if max_lag < 1:
-            raise ValueError("max_lag must be at least 1")
-        self.count = 0
         self.tail = np.zeros(max_lag)
         self.sums = np.zeros(max_lag + 1)
 
     def add(self, block: np.ndarray) -> None:
         n = len(block)
-        if n == 0:
-            return
         max_lag = len(self.tail)
         ext = np.concatenate((self.tail, block))
         # row k of this view of ext is ext[max_lag - k : max_lag - k + n], i.e. w[i - k]
         rows = np.ndarray((max_lag + 1, n), dtype=float, buffer=ext, offset=8 * max_lag, strides=(-8, 8))
-        self.sums += np.add.reduce(rows * block, axis=-1)
+        self.sums += [float(np.add.reduce(row * block)) for row in rows]  # one row's products at a time
         self.tail = ext[n:].copy()
-        self.count += n
 
     def autocorrelations(self) -> np.ndarray:
         """Normalized autocorrelation at lags 1..max_lag."""
-        max_lag = len(self.tail)
-        if self.count <= max_lag + 1:
-            raise ValueError("sequence too short for the requested number of lags")
         if self.sums[0] == 0.0:
-            return np.zeros(max_lag)
+            return np.zeros(len(self.tail))
         return self.sums[1:] / self.sums[0]
 
 
-class RunStats:
-    """Summary statistics of one loop run, accumulated from its traces.
+def welch_segments(length: int) -> int:
+    """Welch segments of a run, two full blocks each; ValueError if none."""
+    if length < SEGMENT:
+        raise ValueError(f"need at least {SEGMENT} samples for one {SEGMENT}-sample Welch segment, got {length}")
+    return length // BLOCK - 1
 
-    Feed the run's traces in order with ``add``, in chunks whose lengths are
-    multiples of BLOCK except for the last. Every statistic is defined over
-    BLOCK-sample blocks aligned to the run's first sample, so any such
-    chunking gives the same bits as feeding the whole run:
+
+def _welch(plant: AmplitudeResponse | RationalDiscreteTF) -> tuple[np.ndarray, np.ndarray]:
+    """A segment's periodic Hann window and its bins' weights in its power
+    through the plant: |P|^2 on WELCH_GRID times the bin's share of the circle
+    (1 at 0 and pi, 2 between) over SEGMENT times the window energy; shared."""
+    if isinstance(plant, RationalDiscreteTF):
+        return _welch_of(np.abs(frequency_response(plant, WELCH_GRID.omegas)).tobytes())
+    if plant.grid != WELCH_GRID:
+        raise ValueError(f"a plant map must be on the {WELCH_GRID.n_points}-point Welch grid")
+    return _welch_of(plant.values.tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _welch_of(magnitude: bytes) -> tuple[np.ndarray, np.ndarray]:
+    window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(SEGMENT) / SEGMENT)
+    weight = np.frombuffer(magnitude) ** 2 * (2.0 / (SEGMENT * float(np.add.reduce(window * window))))
+    weight[[0, -1]] /= 2.0
+    window.setflags(write=False)
+    weight.setflags(write=False)
+    return window, weight
+
+
+class RunStats:
+    """Summary statistics of one loop run, fed its traces in order by
+    ``add`` in chunks of whole blocks but the last. Every statistic is
+    defined over BLOCK-sample blocks aligned to the run's first sample, so
+    any such chunking gives the same bits as feeding the whole run:
 
     * the overload count, exact;
-    * the variances of u, w and the plant-filtered error P[z](v - x) past
-      the burn-in (``plant_burn_in``): per block a two-pass count, mean and
-      M2, merged in block order;
-    * the lag products of w at lags 0..MAX_LAG.
+    * the variances of u and w: per block a two-pass count, mean and M2,
+      merged in block order;
+    * the lag products of w at lags 0..MAX_LAG;
+    * the output MSE, the power of P(v - x): a Welch estimate over
+      ``welch_segments`` under a Hann window, |rfft|^2 weighted by |P|^2 and
+      summed in segment order, one block of v - x carried. A design's plant
+      map is zero above pi/lambda: this measures its ||p R||^2 sigma_w^2.
 
-    The plant filter carries its state across chunks, so the error is
-    ``lfilter`` of the whole run. A statistic that overflows is inf or NaN,
-    without a warning.
+    A statistic that overflows is inf or NaN, without a warning.
     """
 
-    def __init__(self, plant_d: RationalDiscreteTF, length: int):
-        self.plant = plant_d
+    def __init__(self, plant_map: AmplitudeResponse | RationalDiscreteTF, length: int):
+        self.segments = welch_segments(length)
+        self.window, self.weight = _welch(plant_map)
         self.length = length
-        self.burn = plant_burn_in(plant_d, length)
-        self.zi = np.zeros(max(len(plant_d.num), len(plant_d.den)) - 1)
         self.seen = 0
         self.overloads = 0
-        self.u, self.w, self.err = _Moments(), _Moments(), _Moments()
+        self.u, self.w = _Moments(), _Moments()
         self.lags = _LagProducts(MAX_LAG)
+        self.carry = None  # v - x of the last full block
+        self.power = 0.0
 
     @np.errstate(over="ignore", invalid="ignore")
     def add(self, traces: LoopTraces) -> None:
-        from scipy import signal
-
         if self.seen % BLOCK:
             raise ValueError("only the last chunk of a run may end inside a block")
         n = len(traces.x)
         if self.seen + n > self.length:
             raise ValueError("more samples than the run's length")
         for i in range(0, n, BLOCK):
-            start = self.seen
             x, u, v, w, overload = (a[i : i + BLOCK] for a in (traces.x, traces.u, traces.v, traces.w, traces.overload))
             self.overloads += int(np.count_nonzero(overload))
             self.u.add(u)
             self.w.add(w)
             self.lags.add(w)
-            err, self.zi = signal.lfilter(self.plant.num, self.plant.den, v - x, zi=self.zi)
-            self.err.add(err[max(self.burn - start, 0) :])
             self.seen += len(x)
+            if len(x) == BLOCK:
+                err = v - x
+                if self.carry is not None:
+                    spectrum = np.fft.rfft(np.concatenate((self.carry, err)) * self.window)
+                    self.power += float(np.add.reduce(self.weight * (spectrum.real**2 + spectrum.imag**2)))
+                self.carry = err
 
     @np.errstate(invalid="ignore")
     def result(self, predicted_mse: float) -> SimulationResult:
         if self.seen != self.length:
             raise ValueError(f"fed {self.seen} of the run's {self.length} samples")
         return SimulationResult(
-            empirical_mse=self.err.variance,
+            empirical_mse=self.power / self.segments,
             predicted_mse=float(predicted_mse),
             overload_count=self.overloads,
             overload_rate=self.overloads / self.length,
@@ -698,24 +713,17 @@ class RunStats:
 
 
 def excised_mse(traces: LoopTraces, plant_d: RationalDiscreteTF, window: int) -> tuple[float, float]:
-    """Granular output MSE: the variance of the plant-filtered error
-    P[z](v - x) past the burn-in (``plant_burn_in``), with the `window`
-    samples that start at each overload also removed; per BLOCK-aligned
-    block as ``RunStats`` defines its variances.
-
-    The MSE prediction assumes the quantizer never overloads; each clip
-    injects an error burst that the plant spreads over its memory, so a
-    window of several filter memories after each overload isolates the part
-    of the error the model covers. Returns (MSE, fraction of the samples
-    past the burn-in that the windows removed).
-    """
-    from scipy import signal
-
+    """Granular output MSE: the variance of the error P[z](v - x) through a
+    rational plant past its ``plant_burn_in``, without the `window` samples
+    from each overload on; per BLOCK-aligned block, merged as ``RunStats``
+    merges its variances. Each clip injects a burst that the plant spreads
+    over its memory, which the no-overload prediction excludes. Returns
+    (MSE, fraction of the samples past the burn-in that were removed)."""
     if window < 1:
         raise ValueError("window must be at least 1")
     n = len(traces.x)
     burn = plant_burn_in(plant_d, n)
-    err = signal.lfilter(plant_d.num, plant_d.den, traces.v - traces.x)
+    err = linear_filter(plant_d.num, plant_d.den, traces.v - traces.x)
     starts = np.flatnonzero(traces.overload)
     edges = np.zeros(n + 1, dtype=np.int64)
     np.add.at(edges, starts, 1)
@@ -753,25 +761,25 @@ def predicted_loop_variances(norm_r_sq: float, gamma: float) -> tuple[float, flo
 
 
 def loop_quantizer(
-    shaper: RationalDiscreteTF | FIRFilter, p_sim: AmplitudeResponse, bits: int, loading_factor: float
+    shaper: RationalDiscreteTF | FIRFilter, p_lam: AmplitudeResponse, bits: int, loading_factor: float
 ) -> tuple[FitReport, float, float, MidRiseQuantizer]:
-    """Set up a loop lane's quantizer: score the shaper on the simulation
-    plant p_sim and size a bits-bit quantizer for the sigma_u the variance
-    balance predicts. Returns (score, sigma_u^2, sigma_w^2, quantizer); an
-    infeasible shaper raises NumericalError. The quantizer and feasibility
-    depend on ||R||^2 alone, which reads only p_sim's grid."""
+    """Set up a loop lane's quantizer: score the shaper on its cell's plant
+    map p_lam as ``efq fit`` does and size a bits-bit quantizer for the
+    sigma_u the variance balance predicts. Returns (score, sigma_u^2,
+    sigma_w^2, quantizer); an infeasible shaper raises NumericalError."""
     gamma = gamma_from_bits(bits, loading_factor)
-    score = evaluate_fit(shaper, p_sim, gamma)
+    score = evaluate_fit(shaper, p_lam, gamma)
     if not score.feasible:
-        raise NumericalError(f"shaper infeasible at {bits} bits on the simulation plant: ||R||^2 = {score.norm_sq:.6g}")
+        raise NumericalError(f"shaper infeasible at {bits} bits on the plant map: ||R||^2 = {score.norm_sq:.6g}")
     sigma_u_sq, sigma_w_sq = predicted_loop_variances(score.norm_sq, gamma)
     qspec = QuantizerSpec.for_sigma_u(bits, loading_factor, math.sqrt(sigma_u_sq))
     return score, sigma_u_sq, sigma_w_sq, MidRiseQuantizer.from_spec(qspec)
 
 
-def summarize_run(traces: LoopTraces, plant_d: RationalDiscreteTF, predicted_mse: float) -> SimulationResult:
-    """Reduce loop traces to the comparison statistics: ``RunStats`` fed the
-    whole run."""
+def summarize_run(
+    traces: LoopTraces, plant_d: AmplitudeResponse | RationalDiscreteTF, predicted_mse: float
+) -> SimulationResult:
+    """``RunStats`` of the whole run, on a plant map or a rational plant."""
     stats = RunStats(plant_d, len(traces.x))
     stats.add(traces)
     return stats.result(predicted_mse)

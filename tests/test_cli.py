@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import efq
-from efq import cli, design, simulate
+from efq import cli, design, simulate, spectral
 from efq.cli import CSV_CHUNK_ROWS, CSV_FEW_DISTINCT, _columns, _write_csv, main
 from efq.transfer import ContinuousTF, RationalDiscreteTF
 
@@ -361,7 +361,7 @@ class TestSimulateCommand:
             lam = cell["lambda"]
             shaper = RationalDiscreteTF(cell["filter"]["num"], cell["filter"]["den"])
             quant = simulate.MidRiseQuantizer(**cell["quantizer"])
-            plant_d = simulate.discretize_plant(plant, lam)
+            plant_map = spectral.ct_frequency_map(plant, lam, simulate.WELCH_GRID)
             assert [run["seed"] for run in cell["runs"]] == config["sim"]["seeds"]
             for run in cell["runs"]:
                 model = simulate.SignalModel(kind="colored", seed=run["seed"], length=length)
@@ -369,7 +369,7 @@ class TestSimulateCommand:
                     simulate.gen_input(model, plant.sample_period / lam), shaper, quant
                 )
                 oracle_traces.append(traces)
-                result = simulate.summarize_run(traces, plant_d, cell["predicted_mse"])
+                result = simulate.summarize_run(traces, plant_map, cell["predicted_mse"])
                 assert run == {
                     "seed": run["seed"],
                     "empirical_mse": result.empirical_mse,
@@ -426,10 +426,10 @@ class TestSimulateCommand:
             r"numerical failure: bits=8 lambda=1 seed=\d+: "
             r"u/step is not finite at sample \d+ of the chunk from sample \d+"
         )
-        for seeds in (4, 16):
-            assert (simulate.lane_group_size(seeds) >= simulate.MIN_BATCH_LANES) == (seeds == 16)
-            path, fit_path = self.diverging_setup(tmp_path, list(range(seeds)))
-            out = tmp_path / f"out{seeds}"
+        for seeds in (range(1, 5), range(16)):  # seed 4 fails in its chunk from sample 8192
+            assert (simulate.lane_group_size(len(seeds)) >= simulate.MIN_BATCH_LANES) == (len(seeds) == 16)
+            path, fit_path = self.diverging_setup(tmp_path, list(seeds))
+            out = tmp_path / f"out{len(seeds)}"
             args = ["simulate", "--config", str(path), "--out", str(out), "--fit", str(fit_path), "--trace", "--quiet"]
             proc = run_python(["-c", "import sys; from efq.cli import main; sys.exit(main())", *args])
             assert proc.returncode == 2, proc.stderr
@@ -464,6 +464,24 @@ class TestSimulateCommand:
         assert list(out.iterdir()) == []
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("method", ["qcqp", "yw"])
+    def test_predicted_mse_is_the_fit_score(self, tmp_path, method):
+        # simulate scores each shaper on the plant map its cell was designed
+        # on, so its prediction is fit.json's achieved_mse to the bit.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, fit={"method": method, "order": 4})))
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        assert main(["simulate", "--config", str(path), "--out", str(out), "--fit", str(out / "fit.json"), "--quiet"]) == 0
+        fit = {(c["bits"], c["lambda"]): c for c in json.loads((out / "fit.json").read_text())["cells"]}
+        cells = json.loads((out / "simulate.json").read_text())["cells"]
+        assert len(cells) == len(fit) == 4
+        for cell in cells:
+            assert cell["predicted_mse"] == fit[cell["bits"], cell["lambda"]]["achieved_mse"], (cell["bits"], cell["lambda"])
+        _, rows = read_csv(out / "simulate_runs.csv")
+        for row in rows:
+            assert float(row["predicted_mse"]) == fit[int(row["bits"]), int(row["lambda"])]["achieved_mse"]
+
     def test_short_length_fails_before_any_loop(self, tmp_path, monkeypatch, capsys):
         config = dict(SMALL_CONFIG, sim=dict(SMALL_CONFIG["sim"], length=1500))
         path = tmp_path / "config.json"
@@ -476,7 +494,7 @@ class TestSimulateCommand:
         monkeypatch.setattr(simulate, "run_feedback_lanes", no_loop)
         rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
         assert rc == 1
-        assert "need more than 2000 samples to discard a 1000-sample burn-in" in capsys.readouterr().err
+        assert "need at least 16384 samples for one 16384-sample Welch segment, got 1500" in capsys.readouterr().err
         assert not (tmp_path / "out" / "simulate.json").exists()
 
     def test_reuses_fit_artifact(self, config_path, tmp_path):
@@ -531,7 +549,7 @@ class TestWorkerProcesses:
         # (lanes 0-15), in its chunk from sample 32768, and seed 23 in the
         # second, in its chunk from sample 8192. The serial pass stops at the
         # earlier chunk, so every worker count names seed 23.
-        seeds = [0, 2, 3, 6, 7, 8, 9, 10, 12, 13, 14, 15, 16, 17, 18, 19]
+        seeds = [0, 1, 2, 3, 6, 7, 9, 10, 11, 13, 14, 15, 16, 17, 18, 19]
         seeds += [20, 21, 22, 23, 24, 25, 26, 29, 30, 31, 32, 33, 36, 37, 38, 39]
         assert simulate.lane_parts(len(seeds), 2) == [[range(0, 16), range(16, 32)]]
         path, fit_path = TestSimulateCommand.diverging_setup(tmp_path, seeds)
@@ -597,19 +615,19 @@ def run_python(args, timeout=300):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
 
 
-# The report of scripts/simulation_check.py on one short lane, as its own
-# hand-written quantizer set-up and loop printed it.
+# The report of scripts/simulation_check.py on one short lane, scored on the
+# design's plant map as efq simulate scores it.
 SIMULATION_CHECK_STDOUT = """\
 cell: bits=8 lambda=1 order=4 loading=4.0
 shaper taps: [1.0, -1.116942, 0.230829, -0.087225, 0.029458]
-predicted MSE 6.111487e-07 (-62.139 dB), ideal 6.108487e-07 (-62.141 dB)
+predicted MSE 6.111198e-07 (-62.139 dB), ideal 6.108487e-07 (-62.141 dB)
 quantizer: step 3.137423e-02, saturation 4.000215e+00
 
  seed overloads  ovl_rate    empirical   ratio  identity      excised exc_ratio exc_frac
 ----------------------------------------------------------------------------------------
-    0         2  1.00e-04 6.662605e-07  1.0902  3.89e-16 6.079637e-07    0.9948 6.89e-03
+    0         2  1.00e-04 7.919518e-07  1.2959  4.44e-16 6.055895e-07    0.9910 6.89e-03
 
-empirical/predicted ratio: mean 1.0902, 95% CI half-width nan, range [1.0902, 1.0902]
+empirical/predicted ratio: mean 1.2959, 95% CI half-width nan, range [1.2959, 1.2959]
 (excision window: 130 samples after each overload)
 """
 
@@ -653,7 +671,7 @@ class TestEntryPoints:
 
     def test_simulation_check_output_is_unchanged(self):
         """The script's lane set-up and loop run through ``loop_quantizer`` and
-        ``run_lanes``; its report stays the one its hand-written loop printed."""
+        ``run_lanes``, its report is the one recorded above."""
         command = "--bits 8 --length 20000 --seeds 0 --grid 1024 --excise"
         proc = run_python([str(REPO / "scripts/simulation_check.py"), *command.split()])
         assert proc.returncode == 0, proc.stderr
@@ -669,24 +687,30 @@ class TestEntryPoints:
             assert flag in usage, (command, flag)
 
 
-# Runs design, rd-curve, and fit and verify with both fit methods, then prints
-# the scipy modules loaded.
+# Runs design, rd-curve, fit, simulate (with --trace, and with EFQ_THREADS=1,
+# so its lane pass runs in this process) and, with both fit methods, fit and
+# verify, then prints the scipy modules loaded.
 SCIPY_FREE_STAGES = """
-import json, sys
+import json, os, sys
 import efq
 from efq.cli import main
 
 qcqp, yw, out = sys.argv[1:]
-for argv in (
-    ["design", "--config", qcqp],
-    ["rd-curve", "--config", qcqp],
-    ["fit", "--config", qcqp, "--design", out + "/design.json"],
-    ["fit", "--config", yw],
-    ["verify", "--config", qcqp],
-    ["verify", "--config", yw],
+for env, argv in (
+    ({}, ["design", "--config", qcqp]),
+    ({}, ["rd-curve", "--config", qcqp]),
+    ({}, ["fit", "--config", qcqp, "--design", out + "/design.json"]),
+    ({}, ["simulate", "--config", qcqp, "--fit", out + "/fit.json", "--trace"]),
+    ({"EFQ_THREADS": "1"}, ["simulate", "--config", qcqp]),
+    ({}, ["fit", "--config", yw]),
+    ({}, ["verify", "--config", qcqp]),
+    ({}, ["verify", "--config", yw]),
 ):
+    os.environ.update(env)
     if main([*argv, "--out", out, "--quiet"]) != 0:
         sys.exit(f"efq {argv[0]} failed")
+    for name in env:
+        del os.environ[name]
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
 

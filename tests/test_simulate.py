@@ -22,6 +22,7 @@ from efq.fitting import (
     complete_report,
     evaluate_fit,
     norm_constrained_fir,
+    shaped_noise_norm_sq,
     yule_walker_fit,
 )
 from efq.simulate import (
@@ -29,6 +30,8 @@ from efq.simulate import (
     LANE_BUFFER_SAMPLES,
     MAX_LAG,
     MIN_BATCH_LANES,
+    SEGMENT,
+    WELCH_GRID,
     Lane,
     LaneFailure,
     LoopTraces,
@@ -53,9 +56,9 @@ from efq.simulate import (
     run_lanes,
     summarize_run,
 )
-from efq.simulate import _InputDraw, _unit_scale
-from efq.spectral import amplitude_of_tf, band_mean, oversample_response
-from efq.transfer import ContinuousTF, RationalDiscreteTF, frequency_response
+from efq.simulate import _draw_columns, _InputDraw
+from efq.spectral import FrequencyGrid, amplitude_of_tf, band_mean, ct_frequency_map, oversample_response
+from efq.transfer import ContinuousTF, RationalDiscreteTF, frequency_response, linear_filter
 
 
 @pytest.fixture(scope="module")
@@ -141,9 +144,24 @@ class TestSignalGenerators:
         np.testing.assert_array_equal(a, b)
 
     def test_colored_matches_target_variance_exactly(self):
+        # The stationary first-order autoregression itself, with no rescale:
+        # x_(-1) ~ N(0, 1) and x_k = pole x_(k-1) + sqrt(1 - pole^2) e_k, so
+        # every sample, the first included, has variance 1.
         model = SignalModel(kind="colored", seed=3, length=100_000)
         x = gen_input(model, 0.1)
-        assert float(np.var(x)) == pytest.approx(1.0, rel=1e-12)
+        rng = np.random.default_rng(3)
+        pole = math.exp(-2.62 * 0.1)
+        scale = math.sqrt(1.0 - pole * pole)
+        prev = rng.standard_normal()
+        expected = []
+        for e in rng.standard_normal(model.length).tolist():
+            prev = pole * prev + scale * e
+            expected.append(prev)
+        assert x.tobytes() == np.array(expected).tobytes()
+        # sd of the sample variance: sqrt(2 (1 + pole^2) / ((1 - pole^2) n)) = 0.009
+        assert float(np.var(x)) == pytest.approx(1.0, abs=0.05)
+        first = [gen_input(SignalModel(kind="colored", seed=seed, length=1), 0.1)[0] for seed in range(4000)]
+        assert float(np.mean(np.square(first))) == pytest.approx(1.0, abs=0.12)  # sd 0.022
 
     def test_colored_lag_one_autocorrelation(self):
         model = SignalModel(kind="colored", seed=11, length=200_000)
@@ -154,7 +172,8 @@ class TestSignalGenerators:
     def test_white_is_uncorrelated(self):
         model = SignalModel(kind="white", seed=5, length=200_000)
         x = gen_input(model, 0.1)
-        assert float(np.var(x)) == pytest.approx(1.0, rel=1e-12)
+        assert x.tobytes() == np.random.default_rng(5).standard_normal(model.length).tobytes()
+        assert float(np.var(x)) == pytest.approx(1.0, abs=0.02)  # sd 0.003
         rho1 = float(np.dot(x[:-1], x[1:]) / np.dot(x, x))
         assert abs(rho1) < 0.01
 
@@ -165,14 +184,18 @@ class TestSignalGenerators:
     @pytest.mark.parametrize("kind", ["colored", "white"])
     @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, 3 * BLOCK + 5])
     def test_chunked_draws_equal_gen_input(self, kind, n):
-        # The lane pass draws with scipy's lfilter, gen_input with
-        # linear_filter: chunk by chunk, scaled as the pass scales them, the
+        # Chunk by chunk, through one lane's draw (the scalar lane pass) and
+        # through _draw_columns beside other lanes (the batched pass), the
         # draws are gen_input's samples bit for bit.
         model = SignalModel(kind=kind, seed=n, length=n)
-        scale = _unit_scale(_InputDraw(model, 0.1)(n))
         draw = _InputDraw(model, 0.1)
-        chunks = [draw(min(BLOCK, n - start)) * scale for start in range(0, n, BLOCK)]
+        chunks = [draw(min(BLOCK, n - start)) for start in range(0, n, BLOCK)]
         assert np.concatenate(chunks).tobytes() == gen_input(model, 0.1).tobytes()
+        models = [model, SignalModel(kind="colored", seed=1, length=n), SignalModel(kind="white", seed=2, length=n)]
+        draws = [_InputDraw(m, 0.1) for m in models]
+        columns = np.concatenate([_draw_columns(draws, np.empty((min(BLOCK, n - start), 3))) for start in range(0, n, BLOCK)])
+        for j, m in enumerate(models):
+            assert columns[:, j].tobytes() == gen_input(m, 0.1).tobytes(), j
 
 
 @pytest.fixture(scope="module")
@@ -373,7 +396,7 @@ def _lane(seed, length, shaper, quant, plant_d, period=0.1):
 def _oracle(lane):
     """The whole-lane definition: summarize_run of the scalar loop on gen_input."""
     traces = run_feedback_loop(gen_input(lane.model, lane.sample_period), lane.shaper, lane.quantizer)
-    return summarize_run(traces, lane.plant, lane.predicted_mse)
+    return summarize_run(traces, lane.plant_map, lane.predicted_mse)
 
 
 # A quantizer whose u/step overflows once |u| reaches 4: with R = 1 the loop
@@ -448,10 +471,14 @@ class TestRunLanes:
     @pytest.mark.parametrize("length", [BLOCK - 1, BLOCK, BLOCK + 1])
     @pytest.mark.parametrize("count", [1, 16])
     def test_lengths_around_the_block(self, shapers, plant_d, count, length):
-        lanes = self.lanes(count, shapers, plant_d, length=length)
+        # a run of one segment and then a block boundary's worth more or less
+        lanes = self.lanes(count, shapers, plant_d, length=SEGMENT + length)
         assert list(run_lanes(lanes)) == [_oracle(lane) for lane in lanes]
 
     def test_burn_in_ending_inside_a_later_block(self, shapers):
+        # The scorer keeps no burn-in: a slow plant, whose plant_burn_in would
+        # end inside block 1, still scores the segment of blocks 0-1, as a
+        # whole-run Welch estimate does.
         slow = RationalDiscreteTF([0.002], [1.0, -0.998])  # memory 500: a 10,000-sample burn-in
         n = 3 * BLOCK
         assert BLOCK < plant_burn_in(slow, n) < 2 * BLOCK
@@ -460,8 +487,7 @@ class TestRunLanes:
         assert got == [_oracle(lane) for lane in lanes]
         traces = run_feedback_loop(gen_input(lanes[0].model, 0.1), lanes[0].shaper, lanes[0].quantizer)
         assert got[0].empirical_mse == summarize_run(traces, slow, 0.0).empirical_mse
-        err = signal.lfilter(slow.num, slow.den, traces.v - traces.x)
-        assert got[0].empirical_mse == pytest.approx(float(np.var(err[plant_burn_in(slow, n) :])), rel=1e-12)
+        assert got[0].empirical_mse == pytest.approx(_welch_oracle(traces.v - traces.x, slow), rel=1e-12)
 
     def test_trace_receives_the_first_lane_chunk_by_chunk(self, shapers, plant_d):
         lanes = self.lanes(16, shapers, plant_d)
@@ -521,6 +547,39 @@ class TestRunLanes:
             list(run_lanes(lanes))
         assert str(got.value) == expected
 
+    def test_divergence_does_not_depend_on_the_length(self, plant):
+        # The 8-bit 1 + 10 z^-1 set-up of the CLI's diverging-lane tests: a
+        # lane diverges once it overloads. The input is not rescaled by the
+        # whole lane, so a lane's first 20,000 samples of x and u, and whether
+        # it fails in them, are the same bits at 20,000 and 60,000 samples.
+        # Seed 4 fails at sample 8201 at either length; seed 1 runs clean.
+        shaper = FIRFilter((1.0, 10.0))
+        *_, quant = loop_quantizer(shaper, ct_frequency_map(plant, 1, FrequencyGrid(1024)), 8, 4.0)
+        plant_map = ct_frequency_map(plant, 1, WELCH_GRID)
+        failures = {}
+        for seed in range(5):
+            runs = {}
+            for n in (20_000, 60_000):
+                lane = _lane(seed, n, shaper, quant, plant_map)
+                chunks = []
+                try:
+                    list(run_lanes([lane], lambda start, traces: chunks.append(traces)))
+                    failure = None
+                except LaneFailure as exc:
+                    failure = str(exc)
+                x, u = (np.concatenate([getattr(t, name) for t in chunks])[:20_000] for name in ("x", "u"))
+                runs[n] = gen_input(lane.model, 0.1)[:20_000], x, u, failure
+            (x20, x_lane20, u20, fail20), (x60, x_lane60, u60, fail60) = runs[20_000], runs[60_000]
+            assert x20.tobytes() == x60.tobytes()
+            k = min(len(u20), len(u60))  # a failing chunk sends no trace
+            assert x_lane20[:k].tobytes() == x_lane60[:k].tobytes() == x20[:k].tobytes()
+            assert u20[:k].tobytes() == u60[:k].tobytes()
+            if fail20 is not None or k < 20_000 - 20_000 % BLOCK:
+                assert fail20 == fail60
+            failures[seed] = fail60
+        assert failures[4] == "seed=4: u/step is not finite at sample 9 of the chunk from sample 8192"
+        assert failures[1] is None
+
     def test_unequal_lengths_rejected(self, shapers, plant_d):
         lanes = self.lanes(2, shapers, plant_d)
         lanes[1] = dataclasses.replace(lanes[1], model=dataclasses.replace(lanes[1].model, length=10))
@@ -529,9 +588,10 @@ class TestRunLanes:
 
 
 # tracemalloc peak of a run_lanes pass over 32 lanes of 2^16 samples, in
-# chunk buffers (BLOCK x lanes float64): the pass holds two of them plus
-# per-lane temporaries, about 2.9 in all at any length; a whole-lane buffer of
-# the same lanes would be 8 of them.
+# chunk buffers (BLOCK x lanes float64): the pass holds three of them (the
+# inputs, u and each lane's block of Welch carry) plus per-lane temporaries,
+# about 3.4 in all at any length; a whole-lane buffer of the same lanes would
+# be 8 of them.
 PASS_PEAK_BUFFERS = 4
 
 
@@ -549,6 +609,14 @@ def test_lane_pass_memory_is_bounded_by_the_chunk(plant):
         tracemalloc.stop()
     assert len(results) == lanes_n
     assert peak <= PASS_PEAK_BUFFERS * 8 * BLOCK * lanes_n <= 8 * n * lanes_n / 2
+
+
+def _welch_oracle(err, plant_d):
+    """scipy's Welch density of err (periodic Hann, SEGMENT samples, 50 %
+    overlap, no detrend), weighted by |plant_d|^2 and integrated over [0, 1/2]."""
+    freqs, density = signal.welch(err, window="hann", nperseg=SEGMENT, noverlap=SEGMENT // 2, detrend=False)
+    weight = np.abs(frequency_response(plant_d, 2 * np.pi * freqs)) ** 2
+    return float(np.sum(weight * density)) / SEGMENT
 
 
 def _piece(traces, a, b):
@@ -578,8 +646,7 @@ class TestRunStats:
         assert got.overload_count == int(np.count_nonzero(traces.overload))
         assert got.sigma_u_sq == pytest.approx(float(np.var(traces.u)), rel=1e-13)
         assert got.w_variance == pytest.approx(float(np.var(traces.w)), rel=1e-13)
-        err = signal.lfilter(plant_d.num, plant_d.den, traces.v - traces.x)
-        assert got.empirical_mse == pytest.approx(float(np.var(err[plant_burn_in(plant_d, len(err)) :])), rel=1e-13)
+        assert got.empirical_mse == pytest.approx(_welch_oracle(traces.v - traces.x, plant_d), rel=1e-12)
         w = traces.w
         dots = [float(np.sum(w[:-k] * w[k:])) / float(np.sum(w * w)) for k in range(1, 21)]
         np.testing.assert_allclose(got.w_autocorr, dots, rtol=1e-12, atol=1e-15)
@@ -594,7 +661,9 @@ class TestRunStats:
         with pytest.raises(ValueError, match="fed 100"):
             stats.result(0.5)
         with pytest.raises(ValueError, match="more samples"):
-            RunStats(plant_d, 3000).add(traces)
+            RunStats(plant_d, SEGMENT).add(traces)
+        with pytest.raises(ValueError, match=f"need at least {SEGMENT} samples"):
+            RunStats(plant_d, SEGMENT - 1)
 
     def test_overflow_gives_non_finite_statistics_without_a_warning(self, plant):
         # u and w near 1e200 are finite, but their squares overflow.
@@ -610,6 +679,55 @@ class TestRunStats:
         assert not np.isfinite(got.w_autocorr).any()
         assert math.isfinite(got.empirical_mse)
         assert got.overload_count == len(u)
+
+
+class TestWelchScorer:
+    """The output MSE against the design's functional: a white w of unit
+    variance through R = (1 - z^-1)^2 puts almost all its power above
+    pi/lambda, where the plant map of lambda = 4 is zero."""
+
+    SEGMENTS = 60
+
+    @pytest.fixture(scope="class")
+    def run(self, plant):
+        n = (self.SEGMENTS + 1) * BLOCK
+        shaper = FIRFilter((1.0, -2.0, 1.0))
+        w = np.random.default_rng(2).standard_normal(n)
+        traces = LoopTraces(x=np.zeros(n), u=np.zeros(n), v=linear_filter(shaper.taps, [1.0], w), w=w, overload=np.zeros(n, dtype=bool))
+        return traces, shaper, ct_frequency_map(plant, 4, WELCH_GRID)
+
+    def test_in_band_mse_matches_the_exact_integral(self, run, plant):
+        traces, shaper, plant_map = run
+        fine = ct_frequency_map(plant, 4, FrequencyGrid(1 << 16))
+        exact = shaped_noise_norm_sq(shaper, fine)[0]  # ||p R||^2 sigma_w^2, the design's MSE of this error
+        om = fine.grid.omegas
+        r_sq = np.abs(frequency_response(shaper.as_tf(), om)) ** 2
+        out_of_band = np.trapezoid(np.where(om > math.pi / 4, r_sq, 0.0), om) / math.pi
+        assert out_of_band >= 1e4 * exact  # 1.9e5
+        got = summarize_run(traces, plant_map, exact).empirical_mse
+        # Each segment's estimate sums the weighted bins q_k |Y_k|^2, |Y_k|^2
+        # about exponential, so its relative variance is 1 / n_eff with
+        # n_eff = (sum q)^2 / sum q^2 (1,164 here); the Hann window's
+        # correlation of neighbouring bins and of overlapping segments
+        # inflates that by under 2. Five standard errors over the segments:
+        q = np.abs(plant_map.values * frequency_response(shaper.as_tf(), WELCH_GRID.omegas)) ** 2
+        n_eff = q.sum() ** 2 / np.sum(q * q)
+        tolerance = 5.0 * math.sqrt(2.0 / (self.SEGMENTS * n_eff))  # 0.027
+        assert abs(got / exact - 1.0) <= tolerance, (got / exact, tolerance)
+
+    def test_chunking_gives_the_same_bits(self, run):
+        traces, _, plant_map = run
+        whole = summarize_run(traces, plant_map, 1.0)
+        n = len(traces.x)
+        for blocks in (1, 3, 7):
+            stats = RunStats(plant_map, n)
+            for start in range(0, n, blocks * BLOCK):
+                stats.add(_piece(traces, start, start + blocks * BLOCK))
+            assert stats.result(1.0) == whole, blocks
+
+    def test_plant_map_off_the_welch_grid_rejected(self, plant):
+        with pytest.raises(ValueError, match="Welch grid"):
+            RunStats(ct_frequency_map(plant, 4, FrequencyGrid(8192)), SEGMENT)
 
 
 # run_feedback_loop steps in BLOCK-sample chunks; lengths and failure
@@ -760,7 +878,8 @@ class TestExcisedMSE:
         _, plant_d, _, _, traces = loop_setup
         clean = dataclasses.replace(traces, overload=np.zeros_like(traces.overload))
         mse, removed = excised_mse(clean, plant_d, 50)
-        assert mse == summarize_run(traces, plant_d, 0.0).empirical_mse
+        err = signal.lfilter(plant_d.num, plant_d.den, traces.v - traces.x)
+        assert mse == pytest.approx(float(np.var(err[plant_burn_in(plant_d, len(err)) :])), rel=1e-12)
         assert removed == 0.0
 
     def test_matches_per_overload_window_oracle(self, plant):
@@ -826,8 +945,8 @@ class TestDiscretization:
         assert rel <= 0.02, f"max relative discretization error {rel:.4f} exceeds 0.02"
 
     def test_matches_continuous_magnitude_over_full_band_at_every_rate(self, plant):
-        # The simulation scores predictions on this plant over the whole
-        # digital band, at every oversampling factor the benchmark uses.
+        # excised_mse filters through this plant over the whole digital
+        # band, at every oversampling factor the benchmark uses.
         om = np.linspace(1e-3, math.pi, 2000)
         for lam in (1, 2, 3, 4):
             plant_d = discretize_plant(plant, lam)
