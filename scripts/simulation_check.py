@@ -19,7 +19,11 @@ seed-dependent amount. Pass --excise to also report the granular MSE from
 after each overload, and the fraction of samples removed. Excision filters
 the error through ``discretize_plant``'s rational plant, which passes the
 band above pi/lambda, so its ratio compares with the prediction at lambda 1
-only.
+only, and --excise with --lam 2 or more is a usage error.
+
+Each seed runs once, whole: its traces give the loop identity residual and
+the excised MSE, and ``summarize_run`` scores them with the same bits as the
+chunked pass of ``efq simulate``.
 
 Usage:
     python3 scripts/simulation_check.py [--bits 8] [--lam 1] [--order 4]
@@ -49,8 +53,9 @@ from efq import (
     loop_quantizer,
     oversample_response,
     run_feedback_loop,
+    summarize_run,
 )
-from efq.simulate import WELCH_GRID, Lane, excised_mse, filter_memory_estimate, run_lanes
+from efq.simulate import WELCH_GRID, excised_mse, filter_memory_estimate
 
 
 def main() -> None:
@@ -64,6 +69,8 @@ def main() -> None:
     ap.add_argument("--grid", type=int, default=8192)
     ap.add_argument("--excise", action="store_true", help="also report MSE with post-overload windows removed")
     args = ap.parse_args()
+    if args.excise and args.lam >= 2:
+        ap.error("--excise compares a full-band MSE with the in-band prediction at --lam 2 or more; use --lam 1")
 
     cfg = default_config()
     grid = FrequencyGrid(args.grid)
@@ -96,18 +103,14 @@ def main() -> None:
     print("-" * len(cols))
 
     ratios = []
-    seeds = [int(s) for s in args.seeds.split(",")]
-    lanes = [
-        Lane(SignalModel(kind="colored", seed=seed, length=args.length), period, shaper, quant, plant_map, score.achieved_mse)
-        for seed in seeds
-    ]
-    for lane, result in zip(lanes, run_lanes(lanes)):
-        # the loop identity and excision read whole traces: run this lane again
-        traces = run_feedback_loop(gen_input(lane.model, period), shaper, quant)
+    for seed in (int(s) for s in args.seeds.split(",")):
+        model = SignalModel(kind="colored", seed=seed, length=args.length)
+        traces = run_feedback_loop(gen_input(model, period), shaper, quant)
+        result = summarize_run(traces, plant_map, score.achieved_mse)
         resid = loop_identity_residual(traces, shaper)
         ratio = result.empirical_mse / result.predicted_mse
         ratios.append(ratio)
-        line = (f"{lane.model.seed:>5} {result.overload_count:>9} {result.overload_rate:>9.2e} "
+        line = (f"{seed:>5} {result.overload_count:>9} {result.overload_rate:>9.2e} "
                 f"{result.empirical_mse:>12.6e} {ratio:>7.4f} {resid:>9.2e}")
         if args.excise:
             exc, frac = excised_mse(traces, plant_d, window)

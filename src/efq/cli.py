@@ -49,7 +49,8 @@ from .errors import ConfigError, NumericalError, VerificationFailure
 from .transfer import RationalDiscreteTF
 
 THREADS_ENV = "EFQ_THREADS"
-# _write_csv formats CSV_CHUNK_ROWS rows at a time (a few MB of strings), and
+MAX_WORKERS = 8  # a pool starts all its workers at once, so their count is bounded
+# _csv_file formats CSV_CHUNK_ROWS rows at a time (a few MB of strings), and
 # formats a column chunk once per distinct bit pattern when it has at most
 # one per CSV_FEW_DISTINCT rows.
 CSV_CHUNK_ROWS = 1 << 14
@@ -68,14 +69,14 @@ def _max_workers() -> int:
             n = int(raw)
         except ValueError as exc:
             raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-        if n < 1:
-            raise ConfigError(f"{THREADS_ENV} must be at least 1, got {n}")
+        if not 1 <= n <= MAX_WORKERS:
+            raise ConfigError(f"{THREADS_ENV} must be from 1 to {MAX_WORKERS}, got {n}")
         return n
     try:
         cpus = len(os.sched_getaffinity(0))  # the CPUs this process may run on
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return min(8, cpus)
+    return min(MAX_WORKERS, cpus)
 
 
 @contextlib.contextmanager
@@ -142,12 +143,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n")
 
 
-def _columns(names: str, records) -> dict[str, np.ndarray]:
-    """Named columns of row records, each typed as np.rec.fromrecords types
-    it: ``np.array`` of the column's values."""
-    return {name: np.array(col) for name, col in zip(names.split(","), zip(*records), strict=True)}
-
-
 def _csv_cells(col) -> list[str]:
     """Cell strings of one column chunk: bool as 1/0, int as str, float as
     repr. A chunk with at most one distinct bit pattern per CSV_FEW_DISTINCT
@@ -176,17 +171,18 @@ def _csv_text(columns) -> str:
 def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[dict], None]]:
     """Open a CSV file under a config-hash comment line and a header of the
     column names; yields a function that appends the rows of a dict of named
-    columns of equal length (1-D arrays, or a range for a row index). An
-    exception inside the block removes the file, so no truncated table is
-    left behind.
+    columns of equal length (1-D arrays, or a range for a row index). Every
+    table is written through it, each stage appending rows as it reaches
+    them. An exception inside the block removes the file, so no truncated
+    table is left behind.
 
-    Rows are formatted and written CSV_CHUNK_ROWS at a time from the columns
-    themselves, so memory stays bounded for long traces. The first
-    CSV_CHUNK_ROWS rows format in process; each later chunk formats on a
-    ``_fork_pool`` of ``_max_workers()`` processes (float repr holds the
-    GIL), at most two chunks a worker ahead of the file, and is written in
-    row order. An exception in the block or in a worker cancels the pending
-    chunks and joins every worker before the file is removed.
+    An append formats and writes CSV_CHUNK_ROWS rows at a time from the
+    columns. A chunk that starts in the file's first CSV_CHUNK_ROWS rows
+    formats in process; each later chunk on a ``_fork_pool`` of
+    ``_max_workers()`` processes (float repr holds the GIL), at most two
+    chunks a worker ahead of the file, written in row order. An exception
+    in the block or in a worker cancels the pending chunks and joins every
+    worker before the file is removed.
     """
     workers = _max_workers()
     try:
@@ -217,12 +213,6 @@ def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[dict], None
     except BaseException:
         path.unlink(missing_ok=True)
         raise
-
-
-def _write_csv(path: Path, cfg_sha: str, columns: dict) -> None:
-    """Write named columns as CSV (see ``_csv_file``)."""
-    with _csv_file(path, cfg_sha, columns) as append:
-        append(columns)
 
 
 def _load_setup(args) -> tuple[ExperimentConfig, str]:
@@ -325,7 +315,6 @@ def cmd_design(args) -> int:
     cell_payload = []
     for (bits, lam), (gamma, sol) in zip(cells, solved):
         nu = gamma + 1.0
-        logmean = spectral.log_geometric_mean(sol.r_opt)
         cell_payload.append(
             {
                 "bits": bits,
@@ -339,20 +328,20 @@ def cmd_design(args) -> int:
                 "norm_r_sq": sol.norm_r_sq,
                 "n_of_alpha": sol.n_of_alpha,
                 "feasibility_margin": nu - sol.norm_r_sq,
-                "logmean_check": logmean,
+                "logmean_check": spectral.log_geometric_mean(sol.r_opt),
             }
         )
         _say(args, f"design bits={bits} lambda={lam}: distortion {design_mod.db(sol.distortion):.4f} dB")
 
     _write_json(out / "design.json", {"schema_version": SCHEMA_VERSION, "config_sha256": sha, "cells": cell_payload})
     omegas = p_base.grid.omegas
-    r_opt = {
-        "bits": np.repeat([bits for bits, _ in cells], len(omegas)),
-        "lambda": np.repeat([lam for _, lam in cells], len(omegas)),
-        "omega": np.tile(omegas, len(cells)),
-        "r_opt": np.concatenate([sol.r_opt.values for _, sol in solved]),
-    }
-    _write_csv(out / "design_r_opt.csv", sha, r_opt)
+    per_append = max(1, CSV_CHUNK_ROWS // len(omegas))  # whole cells to a chunk: omega formats once a chunk
+    with _csv_file(out / "design_r_opt.csv", sha, ("bits", "lambda", "omega", "r_opt")) as append:
+        for start in range(0, len(cells), per_append):
+            part = cells[start : start + per_append]
+            bits, lams = np.repeat(np.array(part).T, len(omegas), axis=1)
+            r_opt = np.concatenate([sol.r_opt.values for _, sol in solved[start : start + per_append]])
+            append({"bits": bits, "lambda": lams, "omega": np.tile(omegas, len(part)), "r_opt": r_opt})
     _say(args, f"wrote {out / 'design.json'} and {out / 'design_r_opt.csv'}")
     return 0
 
@@ -370,32 +359,19 @@ def cmd_rd_curve(args) -> int:
     def sweep_bits(bits):
         return design_mod.rd_curve(p_base, [bits], lams, cfg.loading_factor)
 
-    rows_nested = _pool_map(sweep_bits, sorted(set(cfg.bits_list)))
-    rows = [row for group in rows_nested for row in group]
+    rows = [row for group in _pool_map(sweep_bits, sorted(set(cfg.bits_list))) for row in group]
 
-    csv_rows = [
-        [
-            row.bits,
-            row.oversampling,
-            row.gamma,
-            row.distortion,
-            row.d_uniform,
-            row.bound,
-            row.distortion_db,
-            row.d_uniform_db,
-            row.bound_db,
-            row.identity_residual,
-        ]
-        for row in rows
-    ]
-    names = "bits,lambda,gamma,D,D_uniform,bound,D_db,D_uniform_db,bound_db,identity_residual"
-    _write_csv(out / "rd_curve.csv", sha, _columns(names, csv_rows))
-    for row in rows:
-        _say(
-            args,
-            f"rd bits={row.bits} lambda={row.oversampling}: D {row.distortion_db:.4f} dB, "
-            f"uniform {row.d_uniform_db:.4f} dB, gain {row.gain_db:.4f} dB",
-        )
+    names = "bits,lambda,gamma,D,D_uniform,bound,D_db,D_uniform_db,bound_db,identity_residual".split(",")
+    with _csv_file(out / "rd_curve.csv", sha, names) as append:
+        for row in rows:
+            values = (row.bits, row.oversampling, row.gamma, row.distortion, row.d_uniform, row.bound)
+            values += (row.distortion_db, row.d_uniform_db, row.bound_db, row.identity_residual)
+            append({name: np.array([value]) for name, value in zip(names, values)})
+            _say(
+                args,
+                f"rd bits={row.bits} lambda={row.oversampling}: D {row.distortion_db:.4f} dB, "
+                f"uniform {row.d_uniform_db:.4f} dB, gain {row.gain_db:.4f} dB",
+            )
     _say(args, f"wrote {out / 'rd_curve.csv'}")
     return 0
 
@@ -515,30 +491,30 @@ def cmd_simulate(args) -> int:
     # a lane is scored on the map its cell was designed on, on the Welch bins
     plant_maps = {lam: spectral.ct_frequency_map(plant, lam, simulate.WELCH_GRID) for lam in set(cfg.lambda_list)}
 
-    cells = []  # (predicted MSE, payload without runs)
+    cells = []  # payloads without runs
     lanes = []  # one per (cell, seed), in that order
     for (bits, lam), shaper in zip(cell_list, shapers):
         gamma = design_mod.gamma_from_bits(bits, cfg.loading_factor)
         p_lam = spectral.oversample_response(p_base, lam)
         score, sigma_u_sq, sigma_w_sq, quantizer = simulate.loop_quantizer(shaper, p_lam, bits, cfg.loading_factor)
-        cell = {
-            "bits": bits,
-            "lambda": lam,
-            "gamma": gamma,
-            "filter": {"num": list(shaper.num), "den": list(shaper.den)},
-            "quantizer": {"step": quantizer.step, "saturation": quantizer.saturation},
-            "sigma_u_sq_pred": sigma_u_sq,
-            "sigma_w_sq_pred": sigma_w_sq,
-            "predicted_mse": score.achieved_mse,
-        }
-        cells.append((score.achieved_mse, cell))
+        cells.append(
+            {
+                "bits": bits,
+                "lambda": lam,
+                "gamma": gamma,
+                "filter": {"num": list(shaper.num), "den": list(shaper.den)},
+                "quantizer": {"step": quantizer.step, "saturation": quantizer.saturation},
+                "sigma_u_sq_pred": sigma_u_sq,
+                "sigma_w_sq_pred": sigma_w_sq,
+                "predicted_mse": score.achieved_mse,
+            }
+        )
         period = plant.sample_period / lam
         for seed in cfg.sim.seeds:
             model = simulate.SignalModel(cfg.sim.input_kind, seed, cfg.sim.length, cfg.sim.ct_pole)
             name = f"bits={bits} lambda={lam} seed={seed}"
             lanes.append(simulate.Lane(model, period, shaper, quantizer, plant_maps[lam], score.achieved_mse, name))
 
-    cell_runs = []  # per cell: (seed, SimulationResult) per seed
     trace_file = _csv_file(out / "trace.csv", sha, TRACE_COLUMNS) if args.trace else contextlib.nullcontext()
     with trace_file as append_trace:
 
@@ -548,56 +524,44 @@ def cmd_simulate(args) -> int:
 
         # Lane 0's chunks feed the trace writer, whose pool forks while the
         # pass runs, so a traced pass runs in process.
-        results = simulate.run_lanes(lanes, trace) if args.trace else iter(_run_lane_parts(lanes))
-        for _, cell in cells:
-            bits, lam = cell["bits"], cell["lambda"]
-            runs = []
-            for seed in cfg.sim.seeds:
-                result = next(results)
-                runs.append((seed, result))
+        results = list(simulate.run_lanes(lanes, trace)) if args.trace else _run_lane_parts(lanes)
+
+    seeds = np.array(cfg.sim.seeds)
+    n = len(seeds)
+    names = ("bits", "lambda", "seed", "empirical_mse", "predicted_mse", "overload_rate", "w_variance", "sigma_u_sq")
+    with _csv_file(out / "simulate_runs.csv", sha, names) as append:
+        for cell, start in zip(cells, range(0, len(lanes), n)):
+            runs = results[start : start + n]
+            for lane, r in zip(lanes[start:], runs):
                 _say(
                     args,
-                    f"simulate bits={bits} lambda={lam} seed={seed}: empirical {result.empirical_mse:.6g} "
-                    f"vs predicted {result.predicted_mse:.6g}, overload rate {result.overload_rate:.3g}",
+                    f"simulate {lane.name}: empirical {r.empirical_mse:.6g} "
+                    f"vs predicted {r.predicted_mse:.6g}, overload rate {r.overload_rate:.3g}",
                 )
-            cell_runs.append(runs)
-
-    csv_rows = []
-    for (predicted, cell), runs in zip(cells, cell_runs):
-        bits, lam = cell["bits"], cell["lambda"]
-        empiricals = np.array([r.empirical_mse for _, r in runs])
-        mean = float(np.mean(empiricals))
-        std = float(np.std(empiricals, ddof=1)) if len(empiricals) > 1 else 0.0
-        ci95 = 1.96 * std / math.sqrt(len(empiricals)) if len(empiricals) > 1 else 0.0
-        cell["runs"] = [
-            {
-                "seed": seed,
-                "empirical_mse": r.empirical_mse,
-                "overload_count": r.overload_count,
-                "overload_rate": r.overload_rate,
-                "w_variance": r.w_variance,
-                "sigma_u_sq": r.sigma_u_sq,
-                "max_abs_w_autocorr": max(abs(c) for c in r.w_autocorr),
+            columns = {name: np.array([getattr(r, name) for r in runs]) for name in names[3:]}
+            mean = float(np.mean(columns["empirical_mse"]))
+            std = float(np.std(columns["empirical_mse"], ddof=1)) if n > 1 else 0.0
+            cell["runs"] = [
+                {
+                    "seed": seed,
+                    "empirical_mse": r.empirical_mse,
+                    "overload_count": r.overload_count,
+                    "overload_rate": r.overload_rate,
+                    "w_variance": r.w_variance,
+                    "sigma_u_sq": r.sigma_u_sq,
+                    "max_abs_w_autocorr": max(abs(c) for c in r.w_autocorr),
+                }
+                for seed, r in zip(seeds, runs)
+            ]
+            cell["aggregate"] = {
+                "mean_empirical_mse": mean,
+                "std_empirical_mse": std,
+                "ci95_halfwidth": 1.96 * std / math.sqrt(n) if n > 1 else 0.0,
+                "mean_over_predicted": mean / cell["predicted_mse"] if cell["predicted_mse"] > 0 else math.inf,
             }
-            for seed, r in runs
-        ]
-        cell["aggregate"] = {
-            "mean_empirical_mse": mean,
-            "std_empirical_mse": std,
-            "ci95_halfwidth": ci95,
-            "mean_over_predicted": mean / predicted if predicted > 0 else math.inf,
-        }
-        for seed, r in runs:
-            csv_rows.append(
-                [bits, lam, seed, r.empirical_mse, r.predicted_mse, r.overload_rate, r.w_variance, r.sigma_u_sq]
-            )
+            append({"bits": np.full(n, cell["bits"]), "lambda": np.full(n, cell["lambda"]), "seed": seeds, **columns})
 
-    _write_json(
-        out / "simulate.json",
-        {"schema_version": SCHEMA_VERSION, "config_sha256": sha, "cells": [cell for _, cell in cells]},
-    )
-    names = "bits,lambda,seed,empirical_mse,predicted_mse,overload_rate,w_variance,sigma_u_sq"
-    _write_csv(out / "simulate_runs.csv", sha, _columns(names, csv_rows))
+    _write_json(out / "simulate.json", {"schema_version": SCHEMA_VERSION, "config_sha256": sha, "cells": cells})
     _say(args, f"wrote {out / 'simulate.json'} and {out / 'simulate_runs.csv'}")
     return 0
 

@@ -146,9 +146,9 @@ class AmplitudeResponse:
 def _memoized(resp: AmplitudeResponse, key, compute: Callable[[], object]):
     """resp's memo entry `key`, from ``compute()`` on first use.
 
-    An entry is a deterministic function of the immutable response, so
-    threads racing on one key, or a copy of the response in another process,
-    compute the same bits; the first value stored is the one every caller
+    An entry is a deterministic function of the immutable response, so a
+    copy of the response in a forked worker computes the same bits as the
+    parent; within a process the first value stored is the one every caller
     gets.
     """
     memo = resp._memo

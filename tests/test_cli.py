@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 
 import efq
 from efq import cli, design, simulate, spectral
-from efq.cli import CSV_CHUNK_ROWS, CSV_FEW_DISTINCT, _columns, _write_csv, main
+from efq.cli import CSV_CHUNK_ROWS, CSV_FEW_DISTINCT, _csv_file, main
 from efq.transfer import ContinuousTF, RationalDiscreteTF
 
 SMALL_CONFIG = {
@@ -50,7 +51,7 @@ def read_csv(path):
 
 
 def reference_csv(sha, columns, rows):
-    """Row-by-row oracle for _write_csv: bool as 1/0, int as str, float as repr."""
+    """Row-by-row oracle for _csv_file: bool as 1/0, int as str, float as repr."""
 
     def fmt(value):
         if isinstance(value, (bool, np.bool_)):
@@ -73,7 +74,8 @@ class TestWriteCsv:
         ]
         columns = ["py_int", "np_int", "py_bool", "np_bool", "py_float", "np_float"]
         path = tmp_path / "edge.csv"
-        _write_csv(path, "abc", _columns(",".join(columns), rows))
+        with _csv_file(path, "abc", columns) as append:
+            append({name: np.array(col) for name, col in zip(columns, zip(*rows))})
         assert path.read_text() == reference_csv("abc", columns, rows)
 
     @pytest.mark.parametrize(
@@ -83,7 +85,8 @@ class TestWriteCsv:
         rng = np.random.default_rng(n)
         columns = [np.arange(n), rng.standard_normal(n), rng.random(n) < 0.5]
         path = tmp_path / "chunks.csv"
-        _write_csv(path, "abc", dict(zip(["k", "x", "flag"], columns)))
+        with _csv_file(path, "abc", ["k", "x", "flag"]) as append:
+            append(dict(zip(["k", "x", "flag"], columns)))
         expected = reference_csv("abc", ["k", "x", "flag"], zip(*columns))
         # Compared as lines, so a mismatch reports its first index, not a full text diff.
         assert path.read_text().split("\n") == expected.split("\n")
@@ -91,7 +94,8 @@ class TestWriteCsv:
     def test_row_index_range_matches_row_oracle(self, tmp_path):
         n = CSV_CHUNK_ROWS + 2
         path = tmp_path / "range.csv"
-        _write_csv(path, "abc", {"k": range(n)})
+        with _csv_file(path, "abc", ["k"]) as append:
+            append({"k": range(n)})
         assert path.read_text() == reference_csv("abc", ["k"], ((k,) for k in range(n)))
 
     def test_repeated_special_floats_across_a_chunk_boundary(self, tmp_path):
@@ -103,7 +107,8 @@ class TestWriteCsv:
         levels = rng.integers(-3, 4, n) + 0.5
         flags = rng.random(n) < 0.5
         path = tmp_path / "special.csv"
-        _write_csv(path, "abc", {"f": col, "level": levels, "flag": flags})
+        with _csv_file(path, "abc", ["f", "level", "flag"]) as append:
+            append({"f": col, "level": levels, "flag": flags})
         expected = reference_csv("abc", ["f", "level", "flag"], zip(col, levels, flags))
         assert path.read_text().split("\n") == expected.split("\n")
         assert "-0.0" in path.read_text().split("\n")[CSV_CHUNK_ROWS + 1]
@@ -126,7 +131,8 @@ class TestWriteCsv:
 
         monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
         path = tmp_path / "rule.csv"
-        _write_csv(path, "abc", {"x": col})
+        with _csv_file(path, "abc", ["x"]) as append:
+            append({"x": col})
         assert path.read_text() == reference_csv("abc", ["x"], ((v,) for v in col))
         assert len(calls) == (distinct if formatted == "distinct" else CSV_CHUNK_ROWS)
 
@@ -202,6 +208,41 @@ class TestDesignCommand:
             artifacts.append({name: (out / name).read_bytes() for names in outputs.values() for name in names})
             assert multiprocessing.active_children() == []
         assert artifacts[0] == artifacts[1] == artifacts[2]
+
+    def test_table_on_a_grid_that_does_not_divide_a_chunk(self, tmp_path, monkeypatch):
+        # 8 cells of 3,000 rows: appends straddle every 2^14-row chunk
+        # boundary, and the chunks past the first format on the workers.
+        monkeypatch.setenv("EFQ_THREADS", "2")
+        config = dict(SMALL_CONFIG, bits_list=[1, 2, 3, 4], n_points=3000)
+        assert CSV_CHUNK_ROWS % config["n_points"] and 8 * config["n_points"] > CSV_CHUNK_ROWS
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        cfg = efq.load_config(str(path))
+        p_base = efq.ct_frequency_map(cfg.plant_tf(), 1, cfg.grid())
+        rows = []
+        for bits in config["bits_list"]:
+            for lam in config["lambda_list"]:
+                sol = design.design_for_nu(p_base, design.gamma_from_bits(bits, cfg.loading_factor) + 1.0, lam)
+                rows += [(bits, lam, w, r) for w, r in zip(p_base.grid.omegas, sol.r_opt.values)]
+        sha = json.loads((out / "design.json").read_text())["config_sha256"]
+        expected = reference_csv(sha, ["bits", "lambda", "omega", "r_opt"], rows)
+        assert (out / "design_r_opt.csv").read_text().split("\n") == expected.split("\n")
+
+    def test_peak_memory_stays_below_four_times_the_responses(self, tmp_path, monkeypatch):
+        # The built-in config's 32 responses of 8,192 points take 2 MiB; the
+        # table is written one cell at a time, with no copy of the whole.
+        monkeypatch.setenv("EFQ_THREADS", "1")
+        cfg = efq.default_config()
+        response_bytes = len(set(cfg.bits_list)) * len(set(cfg.lambda_list)) * cfg.n_points * 8
+        tracemalloc.start()
+        try:
+            assert main(["design", "--out", str(tmp_path), "--quiet"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * response_bytes, peak
 
     def test_grid_override_changes_hash(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -526,6 +567,28 @@ class TestWorkerProcesses:
         monkeypatch.setenv("EFQ_THREADS", "3")
         assert cli._max_workers() == 3
 
+    @pytest.mark.parametrize("threads", ["9", "100000"])
+    def test_thread_count_above_eight_is_rejected_before_any_pool(self, tmp_path, monkeypatch, capsys, threads):
+        # A pool starts all its workers at its first item, so EFQ_THREADS
+        # above cli.MAX_WORKERS would fork that many processes at once.
+        def no_pool(workers):
+            raise AssertionError(f"a pool of {workers} workers was opened")
+
+        monkeypatch.setattr(cli, "_fork_pool", no_pool)
+        monkeypatch.setenv("EFQ_THREADS", threads)
+        with pytest.raises(efq.ConfigError, match=f"EFQ_THREADS must be from 1 to 8, got {threads}"):
+            cli._max_workers()
+        with pytest.raises(efq.ConfigError):
+            with _csv_file(tmp_path / "table.csv", "abc", ["x"]) as append:
+                append({"x": np.arange(4 * CSV_CHUNK_ROWS, dtype=float)})
+        assert not (tmp_path / "table.csv").exists()
+        assert main(["design", "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"configuration error: EFQ_THREADS must be from 1 to 8, got {threads}\n"
+        assert list((tmp_path / "out").iterdir()) == []
+        assert multiprocessing.active_children() == []
+        monkeypatch.setenv("EFQ_THREADS", "8")
+        assert cli._max_workers() == 8
+
     def test_worker_count_does_not_change_verify_or_split_lanes(self, tmp_path, monkeypatch):
         # verify's cells, and simulate's 48 lanes without --trace, which run
         # as 1, 2 and 3 parts; no worker is left behind.
@@ -670,12 +733,21 @@ class TestEntryPoints:
                 assert float(row[f"{method}_loss_db"]) == cell["loss_db"], (method, cell["bits"], cell["lambda"])
 
     def test_simulation_check_output_is_unchanged(self):
-        """The script's lane set-up and loop run through ``loop_quantizer`` and
-        ``run_lanes``, its report is the one recorded above."""
+        """The script sets up its lane with ``loop_quantizer``, runs each seed
+        once and scores the whole traces with ``summarize_run``; its report
+        is the one recorded above."""
         command = "--bits 8 --length 20000 --seeds 0 --grid 1024 --excise"
         proc = run_python([str(REPO / "scripts/simulation_check.py"), *command.split()])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == SIMULATION_CHECK_STDOUT
+
+    def test_simulation_check_refuses_excise_above_lambda_one(self):
+        # excised_mse filters through a full-band plant, while the prediction
+        # at lambda >= 2 is in-band: the script stops before any design.
+        proc = run_python([str(REPO / "scripts/simulation_check.py"), "--lam", "2", "--excise"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines()[-1].endswith("at --lam 2 or more; use --lam 1")
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_help_lists_common_flags(self, command, capsys):
