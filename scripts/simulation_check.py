@@ -55,7 +55,7 @@ from efq import (
     run_feedback_loop,
     summarize_run,
 )
-from efq.simulate import WELCH_GRID, excised_mse, filter_memory_estimate
+from efq.simulate import WELCH_GRID, excised_mse, filter_memory_estimate, t_quantile_975
 
 
 def main() -> None:
@@ -118,7 +118,7 @@ def main() -> None:
         print(line)
 
     arr = np.array(ratios)
-    half = 1.96 * arr.std(ddof=1) / math.sqrt(len(arr)) if len(arr) > 1 else float("nan")
+    half = t_quantile_975(len(arr) - 1) * arr.std(ddof=1) / math.sqrt(len(arr)) if len(arr) > 1 else float("nan")
     print(f"\nempirical/predicted ratio: mean {arr.mean():.4f}, "
           f"95% CI half-width {half:.4f}, range [{arr.min():.4f}, {arr.max():.4f}]")
     if args.excise:

@@ -556,7 +556,7 @@ def cmd_simulate(args) -> int:
             cell["aggregate"] = {
                 "mean_empirical_mse": mean,
                 "std_empirical_mse": std,
-                "ci95_halfwidth": 1.96 * std / math.sqrt(n) if n > 1 else 0.0,
+                "ci95_halfwidth": simulate.t_quantile_975(n - 1) * std / math.sqrt(n) if n > 1 else 0.0,
                 "mean_over_predicted": mean / cell["predicted_mse"] if cell["predicted_mse"] > 0 else math.inf,
             }
             append({"bits": np.full(n, cell["bits"]), "lambda": np.full(n, cell["lambda"]), "seed": seeds, **columns})

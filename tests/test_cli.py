@@ -353,6 +353,7 @@ class TestSimulateCommand:
             agg = cell["aggregate"]
             assert agg["mean_empirical_mse"] > 0.0
             assert 0.3 < agg["mean_over_predicted"] < 3.0
+            assert agg["ci95_halfwidth"] == simulate.t_quantile_975(1) * agg["std_empirical_mse"] / math.sqrt(2)
             for run in cell["runs"]:
                 assert run["overload_rate"] < 0.05
         _, rows = read_csv(out / "simulate_runs.csv")

@@ -55,6 +55,7 @@ from efq.simulate import (
     run_feedback_loop,
     run_lanes,
     summarize_run,
+    t_quantile_975,
 )
 from efq.simulate import _draw_columns, _InputDraw
 from efq.spectral import FrequencyGrid, amplitude_of_tf, band_mean, ct_frequency_map, oversample_response
@@ -965,3 +966,17 @@ class TestDiscretization:
     def test_memory_estimate_positive(self, plant):
         plant_d = discretize_plant(plant, 1)
         assert filter_memory_estimate(plant_d) >= len(plant_d.den)
+
+
+class TestStudentT:
+    def test_quantile_matches_scipy(self):
+        # The table holds scipy's values to the bit; the expansion above it
+        # is within 2e-8 relative, and tends to the normal quantile.
+        from scipy import stats
+
+        for df in range(1, 31):
+            assert t_quantile_975(df) == stats.t.ppf(0.975, df), df
+        for df in (*range(31, 201), 1000, 10**4, 10**6):
+            assert t_quantile_975(df) == pytest.approx(stats.t.ppf(0.975, df), rel=2e-8, abs=0), df
+        with pytest.raises(ValueError, match="at least 1 degree of freedom"):
+            t_quantile_975(0)
