@@ -335,7 +335,7 @@ def cmd_design(args) -> int:
 
     _write_json(out / "design.json", {"schema_version": SCHEMA_VERSION, "config_sha256": sha, "cells": cell_payload})
     omegas = p_base.grid.omegas
-    per_append = max(1, CSV_CHUNK_ROWS // len(omegas))  # whole cells to a chunk: omega formats once a chunk
+    per_append = max(1, CSV_CHUNK_ROWS // len(omegas))  # whole cells to a chunk, so its repeated omegas format once
     with _csv_file(out / "design_r_opt.csv", sha, ("bits", "lambda", "omega", "r_opt")) as append:
         for start in range(0, len(cells), per_append):
             part = cells[start : start + per_append]
