@@ -14,10 +14,11 @@ output file carries the configuration hash. Exit codes: 0 success,
 
 The parallel work runs on forked worker processes, at most
 ``_max_workers()`` of them (``EFQ_THREADS``; 1 keeps everything in
-process): each stage's cells, ``verify``'s design checks, the parts of
-``simulate``'s lane pass without ``--trace``, and the CSV chunks of a large
-table. Work splits the same way whatever the worker count, so every
-artifact is the same bytes.
+process): each stage's cells, ``verify``'s design checks, the CSV chunks of
+a large table and the parts of ``simulate``'s lane pass, which
+``simulate.run_lanes`` keeps in process under ``--trace``. The results do
+not depend on how the work splits, so every artifact is the same bytes
+whatever the worker count.
 """
 
 from __future__ import annotations
@@ -245,16 +246,21 @@ def _base_response(cfg: ExperimentConfig) -> spectral.AmplitudeResponse:
 
 
 def _positive(value) -> float:
-    if type(value) not in (int, float) or not 0 < value < math.inf:
+    try:
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:
+        raise ValueError("expected a finite positive number, got an integer too large for a float") from None
+    if not 0 < number < math.inf:
         raise ValueError(f"expected a finite positive number, got {value!r}")
-    return value
+    return number
 
 
 def _norm_sq(value) -> float:
     """||R||^2 of a unity-head shaper, which is at least 1."""
-    if _positive(value) < 1:
+    number = _positive(value)
+    if number < 1:
         raise ValueError(f"a unity-head shaper has ||R||^2 >= 1, got {value!r}")
-    return value
+    return number
 
 
 def _shaper(value) -> RationalDiscreteTF:
@@ -453,29 +459,6 @@ def cmd_fit(args) -> int:
 # simulate
 
 
-def _run_lane_parts(lanes: list) -> list:
-    """``simulate.run_lanes`` of `lanes` with no trace: each lane group's
-    ``simulate.lane_parts`` are mapped over the workers, and the results
-    joined in lane order. A failure is the one the serial pass meets first:
-    in the first group with a failing lane, the part failing at the earliest
-    chunk, and of those the first part, whose lane is the lowest."""
-
-    def run_part(part):
-        try:
-            return list(simulate.run_lanes(lanes[part.start : part.stop]))
-        except simulate.LaneFailure as exc:
-            return exc
-
-    results = []
-    for parts in simulate.lane_parts(len(lanes), _max_workers()):
-        outcomes = _pool_map(run_part, parts)
-        failures = [out for out in outcomes if isinstance(out, simulate.LaneFailure)]
-        if failures:
-            raise min(failures, key=lambda exc: exc.start)
-        results += [result for part in outcomes for result in part]
-    return results
-
-
 def cmd_simulate(args) -> int:
     cfg, sha = _load_setup(args)
     out = _out_dir(args)
@@ -522,9 +505,9 @@ def cmd_simulate(args) -> int:
             columns = {name: getattr(traces, name) for name in TRACE_COLUMNS[1:]}
             append_trace({"k": range(start, start + len(traces.x)), **columns})
 
-        # Lane 0's chunks feed the trace writer, whose pool forks while the
-        # pass runs, so a traced pass runs in process.
-        results = list(simulate.run_lanes(lanes, trace)) if args.trace else _run_lane_parts(lanes)
+        # lane 0's chunks feed the trace writer in this process, whose pool
+        # forks while the pass runs: run_lanes keeps a traced pass here
+        results = simulate.run_lanes(lanes, trace if args.trace else None, _max_workers(), _pool_map)
 
     seeds = np.array(cfg.sim.seeds)
     n = len(seeds)

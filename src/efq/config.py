@@ -139,11 +139,14 @@ def _integer(value, path: str) -> int:
 
 
 def _real(value, path: str) -> float:
-    """A JSON number as a float; a bool, a string or any other value raises
-    ConfigError naming ``path``."""
+    """A JSON number as a float; a bool, a string, an integer beyond the
+    float range or any other value raises ConfigError naming ``path``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{path}: must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: must be a finite number, got an integer too large for a float") from None
 
 
 def _text(value, path: str) -> str:

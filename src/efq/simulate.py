@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +51,8 @@ BLOCK = 1 << 13
 MAX_LAG = 20
 SEGMENT = 2 * BLOCK
 WELCH_GRID = FrequencyGrid(SEGMENT // 2 + 1)
-# run_lanes: a lane group's chunk buffer holds at most LANE_BUFFER_SAMPLES
-# lane-samples (16 MiB), so a group has at most LANE_BUFFER_SAMPLES // BLOCK
+# run_lanes: a lane part's chunk buffer holds at most LANE_BUFFER_SAMPLES
+# lane-samples (16 MiB), so a part has at most LANE_BUFFER_SAMPLES // BLOCK
 # lanes; with fewer than MIN_BATCH_LANES lanes the per-step numpy overhead
 # outweighs the batching and the scalar loop runs.
 LANE_BUFFER_SAMPLES = 1 << 21
@@ -431,59 +431,59 @@ def _not_finite(sample: int) -> NumericalError:
     return NumericalError(f"u/step is not finite at sample {sample}")
 
 
-def lane_group_size(lanes: int) -> int:
-    """Lanes per group in ``run_lanes`` (at least one lane): as equal as
-    groups of at most LANE_BUFFER_SAMPLES // BLOCK lanes allow."""
-    groups = -(-lanes // (LANE_BUFFER_SAMPLES // BLOCK))
-    return -(-lanes // groups)
-
-
-def lane_parts(lanes: int, parts: int) -> list[list[range]]:
-    """The lane groups of ``run_lanes`` over `lanes` lanes (at least one),
-    each split into at most `parts` contiguous parts, as equal as may be, of
-    at least MIN_BATCH_LANES lanes; a group of fewer than 2 * MIN_BATCH_LANES
-    lanes is one part.
-
-    ``run_lanes`` on a part runs it as one group on its group's path, and
-    the lane kernel is elementwise per lane, so each lane's result is the
-    same bits. A failing lane of the whole pass is the first group's failure
-    with the earliest ``LaneFailure.start``, the lowest such part.
-    """
-    size = lane_group_size(lanes)
-    split = []
-    for first in range(0, lanes, size):
-        group = range(first, min(first + size, lanes))
-        k = max(1, min(parts, len(group) // MIN_BATCH_LANES))
-        split.append([group[len(group) * i // k : len(group) * (i + 1) // k] for i in range(k)])
-    return split
+def lane_parts(lanes: int, workers: int = 1) -> list[range]:
+    """The parts of a ``run_lanes`` pass over `lanes` lanes: contiguous
+    ranges, as equal as may be, as many as `workers` while each keeps
+    MIN_BATCH_LANES lanes or more, and more when needed to keep each to at
+    most LANE_BUFFER_SAMPLES // BLOCK lanes; at least one."""
+    count = max(-(-lanes // (LANE_BUFFER_SAMPLES // BLOCK)), min(workers, lanes // MIN_BATCH_LANES), 1)
+    return [range(lanes * i // count, lanes * (i + 1) // count) for i in range(count)]
 
 
 def run_lanes(
-    lanes: Sequence[Lane], trace: Callable[[int, LoopTraces], object] | None = None
-) -> Iterator[SimulationResult]:
+    lanes: Sequence[Lane],
+    trace: Callable[[int, LoopTraces], object] | None = None,
+    workers: int = 1,
+    map_parts: Callable[[Callable, list], Iterable] = map,
+) -> list[SimulationResult]:
     """``summarize_run`` of every lane, in order: of ``run_feedback_loop`` on
     ``gen_input`` of the lane, on its plant map against its predicted MSE.
 
-    Lanes of one length advance together in BLOCK-sample chunks, in groups
-    of ``lane_group_size``: through ``run_feedback_lanes`` and
-    ``_draw_columns``, or, under MIN_BATCH_LANES lanes, on the scalar loop
-    and each lane's ``_InputDraw``. Each lane carries its input draw, filter
-    state and ``RunStats``, so a group holds a few BLOCK x lanes arrays and
-    no whole lane. ``trace(start, traces)`` receives each chunk of the first
-    lane. The pass stops at the first chunk in which a lane's u/step is not
-    finite, with a ``LaneFailure`` naming the first such lane and sample.
+    ``map_parts(fn, parts)`` runs the ``lane_parts`` of `workers` (``map``,
+    or a map over worker processes). A part's lanes advance together in
+    BLOCK-sample chunks: through ``run_feedback_lanes`` and ``_draw_columns``,
+    or, under MIN_BATCH_LANES lanes, on the scalar loop and each lane's
+    ``_InputDraw``. Each lane carries its input draw, filter state and
+    ``RunStats``, so a part holds a few BLOCK x lanes arrays and no whole
+    lane. ``trace(start, traces)`` receives each chunk of the first lane in
+    this process: a traced pass splits as for one worker and runs here.
+
+    Each part stops at the first chunk in which a lane's u/step is not
+    finite; the pass raises the ``LaneFailure`` of the earliest such chunk,
+    naming the lowest lane failing in it and its sample, whatever the split.
     """
     if not lanes:
-        return
+        return []
     n = lanes[0].model.length
     if any(lane.model.length != n for lane in lanes):
         raise ValueError("lanes must share one input length")
-    size = lane_group_size(len(lanes))
-    for start in range(0, len(lanes), size):
-        yield from _run_group(lanes[start : start + size], trace if start == 0 else None)
+    if trace is not None:
+        workers, map_parts = 1, map
+
+    def run_part(part):
+        try:
+            return _run_group(lanes[part.start : part.stop], trace if part.start == 0 else None)
+        except LaneFailure as exc:
+            return exc
+
+    outcomes = list(map_parts(run_part, lane_parts(len(lanes), workers)))
+    failures = [out for out in outcomes if isinstance(out, LaneFailure)]
+    if failures:
+        raise min(failures, key=lambda exc: exc.start)  # the first of them: the lowest lane
+    return [result for part in outcomes for result in part]
 
 
-def _run_group(group: Sequence[Lane], trace) -> Iterator[SimulationResult]:
+def _run_group(group: Sequence[Lane], trace) -> list[SimulationResult]:
     n = group[0].model.length
     stats = [RunStats(lane.plant_map, n) for lane in group]
     shapers = [lane.shaper for lane in group]
@@ -519,8 +519,7 @@ def _run_group(group: Sequence[Lane], trace) -> Iterator[SimulationResult]:
             stats[j].add(traces)
             if j == 0 and trace is not None:
                 trace(start, traces)
-    for lane, lane_stats in zip(group, stats):
-        yield lane_stats.result(lane.predicted_mse)
+    return [lane_stats.result(lane.predicted_mse) for lane, lane_stats in zip(group, stats)]
 
 
 class LaneFailure(NumericalError):

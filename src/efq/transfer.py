@@ -23,7 +23,10 @@ STABILITY_MARGIN = 1e-9
 
 
 def _as_float_tuple(coeffs) -> tuple[float, ...]:
-    arr = np.asarray(coeffs, dtype=float)
+    try:
+        arr = np.asarray(coeffs, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError("coefficient list contains non-finite values") from None
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("coefficient list must be a nonempty 1-D sequence")
     if not np.all(np.isfinite(arr)):

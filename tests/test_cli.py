@@ -390,7 +390,7 @@ class TestSimulateCommand:
     def test_batched_lanes_match_scalar_oracle(self, tmp_path):
         config = dict(SMALL_CONFIG, sim=dict(SMALL_CONFIG["sim"], seeds=[0, 1, 2, 3, 4]))
         length = config["sim"]["length"]
-        assert simulate.lane_group_size(4 * 5) >= simulate.MIN_BATCH_LANES  # 4 cells x 5 seeds take the batched path
+        assert len(simulate.lane_parts(4 * 5)[0]) >= simulate.MIN_BATCH_LANES  # 4 cells x 5 seeds take the batched path
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "out"
@@ -431,7 +431,7 @@ class TestSimulateCommand:
         # The run statistics use no BLAS, so OpenBLAS's thread count, which
         # splits long dot products differently, cannot change a bit.
         config = dict(SMALL_CONFIG, sim=dict(SMALL_CONFIG["sim"], seeds=[0, 1, 2, 3, 4]))
-        assert simulate.lane_group_size(4 * 5) >= simulate.MIN_BATCH_LANES
+        assert len(simulate.lane_parts(4 * 5)[0]) >= simulate.MIN_BATCH_LANES
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         outputs = []
@@ -469,7 +469,7 @@ class TestSimulateCommand:
             r"u/step is not finite at sample \d+ of the chunk from sample \d+"
         )
         for seeds in (range(1, 5), range(16)):  # seed 4 fails in its chunk from sample 8192
-            assert (simulate.lane_group_size(len(seeds)) >= simulate.MIN_BATCH_LANES) == (len(seeds) == 16)
+            assert (len(simulate.lane_parts(len(seeds))[0]) >= simulate.MIN_BATCH_LANES) == (len(seeds) == 16)
             path, fit_path = self.diverging_setup(tmp_path, list(seeds))
             out = tmp_path / f"out{len(seeds)}"
             args = ["simulate", "--config", str(path), "--out", str(out), "--fit", str(fit_path), "--trace", "--quiet"]
@@ -594,7 +594,7 @@ class TestWorkerProcesses:
         # verify's cells, and simulate's 48 lanes without --trace, which run
         # as 1, 2 and 3 parts; no worker is left behind.
         config = dict(SMALL_CONFIG, sim=dict(SMALL_CONFIG["sim"], seeds=list(range(12))))
-        assert [len(simulate.lane_parts(4 * 12, workers)[0]) for workers in (1, 2, 3)] == [1, 2, 3]
+        assert [len(simulate.lane_parts(4 * 12, workers)) for workers in (1, 2, 3)] == [1, 2, 3]
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         names = ("verify.json", "simulate.json", "simulate_runs.csv")
@@ -611,11 +611,11 @@ class TestWorkerProcesses:
     def test_lane_failure_reads_as_in_the_serial_pass(self, tmp_path):
         # Two lanes of the diverging set-up fail: seed 6 in the first part
         # (lanes 0-15), in its chunk from sample 32768, and seed 23 in the
-        # second, in its chunk from sample 8192. The serial pass stops at the
-        # earlier chunk, so every worker count names seed 23.
+        # second, in its chunk from sample 8192. The pass names the lane of the
+        # earliest failing chunk, so every worker count names seed 23.
         seeds = [0, 1, 2, 3, 6, 7, 9, 10, 11, 13, 14, 15, 16, 17, 18, 19]
         seeds += [20, 21, 22, 23, 24, 25, 26, 29, 30, 31, 32, 33, 36, 37, 38, 39]
-        assert simulate.lane_parts(len(seeds), 2) == [[range(0, 16), range(16, 32)]]
+        assert simulate.lane_parts(len(seeds), 2) == [range(0, 16), range(16, 32)]
         path, fit_path = TestSimulateCommand.diverging_setup(tmp_path, seeds)
         stderr = {}
         for threads in ("1", "2", "3"):
@@ -835,6 +835,7 @@ class TestErrorHandling:
         [
             ("sim", "lenght", 5000, "sim.lenght: unknown field"),
             ("plant", "sample_period", True, "plant.sample_period: must be a number, got True"),
+            ("sim", "ct_pole", 10**400, "sim.ct_pole: must be a finite number, got an integer too large for a float"),
         ],
     )
     def test_nested_config_error_names_its_path(self, tmp_path, capsys, section, key, value, message):
@@ -874,8 +875,12 @@ class TestErrorHandling:
             ("fit", drop_field("alpha_opt"), "'alpha_opt'"),
             ("fit", lambda artifact: artifact["cells"], "not a JSON object"),
             ("simulate", drop_field("filter"), "'filter'"),
+            # json.loads reads 1 followed by 400 zeros as an exact int, beyond the float range
+            ("fit", set_field("alpha_opt", 10**400), "'alpha_opt': expected a finite positive number, got an integer too large"),
+            ("fit", set_field("norm_r_sq", 10**400), "'norm_r_sq': expected a finite positive number, got an integer too large"),
+            ("simulate", set_field("filter", {"num": [1.0, 10**400], "den": [1.0]}), "'filter': coefficient list contains non-finite"),
         ],
-        ids=["null_alpha", "norm_below_one", "missing_alpha", "json_array", "missing_filter"],
+        ids=["null_alpha", "norm_below_one", "missing_alpha", "json_array", "missing_filter", "huge_alpha", "huge_norm", "huge_tap"],
     )
     def test_malformed_upstream_artifact_rejected(self, config_path, tmp_path, capsys, stage, damage, named):
         upstream, flag = {"fit": ("design", "--design"), "simulate": ("fit", "--fit")}[stage]

@@ -42,7 +42,6 @@ from efq.simulate import (
     excised_mse,
     filter_memory_estimate,
     gen_input,
-    lane_group_size,
     lane_parts,
     loop_identity_residual,
     loop_quantizer,
@@ -366,7 +365,7 @@ class TestLaneKernel:
     )
     def test_group_size(self, lanes, size):
         assert LANE_BUFFER_SAMPLES // BLOCK == 256
-        assert lane_group_size(lanes) == size
+        assert max(map(len, lane_parts(lanes))) == size
 
     @pytest.mark.parametrize("cuts", [(1,), (7, 8000), (BLOCK, BLOCK + 1, 15_000)])
     def test_state_carries_across_pieces(self, mixed_lanes, cuts):
@@ -427,7 +426,7 @@ class TestRunLanes:
 
     @pytest.mark.parametrize("count", [15, 16, 37])
     def test_matches_scalar_loop_on_either_path(self, shapers, plant_d, count):
-        assert (lane_group_size(count) >= MIN_BATCH_LANES) == (count >= MIN_BATCH_LANES)  # 15: the scalar path
+        assert (len(lane_parts(count)[0]) >= MIN_BATCH_LANES) == (count >= MIN_BATCH_LANES)  # 15: the scalar path
         lanes = self.lanes(count, shapers, plant_d)
         got = list(run_lanes(lanes))
         assert got == [_oracle(lane) for lane in lanes]
@@ -446,23 +445,37 @@ class TestRunLanes:
     @pytest.mark.parametrize(
         ("count", "parts", "split"),
         [
-            (160, 2, [[range(0, 80), range(80, 160)]]),
-            (160, 3, [[range(0, 53), range(53, 106), range(106, 160)]]),
-            (160, 1, [[range(0, 160)]]),
-            (32, 8, [[range(0, 16), range(16, 32)]]),
-            (31, 8, [[range(0, 31)]]),
-            (5, 2, [[range(0, 5)]]),
-            (300, 2, [[range(0, 75), range(75, 150)], [range(150, 225), range(225, 300)]]),
+            (160, 2, [range(0, 80), range(80, 160)]),
+            (160, 3, [range(0, 53), range(53, 106), range(106, 160)]),
+            (160, 1, [range(0, 160)]),
+            (32, 8, [range(0, 16), range(16, 32)]),
+            (31, 8, [range(0, 31)]),
+            (5, 2, [range(0, 5)]),
+            (300, 2, [range(0, 150), range(150, 300)]),
         ],
     )
     def test_lane_parts(self, count, parts, split):
-        # Each group of run_lanes splits into parts of MIN_BATCH_LANES lanes or more.
+        # One part per worker while each keeps MIN_BATCH_LANES lanes or more,
+        # and more parts where a part would pass 256 lanes.
         assert lane_parts(count, parts) == split
+
+    @pytest.mark.parametrize("workers", range(1, 9))
+    def test_parts_cover_the_lanes_in_order(self, workers):
+        for count in range(1, 601):
+            parts = lane_parts(count, workers)
+            assert [lane for part in parts for lane in part] == list(range(count)), (count, workers)
+            sizes = [len(part) for part in parts]
+            assert max(sizes) <= LANE_BUFFER_SAMPLES // BLOCK and max(sizes) - min(sizes) <= 1, (count, workers)
+            if len(parts) > 1:
+                assert min(sizes) >= MIN_BATCH_LANES, (count, workers)
 
     def test_parts_join_to_the_whole_pass(self, shapers, plant_d):
         lanes = self.lanes(40, shapers, plant_d)
-        [parts] = lane_parts(len(lanes), 2)
-        assert [result for part in parts for result in run_lanes(lanes[part.start : part.stop])] == list(run_lanes(lanes))
+        parts = lane_parts(len(lanes), 2)
+        assert len(parts) == 2
+        whole = run_lanes(lanes)
+        assert [result for part in parts for result in run_lanes(lanes[part.start : part.stop])] == whole
+        assert run_lanes(lanes, workers=2) == whole
 
     def test_lane_failure_survives_pickle(self):
         exc = pickle.loads(pickle.dumps(LaneFailure("seed=4: u/step is not finite", 8192)))
@@ -506,7 +519,7 @@ class TestRunLanes:
         tiny = MidRiseQuantizer(step=2.0**-1030, saturation=3 * 2.0**-1031)
         lanes = self.lanes(16, shapers, plant_d)
         lanes[5] = dataclasses.replace(lanes[5], quantizer=tiny)
-        assert lane_group_size(len(lanes)) >= MIN_BATCH_LANES
+        assert len(lane_parts(len(lanes))[0]) >= MIN_BATCH_LANES
         at = _failing_sample(lanes[5])
         start = at - at % BLOCK
         expected = f"seed=5: u/step is not finite at sample {at - start} of the chunk from sample {start}"
@@ -528,11 +541,41 @@ class TestRunLanes:
         assert 2 * BLOCK <= at3 < 3 * BLOCK and BLOCK <= at7 < at5 < 2 * BLOCK
         x5 = gen_input(lanes[5].model, lanes[5].sample_period)
         assert at5 == np.flatnonzero(np.abs(x5) >= 4.0)[0]
-        assert (lane_group_size(count) >= MIN_BATCH_LANES) == (count >= MIN_BATCH_LANES)
+        assert (len(lane_parts(count)[0]) >= MIN_BATCH_LANES) == (count >= MIN_BATCH_LANES)
         expected = f"seed=5: u/step is not finite at sample {at5 - BLOCK} of the chunk from sample {BLOCK}"
         with pytest.raises(LaneFailure) as got:
             list(run_lanes(lanes))
         assert (str(got.value), got.value.start) == (expected, BLOCK)
+
+    def test_earliest_chunk_fails_across_parts(self, shapers, plant_d):
+        # 300 lanes run as two parts of 150. Lane 3, in the first, fails in
+        # the third chunk; lane 165, in the second, fails in the second
+        # chunk. The pass names lane 165, as it would in a single part.
+        lanes = self.lanes(300, shapers, plant_d, length=3 * BLOCK)
+        for j in (3, 165):
+            lanes[j] = dataclasses.replace(lanes[j], shaper=FIRFilter((1.0,)), quantizer=TINY)
+        assert lane_parts(len(lanes)) == [range(0, 150), range(150, 300)]
+        at3, at165 = (_failing_sample(lanes[j]) for j in (3, 165))
+        assert 2 * BLOCK <= at3 < 3 * BLOCK and BLOCK <= at165 < 2 * BLOCK
+        expected = f"seed=165: u/step is not finite at sample {at165 - BLOCK} of the chunk from sample {BLOCK}"
+        with pytest.raises(LaneFailure) as got:
+            run_lanes(lanes)
+        assert (str(got.value), got.value.start) == (expected, BLOCK)
+
+    def test_traced_pass_runs_in_process_in_any_part_count(self, shapers, plant_d):
+        # 257 lanes are two parts; a trace keeps both in this process, so no
+        # map over workers is asked for, and lane 0's chunks arrive in order.
+        lanes = self.lanes(257, shapers, plant_d)
+
+        def no_worker_map(fn, parts):
+            raise AssertionError("a traced pass mapped its parts over workers")
+
+        chunks = []
+        traced = run_lanes(lanes, lambda start, traces: chunks.append((start, traces)), 2, no_worker_map)
+        assert [start for start, _ in chunks] == [0, BLOCK, 2 * BLOCK]
+        expected = run_feedback_loop(gen_input(lanes[0].model, 0.1), lanes[0].shaper, lanes[0].quantizer)
+        assert np.array_equal(np.concatenate([traces.u for _, traces in chunks]), expected.u)
+        assert traced == run_lanes(lanes, workers=2)
 
     @pytest.mark.parametrize("count", [8, 16, 40])
     def test_diverging_lane_raises_alike_on_every_path(self, shapers, plant_d, count):
@@ -541,7 +584,7 @@ class TestRunLanes:
         lanes = self.lanes(count, shapers, plant_d, length=3 * BLOCK)
         lanes[3] = dataclasses.replace(lanes[3], shaper=FIRFilter((1.0, 10.0)))
         at = _failing_sample(lanes[3])
-        assert (lane_group_size(count) >= MIN_BATCH_LANES) == (count >= MIN_BATCH_LANES)
+        assert (len(lane_parts(count)[0]) >= MIN_BATCH_LANES) == (count >= MIN_BATCH_LANES)
         start = at - at % BLOCK
         expected = f"seed=3: u/step is not finite at sample {at - start} of the chunk from sample {start}"
         with pytest.raises(NumericalError) as got:
