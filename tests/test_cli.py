@@ -835,7 +835,9 @@ class TestErrorHandling:
         [
             ("sim", "lenght", 5000, "sim.lenght: unknown field"),
             ("plant", "sample_period", True, "plant.sample_period: must be a number, got True"),
-            ("sim", "ct_pole", 10**400, "sim.ct_pole: must be a finite number, got an integer too large for a float"),
+            pytest.param(
+                "sim", "ct_pole", 10**400, "sim.ct_pole: must be a finite number, got an integer too large for a float", id="huge_ct_pole"
+            ),
         ],
     )
     def test_nested_config_error_names_its_path(self, tmp_path, capsys, section, key, value, message):
