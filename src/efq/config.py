@@ -21,6 +21,8 @@ from .transfer import ContinuousTF
 SCHEMA_VERSION = 1
 
 FIT_METHODS = ("qcqp", "yw")
+# Seeds fill an int64 column of simulate_runs.csv.
+MAX_SEED = 2**63 - 1
 INPUT_KINDS = ("colored", "white")
 
 
@@ -103,15 +105,24 @@ def validate_config(cfg: ExperimentConfig) -> None:
         f"must be an integer >= {MIN_N_POINTS}, got {cfg.n_points!r}",
     )
     _require(problems, cfg.fit.method in FIT_METHODS, "fit.method", f"must be one of {FIT_METHODS}, got {cfg.fit.method!r}")
+    # yule_walker_fit's limit, checked before a fit builds lists and matrices of that size
+    order_limit = cfg.n_points // 4 if isinstance(cfg.n_points, int) and cfg.n_points >= MIN_N_POINTS else math.inf
     _require(
-        problems, isinstance(cfg.fit.order, int) and cfg.fit.order >= 1, "fit.order", f"must be a positive integer, got {cfg.fit.order!r}"
+        problems,
+        isinstance(cfg.fit.order, int) and 1 <= cfg.fit.order <= order_limit,
+        "fit.order",
+        f"must be an integer from 1 to n_points // 4 = {order_limit}, got {cfg.fit.order!r}"
+        if order_limit < math.inf
+        else f"must be a positive integer, got {cfg.fit.order!r}",
     )
     _require(
         problems, isinstance(cfg.sim.length, int) and cfg.sim.length >= 1, "sim.length", f"must be a positive integer, got {cfg.sim.length!r}"
     )
     _require(problems, bool(cfg.sim.seeds), "sim.seeds", "must be nonempty")
     for i, s in enumerate(cfg.sim.seeds):
-        _require(problems, isinstance(s, int) and s >= 0, f"sim.seeds[{i}]", f"must be a nonnegative integer, got {s!r}")
+        _require(
+            problems, isinstance(s, int) and 0 <= s <= MAX_SEED, f"sim.seeds[{i}]", f"must be an integer from 0 to 2**63 - 1, got {s!r}"
+        )
     _require(
         problems, cfg.sim.input_kind in INPUT_KINDS, "sim.input_kind", f"must be one of {INPUT_KINDS}, got {cfg.sim.input_kind!r}"
     )

@@ -19,16 +19,20 @@ finds it reliably. At the optimum the achieved MSE equals alpha itself.
 
 Each step of that root solve is one quadrature over the grid, so the solve
 is made cheap without changing a bit of its result. p is squared once per
-solve and theta is computed once at the optimum. The bisection keeps its
-loops and its decisions, but most of its signs come from a certificate: in
-x = ln(alpha), ln(theta^2/alpha) - ln(nu) is convex and decreasing, so a
-short Newton pass finds the root and two probes beside it give alphas where
-the computed value clears +-SIGN_TOL. SIGN_TOL exceeds twice the rounding
-error of the computed value (see its comment), so every alpha left of the
-left probe has a positive computed value and every alpha right of the right
-probe a negative one. The replay takes those signs as known and evaluates
-only the ones between the probes: the same signs, so the same bracket, the
-same polish and the same design.
+solve, and every mean integrated at an alpha is kept for the rest of the
+solve, so the polish and the final design reuse the alphas they revisit.
+The bisection keeps its loops and its decisions, but most of its signs come
+from certificates: in x = ln(alpha), ln(theta^2/alpha) - ln(nu) is
+decreasing, so a short Newton pass, started inside a closed-form bracket of
+the root, finds the root, and two probes beside it give alphas where the
+computed value clears a rounding bound sized to the grid and to the
+logarithms met (see ROUNDING_TERMS). Every alpha the replay queries left of
+a certificate whose margin exceeds the bound at that alpha has a positive
+computed value, and likewise negative on the right. The replay takes those
+signs as known and evaluates only the others, near the root: the same signs,
+so the same bracket, the same polish and the same design. The polish, in
+turn, evaluates a slope only where the bounds on its computed value leave
+the rounded Newton step undecided.
 
 Oversampling by an integer factor bandlimits the plant response to
 [0, pi/lambda]; the resulting distortion obeys the collapse identity
@@ -48,6 +52,7 @@ from .errors import InfeasibleError, NumericalError
 from .spectral import (
     AmplitudeResponse,
     band_mean,
+    band_power_means,
     constant_response,
     is_almost_constant,
     l2_norm_sq,
@@ -72,24 +77,36 @@ ROOT_REL_TOL = 1e-12
 MAX_BISECTION_STEPS = 200
 
 # Sign certificates for the bisection replay in solve_min_mse. In x = ln(alpha),
-# log_ratio is, in exact arithmetic on the computed samples,
+# log_ratio is, in exact arithmetic on the computed samples p_i^2,
 #     (1/pi) sum_i w_i ln(p_i^2 + e^x) - x - ln(nu),
 # where the quadrature weights w_i are fixed, nonnegative and sum to the float
-# pi (every grid step is an exact float difference). So it is convex and
-# nonincreasing in x. Its computed value differs from that by at most
-#     E = (log2(n) + 24) u max|ln(p^2 + alpha)|,  u = 2^-53:
-# a few u per sample for the add, log and products, log2(n) + 16 for numpy's
-# pairwise sum, and a few for the exp, logs and subtractions after it. The
-# replay evaluates normal floats only, where max|ln| <= 709.8, so E is
-# about 3e-12 at n = 2^17 and below 7e-12 for any n below 2^60. Once the
-# computed value at alpha_left exceeds SIGN_TOL >= 2E, the exact value
-# exceeds E there and at every smaller alpha, so the computed sign is
-# positive at all of them; likewise below -SIGN_TOL at alpha_right.
-SIGN_TOL = 1e-9
+# pi (every grid step, and either part of the step split at a cutoff, is an
+# exact float difference). So it is nonincreasing in x. Let M(alpha) be the
+# largest of 1, ln(nu), |ln(alpha)| and |ln(peak + alpha)|, with peak the
+# largest p^2: every ln(p_i^2 + alpha) lies between ln(alpha) and
+# ln(peak + alpha), so M bounds every logarithm the evaluation meets, and the
+# computed value differs from the exact one by at most
+#     E(alpha) = (ceil(log2 n) + ROUNDING_TERMS) u M(alpha),  u = 2^-53.
+# In units of u M, a sample costs 5 (the add, and np.log within 2 ulp), a
+# trapezoid term 2 (its sum and product; halving is exact), numpy's pairwise
+# sum ceil(log2 n) + 17 (a leaf of up to 128 terms takes at most 24
+# additions: 8 accumulators of 16 terms, a 3-level tree and 7 leftovers;
+# ceil(log2 n) - 7 halvings lie above it), joining the parts split at a
+# cutoff 3, the division by pi 1, theta = exp(mean/2) and 2 ln(theta) 4,
+# ln(alpha) and ln(nu) 4, and the two subtractions 4: 40 in all.
+#
+# So where the computed value r at a point a exceeds E(a), the exact value at
+# a, and at every alpha <= a, exceeds r - E(a); the computed sign at such an
+# alpha is positive wherever E(alpha) < r - E(a). Likewise r < -E(a)
+# certifies negative signs at alpha >= a wherever E(alpha) < -r - E(a).
+ROUNDING_TERMS = 40
 MAX_NEWTON_STEPS = 16
 # Newton stops once |log_ratio| is this small; the probes aim from there on
-# the last slope and re-aim from a miss, at most MAX_PROBES times a side.
+# the last slope at log_ratio = +-PROBE_TARGET E, and re-aim, at most
+# MAX_PROBES times a side, until a margin |r| - E of at least E certifies
+# their side near the root.
 NEWTON_RESIDUAL = 1e-6
+PROBE_TARGET = 3.0
 MAX_PROBES = 3
 # The Newton pass stays between the smallest normal float and the largest
 # power of two, where p^2 + alpha is finite with room to spare for exp's
@@ -203,26 +220,78 @@ def _power(p: AmplitudeResponse) -> AmplitudeResponse:
     return p.with_values(p.values * p.values, p.edge_below * p.edge_below, p.edge_above * p.edge_above)
 
 
+# The design integrands as functions of p^2 and s = p^2 + alpha, each one
+# ufunc call (into `out` when given): "log" has mean ln(theta^2), "fraction"
+# (in [0, 1]) the negative log-log slope of theta^2(alpha)/alpha, and
+# "inverse" the mean ||r_alpha||^2 / theta^2.
+_INTEGRANDS = {
+    "log": lambda v2, s, out=None: np.log(s, out=out),
+    "fraction": lambda v2, s, out=None: np.divide(v2, s, out=out),
+    "inverse": lambda v2, s, out=None: np.divide(1.0, s, out=out),
+}
+
+
+def _mean(kind: str, alpha: float, p2: AmplitudeResponse, samples: np.ndarray | None = None) -> float:
+    """band_mean of one design integrand at alpha; `samples`, when given, are
+    its values on the grid."""
+    integrand = _INTEGRANDS[kind]
+    return band_mean(p2, lambda om, v2: integrand(v2, v2 + alpha), samples)
+
+
 def _theta(alpha: float, p2: AmplitudeResponse) -> float:
-    alpha = _check_alpha(alpha)
-    return math.exp(0.5 * band_mean(p2, lambda om, v2: np.log(v2 + alpha)))
+    return math.exp(0.5 * _mean("log", _check_alpha(alpha), p2))
 
 
-def _noise_fraction(alpha: float, p2: AmplitudeResponse) -> float:
-    """Mean of p^2/(p^2+alpha) in (0, 1); also the negative log-log slope of
-    theta^2(alpha)/alpha, used by the Newton steps."""
-    return band_mean(p2, lambda om, v2: v2 / (v2 + alpha))
+class _Means:
+    """The design means of one solve, kept by (alpha, integrand), so a
+    revisited alpha costs no quadrature.
+
+    A mean fills one buffer the size of the grid with p^2 + alpha and maps
+    it in place through the integrand. The samples in p^2's trailing run of
+    exact zeros (the stopband of an oversampled plant) all take the
+    integrand's value at p^2 = 0, evaluated on one element.
+    """
+
+    def __init__(self, p2: AmplitudeResponse):
+        nonzero = p2.values != 0.0
+        self.p2 = p2
+        self.live = len(nonzero) - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
+        self.samples = np.empty_like(p2.values)
+        self.kept = {}
+
+    def __call__(self, alpha: float, kind: str) -> float:
+        key = (alpha, kind)
+        if key not in self.kept:
+            integrand, live, v2, y = _INTEGRANDS[kind], self.live, self.p2.values[: self.live], self.samples
+            integrand(v2, np.add(v2, alpha, out=y[:live]), out=y[:live])
+            if live < len(y):
+                y[live:] = integrand(np.zeros(1), np.full(1, alpha))
+            self.kept[key] = _mean(kind, alpha, self.p2, y)
+        return self.kept[key]
+
+    def fraction_range(self, alpha: float) -> tuple[float, ...]:
+        """Floats bracketing the computed "fraction" mean at alpha, from the
+        nearest alpha where it is kept, or () if none is. Each computed mean
+        lies within rounding_bound(n, 1) of its exact value (the samples lie
+        in [0, 1]), and the exact mean moves by at most |d ln alpha| / 4,
+        since p^2 alpha / (p^2 + alpha)^2 <= 1/4."""
+        if (alpha, "fraction") in self.kept:
+            return (self.kept[alpha, "fraction"],)
+        known = [(a, mean) for (a, kind), mean in self.kept.items() if kind == "fraction"]
+        if not known:
+            return ()
+        a, mean = min(known, key=lambda item: abs(math.log(item[0]) - math.log(alpha)))
+        # |ln a - ln alpha| <= |a - alpha| / min(a, alpha), widened for its rounding
+        spread = 2.0 * rounding_bound(len(self.samples), 1.0) + 0.25 * abs(a - alpha) / min(a, alpha) * (1.0 + 2.0**-40)
+        return math.nextafter(mean - spread, -math.inf), math.nextafter(mean + spread, math.inf)
 
 
-def _inverse_mean(alpha: float, p2: AmplitudeResponse) -> float:
-    """Mean of 1/(p^2+alpha): ||r_alpha||^2 / theta^2."""
-    return band_mean(p2, lambda om, v2: 1.0 / (v2 + alpha))
-
-
-def _shaper(theta: float, alpha: float, p: AmplitudeResponse) -> AmplitudeResponse:
+def _shaper(theta: float, alpha: float, p: AmplitudeResponse, p2: AmplitudeResponse) -> AmplitudeResponse:
     # Edges square with **, the samples and _power with *: pow and a product
-    # can differ in the last bit, and each keeps the bits it always had.
-    values = theta / np.sqrt(p.values * p.values + alpha)
+    # can differ in the last bit, and each keeps the bits it always had. The
+    # samples are theta / sqrt(p^2 + alpha), formed in one buffer.
+    values = np.add(p2.values, alpha)
+    np.divide(theta, np.sqrt(values, out=values), out=values)
     if p.cutoff is None:
         return p.with_values(values)
     return p.with_values(values, theta / math.sqrt(p.edge_below**2 + alpha), theta / math.sqrt(p.edge_above**2 + alpha))
@@ -241,14 +310,14 @@ def shaped_noise_gain(alpha: float, p: AmplitudeResponse) -> float:
     """||p * r_alpha||^2: shaped-noise power per unit quantizer-error variance."""
     alpha = _check_alpha(alpha)
     p2 = _power(p)
-    return _theta(alpha, p2) ** 2 * _noise_fraction(alpha, p2)
+    return _theta(alpha, p2) ** 2 * _mean("fraction", alpha, p2)
 
 
 def shaper_norm_sq(alpha: float, p: AmplitudeResponse) -> float:
     """||r_alpha||^2: squared norm of the optimal shaping response."""
     alpha = _check_alpha(alpha)
     p2 = _power(p)
-    return _theta(alpha, p2) ** 2 * _inverse_mean(alpha, p2)
+    return _theta(alpha, p2) ** 2 * _mean("inverse", alpha, p2)
 
 
 def design_mse(alpha: float, prob: DesignProblem) -> float:
@@ -256,8 +325,8 @@ def design_mse(alpha: float, prob: DesignProblem) -> float:
     alpha = _check_alpha(alpha)
     p2 = _power(prob.p)
     theta2 = _theta(alpha, p2) ** 2
-    n_val = theta2 * _noise_fraction(alpha, p2)
-    c_val = theta2 * _inverse_mean(alpha, p2)
+    n_val = theta2 * _mean("fraction", alpha, p2)
+    c_val = theta2 * _mean("inverse", alpha, p2)
     if c_val >= prob.nu:
         raise InfeasibleError(
             f"shaper norm^2 {c_val:.6g} is not below nu = {prob.nu:.6g} at alpha = {alpha:.6g}"
@@ -268,7 +337,8 @@ def design_mse(alpha: float, prob: DesignProblem) -> float:
 def optimal_shaper(alpha: float, p: AmplitudeResponse) -> AmplitudeResponse:
     """The shaping response theta(alpha)/sqrt(p^2 + alpha) on p's grid."""
     alpha = _check_alpha(alpha)
-    return _shaper(_theta(alpha, _power(p)), alpha, p)
+    p2 = _power(p)
+    return _shaper(_theta(alpha, p2), alpha, p, p2)
 
 
 def _bisect(signed, lo: float, hi: float) -> tuple[float, float]:
@@ -291,54 +361,81 @@ def _bisect(signed, lo: float, hi: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _certified_window(log_ratio, slope) -> tuple[float, float]:
-    """(a_left, a_right) with log_ratio(alpha) certified positive for every
-    alpha <= a_left and negative for every alpha >= a_right.
+def rounding_bound(n_points: int, log_bound: float) -> float:
+    """E on an n-point grid: the bound on the rounding error of a computed
+    log_ratio whose logarithms are at most `log_bound` in magnitude (see
+    ROUNDING_TERMS)."""
+    return ((n_points - 1).bit_length() + ROUNDING_TERMS) * 2.0**-53 * max(log_bound, 1.0)
 
-    A bounded Newton pass in x = ln(alpha) finds the root, then one probe on
-    each side aims at log_ratio = +-2*SIGN_TOL, re-aiming from a miss. Every
-    point evaluated on the way certifies its side when its computed
-    log_ratio clears +-SIGN_TOL. Without any certificate the window is
-    (0, inf) and every sign gets evaluated.
+
+def _newton_start(p: AmplitudeResponse, nu: float) -> float:
+    """x = ln(alpha) at the log-midpoint of the closed-form bracket
+
+        exp(G) / nu^(1/beta) <= alpha_opt <= m / (nu^(1/beta) - 1),
+
+    with m and G the in-band mean and log-mean of p^2 and beta the in-band
+    fraction of [0, pi]. At the root, mean ln(1 + p^2/alpha) over the band
+    is ln(nu)/beta; Jensen's inequality bounds that mean by ln(1 + m/alpha)
+    from above, and its part G - ln(alpha) bounds it from below. Where p^2 has
+    in-band zeros (G = -inf) this is the upper end, and 0 where the bracket
+    is not finite. Only the Newton pass starts here: the replay's result
+    does not depend on it.
     """
-    a_left, a_right = 0.0, math.inf
+    beta, m, g = band_power_means(p)
+    log_k = math.log(nu) / beta  # ln(nu^(1/beta))
+    upper = math.log(m) - log_k - math.log(-math.expm1(-log_k)) if m > 0.0 else math.nan
+    x = upper if g == -math.inf else 0.5 * (g - log_k + upper)
+    return min(max(x, X_MIN), X_MAX) if math.isfinite(x) else 0.0
 
-    def probe(x: float) -> float:
-        nonlocal a_left, a_right
+
+def _certificates(log_ratio, slope, bound, x: float) -> dict[float, list[tuple[float, float]]]:
+    """Sign certificates by side: for +1, the points a where the computed
+    log_ratio r exceeds bound(a), with their margins r - bound(a); for -1,
+    those where -r exceeds it, with margins -r - bound(a).
+
+    A bounded Newton pass in x = ln(alpha) from `x` finds the root, then one
+    probe on each side aims at log_ratio = +-PROBE_TARGET * bound, re-aiming
+    from a miss. Every point evaluated on the way that clears the bound is a
+    certificate. Without any the replay evaluates every sign.
+    """
+    held = {1.0: [], -1.0: []}
+
+    def probe(x: float) -> tuple[float, float]:
+        # log_ratio at e^x, and its margin over the bound (negative if none)
         alpha = math.exp(x)
         r = log_ratio(alpha)
-        if r > SIGN_TOL:
-            a_left = max(a_left, alpha)
-        elif r < -SIGN_TOL:
-            a_right = min(a_right, alpha)
-        return r
+        side = 1.0 if r > 0.0 else -1.0
+        err = bound(alpha)
+        if side * r > err:
+            held[side].append((alpha, side * r - err))
+        return r, side * r - 2.0 * err
 
     def step(x: float, r: float, target: float = 0.0) -> float:
         # Newton step from (x, r) towards log_ratio = target, on the last slope s
         return min(max(x - (r - target) / s, X_MIN), X_MAX)
 
-    x, s = 0.0, 0.0
+    s = 0.0
     for _ in range(MAX_NEWTON_STEPS):
-        r = probe(x)
+        r, _ = probe(x)
         if s < 0.0 and abs(r) <= NEWTON_RESIDUAL:
             break
-        s = slope(math.exp(x))
+        s = float(slope(math.exp(x)))  # a huge step clamps, where a numpy scalar would warn
         if s == 0.0:
-            return a_left, a_right
+            return held
         x_next = step(x, r)
         if x_next == x:
             break
         x = x_next
     else:
-        return a_left, a_right
+        return held
     for side in (1.0, -1.0):
         x_side, r_side = x, r
         for _ in range(MAX_PROBES):
-            x_side = step(x_side, r_side, 2.0 * side * SIGN_TOL)
-            r_side = probe(x_side)
-            if side * r_side > SIGN_TOL:
+            x_side = step(x_side, r_side, side * PROBE_TARGET * bound(math.exp(x_side)))
+            r_side, spare = probe(x_side)
+            if side * r_side > 0.0 and spare >= 0.0:
                 break
-    return a_left, a_right
+    return held
 
 
 def solve_min_mse(prob: DesignProblem) -> OptimalDesign:
@@ -349,13 +446,13 @@ def solve_min_mse(prob: DesignProblem) -> OptimalDesign:
     polish; returns the full design at that alpha.
 
     The bisection is replayed, not shortened: its loops run as written and
-    end on the same bracket, but a sign certified by ``_certified_window``
-    is taken without evaluating the integral. A certified sign is the sign
-    the evaluation would return (see SIGN_TOL), so every decision, the final
-    bracket, the Newton polish from it and every field of the result are
-    the same bits as with every sign evaluated; only signs inside the
-    window, a relative width of about 4*SIGN_TOL/|slope| around the root,
-    cost an integral.
+    end on the same bracket, but a sign certified by ``_certificates`` is
+    taken without evaluating the integral. A certified sign is the sign the
+    evaluation would return (see ROUNDING_TERMS), so every decision, the
+    final bracket, the Newton polish from it and every field of the result
+    are the same bits as with every sign evaluated; only signs within about
+    PROBE_TARGET * E/|slope| of the root cost an integral. Every mean is kept
+    per alpha for the rest of the solve.
     """
     p, nu = prob.p, prob.nu
 
@@ -373,26 +470,37 @@ def solve_min_mse(prob: DesignProblem) -> OptimalDesign:
         )
 
     p2 = _power(p)
+    means = _Means(p2)
+    log_nu = math.log(nu)
+    edges = () if p2.cutoff is None else (p2.edge_below, p2.edge_above)
+    peak = max([float(np.max(p2.values)), *edges])
+
+    def theta(alpha: float) -> float:
+        return math.exp(0.5 * means(alpha, "log"))
 
     def log_ratio(alpha: float) -> float:
         # ln(theta^2/alpha) - ln(nu); strictly decreasing in alpha
-        return 2.0 * math.log(_theta(alpha, p2)) - math.log(alpha) - math.log(nu)
+        return 2.0 * math.log(theta(_check_alpha(alpha))) - math.log(alpha) - log_nu
 
     def slope(alpha: float) -> float:
         # d log_ratio / d ln(alpha)
-        return -_noise_fraction(alpha, p2)
+        return -means(alpha, "fraction")
 
-    a_left, a_right = _certified_window(log_ratio, slope)
+    def bound(alpha: float) -> float:
+        # E(alpha), see ROUNDING_TERMS
+        return rounding_bound(p.grid.n_points, max(log_nu, abs(math.log(alpha)), abs(math.log(peak + alpha))))
+
+    held = _certificates(log_ratio, slope, bound, _newton_start(p, nu))
 
     def signed(alpha: float) -> float:
-        # a number with the sign of log_ratio(alpha), evaluated only inside the
-        # window; alpha is checked as log_ratio would, so an underflowed
-        # midpoint fails alike
+        # a number with the sign of log_ratio(alpha), evaluated only where no
+        # certificate covers alpha; alpha is checked as log_ratio would, so an
+        # underflowed midpoint fails alike
         alpha = _check_alpha(alpha)
-        if alpha <= a_left:
-            return 1.0
-        if alpha >= a_right:
-            return -1.0
+        err = bound(alpha)
+        for side, certs in held.items():
+            if any(side * (a - alpha) >= 0.0 and margin > err for a, margin in certs):
+                return side
         return log_ratio(alpha)
 
     # alpha_opt grows with the plant's scale and falls with nu and with the
@@ -411,9 +519,19 @@ def solve_min_mse(prob: DesignProblem) -> OptimalDesign:
 
     lo, hi = _bisect(signed, lo, hi)
 
+    # Newton polish. A step x - r/s rounds monotonically in s, so where both
+    # ends of a range holding the computed slope give the same step, that is
+    # the step, and the slope is not evaluated.
     x = 0.5 * (math.log(lo) + math.log(hi))
     for _ in range(4):
         alpha = math.exp(x)
+        fractions = means.fraction_range(alpha)
+        if fractions and fractions[0] > 0.0:
+            r = log_ratio(alpha)
+            steps = {min(max(x + r / f, math.log(lo) - 1.0), math.log(hi) + 1.0) for f in fractions}
+            if len(steps) == 1:
+                x = steps.pop()
+                continue
         s = slope(alpha)
         if s == 0.0:
             break
@@ -421,17 +539,17 @@ def solve_min_mse(prob: DesignProblem) -> OptimalDesign:
         x = min(max(x, math.log(lo) - 1.0), math.log(hi) + 1.0)
     alpha = math.exp(x)
 
-    theta = _theta(alpha, p2)
-    c_val = theta**2 * _inverse_mean(alpha, p2)
-    n_val = theta**2 * _noise_fraction(alpha, p2)
+    theta_opt = theta(alpha)
+    c_val = theta_opt**2 * means(alpha, "inverse")
+    n_val = theta_opt**2 * means(alpha, "fraction")
     if c_val >= nu:
         raise NumericalError(
             f"solved design is infeasible: shaper norm^2 {c_val:.12g} >= nu {nu:.12g}"
         )
     return OptimalDesign(
         alpha_opt=alpha,
-        theta_opt=theta,
-        r_opt=_shaper(theta, alpha, p),
+        theta_opt=theta_opt,
+        r_opt=_shaper(theta_opt, alpha, p, p2),
         distortion=n_val / (nu - c_val),
         norm_r_sq=c_val,
         n_of_alpha=n_val,

@@ -742,6 +742,19 @@ class TestEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == SIMULATION_CHECK_STDOUT
 
+    def test_solve_cost_counts_every_solve_by_phase(self, config_path):
+        proc = run_python([str(REPO / "scripts/solve_cost.py"), config_path])
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        # 4 cells: rd-curve 4 + 2 collapse solves, fit 4, verify 4 + 4 on the doubled grid + 2
+        assert lines[0] == "20 solves in rd-curve, fit, verify at EFQ_THREADS=1"
+        rows = {line.split()[0]: line.split()[1:] for line in lines[2:-1]}
+        assert list(rows) == ["flatness", "newton", "bisection", "polish", "total"]
+        assert sum(int(rows[phase][0]) for phase in list(rows)[:-1]) == int(rows["total"][0])
+        assert int(rows["total"][0]) / 20 == pytest.approx(float(rows["total"][1]), abs=0.005)
+        assert float(rows["total"][1]) <= 24
+        assert lines[-1].startswith("cpu_s ")
+
     def test_simulation_check_refuses_excise_above_lambda_one(self):
         # excised_mse filters through a full-band plant, while the prediction
         # at lambda >= 2 is in-band: the script stops before any design.
@@ -847,6 +860,30 @@ class TestErrorHandling:
         path.write_text(json.dumps(cfg))
         assert main(["design", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    def test_fit_order_above_the_grid_limit_exits_one(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["fit"]["order"] = cfg["n_points"] // 4 + 1
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["fit", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert "fit.order: must be an integer from 1 to n_points // 4 = 512, got 513" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seeds, named", [([2**64], "sim.seeds[0]"), ([0, 2**63], "sim.seeds[1]")])
+    def test_seed_beyond_int64_exits_before_any_lane(self, tmp_path, capsys, monkeypatch, seeds, named):
+        def no_lanes(*args, **kwargs):
+            raise AssertionError("a lane ran")
+
+        monkeypatch.setattr(simulate, "run_lanes", no_lanes)
+        monkeypatch.setattr(simulate, "run_feedback_loop", no_lanes)
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["sim"]["seeds"] = seeds
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert f"{named}: must be an integer from 0 to 2**63 - 1, got {seeds[-1]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_bits_rejected(self, tmp_path):
         cfg = json.loads(json.dumps(SMALL_CONFIG))

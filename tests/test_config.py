@@ -2,11 +2,13 @@
 integer fields take integral numbers only, real fields finite JSON numbers,
 and a valid file hashes as it always has."""
 
+import dataclasses
 import json
+import re
 
 import pytest
 
-from efq.config import config_from_dict, config_hash, config_to_dict, default_config, load_config
+from efq.config import config_from_dict, config_hash, config_to_dict, default_config, load_config, validate_config
 from efq.errors import ConfigError
 
 # The default configuration's hash, as every earlier artifact records it.
@@ -125,3 +127,32 @@ def test_integral_floats_load_as_integers():
 def test_existing_config_keeps_its_hash():
     assert config_hash(default_config()) == DEFAULT_SHA256
     assert config_hash(config_from_dict(default_dict())) == DEFAULT_SHA256
+
+
+def with_order(order):
+    cfg = default_config()
+    return dataclasses.replace(cfg, fit=dataclasses.replace(cfg.fit, order=order))
+
+
+def test_fit_order_is_bounded_by_the_grid():
+    """yule_walker_fit's limit n_points // 4 holds for every fit: an order of
+    10**400 fails here, before a fit could build a list that long."""
+    limit = default_config().n_points // 4
+    validate_config(with_order(limit))
+    for order in (10**400, limit + 1, 0):
+        with pytest.raises(ConfigError, match=rf"fit.order: must be an integer from 1 to n_points // 4 = {limit}, got "):
+            validate_config(with_order(order))
+
+
+@pytest.mark.parametrize("seeds, named", [((2**64,), "sim.seeds[0]"), ((0, 2**63), "sim.seeds[1]")])
+def test_seed_beyond_int64_rejected(seeds, named):
+    """Seeds fill an int64 column: 2**64 made an object array and 2**63 among
+    small seeds a float64 one."""
+    cfg = default_config()
+    with pytest.raises(ConfigError, match=re.escape(f"{named}: must be an integer from 0 to 2**63 - 1, got {seeds[-1]}")):
+        validate_config(dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seeds=seeds)))
+
+
+def test_largest_int64_seed_validates():
+    cfg = default_config()
+    validate_config(dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seeds=(0, 2**63 - 1))))

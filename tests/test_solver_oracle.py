@@ -244,9 +244,9 @@ def test_replay_skips_most_bisection_integrals(monkeypatch, p_base):
     calls = {"n": 0}
     inner = spectral.band_integral
 
-    def counted(resp, fn):
+    def counted(resp, fn, *samples):
         calls["n"] += 1
-        return inner(resp, fn)
+        return inner(resp, fn, *samples)
 
     monkeypatch.setattr(spectral, "band_integral", counted)
     monkeypatch.setattr(ref, "band_integral", counted)
@@ -258,15 +258,18 @@ def test_replay_skips_most_bisection_integrals(monkeypatch, p_base):
             ours = calls["n"]
             calls["n"] = 0
             ref.solve_min_mse(prob)
-            assert ours <= 48 < calls["n"], (bits, lam, ours, calls["n"])
+            assert ours <= 29 < calls["n"], (bits, lam, ours, calls["n"])
 
 
 @pytest.mark.parametrize(
     "crippled",
     [
-        {"_certified_window": lambda log_ratio, slope: (0.0, math.inf)},  # no certificate
+        {"_certificates": lambda log_ratio, slope, bound, x: {1.0: [], -1.0: []}},  # no certificate
         {"MAX_NEWTON_STEPS": 1},  # Newton stops far from the root
         {"MAX_PROBES": 0},  # only the Newton iterates certify
+        {"_newton_start": lambda p, nu: 0.0},  # Newton starts at alpha = 1
+        {"_newton_start": lambda p, nu: design.X_MIN},  # ... at the smallest normal float
+        {"_newton_start": lambda p, nu: design.X_MAX},  # ... at the largest power of two
     ],
 )
 def test_weak_certificates_keep_every_bit(monkeypatch, crippled):
@@ -279,6 +282,120 @@ def test_weak_certificates_keep_every_bit(monkeypatch, crippled):
         for bits, lam in ((1, 1), (3, 2), (8, 8), (16, 8)):
             prob = DesignProblem(p=oversample_response(p_base, lam), gamma=gamma_from_bits(bits, 4.0))
             assert outcome(solve_min_mse, prob) == outcome(ref.solve_min_mse, prob), (kind, bits, lam)
+
+
+def test_workload_grid_matches_reference():
+    """The 32 cells of the benchmark's fine grid: the built-in plant on
+    65,536 points, bits 1-8 and lambda 1-4."""
+    p_base = make_plant("builtin", 65536, 0)
+    for lam in (1, 2, 3, 4):
+        p_lam = oversample_response(p_base, lam)
+        for bits in range(1, 9):
+            prob = DesignProblem(p=p_lam, gamma=gamma_from_bits(bits, 4.0))
+            got, want = outcome(solve_min_mse, prob), outcome(ref.solve_min_mse, prob)
+            for field in want:
+                assert got.get(field) == want[field], (bits, lam, field)
+
+
+def test_rounding_bound_covers_the_certificate_tolerance():
+    """2E at M = 709.8, the bound over all normal floats, is at least
+    2 (log2 n + 24) u 709.8 for every grid from 64 to 2^40 points."""
+    u = 2.0**-53
+    for k in range(6, 41):
+        for n in (2**k - 1, 2**k, 2**k + 1):
+            if n >= spectral.MIN_N_POINTS:
+                assert 2.0 * design.rounding_bound(n, 709.8) >= 2.0 * (math.log2(n) + 24.0) * u * 709.8, n
+
+
+def long_double_log_ratio(p2: AmplitudeResponse, alpha: float, nu: float) -> float:
+    """log_ratio in 64-bit-mantissa arithmetic on the same samples, weights and pi."""
+    ld = np.longdouble
+    om, steps = (a.astype(ld) for a in _nodes(p2.grid.n_points))
+    y = np.log(p2.values.astype(ld) + ld(alpha))
+
+    def trapezoid(ys, hs):
+        return np.sum(hs * (ys[1:] + ys[:-1]) / 2) if len(ys) > 1 else ld(0)
+
+    if p2.cutoff is None:
+        total = trapezoid(y, steps)
+    else:
+        wc = ld(p2.cutoff)
+        k = int(np.searchsorted(om, wc, side="right")) - 1
+        below, above = np.log(ld(p2.edge_below) + ld(alpha)), np.log(ld(p2.edge_above) + ld(alpha))
+        total = trapezoid(y[: k + 1], steps[:k]) + (wc - om[k]) * (y[k] + below) / 2
+        total += (om[k + 1] - wc) * (above + y[k + 1]) / 2 + trapezoid(y[k + 1 :], steps[k + 1 :])
+    return float(total / ld(np.pi) - np.log(ld(alpha)) - np.log(ld(nu)))
+
+
+@pytest.mark.parametrize("kind", ["builtin", "zeros", "wide_range"])
+def test_rounding_bound_holds_against_long_double(kind):
+    """The computed log_ratio lies within E(alpha) of a long-double
+    evaluation (11 more bits), from alpha = 1e-300 to 1e300."""
+    p_base = make_plant(kind, 4097, 0)
+    nu = gamma_from_bits(8, 4.0) + 1.0
+    for lam in (1, 3):
+        p2 = design._power(oversample_response(p_base, lam))
+        peak = max([float(np.max(p2.values)), *(() if p2.cutoff is None else (p2.edge_below, p2.edge_above))])
+        for alpha in 10.0 ** np.arange(-300.0, 301.0, 15.0):
+            computed = 2.0 * math.log(design._theta(alpha, p2)) - math.log(alpha) - math.log(nu)
+            bound = design.rounding_bound(4097, max(math.log(nu), abs(math.log(alpha)), abs(math.log(peak + alpha))))
+            assert abs(computed - long_double_log_ratio(p2, alpha, nu)) <= bound * (1.0 - 2.0**-9), (lam, alpha)
+
+
+@pytest.mark.parametrize("lam", [1, 3])
+def test_kept_means_equal_fresh_quadratures(lam):
+    """_Means fills p^2's trailing exact zeros from one element, and keeps
+    each mean: every value is the bits of a quadrature of the whole grid."""
+    p2 = design._power(oversample_response(make_plant("builtin", 4097, 0), lam))
+    means = design._Means(p2)
+    assert means.live == (len(p2.values) if lam == 1 else int(np.flatnonzero(p2.values)[-1]) + 1)
+    for alpha in (1e-300, 1e-9, 0.25, 3.0, 1e300):
+        for kind in design._INTEGRANDS:
+            assert means(alpha, kind) == design._mean(kind, alpha, p2), (alpha, kind)
+            assert means(alpha, kind) == means.kept[alpha, kind]
+
+
+def test_one_element_evaluations_match_the_array_bits():
+    """np.log and np.divide give one element the bits they give each element
+    of a longer array, in its vector body and its tail."""
+    alphas = np.exp(np.random.default_rng(5).uniform(-708.0, 709.0, 3000))
+    for integrand in design._INTEGRANDS.values():
+        for alpha in alphas:
+            one = integrand(np.zeros(1), np.full(1, alpha))
+            many = integrand(np.zeros(37), np.full(37, alpha))
+            assert many.tobytes() == np.repeat(one, 37).tobytes(), alpha
+
+
+def test_fraction_range_holds_the_computed_mean():
+    """The polish takes a step without the slope only where both ends of
+    fraction_range give it; the computed mean must lie in that range."""
+    for kind, lam in (("builtin", 1), ("zeros", 3), ("wide_range", 1)):
+        p2 = design._power(oversample_response(make_plant(kind, 4097, 0), lam))
+        for alpha in (1e-12, 1e-4, 0.3, 50.0):
+            means = design._Means(p2)
+            assert means.fraction_range(alpha) == ()
+            means(alpha, "fraction")
+            for step in (0.0, 1e-15, -3e-13, 1e-9, -1e-6, 1e-3, -0.5):
+                near = alpha * math.exp(step)
+                fractions = means.fraction_range(near)
+                fresh = design._mean("fraction", near, p2)
+                assert fractions[0] <= fresh <= fractions[-1], (kind, lam, alpha, step)
+
+
+def test_newton_start_lies_in_its_bracket(p_base):
+    """The start is the log-midpoint of exp(G)/nu^(1/beta) <= alpha <=
+    m/(nu^(1/beta) - 1), whose plain means stand in for the quadrature: the
+    solved alpha lies in that bracket to within 0.01 in ln(alpha)."""
+    for lam in (1, 2, 4):
+        p_lam = oversample_response(p_base, lam)
+        beta, m, g = spectral.band_power_means(p_lam)
+        for bits in (1, 4, 8, 16):
+            nu = gamma_from_bits(bits, 4.0) + 1.0
+            lower, upper = g - math.log(nu) / beta, math.log(m / (nu ** (1.0 / beta) - 1.0))
+            x = design._newton_start(p_lam, nu)
+            assert x == pytest.approx(0.5 * (lower + upper), abs=1e-12), (lam, bits)
+            alpha = solve_min_mse(DesignProblem(p=p_lam, gamma=nu - 1.0)).alpha_opt
+            assert lower - 0.01 <= math.log(alpha) <= upper + 0.01, (lam, bits)
 
 
 @pytest.mark.parametrize("lam", [1, 3])
@@ -346,7 +463,7 @@ class TestGridNodes:
 def reference_patched(monkeypatch):
     """Route efq's quadrature, solve and shaper through the reference solver."""
     monkeypatch.setattr(FrequencyGrid, "omegas", property(lambda self: np.linspace(0.0, np.pi, self.n_points)))
-    monkeypatch.setattr(spectral, "band_integral", ref.band_integral)
+    monkeypatch.setattr(spectral, "band_integral", lambda resp, fn, samples=None: ref.band_integral(resp, fn))
     monkeypatch.setattr(design, "solve_min_mse", ref.solve_min_mse)
     monkeypatch.setattr(design, "optimal_shaper", ref.optimal_shaper)
 

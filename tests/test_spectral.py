@@ -166,6 +166,22 @@ class TestCosineMoments:
             assert power_cosine_moment(cosine_response, lag) == pytest.approx(0.0, abs=1e-12)
 
 
+    def test_cosine_tables_keep_the_bits_and_are_held_from_the_second_use(self):
+        # a grid size no other test uses, so the first call is the first use
+        n, lag = 777, 3
+        fresh = np.cos(lag * np.linspace(0.0, np.pi, n))
+        first, second, third = (spectral._cosines(n, lag) for _ in range(3))
+        for table in (first, second, third):
+            assert table.tobytes() == fresh.tobytes()
+        assert first is not second and second is third
+        assert not third.flags.writeable
+
+    def test_moments_match_fresh_cosines(self, p_base):
+        for lag in range(4):
+            fresh = band_mean(p_base, lambda w, p: p * p * np.cos(lag * w))
+            assert [power_cosine_moment(p_base, lag) for _ in range(3)] == [fresh] * 3
+
+
 class TestAmplitudeOfTF:
     def test_identity_filter_is_flat(self, grid):
         resp = amplitude_of_tf(RationalDiscreteTF([1.0], [1.0]), grid)
