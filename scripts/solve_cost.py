@@ -7,8 +7,8 @@ an outside tracer cannot see it), counts the ``band_integral`` calls made
 inside ``solve_min_mse`` and splits them by phase:
 
 * flatness: ``is_almost_constant``, computed once per response and shared
-  by every solve on it;
-* newton: the Newton start and the certified window (Newton pass and probes);
+  by every solve on it, and a flat plant's norm;
+* newton: the Newton pass and the probes that find the sign certificates;
 * bisection: the bracket expansion and the bisection replay;
 * polish: the Newton polish and the final pass at the solved alpha.
 
@@ -50,16 +50,19 @@ def main() -> int:
 
         return band_integral
 
-    def in_phase(inner, during, after=None):
-        """``inner`` with the phase set to `during` while it runs and to
-        `after` (if given) once it returns."""
+    def in_phase(inner, during, then):
+        """``inner``, its integrals counted as `during` when it runs inside a
+        solve, and the solve's later ones as `then`."""
 
         def wrapped(*a, **kw):
-            saved, state["phase"] = state["phase"], during if state["phase"] is not None else None
+            inside = state["phase"] is not None
+            if inside:
+                state["phase"] = during
             try:
                 return inner(*a, **kw)
             finally:
-                state["phase"] = after if after is not None and saved is not None else saved
+                if inside:
+                    state["phase"] = then
 
         return wrapped
 
@@ -75,10 +78,7 @@ def main() -> int:
         return solve_min_mse
 
     spectral.band_integral = counting(spectral.band_integral)
-    design.is_almost_constant = in_phase(design.is_almost_constant, "flatness", "newton")
-    # earlier versions start Newton at x = 0 and name the pass _certified_window
-    if hasattr(design, "_newton_start"):
-        design._newton_start = in_phase(design._newton_start, "newton", "newton")
+    # the certificate pass is _certified_window in versions before the per-point certificates
     name = "_certificates" if hasattr(design, "_certificates") else "_certified_window"
     setattr(design, name, in_phase(getattr(design, name), "newton", "bisection"))
     design._bisect = in_phase(design._bisect, "bisection", "polish")
