@@ -78,9 +78,7 @@ def main() -> int:
         return solve_min_mse
 
     spectral.band_integral = counting(spectral.band_integral)
-    # the certificate pass is _certified_window in versions before the per-point certificates
-    name = "_certificates" if hasattr(design, "_certificates") else "_certified_window"
-    setattr(design, name, in_phase(getattr(design, name), "newton", "bisection"))
+    design._certificates = in_phase(design._certificates, "newton", "bisection")
     design._bisect = in_phase(design._bisect, "bisection", "polish")
     design.solve_min_mse = solving(design.solve_min_mse)
 

@@ -313,13 +313,14 @@ def cmd_design(args) -> int:
     def solve(cell):
         bits, lam = cell
         gamma = design_mod.gamma_from_bits(bits, cfg.loading_factor)
-        return gamma, design_mod.design_for_nu(p_base, gamma + 1.0, lam)
+        sol = design_mod.design_for_nu(p_base, gamma + 1.0, lam)
+        return gamma, sol, design_mod.optimal_shaper(sol.alpha_opt, spectral.oversample_response(p_base, lam))
 
     cells = _cells(cfg)
     solved = _pool_map(solve, cells)
 
     cell_payload = []
-    for (bits, lam), (gamma, sol) in zip(cells, solved):
+    for (bits, lam), (gamma, sol, shaper) in zip(cells, solved):
         nu = gamma + 1.0
         cell_payload.append(
             {
@@ -334,7 +335,7 @@ def cmd_design(args) -> int:
                 "norm_r_sq": sol.norm_r_sq,
                 "n_of_alpha": sol.n_of_alpha,
                 "feasibility_margin": nu - sol.norm_r_sq,
-                "logmean_check": spectral.log_geometric_mean(sol.r_opt),
+                "logmean_check": spectral.log_geometric_mean(shaper),
             }
         )
         _say(args, f"design bits={bits} lambda={lam}: distortion {design_mod.db(sol.distortion):.4f} dB")
@@ -346,7 +347,7 @@ def cmd_design(args) -> int:
         for start in range(0, len(cells), per_append):
             part = cells[start : start + per_append]
             bits, lams = np.repeat(np.array(part).T, len(omegas), axis=1)
-            r_opt = np.concatenate([sol.r_opt.values for _, sol in solved[start : start + per_append]])
+            r_opt = np.concatenate([shaper.values for *_, shaper in solved[start : start + per_append]])
             append({"bits": bits, "lambda": lams, "omega": np.tile(omegas, len(part)), "r_opt": r_opt})
     _say(args, f"wrote {out / 'design.json'} and {out / 'design_r_opt.csv'}")
     return 0
@@ -569,13 +570,14 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
         bits, lam = cell
         nu = design_mod.gamma_from_bits(bits, cfg.loading_factor) + 1.0
         sol = design_mod.design_for_nu(p_base, nu, lam)
+        shaper = design_mod.optimal_shaper(sol.alpha_opt, spectral.oversample_response(p_base, lam))
         alpha_fine = design_mod.design_for_nu(p_fine, nu, lam).alpha_opt
         residuals = (
             abs(sol.theta_opt**2 / sol.alpha_opt - nu) / nu,
             design_mod.collapse_residual(p_base, nu, lam, sol.distortion),
             sol.distortion / design_mod.upper_bound(nu, lam, p_base) - 1.0,
             nu - sol.norm_r_sq,
-            abs(spectral.log_geometric_mean(sol.r_opt)),
+            abs(spectral.log_geometric_mean(shaper)),
             abs(alpha_fine - sol.alpha_opt) / sol.alpha_opt,
         )
         return residuals, sol if cell == (lane_bits, 1) else None

@@ -60,8 +60,8 @@ from .spectral import (
     oversample_response,
 )
 
-# Tolerance below which a plant response counts as constant, triggering the
-# degenerate branch where feedback cannot help and r = 1 is returned directly.
+# Tolerance below which a plant response counts as constant: feedback cannot
+# help, so solve_min_mse takes its closed form and optimal_shaper returns r = 1.
 ALMOST_CONSTANT_TOL = 1e-9
 
 # The design integrates p^2: below 2^511, p^2, the sum of two neighbouring
@@ -147,14 +147,14 @@ class DesignProblem:
 
 @dataclass(frozen=True)
 class OptimalDesign:
-    """Solution of the shaping optimization at the optimal regularization."""
+    """The scalars of the optimal design; its shaper is built from them, as
+    ``optimal_shaper(alpha_opt, p)``, where it is read."""
 
     alpha_opt: float
-    theta_opt: float
-    r_opt: AmplitudeResponse
+    theta_opt: float  # theta(alpha_opt), the shaper's scale
     distortion: float  # output MSE per unit input variance
-    norm_r_sq: float  # ||r_opt||^2
-    n_of_alpha: float  # ||p * r_opt||^2
+    norm_r_sq: float  # ||r||^2 of the optimal shaper r
+    n_of_alpha: float  # ||p * r||^2
 
 
 @dataclass(frozen=True)
@@ -286,17 +286,6 @@ class _Means:
         return math.nextafter(mean - spread, -math.inf), math.nextafter(mean + spread, math.inf)
 
 
-def _shaper(theta: float, alpha: float, p: AmplitudeResponse, p2: AmplitudeResponse) -> AmplitudeResponse:
-    # Edges square with **, the samples and _power with *: pow and a product
-    # can differ in the last bit, and each keeps the bits it always had. The
-    # samples are theta / sqrt(p^2 + alpha), formed in one buffer.
-    values = np.add(p2.values, alpha)
-    np.divide(theta, np.sqrt(values, out=values), out=values)
-    if p.cutoff is None:
-        return p.with_values(values)
-    return p.with_values(values, theta / math.sqrt(p.edge_below**2 + alpha), theta / math.sqrt(p.edge_above**2 + alpha))
-
-
 def geomean_amplitude(alpha: float, p: AmplitudeResponse) -> float:
     """theta(alpha): geometric-mean amplitude of sqrt(p^2 + alpha).
 
@@ -335,10 +324,21 @@ def design_mse(alpha: float, prob: DesignProblem) -> float:
 
 
 def optimal_shaper(alpha: float, p: AmplitudeResponse) -> AmplitudeResponse:
-    """The shaping response theta(alpha)/sqrt(p^2 + alpha) on p's grid."""
+    """theta(alpha)/sqrt(p^2 + alpha) on p's grid, the optimal shaper at
+    alpha_opt; exactly 1 where p counts as constant (ALMOST_CONSTANT_TOL)."""
     alpha = _check_alpha(alpha)
+    if is_almost_constant(p, ALMOST_CONSTANT_TOL):
+        return constant_response(p.grid, 1.0)
     p2 = _power(p)
-    return _shaper(_theta(alpha, p2), alpha, p, p2)
+    theta = _theta(alpha, p2)
+    # Edges square with **, the samples and _power with *: pow and a product
+    # can differ in the last bit, and each keeps the bits it always had. The
+    # samples are theta / sqrt(p^2 + alpha), formed in one buffer.
+    values = np.add(p2.values, alpha)
+    np.divide(theta, np.sqrt(values, out=values), out=values)
+    if p.cutoff is None:
+        return p.with_values(values)
+    return p.with_values(values, theta / math.sqrt(p.edge_below**2 + alpha), theta / math.sqrt(p.edge_above**2 + alpha))
 
 
 def _bisect(signed, lo: float, hi: float) -> tuple[float, float]:
@@ -419,7 +419,7 @@ def _certificates(log_ratio, slope, bound, x: float) -> dict[float, list[tuple[f
         r, _ = probe(x)
         if s < 0.0 and abs(r) <= NEWTON_RESIDUAL:
             break
-        s = float(slope(math.exp(x)))  # a huge step clamps, where a numpy scalar would warn
+        s = slope(math.exp(x))
         if s == 0.0:
             return held
         x_next = step(x, r)
@@ -443,7 +443,7 @@ def solve_min_mse(prob: DesignProblem) -> OptimalDesign:
 
     Finds the root of theta^2(alpha)/alpha = nu by bracket expansion and
     log-space bisection (the quantity is strictly decreasing), then Newton
-    polish; returns the full design at that alpha.
+    polish; returns the design's scalars at that alpha.
 
     The bisection is replayed, not shortened: its loops run as written and
     end on the same bracket, but a sign certified by ``_certificates`` is
@@ -463,7 +463,6 @@ def solve_min_mse(prob: DesignProblem) -> OptimalDesign:
         return OptimalDesign(
             alpha_opt=alpha,
             theta_opt=math.sqrt(c_sq + alpha),
-            r_opt=constant_response(p.grid, 1.0),
             distortion=alpha,
             norm_r_sq=1.0,
             n_of_alpha=c_sq,
@@ -549,7 +548,6 @@ def solve_min_mse(prob: DesignProblem) -> OptimalDesign:
     return OptimalDesign(
         alpha_opt=alpha,
         theta_opt=theta_opt,
-        r_opt=_shaper(theta_opt, alpha, p, p2),
         distortion=n_val / (nu - c_val),
         norm_r_sq=c_val,
         n_of_alpha=n_val,

@@ -210,7 +210,7 @@ def band_integral(
     if k + 1 < len(om):
         total += (om[k + 1] - wc) * 0.5 * (y_above + y[k + 1])
         total += _trapezoid(y[k + 1 :], steps[k + 1 :])
-    return total
+    return float(total)
 
 
 def band_mean(

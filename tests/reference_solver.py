@@ -101,6 +101,8 @@ def design_mse(alpha: float, prob: DesignProblem) -> float:
 
 def optimal_shaper(alpha: float, p: AmplitudeResponse) -> AmplitudeResponse:
     alpha = _check_alpha(alpha)
+    if is_almost_constant(p, ALMOST_CONSTANT_TOL):
+        return constant_response(p.grid, 1.0)
     theta = geomean_amplitude(alpha, p)
     values = theta / np.sqrt(p.values * p.values + alpha)
     if p.cutoff is None:
@@ -123,7 +125,6 @@ def solve_min_mse(prob: DesignProblem) -> OptimalDesign:
         return OptimalDesign(
             alpha_opt=alpha,
             theta_opt=math.sqrt(c_sq + alpha),
-            r_opt=constant_response(p.grid, 1.0),
             distortion=alpha,
             norm_r_sq=1.0,
             n_of_alpha=c_sq,
@@ -173,7 +174,6 @@ def solve_min_mse(prob: DesignProblem) -> OptimalDesign:
     return OptimalDesign(
         alpha_opt=alpha,
         theta_opt=theta,
-        r_opt=optimal_shaper(alpha, p),
         distortion=n_val / (nu - c_val),
         norm_r_sq=c_val,
         n_of_alpha=n_val,

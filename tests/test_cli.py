@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import efq
-from efq import cli, design, simulate, spectral
+from efq import cli, design, fitting, simulate, spectral
 from efq.cli import CSV_CHUNK_ROWS, CSV_FEW_DISTINCT, _csv_file, main
 from efq.transfer import ContinuousTF, RationalDiscreteTF
 
@@ -225,7 +225,8 @@ class TestDesignCommand:
         for bits in config["bits_list"]:
             for lam in config["lambda_list"]:
                 sol = design.design_for_nu(p_base, design.gamma_from_bits(bits, cfg.loading_factor) + 1.0, lam)
-                rows += [(bits, lam, w, r) for w, r in zip(p_base.grid.omegas, sol.r_opt.values)]
+                shaper = design.optimal_shaper(sol.alpha_opt, spectral.oversample_response(p_base, lam))
+                rows += [(bits, lam, w, r) for w, r in zip(p_base.grid.omegas, shaper.values)]
         sha = json.loads((out / "design.json").read_text())["config_sha256"]
         expected = reference_csv(sha, ["bits", "lambda", "omega", "r_opt"], rows)
         assert (out / "design_r_opt.csv").read_text().split("\n") == expected.split("\n")
@@ -340,6 +341,29 @@ class TestFitCommand:
         for cell in payload["cells"]:
             assert len(cell["filter"]["den"]) == 5
             assert cell["feasible"] is True
+
+    def test_flat_plant_designs_and_fits_the_shaper_one(self, tmp_path):
+        # A constant plant: at lambda 1 the design's shaper is exactly 1, and
+        # the yw fit of that shaper loses nothing.
+        plant = dict(SMALL_CONFIG["plant"], num=[2.0], den=[1.0])
+        cfg = dict(SMALL_CONFIG, plant=plant, fit={"method": "yw", "order": 4})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        fit_args = ["fit", "--config", str(path), "--out", str(out), "--design", str(out / "design.json"), "--quiet"]
+        assert main(fit_args) == 0
+        _, rows = read_csv(out / "design_r_opt.csv")
+        flat_rows = [row for row in rows if row["lambda"] == "1"]
+        assert len(flat_rows) == 2 * cfg["n_points"]
+        assert all(row["r_opt"] == "1.0" for row in flat_rows)
+        for cell in json.loads((out / "design.json").read_text())["cells"]:
+            if cell["lambda"] == 1:
+                assert cell["logmean_check"] == 0.0 and cell["norm_r_sq"] == 1.0
+        for cell in json.loads((out / "fit.json").read_text())["cells"]:
+            assert cell["feasible"] is True
+            if cell["lambda"] == 1:
+                assert cell["loss_db"] == 0.0
 
 
 class TestSimulateCommand:
@@ -646,6 +670,34 @@ class TestVerifyCommand:
 
 
 class TestStagesAgree:
+    def test_shapers_are_built_only_where_read(self, config_path, tmp_path, monkeypatch):
+        # design and verify read one shaper per cell, and the yw fit fits one;
+        # rd-curve and the qcqp fit read only the design's scalars.
+        monkeypatch.setenv("EFQ_THREADS", "1")
+        yw_path = tmp_path / "yw.json"
+        yw_path.write_text(json.dumps(dict(SMALL_CONFIG, fit={"method": "yw", "order": 4})))
+        built = []
+        shaper = design.optimal_shaper
+
+        def counted(alpha, p):
+            built.append(alpha)
+            return shaper(alpha, p)
+
+        monkeypatch.setattr(design, "optimal_shaper", counted)
+        monkeypatch.setattr(fitting, "optimal_shaper", counted)
+        counts = {}
+        for name, command, path in (
+            ("design", "design", config_path),
+            ("verify", "verify", config_path),
+            ("rd-curve", "rd-curve", config_path),
+            ("fit qcqp", "fit", config_path),
+            ("fit yw", "fit", str(yw_path)),
+        ):
+            built.clear()
+            assert main([command, "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+            counts[name] = len(built)
+        assert counts == {"design": 4, "verify": 4, "rd-curve": 0, "fit qcqp": 0, "fit yw": 4}
+
     def test_cli_matches_library_and_stages_match_each_other(self, config_path, tmp_path):
         out = tmp_path / "out"
         for command in ("design", "rd-curve", "verify"):

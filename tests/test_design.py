@@ -1,5 +1,6 @@
 """Optimal shaping design: normalizers, the scalar root solve, and the sweep."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -139,7 +140,7 @@ class TestSolve:
         sol = solve_min_mse(prob)
         assert sol.alpha_opt == pytest.approx(0.49 / 1.5, rel=1e-12)
         assert sol.distortion == pytest.approx(0.49 / 1.5, rel=1e-12)
-        np.testing.assert_allclose(sol.r_opt.values, 1.0, atol=1e-12)
+        np.testing.assert_array_equal(optimal_shaper(sol.alpha_opt, resp).values, 1.0)
         assert sol.norm_r_sq == pytest.approx(1.0, rel=1e-12)
 
     def test_constant_plant_unit_noise_variance(self, grid):
@@ -195,7 +196,7 @@ class TestSolve:
         assert sol.alpha_opt < 1e-70
         assert abs(sol.theta_opt**2 / sol.alpha_opt - prob.nu) <= 1e-10 * prob.nu
         assert prob.nu - sol.norm_r_sq > 0.0
-        assert abs(log_geometric_mean(sol.r_opt)) <= 1e-8
+        assert abs(log_geometric_mean(optimal_shaper(sol.alpha_opt, prob.p))) <= 1e-8
 
 
 class TestMonotonicity:
@@ -233,7 +234,13 @@ class TestOversampledDesign:
         direct = solve_min_mse(DesignProblem(p=oversample_response(p_base, 2), gamma=gamma))
         for name in ("alpha_opt", "theta_opt", "distortion", "norm_r_sq", "n_of_alpha"):
             assert getattr(design, name) == getattr(direct, name), name
-        assert np.array_equal(design.r_opt.values, direct.r_opt.values)
+
+    @pytest.mark.parametrize("lam", [2, 3, 4])
+    def test_design_fields_are_python_floats(self, p_base, lam):
+        # a numpy scalar field would warn, not give inf, where a division overflows
+        design = design_for_nu(p_base, gamma_from_bits(4, 4.0) + 1.0, lam)
+        for field in dataclasses.fields(design):
+            assert type(getattr(design, field.name)) is float, field.name
 
 
 class TestUpperBound:

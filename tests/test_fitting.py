@@ -118,17 +118,18 @@ class TestYuleWalker:
         gamma = gamma_from_bits(4, 4.0)
         prob = DesignProblem(p=p_base, gamma=gamma)
         sol = solve_min_mse(prob)
-        fitted = yule_walker_fit(sol.r_opt, 4)
+        shaper = optimal_shaper(sol.alpha_opt, p_base)
+        fitted = yule_walker_fit(shaper, 4)
         got = amplitude_of_tf(fitted, p_base.grid).values
-        rms = math.sqrt(float(np.mean((got - sol.r_opt.values) ** 2)))
-        assert rms < 0.2 * math.sqrt(float(np.mean(sol.r_opt.values**2)))
+        rms = math.sqrt(float(np.mean((got - shaper.values) ** 2)))
+        assert rms < 0.2 * math.sqrt(float(np.mean(shaper.values**2)))
         report = evaluate_fit(fitted, p_base, gamma, ideal_mse=sol.alpha_opt)
         assert db(report.achieved_mse / report.ideal_mse) < 1.0
 
     def test_result_is_stable_and_unity_head(self, p_base):
         prob = DesignProblem(p=p_base, gamma=gamma_from_bits(6, 4.0))
         sol = solve_min_mse(prob)
-        fitted = yule_walker_fit(sol.r_opt, 4)
+        fitted = yule_walker_fit(optimal_shaper(sol.alpha_opt, p_base), 4)
         assert fitted.num[0] == 1.0
         assert fitted.den[0] == 1.0
         assert max((abs(r) for r in np.roots(fitted.den)), default=0.0) < 1.0

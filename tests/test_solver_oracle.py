@@ -58,20 +58,22 @@ def make_plant(kind: str, n: int, seed: int) -> AmplitudeResponse:
     return AmplitudeResponse(grid, values)
 
 
-def outcome(solve, prob: DesignProblem):
+def outcome(module, prob: DesignProblem):
+    """A solve's fields and its shaper's bits, by `module` (efq.design or
+    the reference)."""
     try:
-        sol = solve(prob)
+        sol = module.solve_min_mse(prob)
     except Exception as exc:  # the reference and efq must fail alike
         return {"error": (type(exc), str(exc))}
-    r = sol.r_opt
+    r = module.optimal_shaper(sol.alpha_opt, prob.p)
     return {
         "alpha_opt": sol.alpha_opt,
         "theta_opt": sol.theta_opt,
         "distortion": sol.distortion,
         "norm_r_sq": sol.norm_r_sq,
         "n_of_alpha": sol.n_of_alpha,
-        "r_opt.values": r.values.tobytes(),
-        "r_opt.edges": (r.cutoff, r.edge_below, r.edge_above),
+        "shaper.values": r.values.tobytes(),
+        "shaper.edges": (r.cutoff, r.edge_below, r.edge_above),
     }
 
 
@@ -84,7 +86,7 @@ def test_solve_matches_reference_bit_for_bit(kind, n):
         p_lam = oversample_response(p_base, lam)
         for bits in BITS:
             prob = DesignProblem(p=p_lam, gamma=gamma_from_bits(bits, 4.0))
-            got, want = outcome(solve_min_mse, prob), outcome(ref.solve_min_mse, prob)
+            got, want = outcome(design, prob), outcome(ref, prob)
             for field in want:
                 assert got.get(field) == want[field], (kind, n, seed, bits, lam, field)
 
@@ -99,9 +101,9 @@ def test_bracket_failures_match_reference(n):
     for seed, lam, bits in OUT_OF_RANGE_CELLS:
         p_base = make_plant("out_of_range", n, seed)
         prob = DesignProblem(p=oversample_response(p_base, lam), gamma=gamma_from_bits(bits, 4.0))
-        got = outcome(solve_min_mse, prob)
+        got = outcome(design, prob)
         assert "error" in got
-        assert got == outcome(ref.solve_min_mse, prob), (seed, bits, lam)
+        assert got == outcome(ref, prob), (seed, bits, lam)
 
 
 def root_residual(sol, nu: float) -> float:
@@ -123,7 +125,7 @@ def test_plants_beyond_the_old_brackets_solve(n):
     shape = np.exp(0.5 * np.cos(FrequencyGrid(n).omegas))
     for scale, bits in ((1e45, 1), (1e45, 8), (1e-152, 1)):
         prob = scaled_problem(shape, scale, bits)
-        assert "error" in outcome(ref.solve_min_mse, prob)
+        assert "error" in outcome(ref, prob)
         sol = solve_min_mse(prob)
         unit = ref.solve_min_mse(scaled_problem(shape, 1.0, bits))
         assert sol.alpha_opt / scale**2 == pytest.approx(unit.alpha_opt, rel=1e-12), (scale, bits)
@@ -209,7 +211,7 @@ def test_top_of_the_float_range_solves():
     shape = np.sqrt(2.0 + 2.0 * np.cos(om)) + 0.1
     scale = 3e153
     prob = scaled_problem(shape, scale, 1)
-    assert outcome(ref.solve_min_mse, prob)["error"][1] == "failed to bracket the optimal alpha from above"
+    assert outcome(ref, prob)["error"][1] == "failed to bracket the optimal alpha from above"
     sol = solve_min_mse(prob)
     assert 2.0**1023 < sol.alpha_opt < design.ALPHA_MAX
     assert root_residual(sol, prob.nu) <= 1e-12
@@ -225,7 +227,7 @@ def test_matrix_covers_every_branch():
             p_base = make_plant(kind, 64, seed)
             for lam, bits in ((1, 1), (8, 16)):
                 prob = DesignProblem(p=oversample_response(p_base, lam), gamma=gamma_from_bits(bits, 4.0))
-                got = outcome(solve_min_mse, prob)
+                got = outcome(design, prob)
                 if "error" in got:
                     errors.add(got["error"][1])
                 else:
@@ -281,7 +283,7 @@ def test_weak_certificates_keep_every_bit(monkeypatch, crippled):
         p_base = make_plant(kind, 257, 0)
         for bits, lam in ((1, 1), (3, 2), (8, 8), (16, 8)):
             prob = DesignProblem(p=oversample_response(p_base, lam), gamma=gamma_from_bits(bits, 4.0))
-            assert outcome(solve_min_mse, prob) == outcome(ref.solve_min_mse, prob), (kind, bits, lam)
+            assert outcome(design, prob) == outcome(ref, prob), (kind, bits, lam)
 
 
 def test_workload_grid_matches_reference():
@@ -292,7 +294,7 @@ def test_workload_grid_matches_reference():
         p_lam = oversample_response(p_base, lam)
         for bits in range(1, 9):
             prob = DesignProblem(p=p_lam, gamma=gamma_from_bits(bits, 4.0))
-            got, want = outcome(solve_min_mse, prob), outcome(ref.solve_min_mse, prob)
+            got, want = outcome(design, prob), outcome(ref, prob)
             for field in want:
                 assert got.get(field) == want[field], (bits, lam, field)
 

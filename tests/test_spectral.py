@@ -151,6 +151,11 @@ class TestBandIntegral:
         expected = (wc + 0.25 * wc**2) + 0.2 * (math.pi - wc)
         assert band_integral(resp, lambda om_, v: v) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("lam", [1, 3])
+    def test_returns_a_python_float(self, p_base, lam):
+        # with a cutoff too, where the partial cells add numpy scalars
+        assert type(band_integral(oversample_response(p_base, lam), lambda om, v: v)) is float
+
     def test_band_mean_is_integral_over_pi(self, p_base):
         assert band_mean(p_base, lambda om, v: v) == pytest.approx(
             band_integral(p_base, lambda om, v: v) / math.pi, rel=1e-15
