@@ -55,8 +55,8 @@ from .simulate import (
     MidRiseQuantizer,
     SignalModel,
     SimulationResult,
-    discretize_plant,
     gen_input,
+    granular_mse,
     loop_identity_residual,
     loop_quantizer,
     quantize_midrise,
@@ -112,7 +112,6 @@ __all__ = [
     "default_config",
     "design_for_nu",
     "design_mse",
-    "discretize_plant",
     "evaluate_fit",
     "fir_kkt_residuals",
     "fit_cell",
@@ -120,6 +119,7 @@ __all__ = [
     "gamma_from_bits",
     "gen_input",
     "geomean_amplitude",
+    "granular_mse",
     "impulse_response",
     "l2_norm_sq",
     "load_config",

@@ -14,6 +14,7 @@ import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .design import gamma_from_bits
 from .errors import ConfigError
 from .spectral import FrequencyGrid, MIN_N_POINTS
 from .transfer import ContinuousTF
@@ -90,6 +91,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _require(problems, bool(cfg.bits_list), "bits_list", "must be nonempty")
     for i, b in enumerate(cfg.bits_list):
         _require(problems, isinstance(b, int) and b >= 1, f"bits_list[{i}]", f"must be a positive integer, got {b!r}")
+        if isinstance(b, int) and b >= 1 and 0 < cfg.loading_factor < math.inf:
+            try:
+                gamma_from_bits(b, cfg.loading_factor)
+            except ValueError as exc:
+                problems.append(f"bits_list[{i}]: {exc}")
     _require(problems, bool(cfg.lambda_list), "lambda_list", "must be nonempty")
     for i, lam in enumerate(cfg.lambda_list):
         _require(

@@ -56,7 +56,6 @@ from .spectral import (
     constant_response,
     is_almost_constant,
     l2_norm_sq,
-    log_geometric_mean,
     oversample_response,
 )
 
@@ -189,20 +188,28 @@ class QuantizerSpec:
 
 def _levels(bits: int) -> int:
     """2^bits - 1: the steps between a b-bit mid-rise quantizer's extreme
-    levels, which span 2 * saturation."""
+    levels, which span 2 * saturation; ValueError beyond 1023 bits, where it
+    is no float."""
     if bits < 1 or int(bits) != bits:
         raise ValueError("bits must be a positive integer")
+    if bits > 1023:
+        raise ValueError(f"2^bits - 1 is beyond the float range at {bits} bits")
     return (1 << int(bits)) - 1
 
 
 def gamma_from_bits(bits: int, loading_factor: float) -> float:
     """Noise-ratio gamma = sigma_u^2/sigma_w^2 for a b-bit mid-rise quantizer
     under the white uniform-error model (sigma_w^2 = d^2/12) with saturation
-    at loading_factor standard deviations of the input."""
+    at loading_factor standard deviations of the input; ValueError where
+    gamma is beyond the float range."""
     levels = _levels(bits)
     if loading_factor <= 0:
         raise ValueError("loading_factor must be positive")
-    return 3.0 * levels * levels / (loading_factor * loading_factor)
+    square = loading_factor * loading_factor
+    gamma = 3.0 * levels * levels / square if square > 0 else math.inf
+    if gamma == math.inf:
+        raise ValueError(f"gamma is beyond the float range at {bits} bits and loading factor {loading_factor!r}")
+    return gamma
 
 
 def _check_alpha(alpha: float) -> float:

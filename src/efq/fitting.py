@@ -30,12 +30,7 @@ import numpy as np
 from .design import db, optimal_shaper
 from .errors import NumericalError
 from .spectral import AmplitudeResponse, l2_norm_sq, power_cosine_moment
-from .transfer import (
-    RationalDiscreteTF,
-    frequency_response,
-    impulse_response,
-    impulse_response_truncated,
-)
+from .transfer import RationalDiscreteTF, frequency_response, impulse_response_truncated
 
 # Spectral-factorization roots this close to the unit circle are snapped
 # inside to radius 1 - SNAP_TOL to avoid marginally unstable numerators.

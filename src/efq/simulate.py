@@ -22,25 +22,14 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-# scipy is imported only by ``discretize_plant``, which no CLI stage calls;
-# every filter here is ``linear_filter``, with scipy.signal.lfilter's bits.
 
 from .design import QuantizerSpec, gamma_from_bits
 from .errors import NumericalError
-from .fitting import FIRFilter, FitReport, as_discrete_tf, evaluate_fit, yule_walker_fit
-from .spectral import AmplitudeResponse, FrequencyGrid, ct_frequency_map
-from .transfer import ContinuousTF, RationalDiscreteTF, frequency_response, linear_filter
+from .fitting import FIRFilter, FitReport, as_discrete_tf, evaluate_fit
+from .spectral import AmplitudeResponse, FrequencyGrid
+from .transfer import RationalDiscreteTF, linear_filter
 
 HEAD_TOL = 1e-12
-
-# discretize_plant: grid of the Yule-Walker start, and the log-spaced
-# frequencies of the log-magnitude polish.
-START_GRID_POINTS = 1024
-FIT_POINTS = 400
-FIT_LOW = 1e-3
-# Plant zeros with |real part| below this (relative) count as on the j*omega
-# axis, where the log-magnitude is unbounded.
-AXIS_TOL = 1e-9
 
 # Run statistics are defined over BLOCK-sample blocks aligned to the start of
 # a run and merged in block order; run_lanes advances its lanes one block at a
@@ -146,14 +135,14 @@ def loop_traces(x: np.ndarray, u: np.ndarray, q: MidRiseQuantizer) -> LoopTraces
 @dataclass(frozen=True)
 class Lane:
     """One loop run: a seeded input at a sample period, a shaper and a
-    quantizer, scored by ``RunStats`` on a plant map (on WELCH_GRID, or a
-    rational plant) against a predicted MSE; `name` opens its failures."""
+    quantizer, scored by ``RunStats`` on a plant map on WELCH_GRID against a
+    predicted MSE; `name` opens its failures."""
 
     model: SignalModel
     sample_period: float
     shaper: RationalDiscreteTF | FIRFilter
     quantizer: MidRiseQuantizer
-    plant_map: AmplitudeResponse | RationalDiscreteTF
+    plant_map: AmplitudeResponse
     predicted_mse: float
     name: str = "lane"
 
@@ -218,68 +207,6 @@ def _draw_columns(draws: Sequence[_InputDraw], out: np.ndarray) -> np.ndarray:
 def gen_input(model: SignalModel, sample_period: float) -> np.ndarray:
     """The model's seeded Gaussian input, ``_InputDraw``'s whole length."""
     return _InputDraw(model, sample_period)(model.length)
-
-
-def _reflect_inside(coeffs: np.ndarray) -> np.ndarray:
-    """Polynomial in z^-1 (ascending delay) with every root outside the unit
-    circle moved to its conjugate reciprocal. The magnitude response keeps
-    its shape; only its scale changes."""
-    roots = np.roots(coeffs)
-    outside = np.abs(roots) > 1.0
-    if not np.any(outside):
-        return coeffs
-    roots[outside] = 1.0 / np.conj(roots[outside])
-    return coeffs[0] * np.real(np.poly(roots))
-
-
-def discretize_plant(plant: ContinuousTF, oversampling: int = 1) -> RationalDiscreteTF:
-    """Magnitude-matched discretization at period sample_period/oversampling:
-    a stable rational filter of the plant's order whose magnitude follows
-    |P(j*omega/T_s)|, T_s = T/oversampling, over all of [0, pi], with no
-    band limit at pi/oversampling; ``excised_mse`` filters through it.
-    ``yule_walker_fit`` of that magnitude starts a Levenberg-Marquardt fit of
-    log-magnitude over FIT_POINTS log-spaced frequencies in [FIT_LOW, pi];
-    roots outside the unit circle are reflected inside and the DC gain is
-    set to P(0). On the benchmark plant the magnitude is within 0.1 % up to
-    pi/2 and 1.3 % over the band for oversampling 1-4."""
-    from scipy import optimize
-
-    if oversampling < 1 or int(oversampling) != oversampling:
-        raise ValueError("oversampling factor must be a positive integer")
-    zeros = np.roots(plant.num)
-    if np.any(np.abs(zeros.real) <= AXIS_TOL * np.maximum(np.abs(zeros), 1.0)):
-        raise ValueError("cannot match the log-magnitude of a plant with a zero on the imaginary axis")
-    t = plant.sample_period / oversampling
-    fast = ContinuousTF(plant.num, plant.den, t)
-    dc = float(np.real(plant.eval(0.0)))
-    n = len(plant.den) - 1
-    if n == 0:
-        return RationalDiscreteTF([dc])
-
-    start = yule_walker_fit(ct_frequency_map(fast, 1, FrequencyGrid(START_GRID_POINTS)), n)
-    omegas = np.geomspace(FIT_LOW, math.pi, FIT_POINTS)
-    target = np.log(np.abs(fast.eval(1j * omegas / t)))
-    basis = np.exp(-1j * np.outer(omegas, np.arange(n + 1)))  # z^-k on the fit grid
-
-    def split(params):  # free numerator b0..bn, monic denominator
-        return params[: n + 1], np.concatenate([[1.0], params[n + 1 :]])
-
-    def residual(params):
-        b, a = split(params)
-        return np.log(np.abs(basis @ b)) - np.log(np.abs(basis @ a)) - target
-
-    def jacobian(params):
-        # d ln|B| / d b_k = Re(z^-k / B), likewise for A with the sign flipped.
-        b, a = split(params)
-        return np.hstack([(basis / (basis @ b)[:, None]).real, -(basis[:, 1:] / (basis @ a)[:, None]).real])
-
-    num0 = np.zeros(n + 1)
-    num0[: len(start.num)] = start.num
-    den0 = np.zeros(n + 1)
-    den0[: len(start.den)] = start.den
-    fit = optimize.least_squares(residual, np.concatenate([num0, den0[1:]]), jac=jacobian, method="lm")
-    num, den = (_reflect_inside(c) for c in split(fit.x))
-    return RationalDiscreteTF(num * (dc * den.sum() / num.sum()), den)
 
 
 def _feedback_coefficients(r: RationalDiscreteTF | FIRFilter) -> tuple[list[float], list[float]]:
@@ -539,28 +466,6 @@ def _lane_failure(lane: Lane, start: int, exc: NumericalError) -> LaneFailure:
     return LaneFailure(f"{lane.name}: {exc} of the chunk from sample {start}", start)
 
 
-def filter_memory_estimate(tf: RationalDiscreteTF) -> int:
-    """Rough impulse-response duration: max of the tap count and the slowest
-    pole's e-folding time in samples."""
-    memory = max(len(tf.num), len(tf.den))
-    if len(tf.den) > 1:
-        poles = np.abs(np.roots(tf.den))
-        rho = float(np.max(poles)) if poles.size else 0.0
-        if 0.0 < rho < 1.0:
-            memory = max(memory, int(math.ceil(-1.0 / math.log(rho))))
-    return memory
-
-
-def plant_burn_in(plant_d: RationalDiscreteTF, length: int) -> int:
-    """Transient burn-in of max(1000, 20x filter memory) samples discarded
-    from a plant-filtered error of `length` samples; raises ValueError
-    unless `length` exceeds twice the burn-in."""
-    burn = max(1000, 20 * filter_memory_estimate(plant_d))
-    if length <= 2 * burn:
-        raise ValueError(f"need more than {2 * burn} samples to discard a {burn}-sample burn-in")
-    return burn
-
-
 class _Moments:
     """Count, mean and sum of squared deviations (M2) of the samples added so
     far: two passes over each block, and blocks merged in the order added
@@ -625,17 +530,6 @@ def welch_segments(length: int) -> int:
     return length // BLOCK - 1
 
 
-def _welch(plant: AmplitudeResponse | RationalDiscreteTF) -> tuple[np.ndarray, np.ndarray]:
-    """A segment's periodic Hann window and its bins' weights in its power
-    through the plant: |P|^2 on WELCH_GRID times the bin's share of the circle
-    (1 at 0 and pi, 2 between) over SEGMENT times the window energy; shared."""
-    if isinstance(plant, RationalDiscreteTF):
-        return _welch_of(np.abs(frequency_response(plant, WELCH_GRID.omegas)).tobytes())
-    if plant.grid != WELCH_GRID:
-        raise ValueError(f"a plant map must be on the {WELCH_GRID.n_points}-point Welch grid")
-    return _welch_of(plant.values.tobytes())
-
-
 @functools.lru_cache(maxsize=8)
 def _welch_of(magnitude: bytes) -> tuple[np.ndarray, np.ndarray]:
     window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(SEGMENT) / SEGMENT)
@@ -644,6 +538,33 @@ def _welch_of(magnitude: bytes) -> tuple[np.ndarray, np.ndarray]:
     window.setflags(write=False)
     weight.setflags(write=False)
     return window, weight
+
+
+class _WelchPower:
+    """The Welch estimate of a series' power through a plant map on
+    WELCH_GRID, fed the series' whole BLOCK-sample blocks in order: over
+    ``welch_segments`` periodic Hann segments of two blocks, one block
+    carried, each segment's |rfft|^2 weighted by |P|^2 times the bin's share
+    of the circle (1 at 0 and pi, 2 between) over SEGMENT times the window
+    energy, and summed in segment order. The window and weights are shared
+    by every estimate on the same map."""
+
+    def __init__(self, plant_map: AmplitudeResponse, length: int):
+        self.segments = welch_segments(length)
+        if plant_map.grid != WELCH_GRID:
+            raise ValueError(f"a plant map must be on the {WELCH_GRID.n_points}-point Welch grid")
+        self.window, self.weight = _welch_of(plant_map.values.tobytes())
+        self.carry = None  # the last block
+        self.power = 0.0
+
+    def add(self, block: np.ndarray) -> None:
+        if self.carry is not None:
+            spectrum = np.fft.rfft(np.concatenate((self.carry, block)) * self.window)
+            self.power += float(np.add.reduce(self.weight * (spectrum.real**2 + spectrum.imag**2)))
+        self.carry = block
+
+    def mse(self) -> float:
+        return self.power / self.segments
 
 
 class RunStats:
@@ -656,24 +577,20 @@ class RunStats:
     * the variances of u and w: per block a two-pass count, mean and M2,
       merged in block order;
     * the lag products of w at lags 0..MAX_LAG;
-    * the output MSE, the power of P(v - x): a Welch estimate over
-      ``welch_segments`` under a Hann window, |rfft|^2 weighted by |P|^2 and
-      summed in segment order, one block of v - x carried. A design's plant
-      map is zero above pi/lambda: this measures its ||p R||^2 sigma_w^2.
+    * the output MSE, the power of P(v - x): ``_WelchPower`` of v - x on
+      the plant map. A design's plant map is zero above pi/lambda: this
+      measures its ||p R||^2 sigma_w^2.
 
     A statistic that overflows is inf or NaN, without a warning.
     """
 
-    def __init__(self, plant_map: AmplitudeResponse | RationalDiscreteTF, length: int):
-        self.segments = welch_segments(length)
-        self.window, self.weight = _welch(plant_map)
+    def __init__(self, plant_map: AmplitudeResponse, length: int):
+        self.welch = _WelchPower(plant_map, length)
         self.length = length
         self.seen = 0
         self.overloads = 0
         self.u, self.w = _Moments(), _Moments()
         self.lags = _LagProducts(MAX_LAG)
-        self.carry = None  # v - x of the last full block
-        self.power = 0.0
 
     @np.errstate(over="ignore", invalid="ignore")
     def add(self, traces: LoopTraces) -> None:
@@ -690,18 +607,14 @@ class RunStats:
             self.lags.add(w)
             self.seen += len(x)
             if len(x) == BLOCK:
-                err = v - x
-                if self.carry is not None:
-                    spectrum = np.fft.rfft(np.concatenate((self.carry, err)) * self.window)
-                    self.power += float(np.add.reduce(self.weight * (spectrum.real**2 + spectrum.imag**2)))
-                self.carry = err
+                self.welch.add(v - x)
 
     @np.errstate(invalid="ignore")
     def result(self, predicted_mse: float) -> SimulationResult:
         if self.seen != self.length:
             raise ValueError(f"fed {self.seen} of the run's {self.length} samples")
         return SimulationResult(
-            empirical_mse=self.power / self.segments,
+            empirical_mse=self.welch.mse(),
             predicted_mse=float(predicted_mse),
             overload_count=self.overloads,
             overload_rate=self.overloads / self.length,
@@ -711,31 +624,24 @@ class RunStats:
         )
 
 
-def excised_mse(traces: LoopTraces, plant_d: RationalDiscreteTF, window: int) -> tuple[float, float]:
-    """Granular output MSE: the variance of the error P[z](v - x) through a
-    rational plant past its ``plant_burn_in``, without the `window` samples
-    from each overload on; per BLOCK-aligned block, merged as ``RunStats``
-    merges its variances. Each clip injects a burst that the plant spreads
-    over its memory, which the no-overload prediction excludes. Returns
-    (MSE, fraction of the samples past the burn-in that were removed)."""
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    n = len(traces.x)
-    burn = plant_burn_in(plant_d, n)
-    err = linear_filter(plant_d.num, plant_d.den, traces.v - traces.x)
-    starts = np.flatnonzero(traces.overload)
-    edges = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(edges, starts, 1)
-    np.add.at(edges, np.minimum(starts + window, n), -1)
-    keep = np.cumsum(edges[:n]) == 0
-    keep[:burn] = False
-    kept = int(np.count_nonzero(keep))
-    if kept < 1000:
-        raise ValueError("excision removed nearly all samples")
-    moments = _Moments()
-    for start in range(0, n, BLOCK):
-        moments.add(err[start : start + BLOCK][keep[start : start + BLOCK]])
-    return moments.variance, 1.0 - kept / (n - burn)
+@np.errstate(over="ignore", invalid="ignore")
+def granular_mse(
+    traces: LoopTraces, shaper: RationalDiscreteTF | FIRFilter, quantizer: MidRiseQuantizer, plant_map: AmplitudeResponse
+) -> float:
+    """The output MSE of a run with its overload error taken out: the
+    ``_WelchPower`` estimate on `plant_map`, as ``RunStats`` scores v - x, of
+    (v - x) - R w_o, where w_o = w - clip(w, -d/2, d/2) is each error's excess
+    over half a step. A granular error has |w| <= d/2, so w_o is nonzero
+    exactly at the overloads, and as the loop gives v - x = R w, this is the
+    error R clip(w) the loop would show had every overload error been
+    granular, with no sample removed, at every lambda."""
+    welch = _WelchPower(plant_map, len(traces.x))
+    half = 0.5 * quantizer.step
+    tf = as_discrete_tf(shaper)
+    err = (traces.v - traces.x) - linear_filter(tf.num, tf.den, traces.w - np.clip(traces.w, -half, half))
+    for start in range(0, len(err) - BLOCK + 1, BLOCK):
+        welch.add(err[start : start + BLOCK])
+    return welch.mse()
 
 
 def loop_identity_residual(traces: LoopTraces, r: RationalDiscreteTF | FIRFilter) -> float:
@@ -775,11 +681,9 @@ def loop_quantizer(
     return score, sigma_u_sq, sigma_w_sq, MidRiseQuantizer.from_spec(qspec)
 
 
-def summarize_run(
-    traces: LoopTraces, plant_d: AmplitudeResponse | RationalDiscreteTF, predicted_mse: float
-) -> SimulationResult:
-    """``RunStats`` of the whole run, on a plant map or a rational plant."""
-    stats = RunStats(plant_d, len(traces.x))
+def summarize_run(traces: LoopTraces, plant_map: AmplitudeResponse, predicted_mse: float) -> SimulationResult:
+    """``RunStats`` of the whole run on a plant map."""
+    stats = RunStats(plant_map, len(traces.x))
     stats.add(traces)
     return stats.result(predicted_mse)
 

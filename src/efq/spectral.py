@@ -41,7 +41,6 @@ import numpy as np
 
 from .transfer import ContinuousTF, RationalDiscreteTF, frequency_response
 
-DEFAULT_N_POINTS = 8192
 MIN_N_POINTS = 64
 
 

@@ -1,8 +1,8 @@
 """Transfer-function containers and frequency/impulse responses.
 
 Two immutable rational-filter types live here: ``ContinuousTF`` for the
-analog plant model (polynomials in s, plus the sampling period it will be
-discretized with) and ``RationalDiscreteTF`` for discrete-time filters
+analog plant model (polynomials in s, plus the sampling period of the
+loop that drives it) and ``RationalDiscreteTF`` for discrete-time filters
 (polynomials in z^-1, ascending delay). Helpers evaluate complex frequency
 responses and impulse responses.
 """
@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# No scipy here: linear_filter gives scipy.signal.lfilter's bits, so the
-# impulse responses load numpy only.
 
 from .errors import NumericalError
 

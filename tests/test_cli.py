@@ -739,12 +739,12 @@ shaper taps: [1.0, -1.116942, 0.230829, -0.087225, 0.029458]
 predicted MSE 6.111198e-07 (-62.139 dB), ideal 6.108487e-07 (-62.141 dB)
 quantizer: step 3.137423e-02, saturation 4.000215e+00
 
- seed overloads  ovl_rate    empirical   ratio  identity      excised exc_ratio exc_frac
-----------------------------------------------------------------------------------------
-    0         2  1.00e-04 7.919518e-07  1.2959  4.44e-16 6.055895e-07    0.9910 6.89e-03
+ seed overloads  ovl_rate    empirical   ratio  identity     granular gran_ratio
+--------------------------------------------------------------------------------
+    0         2  1.00e-04 7.919518e-07  1.2959  4.44e-16 6.123117e-07     1.0020
 
 empirical/predicted ratio: mean 1.2959, 95% CI half-width nan, range [1.2959, 1.2959]
-(excision window: 130 samples after each overload)
+granular/predicted ratio: mean 1.0020, 95% CI half-width nan, range [1.0020, 1.0020]
 """
 
 
@@ -759,7 +759,7 @@ class TestEntryPoints:
         "command",
         [
             "scripts/fit_study.py --bits 2 --lambdas 1,2 --grid 1024",
-            "scripts/simulation_check.py --bits 8 --length 20000 --seeds 0 --grid 1024 --excise",
+            "scripts/simulation_check.py --bits 8 --length 20000 --seeds 0 --grid 1024",
         ],
         ids=["fit_study", "simulation_check"],
     )
@@ -787,9 +787,9 @@ class TestEntryPoints:
 
     def test_simulation_check_output_is_unchanged(self):
         """The script sets up its lane with ``loop_quantizer``, runs each seed
-        once and scores the whole traces with ``summarize_run``; its report
-        is the one recorded above."""
-        command = "--bits 8 --length 20000 --seeds 0 --grid 1024 --excise"
+        once and scores the whole traces with ``summarize_run`` and
+        ``granular_mse``; its report is the one recorded above."""
+        command = "--bits 8 --length 20000 --seeds 0 --grid 1024"
         proc = run_python([str(REPO / "scripts/simulation_check.py"), *command.split()])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == SIMULATION_CHECK_STDOUT
@@ -806,14 +806,6 @@ class TestEntryPoints:
         assert int(rows["total"][0]) / 20 == pytest.approx(float(rows["total"][1]), abs=0.005)
         assert float(rows["total"][1]) <= 24
         assert lines[-1].startswith("cpu_s ")
-
-    def test_simulation_check_refuses_excise_above_lambda_one(self):
-        # excised_mse filters through a full-band plant, while the prediction
-        # at lambda >= 2 is in-band: the script stops before any design.
-        proc = run_python([str(REPO / "scripts/simulation_check.py"), "--lam", "2", "--excise"])
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.splitlines()[-1].endswith("at --lam 2 or more; use --lam 1")
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_help_lists_common_flags(self, command, capsys):
@@ -860,14 +852,36 @@ class TestPublicSurface:
         assert set(efq.__all__) == public
 
 
+# A meta-path finder, first on sys.meta_path, under which scipy cannot be
+# imported, as where it is not installed.
+BLOCK_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+"""
+
+
 class TestStartup:
-    def test_design_rd_curve_fit_and_verify_never_load_scipy(self, config_path, tmp_path):
+    def run_stages(self, config_path, tmp_path, prelude=""):
         # A fresh process: this test session has imported scipy already.
         yw_path = tmp_path / "yw.json"
         yw_path.write_text(json.dumps(dict(SMALL_CONFIG, fit={"method": "yw", "order": 4})))
-        proc = run_python(["-c", SCIPY_FREE_STAGES, config_path, str(yw_path), str(tmp_path / "out")])
+        proc = run_python(["-c", prelude + SCIPY_FREE_STAGES, config_path, str(yw_path), str(tmp_path / "out")])
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+    def test_design_rd_curve_fit_and_verify_never_load_scipy(self, config_path, tmp_path):
+        self.run_stages(config_path, tmp_path)
+
+    def test_every_stage_runs_with_scipy_unimportable(self, config_path, tmp_path):
+        proc = run_python(["-c", BLOCK_SCIPY + "import scipy"])
+        assert proc.returncode == 1 and proc.stderr.splitlines()[-1] == "ImportError: scipy is blocked"
+        self.run_stages(config_path, tmp_path, BLOCK_SCIPY)
 
 
 def drop_field(name):
@@ -935,6 +949,20 @@ class TestErrorHandling:
         path.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
         assert f"{named}: must be an integer from 0 to 2**63 - 1, got {seeds[-1]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stage", ["design", "rd-curve", "fit", "simulate", "verify"])
+    @pytest.mark.parametrize("bits", [600, 1100])
+    def test_bit_count_beyond_a_finite_gamma_exits_one(self, tmp_path, capsys, stage, bits):
+        # 1100 bits raised an OverflowError traceback, and 600 made gamma inf
+        # and failed later on a NaN alpha.
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["bits_list"] = [2, bits]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main([stage, "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "bits_list[1]: " in err and "beyond the float range" in err, err
         assert not (tmp_path / "out").exists()
 
     def test_invalid_bits_rejected(self, tmp_path):

@@ -153,6 +153,14 @@ def test_seed_beyond_int64_rejected(seeds, named):
         validate_config(dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seeds=seeds)))
 
 
+@pytest.mark.parametrize("bits, named", [([1100], "bits_list[0]"), ([8, 600], "bits_list[1]")])
+def test_bit_count_beyond_a_finite_gamma_rejected(bits, named):
+    """gamma = 3 (2^bits - 1)^2 / loading_factor^2 must be a float: 1100 bits
+    raised an OverflowError and 600 gave gamma = inf, then alpha = NaN."""
+    with pytest.raises(ConfigError, match=re.escape(f"{named}: ") + ".*beyond the float range"):
+        config_from_dict(with_field("bits_list", bits))
+
+
 def test_largest_int64_seed_validates():
     cfg = default_config()
     validate_config(dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seeds=(0, 2**63 - 1))))

@@ -58,6 +58,19 @@ class TestGamma:
         with pytest.raises(ValueError):
             gamma_from_bits(0, 4.0)
 
+    @pytest.mark.parametrize(
+        ("bits", "loading"),
+        [(600, 4.0), (1023, 4.0), (1024, 4.0), (1100, 4.0), (10**400, 4.0), (1, 1e-200)],
+        ids=["600", "1023", "1024", "1100", "10**400", "loading_1e-200"],
+    )
+    def test_gamma_beyond_the_float_range_rejected(self, bits, loading):
+        # neither an OverflowError nor inf
+        with pytest.raises(ValueError, match="beyond the float range"):
+            gamma_from_bits(bits, loading)
+
+    def test_largest_gamma_at_loading_four(self):
+        assert gamma_from_bits(511, 4.0) == 3.0 * (2**511 - 1) ** 2 / 16.0 < math.inf
+
 
 class TestQuantizerSpec:
     def test_eight_bit_geometry(self):

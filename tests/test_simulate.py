@@ -38,15 +38,12 @@ from efq.simulate import (
     MidRiseQuantizer,
     RunStats,
     SignalModel,
-    discretize_plant,
-    excised_mse,
-    filter_memory_estimate,
     gen_input,
+    granular_mse,
     lane_parts,
     loop_identity_residual,
     loop_quantizer,
     loop_traces,
-    plant_burn_in,
     predicted_loop_variances,
     quantize_array,
     quantize_midrise,
@@ -58,7 +55,7 @@ from efq.simulate import (
 )
 from efq.simulate import _draw_columns, _InputDraw
 from efq.spectral import FrequencyGrid, amplitude_of_tf, band_mean, ct_frequency_map, oversample_response
-from efq.transfer import ContinuousTF, RationalDiscreteTF, frequency_response, linear_filter
+from efq.transfer import RationalDiscreteTF, frequency_response, linear_filter
 
 
 @pytest.fixture(scope="module")
@@ -199,12 +196,12 @@ class TestSignalGenerators:
 
 
 @pytest.fixture(scope="module")
-def loop_setup(plant, p_base, grid):
+def loop_setup(plant, p_base):
     gamma = gamma_from_bits(8, 4.0)
     report = norm_constrained_fir(p_base, 4, 1.5)
     shaper = as_discrete_tf(report.fitted)
-    plant_d = discretize_plant(plant, 1)
-    score = complete_report(report, amplitude_of_tf(plant_d, grid), gamma, ideal_mse=math.nan)
+    plant_map = ct_frequency_map(plant, 1, WELCH_GRID)
+    score = complete_report(report, p_base, gamma, ideal_mse=math.nan)
     sigma_u_sq, _ = predicted_loop_variances(score.norm_sq, gamma)
     quant = MidRiseQuantizer.from_spec(
         QuantizerSpec.for_sigma_u(8, 4.0, math.sqrt(sigma_u_sq))
@@ -212,13 +209,13 @@ def loop_setup(plant, p_base, grid):
     model = SignalModel(kind="colored", seed=0, length=100_000)
     x = gen_input(model, plant.sample_period)
     traces = run_feedback_loop(x, shaper, quant)
-    return shaper, plant_d, quant, score, traces
+    return shaper, plant_map, quant, score, traces
 
 
 class TestLoopQuantizer:
-    def test_is_the_hand_set_up(self, loop_setup, grid):
-        shaper, plant_d, quant, score, _ = loop_setup
-        got_score, sigma_u_sq, sigma_w_sq, got_quant = loop_quantizer(shaper, amplitude_of_tf(plant_d, grid), 8, 4.0)
+    def test_is_the_hand_set_up(self, loop_setup, p_base):
+        shaper, _, quant, score, _ = loop_setup
+        got_score, sigma_u_sq, sigma_w_sq, got_quant = loop_quantizer(shaper, p_base, 8, 4.0)
         assert got_quant == quant
         assert (got_score.achieved_mse, got_score.norm_sq) == (score.achieved_mse, score.norm_sq)
         assert (sigma_u_sq, sigma_w_sq) == predicted_loop_variances(score.norm_sq, gamma_from_bits(8, 4.0))
@@ -274,8 +271,8 @@ class TestLoop:
         x = gen_input(model, plant.sample_period)
         traces = run_feedback_loop(x, shaper, quant)
         assert int(np.count_nonzero(traces.overload)) == 0
-        plant_d = discretize_plant(plant, 1)
-        assert summarize_run(traces, plant_d, 0.0).empirical_mse < 1e-10
+        plant_map = ct_frequency_map(plant, 1, WELCH_GRID)
+        assert summarize_run(traces, plant_map, 0.0).empirical_mse < 1e-10
 
     def test_nonunity_head_rejected(self, plant):
         shaper = RationalDiscreteTF([0.9, 0.1], [1.0])
@@ -285,8 +282,8 @@ class TestLoop:
             run_feedback_loop(x, shaper, quant)
 
     def test_summary_fields(self, loop_setup):
-        shaper, plant_d, _, score, traces = loop_setup
-        result = summarize_run(traces, plant_d, score.achieved_mse)
+        shaper, plant_map, _, score, traces = loop_setup
+        result = summarize_run(traces, plant_map, score.achieved_mse)
         assert result.predicted_mse == score.achieved_mse
         assert 0.0 <= result.overload_rate < 0.05
         assert result.empirical_mse > 0.0
@@ -419,7 +416,7 @@ class TestRunLanes:
 
     @pytest.fixture(scope="class")
     def plant_d(self, plant):
-        return discretize_plant(plant, 1)
+        return ct_frequency_map(plant, 1, WELCH_GRID)
 
     def lanes(self, count, shapers, plant_d, length=2 * BLOCK + 17, quant=MidRiseQuantizer(step=0.125, saturation=1.9375)):
         return [_lane(seed, length, shapers[seed % len(shapers)], quant, plant_d) for seed in range(count)]
@@ -490,12 +487,11 @@ class TestRunLanes:
         assert list(run_lanes(lanes)) == [_oracle(lane) for lane in lanes]
 
     def test_burn_in_ending_inside_a_later_block(self, shapers):
-        # The scorer keeps no burn-in: a slow plant, whose plant_burn_in would
-        # end inside block 1, still scores the segment of blocks 0-1, as a
-        # whole-run Welch estimate does.
-        slow = RationalDiscreteTF([0.002], [1.0, -0.998])  # memory 500: a 10,000-sample burn-in
+        # The scorer keeps no burn-in: a slow plant, whose transient of 20
+        # memories (10,000 samples) would end inside block 1, still scores the
+        # segment of blocks 0-1, as a whole-run Welch estimate does.
+        slow = amplitude_of_tf(RationalDiscreteTF([0.002], [1.0, -0.998]), WELCH_GRID)  # memory 500
         n = 3 * BLOCK
-        assert BLOCK < plant_burn_in(slow, n) < 2 * BLOCK
         lanes = self.lanes(16, shapers, slow, length=n)
         got = list(run_lanes(lanes))
         assert got == [_oracle(lane) for lane in lanes]
@@ -641,7 +637,7 @@ PASS_PEAK_BUFFERS = 4
 
 def test_lane_pass_memory_is_bounded_by_the_chunk(plant):
     lanes_n, n = 32, 1 << 16
-    plant_d = discretize_plant(plant, 1)
+    plant_d = ct_frequency_map(plant, 1, WELCH_GRID)
     quant = MidRiseQuantizer(step=0.125, saturation=1.9375)
     lanes = [_lane(seed, n, FIRFilter((1.0, -0.5)), quant, plant_d) for seed in range(lanes_n)]
     list(run_lanes(lanes[:1]))  # imports and first-call set-up outside the measurement
@@ -655,12 +651,13 @@ def test_lane_pass_memory_is_bounded_by_the_chunk(plant):
     assert peak <= PASS_PEAK_BUFFERS * 8 * BLOCK * lanes_n <= 8 * n * lanes_n / 2
 
 
-def _welch_oracle(err, plant_d):
+def _welch_oracle(err, plant_map):
     """scipy's Welch density of err (periodic Hann, SEGMENT samples, 50 %
-    overlap, no detrend), weighted by |plant_d|^2 and integrated over [0, 1/2]."""
+    overlap, no detrend), weighted by the plant map squared on its bins and
+    integrated over [0, 1/2]."""
     freqs, density = signal.welch(err, window="hann", nperseg=SEGMENT, noverlap=SEGMENT // 2, detrend=False)
-    weight = np.abs(frequency_response(plant_d, 2 * np.pi * freqs)) ** 2
-    return float(np.sum(weight * density)) / SEGMENT
+    assert np.allclose(2 * np.pi * freqs, plant_map.grid.omegas, rtol=0, atol=1e-14)
+    return float(np.sum(plant_map.values**2 * density)) / SEGMENT
 
 
 def _piece(traces, a, b):
@@ -670,7 +667,7 @@ def _piece(traces, a, b):
 class TestRunStats:
     @pytest.fixture(scope="class")
     def run(self, plant):
-        plant_d = discretize_plant(plant, 2)
+        plant_d = ct_frequency_map(plant, 2, WELCH_GRID)
         quant = MidRiseQuantizer(step=0.25, saturation=1.875)
         x = gen_input(SignalModel(kind="colored", seed=4, length=5 * BLOCK + 123), 0.05)
         return run_feedback_loop(x, FIRFilter((1.0, -0.7, 0.2)), quant), plant_d
@@ -711,7 +708,7 @@ class TestRunStats:
 
     def test_overflow_gives_non_finite_statistics_without_a_warning(self, plant):
         # u and w near 1e200 are finite, but their squares overflow.
-        plant_d = discretize_plant(plant, 1)
+        plant_d = ct_frequency_map(plant, 1, WELCH_GRID)
         u = 1e200 * np.random.default_rng(0).standard_normal(3 * BLOCK)
         traces = loop_traces(np.zeros_like(u), u, MidRiseQuantizer(step=0.25, saturation=1.875))
         stats = RunStats(plant_d, len(u))
@@ -895,120 +892,87 @@ def _output_error(x, v):
 
 class TestEmpiricalMSE:
     def test_zero_error_gives_zero(self, plant):
-        plant_d = discretize_plant(plant, 1)
+        plant_d = ct_frequency_map(plant, 1, WELCH_GRID)
         x = np.random.default_rng(0).standard_normal(50_000)
         assert summarize_run(_output_error(x, x), plant_d, 0.0).empirical_mse == 0.0
 
-    def test_white_noise_through_plant_matches_parseval(self, plant, grid):
-        plant_d = discretize_plant(plant, 1)
+    def test_white_noise_through_plant_matches_parseval(self, plant):
+        plant_d = ct_frequency_map(plant, 1, WELCH_GRID)
         rng = np.random.default_rng(42)
         n = 400_000
         x = np.zeros(n)
         noise = rng.uniform(-0.5, 0.5, n)
         got = summarize_run(_output_error(x, x + noise), plant_d, 0.0).empirical_mse
-        p_amp = amplitude_of_tf(plant_d, grid)
-        expected = (1.0 / 12.0) * band_mean(p_amp, lambda om, v: v * v)
+        expected = (1.0 / 12.0) * band_mean(plant_d, lambda om, v: v * v)
         assert got == pytest.approx(expected, rel=0.1)
 
     def test_short_series_rejected(self, plant):
-        plant_d = discretize_plant(plant, 1)
+        plant_d = ct_frequency_map(plant, 1, WELCH_GRID)
         x = np.zeros(100)
         with pytest.raises(ValueError):
             summarize_run(_output_error(x, x), plant_d, 0.0)
 
 
-class TestExcisedMSE:
-    def test_no_overload_equals_empirical(self, loop_setup):
-        _, plant_d, _, _, traces = loop_setup
-        clean = dataclasses.replace(traces, overload=np.zeros_like(traces.overload))
-        mse, removed = excised_mse(clean, plant_d, 50)
-        err = signal.lfilter(plant_d.num, plant_d.den, traces.v - traces.x)
-        assert mse == pytest.approx(float(np.var(err[plant_burn_in(plant_d, len(err)) :])), rel=1e-12)
-        assert removed == 0.0
+class TestGranularMSE:
+    """``granular_mse`` against its definition: the Welch score of R clip(w),
+    the error the run would show had every overload error been granular."""
 
-    def test_matches_per_overload_window_oracle(self, plant):
-        plant_d = discretize_plant(plant, 1)
-        rng = np.random.default_rng(4)
-        n, window = 20_000, 40
-        x = rng.standard_normal(n)
-        v = x + rng.uniform(-0.5, 0.5, n)
-        overload = np.zeros(n, dtype=bool)
-        overload[[10, 5_000, 5_020, 12_345, n - 3]] = True
-        traces = LoopTraces(x=x, u=x, v=v, w=v - x, overload=overload)
-        burn = max(1000, 20 * filter_memory_estimate(plant_d))
-        keep = np.ones(n, dtype=bool)
-        keep[:burn] = False
-        for idx in np.flatnonzero(overload):
-            keep[idx : idx + window] = False
-        err = signal.lfilter(plant_d.num, plant_d.den, v - x)
-        mse, removed = excised_mse(traces, plant_d, window)
-        assert mse == pytest.approx(float(np.var(err[keep])), rel=1e-12)
-        # Past the burn-in: 60 (two overlapping windows) + 40 + 3 samples;
-        # the window at sample 10 lies inside the burn-in.
-        assert removed == pytest.approx(103 / (n - burn), rel=1e-12)
+    QUANT = MidRiseQuantizer(step=1.0, saturation=7.5)
+    SEGMENTS = 60
 
-    def test_rejects_excision_of_nearly_everything(self, plant):
-        plant_d = discretize_plant(plant, 1)
-        x = np.zeros(5_000)
-        traces = LoopTraces(x=x, u=x, v=x, w=x, overload=np.ones(5_000, dtype=bool))
-        with pytest.raises(ValueError):
-            excised_mse(traces, plant_d, 1)
+    def planted(self, shaper, n):
+        """Traces of a loop with zero input whose errors are granular,
+        uniform on [-d/2, d/2], but at five planted overloads."""
+        rng = np.random.default_rng(7)
+        w = rng.uniform(-0.5, 0.5, n)
+        w[[5, BLOCK - 1, BLOCK, 20_000, n - 1]] = [30.0, -9.0, 4.0, -120.0, 25.0]
+        tf = as_discrete_tf(shaper)
+        v = linear_filter(tf.num, tf.den, w)
+        return LoopTraces(x=np.zeros(n), u=v - w, v=v, w=w, overload=np.abs(w) > 0.5)
 
+    @pytest.mark.parametrize("lam", [1, 2])
+    @pytest.mark.parametrize(
+        "shaper", [FIRFilter((1.0, -1.2, 0.5)), RationalDiscreteTF([1.0, -1.1, 0.4], [1.0, -0.5])], ids=["fir", "iir"]
+    )
+    def test_equals_the_score_of_the_clipped_error(self, plant, shaper, lam):
+        traces = self.planted(shaper, 5 * BLOCK + 123)
+        plant_map = ct_frequency_map(plant, lam, WELCH_GRID)
+        tf = as_discrete_tf(shaper)
+        expected = _welch_oracle(linear_filter(tf.num, tf.den, np.clip(traces.w, -0.5, 0.5)), plant_map)
+        got = granular_mse(traces, shaper, self.QUANT, plant_map)
+        assert got == pytest.approx(expected, rel=1e-12)
+        assert summarize_run(traces, plant_map, 0.0).empirical_mse > 2 * got  # the overloads' bursts
 
-class TestDiscretization:
-    def test_dc_gain_preserved(self, plant):
-        plant_d = discretize_plant(plant, 1)
-        dc_d = abs(frequency_response(plant_d, np.array([0.0]))[0])
-        dc_c = abs(plant.eval(0.0))
-        assert dc_d == pytest.approx(dc_c, rel=1e-9)
+    def test_no_overload_equals_empirical(self, plant, p_base):
+        shaper = as_discrete_tf(norm_constrained_fir(p_base, 4, 1.5).fitted)
+        quant = MidRiseQuantizer.from_spec(QuantizerSpec.for_sigma_u(8, 6.0, 1.5))
+        x = gen_input(SignalModel(kind="colored", seed=0, length=100_000), plant.sample_period)
+        traces = run_feedback_loop(x, shaper, quant)
+        assert not traces.overload.any() and np.abs(traces.w).max() <= quant.step / 2
+        for lam in (1, 2):
+            plant_map = ct_frequency_map(plant, lam, WELCH_GRID)
+            assert granular_mse(traces, shaper, quant, plant_map) == summarize_run(traces, plant_map, 0.0).empirical_mse
 
-    def test_poles_stable(self, plant):
-        for lam in (1, 2, 4):
-            plant_d = discretize_plant(plant, lam)
-            assert max(abs(r) for r in np.roots(plant_d.den)) < 1.0
-
-    def test_oversampled_discretization_tracks_lower_band(self, plant):
-        # Doubling the rate moves a fixed continuous-time frequency to half
-        # the digital frequency, lower in the band, where the magnitude fit
-        # is tighter.
-        om = np.array([0.3])
-        truth = abs(plant.eval(1j * om[0] / plant.sample_period))
-        base = abs(frequency_response(discretize_plant(plant, 1), om)[0])
-        fine = abs(frequency_response(discretize_plant(plant, 2), om / 2.0)[0])
-        assert abs(fine - truth) < abs(base - truth) + 1e-12
-
-    def test_matches_continuous_magnitude_to_two_percent_below_half_band(self, plant):
-        # Stated accuracy target on the benchmark plant. The magnitude-matched
-        # fit stays below 0.1% over this range; a bilinear map, by its
-        # frequency warping, would be 21% off at pi/2.
-        plant_d = discretize_plant(plant, 1)
-        om = np.linspace(1e-3, math.pi / 2.0, 500)
-        got = np.abs(frequency_response(plant_d, om))
-        want = np.abs([plant.eval(1j * w / plant.sample_period) for w in om])
-        rel = np.max(np.abs(got - want) / want)
-        assert rel <= 0.02, f"max relative discretization error {rel:.4f} exceeds 0.02"
-
-    def test_matches_continuous_magnitude_over_full_band_at_every_rate(self, plant):
-        # excised_mse filters through this plant over the whole digital
-        # band, at every oversampling factor the benchmark uses.
-        om = np.linspace(1e-3, math.pi, 2000)
-        for lam in (1, 2, 3, 4):
-            plant_d = discretize_plant(plant, lam)
-            got = np.abs(frequency_response(plant_d, om))
-            want = np.abs(plant.eval(1j * lam * om / plant.sample_period))
-            rel = np.max(np.abs(got - want) / want)
-            assert rel <= 0.02, f"lambda={lam}: max relative error {rel:.4f} exceeds 0.02"
-
-    def test_zero_on_imaginary_axis_rejected(self):
-        # |P| vanishes at DC (s = 0) and at 2 rad/s (s = +-2j): no finite
-        # log-magnitude to match.
-        for num in ([1.0, 0.0], [1.0, 0.0, 4.0]):
-            with pytest.raises(ValueError, match="imaginary axis"):
-                discretize_plant(ContinuousTF(num, [1.0, 2.0, 3.0, 1.0], 0.1))
-
-    def test_memory_estimate_positive(self, plant):
-        plant_d = discretize_plant(plant, 1)
-        assert filter_memory_estimate(plant_d) >= len(plant_d.den)
+    def test_ignores_power_above_the_band(self, plant):
+        # As in TestWelchScorer: R = (1 - z^-1)^2 puts almost all of the
+        # granular error's power above pi/2, where the lambda = 2 map is zero;
+        # the reading is the design's in-band ||p R||^2 sigma_w^2, d^2/12 for
+        # sigma_w^2, with the planted overloads taken out.
+        shaper = FIRFilter((1.0, -2.0, 1.0))
+        traces = self.planted(shaper, (self.SEGMENTS + 1) * BLOCK)
+        plant_map = ct_frequency_map(plant, 2, WELCH_GRID)
+        fine = ct_frequency_map(plant, 2, FrequencyGrid(1 << 16))
+        exact = shaped_noise_norm_sq(shaper, fine)[0] / 12.0
+        om = fine.grid.omegas
+        r_sq = np.abs(frequency_response(shaper.as_tf(), om)) ** 2
+        out_of_band = np.trapezoid(np.where(om > math.pi / 2, r_sq, 0.0), om) / math.pi / 12.0
+        assert out_of_band >= 100 * exact
+        got = granular_mse(traces, shaper, self.QUANT, plant_map)
+        q = np.abs(plant_map.values * frequency_response(shaper.as_tf(), WELCH_GRID.omegas)) ** 2
+        n_eff = q.sum() ** 2 / np.sum(q * q)
+        tolerance = 5.0 * math.sqrt(2.0 / (self.SEGMENTS * n_eff))
+        assert abs(got / exact - 1.0) <= tolerance, (got / exact, tolerance)
+        assert summarize_run(traces, plant_map, exact).empirical_mse / exact - 1.0 > 2 * tolerance  # the overloads' bursts
 
 
 class TestStudentT:
