@@ -38,7 +38,6 @@ import numpy as np
 from efq import (
     FrequencyGrid,
     SignalModel,
-    as_discrete_tf,
     ct_frequency_map,
     db,
     default_config,
@@ -75,8 +74,7 @@ def main() -> None:
 
     gamma = gamma_from_bits(args.bits, args.loading)
     design = design_for_nu(p_base, gamma + 1.0, args.lam)
-    fit = fit_cell("qcqp", args.order, p_lam, gamma, design.alpha_opt, design.norm_r_sq)
-    shaper = as_discrete_tf(fit.fitted)
+    shaper = fit_cell("qcqp", args.order, p_lam, gamma, design.alpha_opt, design.norm_r_sq).fitted
 
     score, _, _, quant = loop_quantizer(shaper, p_lam, args.bits, args.loading)
     plant_map = ct_frequency_map(plant, args.lam, WELCH_GRID)

@@ -23,7 +23,6 @@ from .config import (
 from .design import (
     DesignProblem,
     OptimalDesign,
-    QuantizerSpec,
     RDRow,
     collapse_residual,
     db,
@@ -40,10 +39,7 @@ from .design import (
 )
 from .errors import ConfigError, InfeasibleError, NumericalError, VerificationFailure
 from .fitting import (
-    FIRFilter,
     FitReport,
-    as_discrete_tf,
-    complete_report,
     evaluate_fit,
     fir_kkt_residuals,
     fit_cell,
@@ -84,7 +80,6 @@ __all__ = [
     "ContinuousTF",
     "DesignProblem",
     "ExperimentConfig",
-    "FIRFilter",
     "FitConfig",
     "FitReport",
     "FrequencyGrid",
@@ -93,7 +88,6 @@ __all__ = [
     "NumericalError",
     "OptimalDesign",
     "PlantConfig",
-    "QuantizerSpec",
     "RDRow",
     "RationalDiscreteTF",
     "SignalModel",
@@ -101,11 +95,9 @@ __all__ = [
     "SimulationResult",
     "VerificationFailure",
     "amplitude_of_tf",
-    "as_discrete_tf",
     "band_integral",
     "band_mean",
     "collapse_residual",
-    "complete_report",
     "config_hash",
     "ct_frequency_map",
     "db",

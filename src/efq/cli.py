@@ -241,6 +241,21 @@ def _cells(cfg: ExperimentConfig) -> list[tuple[int, int]]:
     return [(b, lam) for b in sorted(set(cfg.bits_list)) for lam in sorted(set(cfg.lambda_list))]
 
 
+def _in_cell(cell, fn):
+    """fn(cell), a NumericalError's message opened by the (bits, lambda) cell."""
+    try:
+        return fn(cell)
+    except NumericalError as exc:
+        bits, lam = cell
+        raise NumericalError(f"bits={bits} lambda={lam}: {exc}") from None
+
+
+def _map_cells(fn, cells) -> list:
+    """``_pool_map`` of fn over (bits, lambda) cells, each failure named by
+    its cell."""
+    return _pool_map(lambda cell: _in_cell(cell, fn), cells)
+
+
 def _base_response(cfg: ExperimentConfig) -> spectral.AmplitudeResponse:
     return spectral.ct_frequency_map(cfg.plant_tf(), 1, cfg.grid())
 
@@ -317,7 +332,7 @@ def cmd_design(args) -> int:
         return gamma, sol, design_mod.optimal_shaper(sol.alpha_opt, spectral.oversample_response(p_base, lam))
 
     cells = _cells(cfg)
-    solved = _pool_map(solve, cells)
+    solved = _map_cells(solve, cells)
 
     cell_payload = []
     for (bits, lam), (gamma, sol, shaper) in zip(cells, solved):
@@ -361,12 +376,12 @@ def cmd_rd_curve(args) -> int:
     cfg, sha = _load_setup(args)
     out = _out_dir(args)
     p_base = _base_response(cfg)
-    lams = sorted(set(cfg.lambda_list))
 
-    def sweep_bits(bits):
-        return design_mod.rd_curve(p_base, [bits], lams, cfg.loading_factor)
+    def sweep_cell(cell):
+        bits, lam = cell
+        return design_mod.rd_curve(p_base, [bits], [lam], cfg.loading_factor)[0]
 
-    rows = [row for group in _pool_map(sweep_bits, sorted(set(cfg.bits_list))) for row in group]
+    rows = _map_cells(sweep_cell, _cells(cfg))
 
     names = "bits,lambda,gamma,D,D_uniform,bound,D_db,D_uniform_db,bound_db,identity_residual".split(",")
     with _csv_file(out / "rd_curve.csv", sha, names) as append:
@@ -402,16 +417,15 @@ def _fit_cells(cfg, p_base, designed: dict | None = None) -> list:
         p_lam = spectral.oversample_response(p_base, lam)
         return gamma, fitting.fit_cell(cfg.fit.method, cfg.fit.order, p_lam, gamma, alpha, budget)
 
-    return _pool_map(run, _cells(cfg))
+    return _map_cells(run, _cells(cfg))
 
 
 def _report_payload(bits, lam, gamma, report) -> dict:
-    tf = fitting.as_discrete_tf(report.fitted)
     return {
         "bits": bits,
         "lambda": lam,
         "gamma": gamma,
-        "filter": {"num": list(tf.num), "den": list(tf.den)},
+        "filter": {"num": list(report.fitted.num), "den": list(report.fitted.den)},
         "norm_sq": report.norm_sq,
         "feasible": report.feasible,
         "kkt_multiplier": report.kkt_multiplier,
@@ -471,7 +485,7 @@ def cmd_simulate(args) -> int:
         fitted = _read_cells(args.fit, "fit", sha, cell_list, {"filter": _shaper})
         shapers = [fitted[cell]["filter"] for cell in cell_list]
     else:
-        shapers = [fitting.as_discrete_tf(report.fitted) for _, report in _fit_cells(cfg, p_base)]
+        shapers = [report.fitted for _, report in _fit_cells(cfg, p_base)]
     # a lane is scored on the map its cell was designed on, on the Welch bins
     plant_maps = {lam: spectral.ct_frequency_map(plant, lam, simulate.WELCH_GRID) for lam in set(cfg.lambda_list)}
 
@@ -582,7 +596,7 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
         )
         return residuals, sol if cell == (lane_bits, 1) else None
 
-    outcomes = _pool_map(check_cell, _cells(cfg))
+    outcomes = _map_cells(check_cell, _cells(cfg))
     root, identity, bound, margin, logmean, grid = zip(*(residuals for residuals, _ in outcomes))
     # reduced in cell order
     worst_root = max(0.0, *root)
@@ -604,7 +618,7 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
     for _ in range(5):
         taps = rng.standard_normal(4)
         taps[0] = 1.0 + abs(taps[0])
-        plant_r = fitting.FIRFilter(taps).as_tf()
+        plant_r = RationalDiscreteTF(taps)
         order = int(rng.integers(1, 6))
         budget = 1.0 + float(rng.uniform(0.01, 2.0))
         report = fitting.norm_constrained_fir(plant_r, order, budget)
@@ -617,11 +631,10 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
     gamma = design_mod.gamma_from_bits(lane_bits, cfg.loading_factor)
     lane_design = next((sol for _, sol in outcomes if sol is not None), None)
     if lane_design is None:  # no cell at lambda 1
-        lane_design = design_mod.design_for_nu(p_base, gamma + 1.0, 1)
-    report = fitting.fit_cell(
+        lane_design = _in_cell((lane_bits, 1), lambda _: design_mod.design_for_nu(p_base, gamma + 1.0, 1))
+    shaper = fitting.fit_cell(
         cfg.fit.method, cfg.fit.order, p_base, gamma, lane_design.alpha_opt, lane_design.norm_r_sq
-    )
-    shaper = fitting.as_discrete_tf(report.fitted)
+    ).fitted
     *_, quantizer = simulate.loop_quantizer(shaper, p_base, lane_bits, cfg.loading_factor)
     model = simulate.SignalModel(
         kind=cfg.sim.input_kind, seed=cfg.sim.seeds[0], length=min(cfg.sim.length, 20000), ct_pole=cfg.sim.ct_pole

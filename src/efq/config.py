@@ -89,18 +89,28 @@ def validate_config(cfg: ExperimentConfig) -> None:
     except ValueError as exc:
         problems.append(f"plant: {exc}")
     _require(problems, bool(cfg.bits_list), "bits_list", "must be nonempty")
+    nus = {}  # bits_list index -> nu = gamma + 1, where gamma is a float
     for i, b in enumerate(cfg.bits_list):
         _require(problems, isinstance(b, int) and b >= 1, f"bits_list[{i}]", f"must be a positive integer, got {b!r}")
         if isinstance(b, int) and b >= 1 and 0 < cfg.loading_factor < math.inf:
             try:
-                gamma_from_bits(b, cfg.loading_factor)
+                nus[i] = gamma_from_bits(b, cfg.loading_factor) + 1.0
             except ValueError as exc:
                 problems.append(f"bits_list[{i}]: {exc}")
     _require(problems, bool(cfg.lambda_list), "lambda_list", "must be nonempty")
-    for i, lam in enumerate(cfg.lambda_list):
-        _require(
-            problems, isinstance(lam, int) and lam >= 1, f"lambda_list[{i}]", f"must be a positive integer, got {lam!r}"
-        )
+    for j, lam in enumerate(cfg.lambda_list):
+        if not (isinstance(lam, int) and lam >= 1):
+            problems.append(f"lambda_list[{j}]: must be a positive integer, got {lam!r}")
+            continue
+        # the bound and the collapse identity's design take nu^lambda
+        for i, nu in nus.items():
+            try:
+                nu**lam
+            except OverflowError:
+                problems.append(
+                    f"bits_list[{i}], lambda_list[{j}]: nu^lambda is beyond the float range"
+                    f" at {cfg.bits_list[i]} bits and lambda {lam}"
+                )
     _require(
         problems, 0 < cfg.loading_factor < math.inf, "loading_factor", f"must be a finite positive number, got {cfg.loading_factor!r}"
     )

@@ -156,36 +156,6 @@ class OptimalDesign:
     n_of_alpha: float  # ||p * r||^2
 
 
-@dataclass(frozen=True)
-class QuantizerSpec:
-    """Mid-rise quantizer geometry and its noise-ratio model.
-
-    The saturation level and step obey 2L = (2^bits - 1)*d, and gamma is
-    the white-noise model value 3*(2^bits - 1)^2 / loading_factor^2.
-    """
-
-    bits: int
-    loading_factor: float
-    step: float
-    saturation: float
-    gamma: float
-
-    @classmethod
-    def for_sigma_u(cls, bits: int, loading_factor: float, sigma_u: float = 1.0) -> "QuantizerSpec":
-        """Size the quantizer so saturation = loading_factor * sigma_u."""
-        gamma = gamma_from_bits(bits, loading_factor)
-        if sigma_u <= 0:
-            raise ValueError("sigma_u must be positive")
-        saturation = loading_factor * sigma_u
-        return cls(
-            bits=int(bits),
-            loading_factor=float(loading_factor),
-            step=2.0 * saturation / _levels(bits),
-            saturation=saturation,
-            gamma=gamma,
-        )
-
-
 def _levels(bits: int) -> int:
     """2^bits - 1: the steps between a b-bit mid-rise quantizer's extreme
     levels, which span 2 * saturation; ValueError beyond 1023 bits, where it

@@ -38,28 +38,6 @@ SNAP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class FIRFilter:
-    """Finite impulse response h0..hM, ascending delay."""
-
-    taps: tuple[float, ...]
-
-    def __init__(self, taps):
-        arr = np.asarray(taps, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("taps must be a nonempty 1-D sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("taps must be finite")
-        object.__setattr__(self, "taps", tuple(float(t) for t in arr))
-
-    @property
-    def order(self) -> int:
-        return len(self.taps) - 1
-
-    def as_tf(self) -> RationalDiscreteTF:
-        return RationalDiscreteTF(self.taps, (1.0,))
-
-
-@dataclass(frozen=True)
 class FitReport:
     """Outcome of a shaping-filter synthesis or evaluation.
 
@@ -71,7 +49,7 @@ class FitReport:
     the norm-constrained FIR path (0 when the cap is slack).
     """
 
-    fitted: RationalDiscreteTF | FIRFilter
+    fitted: RationalDiscreteTF
     achieved_mse: float
     ideal_mse: float
     norm_sq: float
@@ -87,17 +65,8 @@ class FitReport:
         return math.inf
 
 
-def as_discrete_tf(fit: RationalDiscreteTF | FIRFilter) -> RationalDiscreteTF:
-    return fit.as_tf() if isinstance(fit, FIRFilter) else fit
-
-
-def normalize_head(filt: RationalDiscreteTF | FIRFilter):
+def normalize_head(filt: RationalDiscreteTF) -> RationalDiscreteTF:
     """Scale the numerator so the impulse response starts with exactly 1."""
-    if isinstance(filt, FIRFilter):
-        head = filt.taps[0]
-        if head == 0:
-            raise ValueError("cannot normalize a filter whose leading tap is zero")
-        return FIRFilter(tuple(t / head for t in filt.taps))
     head = filt.num[0] / filt.den[0]
     if head == 0:
         raise ValueError("cannot normalize a filter whose impulse response starts at zero")
@@ -336,9 +305,8 @@ def norm_constrained_fir(
     a_mat, b_vec = _fir_quadratic_form(plant, order)
     x, mu = _solve_sphere_constrained_quadratic(a_mat, b_vec, norm_budget - 1.0)
     taps = np.concatenate([[1.0], x])
-    fitted = FIRFilter(taps)
     return FitReport(
-        fitted=fitted,
+        fitted=RationalDiscreteTF(taps),
         achieved_mse=math.nan,
         ideal_mse=math.nan,
         norm_sq=float(np.dot(taps, taps)),
@@ -354,18 +322,15 @@ def fir_kkt_residuals(
     and budget: stationarity |(A + mu I) x + b| / |b| and complementary
     slackness |mu (||x||^2 - (budget - 1))|. Both vanish at the exact
     minimizer under the norm cap."""
-    x = np.array(report.fitted.taps[1:])
+    x = np.array(report.fitted.num[1:])
     a_mat, b_vec = _fir_quadratic_form(plant, len(x))
     mu = report.kkt_multiplier
     stationarity = float(np.linalg.norm(a_mat @ x + mu * x + b_vec)) / max(float(np.linalg.norm(b_vec)), 1e-300)
     return stationarity, abs(mu * (float(np.dot(x, x)) - (norm_budget - 1.0)))
 
 
-def shaped_noise_norm_sq(
-    fit: RationalDiscreteTF | FIRFilter, p: AmplitudeResponse
-) -> tuple[float, float]:
+def shaped_noise_norm_sq(tf: RationalDiscreteTF, p: AmplitudeResponse) -> tuple[float, float]:
     """(||p*R||^2, ||R||^2) for a candidate filter against a plant response."""
-    tf = as_discrete_tf(fit)
     om = p.grid.omegas
     r_vals = np.abs(frequency_response(tf, om))
     norm_sq = l2_norm_sq(AmplitudeResponse(p.grid, r_vals))
@@ -378,7 +343,7 @@ def shaped_noise_norm_sq(
 
 
 def evaluate_fit(
-    fit: RationalDiscreteTF | FIRFilter,
+    fit: RationalDiscreteTF,
     p: AmplitudeResponse,
     gamma: float,
     *,
@@ -404,13 +369,6 @@ def evaluate_fit(
     )
 
 
-def complete_report(report: FitReport, p: AmplitudeResponse, gamma: float, ideal_mse: float) -> FitReport:
-    """Fill the MSE fields of a synthesis report against a plant and ratio."""
-    return evaluate_fit(
-        report.fitted, p, gamma, ideal_mse=ideal_mse, kkt_multiplier=report.kkt_multiplier
-    )
-
-
 def fit_cell(
     method: str, order: int, p: AmplitudeResponse, gamma: float, alpha: float, norm_budget: float
 ) -> FitReport:
@@ -419,7 +377,8 @@ def fit_cell(
     the design's shaper norm ``norm_budget``, "yw" the ``yule_walker_fit`` of
     ``optimal_shaper(alpha, p)``."""
     if method == "qcqp":
-        return complete_report(norm_constrained_fir(p, order, norm_budget), p, gamma, ideal_mse=alpha)
+        fir = norm_constrained_fir(p, order, norm_budget)
+        return evaluate_fit(fir.fitted, p, gamma, ideal_mse=alpha, kkt_multiplier=fir.kkt_multiplier)
     if method == "yw":
         return evaluate_fit(yule_walker_fit(optimal_shaper(alpha, p), order), p, gamma, ideal_mse=alpha)
     raise ValueError(f"unknown fit method {method!r}")

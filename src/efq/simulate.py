@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import QuantizerSpec, gamma_from_bits
+from .design import _levels, gamma_from_bits
 from .errors import NumericalError
-from .fitting import FIRFilter, FitReport, as_discrete_tf, evaluate_fit
+from .fitting import FitReport, evaluate_fit
 from .spectral import AmplitudeResponse, FrequencyGrid
 from .transfer import RationalDiscreteTF, linear_filter
 
@@ -71,8 +71,13 @@ class MidRiseQuantizer:
             )
 
     @classmethod
-    def from_spec(cls, spec: QuantizerSpec) -> "MidRiseQuantizer":
-        return cls(step=spec.step, saturation=spec.saturation)
+    def for_sigma_u(cls, bits: int, loading_factor: float, sigma_u: float) -> "MidRiseQuantizer":
+        """A bits-bit quantizer saturating at loading_factor * sigma_u, whose
+        2^bits - 1 steps span twice the saturation."""
+        if not sigma_u > 0:
+            raise ValueError("sigma_u must be positive")
+        saturation = loading_factor * sigma_u
+        return cls(step=2.0 * saturation / _levels(bits), saturation=saturation)
 
 
 def quantize_midrise(xi: float, q: MidRiseQuantizer) -> tuple[float, bool]:
@@ -140,7 +145,7 @@ class Lane:
 
     model: SignalModel
     sample_period: float
-    shaper: RationalDiscreteTF | FIRFilter
+    shaper: RationalDiscreteTF
     quantizer: MidRiseQuantizer
     plant_map: AmplitudeResponse
     predicted_mse: float
@@ -209,20 +214,19 @@ def gen_input(model: SignalModel, sample_period: float) -> np.ndarray:
     return _InputDraw(model, sample_period)(model.length)
 
 
-def _feedback_coefficients(r: RationalDiscreteTF | FIRFilter) -> tuple[list[float], list[float]]:
+def _feedback_coefficients(r: RationalDiscreteTF) -> tuple[list[float], list[float]]:
     """(R - 1, denominator) of a unity-head shaper, ascending delay, both
     padded to order + 1 taps; the first tap of R - 1 is zero."""
-    tf = as_discrete_tf(r)
-    m = tf.order
-    num = list(tf.num) + [0.0] * (m + 1 - len(tf.num))
-    den = list(tf.den) + [0.0] * (m + 1 - len(tf.den))
+    m = r.order
+    num = list(r.num) + [0.0] * (m + 1 - len(r.num))
+    den = list(r.den) + [0.0] * (m + 1 - len(r.den))
     if abs(num[0] - 1.0) > HEAD_TOL:
         raise ValueError(f"feedback filter must have unity head, got {num[0]!r}")
     return [num[i] - den[i] for i in range(m + 1)], den
 
 
 def run_feedback_loop(
-    x: np.ndarray, r: RationalDiscreteTF | FIRFilter, q: MidRiseQuantizer, state: np.ndarray | None = None
+    x: np.ndarray, r: RationalDiscreteTF, q: MidRiseQuantizer, state: np.ndarray | None = None
 ) -> LoopTraces:
     """Run the error-feedback loop sample by sample.
 
@@ -286,7 +290,7 @@ def run_feedback_loop(
 
 def run_feedback_lanes(
     x: np.ndarray,
-    shapers: Sequence[RationalDiscreteTF | FIRFilter],
+    shapers: Sequence[RationalDiscreteTF],
     quantizers: Sequence[MidRiseQuantizer],
     state: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -418,7 +422,7 @@ def _run_group(group: Sequence[Lane], trace) -> list[SimulationResult]:
     steps = np.array([q.step for q in quantizers])
     draws = [_InputDraw(lane.model, lane.sample_period) for lane in group]
     batched = len(group) >= MIN_BATCH_LANES
-    state = np.zeros((max(1, max(as_discrete_tf(r).order for r in shapers)), len(group)))
+    state = np.zeros((max(1, max(r.order for r in shapers)), len(group)))
     if batched:  # time-major, for the lane kernel
         x_buf, u_buf = np.empty((BLOCK, len(group))), np.empty((BLOCK, len(group)))
     for start in range(0, n, BLOCK):
@@ -626,7 +630,7 @@ class RunStats:
 
 @np.errstate(over="ignore", invalid="ignore")
 def granular_mse(
-    traces: LoopTraces, shaper: RationalDiscreteTF | FIRFilter, quantizer: MidRiseQuantizer, plant_map: AmplitudeResponse
+    traces: LoopTraces, shaper: RationalDiscreteTF, quantizer: MidRiseQuantizer, plant_map: AmplitudeResponse
 ) -> float:
     """The output MSE of a run with its overload error taken out: the
     ``_WelchPower`` estimate on `plant_map`, as ``RunStats`` scores v - x, of
@@ -637,18 +641,16 @@ def granular_mse(
     granular, with no sample removed, at every lambda."""
     welch = _WelchPower(plant_map, len(traces.x))
     half = 0.5 * quantizer.step
-    tf = as_discrete_tf(shaper)
-    err = (traces.v - traces.x) - linear_filter(tf.num, tf.den, traces.w - np.clip(traces.w, -half, half))
+    err = (traces.v - traces.x) - linear_filter(shaper.num, shaper.den, traces.w - np.clip(traces.w, -half, half))
     for start in range(0, len(err) - BLOCK + 1, BLOCK):
         welch.add(err[start : start + BLOCK])
     return welch.mse()
 
 
-def loop_identity_residual(traces: LoopTraces, r: RationalDiscreteTF | FIRFilter) -> float:
+def loop_identity_residual(traces: LoopTraces, r: RationalDiscreteTF) -> float:
     """Max per-sample deviation of v - x from R[z] applied to the recorded
     errors; zero up to round-off by construction of the loop."""
-    tf = as_discrete_tf(r)
-    shaped = linear_filter(tf.num, tf.den, traces.w)
+    shaped = linear_filter(r.num, r.den, traces.w)
     return float(np.max(np.abs(traces.v - traces.x - shaped)))
 
 
@@ -666,7 +668,7 @@ def predicted_loop_variances(norm_r_sq: float, gamma: float) -> tuple[float, flo
 
 
 def loop_quantizer(
-    shaper: RationalDiscreteTF | FIRFilter, p_lam: AmplitudeResponse, bits: int, loading_factor: float
+    shaper: RationalDiscreteTF, p_lam: AmplitudeResponse, bits: int, loading_factor: float
 ) -> tuple[FitReport, float, float, MidRiseQuantizer]:
     """Set up a loop lane's quantizer: score the shaper on its cell's plant
     map p_lam as ``efq fit`` does and size a bits-bit quantizer for the
@@ -677,8 +679,7 @@ def loop_quantizer(
     if not score.feasible:
         raise NumericalError(f"shaper infeasible at {bits} bits on the plant map: ||R||^2 = {score.norm_sq:.6g}")
     sigma_u_sq, sigma_w_sq = predicted_loop_variances(score.norm_sq, gamma)
-    qspec = QuantizerSpec.for_sigma_u(bits, loading_factor, math.sqrt(sigma_u_sq))
-    return score, sigma_u_sq, sigma_w_sq, MidRiseQuantizer.from_spec(qspec)
+    return score, sigma_u_sq, sigma_w_sq, MidRiseQuantizer.for_sigma_u(bits, loading_factor, math.sqrt(sigma_u_sq))
 
 
 def summarize_run(traces: LoopTraces, plant_map: AmplitudeResponse, predicted_mse: float) -> SimulationResult:

@@ -25,9 +25,6 @@ from efq.design import (
     upper_bound,
 )
 from efq.fitting import (
-    FIRFilter,
-    as_discrete_tf,
-    complete_report,
     evaluate_fit,
     gram_autocorrelations,
     norm_constrained_fir,
@@ -157,10 +154,9 @@ def test_06_order4_fits_within_half_db_qcqp_and_two_db_yule_walker(sweep):
     cells, _ = sweep
     failures = []
     for (bits, lam), (prob, sol) in sorted(cells.items()):
-        qcqp = complete_report(
-            norm_constrained_fir(prob.p, 4, sol.norm_r_sq), prob.p, prob.gamma, ideal_mse=sol.alpha_opt
-        )
-        assert qcqp.fitted.taps[0] == 1.0
+        fir = norm_constrained_fir(prob.p, 4, sol.norm_r_sq)
+        qcqp = evaluate_fit(fir.fitted, prob.p, prob.gamma, ideal_mse=sol.alpha_opt, kkt_multiplier=fir.kkt_multiplier)
+        assert qcqp.fitted.num[0] == 1.0
         yw_filter = yule_walker_fit(optimal_shaper(sol.alpha_opt, prob.p), 4)
         yw = evaluate_fit(yw_filter, prob.p, prob.gamma, ideal_mse=sol.alpha_opt)
         assert yw_filter.num[0] == 1.0
@@ -186,7 +182,7 @@ def test_07_simulation_within_twenty_percent_in_under_sixty_seconds(plant, p_bas
     bits, lam = 8, 1
     gamma = gamma_from_bits(bits, LOADING_FACTOR)
     sol = solve_min_mse(DesignProblem(p=p_base, gamma=gamma))
-    shaper = as_discrete_tf(norm_constrained_fir(p_base, 4, sol.norm_r_sq).fitted)
+    shaper = norm_constrained_fir(p_base, 4, sol.norm_r_sq).fitted
     score, _, _, quant = loop_quantizer(shaper, p_base, bits, LOADING_FACTOR)
     # A realizable filter cannot beat the ideal designed on the same plant.
     assert score.achieved_mse >= 0.99 * sol.alpha_opt, (
@@ -238,11 +234,11 @@ def test_09_kkt_certificates_on_fifty_random_instances():
     for trial in range(50):
         taps = rng.standard_normal(int(rng.integers(2, 6)))
         taps[0] = 1.0 + abs(taps[0])
-        plant = FIRFilter(list(taps)).as_tf()
+        plant = RationalDiscreteTF(list(taps))
         order = int(rng.integers(1, 7))
         budget = 1.0 + float(rng.uniform(1e-3, 4.0))
         report = norm_constrained_fir(plant, order, budget)
-        x = np.array(report.fitted.taps[1:])
+        x = np.array(report.fitted.num[1:])
         mu = report.kkt_multiplier
         rho = gram_autocorrelations(plant, order)
         idx = np.abs(np.subtract.outer(np.arange(order), np.arange(order)))

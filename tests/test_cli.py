@@ -366,6 +366,22 @@ class TestFitCommand:
                 assert cell["loss_db"] == 0.0
 
 
+    @pytest.mark.parametrize("method", ["qcqp", "yw"])
+    def test_filter_is_the_fitted_transfer_function(self, tmp_path, method):
+        # Every fit is a RationalDiscreteTF; qcqp's is FIR, den == (1.0,).
+        cfg_dict = dict(SMALL_CONFIG, fit={"method": method, "order": 4})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg_dict))
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        cfg = efq.load_config(path)
+        reports = [report for _, report in cli._fit_cells(cfg, cli._base_response(cfg))]
+        for cell, report in zip(json.loads((out / "fit.json").read_text())["cells"], reports, strict=True):
+            assert type(report.fitted) is RationalDiscreteTF
+            assert (report.fitted.den == (1.0,)) == (method == "qcqp")
+            assert cell["filter"] == {"num": list(report.fitted.num), "den": list(report.fitted.den)}
+
+
 class TestSimulateCommand:
     def test_runs_and_aggregates(self, config_path, tmp_path):
         out = tmp_path / "out"
@@ -964,6 +980,33 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and "bits_list[1]: " in err and "beyond the float range" in err, err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stage", ["design", "rd-curve", "fit", "simulate", "verify"])
+    def test_cell_beyond_a_finite_nu_power_exits_one(self, tmp_path, capsys, stage):
+        # With the plant's numerator scaled by 1e100 the (8, 80) design
+        # solves: design and fit exited 0, and rd-curve and verify raised an
+        # OverflowError traceback from nu^lambda.
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["plant"]["num"] = [1e100 * c for c in cfg["plant"]["num"]]
+        cfg["bits_list"], cfg["lambda_list"], cfg["n_points"] = [2, 8], [1, 80], 256
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main([stage, "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "bits_list[1], lambda_list[1]: nu^lambda is beyond the float range" in err, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stage", ["design", "rd-curve", "fit", "simulate", "verify"])
+    def test_failed_design_solve_names_its_cell(self, tmp_path, capsys, stage):
+        # At 511 bits nu is finite, but alpha falls below the normal floats:
+        # the solve fails, and the message names the cell, from a worker too.
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["bits_list"], cfg["lambda_list"], cfg["n_points"] = [2, 511], [1], 256
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main([stage, "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == "numerical failure: bits=511 lambda=1: failed to bracket the optimal alpha from below\n"
 
     def test_invalid_bits_rejected(self, tmp_path):
         cfg = json.loads(json.dumps(SMALL_CONFIG))

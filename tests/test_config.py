@@ -161,6 +161,38 @@ def test_bit_count_beyond_a_finite_gamma_rejected(bits, named):
         config_from_dict(with_field("bits_list", bits))
 
 
+@pytest.mark.parametrize(
+    "bits, lambdas, named",
+    [
+        ([8], [80], [(0, 0)]),
+        ([260], [2], [(0, 0)]),
+        ([180], [3], [(0, 0)]),
+        ([2, 8], [1, 80], [(1, 1)]),
+        ([8, 300], [1, 2, 10**400], [(1, 1), (0, 2), (1, 2)]),
+    ],
+    ids=["8x80", "260x2", "180x3", "one_cell_of_four", "huge_lambda"],
+)
+def test_cell_beyond_a_finite_nu_power_rejected(bits, lambdas, named):
+    """The bound and the collapse identity's design take nu^lambda, which
+    must be a float: (8, 80) raised an OverflowError in rd-curve and verify
+    where the plant let the design solve."""
+    data = with_field("bits_list", bits)
+    data["lambda_list"] = lambdas
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(data)
+    lines = str(exc.value).splitlines()[1:]
+    assert len(lines) == len(named), lines
+    for line, (i, j) in zip(lines, named):
+        assert line.strip().startswith(f"bits_list[{i}], lambda_list[{j}]: nu^lambda is beyond the float range"), line
+
+
+@pytest.mark.parametrize("bits, lambdas", [([250], [2]), ([511], [1]), (list(range(1, 9)), [1, 2, 3, 4, 70])])
+def test_cell_with_a_finite_nu_power_validates(bits, lambdas):
+    data = with_field("bits_list", bits)
+    data["lambda_list"] = lambdas
+    config_from_dict(data)
+
+
 def test_largest_int64_seed_validates():
     cfg = default_config()
     validate_config(dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seeds=(0, 2**63 - 1))))

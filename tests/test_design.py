@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from efq.design import (
     DesignProblem,
-    QuantizerSpec,
     collapse_residual,
     db,
     design_for_nu,
@@ -70,21 +69,6 @@ class TestGamma:
 
     def test_largest_gamma_at_loading_four(self):
         assert gamma_from_bits(511, 4.0) == 3.0 * (2**511 - 1) ** 2 / 16.0 < math.inf
-
-
-class TestQuantizerSpec:
-    def test_eight_bit_geometry(self):
-        spec = QuantizerSpec.for_sigma_u(8, 4.0, sigma_u=1.0)
-        assert spec.saturation == pytest.approx(4.0)
-        assert spec.step == pytest.approx(8.0 / 255.0)
-        assert 2.0 * spec.saturation == pytest.approx((2**8 - 1) * spec.step, rel=1e-15)
-        assert spec.gamma == pytest.approx(gamma_from_bits(8, 4.0), rel=1e-15)
-
-    def test_step_scales_with_sigma_u(self):
-        narrow = QuantizerSpec.for_sigma_u(4, 4.0, sigma_u=0.5)
-        wide = QuantizerSpec.for_sigma_u(4, 4.0, sigma_u=2.0)
-        assert wide.step == pytest.approx(4.0 * narrow.step, rel=1e-15)
-        assert wide.gamma == pytest.approx(narrow.gamma, rel=1e-15)
 
 
 class TestNormalizers:

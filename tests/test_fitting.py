@@ -11,9 +11,6 @@ from hypothesis import strategies as st
 from efq.design import DesignProblem, db, gamma_from_bits, optimal_shaper, solve_min_mse
 from efq.errors import NumericalError
 from efq.fitting import (
-    FIRFilter,
-    as_discrete_tf,
-    complete_report,
     evaluate_fit,
     fir_kkt_residuals,
     fit_cell,
@@ -30,7 +27,7 @@ from efq.transfer import RationalDiscreteTF, impulse_response, impulse_response_
 
 @pytest.fixture(scope="module")
 def two_tap_plant():
-    return FIRFilter([1.0, 1.0]).as_tf()
+    return RationalDiscreteTF([1.0, 1.0])
 
 
 class TestNormConstrainedFIR:
@@ -38,19 +35,19 @@ class TestNormConstrainedFIR:
 
     def test_inactive_constraint(self, two_tap_plant):
         report = norm_constrained_fir(two_tap_plant, 1, 1.25)
-        np.testing.assert_allclose(report.fitted.taps, [1.0, -0.5], atol=1e-12)
+        np.testing.assert_allclose(report.fitted.num, [1.0, -0.5], atol=1e-12)
         assert report.kkt_multiplier == pytest.approx(0.0, abs=1e-12)
         assert report.norm_sq == pytest.approx(1.25, rel=1e-12)
 
     def test_active_constraint(self, two_tap_plant):
         report = norm_constrained_fir(two_tap_plant, 1, 1.04)
-        np.testing.assert_allclose(report.fitted.taps, [1.0, -0.2], atol=1e-10)
+        np.testing.assert_allclose(report.fitted.num, [1.0, -0.2], atol=1e-10)
         assert report.kkt_multiplier == pytest.approx(3.0, rel=1e-8)
         assert report.norm_sq == pytest.approx(1.04, rel=1e-10)
 
     def test_unit_budget_forces_passthrough(self, two_tap_plant):
         report = norm_constrained_fir(two_tap_plant, 1, 1.0)
-        np.testing.assert_allclose(report.fitted.taps, [1.0, 0.0], atol=0)
+        np.testing.assert_allclose(report.fitted.num, [1.0, 0.0], atol=0)
         assert report.kkt_multiplier == math.inf
 
     def test_budget_below_one_rejected(self, two_tap_plant):
@@ -59,20 +56,20 @@ class TestNormConstrainedFIR:
 
     def test_flat_plant_keeps_passthrough(self, grid):
         report = norm_constrained_fir(constant_response(grid, 1.0), 3, 2.0)
-        np.testing.assert_allclose(report.fitted.taps, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(report.fitted.num, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
     def test_shaped_energy_nonincreasing_in_budget(self, p_base):
         budgets = [1.0, 1.05, 1.2, 1.5, 2.0]
         energies = []
         for budget in budgets:
             report = norm_constrained_fir(p_base, 4, budget)
-            shaped, _ = shaped_noise_norm_sq(as_discrete_tf(report.fitted), p_base)
+            shaped, _ = shaped_noise_norm_sq(report.fitted, p_base)
             energies.append(shaped)
         assert all(later <= earlier * (1 + 1e-12) for earlier, later in zip(energies, energies[1:]))
 
     def test_unity_head_exact(self, p_base):
         report = norm_constrained_fir(p_base, 4, 1.5)
-        assert report.fitted.taps[0] == 1.0
+        assert report.fitted.num[0] == 1.0
 
 
 class TestGram:
@@ -158,8 +155,8 @@ class TestYuleWalker:
 
 class TestNormalizeHead:
     def test_scales_fir_taps(self):
-        filt = normalize_head(FIRFilter([2.0, 4.0, -1.0]))
-        np.testing.assert_allclose(filt.taps, [1.0, 2.0, -0.5], atol=1e-15)
+        filt = normalize_head(RationalDiscreteTF([2.0, 4.0, -1.0]))
+        np.testing.assert_allclose(filt.num, [1.0, 2.0, -0.5], atol=1e-15)
 
     def test_scales_rational_numerator(self):
         tf = normalize_head(RationalDiscreteTF([2.0, 1.0], [1.0, -0.5]))
@@ -167,20 +164,20 @@ class TestNormalizeHead:
         np.testing.assert_allclose(tf.den, [1.0, -0.5], atol=1e-15)
 
     def test_idempotent(self):
-        once = normalize_head(FIRFilter([4.0, 2.0]))
+        once = normalize_head(RationalDiscreteTF([4.0, 2.0]))
         twice = normalize_head(once)
-        assert once.taps == twice.taps
+        assert once.num == twice.num
 
     def test_zero_head_rejected(self):
         with pytest.raises(ValueError):
-            normalize_head(FIRFilter([0.0, 1.0]))
+            normalize_head(RationalDiscreteTF([0.0, 1.0]))
 
 
 class TestReports:
     def test_feasibility_matches_norm(self, p_base):
         gamma = gamma_from_bits(3, 4.0)
         report = norm_constrained_fir(p_base, 4, 1.5)
-        final = complete_report(report, p_base, gamma, ideal_mse=1e-3)
+        final = evaluate_fit(report.fitted, p_base, gamma, ideal_mse=1e-3, kkt_multiplier=report.kkt_multiplier)
         assert final.feasible == (final.norm_sq < gamma + 1.0)
         assert math.isfinite(final.achieved_mse)
 
@@ -188,15 +185,15 @@ class TestReports:
         gamma = gamma_from_bits(5, 4.0)
         sol = solve_min_mse(DesignProblem(p=p_base, gamma=gamma))
         report = norm_constrained_fir(p_base, 6, sol.norm_r_sq)
-        final = complete_report(report, p_base, gamma, ideal_mse=sol.alpha_opt)
+        final = evaluate_fit(report.fitted, p_base, gamma, ideal_mse=sol.alpha_opt, kkt_multiplier=report.kkt_multiplier)
         assert final.achieved_mse >= final.ideal_mse * (1 - 1e-6)
 
     def test_infeasible_fit_reports_infinite_mse(self, grid):
         gamma = 0.2
         report = norm_constrained_fir(constant_response(grid, 1.0), 2, 4.0)
-        taps = list(report.fitted.taps)
+        taps = list(report.fitted.num)
         taps[1] = 1.5
-        doctored = FIRFilter(taps)
+        doctored = RationalDiscreteTF(taps)
         final = evaluate_fit(doctored, constant_response(grid, 1.0), gamma)
         assert not final.feasible
         assert final.achieved_mse == math.inf
@@ -228,9 +225,9 @@ def test_kkt_certificate_property(budget, order, seed):
     rng = np.random.default_rng(seed)
     taps = rng.standard_normal(4)
     taps[0] = 1.0 + abs(taps[0])
-    plant = FIRFilter(list(taps)).as_tf()
+    plant = RationalDiscreteTF(list(taps))
     report = norm_constrained_fir(plant, order, budget)
-    x = np.array(report.fitted.taps[1:])
+    x = np.array(report.fitted.num[1:])
     mu = report.kkt_multiplier
     assert mu >= 0.0
     rho = gram_autocorrelations(plant, order)
@@ -246,7 +243,7 @@ def random_fir_plant(seed: int):
     """A seeded 4-tap FIR plant with a dominant head, as ``efq verify`` draws them."""
     taps = np.random.default_rng(seed).standard_normal(4)
     taps[0] = 1.0 + abs(taps[0])
-    return FIRFilter(taps).as_tf()
+    return RationalDiscreteTF(taps)
 
 
 class TestKKTCertificate:
@@ -271,9 +268,9 @@ class TestKKTCertificate:
     def test_perturbed_tap_fails(self, tap):
         plant = random_fir_plant(tap)
         report = norm_constrained_fir(plant, 3, 1.5)
-        taps = list(report.fitted.taps)
+        taps = list(report.fitted.num)
         taps[tap] += 1e-3
-        stationarity, _ = fir_kkt_residuals(plant, dataclasses.replace(report, fitted=FIRFilter(taps)), 1.5)
+        stationarity, _ = fir_kkt_residuals(plant, dataclasses.replace(report, fitted=RationalDiscreteTF(taps)), 1.5)
         assert stationarity > 1e-5
 
     def test_dropped_multiplier_fails_on_active_cap(self):
@@ -299,7 +296,7 @@ class TestFitCell:
         design = solve_min_mse(DesignProblem(p=p_lam, gamma=gamma))
         qcqp = fit_cell("qcqp", 4, p_lam, gamma, design.alpha_opt, design.norm_r_sq)
         pre = norm_constrained_fir(p_lam, 4, design.norm_r_sq)
-        assert qcqp == complete_report(pre, p_lam, gamma, ideal_mse=design.alpha_opt)
+        assert qcqp == evaluate_fit(pre.fitted, p_lam, gamma, ideal_mse=design.alpha_opt, kkt_multiplier=pre.kkt_multiplier)
         yw = fit_cell("yw", 4, p_lam, gamma, design.alpha_opt, design.norm_r_sq)
         fitted = yule_walker_fit(optimal_shaper(design.alpha_opt, p_lam), 4)
         assert yw == evaluate_fit(fitted, p_lam, gamma, ideal_mse=design.alpha_opt)
@@ -312,6 +309,6 @@ class TestFitCell:
 
     def test_loss_of_infeasible_or_unscored_fit_is_infinite(self, grid):
         p = constant_response(grid, 1.0)
-        infeasible = evaluate_fit(FIRFilter([1.0, 2.0]), p, 1.0, ideal_mse=0.5)
+        infeasible = evaluate_fit(RationalDiscreteTF([1.0, 2.0]), p, 1.0, ideal_mse=0.5)
         assert not infeasible.feasible and infeasible.loss_db == math.inf
         assert norm_constrained_fir(p, 2, 1.5).loss_db == math.inf  # ideal_mse is NaN

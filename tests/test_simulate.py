@@ -14,12 +14,9 @@ from hypothesis import strategies as st
 from scipy import signal
 
 import reference_loop
-from efq.design import DesignProblem, QuantizerSpec, gamma_from_bits, optimal_shaper, solve_min_mse
+from efq.design import DesignProblem, gamma_from_bits, optimal_shaper, solve_min_mse
 from efq.errors import NumericalError
 from efq.fitting import (
-    FIRFilter,
-    as_discrete_tf,
-    complete_report,
     evaluate_fit,
     norm_constrained_fir,
     shaped_noise_norm_sq,
@@ -89,6 +86,24 @@ class TestQuantizer:
     def test_invalid_step_rejected(self):
         with pytest.raises(ValueError):
             MidRiseQuantizer(step=0.0, saturation=1.0)
+
+
+class TestQuantizerForSigmaU:
+    def test_eight_bit_geometry(self):
+        quant = MidRiseQuantizer.for_sigma_u(8, 4.0, sigma_u=1.0)
+        assert quant.saturation == pytest.approx(4.0)
+        assert quant.step == pytest.approx(8.0 / 255.0)
+        assert 2.0 * quant.saturation == pytest.approx((2**8 - 1) * quant.step, rel=1e-15)
+
+    def test_step_scales_with_sigma_u(self):
+        narrow = MidRiseQuantizer.for_sigma_u(4, 4.0, sigma_u=0.5)
+        wide = MidRiseQuantizer.for_sigma_u(4, 4.0, sigma_u=2.0)
+        assert wide.step == pytest.approx(4.0 * narrow.step, rel=1e-15)
+
+    @pytest.mark.parametrize("sigma_u", [0.0, -1.0, math.nan])
+    def test_sigma_u_not_positive_rejected(self, sigma_u):
+        with pytest.raises(ValueError, match="sigma_u must be positive"):
+            MidRiseQuantizer.for_sigma_u(8, 4.0, sigma_u)
 
 
 @settings(max_examples=200, deadline=None)
@@ -199,13 +214,11 @@ class TestSignalGenerators:
 def loop_setup(plant, p_base):
     gamma = gamma_from_bits(8, 4.0)
     report = norm_constrained_fir(p_base, 4, 1.5)
-    shaper = as_discrete_tf(report.fitted)
+    shaper = report.fitted
     plant_map = ct_frequency_map(plant, 1, WELCH_GRID)
-    score = complete_report(report, p_base, gamma, ideal_mse=math.nan)
+    score = evaluate_fit(report.fitted, p_base, gamma, ideal_mse=math.nan, kkt_multiplier=report.kkt_multiplier)
     sigma_u_sq, _ = predicted_loop_variances(score.norm_sq, gamma)
-    quant = MidRiseQuantizer.from_spec(
-        QuantizerSpec.for_sigma_u(8, 4.0, math.sqrt(sigma_u_sq))
-    )
+    quant = MidRiseQuantizer.for_sigma_u(8, 4.0, math.sqrt(sigma_u_sq))
     model = SignalModel(kind="colored", seed=0, length=100_000)
     x = gen_input(model, plant.sample_period)
     traces = run_feedback_loop(x, shaper, quant)
@@ -222,7 +235,7 @@ class TestLoopQuantizer:
 
     def test_infeasible_shaper_rejected(self, p_base):
         with pytest.raises(NumericalError, match="infeasible"):
-            loop_quantizer(FIRFilter([1.0, 3.0]), p_base, 1, 4.0)
+            loop_quantizer(RationalDiscreteTF([1.0, 3.0]), p_base, 1, 4.0)
 
 
 class TestLoop:
@@ -235,7 +248,7 @@ class TestLoop:
         # A 1-bit quantizer overloads constantly; the loop equation is
         # structural and must survive that.
         report = norm_constrained_fir(p_base, 2, 1.1)
-        shaper = as_discrete_tf(report.fitted)
+        shaper = report.fitted
         quant = MidRiseQuantizer(step=0.05, saturation=0.025)
         model = SignalModel(kind="colored", seed=1, length=5000)
         x = gen_input(model, plant.sample_period)
@@ -265,8 +278,8 @@ class TestLoop:
         # Wide loading factor so no sample overloads: the only error left
         # is 24-bit granular noise.
         report = norm_constrained_fir(p_base, 2, 1.2)
-        shaper = as_discrete_tf(report.fitted)
-        quant = MidRiseQuantizer.from_spec(QuantizerSpec.for_sigma_u(24, 6.0, 1.0))
+        shaper = report.fitted
+        quant = MidRiseQuantizer.for_sigma_u(24, 6.0, 1.0)
         model = SignalModel(kind="colored", seed=3, length=20_000)
         x = gen_input(model, plant.sample_period)
         traces = run_feedback_loop(x, shaper, quant)
@@ -305,7 +318,7 @@ def mixed_lanes(plant, p_base):
     def lane(bits, lam, shaper, seed):
         p_lam, gamma, _ = design(bits, lam)
         sigma_u_sq, _ = predicted_loop_variances(evaluate_fit(shaper, p_lam, gamma).norm_sq, gamma)
-        quant = MidRiseQuantizer.from_spec(QuantizerSpec.for_sigma_u(bits, 4.0, math.sqrt(sigma_u_sq)))
+        quant = MidRiseQuantizer.for_sigma_u(bits, 4.0, math.sqrt(sigma_u_sq))
         x = gen_input(SignalModel(kind="colored", seed=seed, length=n), plant.sample_period / lam)
         return x, shaper, quant
 
@@ -316,7 +329,7 @@ def mixed_lanes(plant, p_base):
     p_8, _, sol_8 = design(8, 1)
     lanes = [lane(8, 1, yule_walker_fit(optimal_shaper(sol_8.alpha_opt, p_8), order), order) for order in (2, 3, 4)]
     lanes += [lane(4, 2, qcqp(4, 2, order), 5 + order) for order in (1, 4)]
-    lanes.append(lane(3, 1, FIRFilter((1.0,)), 10))
+    lanes.append(lane(3, 1, RationalDiscreteTF((1.0,)), 10))
     lanes.append(lane(1, 1, qcqp(1, 1, 4), 11))
     lanes.append(lane(8, 4, qcqp(8, 4, 4), 1))
     _, shaper, quant = lane(4, 2, qcqp(4, 2, 4), 12)
@@ -412,7 +425,7 @@ def _failing_sample(lane):
 class TestRunLanes:
     @pytest.fixture(scope="class")
     def shapers(self):
-        return [FIRFilter((1.0, -0.8)), RationalDiscreteTF([1.0, -1.1, 0.4], [1.0, -0.5]), FIRFilter((1.0,))]
+        return [RationalDiscreteTF((1.0, -0.8)), RationalDiscreteTF([1.0, -1.1, 0.4], [1.0, -0.5]), RationalDiscreteTF((1.0,))]
 
     @pytest.fixture(scope="class")
     def plant_d(self, plant):
@@ -532,7 +545,7 @@ class TestRunLanes:
         # once |x| reaches 4.
         lanes = self.lanes(count, shapers, plant_d, length=3 * BLOCK)
         for j in (3, 5, 7):
-            lanes[j] = dataclasses.replace(lanes[j], shaper=FIRFilter((1.0,)), quantizer=TINY)
+            lanes[j] = dataclasses.replace(lanes[j], shaper=RationalDiscreteTF((1.0,)), quantizer=TINY)
         at3, at5, at7 = (_failing_sample(lanes[j]) for j in (3, 5, 7))
         assert 2 * BLOCK <= at3 < 3 * BLOCK and BLOCK <= at7 < at5 < 2 * BLOCK
         x5 = gen_input(lanes[5].model, lanes[5].sample_period)
@@ -549,7 +562,7 @@ class TestRunLanes:
         # chunk. The pass names lane 165, as it would in a single part.
         lanes = self.lanes(300, shapers, plant_d, length=3 * BLOCK)
         for j in (3, 165):
-            lanes[j] = dataclasses.replace(lanes[j], shaper=FIRFilter((1.0,)), quantizer=TINY)
+            lanes[j] = dataclasses.replace(lanes[j], shaper=RationalDiscreteTF((1.0,)), quantizer=TINY)
         assert lane_parts(len(lanes)) == [range(0, 150), range(150, 300)]
         at3, at165 = (_failing_sample(lanes[j]) for j in (3, 165))
         assert 2 * BLOCK <= at3 < 3 * BLOCK and BLOCK <= at165 < 2 * BLOCK
@@ -578,7 +591,7 @@ class TestRunLanes:
         # u grows tenfold a step once it saturates, to inf and then NaN; the
         # pass stops where the scalar loop on the whole lane stops.
         lanes = self.lanes(count, shapers, plant_d, length=3 * BLOCK)
-        lanes[3] = dataclasses.replace(lanes[3], shaper=FIRFilter((1.0, 10.0)))
+        lanes[3] = dataclasses.replace(lanes[3], shaper=RationalDiscreteTF((1.0, 10.0)))
         at = _failing_sample(lanes[3])
         assert (len(lane_parts(count)[0]) >= MIN_BATCH_LANES) == (count >= MIN_BATCH_LANES)
         start = at - at % BLOCK
@@ -593,7 +606,7 @@ class TestRunLanes:
         # whole lane, so a lane's first 20,000 samples of x and u, and whether
         # it fails in them, are the same bits at 20,000 and 60,000 samples.
         # Seed 4 fails at sample 8201 at either length; seed 1 runs clean.
-        shaper = FIRFilter((1.0, 10.0))
+        shaper = RationalDiscreteTF((1.0, 10.0))
         *_, quant = loop_quantizer(shaper, ct_frequency_map(plant, 1, FrequencyGrid(1024)), 8, 4.0)
         plant_map = ct_frequency_map(plant, 1, WELCH_GRID)
         failures = {}
@@ -639,7 +652,7 @@ def test_lane_pass_memory_is_bounded_by_the_chunk(plant):
     lanes_n, n = 32, 1 << 16
     plant_d = ct_frequency_map(plant, 1, WELCH_GRID)
     quant = MidRiseQuantizer(step=0.125, saturation=1.9375)
-    lanes = [_lane(seed, n, FIRFilter((1.0, -0.5)), quant, plant_d) for seed in range(lanes_n)]
+    lanes = [_lane(seed, n, RationalDiscreteTF((1.0, -0.5)), quant, plant_d) for seed in range(lanes_n)]
     list(run_lanes(lanes[:1]))  # imports and first-call set-up outside the measurement
     tracemalloc.start()
     try:
@@ -670,7 +683,7 @@ class TestRunStats:
         plant_d = ct_frequency_map(plant, 2, WELCH_GRID)
         quant = MidRiseQuantizer(step=0.25, saturation=1.875)
         x = gen_input(SignalModel(kind="colored", seed=4, length=5 * BLOCK + 123), 0.05)
-        return run_feedback_loop(x, FIRFilter((1.0, -0.7, 0.2)), quant), plant_d
+        return run_feedback_loop(x, RationalDiscreteTF((1.0, -0.7, 0.2)), quant), plant_d
 
     def test_chunked_feed_equals_whole(self, run):
         traces, plant_d = run
@@ -732,9 +745,9 @@ class TestWelchScorer:
     @pytest.fixture(scope="class")
     def run(self, plant):
         n = (self.SEGMENTS + 1) * BLOCK
-        shaper = FIRFilter((1.0, -2.0, 1.0))
+        shaper = RationalDiscreteTF((1.0, -2.0, 1.0))
         w = np.random.default_rng(2).standard_normal(n)
-        traces = LoopTraces(x=np.zeros(n), u=np.zeros(n), v=linear_filter(shaper.taps, [1.0], w), w=w, overload=np.zeros(n, dtype=bool))
+        traces = LoopTraces(x=np.zeros(n), u=np.zeros(n), v=linear_filter(shaper.num, [1.0], w), w=w, overload=np.zeros(n, dtype=bool))
         return traces, shaper, ct_frequency_map(plant, 4, WELCH_GRID)
 
     def test_in_band_mse_matches_the_exact_integral(self, run, plant):
@@ -742,7 +755,7 @@ class TestWelchScorer:
         fine = ct_frequency_map(plant, 4, FrequencyGrid(1 << 16))
         exact = shaped_noise_norm_sq(shaper, fine)[0]  # ||p R||^2 sigma_w^2, the design's MSE of this error
         om = fine.grid.omegas
-        r_sq = np.abs(frequency_response(shaper.as_tf(), om)) ** 2
+        r_sq = np.abs(frequency_response(shaper, om)) ** 2
         out_of_band = np.trapezoid(np.where(om > math.pi / 4, r_sq, 0.0), om) / math.pi
         assert out_of_band >= 1e4 * exact  # 1.9e5
         got = summarize_run(traces, plant_map, exact).empirical_mse
@@ -751,7 +764,7 @@ class TestWelchScorer:
         # n_eff = (sum q)^2 / sum q^2 (1,164 here); the Hann window's
         # correlation of neighbouring bins and of overlapping segments
         # inflates that by under 2. Five standard errors over the segments:
-        q = np.abs(plant_map.values * frequency_response(shaper.as_tf(), WELCH_GRID.omegas)) ** 2
+        q = np.abs(plant_map.values * frequency_response(shaper, WELCH_GRID.omegas)) ** 2
         n_eff = q.sum() ** 2 / np.sum(q * q)
         tolerance = 5.0 * math.sqrt(2.0 / (self.SEGMENTS * n_eff))  # 0.027
         assert abs(got / exact - 1.0) <= tolerance, (got / exact, tolerance)
@@ -790,10 +803,10 @@ class TestScalarLoopOracle:
         gamma = gamma_from_bits(8, 4.0)
         sol = solve_min_mse(DesignProblem(p=p_base, gamma=gamma))
         return {
-            "order0": FIRFilter((1.0,)),
-            "order1": FIRFilter((1.0, -0.9)),
+            "order0": RationalDiscreteTF((1.0,)),
+            "order1": RationalDiscreteTF((1.0, -0.9)),
             "order2": RationalDiscreteTF([1.0, -1.1, 0.4], [1.0, -0.5]),
-            "order3": FIRFilter((1.0, -1.5, 0.8, -0.2)),
+            "order3": RationalDiscreteTF((1.0, -1.5, 0.8, -0.2)),
             "order4": norm_constrained_fir(p_base, 4, sol.norm_r_sq).fitted,
             "fir16": norm_constrained_fir(p_base, 15, sol.norm_r_sq).fitted,
             "yw4": yule_walker_fit(optimal_shaper(sol.alpha_opt, p_base), 4),
@@ -803,7 +816,7 @@ class TestScalarLoopOracle:
         x = gen_input(SignalModel(kind="colored", seed=seed, length=n), 0.1)
         x[::97] = -0.0  # exact zeros of either sign in x
         x[1::97] = 0.0
-        return x, shapers[name], MidRiseQuantizer.from_spec(QuantizerSpec.for_sigma_u(8, 4.0, 1.3))
+        return x, shapers[name], MidRiseQuantizer.for_sigma_u(8, 4.0, 1.3)
 
     def assert_matches_reference(self, x, shaper, quant):
         expected = reference_loop.run_feedback_loop(x, shaper, quant)
@@ -833,7 +846,7 @@ class TestScalarLoopOracle:
         sol = solve_min_mse(DesignProblem(p=p_lam, gamma=gamma))
         shaper = norm_constrained_fir(p_lam, 4, sol.norm_r_sq).fitted
         sigma_u_sq, _ = predicted_loop_variances(evaluate_fit(shaper, p_lam, gamma).norm_sq, gamma)
-        quant = MidRiseQuantizer.from_spec(QuantizerSpec.for_sigma_u(8, 4.0, math.sqrt(sigma_u_sq)))
+        quant = MidRiseQuantizer.for_sigma_u(8, 4.0, math.sqrt(sigma_u_sq))
         x = gen_input(SignalModel(kind="colored", seed=1, length=2 * CHUNK + 1), plant.sample_period / 4)
         got = self.assert_matches_reference(x, shaper, quant)
         assert np.count_nonzero(got.overload[CHUNK:]) > CHUNK // 2  # collapsed well before the second chunk
@@ -853,7 +866,7 @@ class TestScalarLoopOracle:
         # reference loop's floor raises: the reference runs the samples
         # before it and fails on the prefix that ends with it.
         quant = MidRiseQuantizer(step=0.25, saturation=1.875)
-        r = FIRFilter((1.0, 3.0)) if shaper == "diverging" else shapers[shaper]
+        r = RationalDiscreteTF((1.0, 3.0)) if shaper == "diverging" else shapers[shaper]
         x = np.zeros(2 * CHUNK + 1) if shaper == "diverging" else self.lane(shapers, "order0", 2 * CHUNK + 1)[0]
         x[at] = value
         with pytest.raises(NumericalError, match=r"^u/step is not finite at sample \d+$") as got:
@@ -874,7 +887,7 @@ LOOP_PEAK_BYTES_PER_SAMPLE = 48
 def test_scalar_loop_memory_is_bounded_per_sample():
     n = 1 << 18
     x = gen_input(SignalModel(kind="white", seed=0, length=n), 0.1)
-    shaper = FIRFilter((1.0,))
+    shaper = RationalDiscreteTF((1.0,))
     quant = MidRiseQuantizer(step=0.25, saturation=1.875)
     tracemalloc.start()
     try:
@@ -926,26 +939,24 @@ class TestGranularMSE:
         rng = np.random.default_rng(7)
         w = rng.uniform(-0.5, 0.5, n)
         w[[5, BLOCK - 1, BLOCK, 20_000, n - 1]] = [30.0, -9.0, 4.0, -120.0, 25.0]
-        tf = as_discrete_tf(shaper)
-        v = linear_filter(tf.num, tf.den, w)
+        v = linear_filter(shaper.num, shaper.den, w)
         return LoopTraces(x=np.zeros(n), u=v - w, v=v, w=w, overload=np.abs(w) > 0.5)
 
     @pytest.mark.parametrize("lam", [1, 2])
     @pytest.mark.parametrize(
-        "shaper", [FIRFilter((1.0, -1.2, 0.5)), RationalDiscreteTF([1.0, -1.1, 0.4], [1.0, -0.5])], ids=["fir", "iir"]
+        "shaper", [RationalDiscreteTF((1.0, -1.2, 0.5)), RationalDiscreteTF([1.0, -1.1, 0.4], [1.0, -0.5])], ids=["fir", "iir"]
     )
     def test_equals_the_score_of_the_clipped_error(self, plant, shaper, lam):
         traces = self.planted(shaper, 5 * BLOCK + 123)
         plant_map = ct_frequency_map(plant, lam, WELCH_GRID)
-        tf = as_discrete_tf(shaper)
-        expected = _welch_oracle(linear_filter(tf.num, tf.den, np.clip(traces.w, -0.5, 0.5)), plant_map)
+        expected = _welch_oracle(linear_filter(shaper.num, shaper.den, np.clip(traces.w, -0.5, 0.5)), plant_map)
         got = granular_mse(traces, shaper, self.QUANT, plant_map)
         assert got == pytest.approx(expected, rel=1e-12)
         assert summarize_run(traces, plant_map, 0.0).empirical_mse > 2 * got  # the overloads' bursts
 
     def test_no_overload_equals_empirical(self, plant, p_base):
-        shaper = as_discrete_tf(norm_constrained_fir(p_base, 4, 1.5).fitted)
-        quant = MidRiseQuantizer.from_spec(QuantizerSpec.for_sigma_u(8, 6.0, 1.5))
+        shaper = norm_constrained_fir(p_base, 4, 1.5).fitted
+        quant = MidRiseQuantizer.for_sigma_u(8, 6.0, 1.5)
         x = gen_input(SignalModel(kind="colored", seed=0, length=100_000), plant.sample_period)
         traces = run_feedback_loop(x, shaper, quant)
         assert not traces.overload.any() and np.abs(traces.w).max() <= quant.step / 2
@@ -958,17 +969,17 @@ class TestGranularMSE:
         # granular error's power above pi/2, where the lambda = 2 map is zero;
         # the reading is the design's in-band ||p R||^2 sigma_w^2, d^2/12 for
         # sigma_w^2, with the planted overloads taken out.
-        shaper = FIRFilter((1.0, -2.0, 1.0))
+        shaper = RationalDiscreteTF((1.0, -2.0, 1.0))
         traces = self.planted(shaper, (self.SEGMENTS + 1) * BLOCK)
         plant_map = ct_frequency_map(plant, 2, WELCH_GRID)
         fine = ct_frequency_map(plant, 2, FrequencyGrid(1 << 16))
         exact = shaped_noise_norm_sq(shaper, fine)[0] / 12.0
         om = fine.grid.omegas
-        r_sq = np.abs(frequency_response(shaper.as_tf(), om)) ** 2
+        r_sq = np.abs(frequency_response(shaper, om)) ** 2
         out_of_band = np.trapezoid(np.where(om > math.pi / 2, r_sq, 0.0), om) / math.pi / 12.0
         assert out_of_band >= 100 * exact
         got = granular_mse(traces, shaper, self.QUANT, plant_map)
-        q = np.abs(plant_map.values * frequency_response(shaper.as_tf(), WELCH_GRID.omegas)) ** 2
+        q = np.abs(plant_map.values * frequency_response(shaper, WELCH_GRID.omegas)) ** 2
         n_eff = q.sum() ** 2 / np.sum(q * q)
         tolerance = 5.0 * math.sqrt(2.0 / (self.SEGMENTS * n_eff))
         assert abs(got / exact - 1.0) <= tolerance, (got / exact, tolerance)
