@@ -32,10 +32,10 @@ from efq import (
     FrequencyGrid,
     ct_frequency_map,
     default_config,
-    design_for_nu,
     fit_cell,
     gamma_from_bits,
     oversample_response,
+    solve_min_mse,
 )
 
 
@@ -55,8 +55,8 @@ def _expand(text: str) -> list[int]:
 def loss_pair(p_base, bits: int, lam: int, order: int, loading: float) -> tuple[float, float]:
     """(qcqp_loss_db, yw_loss_db) for one cell."""
     gamma = gamma_from_bits(bits, loading)
-    design = design_for_nu(p_base, gamma + 1.0, lam)
     p_lam = oversample_response(p_base, lam)
+    design = solve_min_mse(p_lam, gamma)
     qcqp, yw = (fit_cell(m, order, p_lam, gamma, design.alpha_opt, design.norm_r_sq) for m in ("qcqp", "yw"))
     return qcqp.loss_db, yw.loss_db
 

@@ -41,7 +41,6 @@ from efq import (
     ct_frequency_map,
     db,
     default_config,
-    design_for_nu,
     fit_cell,
     gamma_from_bits,
     gen_input,
@@ -50,6 +49,7 @@ from efq import (
     loop_quantizer,
     oversample_response,
     run_feedback_loop,
+    solve_min_mse,
     summarize_run,
 )
 from efq.simulate import WELCH_GRID, t_quantile_975
@@ -73,7 +73,7 @@ def main() -> None:
     p_lam = oversample_response(p_base, args.lam)
 
     gamma = gamma_from_bits(args.bits, args.loading)
-    design = design_for_nu(p_base, gamma + 1.0, args.lam)
+    design = solve_min_mse(p_lam, gamma)
     shaper = fit_cell("qcqp", args.order, p_lam, gamma, design.alpha_opt, design.norm_r_sq).fitted
 
     score, _, _, quant = loop_quantizer(shaper, p_lam, args.bits, args.loading)

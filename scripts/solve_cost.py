@@ -67,11 +67,11 @@ def main() -> int:
         return wrapped
 
     def solving(inner):
-        def solve_min_mse(prob):
+        def solve_min_mse(p, gamma):
             state["solves"] += 1
             state["phase"] = "flatness"
             try:
-                return inner(prob)
+                return inner(p, gamma)
             finally:
                 state["phase"] = None
 

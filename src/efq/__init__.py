@@ -3,8 +3,10 @@
 The package answers four questions about a quantizer wrapped in an
 error-feedback loop driving a known reconstruction filter:
 
-* ``design``   — what is the best noise-shaping filter and the distortion it buys?
-* ``rd_curve`` — how does that distortion trade off against word length and
+* ``design``   — what is the best noise-shaping filter and the distortion it
+  buys? ``solve_min_mse(p, gamma)`` is the one design entry point;
+  ``balanced_mse`` is the variance balance that prices any shaper.
+* ``rd_row``   — how does that distortion trade off against word length and
   oversampling, next to the unshaped baseline and an analytic upper bound?
 * ``fitting``  — what realizable FIR/IIR filter comes closest to the ideal shape?
 * ``simulate`` — does a bit-exact time-domain loop reproduce the predictions?
@@ -21,17 +23,16 @@ from .config import (
     validate_config,
 )
 from .design import (
-    DesignProblem,
     OptimalDesign,
     RDRow,
+    balanced_mse,
     collapse_residual,
     db,
-    design_for_nu,
     design_mse,
     gamma_from_bits,
     geomean_amplitude,
     optimal_shaper,
-    rd_curve,
+    rd_row,
     shaped_noise_gain,
     shaper_norm_sq,
     solve_min_mse,
@@ -78,7 +79,6 @@ __all__ = [
     "AmplitudeResponse",
     "ConfigError",
     "ContinuousTF",
-    "DesignProblem",
     "ExperimentConfig",
     "FitConfig",
     "FitReport",
@@ -95,6 +95,7 @@ __all__ = [
     "SimulationResult",
     "VerificationFailure",
     "amplitude_of_tf",
+    "balanced_mse",
     "band_integral",
     "band_mean",
     "collapse_residual",
@@ -102,7 +103,6 @@ __all__ = [
     "ct_frequency_map",
     "db",
     "default_config",
-    "design_for_nu",
     "design_mse",
     "evaluate_fit",
     "fir_kkt_residuals",
@@ -123,7 +123,7 @@ __all__ = [
     "optimal_shaper",
     "oversample_response",
     "quantize_midrise",
-    "rd_curve",
+    "rd_row",
     "run_feedback_loop",
     "shaped_noise_gain",
     "shaper_norm_sq",

@@ -328,8 +328,9 @@ def cmd_design(args) -> int:
     def solve(cell):
         bits, lam = cell
         gamma = design_mod.gamma_from_bits(bits, cfg.loading_factor)
-        sol = design_mod.design_for_nu(p_base, gamma + 1.0, lam)
-        return gamma, sol, design_mod.optimal_shaper(sol.alpha_opt, spectral.oversample_response(p_base, lam))
+        p_lam = spectral.oversample_response(p_base, lam)
+        sol = design_mod.solve_min_mse(p_lam, gamma)
+        return gamma, sol, design_mod.optimal_shaper(sol.alpha_opt, p_lam)
 
     cells = _cells(cfg)
     solved = _map_cells(solve, cells)
@@ -377,11 +378,7 @@ def cmd_rd_curve(args) -> int:
     out = _out_dir(args)
     p_base = _base_response(cfg)
 
-    def sweep_cell(cell):
-        bits, lam = cell
-        return design_mod.rd_curve(p_base, [bits], [lam], cfg.loading_factor)[0]
-
-    rows = _map_cells(sweep_cell, _cells(cfg))
+    rows = _map_cells(lambda cell: design_mod.rd_row(p_base, *cell, cfg.loading_factor), _cells(cfg))
 
     names = "bits,lambda,gamma,D,D_uniform,bound,D_db,D_uniform_db,bound_db,identity_residual".split(",")
     with _csv_file(out / "rd_curve.csv", sha, names) as append:
@@ -409,12 +406,12 @@ def _fit_cells(cfg, p_base, designed: dict | None = None) -> list:
     def run(cell):
         bits, lam = cell
         gamma = design_mod.gamma_from_bits(bits, cfg.loading_factor)
+        p_lam = spectral.oversample_response(p_base, lam)
         if designed is None:
-            sol = design_mod.design_for_nu(p_base, gamma + 1.0, lam)
+            sol = design_mod.solve_min_mse(p_lam, gamma)
             alpha, budget = sol.alpha_opt, sol.norm_r_sq
         else:
             alpha, budget = designed[cell]["alpha_opt"], designed[cell]["norm_r_sq"]
-        p_lam = spectral.oversample_response(p_base, lam)
         return gamma, fitting.fit_cell(cfg.fit.method, cfg.fit.order, p_lam, gamma, alpha, budget)
 
     return _map_cells(run, _cells(cfg))
@@ -582,14 +579,16 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
         """The six design residuals of a cell, and its design if it is the
         loop lane's cell (lane_bits, 1)."""
         bits, lam = cell
-        nu = design_mod.gamma_from_bits(bits, cfg.loading_factor) + 1.0
-        sol = design_mod.design_for_nu(p_base, nu, lam)
-        shaper = design_mod.optimal_shaper(sol.alpha_opt, spectral.oversample_response(p_base, lam))
-        alpha_fine = design_mod.design_for_nu(p_fine, nu, lam).alpha_opt
+        gamma = design_mod.gamma_from_bits(bits, cfg.loading_factor)
+        nu = gamma + 1.0
+        p_lam = spectral.oversample_response(p_base, lam)
+        sol = design_mod.solve_min_mse(p_lam, gamma)
+        shaper = design_mod.optimal_shaper(sol.alpha_opt, p_lam)
+        alpha_fine = design_mod.solve_min_mse(spectral.oversample_response(p_fine, lam), gamma).alpha_opt
         residuals = (
             abs(sol.theta_opt**2 / sol.alpha_opt - nu) / nu,
-            design_mod.collapse_residual(p_base, nu, lam, sol.distortion),
-            sol.distortion / design_mod.upper_bound(nu, lam, p_base) - 1.0,
+            design_mod.collapse_residual(p_base, gamma, lam, sol.distortion),
+            sol.distortion / design_mod.upper_bound(gamma, lam, p_base) - 1.0,
             nu - sol.norm_r_sq,
             abs(spectral.log_geometric_mean(shaper)),
             abs(alpha_fine - sol.alpha_opt) / sol.alpha_opt,
@@ -631,7 +630,7 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
     gamma = design_mod.gamma_from_bits(lane_bits, cfg.loading_factor)
     lane_design = next((sol for _, sol in outcomes if sol is not None), None)
     if lane_design is None:  # no cell at lambda 1
-        lane_design = _in_cell((lane_bits, 1), lambda _: design_mod.design_for_nu(p_base, gamma + 1.0, 1))
+        lane_design = _in_cell((lane_bits, 1), lambda _: design_mod.solve_min_mse(p_base, gamma))
     shaper = fitting.fit_cell(
         cfg.fit.method, cfg.fit.order, p_base, gamma, lane_design.alpha_opt, lane_design.norm_r_sq
     ).fitted

@@ -120,31 +120,6 @@ def db(ratio: float) -> float:
 
 
 @dataclass(frozen=True)
-class DesignProblem:
-    """Plant amplitude response plus the quantizer noise-ratio gamma."""
-
-    p: AmplitudeResponse
-    gamma: float
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if not np.any(self.p.values > 0) and not (self.p.cutoff is not None and self.p.edge_below > 0):
-            raise ValueError("plant response must not be identically zero")
-        edges = () if self.p.cutoff is None else (self.p.edge_below, self.p.edge_above)
-        peak = max([float(np.max(self.p.values)), *edges])
-        if not peak < MAX_PLANT_AMPLITUDE:
-            raise ValueError(
-                f"plant response peak {peak:.6g} is too large: the design integrates p^2,"
-                f" which needs p below {MAX_PLANT_AMPLITUDE:.6g}"
-            )
-
-    @property
-    def nu(self) -> float:
-        return self.gamma + 1.0
-
-
-@dataclass(frozen=True)
 class OptimalDesign:
     """The scalars of the optimal design; its shaper is built from them, as
     ``optimal_shaper(alpha_opt, p)``, where it is read."""
@@ -189,6 +164,35 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _check_problem(p: AmplitudeResponse, gamma: float) -> float:
+    """nu = gamma + 1, after the checks of a design's plant response and
+    noise ratio gamma."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    nu = gamma + 1.0
+    if not nu > 1.0:  # gamma below 2^-53, or NaN
+        raise ValueError(f"nu must exceed 1, got {nu}")
+    if not np.any(p.values > 0) and not (p.cutoff is not None and p.edge_below > 0):
+        raise ValueError("plant response must not be identically zero")
+    edges = () if p.cutoff is None else (p.edge_below, p.edge_above)
+    peak = max([float(np.max(p.values)), *edges])
+    if not peak < MAX_PLANT_AMPLITUDE:
+        raise ValueError(
+            f"plant response peak {peak:.6g} is too large: the design integrates p^2,"
+            f" which needs p below {MAX_PLANT_AMPLITUDE:.6g}"
+        )
+    return nu
+
+
+def balanced_mse(shaped: float, norm_sq: float, gamma: float) -> float:
+    """The variance balance shaped / (nu - norm_sq), nu = gamma + 1: the output
+    MSE per unit input variance of a unity-head shaper r with ||r||^2 =
+    norm_sq and ||p*r||^2 = shaped; inf where the shaper is infeasible
+    (norm_sq >= nu) or the quotient overflows."""
+    nu = gamma + 1.0
+    return shaped / (nu - norm_sq) if norm_sq < nu else math.inf
+
+
 def _power(p: AmplitudeResponse) -> AmplitudeResponse:
     """p^2 with squared edge limits, on p's grid: squared once per solve, it
     is what every design integrand reads."""
@@ -208,19 +212,8 @@ _INTEGRANDS = {
 }
 
 
-def _mean(kind: str, alpha: float, p2: AmplitudeResponse, samples: np.ndarray | None = None) -> float:
-    """band_mean of one design integrand at alpha; `samples`, when given, are
-    its values on the grid."""
-    integrand = _INTEGRANDS[kind]
-    return band_mean(p2, lambda om, v2: integrand(v2, v2 + alpha), samples)
-
-
-def _theta(alpha: float, p2: AmplitudeResponse) -> float:
-    return math.exp(0.5 * _mean("log", _check_alpha(alpha), p2))
-
-
 class _Means:
-    """The design means of one solve, kept by (alpha, integrand), so a
+    """The design means on one plant, kept by (alpha, integrand), so a
     revisited alpha costs no quadrature.
 
     A mean fills one buffer the size of the grid with p^2 + alpha and maps
@@ -243,8 +236,12 @@ class _Means:
             integrand(v2, np.add(v2, alpha, out=y[:live]), out=y[:live])
             if live < len(y):
                 y[live:] = integrand(np.zeros(1), np.full(1, alpha))
-            self.kept[key] = _mean(kind, alpha, self.p2, y)
+            self.kept[key] = band_mean(self.p2, lambda om, v2: integrand(v2, v2 + alpha), y)
         return self.kept[key]
+
+    def theta(self, alpha: float) -> float:
+        """theta(alpha) = exp(mean ln(p^2 + alpha) / 2)."""
+        return math.exp(0.5 * self(alpha, "log"))
 
     def fraction_range(self, alpha: float) -> tuple[float, ...]:
         """Floats bracketing the computed "fraction" mean at alpha, from the
@@ -269,35 +266,32 @@ def geomean_amplitude(alpha: float, p: AmplitudeResponse) -> float:
     This is the unique scale making the shaped response
     theta/sqrt(p^2+alpha) have zero log-mean.
     """
-    return _theta(alpha, _power(p))
+    return _Means(_power(p)).theta(_check_alpha(alpha))
 
 
 def shaped_noise_gain(alpha: float, p: AmplitudeResponse) -> float:
     """||p * r_alpha||^2: shaped-noise power per unit quantizer-error variance."""
-    alpha = _check_alpha(alpha)
-    p2 = _power(p)
-    return _theta(alpha, p2) ** 2 * _mean("fraction", alpha, p2)
+    alpha, means = _check_alpha(alpha), _Means(_power(p))
+    return means.theta(alpha) ** 2 * means(alpha, "fraction")
 
 
 def shaper_norm_sq(alpha: float, p: AmplitudeResponse) -> float:
     """||r_alpha||^2: squared norm of the optimal shaping response."""
-    alpha = _check_alpha(alpha)
-    p2 = _power(p)
-    return _theta(alpha, p2) ** 2 * _mean("inverse", alpha, p2)
+    alpha, means = _check_alpha(alpha), _Means(_power(p))
+    return means.theta(alpha) ** 2 * means(alpha, "inverse")
 
 
-def design_mse(alpha: float, prob: DesignProblem) -> float:
-    """Output MSE per unit input variance using the shaper r_alpha."""
-    alpha = _check_alpha(alpha)
-    p2 = _power(prob.p)
-    theta2 = _theta(alpha, p2) ** 2
-    n_val = theta2 * _mean("fraction", alpha, p2)
-    c_val = theta2 * _mean("inverse", alpha, p2)
-    if c_val >= prob.nu:
-        raise InfeasibleError(
-            f"shaper norm^2 {c_val:.6g} is not below nu = {prob.nu:.6g} at alpha = {alpha:.6g}"
-        )
-    return n_val / (prob.nu - c_val)
+def design_mse(alpha: float, p: AmplitudeResponse, gamma: float) -> float:
+    """Output MSE per unit input variance using the shaper r_alpha on plant p
+    at noise ratio gamma; InfeasibleError where r_alpha is infeasible."""
+    nu = _check_problem(p, gamma)
+    alpha, means = _check_alpha(alpha), _Means(_power(p))
+    theta2 = means.theta(alpha) ** 2
+    c_val = theta2 * means(alpha, "inverse")
+    mse = balanced_mse(theta2 * means(alpha, "fraction"), c_val, gamma)
+    if mse == math.inf:
+        raise InfeasibleError(f"shaper norm^2 {c_val:.6g} is not below nu = {nu:.6g} at alpha = {alpha:.6g}")
+    return mse
 
 
 def optimal_shaper(alpha: float, p: AmplitudeResponse) -> AmplitudeResponse:
@@ -307,7 +301,7 @@ def optimal_shaper(alpha: float, p: AmplitudeResponse) -> AmplitudeResponse:
     if is_almost_constant(p, ALMOST_CONSTANT_TOL):
         return constant_response(p.grid, 1.0)
     p2 = _power(p)
-    theta = _theta(alpha, p2)
+    theta = _Means(p2).theta(alpha)
     # Edges square with **, the samples and _power with *: pow and a product
     # can differ in the last bit, and each keeps the bits it always had. The
     # samples are theta / sqrt(p^2 + alpha), formed in one buffer.
@@ -415,8 +409,10 @@ def _certificates(log_ratio, slope, bound, x: float) -> dict[float, list[tuple[f
     return held
 
 
-def solve_min_mse(prob: DesignProblem) -> OptimalDesign:
-    """Minimize the shaped-noise MSE over feasible shaping responses.
+def solve_min_mse(p: AmplitudeResponse, gamma: float) -> OptimalDesign:
+    """Minimize the shaped-noise MSE over feasible shaping responses of the
+    (oversampled) plant response p at noise ratio gamma: the design entry
+    point, with gamma = gamma_from_bits(bits, loading_factor).
 
     Finds the root of theta^2(alpha)/alpha = nu by bracket expansion and
     log-space bisection (the quantity is strictly decreasing), then Newton
@@ -431,12 +427,12 @@ def solve_min_mse(prob: DesignProblem) -> OptimalDesign:
     PROBE_TARGET * E/|slope| of the root cost an integral. Every mean is kept
     per alpha for the rest of the solve.
     """
-    p, nu = prob.p, prob.nu
+    nu = _check_problem(p, gamma)
 
     if is_almost_constant(p, ALMOST_CONSTANT_TOL):
         # Feedback cannot improve on a flat plant: the optimal shaper is 1.
         c_sq = l2_norm_sq(p)
-        alpha = c_sq / (nu - 1.0)
+        alpha = balanced_mse(c_sq, 1.0, gamma)
         return OptimalDesign(
             alpha_opt=alpha,
             theta_opt=math.sqrt(c_sq + alpha),
@@ -451,12 +447,9 @@ def solve_min_mse(prob: DesignProblem) -> OptimalDesign:
     edges = () if p2.cutoff is None else (p2.edge_below, p2.edge_above)
     peak = max([float(np.max(p2.values)), *edges])
 
-    def theta(alpha: float) -> float:
-        return math.exp(0.5 * means(alpha, "log"))
-
     def log_ratio(alpha: float) -> float:
         # ln(theta^2/alpha) - ln(nu); strictly decreasing in alpha
-        return 2.0 * math.log(theta(_check_alpha(alpha))) - math.log(alpha) - log_nu
+        return 2.0 * math.log(means.theta(_check_alpha(alpha))) - math.log(alpha) - log_nu
 
     def slope(alpha: float) -> float:
         # d log_ratio / d ln(alpha)
@@ -515,44 +508,38 @@ def solve_min_mse(prob: DesignProblem) -> OptimalDesign:
         x = min(max(x, math.log(lo) - 1.0), math.log(hi) + 1.0)
     alpha = math.exp(x)
 
-    theta_opt = theta(alpha)
+    theta_opt = means.theta(alpha)
     c_val = theta_opt**2 * means(alpha, "inverse")
     n_val = theta_opt**2 * means(alpha, "fraction")
-    if c_val >= nu:
+    distortion = balanced_mse(n_val, c_val, gamma)
+    if distortion == math.inf:
         raise NumericalError(
             f"solved design is infeasible: shaper norm^2 {c_val:.12g} >= nu {nu:.12g}"
         )
     return OptimalDesign(
         alpha_opt=alpha,
         theta_opt=theta_opt,
-        distortion=n_val / (nu - c_val),
+        distortion=distortion,
         norm_r_sq=c_val,
         n_of_alpha=n_val,
     )
 
 
-def design_for_nu(p_base: AmplitudeResponse, nu: float, oversampling: int = 1) -> OptimalDesign:
-    """Solve the design at a given nu on the oversampled plant response: the
-    design entry point, with nu = gamma_from_bits(bits, loading_factor) + 1."""
-    if nu <= 1:
-        raise ValueError(f"nu must exceed 1, got {nu}")
-    p_lam = oversample_response(p_base, oversampling)
-    return solve_min_mse(DesignProblem(p=p_lam, gamma=nu - 1.0))
-
-
-def collapse_residual(p_base: AmplitudeResponse, nu: float, oversampling: int, distortion: float) -> float:
-    """|D(nu, lam) - D(nu^lam, 1)| / D(nu, lam), given D(nu, lam); at lam = 1
-    both sides are one problem, so it is 0 without a solve."""
+def collapse_residual(p_base: AmplitudeResponse, gamma: float, oversampling: int, distortion: float) -> float:
+    """|D(nu, lam) - D(nu^lam, 1)| / D(nu, lam), given D(nu, lam) at nu =
+    gamma + 1; at lam = 1 both sides are one problem, so it is 0 without a
+    solve."""
     if oversampling == 1:
         return 0.0
-    collapsed = design_for_nu(p_base, nu**oversampling, 1).distortion
+    collapsed = solve_min_mse(p_base, (gamma + 1.0) ** oversampling - 1.0).distortion
     return abs(distortion - collapsed) / distortion
 
 
-def upper_bound(nu: float, oversampling: int, p_base: AmplitudeResponse) -> float:
-    """Closed-form distortion bound ||p||^2/(nu^lambda - 1); ||p||^2 is the
-    norm of the non-oversampled base response."""
-    if nu <= 1:
+def upper_bound(gamma: float, oversampling: int, p_base: AmplitudeResponse) -> float:
+    """Closed-form distortion bound ||p||^2/(nu^lambda - 1), nu = gamma + 1;
+    ||p||^2 is the norm of the non-oversampled base response."""
+    nu = gamma + 1.0
+    if not nu > 1.0:
         raise ValueError(f"nu must exceed 1, got {nu}")
     if oversampling < 1 or int(oversampling) != oversampling:
         raise ValueError("oversampling factor must be a positive integer")
@@ -589,36 +576,19 @@ class RDRow:
         return db(self.d_uniform / self.distortion)
 
 
-def rd_curve(
-    p_base: AmplitudeResponse,
-    bits_list: list[int],
-    lambda_list: list[int],
-    loading_factor: float,
-) -> list[RDRow]:
-    """Rate-distortion table over the (bits, oversampling) product grid.
-
-    Rows are ordered by bits, then oversampling factor. Each row also
+def rd_row(p_base: AmplitudeResponse, bits: int, oversampling: int, loading_factor: float) -> RDRow:
+    """The rate-distortion row of one (bits, oversampling) cell. It also
     carries the relative residual of the oversampling collapse identity
-    D(nu, lam) = D(nu^lam, 1), a cheap full-pipeline self-check.
-    """
-    if not bits_list or not lambda_list:
-        raise ValueError("bits_list and lambda_list must be nonempty")
-    rows = []
-    for bits in sorted(set(int(b) for b in bits_list)):
-        gamma = gamma_from_bits(bits, loading_factor)
-        nu = gamma + 1.0
-        for lam in sorted(set(int(v) for v in lambda_list)):
-            design = design_for_nu(p_base, nu, lam)
-            p_lam = oversample_response(p_base, lam)
-            rows.append(
-                RDRow(
-                    bits=bits,
-                    oversampling=lam,
-                    gamma=gamma,
-                    distortion=design.distortion,
-                    d_uniform=l2_norm_sq(p_lam) / gamma,
-                    bound=upper_bound(nu, lam, p_base),
-                    identity_residual=collapse_residual(p_base, nu, lam, design.distortion),
-                )
-            )
-    return rows
+    D(nu, lam) = D(nu^lam, 1), a cheap full-pipeline self-check."""
+    gamma = gamma_from_bits(bits, loading_factor)
+    p_lam = oversample_response(p_base, oversampling)
+    distortion = solve_min_mse(p_lam, gamma).distortion
+    return RDRow(
+        bits=bits,
+        oversampling=oversampling,
+        gamma=gamma,
+        distortion=distortion,
+        d_uniform=l2_norm_sq(p_lam) / gamma,
+        bound=upper_bound(gamma, oversampling, p_base),
+        identity_residual=collapse_residual(p_base, gamma, oversampling, distortion),
+    )

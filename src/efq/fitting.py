@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import db, optimal_shaper
+from .design import balanced_mse, db, optimal_shaper
 from .errors import NumericalError
 from .spectral import AmplitudeResponse, l2_norm_sq, power_cosine_moment
-from .transfer import RationalDiscreteTF, frequency_response, impulse_response_truncated
+from .transfer import RationalDiscreteTF, frequency_response
 
 # Spectral-factorization roots this close to the unit circle are snapped
 # inside to radius 1 - SNAP_TOL to avoid marginally unstable numerators.
@@ -44,9 +44,10 @@ class FitReport:
     ``achieved_mse``/``ideal_mse`` are per unit input variance; they are NaN
     on reports produced before the noise ratio is known (the synthesis ops
     return geometry only; ``evaluate_fit`` completes the report).
-    ``feasible`` means the filter norm is strictly inside the feasibility
-    region of the evaluated noise ratio. ``kkt_multiplier`` is only set on
-    the norm-constrained FIR path (0 when the cap is slack).
+    ``feasible`` means the variance balance is finite: the filter norm is
+    strictly inside the feasibility region of the evaluated noise ratio.
+    ``kkt_multiplier`` is only set on the norm-constrained FIR path (0 when
+    the cap is slack).
     """
 
     fitted: RationalDiscreteTF
@@ -198,16 +199,19 @@ def gram_autocorrelations(
     """Autocorrelation lags 0..max_lag of the plant impulse response.
 
     These are the inner products <z^-i P, z^-j P> at lag |i-j| that build
-    the quadratic form of the norm-constrained fit. Rational plants use the
-    (truncated) impulse response directly; amplitude responses use cosine
-    moments of the power spectrum, which is the same quantity by Parseval
-    and the only exact route for bandlimited responses.
+    the quadratic form of the norm-constrained fit. A FIR plant uses its
+    taps directly; amplitude responses use cosine moments of the power
+    spectrum, which is the same quantity by Parseval and the only exact
+    route for bandlimited responses. An IIR plant is refused: pass its
+    amplitude response instead.
     """
     if max_lag < 0:
         raise ValueError("max_lag must be nonnegative")
     if isinstance(plant, AmplitudeResponse):
         return np.array([power_cosine_moment(plant, k) for k in range(max_lag + 1)])
-    g = impulse_response_truncated(plant)
+    if not plant.is_fir:
+        raise ValueError("an IIR plant has no finite taps: fit its amplitude response (amplitude_of_tf) instead")
+    g = np.asarray(plant.num, dtype=float)
     if len(g) < max_lag + 1:
         g = np.concatenate([g, np.zeros(max_lag + 1 - len(g))])
     return np.array([float(np.dot(g[: len(g) - k], g[k:])) for k in range(max_lag + 1)])
@@ -221,6 +225,18 @@ def _fir_quadratic_form(plant: RationalDiscreteTF | AmplitudeResponse, order: in
     # the fixed unity head.
     idx = np.abs(np.subtract.outer(np.arange(order), np.arange(order)))
     return rho[idx], rho[1 : order + 1].copy()
+
+
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of v without overflow: np.linalg.norm(v) wherever that is
+    finite, and the norm of v scaled by its largest magnitude where the sum
+    of squares overflows (autocorrelations of a plant above about 1e77)."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if norm < math.inf:
+        return norm
+    scale = float(np.max(np.abs(v)))
+    return scale * float(np.linalg.norm(v / scale))
 
 
 def _solve_sphere_constrained_quadratic(
@@ -243,7 +259,7 @@ def _solve_sphere_constrained_quadratic(
             f"(eigenvalue span [{eigvals[0]:.3g}, {eigvals[-1]:.3g}])"
         )
     beta = eigvecs.T @ b_vec
-    b_norm = float(np.linalg.norm(b_vec))
+    b_norm = _norm(b_vec)
 
     null = eigvals <= 1e-13 * max(scale, 1.0)
     if not np.any(null & (np.abs(beta) > 1e-13 * max(b_norm, 1.0))):
@@ -277,7 +293,11 @@ def _solve_sphere_constrained_quadratic(
     mu = 0.5 * (lo + hi)
     for _ in range(3):
         f = norm_sq_at(mu) - radius_sq
-        fp = -2.0 * float(np.sum(beta**2 / (eigvals + mu) ** 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            fp = -2.0 * float(np.sum(beta**2 / (eigvals + mu) ** 3))
+        if not math.isfinite(fp):  # beta^2 overflowed: the same sum, each term formed in range
+            q = beta / (eigvals + mu)
+            fp = -2.0 * float(np.sum(q * q / (eigvals + mu)))
         if fp == 0:
             break
         candidate = mu - f / fp
@@ -325,7 +345,7 @@ def fir_kkt_residuals(
     x = np.array(report.fitted.num[1:])
     a_mat, b_vec = _fir_quadratic_form(plant, len(x))
     mu = report.kkt_multiplier
-    stationarity = float(np.linalg.norm(a_mat @ x + mu * x + b_vec)) / max(float(np.linalg.norm(b_vec)), 1e-300)
+    stationarity = _norm(a_mat @ x + mu * x + b_vec) / max(_norm(b_vec), 1e-300)
     return stationarity, abs(mu * (float(np.dot(x, x)) - (norm_budget - 1.0)))
 
 
@@ -356,15 +376,13 @@ def evaluate_fit(
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     shaped_sq, norm_sq = shaped_noise_norm_sq(fit, p)
-    nu = gamma + 1.0
-    feasible = norm_sq < nu
-    achieved = shaped_sq / (nu - norm_sq) if feasible else math.inf
+    achieved = balanced_mse(shaped_sq, norm_sq, gamma)
     return FitReport(
         fitted=fit,
         achieved_mse=achieved,
         ideal_mse=ideal_mse,
         norm_sq=norm_sq,
-        feasible=feasible,
+        feasible=achieved < math.inf,
         kkt_multiplier=kkt_multiplier,
     )
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import _levels, gamma_from_bits
+from .design import _levels, balanced_mse, gamma_from_bits
 from .errors import NumericalError
 from .fitting import FitReport, evaluate_fit
 from .spectral import AmplitudeResponse, FrequencyGrid
@@ -659,10 +659,9 @@ def predicted_loop_variances(norm_r_sq: float, gamma: float) -> tuple[float, flo
     balance at a unity-head shaper of squared norm ||R||^2:
     sigma_w^2 = 1/(nu - ||R||^2) and sigma_u^2 = 1 + (||R||^2 - 1) sigma_w^2,
     using ||R-1||^2 = ||R||^2 - 1 for unity-head filters."""
-    nu = gamma + 1.0
-    if norm_r_sq >= nu:
-        raise ValueError(f"infeasible shaper: ||R||^2 = {norm_r_sq:.6g} >= nu = {nu:.6g}")
-    sigma_w_sq = 1.0 / (nu - norm_r_sq)
+    sigma_w_sq = balanced_mse(1.0, norm_r_sq, gamma)
+    if sigma_w_sq == math.inf:
+        raise ValueError(f"infeasible shaper: ||R||^2 = {norm_r_sq:.6g} >= nu = {gamma + 1.0:.6g}")
     sigma_u_sq = 1.0 + (norm_r_sq - 1.0) * sigma_w_sq
     return sigma_u_sq, sigma_w_sq
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
-
 # Poles are accepted as stable only strictly inside the unit circle, with a
 # guard band against root-finding round-off on marginally stable fits.
 STABILITY_MARGIN = 1e-9
@@ -167,37 +165,3 @@ def impulse_response(tf: RationalDiscreteTF, length: int) -> np.ndarray:
     delta = np.zeros(length)
     delta[0] = 1.0
     return linear_filter(tf.num, tf.den, delta)
-
-
-def impulse_response_truncated(
-    tf: RationalDiscreteTF, rel_tail_tol: float = 1e-14, max_length: int = 16384
-) -> np.ndarray:
-    """Impulse response truncated where the geometric tail bound drops below
-    `rel_tail_tol` of the accumulated energy, capped at `max_length` samples.
-
-    The bound uses the largest pole magnitude rho: beyond sample n the
-    remaining energy is at most (max recent |h|)^2 * rho^2/(1-rho^2) scaled
-    by the squared recent-window envelope, which is conservative for any
-    stable rational filter once n exceeds the numerator length.
-    """
-    if tf.is_fir:
-        return np.asarray(tf.num, dtype=float)
-    poles = np.roots(tf.den)
-    rho = float(np.max(np.abs(poles)))
-    rho = min(rho, 1.0 - STABILITY_MARGIN)
-    window = max(len(tf.den) - 1, 1)
-    length = max(64, 4 * (len(tf.num) + len(tf.den)))
-    while True:
-        n = min(length, max_length)
-        h = impulse_response(tf, n)
-        energy = float(np.dot(h, h))
-        if energy == 0.0:
-            raise NumericalError("impulse response identically zero; degenerate filter")
-        tail_env = float(np.max(np.abs(h[-window:])))
-        # Conservative geometric tail: |h_k| <= tail_env * rho^(k-n) past the
-        # last window, so tail energy <= window*tail_env^2*rho^2/(1-rho^2).
-        tail_bound = window * tail_env * tail_env * rho * rho / (1.0 - rho * rho)
-        if n >= max_length or tail_bound <= rel_tail_tol * energy:
-            return h
-        length *= 2
-

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from efq.design import DesignProblem, OptimalDesign
+from efq.design import OptimalDesign
 from efq.errors import InfeasibleError, NumericalError
 from efq.spectral import AmplitudeResponse, constant_response
 
@@ -88,15 +88,16 @@ def _noise_fraction(alpha: float, p: AmplitudeResponse) -> float:
     return band_mean(p, lambda om, v: v * v / (v * v + alpha))
 
 
-def design_mse(alpha: float, prob: DesignProblem) -> float:
+def design_mse(alpha: float, p: AmplitudeResponse, gamma: float) -> float:
     alpha = _check_alpha(alpha)
-    n_val = shaped_noise_gain(alpha, prob.p)
-    c_val = shaper_norm_sq(alpha, prob.p)
-    if c_val >= prob.nu:
+    nu = gamma + 1.0
+    n_val = shaped_noise_gain(alpha, p)
+    c_val = shaper_norm_sq(alpha, p)
+    if c_val >= nu:
         raise InfeasibleError(
-            f"shaper norm^2 {c_val:.6g} is not below nu = {prob.nu:.6g} at alpha = {alpha:.6g}"
+            f"shaper norm^2 {c_val:.6g} is not below nu = {nu:.6g} at alpha = {alpha:.6g}"
         )
-    return n_val / (prob.nu - c_val)
+    return n_val / (nu - c_val)
 
 
 def optimal_shaper(alpha: float, p: AmplitudeResponse) -> AmplitudeResponse:
@@ -116,8 +117,8 @@ def optimal_shaper(alpha: float, p: AmplitudeResponse) -> AmplitudeResponse:
     )
 
 
-def solve_min_mse(prob: DesignProblem) -> OptimalDesign:
-    p, nu = prob.p, prob.nu
+def solve_min_mse(p: AmplitudeResponse, gamma: float) -> OptimalDesign:
+    nu = gamma + 1.0
 
     if is_almost_constant(p, ALMOST_CONSTANT_TOL):
         c_sq = l2_norm_sq(p)

@@ -13,14 +13,12 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from efq.design import (
-    DesignProblem,
     db,
-    design_for_nu,
     design_mse,
     gamma_from_bits,
     geomean_amplitude,
     optimal_shaper,
-    rd_curve,
+    rd_row,
     solve_min_mse,
     upper_bound,
 )
@@ -65,8 +63,8 @@ def sweep(p_base):
     for bits in SWEEP_BITS:
         gamma = gamma_from_bits(bits, LOADING_FACTOR)
         for lam in SWEEP_LAMBDAS:
-            prob = DesignProblem(p=oversample_response(p_base, lam), gamma=gamma)
-            cells[(bits, lam)] = (prob, solve_min_mse(prob))
+            p_lam = oversample_response(p_base, lam)
+            cells[(bits, lam)] = (p_lam, gamma, solve_min_mse(p_lam, gamma))
     elapsed = time.perf_counter() - start
     return cells, elapsed
 
@@ -74,44 +72,45 @@ def sweep(p_base):
 def test_01_optimality_root_residual_all_cells_under_ten_seconds(sweep):
     cells, elapsed = sweep
     worst = 0.0
-    for (bits, lam), (prob, sol) in cells.items():
-        residual = abs(sol.theta_opt**2 / sol.alpha_opt - prob.nu)
-        assert residual <= 1e-10 * prob.nu, f"cell ({bits},{lam}): residual {residual:.3e}"
-        worst = max(worst, residual / prob.nu)
+    for (bits, lam), (_, gamma, sol) in cells.items():
+        nu = gamma + 1.0
+        residual = abs(sol.theta_opt**2 / sol.alpha_opt - nu)
+        assert residual <= 1e-10 * nu, f"cell ({bits},{lam}): residual {residual:.3e}"
+        worst = max(worst, residual / nu)
     assert elapsed < 10.0, f"solve sweep took {elapsed:.2f}s, budget 10s"
 
 
 def test_02_oversampling_collapse_identity(sweep, p_base):
     cells, _ = sweep
-    for (bits, lam), (prob, sol) in cells.items():
-        collapsed = design_for_nu(p_base, prob.nu**lam, 1).distortion
+    for (bits, lam), (_, gamma, sol) in cells.items():
+        collapsed = solve_min_mse(p_base, (gamma + 1.0) ** lam - 1.0).distortion
         rel = abs(sol.distortion - collapsed) / sol.distortion
         assert rel <= 1e-6, f"cell ({bits},{lam}): identity residual {rel:.3e}"
-    for nu in (1.2, 5.0, 17.0):
+    for gamma in (0.2, 4.0, 16.0):
         for lam in SWEEP_LAMBDAS:
-            direct = design_for_nu(p_base, nu, lam).distortion
-            collapsed = design_for_nu(p_base, nu**lam, 1).distortion
+            direct = solve_min_mse(oversample_response(p_base, lam), gamma).distortion
+            collapsed = solve_min_mse(p_base, (gamma + 1.0) ** lam - 1.0).distortion
             rel = abs(direct - collapsed) / direct
-            assert rel <= 1e-6, f"nu={nu}, lambda={lam}: identity residual {rel:.3e}"
+            assert rel <= 1e-6, f"gamma={gamma}, lambda={lam}: identity residual {rel:.3e}"
 
 
 def test_03_distortion_upper_bound_with_constant_plant_equality(sweep, p_base, grid):
     cells, _ = sweep
-    for (bits, lam), (prob, sol) in cells.items():
-        bound = upper_bound(prob.nu, lam, p_base)
+    for (bits, lam), (_, gamma, sol) in cells.items():
+        bound = upper_bound(gamma, lam, p_base)
         assert sol.distortion <= bound * (1 + 1e-12), f"cell ({bits},{lam}) violates the bound"
     flat = constant_response(grid, 0.8)
-    sol = solve_min_mse(DesignProblem(p=flat, gamma=1.5))
-    bound = upper_bound(2.5, 1, flat)
+    sol = solve_min_mse(flat, 1.5)
+    bound = upper_bound(1.5, 1, flat)
     assert abs(sol.distortion - bound) <= 1e-9 * bound
 
 
 def test_04_closed_form_oracles_constant_and_cosine(grid):
     for c, nu in ((0.5, 1.8), (1.0, 2.0), (2.0, 13.0)):
-        sol = solve_min_mse(DesignProblem(p=constant_response(grid, c), gamma=nu - 1.0))
+        sol = solve_min_mse(constant_response(grid, c), nu - 1.0)
         assert abs(sol.alpha_opt - c * c / (nu - 1.0)) <= 1e-10 * sol.alpha_opt
     cosine = AmplitudeResponse(grid, np.sqrt(2.0 + 2.0 * np.cos(grid.omegas)))
-    sol = solve_min_mse(DesignProblem(p=cosine, gamma=1.0))
+    sol = solve_min_mse(cosine, 1.0)
     b = 2.0 + sol.alpha_opt
     theta_closed = math.sqrt((b + math.sqrt(b * b - 4.0)) / 2.0)
     assert abs(sol.theta_opt - theta_closed) <= 1e-8 * theta_closed
@@ -124,7 +123,7 @@ def test_05_shaping_gain_between_8_and_12_db_for_all_bit_depths(p_base):
     # gamma*D(gamma) is a minimum of functions non-increasing in gamma, so the
     # gain never drops as bits are added. The [8, 12] dB window is a statement
     # about bit depths with room to shape: 2 bits and up.
-    rows = rd_curve(p_base, list(SWEEP_BITS), [1], LOADING_FACTOR)
+    rows = [rd_row(p_base, bits, 1, LOADING_FACTOR) for bits in SWEEP_BITS]
     gains = {row.bits: row.gain_db for row in rows}
     ceiling = db(l2_norm_sq(p_base) / math.exp(2.0 * log_geometric_mean(p_base)))
     table = ", ".join(f"bits={b}: {g:.4f} dB" for b, g in sorted(gains.items()))
@@ -136,11 +135,11 @@ def test_05_shaping_gain_between_8_and_12_db_for_all_bit_depths(p_base):
 
     # The 1-bit gain is the true optimum, not a solver shortfall: a direct
     # scalar minimization of the design MSE over alpha lands on the same value.
-    prob = DesignProblem(p=p_base, gamma=gamma_from_bits(1, LOADING_FACTOR))
-    sol = solve_min_mse(prob)
+    gamma = gamma_from_bits(1, LOADING_FACTOR)
+    sol = solve_min_mse(p_base, gamma)
     # Over log alpha in [ln 0.05, ln 2] every shaper is feasible at 1 bit.
     direct = minimize_scalar(
-        lambda x: design_mse(math.exp(x), prob),
+        lambda x: design_mse(math.exp(x), p_base, gamma),
         bounds=(math.log(0.05), math.log(2.0)),
         method="bounded",
         options={"xatol": 1e-10},
@@ -153,12 +152,12 @@ def test_05_shaping_gain_between_8_and_12_db_for_all_bit_depths(p_base):
 def test_06_order4_fits_within_half_db_qcqp_and_two_db_yule_walker(sweep):
     cells, _ = sweep
     failures = []
-    for (bits, lam), (prob, sol) in sorted(cells.items()):
-        fir = norm_constrained_fir(prob.p, 4, sol.norm_r_sq)
-        qcqp = evaluate_fit(fir.fitted, prob.p, prob.gamma, ideal_mse=sol.alpha_opt, kkt_multiplier=fir.kkt_multiplier)
+    for (bits, lam), (p_lam, gamma, sol) in sorted(cells.items()):
+        fir = norm_constrained_fir(p_lam, 4, sol.norm_r_sq)
+        qcqp = evaluate_fit(fir.fitted, p_lam, gamma, ideal_mse=sol.alpha_opt, kkt_multiplier=fir.kkt_multiplier)
         assert qcqp.fitted.num[0] == 1.0
-        yw_filter = yule_walker_fit(optimal_shaper(sol.alpha_opt, prob.p), 4)
-        yw = evaluate_fit(yw_filter, prob.p, prob.gamma, ideal_mse=sol.alpha_opt)
+        yw_filter = yule_walker_fit(optimal_shaper(sol.alpha_opt, p_lam), 4)
+        yw = evaluate_fit(yw_filter, p_lam, gamma, ideal_mse=sol.alpha_opt)
         assert yw_filter.num[0] == 1.0
         q_loss = db(qcqp.achieved_mse / qcqp.ideal_mse) if qcqp.feasible else math.inf
         y_loss = db(yw.achieved_mse / yw.ideal_mse) if yw.feasible else math.inf
@@ -181,7 +180,7 @@ def test_07_simulation_within_twenty_percent_in_under_sixty_seconds(plant, p_bas
     start = time.perf_counter()
     bits, lam = 8, 1
     gamma = gamma_from_bits(bits, LOADING_FACTOR)
-    sol = solve_min_mse(DesignProblem(p=p_base, gamma=gamma))
+    sol = solve_min_mse(p_base, gamma)
     shaper = norm_constrained_fir(p_base, 4, sol.norm_r_sq).fitted
     score, _, _, quant = loop_quantizer(shaper, p_base, bits, LOADING_FACTOR)
     # A realizable filter cannot beat the ideal designed on the same plant.
@@ -216,15 +215,14 @@ def test_08_alpha_map_monotone_and_stationary_on_random_plants():
         tf = RationalDiscreteTF((gain * num).tolist(), den.tolist())
         p = amplitude_of_tf(tf, grid)
         gamma = float(rng.uniform(0.2, 100.0))
-        prob = DesignProblem(p=p, gamma=gamma)
-        sol = solve_min_mse(prob)
+        sol = solve_min_mse(p, gamma)
         ratios = [sol.theta_opt**2 / sol.alpha_opt]
         for factor in (2.0, 4.0):
             a = factor * sol.alpha_opt
             ratios.append(geomean_amplitude(a, p) ** 2 / a)
         assert ratios[0] > ratios[1] > ratios[2], f"trial {trial}: ratio map not decreasing"
         h = 1e-4 * sol.alpha_opt
-        deriv = (design_mse(sol.alpha_opt + h, prob) - design_mse(sol.alpha_opt - h, prob)) / (2 * h)
+        deriv = (design_mse(sol.alpha_opt + h, p, gamma) - design_mse(sol.alpha_opt - h, p, gamma)) / (2 * h)
         normalized = abs(deriv) * sol.alpha_opt / sol.distortion
         assert normalized <= 1e-5, f"trial {trial}: normalized stationarity {normalized:.3e}"
 
@@ -256,7 +254,7 @@ def test_10_grid_convergence_from_8192_to_16384(plant):
     for bits in SWEEP_BITS:
         gamma = gamma_from_bits(bits, LOADING_FACTOR)
         for lam in SWEEP_LAMBDAS:
-            a1 = solve_min_mse(DesignProblem(p=oversample_response(coarse, lam), gamma=gamma)).alpha_opt
-            a2 = solve_min_mse(DesignProblem(p=oversample_response(fine, lam), gamma=gamma)).alpha_opt
+            a1 = solve_min_mse(oversample_response(coarse, lam), gamma).alpha_opt
+            a2 = solve_min_mse(oversample_response(fine, lam), gamma).alpha_opt
             rel = abs(a2 - a1) / a1
             assert rel < 1e-6, f"cell ({bits},{lam}): grid shift {rel:.3e}"

@@ -224,8 +224,9 @@ class TestDesignCommand:
         rows = []
         for bits in config["bits_list"]:
             for lam in config["lambda_list"]:
-                sol = design.design_for_nu(p_base, design.gamma_from_bits(bits, cfg.loading_factor) + 1.0, lam)
-                shaper = design.optimal_shaper(sol.alpha_opt, spectral.oversample_response(p_base, lam))
+                p_lam = spectral.oversample_response(p_base, lam)
+                sol = design.solve_min_mse(p_lam, design.gamma_from_bits(bits, cfg.loading_factor))
+                shaper = design.optimal_shaper(sol.alpha_opt, p_lam)
                 rows += [(bits, lam, w, r) for w, r in zip(p_base.grid.omegas, shaper.values)]
         sha = json.loads((out / "design.json").read_text())["config_sha256"]
         expected = reference_csv(sha, ["bits", "lambda", "omega", "r_opt"], rows)
@@ -724,8 +725,8 @@ class TestStagesAgree:
         cells = json.loads((out / "design.json").read_text())["cells"]
         assert len(cells) == 4
         for cell in cells:
-            nu = design.gamma_from_bits(cell["bits"], cfg.loading_factor) + 1.0
-            expected = design.design_for_nu(p_base, nu, cell["lambda"])
+            gamma = design.gamma_from_bits(cell["bits"], cfg.loading_factor)
+            expected = design.solve_min_mse(spectral.oversample_response(p_base, cell["lambda"]), gamma)
             for name in ("alpha_opt", "theta_opt", "distortion", "norm_r_sq", "n_of_alpha"):
                 assert cell[name] == getattr(expected, name), (cell["bits"], cell["lambda"], name)
 

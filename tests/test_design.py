@@ -9,15 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from efq.design import (
-    DesignProblem,
+    balanced_mse,
     collapse_residual,
     db,
-    design_for_nu,
     design_mse,
     gamma_from_bits,
     geomean_amplitude,
     optimal_shaper,
-    rd_curve,
+    rd_row,
     shaped_noise_gain,
     shaper_norm_sq,
     solve_min_mse,
@@ -103,38 +102,44 @@ class TestNormalizers:
 
 class TestDesignMSE:
     def test_infeasible_alpha_raises(self, cosine_response):
-        prob = DesignProblem(p=cosine_response, gamma=0.01)
         with pytest.raises(InfeasibleError):
-            design_mse(1e-9, prob)
+            design_mse(1e-9, cosine_response, 0.01)
 
     def test_objective_equals_alpha_at_optimum(self, cosine_response):
-        prob = DesignProblem(p=cosine_response, gamma=1.0)
-        sol = solve_min_mse(prob)
-        assert design_mse(sol.alpha_opt, prob) == pytest.approx(sol.alpha_opt, rel=1e-12)
+        sol = solve_min_mse(cosine_response, 1.0)
+        assert design_mse(sol.alpha_opt, cosine_response, 1.0) == pytest.approx(sol.alpha_opt, rel=1e-12)
 
     def test_local_optimality(self, cosine_response):
-        prob = DesignProblem(p=cosine_response, gamma=1.0)
-        sol = solve_min_mse(prob)
+        sol = solve_min_mse(cosine_response, 1.0)
         for factor in (0.9, 0.99, 1.01, 1.1):
-            assert design_mse(factor * sol.alpha_opt, prob) >= sol.distortion * (1 - 1e-12)
+            assert design_mse(factor * sol.alpha_opt, cosine_response, 1.0) >= sol.distortion * (1 - 1e-12)
+
+
+class TestBalancedMSE:
+    def test_is_the_balance_at_nu_gamma_plus_one(self):
+        assert balanced_mse(3.0, 1.5, 1.0) == 3.0 / (2.0 - 1.5)
+        assert balanced_mse(0.49, 1.0, 1.5) == 0.49 / 1.5
+
+    @pytest.mark.parametrize("norm_sq", [2.0, 2.5, math.inf, math.nan])
+    def test_infeasible_shaper_is_inf(self, norm_sq):
+        assert balanced_mse(3.0, norm_sq, 1.0) == math.inf
 
 
 class TestSolve:
     def test_cosine_plant_at_nu_two(self, cosine_response):
-        sol = solve_min_mse(DesignProblem(p=cosine_response, gamma=1.0))
+        sol = solve_min_mse(cosine_response, 1.0)
         assert sol.alpha_opt == pytest.approx((2.0 + math.sqrt(2.0)) / 2.0, rel=1e-10)
         assert sol.distortion == pytest.approx(sol.alpha_opt, rel=1e-12)
 
     def test_root_residual_on_benchmark(self, p_base):
         for gamma in (0.1875, 1.6875, 12192.1875):
-            prob = DesignProblem(p=p_base, gamma=gamma)
-            sol = solve_min_mse(prob)
-            assert abs(sol.theta_opt**2 / sol.alpha_opt - prob.nu) <= 1e-10 * prob.nu
+            sol = solve_min_mse(p_base, gamma)
+            nu = gamma + 1.0
+            assert abs(sol.theta_opt**2 / sol.alpha_opt - nu) <= 1e-10 * nu
 
     def test_constant_plant_closed_form(self, grid):
         resp = constant_response(grid, 0.7)
-        prob = DesignProblem(p=resp, gamma=1.5)
-        sol = solve_min_mse(prob)
+        sol = solve_min_mse(resp, 1.5)
         assert sol.alpha_opt == pytest.approx(0.49 / 1.5, rel=1e-12)
         assert sol.distortion == pytest.approx(0.49 / 1.5, rel=1e-12)
         np.testing.assert_array_equal(optimal_shaper(sol.alpha_opt, resp).values, 1.0)
@@ -142,14 +147,13 @@ class TestSolve:
 
     def test_constant_plant_unit_noise_variance(self, grid):
         resp = constant_response(grid, 1.0)
-        prob = DesignProblem(p=resp, gamma=1.0)
-        sol = solve_min_mse(prob)
-        _, sigma_w_sq = predicted_loop_variances(sol.norm_r_sq, prob.gamma)
+        sol = solve_min_mse(resp, 1.0)
+        _, sigma_w_sq = predicted_loop_variances(sol.norm_r_sq, 1.0)
         assert sigma_w_sq == pytest.approx(1.0, rel=1e-12)
 
     def test_identically_zero_plant_rejected(self, grid):
         with pytest.raises(ValueError):
-            DesignProblem(p=constant_response(grid, 0.0), gamma=1.0)
+            solve_min_mse(constant_response(grid, 0.0), 1.0)
 
     @pytest.mark.parametrize("peak", [2.0**511, 1.3e154, 1e200])
     @pytest.mark.parametrize("at_edge", [False, True])
@@ -162,38 +166,39 @@ class TestSolve:
             vals[5] = peak
             resp = AmplitudeResponse(grid, vals)
         with pytest.raises(ValueError, match="too large"):
-            DesignProblem(p=resp, gamma=1.0)
+            solve_min_mse(resp, 1.0)
         with pytest.raises(ValueError, match="too large"):
-            design_for_nu(resp, 2.0, 1)
+            design_mse(1.0, resp, 1.0)
 
     def test_largest_admissible_plant_integrates_finitely(self, grid):
         big = constant_response(grid, np.nextafter(2.0**511, 0.0))
-        sol = solve_min_mse(DesignProblem(p=big, gamma=1.0))
+        sol = solve_min_mse(big, 1.0)
         assert math.isfinite(l2_norm_sq(big)) and math.isfinite(sol.distortion)
 
     def test_nonpositive_gamma_rejected(self, cosine_response):
         with pytest.raises(ValueError):
-            DesignProblem(p=cosine_response, gamma=0.0)
+            solve_min_mse(cosine_response, 0.0)
 
     def test_predicted_mse_equals_distortion(self, p_base):
-        prob = DesignProblem(p=p_base, gamma=gamma_from_bits(4, 4.0))
-        sol = solve_min_mse(prob)
-        _, sigma_w_sq = predicted_loop_variances(sol.norm_r_sq, prob.gamma)
+        gamma = gamma_from_bits(4, 4.0)
+        sol = solve_min_mse(p_base, gamma)
+        _, sigma_w_sq = predicted_loop_variances(sol.norm_r_sq, gamma)
         assert sol.n_of_alpha * sigma_w_sq == pytest.approx(sol.distortion, rel=1e-10)
 
     def test_norm_feasible(self, p_base):
-        prob = DesignProblem(p=p_base, gamma=gamma_from_bits(2, 4.0))
-        sol = solve_min_mse(prob)
-        assert sol.norm_r_sq < prob.nu
+        gamma = gamma_from_bits(2, 4.0)
+        sol = solve_min_mse(p_base, gamma)
+        assert sol.norm_r_sq < gamma + 1.0
 
     def test_lower_bracket_reaches_tiny_alpha(self, p_base):
         # alpha_opt is about 4.2e-74 here, below what 200 halvings of 1e-12 reach.
-        prob = DesignProblem(p=oversample_response(p_base, 8), gamma=gamma_from_bits(16, 4.0))
-        sol = solve_min_mse(prob)
+        p_lam, gamma = oversample_response(p_base, 8), gamma_from_bits(16, 4.0)
+        sol = solve_min_mse(p_lam, gamma)
+        nu = gamma + 1.0
         assert sol.alpha_opt < 1e-70
-        assert abs(sol.theta_opt**2 / sol.alpha_opt - prob.nu) <= 1e-10 * prob.nu
-        assert prob.nu - sol.norm_r_sq > 0.0
-        assert abs(log_geometric_mean(optimal_shaper(sol.alpha_opt, prob.p))) <= 1e-8
+        assert abs(sol.theta_opt**2 / sol.alpha_opt - nu) <= 1e-10 * nu
+        assert nu - sol.norm_r_sq > 0.0
+        assert abs(log_geometric_mean(optimal_shaper(sol.alpha_opt, p_lam))) <= 1e-8
 
 
 class TestMonotonicity:
@@ -215,27 +220,29 @@ class TestMonotonicity:
 
 class TestOversampledDesign:
     def test_collapse_identity(self, p_base):
-        for nu, lam in ((5.0, 3), (1.2, 2), (17.0, 4)):
-            direct = design_for_nu(p_base, nu, lam).distortion
-            collapsed = design_for_nu(p_base, nu**lam, 1).distortion
+        for gamma, lam in ((4.0, 3), (0.2, 2), (16.0, 4)):
+            direct = solve_min_mse(oversample_response(p_base, lam), gamma).distortion
+            collapsed = solve_min_mse(p_base, (gamma + 1.0) ** lam - 1.0).distortion
             assert abs(direct - collapsed) / direct <= 1e-6
-            assert collapse_residual(p_base, nu, lam, direct) == abs(direct - collapsed) / direct
-        assert collapse_residual(p_base, 5.0, 1, 0.3) == 0.0
+            assert collapse_residual(p_base, gamma, lam, direct) == abs(direct - collapsed) / direct
+        assert collapse_residual(p_base, 4.0, 1, 0.3) == 0.0
 
-    def test_design_for_nu_is_the_cell_solve(self, p_base):
+    def test_cell_solve_keeps_the_bits_of_the_nu_round_trip(self, p_base):
         # A cell's design at (4 bits, lambda 2): its distortion is its alpha,
-        # and it is bit for bit the solve on the oversampled problem at gamma.
+        # and it is bit for bit the solve at the gamma of the old nu round
+        # trip, (gamma + 1) - 1.
         gamma = gamma_from_bits(4, 4.0)
-        design = design_for_nu(p_base, gamma + 1.0, 2)
+        p_lam = oversample_response(p_base, 2)
+        design = solve_min_mse(p_lam, gamma)
         assert design.distortion == pytest.approx(design.alpha_opt, rel=1e-12)
-        direct = solve_min_mse(DesignProblem(p=oversample_response(p_base, 2), gamma=gamma))
+        direct = solve_min_mse(p_lam, (gamma + 1.0) - 1.0)
         for name in ("alpha_opt", "theta_opt", "distortion", "norm_r_sq", "n_of_alpha"):
             assert getattr(design, name) == getattr(direct, name), name
 
     @pytest.mark.parametrize("lam", [2, 3, 4])
     def test_design_fields_are_python_floats(self, p_base, lam):
         # a numpy scalar field would warn, not give inf, where a division overflows
-        design = design_for_nu(p_base, gamma_from_bits(4, 4.0) + 1.0, lam)
+        design = solve_min_mse(oversample_response(p_base, lam), gamma_from_bits(4, 4.0))
         for field in dataclasses.fields(design):
             assert type(getattr(design, field.name)) is float, field.name
 
@@ -243,26 +250,26 @@ class TestOversampledDesign:
 class TestUpperBound:
     def test_constant_plant_formula(self, grid):
         resp = constant_response(grid, 0.7)
-        assert upper_bound(2.0, 3, resp) == pytest.approx(0.49 / 7.0, rel=1e-12)
+        assert upper_bound(1.0, 3, resp) == pytest.approx(0.49 / 7.0, rel=1e-12)
 
     def test_constant_plant_equality_at_base_rate(self, grid):
         resp = constant_response(grid, 1.3)
-        sol = solve_min_mse(DesignProblem(p=resp, gamma=2.0))
-        assert sol.distortion == pytest.approx(upper_bound(3.0, 1, resp), rel=1e-9)
+        sol = solve_min_mse(resp, 2.0)
+        assert sol.distortion == pytest.approx(upper_bound(2.0, 1, resp), rel=1e-9)
 
     def test_decreasing_in_oversampling(self, p_base):
-        bounds = [upper_bound(2.0, lam, p_base) for lam in (1, 2, 3, 4)]
+        bounds = [upper_bound(1.0, lam, p_base) for lam in (1, 2, 3, 4)]
         assert all(later < earlier for earlier, later in zip(bounds, bounds[1:]))
 
     def test_dominates_distortion(self, p_base):
         for lam in (1, 2, 3):
-            sol = design_for_nu(p_base, 2.0, lam)
-            assert sol.distortion <= upper_bound(2.0, lam, p_base) * (1 + 1e-12)
+            sol = solve_min_mse(oversample_response(p_base, lam), 1.0)
+            assert sol.distortion <= upper_bound(1.0, lam, p_base) * (1 + 1e-12)
 
 
 @pytest.fixture(scope="module")
 def rows(p_base):
-    return rd_curve(p_base, [2, 3, 4], [1, 2], 4.0)
+    return [rd_row(p_base, bits, lam, 4.0) for bits in (2, 3, 4) for lam in (1, 2)]
 
 
 class TestRDCurve:
@@ -287,7 +294,7 @@ class TestRDCurve:
     def test_gain_regression_at_base_rate(self, p_base):
         # Pinned values from the frozen reference run of this design flow.
         expected = [3.3693, 8.0005, 9.7221, 10.1553, 10.2564, 10.2800, 10.2857, 10.2871]
-        rows = rd_curve(p_base, list(range(1, 9)), [1], 4.0)
+        rows = [rd_row(p_base, bits, 1, 4.0) for bits in range(1, 9)]
         got = [r.gain_db for r in rows]
         np.testing.assert_allclose(got, expected, atol=2e-3)
 
@@ -305,10 +312,9 @@ class TestDb:
 def test_solution_invariants_across_gamma(gamma):
     grid = FrequencyGrid(512)
     resp = AmplitudeResponse(grid, np.sqrt(2.0 + 2.0 * np.cos(grid.omegas)))
-    prob = DesignProblem(p=resp, gamma=gamma)
-    sol = solve_min_mse(prob)
+    sol = solve_min_mse(resp, gamma)
     nu = gamma + 1.0
     assert abs(sol.theta_opt**2 / sol.alpha_opt - nu) <= 1e-10 * nu
     assert sol.norm_r_sq < nu
-    assert sol.distortion <= upper_bound(nu, 1, resp) * (1 + 1e-9)
-    assert design_mse(sol.alpha_opt, prob) == pytest.approx(sol.alpha_opt, rel=1e-10)
+    assert sol.distortion <= upper_bound(gamma, 1, resp) * (1 + 1e-9)
+    assert design_mse(sol.alpha_opt, resp, gamma) == pytest.approx(sol.alpha_opt, rel=1e-10)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from efq.design import DesignProblem, db, gamma_from_bits, optimal_shaper, solve_min_mse
+from efq.design import db, gamma_from_bits, optimal_shaper, solve_min_mse
 from efq.errors import NumericalError
 from efq.fitting import (
     evaluate_fit,
@@ -21,8 +21,8 @@ from efq.fitting import (
     shaped_noise_norm_sq,
     yule_walker_fit,
 )
-from efq.spectral import amplitude_of_tf, constant_response, oversample_response
-from efq.transfer import RationalDiscreteTF, impulse_response, impulse_response_truncated
+from efq.spectral import FrequencyGrid, amplitude_of_tf, constant_response, ct_frequency_map, oversample_response
+from efq.transfer import ContinuousTF, RationalDiscreteTF, impulse_response
 
 
 @pytest.fixture(scope="module")
@@ -74,10 +74,14 @@ class TestNormConstrainedFIR:
 
 class TestGram:
     def test_amplitude_and_impulse_paths_agree(self, grid):
-        tf = RationalDiscreteTF([1.0, 0.3], [1.0, -0.5])
+        tf = RationalDiscreteTF([1.0, 0.3, -0.45, 0.125])
         from_impulse = gram_autocorrelations(tf, 6)
         from_amplitude = gram_autocorrelations(amplitude_of_tf(tf, grid), 6)
         np.testing.assert_allclose(from_impulse, from_amplitude, rtol=1e-8, atol=1e-10)
+
+    def test_iir_plant_refused(self):
+        with pytest.raises(ValueError, match="amplitude response"):
+            gram_autocorrelations(RationalDiscreteTF([1.0, 0.3], [1.0, -0.5]), 6)
 
     def test_white_filter_gram_is_identityish(self, grid):
         rho = gram_autocorrelations(constant_response(grid, 1.0), 4)
@@ -113,8 +117,7 @@ class TestYuleWalker:
 
     def test_fit_on_own_shape_is_close(self, p_base):
         gamma = gamma_from_bits(4, 4.0)
-        prob = DesignProblem(p=p_base, gamma=gamma)
-        sol = solve_min_mse(prob)
+        sol = solve_min_mse(p_base, gamma)
         shaper = optimal_shaper(sol.alpha_opt, p_base)
         fitted = yule_walker_fit(shaper, 4)
         got = amplitude_of_tf(fitted, p_base.grid).values
@@ -124,8 +127,7 @@ class TestYuleWalker:
         assert db(report.achieved_mse / report.ideal_mse) < 1.0
 
     def test_result_is_stable_and_unity_head(self, p_base):
-        prob = DesignProblem(p=p_base, gamma=gamma_from_bits(6, 4.0))
-        sol = solve_min_mse(prob)
+        sol = solve_min_mse(p_base, gamma_from_bits(6, 4.0))
         fitted = yule_walker_fit(optimal_shaper(sol.alpha_opt, p_base), 4)
         assert fitted.num[0] == 1.0
         assert fitted.den[0] == 1.0
@@ -146,7 +148,7 @@ class TestYuleWalker:
         # (4 bits, lambda=2) ideal shape costs about 8.14 dB over ideal.
         gamma = gamma_from_bits(4, 4.0)
         p2 = oversample_response(p_base, 2)
-        sol = solve_min_mse(DesignProblem(p=p2, gamma=gamma))
+        sol = solve_min_mse(p2, gamma)
         fitted = yule_walker_fit(optimal_shaper(sol.alpha_opt, p2), 4)
         report = evaluate_fit(fitted, p2, gamma, ideal_mse=sol.alpha_opt)
         loss = db(report.achieved_mse / report.ideal_mse)
@@ -183,7 +185,7 @@ class TestReports:
 
     def test_achieved_never_beats_ideal(self, p_base):
         gamma = gamma_from_bits(5, 4.0)
-        sol = solve_min_mse(DesignProblem(p=p_base, gamma=gamma))
+        sol = solve_min_mse(p_base, gamma)
         report = norm_constrained_fir(p_base, 6, sol.norm_r_sq)
         final = evaluate_fit(report.fitted, p_base, gamma, ideal_mse=sol.alpha_opt, kkt_multiplier=report.kkt_multiplier)
         assert final.achieved_mse >= final.ideal_mse * (1 - 1e-6)
@@ -207,12 +209,6 @@ class TestImpulseResponses:
     def test_differencer_impulse(self):
         tf = RationalDiscreteTF([1.0, -1.0], [1.0])
         np.testing.assert_allclose(impulse_response(tf, 4), [1.0, -1.0, 0.0, 0.0], atol=0)
-
-    def test_truncation_captures_tail_energy(self):
-        tf = RationalDiscreteTF([1.0], [1.0, -0.9])
-        h = impulse_response_truncated(tf, rel_tail_tol=1e-14)
-        total = 1.0 / (1.0 - 0.81)
-        assert float(np.dot(h, h)) == pytest.approx(total, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -259,7 +255,7 @@ class TestKKTCertificate:
     @pytest.mark.parametrize("lam", [1, 3])
     def test_small_on_amplitude_plant_fits(self, p_base, lam):
         p_lam = oversample_response(p_base, lam)
-        design = solve_min_mse(DesignProblem(p=p_lam, gamma=gamma_from_bits(4, 4.0)))
+        design = solve_min_mse(p_lam, gamma_from_bits(4, 4.0))
         for budget in (1.05, design.norm_r_sq):
             report = norm_constrained_fir(p_lam, 4, budget)
             assert max(fir_kkt_residuals(p_lam, report, budget)) <= 1e-8, budget
@@ -288,12 +284,31 @@ class TestKKTCertificate:
         assert slackness > 1e-5
 
 
+class TestLargePlant:
+    """The built-in plant with its numerator scaled by 1e100: the sums of
+    squares of its autocorrelations overflow a float, but the fit does not
+    depend on the plant's scale."""
+
+    @pytest.mark.parametrize(("bits", "lam"), [(1, 1), (1, 4), (8, 1), (8, 4)])
+    def test_fit_matches_the_unscaled_fit(self, plant, bits, lam):
+        big = ContinuousTF([1e100 * c for c in plant.num], plant.den, plant.sample_period)
+        gamma = gamma_from_bits(bits, 4.0)
+        fits = []
+        for tf in (plant, big):
+            p_lam = oversample_response(ct_frequency_map(tf, 1, FrequencyGrid(256)), lam)
+            design = solve_min_mse(p_lam, gamma)
+            fits.append(fit_cell("qcqp", 4, p_lam, gamma, design.alpha_opt, design.norm_r_sq))
+        unit, scaled = fits
+        np.testing.assert_allclose(scaled.fitted.num, unit.fitted.num, rtol=1e-9, atol=0)
+        assert math.isfinite(scaled.kkt_multiplier)
+
+
 class TestFitCell:
     @pytest.mark.parametrize("lam", [1, 2])
     def test_is_the_two_routes(self, p_base, lam):
         p_lam = oversample_response(p_base, lam)
         gamma = gamma_from_bits(3, 4.0)
-        design = solve_min_mse(DesignProblem(p=p_lam, gamma=gamma))
+        design = solve_min_mse(p_lam, gamma)
         qcqp = fit_cell("qcqp", 4, p_lam, gamma, design.alpha_opt, design.norm_r_sq)
         pre = norm_constrained_fir(p_lam, 4, design.norm_r_sq)
         assert qcqp == evaluate_fit(pre.fitted, p_lam, gamma, ideal_mse=design.alpha_opt, kkt_multiplier=pre.kkt_multiplier)

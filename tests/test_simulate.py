@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import signal
 
 import reference_loop
-from efq.design import DesignProblem, gamma_from_bits, optimal_shaper, solve_min_mse
+from efq.design import gamma_from_bits, optimal_shaper, solve_min_mse
 from efq.errors import NumericalError
 from efq.fitting import (
     evaluate_fit,
@@ -313,7 +313,7 @@ def mixed_lanes(plant, p_base):
     def design(bits, lam):
         p_lam = oversample_response(p_base, lam)
         gamma = gamma_from_bits(bits, 4.0)
-        return p_lam, gamma, solve_min_mse(DesignProblem(p=p_lam, gamma=gamma))
+        return p_lam, gamma, solve_min_mse(p_lam, gamma)
 
     def lane(bits, lam, shaper, seed):
         p_lam, gamma, _ = design(bits, lam)
@@ -801,7 +801,7 @@ class TestScalarLoopOracle:
     @pytest.fixture(scope="class")
     def shapers(self, p_base):
         gamma = gamma_from_bits(8, 4.0)
-        sol = solve_min_mse(DesignProblem(p=p_base, gamma=gamma))
+        sol = solve_min_mse(p_base, gamma)
         return {
             "order0": RationalDiscreteTF((1.0,)),
             "order1": RationalDiscreteTF((1.0, -0.9)),
@@ -843,7 +843,7 @@ class TestScalarLoopOracle:
     def test_collapsing_lane(self, p_base, plant):
         p_lam = oversample_response(p_base, 4)
         gamma = gamma_from_bits(8, 4.0)
-        sol = solve_min_mse(DesignProblem(p=p_lam, gamma=gamma))
+        sol = solve_min_mse(p_lam, gamma)
         shaper = norm_constrained_fir(p_lam, 4, sol.norm_r_sq).fitted
         sigma_u_sq, _ = predicted_loop_variances(evaluate_fit(shaper, p_lam, gamma).norm_sq, gamma)
         quant = MidRiseQuantizer.for_sigma_u(8, 4.0, math.sqrt(sigma_u_sq))

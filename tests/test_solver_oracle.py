@@ -16,7 +16,7 @@ import reference_solver as ref
 from efq import design, spectral
 from efq.cli import main
 from efq.config import default_config
-from efq.design import DesignProblem, gamma_from_bits, solve_min_mse
+from efq.design import gamma_from_bits, solve_min_mse
 from efq.errors import InfeasibleError
 from efq.spectral import AmplitudeResponse, FrequencyGrid, _nodes, _trapezoid, oversample_response
 from test_cli import SMALL_CONFIG
@@ -58,14 +58,14 @@ def make_plant(kind: str, n: int, seed: int) -> AmplitudeResponse:
     return AmplitudeResponse(grid, values)
 
 
-def outcome(module, prob: DesignProblem):
+def outcome(module, p: AmplitudeResponse, gamma: float):
     """A solve's fields and its shaper's bits, by `module` (efq.design or
     the reference)."""
     try:
-        sol = module.solve_min_mse(prob)
+        sol = module.solve_min_mse(p, gamma)
     except Exception as exc:  # the reference and efq must fail alike
         return {"error": (type(exc), str(exc))}
-    r = module.optimal_shaper(sol.alpha_opt, prob.p)
+    r = module.optimal_shaper(sol.alpha_opt, p)
     return {
         "alpha_opt": sol.alpha_opt,
         "theta_opt": sol.theta_opt,
@@ -85,8 +85,8 @@ def test_solve_matches_reference_bit_for_bit(kind, n):
     for lam in LAMBDAS:
         p_lam = oversample_response(p_base, lam)
         for bits in BITS:
-            prob = DesignProblem(p=p_lam, gamma=gamma_from_bits(bits, 4.0))
-            got, want = outcome(design, prob), outcome(ref, prob)
+            prob = (p_lam, gamma_from_bits(bits, 4.0))
+            got, want = outcome(design, *prob), outcome(ref, *prob)
             for field in want:
                 assert got.get(field) == want[field], (kind, n, seed, bits, lam, field)
 
@@ -100,20 +100,22 @@ def test_bracket_failures_match_reference(n):
     """A plant whose alpha lies beyond the float range fails as the reference does."""
     for seed, lam, bits in OUT_OF_RANGE_CELLS:
         p_base = make_plant("out_of_range", n, seed)
-        prob = DesignProblem(p=oversample_response(p_base, lam), gamma=gamma_from_bits(bits, 4.0))
-        got = outcome(design, prob)
+        prob = (oversample_response(p_base, lam), gamma_from_bits(bits, 4.0))
+        got = outcome(design, *prob)
         assert "error" in got
-        assert got == outcome(ref, prob), (seed, bits, lam)
+        assert got == outcome(ref, *prob), (seed, bits, lam)
 
 
-def root_residual(sol, nu: float) -> float:
-    """|theta^2/alpha - nu| / nu, without forming theta^2 or nu * alpha."""
+def root_residual(sol, gamma: float) -> float:
+    """|theta^2/alpha - nu| / nu at nu = gamma + 1, without forming theta^2
+    or nu * alpha."""
+    nu = gamma + 1.0
     return abs((sol.theta_opt / math.sqrt(sol.alpha_opt)) ** 2 - nu) / nu
 
 
-def scaled_problem(shape: np.ndarray, scale: float, bits: int) -> DesignProblem:
-    p = AmplitudeResponse(FrequencyGrid(len(shape)), scale * shape)
-    return DesignProblem(p=p, gamma=gamma_from_bits(bits, 4.0))
+def scaled_problem(shape: np.ndarray, scale: float, bits: int) -> tuple[AmplitudeResponse, float]:
+    """(p, gamma) of `shape` scaled by `scale` at `bits` bits."""
+    return AmplitudeResponse(FrequencyGrid(len(shape)), scale * shape), gamma_from_bits(bits, 4.0)
 
 
 @pytest.mark.parametrize("n", [64, 65])
@@ -124,12 +126,12 @@ def test_plants_beyond_the_old_brackets_solve(n):
     reference's solve of the unscaled plant."""
     shape = np.exp(0.5 * np.cos(FrequencyGrid(n).omegas))
     for scale, bits in ((1e45, 1), (1e45, 8), (1e-152, 1)):
-        prob = scaled_problem(shape, scale, bits)
-        assert "error" in outcome(ref, prob)
-        sol = solve_min_mse(prob)
-        unit = ref.solve_min_mse(scaled_problem(shape, 1.0, bits))
+        p, gamma = scaled_problem(shape, scale, bits)
+        assert "error" in outcome(ref, p, gamma)
+        sol = solve_min_mse(p, gamma)
+        unit = ref.solve_min_mse(*scaled_problem(shape, 1.0, bits))
         assert sol.alpha_opt / scale**2 == pytest.approx(unit.alpha_opt, rel=1e-12), (scale, bits)
-        assert root_residual(sol, prob.nu) <= 1e-12, (scale, bits)
+        assert root_residual(sol, gamma) <= 1e-12, (scale, bits)
 
 
 @pytest.mark.parametrize("bits", [1, 4, 8])
@@ -138,15 +140,15 @@ def test_root_residual_across_the_float_range(bits):
     cap, solve with a root residual far below verify's 1e-10."""
     om = FrequencyGrid(256).omegas
     for shape in (np.sqrt(2.0 + 2.0 * np.cos(om)) + 0.1, np.exp(0.5 * np.cos(om))):
-        unit = solve_min_mse(scaled_problem(shape, 1.0, bits)).alpha_opt
+        unit = solve_min_mse(*scaled_problem(shape, 1.0, bits)).alpha_opt
         alphas = []
         for target in (10.0**k for k in range(-306, 307, 9)):
             scale = math.sqrt(target) / math.sqrt(unit)
             if not scale * shape.max() < design.MAX_PLANT_AMPLITUDE:
                 continue
-            prob = scaled_problem(shape, scale, bits)
-            sol = solve_min_mse(prob)
-            assert root_residual(sol, prob.nu) <= 1e-12, (bits, scale)
+            p, gamma = scaled_problem(shape, scale, bits)
+            sol = solve_min_mse(p, gamma)
+            assert root_residual(sol, gamma) <= 1e-12, (bits, scale)
             assert sol.alpha_opt / scale**2 == pytest.approx(unit, rel=1e-12), (bits, scale)
             alphas.append(sol.alpha_opt)
         assert min(alphas) < 1e-300 and max(alphas) > 1e295, bits
@@ -194,8 +196,9 @@ def test_subnormal_midpoints_do_not_stall_the_solve(monkeypatch):
     counts = {}
     for scale in (1e-78, 1e-80, 1e-81):
         steps.clear()
-        sol = solve_min_mse(scaled_problem(shape, scale, 1))
-        assert root_residual(sol, scaled_problem(shape, scale, 1).nu) <= 1e-12, scale
+        p, gamma = scaled_problem(shape, scale, 1)
+        sol = solve_min_mse(p, gamma)
+        assert root_residual(sol, gamma) <= 1e-12, scale
         counts[scale] = len(steps)
     assert max(counts.values()) <= 60, counts
 
@@ -210,12 +213,12 @@ def test_top_of_the_float_range_solves():
     om = FrequencyGrid(256).omegas
     shape = np.sqrt(2.0 + 2.0 * np.cos(om)) + 0.1
     scale = 3e153
-    prob = scaled_problem(shape, scale, 1)
-    assert outcome(ref, prob)["error"][1] == "failed to bracket the optimal alpha from above"
-    sol = solve_min_mse(prob)
+    p, gamma = scaled_problem(shape, scale, 1)
+    assert outcome(ref, p, gamma)["error"][1] == "failed to bracket the optimal alpha from above"
+    sol = solve_min_mse(p, gamma)
     assert 2.0**1023 < sol.alpha_opt < design.ALPHA_MAX
-    assert root_residual(sol, prob.nu) <= 1e-12
-    unit = ref.solve_min_mse(scaled_problem(shape, 1.0, 1))
+    assert root_residual(sol, gamma) <= 1e-12
+    unit = ref.solve_min_mse(*scaled_problem(shape, 1.0, 1))
     assert sol.alpha_opt / scale**2 == pytest.approx(unit.alpha_opt, rel=1e-12)
 
 
@@ -226,8 +229,7 @@ def test_matrix_covers_every_branch():
         for seed in range(2):
             p_base = make_plant(kind, 64, seed)
             for lam, bits in ((1, 1), (8, 16)):
-                prob = DesignProblem(p=oversample_response(p_base, lam), gamma=gamma_from_bits(bits, 4.0))
-                got = outcome(design, prob)
+                got = outcome(design, oversample_response(p_base, lam), gamma_from_bits(bits, 4.0))
                 if "error" in got:
                     errors.add(got["error"][1])
                 else:
@@ -254,12 +256,12 @@ def test_replay_skips_most_bisection_integrals(monkeypatch, p_base):
     monkeypatch.setattr(ref, "band_integral", counted)
     for bits in (1, 4, 8, 16):
         for lam in (1, 4):
-            prob = DesignProblem(p=oversample_response(p_base, lam), gamma=gamma_from_bits(bits, 4.0))
+            prob = (oversample_response(p_base, lam), gamma_from_bits(bits, 4.0))
             calls["n"] = 0
-            solve_min_mse(prob)
+            solve_min_mse(*prob)
             ours = calls["n"]
             calls["n"] = 0
-            ref.solve_min_mse(prob)
+            ref.solve_min_mse(*prob)
             assert ours <= 29 < calls["n"], (bits, lam, ours, calls["n"])
 
 
@@ -282,8 +284,8 @@ def test_weak_certificates_keep_every_bit(monkeypatch, crippled):
     for kind in ("builtin", "zeros", "wide_range"):
         p_base = make_plant(kind, 257, 0)
         for bits, lam in ((1, 1), (3, 2), (8, 8), (16, 8)):
-            prob = DesignProblem(p=oversample_response(p_base, lam), gamma=gamma_from_bits(bits, 4.0))
-            assert outcome(design, prob) == outcome(ref, prob), (kind, bits, lam)
+            prob = (oversample_response(p_base, lam), gamma_from_bits(bits, 4.0))
+            assert outcome(design, *prob) == outcome(ref, *prob), (kind, bits, lam)
 
 
 def test_workload_grid_matches_reference():
@@ -293,8 +295,8 @@ def test_workload_grid_matches_reference():
     for lam in (1, 2, 3, 4):
         p_lam = oversample_response(p_base, lam)
         for bits in range(1, 9):
-            prob = DesignProblem(p=p_lam, gamma=gamma_from_bits(bits, 4.0))
-            got, want = outcome(design, prob), outcome(ref, prob)
+            prob = (p_lam, gamma_from_bits(bits, 4.0))
+            got, want = outcome(design, *prob), outcome(ref, *prob)
             for field in want:
                 assert got.get(field) == want[field], (bits, lam, field)
 
@@ -339,7 +341,7 @@ def test_rounding_bound_holds_against_long_double(kind):
         p2 = design._power(oversample_response(p_base, lam))
         peak = max([float(np.max(p2.values)), *(() if p2.cutoff is None else (p2.edge_below, p2.edge_above))])
         for alpha in 10.0 ** np.arange(-300.0, 301.0, 15.0):
-            computed = 2.0 * math.log(design._theta(alpha, p2)) - math.log(alpha) - math.log(nu)
+            computed = 2.0 * math.log(design._Means(p2).theta(alpha)) - math.log(alpha) - math.log(nu)
             bound = design.rounding_bound(4097, max(math.log(nu), abs(math.log(alpha)), abs(math.log(peak + alpha))))
             assert abs(computed - long_double_log_ratio(p2, alpha, nu)) <= bound * (1.0 - 2.0**-9), (lam, alpha)
 
@@ -353,7 +355,9 @@ def test_kept_means_equal_fresh_quadratures(lam):
     assert means.live == (len(p2.values) if lam == 1 else int(np.flatnonzero(p2.values)[-1]) + 1)
     for alpha in (1e-300, 1e-9, 0.25, 3.0, 1e300):
         for kind in design._INTEGRANDS:
-            assert means(alpha, kind) == design._mean(kind, alpha, p2), (alpha, kind)
+            integrand = design._INTEGRANDS[kind]
+            fresh = spectral.band_mean(p2, lambda om, v2: integrand(v2, v2 + alpha))
+            assert means(alpha, kind) == fresh, (alpha, kind)
             assert means(alpha, kind) == means.kept[alpha, kind]
 
 
@@ -380,7 +384,7 @@ def test_fraction_range_holds_the_computed_mean():
             for step in (0.0, 1e-15, -3e-13, 1e-9, -1e-6, 1e-3, -0.5):
                 near = alpha * math.exp(step)
                 fractions = means.fraction_range(near)
-                fresh = design._mean("fraction", near, p2)
+                fresh = design._Means(p2)(near, "fraction")
                 assert fractions[0] <= fresh <= fractions[-1], (kind, lam, alpha, step)
 
 
@@ -396,26 +400,26 @@ def test_newton_start_lies_in_its_bracket(p_base):
             lower, upper = g - math.log(nu) / beta, math.log(m / (nu ** (1.0 / beta) - 1.0))
             x = design._newton_start(p_lam, nu)
             assert x == pytest.approx(0.5 * (lower + upper), abs=1e-12), (lam, bits)
-            alpha = solve_min_mse(DesignProblem(p=p_lam, gamma=nu - 1.0)).alpha_opt
+            alpha = solve_min_mse(p_lam, nu - 1.0).alpha_opt
             assert lower - 0.01 <= math.log(alpha) <= upper + 0.01, (lam, bits)
 
 
 @pytest.mark.parametrize("lam", [1, 3])
 def test_public_helpers_match_reference(p_base, lam):
     p = oversample_response(p_base, lam)
-    prob = DesignProblem(p=p, gamma=gamma_from_bits(1, 4.0))  # infeasible below alpha ~ 0.01
+    gamma = gamma_from_bits(1, 4.0)  # infeasible below alpha ~ 0.01
     for alpha in (1e-9, 1e-3, 0.25, 4.0):
         for name in ("geomean_amplitude", "shaped_noise_gain", "shaper_norm_sq"):
             assert getattr(design, name)(alpha, p) == getattr(ref, name)(alpha, p), (name, alpha)
         shaper, ref_shaper = design.optimal_shaper(alpha, p), ref.optimal_shaper(alpha, p)
         assert shaper.values.tobytes() == ref_shaper.values.tobytes()
         assert (shaper.edge_below, shaper.edge_above) == (ref_shaper.edge_below, ref_shaper.edge_above)
-        assert mse_or_error(design, alpha, prob) == mse_or_error(ref, alpha, prob), alpha
+        assert mse_or_error(design, alpha, p, gamma) == mse_or_error(ref, alpha, p, gamma), alpha
 
 
-def mse_or_error(module, alpha, prob):
+def mse_or_error(module, alpha, p, gamma):
     try:
-        return module.design_mse(alpha, prob)
+        return module.design_mse(alpha, p, gamma)
     except InfeasibleError as exc:
         return str(exc)
 

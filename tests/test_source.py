@@ -44,3 +44,12 @@ def test_scan_finds_an_unused_import():
     source = "import os\nimport sys as system\nfrom math import pi, tau\nfrom pathlib import Path\n\n"
     source += 'def f(x: "Path") -> int:\n    return tau\n'
     assert unused_imports(source) == ["line 1: os", "line 2: system", "line 3: pi"]
+
+
+def test_public_names_resolve_once_in_order():
+    """Every name in efq.__all__ is an attribute of efq, listed once, in
+    sorted order, so a deleted name cannot stay behind."""
+    names = efq.__all__
+    assert [name for name in names if not hasattr(efq, name)] == []
+    assert len(set(names)) == len(names)
+    assert names == sorted(names)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from efq.transfer import RationalDiscreteTF, impulse_response, impulse_response_truncated, linear_filter
+from efq.transfer import RationalDiscreteTF, impulse_response, linear_filter
 
 
 def assert_same_bits(ours, theirs):
@@ -111,10 +111,3 @@ class TestImpulseResponse:
             delta = np.zeros(length)
             delta[0] = 1.0
             assert_same_bits(impulse_response(tf, length), signal.lfilter(tf.num, tf.den, delta))
-
-    def test_truncated_response_is_a_prefix_of_lfilter(self):
-        tf = RationalDiscreteTF([0.3, 0.1], [1.0, -1.2, 0.6, -0.1])
-        h = impulse_response_truncated(tf)
-        delta = np.zeros(len(h))
-        delta[0] = 1.0
-        assert_same_bits(h, signal.lfilter(tf.num, tf.den, delta))
