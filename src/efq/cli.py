@@ -620,8 +620,8 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
         plant_r = RationalDiscreteTF(taps)
         order = int(rng.integers(1, 6))
         budget = 1.0 + float(rng.uniform(0.01, 2.0))
-        report = fitting.norm_constrained_fir(plant_r, order, budget)
-        stat, slack = fitting.fir_kkt_residuals(plant_r, report, budget)
+        fitted, mu = fitting.norm_constrained_fir(plant_r, order, budget)
+        stat, slack = fitting.fir_kkt_residuals(plant_r, fitted, mu, budget)
         worst_stat = max(worst_stat, stat)
         worst_slack = max(worst_slack, slack)
     record("fir_kkt_stationarity", worst_stat, 1e-8, worst_stat <= 1e-8)

@@ -172,10 +172,9 @@ def _check_problem(p: AmplitudeResponse, gamma: float) -> float:
     nu = gamma + 1.0
     if not nu > 1.0:  # gamma below 2^-53, or NaN
         raise ValueError(f"nu must exceed 1, got {nu}")
-    if not np.any(p.values > 0) and not (p.cutoff is not None and p.edge_below > 0):
+    if not np.any(p.values > 0) and not (p.edges and p.edges[0] > 0):  # samples, or the limit below the cutoff
         raise ValueError("plant response must not be identically zero")
-    edges = () if p.cutoff is None else (p.edge_below, p.edge_above)
-    peak = max([float(np.max(p.values)), *edges])
+    peak = max([float(np.max(p.values)), *p.edges])
     if not peak < MAX_PLANT_AMPLITUDE:
         raise ValueError(
             f"plant response peak {peak:.6g} is too large: the design integrates p^2,"
@@ -196,9 +195,7 @@ def balanced_mse(shaped: float, norm_sq: float, gamma: float) -> float:
 def _power(p: AmplitudeResponse) -> AmplitudeResponse:
     """p^2 with squared edge limits, on p's grid: squared once per solve, it
     is what every design integrand reads."""
-    if p.cutoff is None:
-        return p.with_values(p.values * p.values)
-    return p.with_values(p.values * p.values, p.edge_below * p.edge_below, p.edge_above * p.edge_above)
+    return p.with_values(p.values * p.values, *(edge * edge for edge in p.edges))
 
 
 # The design integrands as functions of p^2 and s = p^2 + alpha, each one
@@ -307,9 +304,7 @@ def optimal_shaper(alpha: float, p: AmplitudeResponse) -> AmplitudeResponse:
     # samples are theta / sqrt(p^2 + alpha), formed in one buffer.
     values = np.add(p2.values, alpha)
     np.divide(theta, np.sqrt(values, out=values), out=values)
-    if p.cutoff is None:
-        return p.with_values(values)
-    return p.with_values(values, theta / math.sqrt(p.edge_below**2 + alpha), theta / math.sqrt(p.edge_above**2 + alpha))
+    return p.with_values(values, *(theta / math.sqrt(edge**2 + alpha) for edge in p.edges))
 
 
 def _bisect(signed, lo: float, hi: float) -> tuple[float, float]:
@@ -444,8 +439,7 @@ def solve_min_mse(p: AmplitudeResponse, gamma: float) -> OptimalDesign:
     p2 = _power(p)
     means = _Means(p2)
     log_nu = math.log(nu)
-    edges = () if p2.cutoff is None else (p2.edge_below, p2.edge_above)
-    peak = max([float(np.max(p2.values)), *edges])
+    peak = max([float(np.max(p2.values)), *p2.edges])
 
     def log_ratio(alpha: float) -> float:
         # ln(theta^2/alpha) - ln(nu); strictly decreasing in alpha

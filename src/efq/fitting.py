@@ -29,7 +29,7 @@ import numpy as np
 
 from .design import balanced_mse, db, optimal_shaper
 from .errors import NumericalError
-from .spectral import AmplitudeResponse, l2_norm_sq, power_cosine_moment
+from .spectral import AmplitudeResponse, filtered, l2_norm_sq, power_cosine_moment
 from .transfer import RationalDiscreteTF, frequency_response
 
 # Spectral-factorization roots this close to the unit circle are snapped
@@ -39,15 +39,13 @@ SNAP_TOL = 1e-8
 
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of a shaping-filter synthesis or evaluation.
+    """A shaping filter scored by ``evaluate_fit``, the one place it is built.
 
-    ``achieved_mse``/``ideal_mse`` are per unit input variance; they are NaN
-    on reports produced before the noise ratio is known (the synthesis ops
-    return geometry only; ``evaluate_fit`` completes the report).
-    ``feasible`` means the variance balance is finite: the filter norm is
-    strictly inside the feasibility region of the evaluated noise ratio.
-    ``kkt_multiplier`` is only set on the norm-constrained FIR path (0 when
-    the cap is slack).
+    ``achieved_mse``/``ideal_mse`` are per unit input variance (``ideal_mse``
+    NaN where none was given). ``feasible`` means the variance balance is
+    finite: the filter norm is strictly inside the feasibility region of the
+    evaluated noise ratio. ``kkt_multiplier`` is only set on the
+    norm-constrained FIR path (0 when the cap is slack).
     """
 
     fitted: RationalDiscreteTF
@@ -166,23 +164,14 @@ def yule_walker_fit(target: AmplitudeResponse, order: int) -> RationalDiscreteTF
         raise ValueError(
             f"order {order} too high for a {target.grid.n_points}-point grid (limit n/4)"
         )
-    if np.min(target.values) <= 0 or (
-        target.cutoff is not None and (target.edge_below <= 0 or target.edge_above <= 0)
-    ):
+    if np.min(target.values) <= 0 or any(edge <= 0 for edge in target.edges):
         raise ValueError("target response must be strictly positive")
 
     rho = np.array([power_cosine_moment(target, k) for k in range(order + 1)])
     a, _ = levinson(rho, order)
 
     # Residual spectrum: target power times |A|^2, as an amplitude response.
-    om = target.grid.omegas
-    a_mag = np.abs(np.polyval(a[::-1], np.exp(-1j * om)))
-    resid_vals = target.values * a_mag
-    if target.cutoff is None:
-        residual = target.with_values(resid_vals)
-    else:
-        a_mag_wc = abs(np.polyval(a[::-1], np.exp(-1j * target.cutoff)))
-        residual = target.with_values(resid_vals, target.edge_below * a_mag_wc, target.edge_above * a_mag_wc)
+    residual = filtered(target, RationalDiscreteTF(a))
     q = np.array([power_cosine_moment(residual, k) for k in range(order + 1)])
     c = _minimum_phase_from_autocorr(q)
     energy = float(np.dot(c, c))
@@ -310,13 +299,12 @@ def _solve_sphere_constrained_quadratic(
 
 def norm_constrained_fir(
     plant: RationalDiscreteTF | AmplitudeResponse, order: int, norm_budget: float
-) -> FitReport:
+) -> tuple[RationalDiscreteTF, float]:
     """Exact FIR minimizer of the shaped-noise power under a norm cap.
 
     Minimizes ||P*R||^2 over R = 1 + h1 z^-1 + ... + hM z^-M subject to
-    ||R||^2 <= norm_budget. The returned report carries the filter, its
-    norm, and the constraint multiplier; MSE fields are filled in by
-    ``evaluate_fit`` once a noise ratio is chosen.
+    ||R||^2 <= norm_budget, and returns R with the cap's multiplier (0 where
+    the cap is slack).
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -324,42 +312,27 @@ def norm_constrained_fir(
         raise ValueError("norm_budget below 1 admits no unity-head filter")
     a_mat, b_vec = _fir_quadratic_form(plant, order)
     x, mu = _solve_sphere_constrained_quadratic(a_mat, b_vec, norm_budget - 1.0)
-    taps = np.concatenate([[1.0], x])
-    return FitReport(
-        fitted=RationalDiscreteTF(taps),
-        achieved_mse=math.nan,
-        ideal_mse=math.nan,
-        norm_sq=float(np.dot(taps, taps)),
-        feasible=True,
-        kkt_multiplier=mu,
-    )
+    return RationalDiscreteTF(np.concatenate([[1.0], x])), mu
 
 
 def fir_kkt_residuals(
-    plant: RationalDiscreteTF | AmplitudeResponse, report: FitReport, norm_budget: float
+    plant: RationalDiscreteTF | AmplitudeResponse, fitted: RationalDiscreteTF, mu: float, norm_budget: float
 ) -> tuple[float, float]:
-    """KKT residuals of a ``norm_constrained_fir`` report against its plant
-    and budget: stationarity |(A + mu I) x + b| / |b| and complementary
-    slackness |mu (||x||^2 - (budget - 1))|. Both vanish at the exact
-    minimizer under the norm cap."""
-    x = np.array(report.fitted.num[1:])
+    """KKT residuals of a ``norm_constrained_fir`` fit and multiplier mu
+    against its plant and budget: stationarity |(A + mu I) x + b| / |b| and
+    complementary slackness |mu (||x||^2 - (budget - 1))| / |b|, both free of
+    the plant's scale. Both vanish at the exact minimizer under the norm cap."""
+    x = np.array(fitted.num[1:])
     a_mat, b_vec = _fir_quadratic_form(plant, len(x))
-    mu = report.kkt_multiplier
-    stationarity = _norm(a_mat @ x + mu * x + b_vec) / max(_norm(b_vec), 1e-300)
-    return stationarity, abs(mu * (float(np.dot(x, x)) - (norm_budget - 1.0)))
+    scale = max(_norm(b_vec), 1e-300)
+    stationarity = _norm(a_mat @ x + mu * x + b_vec) / scale
+    return stationarity, abs(mu * (float(np.dot(x, x)) - (norm_budget - 1.0))) / scale
 
 
 def shaped_noise_norm_sq(tf: RationalDiscreteTF, p: AmplitudeResponse) -> tuple[float, float]:
     """(||p*R||^2, ||R||^2) for a candidate filter against a plant response."""
-    om = p.grid.omegas
-    r_vals = np.abs(frequency_response(tf, om))
-    norm_sq = l2_norm_sq(AmplitudeResponse(p.grid, r_vals))
-    if p.cutoff is None:
-        shaped = p.with_values(p.values * r_vals)
-    else:
-        r_wc = abs(tf.eval(np.exp(-1j * p.cutoff)))
-        shaped = p.with_values(p.values * r_vals, p.edge_below * r_wc, p.edge_above * r_wc)
-    return l2_norm_sq(shaped), norm_sq
+    r_vals = np.abs(frequency_response(tf, p.grid.omegas))  # |R| at the nodes, evaluated once
+    return l2_norm_sq(filtered(p, tf, r_vals)), l2_norm_sq(AmplitudeResponse(p.grid, r_vals))
 
 
 def evaluate_fit(
@@ -395,8 +368,8 @@ def fit_cell(
     the design's shaper norm ``norm_budget``, "yw" the ``yule_walker_fit`` of
     ``optimal_shaper(alpha, p)``."""
     if method == "qcqp":
-        fir = norm_constrained_fir(p, order, norm_budget)
-        return evaluate_fit(fir.fitted, p, gamma, ideal_mse=alpha, kkt_multiplier=fir.kkt_multiplier)
+        fir, mu = norm_constrained_fir(p, order, norm_budget)
+        return evaluate_fit(fir, p, gamma, ideal_mse=alpha, kkt_multiplier=mu)
     if method == "yw":
         return evaluate_fit(yule_walker_fit(optimal_shaper(alpha, p), order), p, gamma, ideal_mse=alpha)
     raise ValueError(f"unknown fit method {method!r}")

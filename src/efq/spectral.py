@@ -160,11 +160,16 @@ class AmplitudeResponse:
         # has read-only values and an empty memo.
         return AmplitudeResponse, (self.grid, self.values, self.cutoff, self.edge_below, self.edge_above)
 
-    def with_values(self, values, edge_below=None, edge_above=None) -> "AmplitudeResponse":
+    @property
+    def edges(self) -> tuple[float, ...]:
+        """The one-sided limits (edge_below, edge_above) at the cutoff; ()
+        without one. A function of the response maps them as it maps the
+        samples and passes them on as ``with_values(values, *edges)``."""
+        return () if self.cutoff is None else (self.edge_below, self.edge_above)
+
+    def with_values(self, values, *edges: float) -> "AmplitudeResponse":
         """Same grid and cutoff, new sample values (and matching edge limits)."""
-        if self.cutoff is None:
-            return AmplitudeResponse(self.grid, values)
-        return AmplitudeResponse(self.grid, values, self.cutoff, edge_below, edge_above)
+        return AmplitudeResponse(self.grid, values, self.cutoff, *edges)
 
 
 def _memoized(resp: AmplitudeResponse, key, compute: Callable[[], object]):
@@ -234,7 +239,7 @@ def log_geometric_mean(resp: AmplitudeResponse) -> float:
     if bad.size:
         i = int(bad[0])
         raise ValueError(f"log_geometric_mean requires positive samples; values[{i}] = {resp.values[i]}")
-    if resp.cutoff is not None and (resp.edge_below <= 0 or resp.edge_above <= 0):
+    if any(edge <= 0 for edge in resp.edges):
         raise ValueError("log_geometric_mean requires positive one-sided edge values")
     return band_mean(resp, lambda om, p: np.log(p))
 
@@ -251,6 +256,17 @@ def power_cosine_moment(resp: AmplitudeResponse, lag: int) -> float:
 def amplitude_of_tf(tf: RationalDiscreteTF, grid: FrequencyGrid) -> AmplitudeResponse:
     """Magnitude response |H(e^{j*omega})| sampled on the grid."""
     return AmplitudeResponse(grid, np.abs(frequency_response(tf, grid.omegas)))
+
+
+def filtered(resp: AmplitudeResponse, tf: RationalDiscreteTF, gain: np.ndarray | None = None) -> AmplitudeResponse:
+    """resp times |tf(e^{j*omega})|: each sample times tf's gain at its node
+    and each edge limit times its gain at the cutoff (a numpy scalar's abs,
+    which can differ from np.abs in the last bit). ``gain``, when given,
+    must hold the bits of |tf| at the nodes."""
+    if gain is None:
+        gain = np.abs(frequency_response(tf, resp.grid.omegas))
+    edge_gain = abs(tf.eval(np.exp(-1j * resp.cutoff))) if resp.edges else None
+    return resp.with_values(resp.values * gain, *(edge * edge_gain for edge in resp.edges))
 
 
 def oversample_response(resp: AmplitudeResponse, oversampling: int) -> AmplitudeResponse:
@@ -272,13 +288,18 @@ def oversample_response(resp: AmplitudeResponse, oversampling: int) -> Amplitude
 
 
 def _dilate(resp: AmplitudeResponse, lam: int) -> AmplitudeResponse:
-    om = resp.grid.omegas
+    return _band_limited(resp.grid, lam, lambda w: np.interp(w, resp.grid.omegas, resp.values))
+
+
+def _band_limited(grid: FrequencyGrid, lam: int, amplitude: Callable[[np.ndarray], np.ndarray]) -> AmplitudeResponse:
+    """amplitude(lam*omega) below the cutoff pi/lam and 0 above it, with
+    amplitude(pi) as the limit below the cutoff: a band-limited response."""
+    om = grid.omegas
     wc = np.pi / lam
     values = np.zeros_like(om)
     in_band = om <= wc
-    values[in_band] = np.interp(lam * om[in_band], om, resp.values)
-    edge_below = float(resp.values[-1])  # p(lambda * pi/lambda) = p(pi)
-    return AmplitudeResponse(resp.grid, values, cutoff=wc, edge_below=edge_below, edge_above=0.0)
+    values[in_band] = amplitude(lam * om[in_band])
+    return AmplitudeResponse(grid, values, cutoff=wc, edge_below=float(amplitude(np.pi)), edge_above=0.0)
 
 
 def ct_frequency_map(
@@ -293,17 +314,11 @@ def ct_frequency_map(
     if oversampling < 1 or int(oversampling) != oversampling:
         raise ValueError("oversampling factor must be a positive integer")
     lam = int(oversampling)
-    om = grid.omegas
-    t = plant.sample_period
-    if lam == 1:
-        values = np.abs(plant.eval(1j * om / t))
-        return AmplitudeResponse(grid, values)
-    wc = np.pi / lam
-    values = np.zeros_like(om)
-    in_band = om <= wc
-    values[in_band] = np.abs(plant.eval(1j * lam * om[in_band] / t))
-    edge_below = float(np.abs(plant.eval(1j * np.pi / t)))
-    return AmplitudeResponse(grid, values, cutoff=wc, edge_below=edge_below, edge_above=0.0)
+
+    def amplitude(w):
+        return np.abs(plant.eval(1j * w / plant.sample_period))
+
+    return AmplitudeResponse(grid, amplitude(grid.omegas)) if lam == 1 else _band_limited(grid, lam, amplitude)
 
 
 def band_power_means(resp: AmplitudeResponse) -> tuple[float, float, float]:

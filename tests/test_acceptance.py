@@ -153,8 +153,8 @@ def test_06_order4_fits_within_half_db_qcqp_and_two_db_yule_walker(sweep):
     cells, _ = sweep
     failures = []
     for (bits, lam), (p_lam, gamma, sol) in sorted(cells.items()):
-        fir = norm_constrained_fir(p_lam, 4, sol.norm_r_sq)
-        qcqp = evaluate_fit(fir.fitted, p_lam, gamma, ideal_mse=sol.alpha_opt, kkt_multiplier=fir.kkt_multiplier)
+        fir, mu = norm_constrained_fir(p_lam, 4, sol.norm_r_sq)
+        qcqp = evaluate_fit(fir, p_lam, gamma, ideal_mse=sol.alpha_opt, kkt_multiplier=mu)
         assert qcqp.fitted.num[0] == 1.0
         yw_filter = yule_walker_fit(optimal_shaper(sol.alpha_opt, p_lam), 4)
         yw = evaluate_fit(yw_filter, p_lam, gamma, ideal_mse=sol.alpha_opt)
@@ -181,7 +181,7 @@ def test_07_simulation_within_twenty_percent_in_under_sixty_seconds(plant, p_bas
     bits, lam = 8, 1
     gamma = gamma_from_bits(bits, LOADING_FACTOR)
     sol = solve_min_mse(p_base, gamma)
-    shaper = norm_constrained_fir(p_base, 4, sol.norm_r_sq).fitted
+    shaper, _ = norm_constrained_fir(p_base, 4, sol.norm_r_sq)
     score, _, _, quant = loop_quantizer(shaper, p_base, bits, LOADING_FACTOR)
     # A realizable filter cannot beat the ideal designed on the same plant.
     assert score.achieved_mse >= 0.99 * sol.alpha_opt, (
@@ -235,9 +235,8 @@ def test_09_kkt_certificates_on_fifty_random_instances():
         plant = RationalDiscreteTF(list(taps))
         order = int(rng.integers(1, 7))
         budget = 1.0 + float(rng.uniform(1e-3, 4.0))
-        report = norm_constrained_fir(plant, order, budget)
-        x = np.array(report.fitted.num[1:])
-        mu = report.kkt_multiplier
+        fitted, mu = norm_constrained_fir(plant, order, budget)
+        x = np.array(fitted.num[1:])
         rho = gram_autocorrelations(plant, order)
         idx = np.abs(np.subtract.outer(np.arange(order), np.arange(order)))
         b_vec = rho[1 : order + 1]

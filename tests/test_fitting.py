@@ -1,6 +1,5 @@
 """Realizable filter synthesis: norm-constrained FIR and Yule-Walker IIR."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -34,42 +33,42 @@ class TestNormConstrainedFIR:
     """Scalar instances with hand-computable optima: plant taps (1, 1)."""
 
     def test_inactive_constraint(self, two_tap_plant):
-        report = norm_constrained_fir(two_tap_plant, 1, 1.25)
-        np.testing.assert_allclose(report.fitted.num, [1.0, -0.5], atol=1e-12)
-        assert report.kkt_multiplier == pytest.approx(0.0, abs=1e-12)
-        assert report.norm_sq == pytest.approx(1.25, rel=1e-12)
+        fitted, mu = norm_constrained_fir(two_tap_plant, 1, 1.25)
+        np.testing.assert_allclose(fitted.num, [1.0, -0.5], atol=1e-12)
+        assert mu == pytest.approx(0.0, abs=1e-12)
+        assert float(np.dot(fitted.num, fitted.num)) == pytest.approx(1.25, rel=1e-12)
 
     def test_active_constraint(self, two_tap_plant):
-        report = norm_constrained_fir(two_tap_plant, 1, 1.04)
-        np.testing.assert_allclose(report.fitted.num, [1.0, -0.2], atol=1e-10)
-        assert report.kkt_multiplier == pytest.approx(3.0, rel=1e-8)
-        assert report.norm_sq == pytest.approx(1.04, rel=1e-10)
+        fitted, mu = norm_constrained_fir(two_tap_plant, 1, 1.04)
+        np.testing.assert_allclose(fitted.num, [1.0, -0.2], atol=1e-10)
+        assert mu == pytest.approx(3.0, rel=1e-8)
+        assert float(np.dot(fitted.num, fitted.num)) == pytest.approx(1.04, rel=1e-10)
 
     def test_unit_budget_forces_passthrough(self, two_tap_plant):
-        report = norm_constrained_fir(two_tap_plant, 1, 1.0)
-        np.testing.assert_allclose(report.fitted.num, [1.0, 0.0], atol=0)
-        assert report.kkt_multiplier == math.inf
+        fitted, mu = norm_constrained_fir(two_tap_plant, 1, 1.0)
+        np.testing.assert_allclose(fitted.num, [1.0, 0.0], atol=0)
+        assert mu == math.inf
 
     def test_budget_below_one_rejected(self, two_tap_plant):
         with pytest.raises(ValueError):
             norm_constrained_fir(two_tap_plant, 1, 0.99)
 
     def test_flat_plant_keeps_passthrough(self, grid):
-        report = norm_constrained_fir(constant_response(grid, 1.0), 3, 2.0)
-        np.testing.assert_allclose(report.fitted.num, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+        fitted, _ = norm_constrained_fir(constant_response(grid, 1.0), 3, 2.0)
+        np.testing.assert_allclose(fitted.num, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
     def test_shaped_energy_nonincreasing_in_budget(self, p_base):
         budgets = [1.0, 1.05, 1.2, 1.5, 2.0]
         energies = []
         for budget in budgets:
-            report = norm_constrained_fir(p_base, 4, budget)
-            shaped, _ = shaped_noise_norm_sq(report.fitted, p_base)
+            fitted, _ = norm_constrained_fir(p_base, 4, budget)
+            shaped, _ = shaped_noise_norm_sq(fitted, p_base)
             energies.append(shaped)
         assert all(later <= earlier * (1 + 1e-12) for earlier, later in zip(energies, energies[1:]))
 
     def test_unity_head_exact(self, p_base):
-        report = norm_constrained_fir(p_base, 4, 1.5)
-        assert report.fitted.num[0] == 1.0
+        fitted, _ = norm_constrained_fir(p_base, 4, 1.5)
+        assert fitted.num[0] == 1.0
 
 
 class TestGram:
@@ -178,22 +177,22 @@ class TestNormalizeHead:
 class TestReports:
     def test_feasibility_matches_norm(self, p_base):
         gamma = gamma_from_bits(3, 4.0)
-        report = norm_constrained_fir(p_base, 4, 1.5)
-        final = evaluate_fit(report.fitted, p_base, gamma, ideal_mse=1e-3, kkt_multiplier=report.kkt_multiplier)
+        fitted, mu = norm_constrained_fir(p_base, 4, 1.5)
+        final = evaluate_fit(fitted, p_base, gamma, ideal_mse=1e-3, kkt_multiplier=mu)
         assert final.feasible == (final.norm_sq < gamma + 1.0)
         assert math.isfinite(final.achieved_mse)
 
     def test_achieved_never_beats_ideal(self, p_base):
         gamma = gamma_from_bits(5, 4.0)
         sol = solve_min_mse(p_base, gamma)
-        report = norm_constrained_fir(p_base, 6, sol.norm_r_sq)
-        final = evaluate_fit(report.fitted, p_base, gamma, ideal_mse=sol.alpha_opt, kkt_multiplier=report.kkt_multiplier)
+        fitted, mu = norm_constrained_fir(p_base, 6, sol.norm_r_sq)
+        final = evaluate_fit(fitted, p_base, gamma, ideal_mse=sol.alpha_opt, kkt_multiplier=mu)
         assert final.achieved_mse >= final.ideal_mse * (1 - 1e-6)
 
     def test_infeasible_fit_reports_infinite_mse(self, grid):
         gamma = 0.2
-        report = norm_constrained_fir(constant_response(grid, 1.0), 2, 4.0)
-        taps = list(report.fitted.num)
+        fitted, _ = norm_constrained_fir(constant_response(grid, 1.0), 2, 4.0)
+        taps = list(fitted.num)
         taps[1] = 1.5
         doctored = RationalDiscreteTF(taps)
         final = evaluate_fit(doctored, constant_response(grid, 1.0), gamma)
@@ -222,9 +221,8 @@ def test_kkt_certificate_property(budget, order, seed):
     taps = rng.standard_normal(4)
     taps[0] = 1.0 + abs(taps[0])
     plant = RationalDiscreteTF(list(taps))
-    report = norm_constrained_fir(plant, order, budget)
-    x = np.array(report.fitted.num[1:])
-    mu = report.kkt_multiplier
+    fitted, mu = norm_constrained_fir(plant, order, budget)
+    x = np.array(fitted.num[1:])
     assert mu >= 0.0
     rho = gram_autocorrelations(plant, order)
     idx = np.abs(np.subtract.outer(np.arange(order), np.arange(order)))
@@ -249,38 +247,38 @@ class TestKKTCertificate:
     @pytest.mark.parametrize("budget", [1.01, 1.5, 3.0])
     def test_small_on_fir_plant_fits(self, seed, budget):
         plant = random_fir_plant(seed)
-        report = norm_constrained_fir(plant, 1 + seed % 5, budget)
-        assert max(fir_kkt_residuals(plant, report, budget)) <= 1e-8
+        fitted, mu = norm_constrained_fir(plant, 1 + seed % 5, budget)
+        assert max(fir_kkt_residuals(plant, fitted, mu, budget)) <= 1e-8
 
     @pytest.mark.parametrize("lam", [1, 3])
     def test_small_on_amplitude_plant_fits(self, p_base, lam):
         p_lam = oversample_response(p_base, lam)
         design = solve_min_mse(p_lam, gamma_from_bits(4, 4.0))
         for budget in (1.05, design.norm_r_sq):
-            report = norm_constrained_fir(p_lam, 4, budget)
-            assert max(fir_kkt_residuals(p_lam, report, budget)) <= 1e-8, budget
+            fitted, mu = norm_constrained_fir(p_lam, 4, budget)
+            assert max(fir_kkt_residuals(p_lam, fitted, mu, budget)) <= 1e-8, budget
 
     @pytest.mark.parametrize("tap", [1, 2, 3])
     def test_perturbed_tap_fails(self, tap):
         plant = random_fir_plant(tap)
-        report = norm_constrained_fir(plant, 3, 1.5)
-        taps = list(report.fitted.num)
+        fitted, mu = norm_constrained_fir(plant, 3, 1.5)
+        taps = list(fitted.num)
         taps[tap] += 1e-3
-        stationarity, _ = fir_kkt_residuals(plant, dataclasses.replace(report, fitted=RationalDiscreteTF(taps)), 1.5)
+        stationarity, _ = fir_kkt_residuals(plant, RationalDiscreteTF(taps), mu, 1.5)
         assert stationarity > 1e-5
 
     def test_dropped_multiplier_fails_on_active_cap(self):
         plant = random_fir_plant(0)
-        report = norm_constrained_fir(plant, 3, 1.01)
-        assert report.kkt_multiplier > 1e-3  # the cap is active
-        stationarity, _ = fir_kkt_residuals(plant, dataclasses.replace(report, kkt_multiplier=0.0), 1.01)
+        fitted, mu = norm_constrained_fir(plant, 3, 1.01)
+        assert mu > 1e-3  # the cap is active
+        stationarity, _ = fir_kkt_residuals(plant, fitted, 0.0, 1.01)
         assert stationarity > 1e-5
 
     def test_slackness_flags_a_multiplier_on_a_slack_cap(self):
         plant = random_fir_plant(0)
-        report = norm_constrained_fir(plant, 3, 100.0)
-        assert report.kkt_multiplier == 0.0
-        _, slackness = fir_kkt_residuals(plant, dataclasses.replace(report, kkt_multiplier=1e-3), 100.0)
+        fitted, mu = norm_constrained_fir(plant, 3, 100.0)
+        assert mu == 0.0
+        _, slackness = fir_kkt_residuals(plant, fitted, 1e-3, 100.0)
         assert slackness > 1e-5
 
 
@@ -302,6 +300,15 @@ class TestLargePlant:
         np.testing.assert_allclose(scaled.fitted.num, unit.fitted.num, rtol=1e-9, atol=0)
         assert math.isfinite(scaled.kkt_multiplier)
 
+    def test_kkt_residuals_are_free_of_the_scale(self, plant):
+        # Complementary slackness mu * (||x||^2 - r^2) grows with the plant's
+        # square, as mu does; over |b| it reads as on the unscaled plant.
+        big = ContinuousTF([1e100 * c for c in plant.num], plant.den, plant.sample_period)
+        p = ct_frequency_map(big, 1, FrequencyGrid(256))
+        design = solve_min_mse(p, gamma_from_bits(1, 4.0))
+        fitted, mu = norm_constrained_fir(p, 4, design.norm_r_sq)
+        assert max(fir_kkt_residuals(p, fitted, mu, design.norm_r_sq)) <= 1e-8
+
 
 class TestFitCell:
     @pytest.mark.parametrize("lam", [1, 2])
@@ -310,8 +317,8 @@ class TestFitCell:
         gamma = gamma_from_bits(3, 4.0)
         design = solve_min_mse(p_lam, gamma)
         qcqp = fit_cell("qcqp", 4, p_lam, gamma, design.alpha_opt, design.norm_r_sq)
-        pre = norm_constrained_fir(p_lam, 4, design.norm_r_sq)
-        assert qcqp == evaluate_fit(pre.fitted, p_lam, gamma, ideal_mse=design.alpha_opt, kkt_multiplier=pre.kkt_multiplier)
+        pre, mu = norm_constrained_fir(p_lam, 4, design.norm_r_sq)
+        assert qcqp == evaluate_fit(pre, p_lam, gamma, ideal_mse=design.alpha_opt, kkt_multiplier=mu)
         yw = fit_cell("yw", 4, p_lam, gamma, design.alpha_opt, design.norm_r_sq)
         fitted = yule_walker_fit(optimal_shaper(design.alpha_opt, p_lam), 4)
         assert yw == evaluate_fit(fitted, p_lam, gamma, ideal_mse=design.alpha_opt)
@@ -326,4 +333,5 @@ class TestFitCell:
         p = constant_response(grid, 1.0)
         infeasible = evaluate_fit(RationalDiscreteTF([1.0, 2.0]), p, 1.0, ideal_mse=0.5)
         assert not infeasible.feasible and infeasible.loss_db == math.inf
-        assert norm_constrained_fir(p, 2, 1.5).loss_db == math.inf  # ideal_mse is NaN
+        fitted, _ = norm_constrained_fir(p, 2, 1.5)
+        assert evaluate_fit(fitted, p, 1.0).loss_db == math.inf  # unscored: ideal_mse is NaN

@@ -213,10 +213,9 @@ class TestSignalGenerators:
 @pytest.fixture(scope="module")
 def loop_setup(plant, p_base):
     gamma = gamma_from_bits(8, 4.0)
-    report = norm_constrained_fir(p_base, 4, 1.5)
-    shaper = report.fitted
+    shaper, mu = norm_constrained_fir(p_base, 4, 1.5)
     plant_map = ct_frequency_map(plant, 1, WELCH_GRID)
-    score = evaluate_fit(report.fitted, p_base, gamma, ideal_mse=math.nan, kkt_multiplier=report.kkt_multiplier)
+    score = evaluate_fit(shaper, p_base, gamma, ideal_mse=math.nan, kkt_multiplier=mu)
     sigma_u_sq, _ = predicted_loop_variances(score.norm_sq, gamma)
     quant = MidRiseQuantizer.for_sigma_u(8, 4.0, math.sqrt(sigma_u_sq))
     model = SignalModel(kind="colored", seed=0, length=100_000)
@@ -247,8 +246,7 @@ class TestLoop:
     def test_identity_holds_under_overload(self, plant, p_base):
         # A 1-bit quantizer overloads constantly; the loop equation is
         # structural and must survive that.
-        report = norm_constrained_fir(p_base, 2, 1.1)
-        shaper = report.fitted
+        shaper, _ = norm_constrained_fir(p_base, 2, 1.1)
         quant = MidRiseQuantizer(step=0.05, saturation=0.025)
         model = SignalModel(kind="colored", seed=1, length=5000)
         x = gen_input(model, plant.sample_period)
@@ -277,8 +275,7 @@ class TestLoop:
     def test_many_bits_make_error_vanish(self, plant, p_base):
         # Wide loading factor so no sample overloads: the only error left
         # is 24-bit granular noise.
-        report = norm_constrained_fir(p_base, 2, 1.2)
-        shaper = report.fitted
+        shaper, _ = norm_constrained_fir(p_base, 2, 1.2)
         quant = MidRiseQuantizer.for_sigma_u(24, 6.0, 1.0)
         model = SignalModel(kind="colored", seed=3, length=20_000)
         x = gen_input(model, plant.sample_period)
@@ -324,7 +321,7 @@ def mixed_lanes(plant, p_base):
 
     def qcqp(bits, lam, order):
         p_lam, _, sol = design(bits, lam)
-        return norm_constrained_fir(p_lam, order, sol.norm_r_sq).fitted
+        return norm_constrained_fir(p_lam, order, sol.norm_r_sq)[0]
 
     p_8, _, sol_8 = design(8, 1)
     lanes = [lane(8, 1, yule_walker_fit(optimal_shaper(sol_8.alpha_opt, p_8), order), order) for order in (2, 3, 4)]
@@ -442,7 +439,7 @@ class TestRunLanes:
         assert got == [_oracle(lane) for lane in lanes]
 
     def test_result_does_not_depend_on_the_group(self, shapers, plant_d, p_base):
-        lanes = self.lanes(40, shapers + [norm_constrained_fir(p_base, 4, 1.5).fitted], plant_d)
+        lanes = self.lanes(40, shapers + [norm_constrained_fir(p_base, 4, 1.5)[0]], plant_d)
         lanes[9] = dataclasses.replace(lanes[9], quantizer=MidRiseQuantizer(step=0.5, saturation=0.75))  # overloads
         whole = list(run_lanes(lanes))
         assert whole[9].overload_count > 100
@@ -807,8 +804,8 @@ class TestScalarLoopOracle:
             "order1": RationalDiscreteTF((1.0, -0.9)),
             "order2": RationalDiscreteTF([1.0, -1.1, 0.4], [1.0, -0.5]),
             "order3": RationalDiscreteTF((1.0, -1.5, 0.8, -0.2)),
-            "order4": norm_constrained_fir(p_base, 4, sol.norm_r_sq).fitted,
-            "fir16": norm_constrained_fir(p_base, 15, sol.norm_r_sq).fitted,
+            "order4": norm_constrained_fir(p_base, 4, sol.norm_r_sq)[0],
+            "fir16": norm_constrained_fir(p_base, 15, sol.norm_r_sq)[0],
             "yw4": yule_walker_fit(optimal_shaper(sol.alpha_opt, p_base), 4),
         }
 
@@ -844,7 +841,7 @@ class TestScalarLoopOracle:
         p_lam = oversample_response(p_base, 4)
         gamma = gamma_from_bits(8, 4.0)
         sol = solve_min_mse(p_lam, gamma)
-        shaper = norm_constrained_fir(p_lam, 4, sol.norm_r_sq).fitted
+        shaper, _ = norm_constrained_fir(p_lam, 4, sol.norm_r_sq)
         sigma_u_sq, _ = predicted_loop_variances(evaluate_fit(shaper, p_lam, gamma).norm_sq, gamma)
         quant = MidRiseQuantizer.for_sigma_u(8, 4.0, math.sqrt(sigma_u_sq))
         x = gen_input(SignalModel(kind="colored", seed=1, length=2 * CHUNK + 1), plant.sample_period / 4)
@@ -955,7 +952,7 @@ class TestGranularMSE:
         assert summarize_run(traces, plant_map, 0.0).empirical_mse > 2 * got  # the overloads' bursts
 
     def test_no_overload_equals_empirical(self, plant, p_base):
-        shaper = norm_constrained_fir(p_base, 4, 1.5).fitted
+        shaper, _ = norm_constrained_fir(p_base, 4, 1.5)
         quant = MidRiseQuantizer.for_sigma_u(8, 6.0, 1.5)
         x = gen_input(SignalModel(kind="colored", seed=0, length=100_000), plant.sample_period)
         traces = run_feedback_loop(x, shaper, quant)

@@ -7,7 +7,10 @@ import pytest
 
 import efq
 
-SOURCES = sorted(p for p in Path(efq.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(Path(efq.__file__).parent.glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
+# How an AmplitudeResponse stores its band edge; only efq.spectral reads it.
+EDGE_FIELDS = ("cutoff", "edge_below", "edge_above")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,6 +47,29 @@ def test_scan_finds_an_unused_import():
     source = "import os\nimport sys as system\nfrom math import pi, tau\nfrom pathlib import Path\n\n"
     source += 'def f(x: "Path") -> int:\n    return tau\n'
     assert unused_imports(source) == ["line 1: os", "line 2: system", "line 3: pi"]
+
+
+def edge_reads(source: str) -> list[str]:
+    """Reads of the band-edge fields ``.cutoff``, ``.edge_below`` and
+    ``.edge_above`` of any object, in source order; assignments are not reads."""
+    reads = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in EDGE_FIELDS and isinstance(node.ctx, ast.Load)
+    ]
+    return [f"line {n.lineno}: .{n.attr}" for n in sorted(reads, key=lambda n: (n.lineno, n.col_offset))]
+
+
+def test_band_edge_is_read_only_in_spectral():
+    """design, fitting and the rest reach the band edge through
+    ``AmplitudeResponse.edges``, ``with_values`` and ``filtered``."""
+    reads = [f"{p.name} {read}" for p in PACKAGE if p.name != "spectral.py" for read in edge_reads(p.read_text())]
+    assert reads == []
+
+
+def test_scan_finds_an_edge_read():
+    source = "def f(p, q, cutoff):\n    q.cutoff = cutoff\n    return p.edge_above + p.edge_below, p.edges, p.cutoff\n"
+    assert edge_reads(source) == ["line 3: .edge_above", "line 3: .edge_below", "line 3: .cutoff"]
 
 
 def test_public_names_resolve_once_in_order():

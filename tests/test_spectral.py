@@ -20,13 +20,14 @@ from efq.spectral import (
     band_mean,
     constant_response,
     ct_frequency_map,
+    filtered,
     is_almost_constant,
     l2_norm_sq,
     log_geometric_mean,
     oversample_response,
     power_cosine_moment,
 )
-from efq.transfer import ContinuousTF, RationalDiscreteTF
+from efq.transfer import ContinuousTF, RationalDiscreteTF, frequency_response
 
 
 class TestFrequencyGrid:
@@ -207,6 +208,28 @@ class TestAmplitudeOfTF:
         np.testing.assert_allclose(amplitude_of_tf(cascade, grid).values, prod, atol=1e-10)
 
 
+class TestFiltered:
+    """``filtered`` is the product resp * |tf| formed by hand, bit for bit."""
+
+    @pytest.mark.parametrize("lam", [1, 3])
+    @pytest.mark.parametrize(
+        "tf", [RationalDiscreteTF([1.0, -0.6, 0.25]), RationalDiscreteTF([1.0, 0.4], [1.0, -0.3])], ids=["fir", "iir"]
+    )
+    @pytest.mark.parametrize("given_gain", [False, True])
+    def test_is_the_hand_formed_product(self, p_base, lam, tf, given_gain):
+        p = oversample_response(p_base, lam)
+        p = p.with_values(p.values + 0.25, *(edge + 0.25 for edge in p.edges))  # no zero limit
+        gain = np.abs(frequency_response(tf, p.grid.omegas))
+        got = filtered(p, tf, gain.copy() if given_gain else None)
+        assert got.values.tobytes() == (p.values * gain).tobytes()
+        assert got.cutoff == p.cutoff
+        if lam == 1:
+            assert got.edges == ()
+        else:
+            edge_gain = abs(tf.eval(np.exp(-1j * p.cutoff)))
+            assert got.edges == (p.edge_below * edge_gain, p.edge_above * edge_gain)
+
+
 class TestOversampling:
     def test_factor_one_is_identity(self, p_base):
         assert oversample_response(p_base, 1) is p_base
@@ -225,6 +248,13 @@ class TestOversampling:
             assert l2_norm_sq(oversample_response(p_base, lam)) == pytest.approx(
                 base / lam, rel=1e-6
             )
+
+    def test_edges_are_the_limits_at_the_cutoff(self, p_base):
+        assert p_base.edges == ()
+        p3 = oversample_response(p_base, 3)
+        assert p3.edges == (p3.edge_below, p3.edge_above) == (p_base.values[-1], 0.0)
+        assert p3.with_values(2.0 * p3.values, *p3.edges).edges == p3.edges
+        assert p_base.with_values(2.0 * p_base.values).edges == ()
 
     def test_already_bandlimited_rejected(self, p_base):
         p2 = oversample_response(p_base, 2)
