@@ -1,5 +1,10 @@
 #!/usr/bin/env python3
-"""Time-domain validation of the analytic output-MSE prediction.
+"""A lane's granular ratio and loop-identity residual, which no stage prints yet.
+
+``efq simulate`` writes each run's raw empirical MSE. The granular reading
+(``efq.granular_mse``) and the residual of the loop identity v - x = R*w are
+printed only here. ROADMAP.md item 1 puts the granular reading into
+``simulate.json``; this script goes then.
 
 Designs a norm-constrained FIR shaping filter for one (bits, oversampling)
 cell, runs the quantized feedback loop on long Gaussian inputs, and

@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Integrals per design solve, by phase, for the CLI stages that solve.
+"""Integrals per design solve, by phase, which no stage prints yet.
+
+No stage counts its own ``band_integral`` calls. ROADMAP.md item 3 gives the
+stages counters of their own; this script goes then.
 
 Runs ``efq rd-curve``, ``efq fit`` and ``efq verify`` on CONFIG in this
 process with ``EFQ_THREADS=1`` (so no solve runs in a forked worker, where

@@ -216,14 +216,14 @@ def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[dict], None
         raise
 
 
-def _load_setup(args) -> tuple[ExperimentConfig, str]:
+def _load_setup(args) -> tuple[ExperimentConfig, str, spectral.AmplitudeResponse]:
     cfg = load_config(args.config) if args.config else default_config()
     if args.grid is not None:
         cfg = dataclasses.replace(cfg, n_points=args.grid)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seeds=(args.seed,)))
     validate_config(cfg)
-    return cfg, config_hash(cfg)
+    return cfg, config_hash(cfg), _base_response(cfg)
 
 
 def _out_dir(args) -> Path:
@@ -257,7 +257,21 @@ def _map_cells(fn, cells) -> list:
 
 
 def _base_response(cfg: ExperimentConfig) -> spectral.AmplitudeResponse:
-    return spectral.ct_frequency_map(cfg.plant_tf(), 1, cfg.grid())
+    """The plant's response on the config's grid, after refusing each cell whose optimal alpha no
+    solve reaches; the dilations and band means it forms stay on it for the solves (and workers)."""
+    p_base = spectral.ct_frequency_map(cfg.plant_tf(), 1, cfg.grid())
+    problems = []
+    for j, lam in enumerate(cfg.lambda_list):
+        p_lam = spectral.oversample_response(p_base, lam)
+        problems += [
+            f"bits_list[{i}], lambda_list[{j}]: the optimal alpha lies below the smallest normal float"
+            f" at {bits} bits and lambda {lam}, where no solve reaches it"
+            for i, bits in enumerate(cfg.bits_list)
+            if design_mod.alpha_below_normal(p_lam, design_mod.gamma_from_bits(bits, cfg.loading_factor))
+        ]
+    if problems:
+        raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
+    return p_base
 
 
 def _positive(value) -> float:
@@ -321,9 +335,8 @@ def _read_cells(path: str, kind: str, sha: str, cells, fields: dict) -> dict:
 
 
 def cmd_design(args) -> int:
-    cfg, sha = _load_setup(args)
+    cfg, sha, p_base = _load_setup(args)
     out = _out_dir(args)
-    p_base = _base_response(cfg)
 
     def solve(cell):
         bits, lam = cell
@@ -374,9 +387,8 @@ def cmd_design(args) -> int:
 
 
 def cmd_rd_curve(args) -> int:
-    cfg, sha = _load_setup(args)
+    cfg, sha, p_base = _load_setup(args)
     out = _out_dir(args)
-    p_base = _base_response(cfg)
 
     rows = _map_cells(lambda cell: design_mod.rd_row(p_base, *cell, cfg.loading_factor), _cells(cfg))
 
@@ -435,13 +447,13 @@ def _report_payload(bits, lam, gamma, report) -> dict:
 
 
 def cmd_fit(args) -> int:
-    cfg, sha = _load_setup(args)
+    cfg, sha, p_base = _load_setup(args)
     out = _out_dir(args)
     cells = _cells(cfg)
     designed = None
     if args.design:
         designed = _read_cells(args.design, "design", sha, cells, {"alpha_opt": _positive, "norm_r_sq": _norm_sq})
-    results = _fit_cells(cfg, _base_response(cfg), designed)
+    results = _fit_cells(cfg, p_base, designed)
 
     payload_cells = []
     for (bits, lam), (gamma, report) in zip(cells, results):
@@ -472,11 +484,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg, sha = _load_setup(args)
-    out = _out_dir(args)
+    cfg, sha, p_base = _load_setup(args)
     simulate.welch_segments(cfg.sim.length)  # a run too short to score exits 1 before any loop
+    out = _out_dir(args)
     plant = cfg.plant_tf()
-    p_base = _base_response(cfg)
     cell_list = _cells(cfg)
     if args.fit:
         fitted = _read_cells(args.fit, "fit", sha, cell_list, {"filter": _shaper})
@@ -565,13 +576,12 @@ def cmd_simulate(args) -> int:
 # verify
 
 
-def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
+def _verify_checks(cfg: ExperimentConfig, p_base: spectral.AmplitudeResponse) -> list[dict]:
     checks: list[dict] = []
 
     def record(name: str, measured: float, tolerance: float, ok: bool) -> None:
         checks.append({"name": name, "measured": measured, "tolerance": tolerance, "pass": bool(ok)})
 
-    p_base = _base_response(cfg)
     p_fine = spectral.ct_frequency_map(cfg.plant_tf(), 1, spectral.FrequencyGrid(2 * cfg.n_points))
     lane_bits = max(cfg.bits_list)
 
@@ -648,8 +658,8 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
-    cfg, sha = _load_setup(args)
-    checks = _verify_checks(cfg)
+    cfg, sha, p_base = _load_setup(args)
+    checks = _verify_checks(cfg, p_base)
     failures = [c for c in checks if not c["pass"]]
     for c in checks:
         status = "PASS" if c["pass"] else "FAIL"

@@ -57,6 +57,7 @@ from .spectral import (
     is_almost_constant,
     l2_norm_sq,
     oversample_response,
+    oversampling_factor,
 )
 
 # Tolerance below which a plant response counts as constant: feedback cannot
@@ -334,24 +335,36 @@ def rounding_bound(n_points: int, log_bound: float) -> float:
     return ((n_points - 1).bit_length() + ROUNDING_TERMS) * 2.0**-53 * max(log_bound, 1.0)
 
 
-def _newton_start(p: AmplitudeResponse, nu: float) -> float:
-    """x = ln(alpha) at the log-midpoint of the closed-form bracket
+def _log_bracket(p: AmplitudeResponse, nu: float) -> tuple[float, float]:
+    """The logarithms of the ends of the closed-form bracket
 
         exp(G) / nu^(1/beta) <= alpha_opt <= m / (nu^(1/beta) - 1),
 
     with m and G the in-band mean and log-mean of p^2 and beta the in-band
     fraction of [0, pi]. At the root, mean ln(1 + p^2/alpha) over the band
     is ln(nu)/beta; Jensen's inequality bounds that mean by ln(1 + m/alpha)
-    from above, and its part G - ln(alpha) bounds it from below. Where p^2 has
-    in-band zeros (G = -inf) this is the upper end, and 0 where the bracket
-    is not finite. Only the Newton pass starts here: the replay's result
-    does not depend on it.
+    from above, and its part G - ln(alpha) bounds it from below, short of it
+    by about the band mean of alpha/p^2. The lower end is -inf where G is.
     """
     beta, m, g = band_power_means(p)
     log_k = math.log(nu) / beta  # ln(nu^(1/beta))
     upper = math.log(m) - log_k - math.log(-math.expm1(-log_k)) if m > 0.0 else math.nan
-    x = upper if g == -math.inf else 0.5 * (g - log_k + upper)
+    return g - log_k, upper
+
+
+def _newton_start(p: AmplitudeResponse, nu: float) -> float:
+    """x = ln(alpha) at the log-midpoint of ``_log_bracket`` (its upper end where G = -inf, 0 where
+    it is not finite). Only the Newton pass starts here: the replay's result does not depend on it."""
+    lower, upper = _log_bracket(p, nu)
+    x = upper if lower == -math.inf else 0.5 * (lower + upper)
     return min(max(x, X_MIN), X_MAX) if math.isfinite(x) else 0.0
+
+
+def alpha_below_normal(p: AmplitudeResponse, gamma: float) -> bool:
+    """True where ``_log_bracket`` puts alpha_opt below the smallest normal float, which no solve
+    brackets: its lower end, tight where p^2 is far above alpha, or its upper end where G = -inf."""
+    lower, upper = _log_bracket(p, gamma + 1.0)
+    return (upper if lower == -math.inf else lower) < X_MIN
 
 
 def _certificates(log_ratio, slope, bound, x: float) -> dict[float, list[tuple[float, float]]]:
@@ -535,9 +548,7 @@ def upper_bound(gamma: float, oversampling: int, p_base: AmplitudeResponse) -> f
     nu = gamma + 1.0
     if not nu > 1.0:
         raise ValueError(f"nu must exceed 1, got {nu}")
-    if oversampling < 1 or int(oversampling) != oversampling:
-        raise ValueError("oversampling factor must be a positive integer")
-    return l2_norm_sq(p_base) / (nu ** int(oversampling) - 1.0)
+    return l2_norm_sq(p_base) / (nu ** oversampling_factor(oversampling) - 1.0)
 
 
 @dataclass(frozen=True)

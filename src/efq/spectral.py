@@ -277,9 +277,7 @@ def oversample_response(resp: AmplitudeResponse, oversampling: int) -> Amplitude
     downstream quadrature stays accurate. It is built once per response and
     factor.
     """
-    if oversampling < 1 or int(oversampling) != oversampling:
-        raise ValueError("oversampling factor must be a positive integer")
-    lam = int(oversampling)
+    lam = oversampling_factor(oversampling)
     if lam == 1:
         return resp
     if resp.cutoff is not None:
@@ -289,6 +287,13 @@ def oversample_response(resp: AmplitudeResponse, oversampling: int) -> Amplitude
 
 def _dilate(resp: AmplitudeResponse, lam: int) -> AmplitudeResponse:
     return _band_limited(resp.grid, lam, lambda w: np.interp(w, resp.grid.omegas, resp.values))
+
+
+def oversampling_factor(oversampling) -> int:
+    """The oversampling factor as an int (2.0 is 2); ValueError unless a positive integer."""
+    if oversampling < 1 or int(oversampling) != oversampling:
+        raise ValueError("oversampling factor must be a positive integer")
+    return int(oversampling)
 
 
 def _band_limited(grid: FrequencyGrid, lam: int, amplitude: Callable[[np.ndarray], np.ndarray]) -> AmplitudeResponse:
@@ -311,9 +316,7 @@ def ct_frequency_map(
     oversampled digital band; the oversampled sampling period is
     T/lambda, so digital omega corresponds to analog lambda*omega/T.
     """
-    if oversampling < 1 or int(oversampling) != oversampling:
-        raise ValueError("oversampling factor must be a positive integer")
-    lam = int(oversampling)
+    lam = oversampling_factor(oversampling)
 
     def amplitude(w):
         return np.abs(plant.eval(1j * w / plant.sample_period))

@@ -1,0 +1,91 @@
+"""Every artifact of the benchmark workloads keeps its bytes.
+
+Runs each workload of ``perfbench/workloads.py`` at seed 0 in this process,
+stage by stage through ``efq.cli.main`` with the workload's config and
+flags, and compares the sha256 of every artifact with
+``tests/artifact_digests.json``, keyed by the config's sha256. A change that
+means to alter an artifact records the digests again and says why::
+
+    PYTHONPATH=src python tests/test_artifact_digests.py
+"""
+
+import hashlib
+import importlib.util
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from efq.cli import main
+from efq.config import config_hash, load_config
+
+REPO = Path(__file__).resolve().parents[1]
+DIGESTS = Path(__file__).with_name("artifact_digests.json")
+SEED = 0
+
+
+def load_workloads() -> dict:
+    """``perfbench/workloads.py``, loaded by path. The module is registered in
+    sys.modules before it runs, or its dataclasses fail to build."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", REPO / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = load_workloads()
+
+
+def sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with path.open("rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def run_workload(workload, work: Path) -> tuple[str, dict[str, str]]:
+    """The config's sha256 and each artifact's, by file name, of one
+    workload at SEED; each artifact is removed once hashed (``trace.csv`` is
+    89 MB)."""
+    config_path = work / "config.json"
+    config_path.write_text(json.dumps(workload.config(SEED), indent=2) + "\n")
+    out = work / "out"
+    for stage in workload.stages:
+        assert main([*stage.argv(str(config_path), str(out)), "--quiet"]) == 0, stage.command
+    digests = {}
+    for path in sorted(out.iterdir()):
+        digests[path.name] = sha256(path)
+        path.unlink()
+    return config_hash(load_config(config_path)), digests
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_artifacts_keep_their_digests(name, tmp_path):
+    recorded = json.loads(DIGESTS.read_text())
+    sha, digests = run_workload(WORKLOADS[name], tmp_path)
+    expected = recorded["artifacts"].get(sha, {})
+    changed = sorted(f for f in digests.keys() | expected.keys() if digests.get(f) != expected.get(f))
+    message = f"{name}: {', '.join(changed)} differ from {DIGESTS.name}."
+    if np.__version__ != recorded["numpy"]:
+        message += (
+            f" The digests were recorded with numpy {recorded['numpy']}, and this is numpy {np.__version__}:"
+            " the test still compares, but numpy's FFT and pairwise sums may move the last bit of a value,"
+            " so a difference here need not come from efq."
+        )
+    message += f" A change that alters an artifact on purpose runs {Path(__file__).name} to record them again."
+    assert not changed, message
+
+
+if __name__ == "__main__":
+    artifacts = {}
+    for workload in WORKLOADS.values():
+        with tempfile.TemporaryDirectory() as work:
+            sha, digests = run_workload(workload, Path(work))
+        artifacts[sha] = digests
+    DIGESTS.write_text(json.dumps({"numpy": np.__version__, "artifacts": artifacts}, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {DIGESTS}")

@@ -772,36 +772,6 @@ class TestEntryPoints:
         proc = run_python(["-c", block])
         assert proc.returncode == 0, proc.stderr
 
-    @pytest.mark.parametrize(
-        "command",
-        [
-            "scripts/fit_study.py --bits 2 --lambdas 1,2 --grid 1024",
-            "scripts/simulation_check.py --bits 8 --length 20000 --seeds 0 --grid 1024",
-        ],
-        ids=["fit_study", "simulation_check"],
-    )
-    def test_script_runs(self, command):
-        script, *args = command.split()
-        proc = run_python([str(REPO / script), *args])
-        assert proc.returncode == 0, proc.stderr
-
-    def test_fit_study_losses_equal_efq_fit(self, tmp_path):
-        """fit_study.py and ``efq fit`` score both methods alike, to the bit."""
-        csv_path = tmp_path / "fit_study.csv"
-        args = ["--bits", "2,3", "--lambdas", "1,2", "--grid", "1024", "--csv", str(csv_path)]
-        proc = run_python([str(REPO / "scripts/fit_study.py"), *args])
-        assert proc.returncode == 0, proc.stderr
-        study = {(int(r["bits"]), int(r["lambda"])): r for r in csv.DictReader(csv_path.open())}
-        assert len(study) == 4
-        for method in ("qcqp", "yw"):
-            config = tmp_path / f"{method}.json"
-            config.write_text(json.dumps(dict(SMALL_CONFIG, n_points=1024, fit={"method": method, "order": 4})))
-            out = tmp_path / method
-            assert main(["fit", "--config", str(config), "--out", str(out), "--quiet"]) == 0
-            for cell in json.loads((out / "fit.json").read_text())["cells"]:
-                row = study[cell["bits"], cell["lambda"]]
-                assert float(row[f"{method}_loss_db"]) == cell["loss_db"], (method, cell["bits"], cell["lambda"])
-
     def test_simulation_check_output_is_unchanged(self):
         """The script sets up its lane with ``loop_quantizer``, runs each seed
         once and scores the whole traces with ``summarize_run`` and
@@ -998,10 +968,40 @@ class TestErrorHandling:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("stage", ["design", "rd-curve", "fit", "simulate", "verify"])
-    def test_failed_design_solve_names_its_cell(self, tmp_path, capsys, stage):
-        # At 511 bits nu is finite, but alpha falls below the normal floats:
-        # the solve fails, and the message names the cell, from a worker too.
+    @pytest.mark.parametrize("bits, lam", [(255, 2), (256, 2), (257, 2), (171, 3), (509, 1), (510, 1), (511, 1)])
+    def test_cell_whose_alpha_is_below_the_normal_floats_exits_one(self, tmp_path, capsys, stage, bits, lam):
+        # nu^lambda is finite, but the optimal alpha lies below the smallest
+        # normal float: these cells exited 2 after validation, failing to
+        # bracket alpha from below.
         cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["bits_list"], cfg["lambda_list"], cfg["n_points"] = [2, bits], [1, lam] if lam > 1 else [1], 256
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main([stage, "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        named = f"bits_list[1], lambda_list[{1 if lam > 1 else 0}]: the optimal alpha lies below the smallest normal float"
+        assert err.startswith("configuration error: ") and named in err and f" at {bits} bits and lambda {lam}," in err, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stage", ["design", "rd-curve"])
+    @pytest.mark.parametrize("bits, lam", [(254, 2), (170, 3), (508, 1)])
+    def test_cell_whose_alpha_is_just_normal_solves(self, tmp_path, stage, bits, lam):
+        # one step below the cells refused above; rd-curve also solves the
+        # collapsed problem at nu^lambda
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["bits_list"], cfg["lambda_list"], cfg["n_points"] = [bits], [lam], 256
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main([stage, "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
+    @pytest.mark.parametrize("stage", ["design", "rd-curve", "fit", "simulate", "verify"])
+    def test_failed_design_solve_names_its_cell(self, tmp_path, capsys, stage):
+        # With a zero at DC, p^2 has an in-band zero, so only the upper end
+        # of the closed-form bracket can refuse a cell, and at 511 bits it
+        # lies above the smallest normal float. alpha does not: the solve
+        # fails, and the message names the cell, from a worker too.
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["plant"]["num"] = [0.5145, 2.2945, 3.573, 1.941, 0.0]  # s/2 times the built-in numerator
         cfg["bits_list"], cfg["lambda_list"], cfg["n_points"] = [2, 511], [1], 256
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))

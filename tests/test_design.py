@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from efq.design import (
+    alpha_below_normal,
     balanced_mse,
     collapse_residual,
     db,
@@ -22,12 +23,13 @@ from efq.design import (
     solve_min_mse,
     upper_bound,
 )
-from efq.errors import InfeasibleError
+from efq.errors import InfeasibleError, NumericalError
 from efq.simulate import predicted_loop_variances
 from efq.spectral import (
     AmplitudeResponse,
     FrequencyGrid,
     constant_response,
+    ct_frequency_map,
     l2_norm_sq,
     log_geometric_mean,
     oversample_response,
@@ -199,6 +201,24 @@ class TestSolve:
         assert abs(sol.theta_opt**2 / sol.alpha_opt - nu) <= 1e-10 * nu
         assert nu - sol.norm_r_sq > 0.0
         assert abs(log_geometric_mean(optimal_shaper(sol.alpha_opt, p_lam))) <= 1e-8
+
+    @pytest.mark.parametrize("n_points", [256, 8192])
+    def test_alpha_below_normal_is_where_the_solve_fails(self, plant, n_points):
+        """On the built-in plant, from a few bits below the edge up to where
+        nu^lambda overflows, the predicate holds exactly where the solve fails
+        to bracket alpha from below."""
+        p_base = ct_frequency_map(plant, 1, FrequencyGrid(n_points))
+        for lam, top in ((1, 511), (2, 257), (3, 171), (4, 128)):
+            p_lam = oversample_response(p_base, lam)
+            for bits in range(top - 4, top + 1):
+                gamma = gamma_from_bits(bits, 4.0)
+                try:
+                    solve_min_mse(p_lam, gamma)
+                    failed = False
+                except NumericalError as exc:
+                    assert str(exc) == "failed to bracket the optimal alpha from below"
+                    failed = True
+                assert alpha_below_normal(p_lam, gamma) == failed, (lam, bits)
 
 
 class TestMonotonicity:

@@ -72,6 +72,13 @@ def test_scan_finds_an_edge_read():
     assert edge_reads(source) == ["line 3: .edge_above", "line 3: .edge_below", "line 3: .cutoff"]
 
 
+def test_oversampling_factor_is_checked_in_one_place():
+    """Every function that takes an oversampling factor reads it through
+    ``spectral.oversampling_factor``."""
+    message = "oversampling factor must be a positive integer"
+    assert {p.name: p.read_text().count(message) for p in PACKAGE if message in p.read_text()} == {"spectral.py": 1}
+
+
 def test_public_names_resolve_once_in_order():
     """Every name in efq.__all__ is an attribute of efq, listed once, in
     sorted order, so a deleted name cannot stay behind."""

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from efq import spectral
+from efq.design import upper_bound
 from efq.spectral import (
     AmplitudeResponse,
     FrequencyGrid,
@@ -260,6 +261,26 @@ class TestOversampling:
         p2 = oversample_response(p_base, 2)
         with pytest.raises(ValueError):
             oversample_response(p2, 2)
+
+    @pytest.mark.parametrize("value", [2.0, 0, -1, 1.5])
+    @pytest.mark.parametrize("name", ["oversample_response", "ct_frequency_map", "upper_bound"])
+    def test_factor_is_one_rule(self, p_base, plant, name, value):
+        """Each function that takes an oversampling factor reads 2.0 as 2 and
+        refuses 0, -1 and 1.5 with the one message."""
+        call = {
+            "oversample_response": lambda lam: oversample_response(p_base, lam),
+            "ct_frequency_map": lambda lam: ct_frequency_map(plant, lam, p_base.grid),
+            "upper_bound": lambda lam: upper_bound(1.0, lam, p_base),
+        }[name]
+        if value == 2.0:
+            got, whole = call(value), call(2)
+            if name == "upper_bound":
+                assert got == whole
+            else:
+                assert (got.values.tobytes(), got.edges, got.cutoff) == (whole.values.tobytes(), whole.edges, whole.cutoff)
+        else:
+            with pytest.raises(ValueError, match="^oversampling factor must be a positive integer$"):
+                call(value)
 
     def test_built_once_per_response_and_factor(self, p_base):
         fresh = AmplitudeResponse(p_base.grid, p_base.values)
