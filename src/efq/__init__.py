@@ -28,17 +28,14 @@ from .design import (
     balanced_mse,
     collapse_residual,
     db,
-    design_mse,
+    design_at,
     gamma_from_bits,
-    geomean_amplitude,
     optimal_shaper,
     rd_row,
-    shaped_noise_gain,
-    shaper_norm_sq,
     solve_min_mse,
     upper_bound,
 )
-from .errors import ConfigError, InfeasibleError, NumericalError, VerificationFailure
+from .errors import ConfigError, NumericalError, VerificationFailure
 from .fitting import (
     FitReport,
     evaluate_fit,
@@ -71,7 +68,7 @@ from .spectral import (
     log_geometric_mean,
     oversample_response,
 )
-from .transfer import ContinuousTF, RationalDiscreteTF, frequency_response, impulse_response
+from .transfer import ContinuousTF, RationalDiscreteTF, frequency_response
 
 __version__ = "0.1.0"
 
@@ -83,7 +80,6 @@ __all__ = [
     "FitConfig",
     "FitReport",
     "FrequencyGrid",
-    "InfeasibleError",
     "MidRiseQuantizer",
     "NumericalError",
     "OptimalDesign",
@@ -103,16 +99,14 @@ __all__ = [
     "ct_frequency_map",
     "db",
     "default_config",
-    "design_mse",
+    "design_at",
     "evaluate_fit",
     "fir_kkt_residuals",
     "fit_cell",
     "frequency_response",
     "gamma_from_bits",
     "gen_input",
-    "geomean_amplitude",
     "granular_mse",
-    "impulse_response",
     "l2_norm_sq",
     "load_config",
     "log_geometric_mean",
@@ -125,8 +119,6 @@ __all__ = [
     "quantize_midrise",
     "rd_row",
     "run_feedback_loop",
-    "shaped_noise_gain",
-    "shaper_norm_sq",
     "solve_min_mse",
     "summarize_run",
     "upper_bound",

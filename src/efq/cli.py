@@ -357,12 +357,8 @@ def cmd_design(args) -> int:
                 "lambda": lam,
                 "gamma": gamma,
                 "nu": nu,
-                "alpha_opt": sol.alpha_opt,
-                "theta_opt": sol.theta_opt,
-                "distortion": sol.distortion,
+                **dataclasses.asdict(sol),
                 "distortion_db": design_mod.db(sol.distortion),
-                "norm_r_sq": sol.norm_r_sq,
-                "n_of_alpha": sol.n_of_alpha,
                 "feasibility_margin": nu - sol.norm_r_sq,
                 "logmean_check": spectral.log_geometric_mean(shaper),
             }

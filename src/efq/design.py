@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, NumericalError
+from .errors import NumericalError
 from .spectral import (
     AmplitudeResponse,
     band_mean,
@@ -143,11 +143,23 @@ def _levels(bits: int) -> int:
     return (1 << int(bits)) - 1
 
 
+def _nu(gamma: float) -> float:
+    """nu = gamma + 1, after the checks that gamma is positive and that nu
+    exceeds 1, which it does not below gamma = 2^-53: the one noise-ratio
+    rule."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    nu = gamma + 1.0
+    if not nu > 1.0:  # gamma below 2^-53, or NaN
+        raise ValueError(f"nu must exceed 1, got {nu}")
+    return nu
+
+
 def gamma_from_bits(bits: int, loading_factor: float) -> float:
     """Noise-ratio gamma = sigma_u^2/sigma_w^2 for a b-bit mid-rise quantizer
     under the white uniform-error model (sigma_w^2 = d^2/12) with saturation
     at loading_factor standard deviations of the input; ValueError where
-    gamma is beyond the float range."""
+    gamma is beyond the float range or nu = gamma + 1 rounds to 1."""
     levels = _levels(bits)
     if loading_factor <= 0:
         raise ValueError("loading_factor must be positive")
@@ -155,6 +167,7 @@ def gamma_from_bits(bits: int, loading_factor: float) -> float:
     gamma = 3.0 * levels * levels / square if square > 0 else math.inf
     if gamma == math.inf:
         raise ValueError(f"gamma is beyond the float range at {bits} bits and loading factor {loading_factor!r}")
+    _nu(gamma)
     return gamma
 
 
@@ -168,11 +181,7 @@ def _check_alpha(alpha: float) -> float:
 def _check_problem(p: AmplitudeResponse, gamma: float) -> float:
     """nu = gamma + 1, after the checks of a design's plant response and
     noise ratio gamma."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    nu = gamma + 1.0
-    if not nu > 1.0:  # gamma below 2^-53, or NaN
-        raise ValueError(f"nu must exceed 1, got {nu}")
+    nu = _nu(gamma)
     if not np.any(p.values > 0) and not (p.edges and p.edges[0] > 0):  # samples, or the limit below the cutoff
         raise ValueError("plant response must not be identically zero")
     peak = max([float(np.max(p.values)), *p.edges])
@@ -258,38 +267,27 @@ class _Means:
         return math.nextafter(mean - spread, -math.inf), math.nextafter(mean + spread, math.inf)
 
 
-def geomean_amplitude(alpha: float, p: AmplitudeResponse) -> float:
-    """theta(alpha): geometric-mean amplitude of sqrt(p^2 + alpha).
-
-    This is the unique scale making the shaped response
-    theta/sqrt(p^2+alpha) have zero log-mean.
-    """
-    return _Means(_power(p)).theta(_check_alpha(alpha))
-
-
-def shaped_noise_gain(alpha: float, p: AmplitudeResponse) -> float:
-    """||p * r_alpha||^2: shaped-noise power per unit quantizer-error variance."""
-    alpha, means = _check_alpha(alpha), _Means(_power(p))
-    return means.theta(alpha) ** 2 * means(alpha, "fraction")
-
-
-def shaper_norm_sq(alpha: float, p: AmplitudeResponse) -> float:
-    """||r_alpha||^2: squared norm of the optimal shaping response."""
-    alpha, means = _check_alpha(alpha), _Means(_power(p))
-    return means.theta(alpha) ** 2 * means(alpha, "inverse")
+def _design_at(means: _Means, alpha: float, gamma: float) -> OptimalDesign:
+    """The design's scalars with the shaper r_alpha, from the means on its plant."""
+    theta = means.theta(alpha)
+    norm_sq = theta**2 * means(alpha, "inverse")
+    shaped = theta**2 * means(alpha, "fraction")
+    return OptimalDesign(
+        alpha_opt=alpha,
+        theta_opt=theta,
+        distortion=balanced_mse(shaped, norm_sq, gamma),
+        norm_r_sq=norm_sq,
+        n_of_alpha=shaped,
+    )
 
 
-def design_mse(alpha: float, p: AmplitudeResponse, gamma: float) -> float:
-    """Output MSE per unit input variance using the shaper r_alpha on plant p
-    at noise ratio gamma; InfeasibleError where r_alpha is infeasible."""
-    nu = _check_problem(p, gamma)
-    alpha, means = _check_alpha(alpha), _Means(_power(p))
-    theta2 = means.theta(alpha) ** 2
-    c_val = theta2 * means(alpha, "inverse")
-    mse = balanced_mse(theta2 * means(alpha, "fraction"), c_val, gamma)
-    if mse == math.inf:
-        raise InfeasibleError(f"shaper norm^2 {c_val:.6g} is not below nu = {nu:.6g} at alpha = {alpha:.6g}")
-    return mse
+def design_at(alpha: float, p: AmplitudeResponse, gamma: float) -> OptimalDesign:
+    """The design at alpha on plant p at noise ratio gamma: theta(alpha), the
+    scale that gives r_alpha = theta/sqrt(p^2 + alpha) zero log-mean,
+    ||r_alpha||^2, ||p * r_alpha||^2 and their balanced_mse, which is inf
+    where r_alpha is infeasible. At alpha_opt it is the solve's result."""
+    _check_problem(p, gamma)
+    return _design_at(_Means(_power(p)), _check_alpha(alpha), gamma)
 
 
 def optimal_shaper(alpha: float, p: AmplitudeResponse) -> AmplitudeResponse:
@@ -335,7 +333,7 @@ def rounding_bound(n_points: int, log_bound: float) -> float:
     return ((n_points - 1).bit_length() + ROUNDING_TERMS) * 2.0**-53 * max(log_bound, 1.0)
 
 
-def _log_bracket(p: AmplitudeResponse, nu: float) -> tuple[float, float]:
+def _log_bracket(p: AmplitudeResponse, gamma: float) -> tuple[float, float]:
     """The logarithms of the ends of the closed-form bracket
 
         exp(G) / nu^(1/beta) <= alpha_opt <= m / (nu^(1/beta) - 1),
@@ -347,15 +345,15 @@ def _log_bracket(p: AmplitudeResponse, nu: float) -> tuple[float, float]:
     by about the band mean of alpha/p^2. The lower end is -inf where G is.
     """
     beta, m, g = band_power_means(p)
-    log_k = math.log(nu) / beta  # ln(nu^(1/beta))
+    log_k = math.log(_nu(gamma)) / beta  # ln(nu^(1/beta))
     upper = math.log(m) - log_k - math.log(-math.expm1(-log_k)) if m > 0.0 else math.nan
     return g - log_k, upper
 
 
-def _newton_start(p: AmplitudeResponse, nu: float) -> float:
+def _newton_start(p: AmplitudeResponse, gamma: float) -> float:
     """x = ln(alpha) at the log-midpoint of ``_log_bracket`` (its upper end where G = -inf, 0 where
     it is not finite). Only the Newton pass starts here: the replay's result does not depend on it."""
-    lower, upper = _log_bracket(p, nu)
+    lower, upper = _log_bracket(p, gamma)
     x = upper if lower == -math.inf else 0.5 * (lower + upper)
     return min(max(x, X_MIN), X_MAX) if math.isfinite(x) else 0.0
 
@@ -363,7 +361,7 @@ def _newton_start(p: AmplitudeResponse, nu: float) -> float:
 def alpha_below_normal(p: AmplitudeResponse, gamma: float) -> bool:
     """True where ``_log_bracket`` puts alpha_opt below the smallest normal float, which no solve
     brackets: its lower end, tight where p^2 is far above alpha, or its upper end where G = -inf."""
-    lower, upper = _log_bracket(p, gamma + 1.0)
+    lower, upper = _log_bracket(p, gamma)
     return (upper if lower == -math.inf else lower) < X_MIN
 
 
@@ -466,7 +464,7 @@ def solve_min_mse(p: AmplitudeResponse, gamma: float) -> OptimalDesign:
         # E(alpha), see ROUNDING_TERMS
         return rounding_bound(p.grid.n_points, max(log_nu, abs(math.log(alpha)), abs(math.log(peak + alpha))))
 
-    held = _certificates(log_ratio, slope, bound, _newton_start(p, nu))
+    held = _certificates(log_ratio, slope, bound, _newton_start(p, gamma))
 
     def signed(alpha: float) -> float:
         # a number with the sign of log_ratio(alpha), evaluated only where no
@@ -513,23 +511,13 @@ def solve_min_mse(p: AmplitudeResponse, gamma: float) -> OptimalDesign:
             break
         x -= log_ratio(alpha) / s
         x = min(max(x, math.log(lo) - 1.0), math.log(hi) + 1.0)
-    alpha = math.exp(x)
 
-    theta_opt = means.theta(alpha)
-    c_val = theta_opt**2 * means(alpha, "inverse")
-    n_val = theta_opt**2 * means(alpha, "fraction")
-    distortion = balanced_mse(n_val, c_val, gamma)
-    if distortion == math.inf:
+    design = _design_at(means, math.exp(x), gamma)
+    if design.distortion == math.inf:
         raise NumericalError(
-            f"solved design is infeasible: shaper norm^2 {c_val:.12g} >= nu {nu:.12g}"
+            f"solved design is infeasible: shaper norm^2 {design.norm_r_sq:.12g} >= nu {nu:.12g}"
         )
-    return OptimalDesign(
-        alpha_opt=alpha,
-        theta_opt=theta_opt,
-        distortion=distortion,
-        norm_r_sq=c_val,
-        n_of_alpha=n_val,
-    )
+    return design
 
 
 def collapse_residual(p_base: AmplitudeResponse, gamma: float, oversampling: int, distortion: float) -> float:
@@ -545,10 +533,7 @@ def collapse_residual(p_base: AmplitudeResponse, gamma: float, oversampling: int
 def upper_bound(gamma: float, oversampling: int, p_base: AmplitudeResponse) -> float:
     """Closed-form distortion bound ||p||^2/(nu^lambda - 1), nu = gamma + 1;
     ||p||^2 is the norm of the non-oversampled base response."""
-    nu = gamma + 1.0
-    if not nu > 1.0:
-        raise ValueError(f"nu must exceed 1, got {nu}")
-    return l2_norm_sq(p_base) / (nu ** oversampling_factor(oversampling) - 1.0)
+    return l2_norm_sq(p_base) / (_nu(gamma) ** oversampling_factor(oversampling) - 1.0)
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,5 @@ class NumericalError(RuntimeError):
     """An iterative numerical procedure failed to converge or broke down."""
 
 
-class InfeasibleError(ValueError):
-    """A requested operating point violates the feasibility region
-    (shaping-filter norm at or above the noise-ratio limit)."""
-
-
 class VerificationFailure(AssertionError):
     """One or more invariant checks in the verification suite failed."""

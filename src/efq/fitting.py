@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import balanced_mse, db, optimal_shaper
+from .design import _nu, balanced_mse, db, optimal_shaper
 from .errors import NumericalError
 from .spectral import AmplitudeResponse, filtered, l2_norm_sq, power_cosine_moment
 from .transfer import RationalDiscreteTF, frequency_response
@@ -346,8 +346,7 @@ def evaluate_fit(
     """Score a filter: MSE per unit input variance against plant p at the
     given noise ratio. Infeasible norms (||R||^2 >= gamma+1) are reported
     with feasible=False and infinite MSE rather than raised."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _nu(gamma)
     shaped_sq, norm_sq = shaped_noise_norm_sq(fit, p)
     achieved = balanced_mse(shaped_sq, norm_sq, gamma)
     return FitReport(

@@ -59,10 +59,6 @@ class FrequencyGrid:
         """``np.linspace(0, pi, n_points)``, shared and read-only."""
         return _nodes(self.n_points)[0]
 
-    @property
-    def spacing(self) -> float:
-        return np.pi / (self.n_points - 1)
-
 
 # A run uses a few grid sizes (the design grid and the verification grid at
 # twice its size), so a small cache holds them all.

@@ -1,10 +1,10 @@
-"""Transfer-function containers and frequency/impulse responses.
+"""Transfer-function containers, frequency responses and filtering.
 
 Two immutable rational-filter types live here: ``ContinuousTF`` for the
 analog plant model (polynomials in s, plus the sampling period of the
 loop that drives it) and ``RationalDiscreteTF`` for discrete-time filters
 (polynomials in z^-1, ascending delay). Helpers evaluate complex frequency
-responses and impulse responses.
+responses and run a filter over a signal.
 """
 
 from __future__ import annotations
@@ -156,12 +156,3 @@ def linear_filter(num, den, x, zi=None):
         append(y)
     y = np.array(ys, dtype=float)
     return y if zi is None else (y, np.array(z))
-
-
-def impulse_response(tf: RationalDiscreteTF, length: int) -> np.ndarray:
-    """First `length` impulse-response samples by direct recursion."""
-    if length < 1:
-        raise ValueError("length must be positive")
-    delta = np.zeros(length)
-    delta[0] = 1.0
-    return linear_filter(tf.num, tf.den, delta)

@@ -16,12 +16,16 @@ from typing import Callable
 import numpy as np
 
 from efq.design import OptimalDesign
-from efq.errors import InfeasibleError, NumericalError
+from efq.errors import NumericalError
 from efq.spectral import AmplitudeResponse, constant_response
 
 ALMOST_CONSTANT_TOL = 1e-9
 ROOT_REL_TOL = 1e-12
 MAX_BRACKET_STEPS = 200
+
+
+class InfeasibleError(ValueError):
+    """The shaper r_alpha is infeasible: its norm^2 is not below nu."""
 
 
 def _check_alpha(alpha: float) -> float:

@@ -14,9 +14,8 @@ from scipy.optimize import minimize_scalar
 
 from efq.design import (
     db,
-    design_mse,
+    design_at,
     gamma_from_bits,
-    geomean_amplitude,
     optimal_shaper,
     rd_row,
     solve_min_mse,
@@ -139,7 +138,7 @@ def test_05_shaping_gain_between_8_and_12_db_for_all_bit_depths(p_base):
     sol = solve_min_mse(p_base, gamma)
     # Over log alpha in [ln 0.05, ln 2] every shaper is feasible at 1 bit.
     direct = minimize_scalar(
-        lambda x: design_mse(math.exp(x), p_base, gamma),
+        lambda x: design_at(math.exp(x), p_base, gamma).distortion,
         bounds=(math.log(0.05), math.log(2.0)),
         method="bounded",
         options={"xatol": 1e-10},
@@ -219,10 +218,10 @@ def test_08_alpha_map_monotone_and_stationary_on_random_plants():
         ratios = [sol.theta_opt**2 / sol.alpha_opt]
         for factor in (2.0, 4.0):
             a = factor * sol.alpha_opt
-            ratios.append(geomean_amplitude(a, p) ** 2 / a)
+            ratios.append(design_at(a, p, gamma).theta_opt ** 2 / a)
         assert ratios[0] > ratios[1] > ratios[2], f"trial {trial}: ratio map not decreasing"
         h = 1e-4 * sol.alpha_opt
-        deriv = (design_mse(sol.alpha_opt + h, p, gamma) - design_mse(sol.alpha_opt - h, p, gamma)) / (2 * h)
+        deriv = (design_at(sol.alpha_opt + h, p, gamma).distortion - design_at(sol.alpha_opt - h, p, gamma).distortion) / (2 * h)
         normalized = abs(deriv) * sol.alpha_opt / sol.distortion
         assert normalized <= 1e-5, f"trial {trial}: normalized stationarity {normalized:.3e}"
 

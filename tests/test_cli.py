@@ -953,6 +953,19 @@ class TestErrorHandling:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("stage", ["design", "rd-curve", "fit", "simulate", "verify"])
+    def test_loading_factor_that_rounds_nu_to_one_exits_one(self, tmp_path, capsys, stage):
+        # At loading factor 1e10, gamma is below 2^-53, so gamma + 1 rounds
+        # to 1: each stage exited 1 with "validation error: math domain error".
+        cfg = dict(json.loads(json.dumps(SMALL_CONFIG)), loading_factor=1e10)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main([stage, "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "bits_list[0]: nu must exceed 1, got 1.0" in err, err
+        assert "math domain error" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stage", ["design", "rd-curve", "fit", "simulate", "verify"])
     def test_cell_beyond_a_finite_nu_power_exits_one(self, tmp_path, capsys, stage):
         # With the plant's numerator scaled by 1e100 the (8, 80) design
         # solves: design and fit exited 0, and rd-curve and verify raised an

@@ -13,17 +13,15 @@ from efq.design import (
     balanced_mse,
     collapse_residual,
     db,
-    design_mse,
+    design_at,
     gamma_from_bits,
-    geomean_amplitude,
     optimal_shaper,
     rd_row,
-    shaped_noise_gain,
-    shaper_norm_sq,
     solve_min_mse,
     upper_bound,
 )
-from efq.errors import InfeasibleError, NumericalError
+from efq.errors import NumericalError
+from efq.fitting import evaluate_fit
 from efq.simulate import predicted_loop_variances
 from efq.spectral import (
     AmplitudeResponse,
@@ -34,6 +32,7 @@ from efq.spectral import (
     log_geometric_mean,
     oversample_response,
 )
+from efq.transfer import RationalDiscreteTF
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -71,27 +70,48 @@ class TestGamma:
     def test_largest_gamma_at_loading_four(self):
         assert gamma_from_bits(511, 4.0) == 3.0 * (2**511 - 1) ** 2 / 16.0 < math.inf
 
+    def test_gamma_whose_nu_rounds_to_one_rejected(self):
+        # 3/1e20 is below 2^-53, so gamma + 1 is 1
+        with pytest.raises(ValueError, match=r"^nu must exceed 1, got 1\.0$"):
+            gamma_from_bits(1, 1e10)
+
+
+NOISE_RATIO_USERS = {
+    "solve_min_mse": solve_min_mse,
+    "design_at": lambda p, gamma: design_at(1.0, p, gamma),
+    "upper_bound": lambda p, gamma: upper_bound(gamma, 2, p),
+    "alpha_below_normal": alpha_below_normal,
+    "evaluate_fit": lambda p, gamma: evaluate_fit(RationalDiscreteTF([1.0, 0.5]), p, gamma),
+}
+
+
+@pytest.mark.parametrize("name", NOISE_RATIO_USERS)
+@pytest.mark.parametrize("gamma, message", [(0.0, r"^gamma must be positive$"), (3e-20, r"^nu must exceed 1, got 1\.0$")])
+def test_one_noise_ratio_rule(cosine_response, name, gamma, message):
+    with pytest.raises(ValueError, match=message):
+        NOISE_RATIO_USERS[name](cosine_response, gamma)
+
 
 class TestNormalizers:
     def test_theta_at_unit_shift_is_golden_ratio(self, cosine_response):
-        assert geomean_amplitude(1.0, cosine_response) == pytest.approx(GOLDEN, abs=1e-12)
+        assert design_at(1.0, cosine_response, 1.0).theta_opt == pytest.approx(GOLDEN, abs=1e-12)
 
     def test_theta_matches_closed_form(self, cosine_response):
         for alpha in (0.25, 1.0, 3.0):
-            assert geomean_amplitude(alpha, cosine_response) == pytest.approx(
+            assert design_at(alpha, cosine_response, 1.0).theta_opt == pytest.approx(
                 math.sqrt(cosine_theta_sq(alpha)), abs=1e-8
             )
 
     def test_norm_at_unit_shift(self, cosine_response):
         # mean of 1/((2 + 2cos) + 1) = 1/sqrt(5); theta^2 = golden^2 = (3+sqrt5)/2.
         expected = (3.0 + math.sqrt(5.0)) / (2.0 * math.sqrt(5.0))
-        assert shaper_norm_sq(1.0, cosine_response) == pytest.approx(expected, abs=1e-10)
+        assert design_at(1.0, cosine_response, 1.0).norm_r_sq == pytest.approx(expected, abs=1e-10)
 
     def test_shaped_gain_is_norm_of_product(self, cosine_response):
         alpha = 0.7
         shaper = optimal_shaper(alpha, cosine_response)
         product = cosine_response.with_values(cosine_response.values * shaper.values)
-        assert shaped_noise_gain(alpha, cosine_response) == pytest.approx(
+        assert design_at(alpha, cosine_response, 1.0).n_of_alpha == pytest.approx(
             l2_norm_sq(product), rel=1e-10
         )
 
@@ -103,18 +123,27 @@ class TestNormalizers:
 
 
 class TestDesignMSE:
-    def test_infeasible_alpha_raises(self, cosine_response):
-        with pytest.raises(InfeasibleError):
-            design_mse(1e-9, cosine_response, 0.01)
+    def test_infeasible_alpha_is_inf(self, cosine_response):
+        design = design_at(1e-9, cosine_response, 0.01)
+        assert design.norm_r_sq >= 1.01 and design.distortion == math.inf
 
     def test_objective_equals_alpha_at_optimum(self, cosine_response):
         sol = solve_min_mse(cosine_response, 1.0)
-        assert design_mse(sol.alpha_opt, cosine_response, 1.0) == pytest.approx(sol.alpha_opt, rel=1e-12)
+        assert design_at(sol.alpha_opt, cosine_response, 1.0).distortion == pytest.approx(sol.alpha_opt, rel=1e-12)
 
     def test_local_optimality(self, cosine_response):
         sol = solve_min_mse(cosine_response, 1.0)
         for factor in (0.9, 0.99, 1.01, 1.1):
-            assert design_mse(factor * sol.alpha_opt, cosine_response, 1.0) >= sol.distortion * (1 - 1e-12)
+            assert design_at(factor * sol.alpha_opt, cosine_response, 1.0).distortion >= sol.distortion * (1 - 1e-12)
+
+    def test_solve_ends_on_the_design_at_its_alpha(self, cfg, p_base):
+        # every cell of the default config (p_base is on its grid), field for field, as exact floats
+        for lam in cfg.lambda_list:
+            p_lam = oversample_response(p_base, lam)
+            for bits in cfg.bits_list:
+                gamma = gamma_from_bits(bits, cfg.loading_factor)
+                sol = solve_min_mse(p_lam, gamma)
+                assert sol == design_at(sol.alpha_opt, p_lam, gamma), (bits, lam)
 
 
 class TestBalancedMSE:
@@ -170,7 +199,7 @@ class TestSolve:
         with pytest.raises(ValueError, match="too large"):
             solve_min_mse(resp, 1.0)
         with pytest.raises(ValueError, match="too large"):
-            design_mse(1.0, resp, 1.0)
+            design_at(1.0, resp, 1.0)
 
     def test_largest_admissible_plant_integrates_finitely(self, grid):
         big = constant_response(grid, np.nextafter(2.0**511, 0.0))
@@ -225,16 +254,16 @@ class TestMonotonicity:
     def test_nu_map_strictly_decreasing(self, cosine_response):
         alphas = np.geomspace(1e-4, 10.0, 25)
         ratios = [
-            geomean_amplitude(a, cosine_response) ** 2 / a for a in alphas
+            design_at(a, cosine_response, 1.0).theta_opt ** 2 / a for a in alphas
         ]
         assert all(hi > lo for hi, lo in zip(ratios, ratios[1:]))
 
     def test_shaped_gain_increases_with_alpha(self, cosine_response):
-        g = [shaped_noise_gain(a, cosine_response) for a in (0.1, 0.3, 1.0, 3.0)]
+        g = [design_at(a, cosine_response, 1.0).n_of_alpha for a in (0.1, 0.3, 1.0, 3.0)]
         assert all(b > a for a, b in zip(g, g[1:]))
 
     def test_shaper_norm_decreases_with_alpha(self, cosine_response):
-        c = [shaper_norm_sq(a, cosine_response) for a in (0.1, 0.3, 1.0, 3.0)]
+        c = [design_at(a, cosine_response, 1.0).norm_r_sq for a in (0.1, 0.3, 1.0, 3.0)]
         assert all(b < a for a, b in zip(c, c[1:]))
 
 
@@ -337,4 +366,4 @@ def test_solution_invariants_across_gamma(gamma):
     assert abs(sol.theta_opt**2 / sol.alpha_opt - nu) <= 1e-10 * nu
     assert sol.norm_r_sq < nu
     assert sol.distortion <= upper_bound(gamma, 1, resp) * (1 + 1e-9)
-    assert design_mse(sol.alpha_opt, resp, gamma) == pytest.approx(sol.alpha_opt, rel=1e-10)
+    assert design_at(sol.alpha_opt, resp, gamma).distortion == pytest.approx(sol.alpha_opt, rel=1e-10)

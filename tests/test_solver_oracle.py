@@ -17,7 +17,6 @@ from efq import design, spectral
 from efq.cli import main
 from efq.config import default_config
 from efq.design import gamma_from_bits, solve_min_mse
-from efq.errors import InfeasibleError
 from efq.spectral import AmplitudeResponse, FrequencyGrid, _nodes, _trapezoid, oversample_response
 from test_cli import SMALL_CONFIG
 
@@ -396,11 +395,12 @@ def test_newton_start_lies_in_its_bracket(p_base):
         p_lam = oversample_response(p_base, lam)
         beta, m, g = spectral.band_power_means(p_lam)
         for bits in (1, 4, 8, 16):
-            nu = gamma_from_bits(bits, 4.0) + 1.0
+            gamma = gamma_from_bits(bits, 4.0)
+            nu = gamma + 1.0
             lower, upper = g - math.log(nu) / beta, math.log(m / (nu ** (1.0 / beta) - 1.0))
-            x = design._newton_start(p_lam, nu)
+            x = design._newton_start(p_lam, gamma)
             assert x == pytest.approx(0.5 * (lower + upper), abs=1e-12), (lam, bits)
-            alpha = solve_min_mse(p_lam, nu - 1.0).alpha_opt
+            alpha = solve_min_mse(p_lam, gamma).alpha_opt
             assert lower - 0.01 <= math.log(alpha) <= upper + 0.01, (lam, bits)
 
 
@@ -409,19 +409,23 @@ def test_public_helpers_match_reference(p_base, lam):
     p = oversample_response(p_base, lam)
     gamma = gamma_from_bits(1, 4.0)  # infeasible below alpha ~ 0.01
     for alpha in (1e-9, 1e-3, 0.25, 4.0):
-        for name in ("geomean_amplitude", "shaped_noise_gain", "shaper_norm_sq"):
-            assert getattr(design, name)(alpha, p) == getattr(ref, name)(alpha, p), (name, alpha)
+        got = design.design_at(alpha, p, gamma)
+        assert got.alpha_opt == alpha
+        assert got.theta_opt == ref.geomean_amplitude(alpha, p), alpha
+        assert got.n_of_alpha == ref.shaped_noise_gain(alpha, p), alpha
+        assert got.norm_r_sq == ref.shaper_norm_sq(alpha, p), alpha
+        assert got.distortion == reference_mse(alpha, p, gamma), alpha
         shaper, ref_shaper = design.optimal_shaper(alpha, p), ref.optimal_shaper(alpha, p)
         assert shaper.values.tobytes() == ref_shaper.values.tobytes()
         assert (shaper.edge_below, shaper.edge_above) == (ref_shaper.edge_below, ref_shaper.edge_above)
-        assert mse_or_error(design, alpha, p, gamma) == mse_or_error(ref, alpha, p, gamma), alpha
 
 
-def mse_or_error(module, alpha, p, gamma):
+def reference_mse(alpha, p, gamma):
+    """The reference design MSE, inf where it refuses an infeasible shaper."""
     try:
-        return module.design_mse(alpha, p, gamma)
-    except InfeasibleError as exc:
-        return str(exc)
+        return ref.design_mse(alpha, p, gamma)
+    except ref.InfeasibleError:
+        return math.inf
 
 
 class TestTrapezoid:

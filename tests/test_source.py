@@ -79,6 +79,13 @@ def test_oversampling_factor_is_checked_in_one_place():
     assert {p.name: p.read_text().count(message) for p in PACKAGE if message in p.read_text()} == {"spectral.py": 1}
 
 
+@pytest.mark.parametrize("message", ["gamma must be positive", "nu must exceed 1"])
+def test_noise_ratio_is_checked_in_one_place(message):
+    """Every function that takes a noise ratio gamma checks it through
+    ``design._nu``."""
+    assert {p.name: p.read_text().count(message) for p in PACKAGE if message in p.read_text()} == {"design.py": 1}
+
+
 def test_public_names_resolve_once_in_order():
     """Every name in efq.__all__ is an attribute of efq, listed once, in
     sorted order, so a deleted name cannot stay behind."""

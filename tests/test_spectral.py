@@ -36,7 +36,7 @@ class TestFrequencyGrid:
         g = FrequencyGrid(256)
         assert g.omegas[0] == 0.0
         assert g.omegas[-1] == pytest.approx(math.pi, abs=0)
-        assert g.spacing == pytest.approx(math.pi / 255)
+        np.testing.assert_allclose(np.diff(g.omegas), math.pi / 255, rtol=1e-6)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
