@@ -11,6 +11,8 @@ Subcommands:
 All commands are deterministic given the configuration and seeds; every
 output file carries the configuration hash. Exit codes: 0 success,
 1 validation error, 2 numerical failure, 3 invariant failure.
+A stage that succeeds with an output directory also writes its wall and CPU
+time and ``design.SOLVE_COUNTS`` to ``<command>.timings.json`` there.
 
 The parallel work runs on forked worker processes, at most
 ``_max_workers()`` of them (``EFQ_THREADS``; 1 keeps everything in
@@ -31,6 +33,7 @@ import json
 import math
 import os
 import sys
+import time
 from collections.abc import Callable, Iterator
 from pathlib import Path
 
@@ -103,14 +106,15 @@ _mapped = None  # the function _pool_map's workers apply, inherited at the fork
 
 
 def _apply_mapped(item):
-    return _mapped(item)
+    design_mod.SOLVE_COUNTS.clear()  # the worker returns the solves of this item alone
+    return _mapped(item), design_mod.SOLVE_COUNTS.copy()
 
 
 def _pool_map(fn, items) -> list:
     """``[fn(item) for item in items]``, on up to ``_max_workers()`` forked
     processes for two items or more. The workers inherit `fn`, so a closure
     maps as is; the first exception in item order comes out with its type
-    and message."""
+    and message. The workers' ``SOLVE_COUNTS`` are added to this process's."""
     global _mapped
     items = list(items)
     workers = min(_max_workers(), len(items))
@@ -119,7 +123,9 @@ def _pool_map(fn, items) -> list:
     _mapped = fn
     try:
         with _fork_pool(workers) as pool:
-            return list(pool.map(_apply_mapped, items))
+            pairs = list(pool.map(_apply_mapped, items))
+        design_mod.SOLVE_COUNTS.update(sum((counts for _, counts in pairs), collections.Counter()))
+        return [result for result, _ in pairs]
     finally:
         _mapped = None
 
@@ -223,7 +229,8 @@ def _load_setup(args) -> tuple[ExperimentConfig, str, spectral.AmplitudeResponse
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seeds=(args.seed,)))
     validate_config(cfg)
-    return cfg, config_hash(cfg), _base_response(cfg)
+    args.config_sha256 = config_hash(cfg)  # for the stage's timings
+    return cfg, args.config_sha256, _base_response(cfg)
 
 
 def _out_dir(args) -> Path:
@@ -542,7 +549,6 @@ def cmd_simulate(args) -> int:
                 )
             columns = {name: np.array([getattr(r, name) for r in runs]) for name in names[3:]}
             mean = float(np.mean(columns["empirical_mse"]))
-            std = float(np.std(columns["empirical_mse"], ddof=1)) if n > 1 else 0.0
             cell["runs"] = [
                 {
                     "seed": seed,
@@ -557,10 +563,12 @@ def cmd_simulate(args) -> int:
             ]
             cell["aggregate"] = {
                 "mean_empirical_mse": mean,
-                "std_empirical_mse": std,
-                "ci95_halfwidth": simulate.t_quantile_975(n - 1) * std / math.sqrt(n) if n > 1 else 0.0,
                 "mean_over_predicted": mean / cell["predicted_mse"] if cell["predicted_mse"] > 0 else math.inf,
             }
+            if n > 1:  # one seed has no spread, so it gets no interval
+                std = float(np.std(columns["empirical_mse"], ddof=1))
+                cell["aggregate"]["std_empirical_mse"] = std
+                cell["aggregate"]["ci95_halfwidth"] = simulate.t_quantile_975(n - 1) * std / math.sqrt(n)
             append({"bits": np.full(n, cell["bits"]), "lambda": np.full(n, cell["lambda"]), "seed": seeds, **columns})
 
     _write_json(out / "simulate.json", {"schema_version": SCHEMA_VERSION, "config_sha256": sha, "cells": cells})
@@ -582,19 +590,18 @@ def _verify_checks(cfg: ExperimentConfig, p_base: spectral.AmplitudeResponse) ->
     lane_bits = max(cfg.bits_list)
 
     def check_cell(cell):
-        """The six design residuals of a cell, and its design if it is the
-        loop lane's cell (lane_bits, 1)."""
+        """The six design residuals of a cell (its ``rd_row``'s collapse and
+        bound among them), and its design if it is the loop lane's cell."""
         bits, lam = cell
-        gamma = design_mod.gamma_from_bits(bits, cfg.loading_factor)
-        nu = gamma + 1.0
+        row = design_mod.rd_row(p_base, bits, lam, cfg.loading_factor)
+        sol, nu = row.design, row.gamma + 1.0
         p_lam = spectral.oversample_response(p_base, lam)
-        sol = design_mod.solve_min_mse(p_lam, gamma)
         shaper = design_mod.optimal_shaper(sol.alpha_opt, p_lam)
-        alpha_fine = design_mod.solve_min_mse(spectral.oversample_response(p_fine, lam), gamma).alpha_opt
+        alpha_fine = design_mod.solve_min_mse(spectral.oversample_response(p_fine, lam), row.gamma).alpha_opt
         residuals = (
             abs(sol.theta_opt**2 / sol.alpha_opt - nu) / nu,
-            design_mod.collapse_residual(p_base, gamma, lam, sol.distortion),
-            sol.distortion / design_mod.upper_bound(gamma, lam, p_base) - 1.0,
+            row.identity_residual,
+            row.distortion / row.bound - 1.0,
             nu - sol.norm_r_sq,
             abs(spectral.log_geometric_mean(shaper)),
             abs(alpha_fine - sol.alpha_opt) / sol.alpha_opt,
@@ -728,8 +735,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    wall, cpu = time.perf_counter(), sum(os.times()[:4])  # CPU: user and system, reaped workers included
+    design_mod.SOLVE_COUNTS.clear()
     try:
-        return args.func(args)
+        code = args.func(args)
+        if args.out:
+            counts = {name: design_mod.SOLVE_COUNTS[name] for name in ("solves", "newton", "bisection", "polish")}
+            timings = {"wall_s": time.perf_counter() - wall, "cpu_s": sum(os.times()[:4]) - cpu, **counts}
+            header = {"schema_version": SCHEMA_VERSION, "config_sha256": args.config_sha256}
+            _write_json(Path(args.out) / f"{args.command}.timings.json", {**header, **timings})
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

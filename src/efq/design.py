@@ -42,6 +42,7 @@ both of which are exercised by the verification suite.
 
 from __future__ import annotations
 
+import collections
 import math
 import sys
 from dataclasses import dataclass
@@ -59,10 +60,6 @@ from .spectral import (
     oversample_response,
     oversampling_factor,
 )
-
-# Tolerance below which a plant response counts as constant: feedback cannot
-# help, so solve_min_mse takes its closed form and optimal_shaper returns r = 1.
-ALMOST_CONSTANT_TOL = 1e-9
 
 # The design integrates p^2: below 2^511, p^2, the sum of two neighbouring
 # samples of it and its integral over [0, pi] all stay below the float max.
@@ -113,6 +110,12 @@ MAX_PROBES = 3
 # rounding; no sign above 2^1023 is certified.
 X_MIN = math.log(sys.float_info.min)
 X_MAX = (sys.float_info.max_exp - 1) * math.log(2.0)
+
+# The "solves" of this process, and their quadratures (new _Means entries) by
+# phase: "newton" (Newton pass and probes), "bisection" (bracket and replay)
+# and "polish" (polish and final design). The flatness verdict, kept per
+# response, is not counted: its cost depends on how cells split across workers.
+SOLVE_COUNTS = collections.Counter()
 
 
 def db(ratio: float) -> float:
@@ -292,9 +295,9 @@ def design_at(alpha: float, p: AmplitudeResponse, gamma: float) -> OptimalDesign
 
 def optimal_shaper(alpha: float, p: AmplitudeResponse) -> AmplitudeResponse:
     """theta(alpha)/sqrt(p^2 + alpha) on p's grid, the optimal shaper at
-    alpha_opt; exactly 1 where p counts as constant (ALMOST_CONSTANT_TOL)."""
+    alpha_opt; exactly 1 where p counts as constant (is_almost_constant)."""
     alpha = _check_alpha(alpha)
-    if is_almost_constant(p, ALMOST_CONSTANT_TOL):
+    if is_almost_constant(p):
         return constant_response(p.grid, 1.0)
     p2 = _power(p)
     theta = _Means(p2).theta(alpha)
@@ -431,11 +434,12 @@ def solve_min_mse(p: AmplitudeResponse, gamma: float) -> OptimalDesign:
     final bracket, the Newton polish from it and every field of the result
     are the same bits as with every sign evaluated; only signs within about
     PROBE_TARGET * E/|slope| of the root cost an integral. Every mean is kept
-    per alpha for the rest of the solve.
+    per alpha for the rest of the solve. Each solve counts in SOLVE_COUNTS.
     """
     nu = _check_problem(p, gamma)
+    SOLVE_COUNTS["solves"] += 1
 
-    if is_almost_constant(p, ALMOST_CONSTANT_TOL):
+    if is_almost_constant(p):
         # Feedback cannot improve on a flat plant: the optimal shaper is 1.
         c_sq = l2_norm_sq(p)
         alpha = balanced_mse(c_sq, 1.0, gamma)
@@ -465,6 +469,7 @@ def solve_min_mse(p: AmplitudeResponse, gamma: float) -> OptimalDesign:
         return rounding_bound(p.grid.n_points, max(log_nu, abs(math.log(alpha)), abs(math.log(peak + alpha))))
 
     held = _certificates(log_ratio, slope, bound, _newton_start(p, gamma))
+    newton = len(means.kept)
 
     def signed(alpha: float) -> float:
         # a number with the sign of log_ratio(alpha), evaluated only where no
@@ -492,6 +497,7 @@ def solve_min_mse(p: AmplitudeResponse, gamma: float) -> OptimalDesign:
             raise NumericalError("failed to bracket the optimal alpha from below")
 
     lo, hi = _bisect(signed, lo, hi)
+    bisection = len(means.kept)
 
     # Newton polish. A step x - r/s rounds monotonically in s, so where both
     # ends of a range holding the computed slope give the same step, that is
@@ -513,6 +519,7 @@ def solve_min_mse(p: AmplitudeResponse, gamma: float) -> OptimalDesign:
         x = min(max(x, math.log(lo) - 1.0), math.log(hi) + 1.0)
 
     design = _design_at(means, math.exp(x), gamma)
+    SOLVE_COUNTS.update(newton=newton, bisection=bisection - newton, polish=len(means.kept) - bisection)
     if design.distortion == math.inf:
         raise NumericalError(
             f"solved design is infeasible: shaper norm^2 {design.norm_r_sq:.12g} >= nu {nu:.12g}"
@@ -543,10 +550,14 @@ class RDRow:
     bits: int
     oversampling: int
     gamma: float
-    distortion: float  # optimal error feedback
+    design: OptimalDesign  # optimal error feedback on the bandlimited plant
     d_uniform: float  # no feedback (r = 1) on the same bandlimited plant
     bound: float  # closed-form upper bound
     identity_residual: float  # |D(nu,lam) - D(nu^lam,1)| / D(nu,lam)
+
+    @property
+    def distortion(self) -> float:
+        return self.design.distortion
 
     @property
     def distortion_db(self) -> float:
@@ -572,13 +583,13 @@ def rd_row(p_base: AmplitudeResponse, bits: int, oversampling: int, loading_fact
     D(nu, lam) = D(nu^lam, 1), a cheap full-pipeline self-check."""
     gamma = gamma_from_bits(bits, loading_factor)
     p_lam = oversample_response(p_base, oversampling)
-    distortion = solve_min_mse(p_lam, gamma).distortion
+    design = solve_min_mse(p_lam, gamma)
     return RDRow(
         bits=bits,
         oversampling=oversampling,
         gamma=gamma,
-        distortion=distortion,
+        design=design,
         d_uniform=l2_norm_sq(p_lam) / gamma,
         bound=upper_bound(gamma, oversampling, p_base),
-        identity_residual=collapse_residual(p_base, gamma, oversampling, distortion),
+        identity_residual=collapse_residual(p_base, gamma, oversampling, design.distortion),
     )

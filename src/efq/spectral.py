@@ -25,9 +25,9 @@ evaluated the integrand on the grid (into a buffer it reuses) passes the
 samples in, and only the two one-sided limits are evaluated here.
 
 A response is immutable, so what depends on it alone is kept on it: its
-band-limited dilation per oversampling factor, its flatness verdict per
-tolerance and its in-band power means are each computed once, however many
-bit depths solve on it.
+band-limited dilation per oversampling factor, its flatness verdict and its
+in-band power means are each computed once, however many bit depths solve
+on it.
 """
 
 from __future__ import annotations
@@ -42,6 +42,9 @@ import numpy as np
 from .transfer import ContinuousTF, RationalDiscreteTF, frequency_response
 
 MIN_N_POINTS = 64
+# Flatness below which a response counts as constant: feedback cannot help, so
+# the design solve takes its closed form and the optimal shaper is r = 1.
+ALMOST_CONSTANT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -339,19 +342,17 @@ def _band_power_means(resp: AmplitudeResponse) -> tuple[float, float, float]:
     return beta, mean, log_mean
 
 
-def is_almost_constant(resp: AmplitudeResponse, tol: float = 1e-9) -> bool:
+def is_almost_constant(resp: AmplitudeResponse) -> bool:
     """True when the normalized self-weighted absolute deviation from the
-    mean, integral of |p - mean(p)|*p over integral of p^2, is below tol.
-    The verdict is kept per response and tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return _memoized(resp, ("almost_constant", tol), lambda: _flatness_below(resp, tol))
+    mean, integral of |p - mean(p)|*p over integral of p^2, is below
+    ALMOST_CONSTANT_TOL. The verdict is kept per response."""
+    return _memoized(resp, "almost_constant", lambda: _flatness_below(resp))
 
 
-def _flatness_below(resp: AmplitudeResponse, tol: float) -> bool:
+def _flatness_below(resp: AmplitudeResponse) -> bool:
     denom = band_integral(resp, lambda om, p: p * p)
     if denom == 0.0:
         return True
     mean = band_integral(resp, lambda om, p: p) / np.pi
     dev = band_integral(resp, lambda om, p: np.abs(p - mean) * p)
-    return dev / denom < tol
+    return dev / denom < ALMOST_CONSTANT_TOL

@@ -3,8 +3,12 @@
 Runs each workload of ``perfbench/workloads.py`` at seed 0 in this process,
 stage by stage through ``efq.cli.main`` with the workload's config and
 flags, and compares the sha256 of every artifact with
-``tests/artifact_digests.json``, keyed by the config's sha256. A change that
-means to alter an artifact records the digests again and says why::
+``tests/artifact_digests.json``, keyed by the config's sha256. The stages'
+``*.timings.json`` sidecars hold times that differ from run to run, so they
+are not hashed; their design solves and quadratures by phase, summed over
+the stages, are compared with the counts recorded beside the digests. A
+change that means to alter an artifact or the solve cost records both again
+and says why::
 
     PYTHONPATH=src python tests/test_artifact_digests.py
 """
@@ -25,6 +29,7 @@ from efq.config import config_hash, load_config
 REPO = Path(__file__).resolve().parents[1]
 DIGESTS = Path(__file__).with_name("artifact_digests.json")
 SEED = 0
+COUNTS = ("solves", "newton", "bisection", "polish")
 
 
 def load_workloads() -> dict:
@@ -48,28 +53,34 @@ def sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def run_workload(workload, work: Path) -> tuple[str, dict[str, str]]:
-    """The config's sha256 and each artifact's, by file name, of one
-    workload at SEED; each artifact is removed once hashed (``trace.csv`` is
-    89 MB)."""
+def run_workload(workload, work: Path) -> tuple[str, dict[str, str], dict[str, int]]:
+    """The config's sha256, each artifact's, by file name, and the solve
+    counts summed over the timings sidecars, of one workload at SEED; each
+    file is removed once read (``trace.csv`` is 89 MB)."""
     config_path = work / "config.json"
     config_path.write_text(json.dumps(workload.config(SEED), indent=2) + "\n")
     out = work / "out"
     for stage in workload.stages:
         assert main([*stage.argv(str(config_path), str(out)), "--quiet"]) == 0, stage.command
-    digests = {}
+    digests, counts = {}, dict.fromkeys(COUNTS, 0)
     for path in sorted(out.iterdir()):
-        digests[path.name] = sha256(path)
+        if path.name.endswith(".timings.json"):
+            timings = json.loads(path.read_text())
+            counts = {name: counts[name] + timings[name] for name in COUNTS}
+        else:
+            digests[path.name] = sha256(path)
         path.unlink()
-    return config_hash(load_config(config_path)), digests
+    return config_hash(load_config(config_path)), digests, counts
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_artifacts_keep_their_digests(name, tmp_path):
     recorded = json.loads(DIGESTS.read_text())
-    sha, digests = run_workload(WORKLOADS[name], tmp_path)
+    sha, digests, counts = run_workload(WORKLOADS[name], tmp_path)
     expected = recorded["artifacts"].get(sha, {})
     changed = sorted(f for f in digests.keys() | expected.keys() if digests.get(f) != expected.get(f))
+    if counts != recorded["solve_counts"].get(sha):
+        changed.append("the solve counts")
     message = f"{name}: {', '.join(changed)} differ from {DIGESTS.name}."
     if np.__version__ != recorded["numpy"]:
         message += (
@@ -77,15 +88,16 @@ def test_artifacts_keep_their_digests(name, tmp_path):
             " the test still compares, but numpy's FFT and pairwise sums may move the last bit of a value,"
             " so a difference here need not come from efq."
         )
-    message += f" A change that alters an artifact on purpose runs {Path(__file__).name} to record them again."
+    message += f" A change that alters an artifact or the solve cost on purpose runs {Path(__file__).name}"
+    message += " to record them again."
     assert not changed, message
 
 
 if __name__ == "__main__":
-    artifacts = {}
+    artifacts, solve_counts = {}, {}
     for workload in WORKLOADS.values():
         with tempfile.TemporaryDirectory() as work:
-            sha, digests = run_workload(workload, Path(work))
-        artifacts[sha] = digests
-    DIGESTS.write_text(json.dumps({"numpy": np.__version__, "artifacts": artifacts}, indent=1, sort_keys=True) + "\n")
+            sha, artifacts[sha], solve_counts[sha] = run_workload(workload, Path(work))
+    record = {"numpy": np.__version__, "artifacts": artifacts, "solve_counts": solve_counts}
+    DIGESTS.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}")

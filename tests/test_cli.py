@@ -408,6 +408,8 @@ class TestSimulateCommand:
         assert (out1 / "simulate.json").read_bytes() == (out2 / "simulate.json").read_bytes()
         payload = json.loads((out1 / "simulate.json").read_text())
         assert all(len(c["runs"]) == 1 and c["runs"][0]["seed"] == 3 for c in payload["cells"])
+        # one seed has no spread, so no interval is printed
+        assert all(set(c["aggregate"]) == {"mean_empirical_mse", "mean_over_predicted"} for c in payload["cells"])
 
     def test_trace_export(self, config_path, tmp_path):
         out = tmp_path / "out"
@@ -781,18 +783,28 @@ class TestEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == SIMULATION_CHECK_STDOUT
 
-    def test_solve_cost_counts_every_solve_by_phase(self, config_path):
-        proc = run_python([str(REPO / "scripts/solve_cost.py"), config_path])
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
+    def test_timings_count_every_solve_by_phase(self, config_path, tmp_path, monkeypatch):
+        """Each stage's timings sidecar counts its solves and their quadratures
+        by phase; the counts do not depend on the worker count."""
+        phases = ("newton", "bisection", "polish")
+        totals = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("EFQ_THREADS", threads)
+            out = tmp_path / f"threads{threads}"
+            sidecars = {}
+            for command in ("rd-curve", "fit", "verify"):
+                assert main([command, "--config", config_path, "--out", str(out), "--quiet"]) == 0
+                sidecars[command] = json.loads((out / f"{command}.timings.json").read_text())
+            sha = json.loads((out / "fit.json").read_text())["config_sha256"]
+            for timings in sidecars.values():
+                assert timings["schema_version"] == 1 and timings["config_sha256"] == sha
+                assert timings["cpu_s"] >= 0.0 and timings["wall_s"] > 0.0
+            totals[threads] = {name: sum(t[name] for t in sidecars.values()) for name in ("solves", *phases)}
         # 4 cells: rd-curve 4 + 2 collapse solves, fit 4, verify 4 + 4 on the doubled grid + 2
-        assert lines[0] == "20 solves in rd-curve, fit, verify at EFQ_THREADS=1"
-        rows = {line.split()[0]: line.split()[1:] for line in lines[2:-1]}
-        assert list(rows) == ["flatness", "newton", "bisection", "polish", "total"]
-        assert sum(int(rows[phase][0]) for phase in list(rows)[:-1]) == int(rows["total"][0])
-        assert int(rows["total"][0]) / 20 == pytest.approx(float(rows["total"][1]), abs=0.005)
-        assert float(rows["total"][1]) <= 24
-        assert lines[-1].startswith("cpu_s ")
+        assert totals["1"]["solves"] == 20
+        quadratures = sum(totals["1"][phase] for phase in phases)
+        assert 0 < quadratures <= 24 * 20
+        assert totals["2"] == totals["1"]
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_help_lists_common_flags(self, command, capsys):

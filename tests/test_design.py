@@ -1,5 +1,6 @@
 """Optimal shaping design: normalizers, the scalar root solve, and the sweep."""
 
+import collections
 import dataclasses
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from efq import design as design_mod
 from efq.design import (
     alpha_below_normal,
     balanced_mse,
@@ -250,6 +252,26 @@ class TestSolve:
                 assert alpha_below_normal(p_lam, gamma) == failed, (lam, bits)
 
 
+class TestSolveCounts:
+    def test_every_quadrature_of_a_solve_is_counted_once_by_phase(self, cosine_response, monkeypatch):
+        quadratures = []
+        inner = design_mod.band_mean
+        monkeypatch.setattr(design_mod, "band_mean", lambda *args: quadratures.append(1) or inner(*args))
+        monkeypatch.setattr(design_mod, "SOLVE_COUNTS", collections.Counter())
+        solve_min_mse(cosine_response, 1.0)
+        counts = design_mod.SOLVE_COUNTS
+        assert counts["solves"] == 1 and counts["newton"] > 0 and counts["polish"] > 0
+        assert counts["newton"] + counts["bisection"] + counts["polish"] == len(quadratures)
+        solve_min_mse(cosine_response, 3.0)
+        assert counts["solves"] == 2
+        assert counts["newton"] + counts["bisection"] + counts["polish"] == len(quadratures)
+
+    def test_flat_plant_counts_a_solve_and_no_phase(self, grid, monkeypatch):
+        monkeypatch.setattr(design_mod, "SOLVE_COUNTS", collections.Counter())
+        solve_min_mse(constant_response(grid, 0.7), 1.5)
+        assert design_mod.SOLVE_COUNTS == {"solves": 1}
+
+
 class TestMonotonicity:
     def test_nu_map_strictly_decreasing(self, cosine_response):
         alphas = np.geomspace(1e-4, 10.0, 25)
@@ -332,6 +354,11 @@ class TestRDCurve:
             assert r.distortion <= r.d_uniform * (1 + 1e-12)
             assert r.distortion <= r.bound * (1 + 1e-12)
             assert r.identity_residual <= 1e-6
+
+    def test_row_keeps_the_cell_design(self, p_base):
+        row = rd_row(p_base, 3, 2, 4.0)
+        assert row.design == solve_min_mse(oversample_response(p_base, 2), gamma_from_bits(3, 4.0))
+        assert row.distortion == row.design.distortion
 
     def test_distortion_decreases_with_bits(self, rows):
         by_lam = {}
