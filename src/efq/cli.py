@@ -12,7 +12,12 @@ All commands are deterministic given the configuration and seeds; every
 output file carries the configuration hash. Exit codes: 0 success,
 1 validation error, 2 numerical failure, 3 invariant failure.
 A stage that succeeds with an output directory also writes its wall and CPU
-time and ``design.SOLVE_COUNTS`` to ``<command>.timings.json`` there.
+time, ``design.SOLVE_COUNTS`` and the CSV rows, bytes and formatting CPU
+time of ``CSV_COUNTS`` to ``<command>.timings.json`` there.
+
+Every CSV table is written through ``_csv_file``, whose cells
+``csvtext.chunk_bytes`` formats in numpy, a chunk at a time, byte for byte
+as ``repr`` and ``str`` write them.
 
 The parallel work runs on forked worker processes, at most
 ``_max_workers()`` of them (``EFQ_THREADS``; 1 keeps everything in
@@ -54,11 +59,10 @@ from .transfer import RationalDiscreteTF
 
 THREADS_ENV = "EFQ_THREADS"
 MAX_WORKERS = 8  # a pool starts all its workers at once, so their count is bounded
-# _csv_file formats CSV_CHUNK_ROWS rows at a time (a few MB of strings), and
-# formats a column chunk once per distinct bit pattern when it has at most
-# one per CSV_FEW_DISTINCT rows.
+# _csv_file formats CSV_CHUNK_ROWS rows at a time (a few MB of text), and
+# counts what it writes in CSV_COUNTS, which main clears for each stage.
 CSV_CHUNK_ROWS = 1 << 14
-CSV_FEW_DISTINCT = 2
+CSV_COUNTS: collections.Counter = collections.Counter()
 TRACE_COLUMNS = ("k", "x", "u", "v", "w", "overload")
 
 
@@ -150,28 +154,14 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n")
 
 
-def _csv_cells(col) -> list[str]:
-    """Cell strings of one column chunk: bool as 1/0, int as str, float as
-    repr. A chunk with at most one distinct bit pattern per CSV_FEW_DISTINCT
-    rows formats each pattern once and looks the cells up."""
-    if isinstance(col, range):
-        return list(map(repr, col))
-    if col.dtype.kind == "b":
-        col = col.astype(np.int8)
-    # tolist() yields Python ints and floats, whose repr is str(int) and the
-    # shortest round-tripping float text.
-    bits = col.view(f"i{col.itemsize}")  # -0.0 and 0.0 are two patterns
-    patterns = np.sort(bits)
-    patterns = patterns[np.concatenate(([True], patterns[1:] != patterns[:-1]))]
-    if len(patterns) * CSV_FEW_DISTINCT > len(col):
-        return list(map(repr, col.tolist()))
-    texts = np.array(list(map(repr, patterns.view(col.dtype).tolist())), dtype=object)
-    return texts[np.searchsorted(patterns, bits)].tolist()
+def _format_chunk(columns) -> tuple[bytes, float]:
+    """The CSV bytes of a chunk of columns, and the CPU seconds the process
+    that formats them spent on it."""
+    from . import csvtext  # only a stage that writes a table pays the import
 
-
-def _csv_text(columns) -> str:
-    """CSV lines of one chunk of equal-length columns."""
-    return "\n".join(map(",".join, zip(*map(_csv_cells, columns)))) + "\n"
+    start = time.process_time()
+    text = csvtext.chunk_bytes(columns)
+    return text, time.process_time() - start
 
 
 @contextlib.contextmanager
@@ -184,18 +174,25 @@ def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[dict], None
     table is left behind.
 
     An append formats and writes CSV_CHUNK_ROWS rows at a time from the
-    columns. A chunk that starts in the file's first CSV_CHUNK_ROWS rows
-    formats in process; each later chunk on a ``_fork_pool`` of
-    ``_max_workers()`` processes (float repr holds the GIL), at most two
+    columns, with ``csvtext.chunk_bytes``. A chunk that starts in the
+    file's first CSV_CHUNK_ROWS rows formats in process; each later chunk
+    on a ``_fork_pool`` of ``_max_workers()`` processes, so that a long
+    table formats on the other cores while the stage goes on, at most two
     chunks a worker ahead of the file, written in row order. An exception
     in the block or in a worker cancels the pending chunks and joins every
-    worker before the file is removed.
+    worker before the file is removed. The rows, the bytes and the
+    formatting CPU time, a worker's included, add to CSV_COUNTS.
     """
     workers = _max_workers()
     try:
-        with open(path, "w") as fh, contextlib.ExitStack() as stack:
-            fh.write(f"# config_sha256={cfg_sha}\n{','.join(names)}\n")
-            pending = collections.deque()  # chunk texts being formatted, in row order
+        with open(path, "wb") as fh, contextlib.ExitStack() as stack:
+
+            def write(text: bytes, cpu_s: float) -> None:
+                fh.write(text)
+                CSV_COUNTS.update(csv_bytes=len(text), csv_format_s=cpu_s)
+
+            write(f"# config_sha256={cfg_sha}\n{','.join(names)}\n".encode(), 0.0)
+            pending = collections.deque()  # chunks being formatted, in row order
             pool = None
             rows = 0
 
@@ -204,19 +201,20 @@ def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[dict], None
                 for start in range(0, len(next(iter(columns.values()))), CSV_CHUNK_ROWS):
                     chunk = [col[start : start + CSV_CHUNK_ROWS] for col in columns.values()]
                     if rows < CSV_CHUNK_ROWS or workers == 1:
-                        fh.write(_csv_text(chunk))
+                        write(*_format_chunk(chunk))
                     else:
                         if pool is None:
-                            fh.flush()  # no worker may inherit unwritten text
+                            fh.flush()  # no worker may inherit unwritten bytes
                             pool = stack.enter_context(_fork_pool(workers))
-                        pending.append(pool.submit(_csv_text, chunk))
+                        pending.append(pool.submit(_format_chunk, chunk))
                         if len(pending) > 2 * workers:
-                            fh.write(pending.popleft().result())
+                            write(*pending.popleft().result())
                     rows += len(chunk[0])
+                    CSV_COUNTS["csv_rows"] += len(chunk[0])
 
             yield append
             for future in pending:
-                fh.write(future.result())
+                write(*future.result())
     except BaseException:
         path.unlink(missing_ok=True)
         raise
@@ -396,16 +394,17 @@ def cmd_rd_curve(args) -> int:
     rows = _map_cells(lambda cell: design_mod.rd_row(p_base, *cell, cfg.loading_factor), _cells(cfg))
 
     names = "bits,lambda,gamma,D,D_uniform,bound,D_db,D_uniform_db,bound_db,identity_residual".split(",")
+    table = []
+    for row in rows:
+        values = (row.bits, row.oversampling, row.gamma, row.distortion, row.d_uniform, row.bound)
+        table.append(values + (row.distortion_db, row.d_uniform_db, row.bound_db, row.identity_residual))
+        _say(
+            args,
+            f"rd bits={row.bits} lambda={row.oversampling}: D {row.distortion_db:.4f} dB, "
+            f"uniform {row.d_uniform_db:.4f} dB, gain {row.gain_db:.4f} dB",
+        )
     with _csv_file(out / "rd_curve.csv", sha, names) as append:
-        for row in rows:
-            values = (row.bits, row.oversampling, row.gamma, row.distortion, row.d_uniform, row.bound)
-            values += (row.distortion_db, row.d_uniform_db, row.bound_db, row.identity_residual)
-            append({name: np.array([value]) for name, value in zip(names, values)})
-            _say(
-                args,
-                f"rd bits={row.bits} lambda={row.oversampling}: D {row.distortion_db:.4f} dB, "
-                f"uniform {row.d_uniform_db:.4f} dB, gain {row.gain_db:.4f} dB",
-            )
+        append({name: np.array(column) for name, column in zip(names, zip(*table))})
     _say(args, f"wrote {out / 'rd_curve.csv'}")
     return 0
 
@@ -538,38 +537,39 @@ def cmd_simulate(args) -> int:
     seeds = np.array(cfg.sim.seeds)
     n = len(seeds)
     names = ("bits", "lambda", "seed", "empirical_mse", "predicted_mse", "overload_rate", "w_variance", "sigma_u_sq")
-    with _csv_file(out / "simulate_runs.csv", sha, names) as append:
-        for cell, start in zip(cells, range(0, len(lanes), n)):
-            runs = results[start : start + n]
-            for lane, r in zip(lanes[start:], runs):
-                _say(
-                    args,
-                    f"simulate {lane.name}: empirical {r.empirical_mse:.6g} "
-                    f"vs predicted {r.predicted_mse:.6g}, overload rate {r.overload_rate:.3g}",
-                )
-            columns = {name: np.array([getattr(r, name) for r in runs]) for name in names[3:]}
-            mean = float(np.mean(columns["empirical_mse"]))
-            cell["runs"] = [
-                {
-                    "seed": seed,
-                    "empirical_mse": r.empirical_mse,
-                    "overload_count": r.overload_count,
-                    "overload_rate": r.overload_rate,
-                    "w_variance": r.w_variance,
-                    "sigma_u_sq": r.sigma_u_sq,
-                    "max_abs_w_autocorr": max(abs(c) for c in r.w_autocorr),
-                }
-                for seed, r in zip(seeds, runs)
-            ]
-            cell["aggregate"] = {
-                "mean_empirical_mse": mean,
-                "mean_over_predicted": mean / cell["predicted_mse"] if cell["predicted_mse"] > 0 else math.inf,
+    for cell, start in zip(cells, range(0, len(lanes), n)):
+        runs = results[start : start + n]
+        for lane, r in zip(lanes[start:], runs):
+            _say(
+                args,
+                f"simulate {lane.name}: empirical {r.empirical_mse:.6g} "
+                f"vs predicted {r.predicted_mse:.6g}, overload rate {r.overload_rate:.3g}",
+            )
+        mean = float(np.mean([r.empirical_mse for r in runs]))
+        cell["runs"] = [
+            {
+                "seed": seed,
+                "empirical_mse": r.empirical_mse,
+                "overload_count": r.overload_count,
+                "overload_rate": r.overload_rate,
+                "w_variance": r.w_variance,
+                "sigma_u_sq": r.sigma_u_sq,
+                "max_abs_w_autocorr": max(abs(c) for c in r.w_autocorr),
             }
-            if n > 1:  # one seed has no spread, so it gets no interval
-                std = float(np.std(columns["empirical_mse"], ddof=1))
-                cell["aggregate"]["std_empirical_mse"] = std
-                cell["aggregate"]["ci95_halfwidth"] = simulate.t_quantile_975(n - 1) * std / math.sqrt(n)
-            append({"bits": np.full(n, cell["bits"]), "lambda": np.full(n, cell["lambda"]), "seed": seeds, **columns})
+            for seed, r in zip(seeds, runs)
+        ]
+        cell["aggregate"] = {
+            "mean_empirical_mse": mean,
+            "mean_over_predicted": mean / cell["predicted_mse"] if cell["predicted_mse"] > 0 else math.inf,
+        }
+        if n > 1:  # one seed has no spread, so it gets no interval
+            std = float(np.std([r.empirical_mse for r in runs], ddof=1))
+            cell["aggregate"]["std_empirical_mse"] = std
+            cell["aggregate"]["ci95_halfwidth"] = simulate.t_quantile_975(n - 1) * std / math.sqrt(n)
+    with _csv_file(out / "simulate_runs.csv", sha, names) as append:
+        columns = {name: np.repeat([cell[name] for cell in cells], n) for name in names[:2]}
+        columns["seed"] = np.tile(seeds, len(cells))
+        append({**columns, **{name: np.array([getattr(r, name) for r in results]) for name in names[3:]}})
 
     _write_json(out / "simulate.json", {"schema_version": SCHEMA_VERSION, "config_sha256": sha, "cells": cells})
     _say(args, f"wrote {out / 'simulate.json'} and {out / 'simulate_runs.csv'}")
@@ -737,11 +737,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     wall, cpu = time.perf_counter(), sum(os.times()[:4])  # CPU: user and system, reaped workers included
     design_mod.SOLVE_COUNTS.clear()
+    CSV_COUNTS.clear()
+    CSV_COUNTS.update(csv_rows=0, csv_bytes=0, csv_format_s=0.0)
     try:
         code = args.func(args)
         if args.out:
             counts = {name: design_mod.SOLVE_COUNTS[name] for name in ("solves", "newton", "bisection", "polish")}
-            timings = {"wall_s": time.perf_counter() - wall, "cpu_s": sum(os.times()[:4]) - cpu, **counts}
+            timings = {"wall_s": time.perf_counter() - wall, "cpu_s": sum(os.times()[:4]) - cpu, **counts, **CSV_COUNTS}
             header = {"schema_version": SCHEMA_VERSION, "config_sha256": args.config_sha256}
             _write_json(Path(args.out) / f"{args.command}.timings.json", {**header, **timings})
         return code

@@ -135,10 +135,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
         problems, isinstance(cfg.sim.length, int) and cfg.sim.length >= 1, "sim.length", f"must be a positive integer, got {cfg.sim.length!r}"
     )
     _require(problems, bool(cfg.sim.seeds), "sim.seeds", "must be nonempty")
+    first = {}  # index of each seed's first place; a repeated seed reruns a lane and zeroes the spread
     for i, s in enumerate(cfg.sim.seeds):
         _require(
             problems, isinstance(s, int) and 0 <= s <= MAX_SEED, f"sim.seeds[{i}]", f"must be an integer from 0 to 2**63 - 1, got {s!r}"
         )
+        if isinstance(s, int):
+            _require(problems, s not in first, f"sim.seeds[{i}]", f"repeats sim.seeds[{first.get(s)}] ({s})")
+            first.setdefault(s, i)
     _require(
         problems, cfg.sim.input_kind in INPUT_KINDS, "sim.input_kind", f"must be one of {INPUT_KINDS}, got {cfg.sim.input_kind!r}"
     )

@@ -5,10 +5,11 @@ stage by stage through ``efq.cli.main`` with the workload's config and
 flags, and compares the sha256 of every artifact with
 ``tests/artifact_digests.json``, keyed by the config's sha256. The stages'
 ``*.timings.json`` sidecars hold times that differ from run to run, so they
-are not hashed; their design solves and quadratures by phase, summed over
-the stages, are compared with the counts recorded beside the digests. A
-change that means to alter an artifact or the solve cost records both again
-and says why::
+are not hashed; their design solves and quadratures by phase, and the CSV
+rows and bytes written, summed over the stages, are compared with the
+counts recorded beside the digests. A change that means to alter an
+artifact, the solve cost or the tables' size records them again and says
+why::
 
     PYTHONPATH=src python tests/test_artifact_digests.py
 """
@@ -30,6 +31,7 @@ REPO = Path(__file__).resolve().parents[1]
 DIGESTS = Path(__file__).with_name("artifact_digests.json")
 SEED = 0
 COUNTS = ("solves", "newton", "bisection", "polish")
+CSV_COUNTS = ("csv_rows", "csv_bytes")
 
 
 def load_workloads() -> dict:
@@ -53,34 +55,37 @@ def sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def run_workload(workload, work: Path) -> tuple[str, dict[str, str], dict[str, int]]:
+def run_workload(workload, work: Path) -> tuple[str, dict[str, str], dict[str, int], dict[str, int]]:
     """The config's sha256, each artifact's, by file name, and the solve
-    counts summed over the timings sidecars, of one workload at SEED; each
-    file is removed once read (``trace.csv`` is 89 MB)."""
+    counts and CSV counts summed over the timings sidecars, of one workload
+    at SEED; each file is removed once read (``trace.csv`` is 89 MB)."""
     config_path = work / "config.json"
     config_path.write_text(json.dumps(workload.config(SEED), indent=2) + "\n")
     out = work / "out"
     for stage in workload.stages:
         assert main([*stage.argv(str(config_path), str(out)), "--quiet"]) == 0, stage.command
-    digests, counts = {}, dict.fromkeys(COUNTS, 0)
+    digests, counts, csv_counts = {}, dict.fromkeys(COUNTS, 0), dict.fromkeys(CSV_COUNTS, 0)
     for path in sorted(out.iterdir()):
         if path.name.endswith(".timings.json"):
             timings = json.loads(path.read_text())
             counts = {name: counts[name] + timings[name] for name in COUNTS}
+            csv_counts = {name: csv_counts[name] + timings[name] for name in CSV_COUNTS}
         else:
             digests[path.name] = sha256(path)
         path.unlink()
-    return config_hash(load_config(config_path)), digests, counts
+    return config_hash(load_config(config_path)), digests, counts, csv_counts
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_artifacts_keep_their_digests(name, tmp_path):
     recorded = json.loads(DIGESTS.read_text())
-    sha, digests, counts = run_workload(WORKLOADS[name], tmp_path)
+    sha, digests, counts, csv_counts = run_workload(WORKLOADS[name], tmp_path)
     expected = recorded["artifacts"].get(sha, {})
     changed = sorted(f for f in digests.keys() | expected.keys() if digests.get(f) != expected.get(f))
     if counts != recorded["solve_counts"].get(sha):
         changed.append("the solve counts")
+    if csv_counts != recorded["csv_counts"].get(sha):
+        changed.append("the CSV rows and bytes")
     message = f"{name}: {', '.join(changed)} differ from {DIGESTS.name}."
     if np.__version__ != recorded["numpy"]:
         message += (
@@ -88,16 +93,16 @@ def test_artifacts_keep_their_digests(name, tmp_path):
             " the test still compares, but numpy's FFT and pairwise sums may move the last bit of a value,"
             " so a difference here need not come from efq."
         )
-    message += f" A change that alters an artifact or the solve cost on purpose runs {Path(__file__).name}"
+    message += f" A change that alters an artifact, the solve cost or the CSV counts on purpose runs {Path(__file__).name}"
     message += " to record them again."
     assert not changed, message
 
 
 if __name__ == "__main__":
-    artifacts, solve_counts = {}, {}
+    artifacts, solve_counts, csv_counts = {}, {}, {}
     for workload in WORKLOADS.values():
         with tempfile.TemporaryDirectory() as work:
-            sha, artifacts[sha], solve_counts[sha] = run_workload(workload, Path(work))
-    record = {"numpy": np.__version__, "artifacts": artifacts, "solve_counts": solve_counts}
+            sha, artifacts[sha], solve_counts[sha], csv_counts[sha] = run_workload(workload, Path(work))
+    record = {"numpy": np.__version__, "artifacts": artifacts, "solve_counts": solve_counts, "csv_counts": csv_counts}
     DIGESTS.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}")

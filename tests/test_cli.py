@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import efq
-from efq import cli, design, fitting, simulate, spectral
-from efq.cli import CSV_CHUNK_ROWS, CSV_FEW_DISTINCT, _csv_file, main
+from efq import cli, csvtext, design, fitting, simulate, spectral
+from efq.cli import CSV_CHUNK_ROWS, _csv_file, main
 from efq.transfer import ContinuousTF, RationalDiscreteTF
 
 SMALL_CONFIG = {
@@ -79,7 +79,13 @@ class TestWriteCsv:
         assert path.read_text() == reference_csv("abc", columns, rows)
 
     @pytest.mark.parametrize(
-        "n", [0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, *(4 * CSV_CHUNK_ROWS + d for d in (-1, 0, 1))]
+        "n",
+        [
+            *(0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, *(4 * CSV_CHUNK_ROWS + d for d in (-1, 0, 1))),
+            # the kernel's blocks of rows within the first chunk and within a later one
+            *(csvtext.BLOCK_ROWS + d for d in (-1, 0, 1)),
+            *(CSV_CHUNK_ROWS + csvtext.BLOCK_ROWS + d for d in (-1, 0, 1)),
+        ],
     )
     def test_chunk_boundaries_match_row_oracle(self, tmp_path, n):
         rng = np.random.default_rng(n)
@@ -115,40 +121,42 @@ class TestWriteCsv:
 
     @pytest.mark.parametrize(
         ("distinct", "formatted"),
-        [(CSV_CHUNK_ROWS // CSV_FEW_DISTINCT, "distinct"), (CSV_CHUNK_ROWS // CSV_FEW_DISTINCT + 1, "rows")],
+        [(CSV_CHUNK_ROWS // csvtext.FEW_DISTINCT, "distinct"), (CSV_CHUNK_ROWS // csvtext.FEW_DISTINCT + 1, "rows")],
     )
     def test_distinct_value_rule(self, tmp_path, monkeypatch, distinct, formatted):
         # One chunk of floats with `distinct` bit patterns: at most one per
-        # CSV_FEW_DISTINCT rows formats each pattern once, one more formats every row.
+        # FEW_DISTINCT rows hands each pattern to the digit kernel once, one
+        # more hands it every row.
         rng = np.random.default_rng(distinct)
         values = rng.standard_normal(distinct)
         col = np.concatenate([values, values[rng.integers(0, distinct, CSV_CHUNK_ROWS - distinct)]])
         calls = []
+        float_words = csvtext._float_words
 
-        def counting_repr(value):
-            calls.append(value)
-            return repr(value)
+        def counting_float_words(floats):
+            calls.append(len(floats))
+            return float_words(floats)
 
-        monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+        monkeypatch.setattr(csvtext, "_float_words", counting_float_words)
         path = tmp_path / "rule.csv"
         with _csv_file(path, "abc", ["x"]) as append:
             append({"x": col})
         assert path.read_text() == reference_csv("abc", ["x"], ((v,) for v in col))
-        assert len(calls) == (distinct if formatted == "distinct" else CSV_CHUNK_ROWS)
+        assert sum(calls) == (distinct if formatted == "distinct" else CSV_CHUNK_ROWS)
 
     @pytest.mark.parametrize("where", ["block", "worker"])
     def test_failure_after_the_workers_started_joins_them_and_removes_the_file(self, tmp_path, monkeypatch, where):
         # An exception in the block, or in a worker formatting a later chunk,
         # comes out unchanged, with every worker joined and no partial file.
         monkeypatch.setenv("EFQ_THREADS", "2")
-        cells = cli._csv_cells
+        chunk_bytes = csvtext.chunk_bytes
 
-        def cells_failing_past_the_first_chunk(col):
-            if where == "worker" and col[0] >= CSV_CHUNK_ROWS:
+        def chunk_bytes_failing_past_the_first_chunk(columns):
+            if where == "worker" and columns[0][0] >= CSV_CHUNK_ROWS:
                 raise ArithmeticError("worker failed")
-            return cells(col)
+            return chunk_bytes(columns)
 
-        monkeypatch.setattr(cli, "_csv_cells", cells_failing_past_the_first_chunk)
+        monkeypatch.setattr(csvtext, "chunk_bytes", chunk_bytes_failing_past_the_first_chunk)
         path = tmp_path / "failed.csv"
         with pytest.raises(ArithmeticError, match=f"{where} failed"):
             with cli._csv_file(path, "abc", ["x"]) as append:
@@ -806,6 +814,26 @@ class TestEntryPoints:
         assert 0 < quadratures <= 24 * 20
         assert totals["2"] == totals["1"]
 
+    def test_timings_count_csv_rows_bytes_and_format_time(self, tmp_path, monkeypatch):
+        """The sidecar counts the rows and bytes of the tables a stage wrote
+        and their formatting CPU time, a worker's included; the counts do not
+        depend on the worker count. 4 cells of 8,192 points make 2 chunks of
+        design_r_opt.csv, the second formatted on a worker at 2 threads."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, n_points=8192)))
+        counts = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("EFQ_THREADS", threads)
+            out = tmp_path / f"threads{threads}"
+            assert main(["design", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+            timings = json.loads((out / "design.timings.json").read_text())
+            assert timings["csv_format_s"] > 0.0
+            counts[threads] = (timings["csv_rows"], timings["csv_bytes"])
+        assert counts["1"] == counts["2"] == (4 * 8192, (out / "design_r_opt.csv").stat().st_size)
+        assert main(["verify", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        timings = json.loads((out / "verify.timings.json").read_text())
+        assert (timings["csv_rows"], timings["csv_bytes"], timings["csv_format_s"]) == (0, 0, 0.0)
+
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_help_lists_common_flags(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -948,6 +976,18 @@ class TestErrorHandling:
         path.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
         assert f"{named}: must be an integer from 0 to 2**63 - 1, got {seeds[-1]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stage", ["design", "rd-curve", "fit", "simulate", "verify"])
+    def test_repeated_seed_exits_one(self, tmp_path, capsys, stage):
+        # With seeds [3, 3], simulate ran the same lane twice and printed a
+        # 95 % interval of half-width 0.0 on two identical runs.
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["sim"]["seeds"] = [3, 3]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main([stage, "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert capsys.readouterr().err == "configuration error: invalid configuration:\n  sim.seeds[1]: repeats sim.seeds[0] (3)\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("stage", ["design", "rd-curve", "fit", "simulate", "verify"])

@@ -153,6 +153,15 @@ def test_seed_beyond_int64_rejected(seeds, named):
         validate_config(dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seeds=seeds)))
 
 
+@pytest.mark.parametrize("seeds, named", [((3, 3), "sim.seeds[1]: repeats sim.seeds[0] (3)"), ((0, 1, 2, 1), "sim.seeds[3]: repeats sim.seeds[1] (1)")])
+def test_repeated_seed_rejected(seeds, named):
+    """A repeated seed runs the same lane twice, whose two equal runs read as
+    a spread of zero."""
+    cfg = default_config()
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        validate_config(dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seeds=seeds)))
+
+
 @pytest.mark.parametrize("bits, named", [([1100], "bits_list[0]"), ([8, 600], "bits_list[1]")])
 def test_bit_count_beyond_a_finite_gamma_rejected(bits, named):
     """gamma = 3 (2^bits - 1)^2 / loading_factor^2 must be a float: 1100 bits

@@ -86,6 +86,23 @@ def test_noise_ratio_is_checked_in_one_place(message):
     assert {p.name: p.read_text().count(message) for p in PACKAGE if message in p.read_text()} == {"design.py": 1}
 
 
+def repr_names(source: str) -> list[str]:
+    """Each place a module names the builtin ``repr``, in source order."""
+    names = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name) and node.id == "repr"]
+    return [f"line {n.lineno}" for n in sorted(names, key=lambda n: (n.lineno, n.col_offset))]
+
+
+def test_csv_cells_become_text_in_one_place():
+    """``efq.csvtext`` formats every CSV cell, as ``repr`` and ``str`` do;
+    no other module names ``repr``, so no second formatting path grows back."""
+    assert [f"{p.name} {name}" for p in PACKAGE if p.name != "csvtext.py" for name in repr_names(p.read_text())] == []
+
+
+def test_scan_finds_a_repr_name():
+    source = 'def f(x):\n    g = repr\n    return f"{x!r}", repr(x), g(x)\n'
+    assert repr_names(source) == ["line 2", "line 3"]
+
+
 def test_public_names_resolve_once_in_order():
     """Every name in efq.__all__ is an attribute of efq, listed once, in
     sorted order, so a deleted name cannot stay behind."""
