@@ -11,9 +11,10 @@ Subcommands:
 All commands are deterministic given the configuration and seeds; every
 output file carries the configuration hash. Exit codes: 0 success,
 1 validation error, 2 numerical failure, 3 invariant failure.
-A stage that succeeds with an output directory also writes its wall and CPU
-time, ``design.SOLVE_COUNTS`` and the CSV rows, bytes and formatting CPU
-time of ``CSV_COUNTS`` to ``<command>.timings.json`` there.
+A stage that succeeds, or fails an invariant (exit 3), with an output
+directory also writes its wall and CPU time, ``design.SOLVE_COUNTS`` and
+the CSV rows, bytes and formatting CPU time of ``CSV_COUNTS`` to
+``<command>.timings.json`` there.
 
 Every CSV table is written through ``_csv_file``, whose cells
 ``csvtext.chunk_bytes`` formats in numpy, a chunk at a time, byte for byte
@@ -597,7 +598,8 @@ def _verify_checks(cfg: ExperimentConfig, p_base: spectral.AmplitudeResponse) ->
         sol, nu = row.design, row.gamma + 1.0
         p_lam = spectral.oversample_response(p_base, lam)
         shaper = design_mod.optimal_shaper(sol.alpha_opt, p_lam)
-        alpha_fine = design_mod.solve_min_mse(spectral.oversample_response(p_fine, lam), row.gamma).alpha_opt
+        p_fine_lam = spectral.oversample_response(p_fine, lam)
+        alpha_fine = design_mod.solve_min_mse(p_fine_lam, row.gamma, start=sol.alpha_opt).alpha_opt
         residuals = (
             abs(sol.theta_opt**2 / sol.alpha_opt - nu) / nu,
             row.identity_residual,
@@ -740,7 +742,11 @@ def main(argv=None) -> int:
     CSV_COUNTS.clear()
     CSV_COUNTS.update(csv_rows=0, csv_bytes=0, csv_format_s=0.0)
     try:
-        code = args.func(args)
+        try:
+            code = args.func(args)
+        except VerificationFailure as exc:  # the stage wrote its artifacts, so it writes its timings too
+            print(f"verification failure: {exc}", file=sys.stderr)
+            code = 3
         if args.out:
             counts = {name: design_mod.SOLVE_COUNTS[name] for name in ("solves", "newton", "bisection", "polish")}
             timings = {"wall_s": time.perf_counter() - wall, "cpu_s": sum(os.times()[:4]) - cpu, **counts, **CSV_COUNTS}
@@ -750,9 +756,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except VerificationFailure as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 3
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -24,9 +24,10 @@ solve, so the polish and the final design reuse the alphas they revisit.
 The bisection keeps its loops and its decisions, but most of its signs come
 from certificates: in x = ln(alpha), ln(theta^2/alpha) - ln(nu) is
 decreasing, so a short Newton pass, started inside a closed-form bracket of
-the root, finds the root, and two probes beside it give alphas where the
-computed value clears a rounding bound sized to the grid and to the
-logarithms met (see ROUNDING_TERMS). Every alpha the replay queries left of
+the root (next to it where the bracket's lower end is close, or at an alpha
+the caller holds), finds the root, and two probes beside it give alphas
+where the computed value clears a rounding bound sized to the grid and to
+the logarithms met (see ROUNDING_TERMS). Every alpha the replay queries left of
 a certificate whose margin exceeds the bound at that alpha has a positive
 computed value, and likewise negative on the right. The replay takes those
 signs as known and evaluates only the others, near the root: the same signs,
@@ -52,6 +53,7 @@ import numpy as np
 from .errors import NumericalError
 from .spectral import (
     AmplitudeResponse,
+    band_inverse_power_mean,
     band_mean,
     band_power_means,
     constant_response,
@@ -354,10 +356,19 @@ def _log_bracket(p: AmplitudeResponse, gamma: float) -> tuple[float, float]:
 
 
 def _newton_start(p: AmplitudeResponse, gamma: float) -> float:
-    """x = ln(alpha) at the log-midpoint of ``_log_bracket`` (its upper end where G = -inf, 0 where
-    it is not finite). Only the Newton pass starts here: the replay's result does not depend on it."""
+    """x = ln(alpha) where the Newton pass starts: min(lower + z, upper) for the ends of
+    ``_log_bracket`` and z = e^lower * H, H the in-band mean of 1/p^2, where z is at most 1/2;
+    elsewhere the bracket's log-midpoint (its upper end where G = -inf, 0 where it is not finite).
+
+    As 0 <= ln(1 + alpha/p^2) <= alpha/p^2, ln(alpha_opt) lies in [lower, lower + alpha_opt * H],
+    so where z is small the start is within about z^2 of the root. Only the Newton pass starts
+    here: the replay's result does not depend on it."""
     lower, upper = _log_bracket(p, gamma)
-    x = upper if lower == -math.inf else 0.5 * (lower + upper)
+    z = math.exp(lower) * band_inverse_power_mean(p)  # inf or nan where p^2 has a zero or 1/p^2 overflows
+    if z <= 0.5:
+        x = min(lower + z, upper)
+    else:
+        x = upper if lower == -math.inf else 0.5 * (lower + upper)
     return min(max(x, X_MIN), X_MAX) if math.isfinite(x) else 0.0
 
 
@@ -418,7 +429,7 @@ def _certificates(log_ratio, slope, bound, x: float) -> dict[float, list[tuple[f
     return held
 
 
-def solve_min_mse(p: AmplitudeResponse, gamma: float) -> OptimalDesign:
+def solve_min_mse(p: AmplitudeResponse, gamma: float, *, start: float | None = None) -> OptimalDesign:
     """Minimize the shaped-noise MSE over feasible shaping responses of the
     (oversampled) plant response p at noise ratio gamma: the design entry
     point, with gamma = gamma_from_bits(bits, loading_factor).
@@ -435,8 +446,14 @@ def solve_min_mse(p: AmplitudeResponse, gamma: float) -> OptimalDesign:
     are the same bits as with every sign evaluated; only signs within about
     PROBE_TARGET * E/|slope| of the root cost an integral. Every mean is kept
     per alpha for the rest of the solve. Each solve counts in SOLVE_COUNTS.
+
+    ``start``, a positive finite alpha near the root that the caller already
+    holds, replaces ``_newton_start`` as the Newton pass's start. Like that
+    start, it moves only the cost of the solve, never its result.
     """
     nu = _check_problem(p, gamma)
+    if start is not None and not 0.0 < start < math.inf:
+        raise ValueError(f"start must be a positive finite alpha, got {start}")
     SOLVE_COUNTS["solves"] += 1
 
     if is_almost_constant(p):
@@ -468,7 +485,8 @@ def solve_min_mse(p: AmplitudeResponse, gamma: float) -> OptimalDesign:
         # E(alpha), see ROUNDING_TERMS
         return rounding_bound(p.grid.n_points, max(log_nu, abs(math.log(alpha)), abs(math.log(peak + alpha))))
 
-    held = _certificates(log_ratio, slope, bound, _newton_start(p, gamma))
+    x_start = _newton_start(p, gamma) if start is None else min(max(math.log(start), X_MIN), X_MAX)
+    held = _certificates(log_ratio, slope, bound, x_start)
     newton = len(means.kept)
 
     def signed(alpha: float) -> float:
@@ -530,10 +548,11 @@ def solve_min_mse(p: AmplitudeResponse, gamma: float) -> OptimalDesign:
 def collapse_residual(p_base: AmplitudeResponse, gamma: float, oversampling: int, distortion: float) -> float:
     """|D(nu, lam) - D(nu^lam, 1)| / D(nu, lam), given D(nu, lam) at nu =
     gamma + 1; at lam = 1 both sides are one problem, so it is 0 without a
-    solve."""
+    solve. The collapsed solve starts at D(nu, lam), which is its alpha_opt
+    to within the residual."""
     if oversampling == 1:
         return 0.0
-    collapsed = solve_min_mse(p_base, (gamma + 1.0) ** oversampling - 1.0).distortion
+    collapsed = solve_min_mse(p_base, (gamma + 1.0) ** oversampling - 1.0, start=distortion).distortion
     return abs(distortion - collapsed) / distortion
 
 

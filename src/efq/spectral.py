@@ -327,10 +327,16 @@ def band_power_means(resp: AmplitudeResponse) -> tuple[float, float, float]:
     """(beta, m, G) over the nodes at or below the cutoff (every node without
     one): beta = cutoff/pi (1 without one), m the plain mean of p^2 and G
     that of ln p^2 (-inf where p^2 has a zero there). Kept per response."""
-    return _memoized(resp, "band_power_means", lambda: _band_power_means(resp))
+    return _memoized(resp, "band_power_means", lambda: _band_power_means(resp))[:3]
 
 
-def _band_power_means(resp: AmplitudeResponse) -> tuple[float, float, float]:
+def band_inverse_power_mean(resp: AmplitudeResponse) -> float:
+    """H, the plain mean of 1/p^2 over the nodes of ``band_power_means``: inf
+    where p^2 has a zero there or the mean overflows. Kept beside (beta, m, G)."""
+    return _memoized(resp, "band_power_means", lambda: _band_power_means(resp))[3]
+
+
+def _band_power_means(resp: AmplitudeResponse) -> tuple[float, float, float, float]:
     if resp.cutoff is None:
         beta, v = 1.0, resp.values
     else:
@@ -338,8 +344,12 @@ def _band_power_means(resp: AmplitudeResponse) -> tuple[float, float, float]:
     v2 = v * v
     peak = float(np.max(v2))
     mean = peak * float(np.mean(v2 / peak)) if peak > 0.0 else 0.0  # a sum of p^2 near 2^1022 would overflow
-    log_mean = float(np.mean(np.log(v2))) if np.all(v2 > 0.0) else -math.inf
-    return beta, mean, log_mean
+    if not np.all(v2 > 0.0):
+        return beta, mean, -math.inf, math.inf
+    log_mean = float(np.mean(np.log(v2)))
+    with np.errstate(over="ignore"):  # 1/p^2 of a subnormal p^2, or their sum, may overflow to inf
+        inverse_mean = float(np.mean(np.divide(1.0, v2, out=v2)))
+    return beta, mean, log_mean, inverse_mean
 
 
 def is_almost_constant(resp: AmplitudeResponse) -> bool:

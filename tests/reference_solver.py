@@ -121,7 +121,8 @@ def optimal_shaper(alpha: float, p: AmplitudeResponse) -> AmplitudeResponse:
     )
 
 
-def solve_min_mse(p: AmplitudeResponse, gamma: float) -> OptimalDesign:
+def solve_min_mse(p: AmplitudeResponse, gamma: float, *, start: float | None = None) -> OptimalDesign:
+    # `start` only moves where efq's Newton pass begins, never its result: ignored here
     nu = gamma + 1.0
 
     if is_almost_constant(p, ALMOST_CONSTANT_TOL):

@@ -12,6 +12,9 @@ artifact, the solve cost or the tables' size records them again and says
 why::
 
     PYTHONPATH=src python tests/test_artifact_digests.py
+
+which prints, per workload, each recorded entry it changes as old -> new,
+or "unchanged".
 """
 
 import hashlib
@@ -98,11 +101,28 @@ def test_artifacts_keep_their_digests(name, tmp_path):
     assert not changed, message
 
 
+def changes(old: dict, new: dict) -> list[str]:
+    """Each entry of the record that differs between `old` and `new`, one
+    ``section/key: old -> new`` line apiece (None where it is absent)."""
+    return [
+        f"{section}/{key}: {old.get(section, {}).get(key)} -> {new[section].get(key)}"
+        for section in sorted(new)
+        for key in sorted(old.get(section, {}).keys() | new[section].keys())
+        if old.get(section, {}).get(key) != new[section].get(key)
+    ]
+
+
 if __name__ == "__main__":
+    recorded = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     artifacts, solve_counts, csv_counts = {}, {}, {}
-    for workload in WORKLOADS.values():
+    for name, workload in WORKLOADS.items():
         with tempfile.TemporaryDirectory() as work:
             sha, artifacts[sha], solve_counts[sha], csv_counts[sha] = run_workload(workload, Path(work))
+        new = {"artifacts": artifacts[sha], "solve_counts": solve_counts[sha], "csv_counts": csv_counts[sha]}
+        old = {section: recorded.get(section, {}).get(sha, {}) for section in new}
+        print(f"{name}:", *(changes(old, new) or ["unchanged"]), sep="\n  ")
+    if recorded.get("numpy") != np.__version__:
+        print(f"numpy: {recorded.get('numpy')} -> {np.__version__}")
     record = {"numpy": np.__version__, "artifacts": artifacts, "solve_counts": solve_counts, "csv_counts": csv_counts}
     DIGESTS.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}")

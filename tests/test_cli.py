@@ -18,6 +18,7 @@ import pytest
 import efq
 from efq import cli, csvtext, design, fitting, simulate, spectral
 from efq.cli import CSV_CHUNK_ROWS, _csv_file, main
+from efq.config import config_to_dict, default_config
 from efq.transfer import ContinuousTF, RationalDiscreteTF
 
 SMALL_CONFIG = {
@@ -813,6 +814,24 @@ class TestEntryPoints:
         quadratures = sum(totals["1"][phase] for phase in phases)
         assert 0 < quadratures <= 24 * 20
         assert totals["2"] == totals["1"]
+
+    def test_verify_failure_writes_its_timings(self, tmp_path, capsys):
+        """A verify that fails an invariant (exit 3) has written verify.json,
+        and writes its timings sidecar beside it. A zero at DC (the built-in
+        numerator times s) at 2,048 points misses grid_convergence_alpha at
+        16 bits."""
+        data = config_to_dict(default_config())
+        data["plant"]["num"] = [*data["plant"]["num"], 0.0]
+        data.update(n_points=2048, bits_list=[8, 16], lambda_list=[1])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--out", str(out), "--quiet"]) == 3
+        assert "grid_convergence_alpha" in capsys.readouterr().err
+        assert not json.loads((out / "verify.json").read_text())["all_pass"]
+        timings = json.loads((out / "verify.timings.json").read_text())
+        assert timings["config_sha256"] == json.loads((out / "verify.json").read_text())["config_sha256"]
+        assert timings["solves"] > 0 and timings["wall_s"] > 0.0
 
     def test_timings_count_csv_rows_bytes_and_format_time(self, tmp_path, monkeypatch):
         """The sidecar counts the rows and bytes of the tables a stage wrote

@@ -133,24 +133,32 @@ def test_plants_beyond_the_old_brackets_solve(n):
         assert root_residual(sol, gamma) <= 1e-12, (scale, bits)
 
 
+def float_range_problems(bits: int):
+    """(unit, scale, p, gamma) for two shapes scaled so alpha runs from
+    1e-306 to 1e306, or to the amplitude cap; unit is the unscaled shape's
+    alpha."""
+    om = FrequencyGrid(256).omegas
+    for shape in (np.sqrt(2.0 + 2.0 * np.cos(om)) + 0.1, np.exp(0.5 * np.cos(om))):
+        unit = solve_min_mse(*scaled_problem(shape, 1.0, bits)).alpha_opt
+        for target in (10.0**k for k in range(-306, 307, 9)):
+            scale = math.sqrt(target) / math.sqrt(unit)
+            if scale * shape.max() < design.MAX_PLANT_AMPLITUDE:
+                yield (unit, scale, *scaled_problem(shape, scale, bits))
+
+
 @pytest.mark.parametrize("bits", [1, 4, 8])
 def test_root_residual_across_the_float_range(bits):
     """Plants scaled so alpha runs from 1e-306 to 1e306, or to the amplitude
     cap, solve with a root residual far below verify's 1e-10."""
-    om = FrequencyGrid(256).omegas
-    for shape in (np.sqrt(2.0 + 2.0 * np.cos(om)) + 0.1, np.exp(0.5 * np.cos(om))):
-        unit = solve_min_mse(*scaled_problem(shape, 1.0, bits)).alpha_opt
-        alphas = []
-        for target in (10.0**k for k in range(-306, 307, 9)):
-            scale = math.sqrt(target) / math.sqrt(unit)
-            if not scale * shape.max() < design.MAX_PLANT_AMPLITUDE:
-                continue
-            p, gamma = scaled_problem(shape, scale, bits)
-            sol = solve_min_mse(p, gamma)
-            assert root_residual(sol, gamma) <= 1e-12, (bits, scale)
-            assert sol.alpha_opt / scale**2 == pytest.approx(unit, rel=1e-12), (bits, scale)
-            alphas.append(sol.alpha_opt)
-        assert min(alphas) < 1e-300 and max(alphas) > 1e295, bits
+    alphas = {}
+    for unit, scale, p, gamma in float_range_problems(bits):
+        sol = solve_min_mse(p, gamma)
+        assert root_residual(sol, gamma) <= 1e-12, (bits, scale)
+        assert sol.alpha_opt / scale**2 == pytest.approx(unit, rel=1e-12), (bits, scale)
+        alphas.setdefault(unit, []).append(sol.alpha_opt)
+    assert len(alphas) == 2, bits
+    for unit_alphas in alphas.values():
+        assert min(unit_alphas) < 1e-300 and max(unit_alphas) > 1e295, bits
 
 
 # log2(ln 4 / ROOT_REL_TOL) is about 40.3: the steps a bisection of a bracket
@@ -388,20 +396,73 @@ def test_fraction_range_holds_the_computed_mean():
 
 
 def test_newton_start_lies_in_its_bracket(p_base):
-    """The start is the log-midpoint of exp(G)/nu^(1/beta) <= alpha <=
-    m/(nu^(1/beta) - 1), whose plain means stand in for the quadrature: the
-    solved alpha lies in that bracket to within 0.01 in ln(alpha)."""
+    """The start lies in exp(G)/nu^(1/beta) <= alpha <= m/(nu^(1/beta) - 1),
+    whose plain means stand in for the quadrature: at min(lower + z, upper)
+    where z = e^lower H, H the in-band mean of 1/p^2, is at most 1/2, and at
+    the log-midpoint elsewhere. The solved alpha lies in that bracket to
+    within 0.01 in ln(alpha)."""
+    starts = set()
     for lam in (1, 2, 4):
         p_lam = oversample_response(p_base, lam)
         beta, m, g = spectral.band_power_means(p_lam)
+        v2 = p_lam.values[p_lam.grid.omegas <= (p_lam.cutoff or math.pi)] ** 2
         for bits in (1, 4, 8, 16):
             gamma = gamma_from_bits(bits, 4.0)
             nu = gamma + 1.0
             lower, upper = g - math.log(nu) / beta, math.log(m / (nu ** (1.0 / beta) - 1.0))
+            z = math.exp(lower) * float(np.mean(1.0 / v2))
             x = design._newton_start(p_lam, gamma)
-            assert x == pytest.approx(0.5 * (lower + upper), abs=1e-12), (lam, bits)
+            assert lower - 1e-12 <= x <= upper + 1e-12, (lam, bits)
+            want = min(lower + z, upper) if z <= 0.5 else 0.5 * (lower + upper)
+            assert x == pytest.approx(want, abs=1e-12), (lam, bits)
+            starts.add(z <= 0.5)
             alpha = solve_min_mse(p_lam, gamma).alpha_opt
             assert lower - 0.01 <= math.log(alpha) <= upper + 0.01, (lam, bits)
+    assert starts == {True, False}  # both rules are met
+
+
+def test_newton_start_needs_a_finite_correction():
+    """A zero of p^2 in the band (H = inf, G = -inf) or a subnormal one (1/p^2
+    overflows) keeps the midpoint rule, without a warning."""
+    om = FrequencyGrid(256).omegas
+    subnormal = np.exp(0.5 * np.cos(om))
+    subnormal[0] = 1e-160
+    for values in (np.abs(np.sin(om)), subnormal):
+        p = AmplitudeResponse(FrequencyGrid(256), values)
+        assert spectral.band_inverse_power_mean(p) == math.inf
+        lower, upper = design._log_bracket(p, gamma_from_bits(8, 4.0))
+        want = upper if lower == -math.inf else 0.5 * (lower + upper)
+        assert design._newton_start(p, gamma_from_bits(8, 4.0)) == min(max(want, design.X_MIN), design.X_MAX)
+
+
+def start_plants():
+    """(p, gamma) of the plants of test_root_residual_across_the_float_range,
+    and of the built-in plant at lambda 1-4."""
+    for bits in (1, 4, 8):
+        for *_, p, gamma in float_range_problems(bits):
+            yield p, gamma
+    p_base = make_plant("builtin", 4097, 0)
+    for lam in (1, 2, 3, 4):
+        for bits in (1, 4, 8, 16):
+            yield oversample_response(p_base, lam), gamma_from_bits(bits, 4.0)
+
+
+def test_solve_does_not_depend_on_its_start():
+    """A start hint moves only where the Newton pass begins: from the root,
+    e^10 away on either side (within the normal floats up to ALPHA_MAX), the
+    smallest normal float or ALPHA_MAX, every field is the cold solve's."""
+    for p, gamma in start_plants():
+        cold = solve_min_mse(p, gamma)
+        a = cold.alpha_opt
+        far = (min(max(a * math.exp(e), 2.0**-1022), design.ALPHA_MAX) for e in (10.0, -10.0))
+        for start in (a, *far, 2.0**-1022, design.ALPHA_MAX):
+            assert solve_min_mse(p, gamma, start=start) == cold, (gamma, a, start)
+
+
+@pytest.mark.parametrize("start", [0.0, -1.0, math.nan, math.inf])
+def test_start_must_be_a_positive_finite_alpha(p_base, start):
+    with pytest.raises(ValueError, match="start must be a positive finite alpha"):
+        solve_min_mse(p_base, gamma_from_bits(8, 4.0), start=start)
 
 
 @pytest.mark.parametrize("lam", [1, 3])
