@@ -247,6 +247,8 @@ def run_feedback_loop(
     """
     f, den = _feedback_coefficients(r)
     m = len(f) - 1
+    if state is not None and (state.ndim != 1 or len(state) < m):
+        raise ValueError(f"state must be one-dimensional with at least {m} entries")
     taps = range(1, m)
 
     x_arr = np.ascontiguousarray(np.asarray(x, dtype=float))

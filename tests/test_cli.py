@@ -891,11 +891,58 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 """
 
 
+# What a fresh process loads as it reads efq's names, and how the names it
+# has not defined resolve.
+LAZY_SURFACE = """
+import json, sys
+
+def loaded():
+    return sorted(name for name in sys.modules if name == "efq" or name.startswith("efq."))
+
+import efq
+steps = [loaded()]
+efq.load_config
+steps.append(loaded())
+fitting = efq.fitting
+steps.append(loaded())
+import efq.cli
+steps.append(loaded())
+try:
+    efq.no_such_name
+except AttributeError as exc:
+    missing = str(exc)
+star = {}
+exec("from efq import *", star)
+del star["__builtins__"]
+print(json.dumps({
+    "steps": steps,
+    "fitting_is_submodule": fitting is sys.modules["efq.fitting"],
+    "missing": missing,
+    "star": sorted(star) == efq.__all__ and all(star[name] is getattr(efq, name) for name in star),
+}))
+"""
+DESIGN_MODULES = ["efq", "efq.config", "efq.design", "efq.errors", "efq.spectral", "efq.transfer"]
+
+
 class TestPublicSurface:
     def test_all_lists_every_public_name_but_modules(self):
-        public = {name for name, value in vars(efq).items() if not name.startswith("_") and not inspect.ismodule(value)}
+        public = {name for name in dir(efq) if not name.startswith("_") and not inspect.ismodule(getattr(efq, name))}
         assert len(efq.__all__) == len(set(efq.__all__))
         assert set(efq.__all__) == public
+
+    def test_import_loads_a_module_when_one_of_its_names_is_first_read(self):
+        proc = run_python(["-c", LAZY_SURFACE])
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["steps"] == [
+            ["efq"],
+            DESIGN_MODULES,
+            sorted([*DESIGN_MODULES, "efq.fitting"]),
+            sorted([*DESIGN_MODULES, "efq.cli", "efq.fitting", "efq.simulate"]),  # efq.csvtext waits for a table
+        ]
+        assert report["fitting_is_submodule"]
+        assert "'no_such_name'" in report["missing"]
+        assert report["star"]
 
 
 # A meta-path finder, first on sys.meta_path, under which scipy cannot be

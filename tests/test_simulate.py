@@ -291,6 +291,24 @@ class TestLoop:
         with pytest.raises(ValueError):
             run_feedback_loop(x, shaper, quant)
 
+    # An order-4 shaper: the loop keeps four TDF-II registers.
+    ORDER_4 = RationalDiscreteTF([1.0, -1.1, 0.23, -0.087, 0.029])
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (2,), (3,), (4, 1)], ids=str)
+    def test_short_state_rejected(self, shape):
+        quant = MidRiseQuantizer.for_sigma_u(8, 4.0, 1.0)
+        with pytest.raises(ValueError, match="state must be one-dimensional with at least 4 entries"):
+            run_feedback_loop(np.zeros(100), self.ORDER_4, quant, np.zeros(shape))
+
+    def test_longer_state_runs_and_returns_registers(self):
+        quant = MidRiseQuantizer.for_sigma_u(8, 4.0, 1.0)
+        x = np.random.default_rng(0).standard_normal(100)
+        registers, longer = np.zeros(4), np.zeros(6)
+        u = run_feedback_loop(x, self.ORDER_4, quant, registers).u
+        assert np.array_equal(run_feedback_loop(x, self.ORDER_4, quant, longer).u, u)
+        assert np.all(registers != 0.0)
+        assert np.array_equal(longer, np.concatenate([registers, np.zeros(2)]))
+
     def test_summary_fields(self, loop_setup):
         shaper, plant_map, _, score, traces = loop_setup
         result = summarize_run(traces, plant_map, score.achieved_mse)

@@ -8,7 +8,6 @@ import pytest
 import efq
 
 PACKAGE = sorted(Path(efq.__file__).parent.glob("*.py"))
-SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
 # How an AmplitudeResponse stores its band edge; only efq.spectral reads it.
 EDGE_FIELDS = ("cutoff", "edge_below", "edge_above")
 
@@ -38,7 +37,7 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported if name not in read]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+@pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
@@ -110,3 +109,14 @@ def test_public_names_resolve_once_in_order():
     assert [name for name in names if not hasattr(efq, name)] == []
     assert len(set(names)) == len(names)
     assert names == sorted(names)
+
+
+def test_each_public_name_is_listed_once_under_its_defining_module():
+    """efq's export table names each public name once, under the module that
+    defines it, not one that only imports it."""
+    listed = [(module, name) for module, names in efq._EXPORTS.items() for name in names.split()]
+    assert len(listed) == len(efq.__all__)
+    misplaced = [
+        f"{module}.{name}" for module, name in listed if getattr(getattr(efq, module), name).__module__ != f"efq.{module}"
+    ]
+    assert misplaced == []
