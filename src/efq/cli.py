@@ -21,7 +21,8 @@ Every CSV table is written through ``_csv_file``, whose cells
 as ``repr`` and ``str`` write them.
 
 The parallel work runs on forked worker processes, at most
-``_max_workers()`` of them (``EFQ_THREADS``; 1 keeps everything in
+``_max_workers()`` of them, the CPUs this process may run on up to
+``MAX_WORKERS`` (one CPU, as under ``taskset -c 0``, keeps everything in
 process): each stage's cells, ``verify``'s design checks, the CSV chunks of
 a large table and the parts of ``simulate``'s lane pass, which
 ``simulate.run_lanes`` keeps in process under ``--trace``. The results do
@@ -47,18 +48,10 @@ import numpy as np
 
 from . import design as design_mod
 from . import fitting, simulate, spectral
-from .config import (
-    ExperimentConfig,
-    SCHEMA_VERSION,
-    config_hash,
-    default_config,
-    load_config,
-    validate_config,
-)
+from .config import ExperimentConfig, SCHEMA_VERSION, config_hash, default_config, load_config, read_json
 from .errors import ConfigError, NumericalError, VerificationFailure
 from .transfer import RationalDiscreteTF
 
-THREADS_ENV = "EFQ_THREADS"
 MAX_WORKERS = 8  # a pool starts all its workers at once, so their count is bounded
 # _csv_file formats CSV_CHUNK_ROWS rows at a time (a few MB of text), and
 # counts what it writes in CSV_COUNTS, which main clears for each stage.
@@ -72,17 +65,9 @@ TRACE_COLUMNS = ("k", "x", "u", "v", "w", "overload")
 
 
 def _max_workers() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-        if not 1 <= n <= MAX_WORKERS:
-            raise ConfigError(f"{THREADS_ENV} must be from 1 to {MAX_WORKERS}, got {n}")
-        return n
+    """The CPUs in this process's CPU set (``taskset``, a cpuset; not a CPU quota), up to MAX_WORKERS."""
     try:
-        cpus = len(os.sched_getaffinity(0))  # the CPUs this process may run on
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     return min(MAX_WORKERS, cpus)
@@ -223,18 +208,16 @@ def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[dict], None
 
 def _load_setup(args) -> tuple[ExperimentConfig, str, spectral.AmplitudeResponse]:
     cfg = load_config(args.config) if args.config else default_config()
-    if args.grid is not None:
-        cfg = dataclasses.replace(cfg, n_points=args.grid)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seeds=(args.seed,)))
-    validate_config(cfg)
     args.config_sha256 = config_hash(cfg)  # for the stage's timings
     return cfg, args.config_sha256, _base_response(cfg)
 
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -309,12 +292,7 @@ def _read_cells(path: str, kind: str, sha: str, cells, fields: dict) -> dict:
     An unreadable file, another configuration's hash, a missing cell or a
     field its parser rejects raises ConfigError naming the file and field.
     """
-    try:
-        artifact = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read {kind} artifact {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{kind} artifact {path} is not valid JSON: {exc}") from exc
+    artifact = read_json(path, f"{kind} artifact")
     if not isinstance(artifact, dict) or not isinstance(artifact.get("cells"), list):
         raise ConfigError(f"{kind} artifact {path} is not a JSON object with a 'cells' list")
     if artifact.get("config_sha256") != sha:
@@ -664,13 +642,13 @@ def _verify_checks(cfg: ExperimentConfig, p_base: spectral.AmplitudeResponse) ->
 
 def cmd_verify(args) -> int:
     cfg, sha, p_base = _load_setup(args)
+    out = _out_dir(args) if args.out else None
     checks = _verify_checks(cfg, p_base)
     failures = [c for c in checks if not c["pass"]]
     for c in checks:
         status = "PASS" if c["pass"] else "FAIL"
         _say(args, f"{status} {c['name']}: measured={c['measured']:.6g} tolerance={c['tolerance']:.6g}")
-    if args.out:
-        out = _out_dir(args)
+    if out is not None:
         _write_json(
             out / "verify.json",
             {
@@ -704,8 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON configuration file (defaults to the built-in benchmark setup)")
         out_help = f"output directory (default: {out_default})" if out_default else "optional output directory"
         p.add_argument("--out", default=out_default, help=out_help)
-        p.add_argument("--seed", type=int, help="override the simulation seed list with a single seed")
-        p.add_argument("--grid", type=int, help="override the frequency-grid resolution")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     p_design = sub.add_parser("design", help="solve the optimal shaping design per cell")

@@ -81,9 +81,30 @@ def _require(problems: list[str], condition: bool, path: str, message: str) -> N
         problems.append(f"{path}: {message}")
 
 
+_KINDS = {int: "an integer", float: "a float", str: "a string"}
+_HINTS = {cls: typing.get_type_hints(cls) for cls in (PlantConfig, FitConfig, SimConfig, ExperimentConfig)}
+
+
+def _type_problems(kind, value, path: str) -> list[str]:
+    """Each place where ``value`` is not the type the loader reads ``kind`` as (a section, a tuple,
+    an int that is no bool, a float, a str), so that a valid config reads back from its JSON text."""
+    if dataclasses.is_dataclass(kind):
+        if type(value) is not kind:
+            return [f"{path}: must be a {kind.__name__}, got {value!r}"]
+        prefix = f"{path}." if path else ""
+        return [p for f in dataclasses.fields(kind) for p in _type_problems(_HINTS[kind][f.name], getattr(value, f.name), prefix + f.name)]
+    if typing.get_origin(kind) is tuple:
+        if type(value) is not tuple:
+            return [f"{path}: must be a tuple, got {value!r}"]
+        return [p for i, v in enumerate(value) for p in _type_problems(typing.get_args(kind)[0], v, f"{path}[{i}]")]
+    return [] if type(value) is kind else [f"{path}: must be {_KINDS[kind]}, got {value!r}"]
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
-    """Raise ConfigError listing every violated field by dotted path."""
-    problems: list[str] = []
+    """Raise ConfigError listing every violated field by dotted path: its type, or else its range."""
+    problems = _type_problems(ExperimentConfig, cfg, "")
+    if problems:
+        raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
     try:
         cfg.plant_tf()
     except ValueError as exc:
@@ -91,15 +112,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _require(problems, bool(cfg.bits_list), "bits_list", "must be nonempty")
     nus = {}  # bits_list index -> nu = gamma + 1, where gamma is a float
     for i, b in enumerate(cfg.bits_list):
-        _require(problems, isinstance(b, int) and b >= 1, f"bits_list[{i}]", f"must be a positive integer, got {b!r}")
-        if isinstance(b, int) and b >= 1 and 0 < cfg.loading_factor < math.inf:
+        _require(problems, b >= 1, f"bits_list[{i}]", f"must be a positive integer, got {b!r}")
+        if b >= 1 and 0 < cfg.loading_factor < math.inf:
             try:
                 nus[i] = gamma_from_bits(b, cfg.loading_factor) + 1.0
             except ValueError as exc:
                 problems.append(f"bits_list[{i}]: {exc}")
     _require(problems, bool(cfg.lambda_list), "lambda_list", "must be nonempty")
     for j, lam in enumerate(cfg.lambda_list):
-        if not (isinstance(lam, int) and lam >= 1):
+        if lam < 1:
             problems.append(f"lambda_list[{j}]: must be a positive integer, got {lam!r}")
             continue
         # the bound and the collapse identity's design take nu^lambda
@@ -114,35 +135,25 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _require(
         problems, 0 < cfg.loading_factor < math.inf, "loading_factor", f"must be a finite positive number, got {cfg.loading_factor!r}"
     )
-    _require(
-        problems,
-        isinstance(cfg.n_points, int) and cfg.n_points >= MIN_N_POINTS,
-        "n_points",
-        f"must be an integer >= {MIN_N_POINTS}, got {cfg.n_points!r}",
-    )
+    _require(problems, cfg.n_points >= MIN_N_POINTS, "n_points", f"must be an integer >= {MIN_N_POINTS}, got {cfg.n_points!r}")
     _require(problems, cfg.fit.method in FIT_METHODS, "fit.method", f"must be one of {FIT_METHODS}, got {cfg.fit.method!r}")
     # yule_walker_fit's limit, checked before a fit builds lists and matrices of that size
-    order_limit = cfg.n_points // 4 if isinstance(cfg.n_points, int) and cfg.n_points >= MIN_N_POINTS else math.inf
+    order_limit = cfg.n_points // 4 if cfg.n_points >= MIN_N_POINTS else math.inf
     _require(
         problems,
-        isinstance(cfg.fit.order, int) and 1 <= cfg.fit.order <= order_limit,
+        1 <= cfg.fit.order <= order_limit,
         "fit.order",
         f"must be an integer from 1 to n_points // 4 = {order_limit}, got {cfg.fit.order!r}"
         if order_limit < math.inf
         else f"must be a positive integer, got {cfg.fit.order!r}",
     )
-    _require(
-        problems, isinstance(cfg.sim.length, int) and cfg.sim.length >= 1, "sim.length", f"must be a positive integer, got {cfg.sim.length!r}"
-    )
+    _require(problems, cfg.sim.length >= 1, "sim.length", f"must be a positive integer, got {cfg.sim.length!r}")
     _require(problems, bool(cfg.sim.seeds), "sim.seeds", "must be nonempty")
     first = {}  # index of each seed's first place; a repeated seed reruns a lane and zeroes the spread
     for i, s in enumerate(cfg.sim.seeds):
-        _require(
-            problems, isinstance(s, int) and 0 <= s <= MAX_SEED, f"sim.seeds[{i}]", f"must be an integer from 0 to 2**63 - 1, got {s!r}"
-        )
-        if isinstance(s, int):
-            _require(problems, s not in first, f"sim.seeds[{i}]", f"repeats sim.seeds[{first.get(s)}] ({s})")
-            first.setdefault(s, i)
+        _require(problems, 0 <= s <= MAX_SEED, f"sim.seeds[{i}]", f"must be an integer from 0 to 2**63 - 1, got {s!r}")
+        _require(problems, s not in first, f"sim.seeds[{i}]", f"repeats sim.seeds[{first.get(s)}] ({s})")
+        first.setdefault(s, i)
     _require(
         problems, cfg.sim.input_kind in INPUT_KINDS, "sim.input_kind", f"must be one of {INPUT_KINDS}, got {cfg.sim.input_kind!r}"
     )
@@ -213,11 +224,10 @@ def _section(cls, data, path: str):
     unknown = sorted(set(data) - {f.name for f in fields})
     if unknown:
         raise ConfigError("; ".join(f"{prefix}{name}: unknown field" for name in unknown))
-    hints = typing.get_type_hints(cls)
     values = {}
     for f in fields:
         if f.name in data:
-            values[f.name] = _value(hints[f.name], data[f.name], prefix + f.name)
+            values[f.name] = _value(_HINTS[cls][f.name], data[f.name], prefix + f.name)
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"{prefix}{f.name}: required field is missing")
     return cls(**values)
@@ -234,14 +244,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def read_json(path: str | Path, what: str):
+    """The JSON value in the UTF-8 file at ``path``; one that cannot be read or decoded raises ConfigError naming it ``what``."""
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # undecodable bytes too
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    return config_from_dict(read_json(path, "config file"))
 
 
 def canonical_json(obj) -> str:

@@ -44,6 +44,28 @@ def config_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def set_workers(monkeypatch):
+    """``set_workers(n)`` fakes the worker count ``cli._max_workers()`` reads
+    from the CPU set, so a test forks 2 or 3 workers on a 1-CPU machine too,
+    and returns the sizes of the pools cli opens from then on, in order."""
+    pools = []
+    fork_pool = cli._fork_pool
+
+    def recorded(workers):
+        pools.append(workers)
+        return fork_pool(workers)
+
+    monkeypatch.setattr(cli, "_fork_pool", recorded)
+
+    def set_count(n):
+        monkeypatch.setattr(cli, "_max_workers", lambda: n)
+        pools.clear()
+        return pools
+
+    return set_count
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# config_sha256=")
@@ -146,10 +168,10 @@ class TestWriteCsv:
         assert sum(calls) == (distinct if formatted == "distinct" else CSV_CHUNK_ROWS)
 
     @pytest.mark.parametrize("where", ["block", "worker"])
-    def test_failure_after_the_workers_started_joins_them_and_removes_the_file(self, tmp_path, monkeypatch, where):
+    def test_failure_after_the_workers_started_joins_them_and_removes_the_file(self, tmp_path, monkeypatch, set_workers, where):
         # An exception in the block, or in a worker formatting a later chunk,
         # comes out unchanged, with every worker joined and no partial file.
-        monkeypatch.setenv("EFQ_THREADS", "2")
+        pools = set_workers(2)
         chunk_bytes = csvtext.chunk_bytes
 
         def chunk_bytes_failing_past_the_first_chunk(columns):
@@ -167,6 +189,7 @@ class TestWriteCsv:
                 raise ArithmeticError("block failed")
         assert not path.exists()
         assert multiprocessing.active_children() == []
+        assert pools == [2]
 
 
 class TestDesignCommand:
@@ -191,11 +214,11 @@ class TestDesignCommand:
         assert (out1 / "design.json").read_bytes() == (out2 / "design.json").read_bytes()
         assert (out1 / "design_r_opt.csv").read_bytes() == (out2 / "design_r_opt.csv").read_bytes()
 
-    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
-        # Every command that maps its cells over the thread pool, and both
+    def test_thread_count_does_not_change_output(self, tmp_path, set_workers):
+        # Every command that maps its cells over the worker pool, and both
         # tables that format on worker processes: design_r_opt.csv (2 CSV
-        # chunks) and trace.csv (3 chunks and a row). EFQ_THREADS is set
-        # explicitly, so the worker processes run on a 1-core machine too.
+        # chunks) and trace.csv (3 chunks and a row). The worker count is
+        # faked, so 2 and 3 workers fork on a 1-core machine too.
         sim = dict(SMALL_CONFIG["sim"], length=3 * CSV_CHUNK_ROWS + 1, seeds=[0])
         config = dict(SMALL_CONFIG, n_points=8192, sim=sim)
         assert 4 * config["n_points"] > CSV_CHUNK_ROWS  # 4 cells
@@ -208,26 +231,29 @@ class TestDesignCommand:
             "simulate": ("simulate.json", "simulate_runs.csv", "trace.csv"),
         }
         artifacts = []
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("EFQ_THREADS", threads)
-            out = tmp_path / f"threads{threads}"
+        for workers in (1, 2, 3):
+            pools = set_workers(workers)
+            out = tmp_path / f"workers{workers}"
             for command in outputs:
                 flags = ["--trace"] if command == "simulate" else []
                 assert main([command, "--config", str(path), "--out", str(out), "--quiet", *flags]) == 0
             artifacts.append({name: (out / name).read_bytes() for names in outputs.values() for name in names})
             assert multiprocessing.active_children() == []
+            assert max(pools, default=1) == workers
         assert artifacts[0] == artifacts[1] == artifacts[2]
 
-    def test_table_on_a_grid_that_does_not_divide_a_chunk(self, tmp_path, monkeypatch):
-        # 8 cells of 3,000 rows: appends straddle every 2^14-row chunk
-        # boundary, and the chunks past the first format on the workers.
-        monkeypatch.setenv("EFQ_THREADS", "2")
-        config = dict(SMALL_CONFIG, bits_list=[1, 2, 3, 4], n_points=3000)
-        assert CSV_CHUNK_ROWS % config["n_points"] and 8 * config["n_points"] > CSV_CHUNK_ROWS
+    def test_table_on_a_grid_that_does_not_divide_a_chunk(self, tmp_path, set_workers):
+        # 16 cells of 3,000 rows, appended 5 cells at a time: appends
+        # straddle every 2^14-row chunk boundary, and the two that start past
+        # the first chunk format on the workers.
+        pools = set_workers(2)
+        config = dict(SMALL_CONFIG, bits_list=list(range(1, 9)), n_points=3000)
+        assert CSV_CHUNK_ROWS % config["n_points"] and 2 * 5 * config["n_points"] > CSV_CHUNK_ROWS
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "out"
         assert main(["design", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        assert pools == [2, 2]  # the cells' pool, then the table's
         cfg = efq.load_config(str(path))
         p_base = efq.ct_frequency_map(cfg.plant_tf(), 1, cfg.grid())
         rows = []
@@ -241,10 +267,11 @@ class TestDesignCommand:
         expected = reference_csv(sha, ["bits", "lambda", "omega", "r_opt"], rows)
         assert (out / "design_r_opt.csv").read_text().split("\n") == expected.split("\n")
 
-    def test_peak_memory_stays_below_four_times_the_responses(self, tmp_path, monkeypatch):
+    def test_peak_memory_stays_below_four_times_the_responses(self, tmp_path, set_workers):
         # The built-in config's 32 responses of 8,192 points take 2 MiB; the
         # table is written one cell at a time, with no copy of the whole.
-        monkeypatch.setenv("EFQ_THREADS", "1")
+        # One worker keeps the work in this process, where tracemalloc sees it.
+        pools = set_workers(1)
         cfg = efq.default_config()
         response_bytes = len(set(cfg.bits_list)) * len(set(cfg.lambda_list)) * cfg.n_points * 8
         tracemalloc.start()
@@ -254,17 +281,7 @@ class TestDesignCommand:
         finally:
             tracemalloc.stop()
         assert peak < 4 * response_bytes, peak
-
-    def test_grid_override_changes_hash(self, config_path, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["design", "--config", config_path, "--out", str(out1), "--quiet"]) == 0
-        assert (
-            main(["design", "--config", config_path, "--out", str(out2), "--grid", "1024", "--quiet"])
-            == 0
-        )
-        h1 = json.loads((out1 / "design.json").read_text())["config_sha256"]
-        h2 = json.loads((out2 / "design.json").read_text())["config_sha256"]
-        assert h1 != h2
+        assert pools == []
 
 
 class TestRDCurveCommand:
@@ -320,24 +337,15 @@ class TestFitCommand:
             assert cell["loss_db"] >= -1e-6
             assert cell["norm_sq"] >= 1.0
 
-    def test_mismatched_design_artifact_rejected(self, config_path, tmp_path):
+    def test_mismatched_design_artifact_rejected(self, config_path, tmp_path, capsys):
+        # A design solved on another grid hashes another configuration.
         out = tmp_path / "out"
         assert main(["design", "--config", config_path, "--out", str(out), "--quiet"]) == 0
-        rc = main(
-            [
-                "fit",
-                "--config",
-                config_path,
-                "--out",
-                str(out),
-                "--design",
-                str(out / "design.json"),
-                "--grid",
-                "1024",
-                "--quiet",
-            ]
-        )
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(dict(SMALL_CONFIG, n_points=1024)))
+        rc = main(["fit", "--config", str(other), "--out", str(out), "--design", str(out / "design.json"), "--quiet"])
         assert rc == 1
+        assert capsys.readouterr().err == f"configuration error: design artifact {out / 'design.json'} was produced with a different configuration\n"
 
     def test_yule_walker_method(self, tmp_path):
         cfg = dict(SMALL_CONFIG)
@@ -409,9 +417,12 @@ class TestSimulateCommand:
         _, rows = read_csv(out / "simulate_runs.csv")
         assert len(rows) == 8
 
-    def test_seed_override_and_determinism(self, config_path, tmp_path):
+    def test_seed_override_and_determinism(self, tmp_path):
+        # A config of one seed, run twice.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, sim=dict(SMALL_CONFIG["sim"], seeds=[3]))))
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        args = ["simulate", "--config", config_path, "--seed", "3", "--quiet"]
+        args = ["simulate", "--config", str(path), "--quiet"]
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert (out1 / "simulate.json").read_bytes() == (out2 / "simulate.json").read_bytes()
@@ -543,11 +554,11 @@ class TestSimulateCommand:
             "numerical failure: bits=8 lambda=1 seed=4: u/step is not finite at sample 9 of the chunk from sample 8192\n"
         )
 
-    def test_diverging_lane_joins_the_trace_workers(self, tmp_path, monkeypatch, capsys):
+    def test_diverging_lane_joins_the_trace_workers(self, tmp_path, set_workers, capsys):
         # Seed 6 of the diverging set-up above fails in its chunk from sample
         # 32768, after trace.csv has sent chunks to worker processes: simulate
         # still exits 2, joins every worker and leaves no artifact.
-        monkeypatch.setenv("EFQ_THREADS", "2")
+        pools = set_workers(2)
         path, fit_path = self.diverging_setup(tmp_path, [6])
         out = tmp_path / "out"
         capsys.readouterr()
@@ -555,6 +566,7 @@ class TestSimulateCommand:
         assert main(args) == 2
         failed_at = int(re.search(r"of the chunk from sample (\d+)", capsys.readouterr().err).group(1))
         assert failed_at > CSV_CHUNK_ROWS  # a trace chunk went to the workers
+        assert pools == [2]
         assert list(out.iterdir()) == []
         assert multiprocessing.active_children() == []
 
@@ -609,40 +621,32 @@ class TestSimulateCommand:
         assert rc == 0
 
 
+# A stage in a fresh process at a faked worker count, printing the sizes of
+# the pools it opened before it exits with the stage's code.
+STAGE_AT_WORKERS = """
+import sys
+from efq import cli
+
+fork_pool, pools = cli._fork_pool, []
+cli._fork_pool = lambda workers: pools.append(workers) or fork_pool(workers)
+cli._max_workers = lambda: int(sys.argv[1])
+code = cli.main(sys.argv[2:])
+print(pools)
+sys.exit(code)
+"""
+
+
 class TestWorkerProcesses:
     def test_max_workers_counts_the_cpus_this_process_may_run_on(self, monkeypatch):
-        monkeypatch.delenv("EFQ_THREADS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 17}, raising=False)  # pinned to 2 of 64
         assert cli._max_workers() == 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert cli._max_workers() == cli.MAX_WORKERS == 8
         monkeypatch.delattr(os, "sched_getaffinity")  # a platform without it
         assert cli._max_workers() == 8
-        monkeypatch.setenv("EFQ_THREADS", "3")
-        assert cli._max_workers() == 3
 
-    @pytest.mark.parametrize("threads", ["9", "100000"])
-    def test_thread_count_above_eight_is_rejected_before_any_pool(self, tmp_path, monkeypatch, capsys, threads):
-        # A pool starts all its workers at its first item, so EFQ_THREADS
-        # above cli.MAX_WORKERS would fork that many processes at once.
-        def no_pool(workers):
-            raise AssertionError(f"a pool of {workers} workers was opened")
-
-        monkeypatch.setattr(cli, "_fork_pool", no_pool)
-        monkeypatch.setenv("EFQ_THREADS", threads)
-        with pytest.raises(efq.ConfigError, match=f"EFQ_THREADS must be from 1 to 8, got {threads}"):
-            cli._max_workers()
-        with pytest.raises(efq.ConfigError):
-            with _csv_file(tmp_path / "table.csv", "abc", ["x"]) as append:
-                append({"x": np.arange(4 * CSV_CHUNK_ROWS, dtype=float)})
-        assert not (tmp_path / "table.csv").exists()
-        assert main(["design", "--out", str(tmp_path / "out"), "--quiet"]) == 1
-        assert capsys.readouterr().err == f"configuration error: EFQ_THREADS must be from 1 to 8, got {threads}\n"
-        assert list((tmp_path / "out").iterdir()) == []
-        assert multiprocessing.active_children() == []
-        monkeypatch.setenv("EFQ_THREADS", "8")
-        assert cli._max_workers() == 8
-
-    def test_worker_count_does_not_change_verify_or_split_lanes(self, tmp_path, monkeypatch):
+    def test_worker_count_does_not_change_verify_or_split_lanes(self, tmp_path, set_workers):
         # verify's cells, and simulate's 48 lanes without --trace, which run
         # as 1, 2 and 3 parts; no worker is left behind.
         config = dict(SMALL_CONFIG, sim=dict(SMALL_CONFIG["sim"], seeds=list(range(12))))
@@ -651,13 +655,15 @@ class TestWorkerProcesses:
         path.write_text(json.dumps(config))
         names = ("verify.json", "simulate.json", "simulate_runs.csv")
         artifacts = []
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("EFQ_THREADS", threads)
-            out = tmp_path / f"threads{threads}"
+        for workers in (1, 2, 3):
+            pools = set_workers(workers)
+            out = tmp_path / f"workers{workers}"
             for command in ("verify", "simulate"):
                 assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 0
                 assert multiprocessing.active_children() == []
             artifacts.append({name: (out / name).read_bytes() for name in names})
+            # verify's cells, then simulate's fits and its lane parts
+            assert pools == ([workers] * 3 if workers > 1 else [])
         assert artifacts[0] == artifacts[1] == artifacts[2]
 
     def test_lane_failure_reads_as_in_the_serial_pass(self, tmp_path):
@@ -667,22 +673,22 @@ class TestWorkerProcesses:
         # earliest failing chunk, so every worker count names seed 23.
         seeds = [0, 1, 2, 3, 6, 7, 9, 10, 11, 13, 14, 15, 16, 17, 18, 19]
         seeds += [20, 21, 22, 23, 24, 25, 26, 29, 30, 31, 32, 33, 36, 37, 38, 39]
-        assert simulate.lane_parts(len(seeds), 2) == [range(0, 16), range(16, 32)]
+        assert simulate.lane_parts(len(seeds), 2) == simulate.lane_parts(len(seeds), 3) == [range(0, 16), range(16, 32)]
         path, fit_path = TestSimulateCommand.diverging_setup(tmp_path, seeds)
         stderr = {}
-        for threads in ("1", "2", "3"):
-            out = tmp_path / f"out{threads}"
-            code = f"import os, sys; os.environ['EFQ_THREADS'] = {threads!r}; from efq.cli import main; sys.exit(main())"
+        for workers in (1, 2, 3):
+            out = tmp_path / f"out{workers}"
             args = ["simulate", "--config", str(path), "--out", str(out), "--fit", str(fit_path), "--quiet"]
-            proc = run_python(["-c", code, *args])
+            proc = run_python(["-c", STAGE_AT_WORKERS, str(workers), *args])
             assert proc.returncode == 2, proc.stderr
+            assert proc.stdout == ("[]\n" if workers == 1 else "[2]\n")  # one pool, for the two parts
             assert list(out.iterdir()) == []
-            stderr[threads] = proc.stderr
+            stderr[workers] = proc.stderr
         assert re.fullmatch(
             r"numerical failure: bits=8 lambda=1 seed=23: u/step is not finite at sample \d+ of the chunk from sample 8192\n",
-            stderr["1"],
+            stderr[1],
         )
-        assert stderr["2"] == stderr["3"] == stderr["1"]
+        assert stderr[2] == stderr[3] == stderr[1]
 
 
 class TestVerifyCommand:
@@ -698,10 +704,11 @@ class TestVerifyCommand:
 
 
 class TestStagesAgree:
-    def test_shapers_are_built_only_where_read(self, config_path, tmp_path, monkeypatch):
+    def test_shapers_are_built_only_where_read(self, config_path, tmp_path, monkeypatch, set_workers):
         # design and verify read one shaper per cell, and the yw fit fits one;
-        # rd-curve and the qcqp fit read only the design's scalars.
-        monkeypatch.setenv("EFQ_THREADS", "1")
+        # rd-curve and the qcqp fit read only the design's scalars. One worker
+        # keeps every cell in this process, where the count sees it.
+        pools = set_workers(1)
         yw_path = tmp_path / "yw.json"
         yw_path.write_text(json.dumps(dict(SMALL_CONFIG, fit={"method": "yw", "order": 4})))
         built = []
@@ -725,6 +732,7 @@ class TestStagesAgree:
             assert main([command, "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
             counts[name] = len(built)
         assert counts == {"design": 4, "verify": 4, "rd-curve": 0, "fit qcqp": 0, "fit yw": 4}
+        assert pools == []
 
     def test_cli_matches_library_and_stages_match_each_other(self, config_path, tmp_path):
         out = tmp_path / "out"
@@ -792,14 +800,14 @@ class TestEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == SIMULATION_CHECK_STDOUT
 
-    def test_timings_count_every_solve_by_phase(self, config_path, tmp_path, monkeypatch):
+    def test_timings_count_every_solve_by_phase(self, config_path, tmp_path, set_workers):
         """Each stage's timings sidecar counts its solves and their quadratures
         by phase; the counts do not depend on the worker count."""
         phases = ("newton", "bisection", "polish")
         totals = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("EFQ_THREADS", threads)
-            out = tmp_path / f"threads{threads}"
+        for workers in (1, 2):
+            pools = set_workers(workers)
+            out = tmp_path / f"workers{workers}"
             sidecars = {}
             for command in ("rd-curve", "fit", "verify"):
                 assert main([command, "--config", config_path, "--out", str(out), "--quiet"]) == 0
@@ -808,12 +816,13 @@ class TestEntryPoints:
             for timings in sidecars.values():
                 assert timings["schema_version"] == 1 and timings["config_sha256"] == sha
                 assert timings["cpu_s"] >= 0.0 and timings["wall_s"] > 0.0
-            totals[threads] = {name: sum(t[name] for t in sidecars.values()) for name in ("solves", *phases)}
+            totals[workers] = {name: sum(t[name] for t in sidecars.values()) for name in ("solves", *phases)}
+            assert pools == ([workers] * 3 if workers > 1 else [])  # each stage's cells
         # 4 cells: rd-curve 4 + 2 collapse solves, fit 4, verify 4 + 4 on the doubled grid + 2
-        assert totals["1"]["solves"] == 20
-        quadratures = sum(totals["1"][phase] for phase in phases)
+        assert totals[1]["solves"] == 20
+        quadratures = sum(totals[1][phase] for phase in phases)
         assert 0 < quadratures <= 24 * 20
-        assert totals["2"] == totals["1"]
+        assert totals[2] == totals[1]
 
     def test_verify_failure_writes_its_timings(self, tmp_path, capsys):
         """A verify that fails an invariant (exit 3) has written verify.json,
@@ -833,60 +842,74 @@ class TestEntryPoints:
         assert timings["config_sha256"] == json.loads((out / "verify.json").read_text())["config_sha256"]
         assert timings["solves"] > 0 and timings["wall_s"] > 0.0
 
-    def test_timings_count_csv_rows_bytes_and_format_time(self, tmp_path, monkeypatch):
+    def test_timings_count_csv_rows_bytes_and_format_time(self, tmp_path, set_workers):
         """The sidecar counts the rows and bytes of the tables a stage wrote
         and their formatting CPU time, a worker's included; the counts do not
         depend on the worker count. 4 cells of 8,192 points make 2 chunks of
-        design_r_opt.csv, the second formatted on a worker at 2 threads."""
+        design_r_opt.csv, the second formatted on a worker at 2 workers."""
         path = tmp_path / "config.json"
         path.write_text(json.dumps(dict(SMALL_CONFIG, n_points=8192)))
         counts = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("EFQ_THREADS", threads)
-            out = tmp_path / f"threads{threads}"
+        for workers in (1, 2):
+            pools = set_workers(workers)
+            out = tmp_path / f"workers{workers}"
             assert main(["design", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+            assert pools == ([workers] * 2 if workers > 1 else [])  # the cells' pool, then the table's
             timings = json.loads((out / "design.timings.json").read_text())
             assert timings["csv_format_s"] > 0.0
-            counts[threads] = (timings["csv_rows"], timings["csv_bytes"])
-        assert counts["1"] == counts["2"] == (4 * 8192, (out / "design_r_opt.csv").stat().st_size)
+            counts[workers] = (timings["csv_rows"], timings["csv_bytes"])
+        assert counts[1] == counts[2] == (4 * 8192, (out / "design_r_opt.csv").stat().st_size)
         assert main(["verify", "--config", str(path), "--out", str(out), "--quiet"]) == 0
         timings = json.loads((out / "verify.timings.json").read_text())
         assert (timings["csv_rows"], timings["csv_bytes"], timings["csv_format_s"]) == (0, 0, 0.0)
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_help_lists_common_flags(self, command, capsys):
+        # The config file is the one source of every experiment value, so no
+        # flag sets one.
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0
         usage = capsys.readouterr().out
-        for flag in ("--config", "--out", "--seed", "--grid", "--quiet"):
-            assert flag in usage, (command, flag)
+        own = {"fit": {"--design"}, "simulate": {"--fit", "--trace"}}.get(command, set())
+        assert set(re.findall(r"(?<![\w-])--[a-z]+", usage)) == {"--help", "--config", "--out", "--quiet", *own}
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    @pytest.mark.parametrize("flag", ["--grid 64", "--seed 0"])
+    def test_grid_and_seed_flags_are_refused(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flag.split()])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag}\n")
 
 
-# Runs design, rd-curve, fit, simulate (with --trace, and with EFQ_THREADS=1,
-# so its lane pass runs in this process) and, with both fit methods, fit and
-# verify, then prints the scipy modules loaded.
+# Runs design, rd-curve, fit, simulate (with --trace, and at one worker, so
+# its fits and lane pass run in this process) and, with both fit methods, fit
+# and verify, then prints the scipy modules loaded.
 SCIPY_FREE_STAGES = """
-import json, os, sys
-import efq
-from efq.cli import main
+import json, sys
+from efq import cli
 
 qcqp, yw, out = sys.argv[1:]
-for env, argv in (
-    ({}, ["design", "--config", qcqp]),
-    ({}, ["rd-curve", "--config", qcqp]),
-    ({}, ["fit", "--config", qcqp, "--design", out + "/design.json"]),
-    ({}, ["simulate", "--config", qcqp, "--fit", out + "/fit.json", "--trace"]),
-    ({"EFQ_THREADS": "1"}, ["simulate", "--config", qcqp]),
-    ({}, ["fit", "--config", yw]),
-    ({}, ["verify", "--config", qcqp]),
-    ({}, ["verify", "--config", yw]),
+fork_pool, pools = cli._fork_pool, []
+cli._fork_pool = lambda workers: pools.append(workers) or fork_pool(workers)
+max_workers = cli._max_workers
+for in_process, argv in (
+    (False, ["design", "--config", qcqp]),
+    (False, ["rd-curve", "--config", qcqp]),
+    (False, ["fit", "--config", qcqp, "--design", out + "/design.json"]),
+    (False, ["simulate", "--config", qcqp, "--fit", out + "/fit.json", "--trace"]),
+    (True, ["simulate", "--config", qcqp]),
+    (False, ["fit", "--config", yw]),
+    (False, ["verify", "--config", qcqp]),
+    (False, ["verify", "--config", yw]),
 ):
-    os.environ.update(env)
-    if main([*argv, "--out", out, "--quiet"]) != 0:
+    cli._max_workers = (lambda: 1) if in_process else max_workers
+    pools.clear()
+    if cli.main([*argv, "--out", out, "--quiet"]) != 0:
         sys.exit(f"efq {argv[0]} failed")
-    for name in env:
-        del os.environ[name]
+    if in_process and pools:
+        sys.exit(f"efq {argv[0]} opened a pool of {pools[0]} workers at one worker")
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
 
@@ -1157,9 +1180,33 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("command", ["design", "verify"])
     @pytest.mark.parametrize("grid", ["0", "63"])
-    def test_grid_below_minimum_rejected(self, config_path, tmp_path, capsys, command, grid):
-        assert main([command, "--config", config_path, "--out", str(tmp_path), "--grid", grid, "--quiet"]) == 1
+    def test_grid_below_minimum_rejected(self, tmp_path, capsys, command, grid):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, n_points=int(grid))))
+        assert main([command, "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 1
         assert f"n_points: must be an integer >= 64, got {grid}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", SUBCOMMANDS)
+    def test_output_directory_that_cannot_be_made_exits_one(self, config_path, tmp_path, capsys, stage):
+        # Under a regular file: a NotADirectoryError traceback, and verify
+        # ran every check before it tried.
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        assert main([stage, "--config", config_path, "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot create output directory {out}: ") and err.count("\n") == 1, err
+        assert design.SOLVE_COUNTS["solves"] == 0
+
+    @pytest.mark.parametrize("stage, flag", [("design", "--config"), ("fit", "--design"), ("simulate", "--fit")])
+    def test_undecodable_json_file_is_named(self, config_path, tmp_path, capsys, stage, flag):
+        # 200 random bytes printed "validation error: 'utf-8' codec can't
+        # decode byte ...", which names no file.
+        path = tmp_path / "bytes.json"
+        path.write_bytes(np.random.default_rng(0).bytes(200))
+        args = [stage, "--out", str(tmp_path / "out"), "--quiet", flag, str(path)]
+        assert main(args if flag == "--config" else [*args, "--config", config_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and f"{path} is not valid JSON: 'utf-8' codec can't decode" in err, err
 
     @pytest.mark.parametrize(
         "stage, damage, named",

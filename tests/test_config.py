@@ -7,8 +7,17 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from efq.config import config_from_dict, config_hash, config_to_dict, default_config, load_config, validate_config
+from efq.config import (
+    canonical_json,
+    config_from_dict,
+    config_hash,
+    config_to_dict,
+    default_config,
+    load_config,
+    validate_config,
+)
 from efq.errors import ConfigError
 
 # The default configuration's hash, as every earlier artifact records it.
@@ -205,3 +214,56 @@ def test_cell_with_a_finite_nu_power_validates(bits, lambdas):
 def test_largest_int64_seed_validates():
     cfg = default_config()
     validate_config(dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seeds=(0, 2**63 - 1))))
+
+
+def replaced(path, value):
+    """The default config with the field at the dotted ``path`` set to ``value``."""
+    cfg = default_config()
+    if "." not in path:
+        return dataclasses.replace(cfg, **{path: value})
+    section, name = path.split(".")
+    return dataclasses.replace(cfg, **{section: dataclasses.replace(getattr(cfg, section), **{name: value})})
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("bits_list", (True, 2), "bits_list[0]"),
+        ("lambda_list", (1, True), "lambda_list[1]"),
+        ("fit.order", True, "fit.order"),
+        ("sim.length", True, "sim.length"),
+        ("sim.seeds", (False,), "sim.seeds[0]"),
+        ("loading_factor", True, "loading_factor"),
+        ("loading_factor", "4", "loading_factor"),
+        ("sim.ct_pole", "x", "sim.ct_pole"),
+        ("plant.num", ("1.0",), "plant.num[0]"),
+        ("n_points", 8192.0, "n_points"),
+        ("bits_list", [1, 2], "bits_list"),
+    ],
+)
+def test_validate_refuses_what_the_loader_refuses(field, value, named):
+    """A bool is no number and a string is refused with its path, as the
+    loader refuses them: bools validated, and strings raised TypeError."""
+    with pytest.raises(ConfigError, match=re.escape(f"{named}: must be ")):
+        validate_config(replaced(field, value))
+
+
+SCALARS = st.one_of(
+    st.booleans(), st.integers(-2, 2**64), st.floats(), st.text(max_size=2), st.sampled_from(["yw", "white"])
+)
+FIELDS = (
+    "bits_list lambda_list loading_factor n_points fit.method fit.order"
+    " sim.length sim.seeds sim.input_kind sim.ct_pole plant.num plant.sample_period"
+).split()
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(FIELDS), value=st.one_of(SCALARS, st.lists(SCALARS, max_size=3), st.lists(SCALARS, max_size=3).map(tuple)))
+def test_a_config_that_validates_reads_back_from_its_json_text(field, value):
+    cfg = replaced(field, value)
+    try:
+        validate_config(cfg)
+    except ConfigError:
+        return
+    back = config_from_dict(json.loads(canonical_json(config_to_dict(cfg))))
+    assert back == cfg and config_hash(back) == config_hash(cfg)

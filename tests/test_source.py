@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import efq
 
 PACKAGE = sorted(Path(efq.__file__).parent.glob("*.py"))
+TESTS = sorted(p for p in Path(__file__).parent.rglob("*") if p.is_file() and "__pycache__" not in p.parts)
 # How an AmplitudeResponse stores its band edge; only efq.spectral reads it.
 EDGE_FIELDS = ("cutoff", "edge_below", "edge_above")
 
@@ -120,3 +122,35 @@ def test_each_public_name_is_listed_once_under_its_defining_module():
         f"{module}.{name}" for module, name in listed if getattr(getattr(efq, module), name).__module__ != f"efq.{module}"
     ]
     assert misplaced == []
+
+
+def environment_reads(source: str) -> list[str]:
+    """Each place a module names ``environ`` or ``getenv``, as an attribute,
+    a name or an import, in source order."""
+    names = ("environ", "getenv")
+    nodes = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in names
+        or isinstance(node, ast.Name) and node.id in names
+        or isinstance(node, ast.alias) and node.name in names
+    ]
+    return [f"line {n.lineno}" for n in sorted(nodes, key=lambda n: (n.lineno, n.col_offset))]
+
+
+def test_no_package_module_reads_the_environment():
+    """The config file and the CPU set are the only sources of efq's
+    settings, so no environment variable grows back as a second one."""
+    assert [f"{p.name} {read}" for p in PACKAGE for read in environment_reads(p.read_text())] == []
+
+
+def test_scan_finds_an_environment_read():
+    source = "import os\nfrom os import getenv\n\ndef f():\n    return os.environ.get('X'), os.getenv('Y'), getenv('Z')\n"
+    assert environment_reads(source) == ["line 2", "line 5", "line 5", "line 5"]
+
+
+def test_no_test_sets_an_efq_environment_variable():
+    """A test that set a worker count through the environment passed on a
+    machine with that many CPUs only; tests fake ``cli._max_workers``."""
+    named = [f"{p.name}: {m}" for p in TESTS for m in re.findall(r"EFQ_[A-Z]\w*", p.read_text(errors="replace"))]
+    assert named == []
