@@ -12,9 +12,11 @@ All commands are deterministic given the configuration and seeds; every
 output file carries the configuration hash. Exit codes: 0 success,
 1 validation error, 2 numerical failure, 3 invariant failure.
 A stage that succeeds, or fails an invariant (exit 3), with an output
-directory also writes its wall and CPU time, ``design.SOLVE_COUNTS`` and
+directory also writes its wall and CPU time, ``design.SOLVE_COUNTS``, the
+samples and CPU time of each loop kernel in ``simulate.LOOP_COUNTS`` and
 the CSV rows, bytes and formatting CPU time of ``CSV_COUNTS`` to
-``<command>.timings.json`` there.
+``<command>.timings.json`` there. An artifact path that cannot be written
+is a validation error (exit 1) naming the path.
 
 Every CSV table is written through ``_csv_file``, whose cells
 ``csvtext.chunk_bytes`` formats in numpy, a chunk at a time, byte for byte
@@ -96,15 +98,17 @@ _mapped = None  # the function _pool_map's workers apply, inherited at the fork
 
 
 def _apply_mapped(item):
-    design_mod.SOLVE_COUNTS.clear()  # the worker returns the solves of this item alone
-    return _mapped(item), design_mod.SOLVE_COUNTS.copy()
+    design_mod.SOLVE_COUNTS.clear()  # the worker returns the counts of this item alone
+    simulate.LOOP_COUNTS.clear()
+    return _mapped(item), design_mod.SOLVE_COUNTS.copy(), simulate.LOOP_COUNTS.copy()
 
 
 def _pool_map(fn, items) -> list:
     """``[fn(item) for item in items]``, on up to ``_max_workers()`` forked
     processes for two items or more. The workers inherit `fn`, so a closure
     maps as is; the first exception in item order comes out with its type
-    and message. The workers' ``SOLVE_COUNTS`` are added to this process's."""
+    and message. The workers' ``design.SOLVE_COUNTS`` and
+    ``simulate.LOOP_COUNTS`` are added to this process's."""
     global _mapped
     items = list(items)
     workers = min(_max_workers(), len(items))
@@ -113,9 +117,11 @@ def _pool_map(fn, items) -> list:
     _mapped = fn
     try:
         with _fork_pool(workers) as pool:
-            pairs = list(pool.map(_apply_mapped, items))
-        design_mod.SOLVE_COUNTS.update(sum((counts for _, counts in pairs), collections.Counter()))
-        return [result for result, _ in pairs]
+            outcomes = list(pool.map(_apply_mapped, items))
+        for _, solve_counts, loop_counts in outcomes:
+            design_mod.SOLVE_COUNTS.update(solve_counts)
+            simulate.LOOP_COUNTS.update(loop_counts)
+        return [result for result, *_ in outcomes]
     finally:
         _mapped = None
 
@@ -136,8 +142,17 @@ def _json_safe(value):
     return value
 
 
+def _unwritable(path: Path, exc: OSError) -> ConfigError:
+    """The failure of a stage that cannot write the artifact at `path`."""
+    return ConfigError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n"
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise _unwritable(path, exc) from None
 
 
 def _format_chunk(columns) -> tuple[bytes, float]:
@@ -157,7 +172,8 @@ def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[dict], None
     columns of equal length (1-D arrays, or a range for a row index). Every
     table is written through it, each stage appending rows as it reaches
     them. An exception inside the block removes the file, so no truncated
-    table is left behind.
+    table is left behind; a file that cannot be opened or written raises
+    ConfigError naming it, and a path it did not open stays as it was.
 
     An append formats and writes CSV_CHUNK_ROWS rows at a time from the
     columns, with ``csvtext.chunk_bytes``. A chunk that starts in the
@@ -171,10 +187,18 @@ def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[dict], None
     """
     workers = _max_workers()
     try:
-        with open(path, "wb") as fh, contextlib.ExitStack() as stack:
+        fh = open(path, "wb")
+    except OSError as exc:
+        raise _unwritable(path, exc) from None
+    try:
+        with fh, contextlib.ExitStack() as stack:
 
             def write(text: bytes, cpu_s: float) -> None:
-                fh.write(text)
+                try:
+                    fh.write(text)
+                    fh.flush()  # nothing is left for a forked worker to inherit, or for the close to fail on
+                except OSError as exc:
+                    raise _unwritable(path, exc) from None
                 CSV_COUNTS.update(csv_bytes=len(text), csv_format_s=cpu_s)
 
             write(f"# config_sha256={cfg_sha}\n{','.join(names)}\n".encode(), 0.0)
@@ -190,7 +214,6 @@ def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[dict], None
                         write(*_format_chunk(chunk))
                     else:
                         if pool is None:
-                            fh.flush()  # no worker may inherit unwritten bytes
                             pool = stack.enter_context(_fork_pool(workers))
                         pending.append(pool.submit(_format_chunk, chunk))
                         if len(pending) > 2 * workers:
@@ -715,6 +738,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     wall, cpu = time.perf_counter(), sum(os.times()[:4])  # CPU: user and system, reaped workers included
     design_mod.SOLVE_COUNTS.clear()
+    simulate.LOOP_COUNTS.clear()
+    simulate.LOOP_COUNTS.update(scalar_samples=0, scalar_cpu_s=0.0, batched_samples=0, batched_cpu_s=0.0)
     CSV_COUNTS.clear()
     CSV_COUNTS.update(csv_rows=0, csv_bytes=0, csv_format_s=0.0)
     try:
@@ -725,7 +750,8 @@ def main(argv=None) -> int:
             code = 3
         if args.out:
             counts = {name: design_mod.SOLVE_COUNTS[name] for name in ("solves", "newton", "bisection", "polish")}
-            timings = {"wall_s": time.perf_counter() - wall, "cpu_s": sum(os.times()[:4]) - cpu, **counts, **CSV_COUNTS}
+            timings = {"wall_s": time.perf_counter() - wall, "cpu_s": sum(os.times()[:4]) - cpu, **counts}
+            timings.update(simulate.LOOP_COUNTS, **CSV_COUNTS)
             header = {"schema_version": SCHEMA_VERSION, "config_sha256": args.config_sha256}
             _write_json(Path(args.out) / f"{args.command}.timings.json", {**header, **timings})
         return code

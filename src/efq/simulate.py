@@ -16,8 +16,10 @@ prediction.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import time
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
@@ -46,6 +48,10 @@ WELCH_GRID = FrequencyGrid(SEGMENT // 2 + 1)
 # outweighs the batching and the scalar loop runs.
 LANE_BUFFER_SAMPLES = 1 << 21
 MIN_BATCH_LANES = 16
+# The samples each loop kernel ran in this process and the CPU seconds it
+# took: scalar_samples and scalar_cpu_s, batched_samples (lane-samples) and
+# batched_cpu_s.
+LOOP_COUNTS: collections.Counter = collections.Counter()
 
 
 @dataclass(frozen=True)
@@ -169,7 +175,10 @@ class _InputDraw:
     """A model's seeded Gaussian input, `count` samples a call: white, or
     the stationary autoregression x_k = pole x_(k-1) + sqrt(1 - pole^2) e_k,
     pole = exp(-ct_pole*T), from x_(-1) ~ N(0, 1), so every sample has unit
-    variance. The rng stream and the register zi = pole x_(k-1) carry across
+    variance. A colored call scales the chunk's normals at once,
+    s = scale e, and then takes two operations a sample, y = zi + s and
+    zi = pole y: ``linear_filter([scale], [1, -pole])``'s operations in its
+    order. The rng stream and the register zi = pole x_(k-1) carry across
     calls, so the samples do not depend on how the draws are split."""
 
     def __init__(self, model: SignalModel, sample_period: float):
@@ -179,14 +188,20 @@ class _InputDraw:
             if sample_period <= 0:
                 raise ValueError("sample_period must be positive")
             self.pole = math.exp(-model.ct_pole * sample_period)
-            self.zi = np.array([self.pole * self.rng.standard_normal()])
+            self.zi = self.pole * self.rng.standard_normal()
             self.scale = math.sqrt(1.0 - self.pole * self.pole)
 
     def __call__(self, count: int) -> np.ndarray:
         x = self.rng.standard_normal(count)
-        if self.colored:
-            x, self.zi = linear_filter([self.scale], [1.0, -self.pole], x, zi=self.zi)
-        return x
+        if not self.colored:
+            return x
+        xs = (x * self.scale).tolist()
+        zi, pole = self.zi, self.pole
+        for k, s in enumerate(xs):
+            xs[k] = y = zi + s
+            zi = pole * y
+        self.zi = zi
+        return np.array(xs)
 
 
 def _draw_columns(draws: Sequence[_InputDraw], out: np.ndarray) -> np.ndarray:
@@ -198,14 +213,14 @@ def _draw_columns(draws: Sequence[_InputDraw], out: np.ndarray) -> np.ndarray:
     colored = [draw.colored for draw in draws]
     if any(colored):
         mask = True if all(colored) else np.array(colored)  # a mask costs half a microsecond a row
-        pole, scale, zi = np.array([(d.pole, d.scale, d.zi[0]) if d.colored else (0, 0, 0) for d in draws]).T.copy()
+        pole, scale, zi = np.array([(d.pole, d.scale, d.zi) if d.colored else (0, 0, 0) for d in draws]).T.copy()
         np.multiply(out, scale, out=out, where=mask)
         for row in out:
             np.add(row, zi, out=row, where=mask)
             np.multiply(row, pole, out=zi)
         for draw, z in zip(draws, zi.tolist()):
             if draw.colored:
-                draw.zi[0] = z
+                draw.zi = z
     return out
 
 
@@ -225,6 +240,62 @@ def _feedback_coefficients(r: RationalDiscreteTF) -> tuple[list[float], list[flo
     return [num[i] - den[i] for i in range(m + 1)], den
 
 
+# The scalar loop for order m, written out: ``_scalar_loop(m)`` fills in
+# the register and coefficient names and the TDF-II updates for m alone, so
+# the registers r1..rm and the coefficients f1..fm (R - 1) and a1..am (the
+# denominator) are locals and a sample indexes no list. As in the reference
+# loop, r(m+1) stays zero, and at order 0 y reads it. The operations are
+# those of the reference loop, in its order.
+_LOOP_TEMPLATE = """
+def loop(x, u_out, d, sat, f, a, r):
+    [{f}] = f
+    [{a}] = a
+    [{r}r{m_next}] = r
+    neg_sat = -sat
+    floor = _floor
+    try:
+        for start in range(0, len(x), BLOCK):
+            us = []
+            append = us.append
+            for xk in x[start : start + BLOCK].tolist():
+                y = r1
+                u = xk + y
+                level = (floor(u / d) + 0.5) * d
+                if level > sat:
+                    level = sat
+                elif level < neg_sat:
+                    level = neg_sat
+                w = level - u{updates}
+                append(u)
+            u_out[start : start + len(us)] = us
+    except (OverflowError, ValueError):  # floor of an infinite or NaN u/step
+        raise _not_finite(start + len(us)) from None
+    return [{r}]
+"""
+
+
+@functools.cache
+def _scalar_loop(m: int) -> Callable:
+    """The scalar loop of ``run_feedback_loop`` for order m, compiled once
+    per order: ``loop(x, u_out, d, sat, f, a, r)`` runs x through the
+    coefficients f[1..m] of R - 1 and a[1..m] of the denominator from the
+    registers r[1..m] and a zero, writes u to u_out and returns the
+    registers r[1..m] after the last sample."""
+
+    def names(prefix):
+        return "".join(f"{prefix}{i}, " for i in range(1, m + 1))
+
+    updates = [f"r{i} = f{i} * w - a{i} * y + r{i + 1}" for i in range(1, m)]
+    if m:
+        updates.append(f"r{m} = f{m} * w - a{m} * y")
+    source = _LOOP_TEMPLATE.format(
+        f=names("f"), a=names("a"), r=names("r"), m_next=m + 1, updates="".join(f"\n{16 * ' '}{u}" for u in updates)
+    )
+    namespace = {"BLOCK": BLOCK, "_floor": math.floor, "_not_finite": _not_finite}
+    exec(source, namespace)
+    return namespace["loop"]
+
+
 def run_feedback_loop(
     x: np.ndarray, r: RationalDiscreteTF, q: MidRiseQuantizer, state: np.ndarray | None = None
 ) -> LoopTraces:
@@ -233,60 +304,38 @@ def run_feedback_loop(
     The feedback filter R[z] - 1 is realized in transposed direct form II;
     its state update consumes only past errors (R's unity head makes the
     difference strictly causal), enforced structurally: the current output
-    depends only on stored state. The lane steps through x in BLOCK-sample
-    chunks: each chunk becomes a list of Python floats and its u values are
-    copied into one float64 array, so Python objects are held for one chunk,
-    not for the whole lane. Only u is recorded; ``loop_traces`` rebuilds the
-    rest. The loop stops with NumericalError at the first sample whose u/step
-    is not finite.
+    depends only on stored state. The loop body is written out for the
+    shaper's order (``_scalar_loop``), its registers and coefficients
+    locals: per sample, y = r1, u = x + y, the quantizer level
+    (floor(u/d) + 0.5) d clipped to the saturation, w = level - u, and
+    r_i = f_i w - a_i y + r_(i+1), r_m = f_m w - a_m y: about 125 ns a
+    sample at order 0, 225 ns at order 4 and 560 ns at order 16 on one core
+    of a 2-core machine. The lane steps through x in BLOCK-sample chunks: each
+    chunk becomes a list of Python floats and its u values are copied into
+    one float64 array, so Python objects are held for one chunk, not for
+    the whole lane. Only u is recorded; ``loop_traces`` rebuilds the rest.
+    The loop stops with NumericalError at the first sample whose u/step is
+    not finite. Each call adds its samples and CPU seconds to LOOP_COUNTS
+    (``scalar_samples``, ``scalar_cpu_s``).
 
     The loop starts at rest, or from `state`: a float array whose first
     `order` entries hold the TDF-II registers, which on return hold the
     registers after the last sample. Running a lane in consecutive pieces
     and passing one state through them gives the whole lane's u bit for bit.
     """
+    cpu = time.process_time()
     f, den = _feedback_coefficients(r)
     m = len(f) - 1
     if state is not None and (state.ndim != 1 or len(state) < m):
         raise ValueError(f"state must be one-dimensional with at least {m} entries")
-    taps = range(1, m)
 
     x_arr = np.ascontiguousarray(np.asarray(x, dtype=float))
     u_arr = np.empty(len(x_arr))
-
-    d = q.step
-    sat = q.saturation
-    neg_sat = -sat
-    floor = math.floor
-    # reg[1..m] live, reg[m+1] stays zero; at order 0, y reads that zero
-    # and the last update writes the unused reg[0]
-    reg = [0.0] * (m + 2)
+    regs = [0.0] * m if state is None else state[:m].tolist()
+    regs = _scalar_loop(m)(x_arr, u_arr, q.step, q.saturation, f[1:], den[1:], [*regs, 0.0])
     if state is not None:
-        reg[1 : m + 1] = state[:m].tolist()
-
-    try:
-        for start in range(0, len(x_arr), BLOCK):
-            us = []
-            append = us.append
-            for xk in x_arr[start : start + BLOCK].tolist():
-                y = reg[1]
-                u = xk + y
-                level = (floor(u / d) + 0.5) * d
-                if level > sat:
-                    level = sat
-                elif level < neg_sat:
-                    level = neg_sat
-                w = level - u
-                for i in taps:
-                    reg[i] = f[i] * w - den[i] * y + reg[i + 1]
-                reg[m] = f[m] * w - den[m] * y
-                append(u)
-            u_arr[start : start + len(us)] = us
-    except (OverflowError, ValueError):  # floor of an infinite or NaN u/step
-        raise _not_finite(start + len(us)) from None
-
-    if state is not None:
-        state[:m] = reg[1 : m + 1]
+        state[:m] = regs
+    LOOP_COUNTS.update(scalar_samples=len(x_arr), scalar_cpu_s=time.process_time() - cpu)
     return loop_traces(x_arr, u_arr, q)
 
 
@@ -307,8 +356,11 @@ def run_feedback_lanes(
     ``loop_traces`` rebuilds v, w and the overload flags. The lanes start at
     rest, or from `state` (registers x lanes, at least the highest order
     rows, as ``run_feedback_loop`` takes them per lane), which on return
-    holds the registers after the last sample.
+    holds the registers after the last sample. Each call adds its
+    lane-samples and CPU seconds to LOOP_COUNTS (``batched_samples``,
+    ``batched_cpu_s``).
     """
+    cpu = time.process_time()
     n, lanes = x.shape
     if len(shapers) != lanes or len(quantizers) != lanes:
         raise ValueError("need one shaper and one quantizer per lane")
@@ -356,6 +408,7 @@ def run_feedback_lanes(
         add(nxt_low, cur_high, out=nxt_low)
     if state is not None:
         state[:m] = blocks[n & 1, 1:]
+    LOOP_COUNTS.update(batched_samples=n * lanes, batched_cpu_s=time.process_time() - cpu)
     return x
 
 

@@ -863,6 +863,28 @@ class TestEntryPoints:
         timings = json.loads((out / "verify.timings.json").read_text())
         assert (timings["csv_rows"], timings["csv_bytes"], timings["csv_format_s"]) == (0, 0, 0.0)
 
+    def test_timings_count_each_loop_kernel(self, tmp_path, set_workers):
+        """The sidecar counts the samples each loop kernel ran, a worker's
+        included, and its CPU time; the counts do not depend on the worker
+        count. SMALL_CONFIG's 4 cells run 8 lanes on the scalar loop at 2
+        seeds and 64 on the batched kernel at 16; verify runs one scalar lane."""
+        counts = {}
+        for seeds, workers in ((2, 1), (2, 2), (16, 1), (16, 2)):
+            set_workers(workers)
+            path = tmp_path / f"config{seeds}.json"
+            path.write_text(json.dumps(dict(SMALL_CONFIG, sim=dict(SMALL_CONFIG["sim"], seeds=list(range(seeds))))))
+            out = tmp_path / f"out{seeds}-{workers}"
+            assert main(["simulate", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+            timings = json.loads((out / "simulate.timings.json").read_text())
+            counts[seeds, workers] = tuple(timings[name] for name in ("scalar_samples", "batched_samples"))
+            kernel = "scalar" if seeds == 2 else "batched"
+            assert timings[f"{kernel}_cpu_s"] > 0.0
+        assert counts[2, 1] == counts[2, 2] == (8 * 20000, 0)
+        assert counts[16, 1] == counts[16, 2] == (0, 64 * 20000)
+        assert main(["verify", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        timings = json.loads((out / "verify.timings.json").read_text())
+        assert (timings["scalar_samples"], timings["batched_samples"], timings["batched_cpu_s"]) == (20000, 0, 0.0)
+
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_help_lists_common_flags(self, command, capsys):
         # The config file is the one source of every experiment value, so no
@@ -1196,6 +1218,28 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: cannot create output directory {out}: ") and err.count("\n") == 1, err
         assert design.SOLVE_COUNTS["solves"] == 0
+
+    @pytest.mark.parametrize(
+        "stage, artifact",
+        [
+            *[("design", name) for name in ("design.json", "design_r_opt.csv", "design.timings.json")],
+            *[("rd-curve", name) for name in ("rd_curve.csv", "rd-curve.timings.json")],
+            *[("fit", name) for name in ("fit.json", "fit.timings.json")],
+            *[("simulate", name) for name in ("trace.csv", "simulate_runs.csv", "simulate.json", "simulate.timings.json")],
+            *[("verify", name) for name in ("verify.json", "verify.timings.json")],
+        ],
+    )
+    def test_artifact_path_that_cannot_be_written_exits_one(self, config_path, tmp_path, capsys, stage, artifact):
+        # A directory in a table's place raised IsADirectoryError from the
+        # open and a second one from the clean-up's unlink; a JSON artifact's
+        # raised it alone. Either way a traceback, and no path named.
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        flags = ["--trace"] if stage == "simulate" else []
+        assert main([stage, "--config", config_path, "--out", str(out), "--quiet", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write {out / artifact}: ") and err.count("\n") == 1, err
+        assert (out / artifact).is_dir()
 
     @pytest.mark.parametrize("stage, flag", [("design", "--config"), ("fit", "--design"), ("simulate", "--fit")])
     def test_undecodable_json_file_is_named(self, config_path, tmp_path, capsys, stage, flag):

@@ -209,6 +209,21 @@ class TestSignalGenerators:
         for j, m in enumerate(models):
             assert columns[:, j].tobytes() == gen_input(m, 0.1).tobytes(), j
 
+    @pytest.mark.parametrize("lam", [1, 2, 3, 4])
+    def test_colored_chunks_are_the_first_order_filter(self, lam):
+        # Chunk by chunk, the colored draw is linear_filter([scale], [1, -pole])
+        # of the same normals from the register pole x_(-1), bit for bit, and
+        # test_transfer pins linear_filter to scipy's lfilter.
+        n, period = 3 * BLOCK + 5, 0.1 / lam
+        draw = _InputDraw(SignalModel(kind="colored", seed=lam, length=n), period)
+        chunks = np.concatenate([draw(min(BLOCK, n - start)) for start in range(0, n, BLOCK)])
+        rng = np.random.default_rng(lam)
+        pole = math.exp(-2.62 * period)
+        zi = [pole * rng.standard_normal()]
+        expected, final = linear_filter([math.sqrt(1.0 - pole * pole)], [1.0, -pole], rng.standard_normal(n), zi=zi)
+        assert chunks.tobytes() == expected.tobytes()
+        assert draw.zi == final[0]
+
 
 @pytest.fixture(scope="module")
 def loop_setup(plant, p_base):
@@ -825,13 +840,22 @@ class TestScalarLoopOracle:
             "order4": norm_constrained_fir(p_base, 4, sol.norm_r_sq)[0],
             "fir16": norm_constrained_fir(p_base, 15, sol.norm_r_sq)[0],
             "yw4": yule_walker_fit(optimal_shaper(sol.alpha_opt, p_base), 4),
+            # R - 1 = 3 z^-1 diverges after a spike of 4 in zeros; at orders 5
+            # and 16, 12 z^-m does (12 d/2 stays inside the saturation before)
+            "diverging": RationalDiscreteTF((1.0, 3.0)),
+            **{f"diverging{m}": RationalDiscreteTF((1.0, *[0.0] * (m - 1), 12.0)) for m in (5, 16)},
+            **{f"iir{m}": order_shaper("iir", m) for m in (5, 16)},
         }
 
-    def lane(self, shapers, name, n, seed=0):
+    @staticmethod
+    def input(n, seed=0):
         x = gen_input(SignalModel(kind="colored", seed=seed, length=n), 0.1)
         x[::97] = -0.0  # exact zeros of either sign in x
         x[1::97] = 0.0
-        return x, shapers[name], MidRiseQuantizer.for_sigma_u(8, 4.0, 1.3)
+        return x
+
+    def lane(self, shapers, name, n, seed=0):
+        return self.input(n, seed), shapers[name], MidRiseQuantizer.for_sigma_u(8, 4.0, 1.3)
 
     def assert_matches_reference(self, x, shaper, quant):
         expected = reference_loop.run_feedback_loop(x, shaper, quant)
@@ -874,6 +898,17 @@ class TestScalarLoopOracle:
             (CHUNK, math.nan, "yw4"),
             (2 * CHUNK, 1e308, "order3"),  # u/step overflows to inf
             (CHUNK + 7, 4.0, "diverging"),  # a spike the feedback amplifies to inf
+            *[
+                (at, value, f"{name}{m}")
+                for m in (5, 16)
+                for at, value, name in [
+                    (CHUNK + 3, math.inf, "iir"),
+                    (CHUNK + 3, -math.inf, "iir"),
+                    (CHUNK, math.nan, "iir"),
+                    (2 * CHUNK, 1e308, "iir"),
+                    (CHUNK + 7, 4.0, "diverging"),
+                ]
+            ],
         ],
     )
     def test_non_finite_lane_fails_as_reference(self, shapers, at, value, shaper):
@@ -881,16 +916,44 @@ class TestScalarLoopOracle:
         # reference loop's floor raises: the reference runs the samples
         # before it and fails on the prefix that ends with it.
         quant = MidRiseQuantizer(step=0.25, saturation=1.875)
-        r = RationalDiscreteTF((1.0, 3.0)) if shaper == "diverging" else shapers[shaper]
-        x = np.zeros(2 * CHUNK + 1) if shaper == "diverging" else self.lane(shapers, "order0", 2 * CHUNK + 1)[0]
+        r, diverging = shapers[shaper], shaper.startswith("diverging")
+        x = np.zeros(2 * CHUNK + 1) if diverging else self.input(2 * CHUNK + 1)
         x[at] = value
         with pytest.raises(NumericalError, match=r"^u/step is not finite at sample \d+$") as got:
             run_feedback_loop(x, r, quant)
         k = int(re.search(r"\d+$", str(got.value))[0])
-        assert k == at if shaper != "diverging" else k > at
+        assert k > at if diverging else k == at
         reference_loop.run_feedback_loop(x[:k], r, quant)
         with pytest.raises((OverflowError, ValueError)):
             reference_loop.run_feedback_loop(x[: k + 1], r, quant)
+
+    @pytest.mark.parametrize(
+        ("kind", "order"), [("fir", 0)] + [(kind, m) for m in range(1, 17) for kind in ("fir", "iir")], ids=str
+    )
+    def test_each_written_out_order_across_chunks_and_pieces(self, kind, order):
+        # The loop is written out for each order: orders 0-16, FIR and IIR,
+        # over two chunk boundaries, whole and in two pieces through state.
+        shaper = order_shaper(kind, order)
+        assert shaper.order == order
+        x, quant, cut = self.input(2 * BLOCK + 1, seed=order), MidRiseQuantizer.for_sigma_u(8, 4.0, 1.3), BLOCK + 5
+        expected = self.assert_matches_reference(x, shaper, quant).u
+        state = np.zeros(max(order, 1))
+        head = run_feedback_loop(x[:cut], shaper, quant, state).u
+        tail = run_feedback_loop(x[cut:], shaper, quant, state).u
+        assert _same_bits(np.concatenate((head, tail)), expected)
+
+
+def order_shaper(kind: str, order: int) -> RationalDiscreteTF:
+    """A seeded unity-head shaper of the order: FIR, or IIR with a numerator
+    of the same order and a stable denominator, its poles in conjugate
+    pairs (and one real pole at an odd order) of radius 0.5-0.8."""
+    rng = np.random.default_rng(order)
+    num = (1.0, *(0.5 * rng.standard_normal(order) / np.arange(1, order + 1)))
+    if kind == "fir":
+        return RationalDiscreteTF(num)
+    pairs = rng.uniform(0.5, 0.8, order // 2) * np.exp(1j * rng.uniform(0.1, 3.0, order // 2))
+    poles = np.concatenate((pairs, pairs.conj(), rng.uniform(-0.8, 0.8, order % 2)))
+    return RationalDiscreteTF(num, np.poly(poles).real)
 
 
 # tracemalloc peak of run_feedback_loop per sample at 2^18 samples: the

@@ -4,9 +4,12 @@ import ast
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import efq
+from efq.simulate import MidRiseQuantizer, _scalar_loop, run_feedback_loop
+from efq.transfer import RationalDiscreteTF
 
 PACKAGE = sorted(Path(efq.__file__).parent.glob("*.py"))
 TESTS = sorted(p for p in Path(__file__).parent.rglob("*") if p.is_file() and "__pycache__" not in p.parts)
@@ -154,3 +157,40 @@ def test_no_test_sets_an_efq_environment_variable():
     machine with that many CPUs only; tests fake ``cli._max_workers``."""
     named = [f"{p.name}: {m}" for p in TESTS for m in re.findall(r"EFQ_[A-Z]\w*", p.read_text(errors="replace"))]
     assert named == []
+
+
+def dynamic_code_calls(source: str) -> list[str]:
+    """Each call of the builtin ``exec``, ``eval`` or ``compile`` by name,
+    in source order; a method of that name (``tf.eval``) is not one."""
+    names = ("exec", "eval", "compile")
+    calls = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names
+    ]
+    return [f"line {n.lineno}: {n.func.id}" for n in sorted(calls, key=lambda n: (n.lineno, n.col_offset))]
+
+
+def test_only_the_scalar_loop_builds_code():
+    """``simulate._scalar_loop`` compiles the scalar loop for each order
+    from one template; no other module builds code at run time."""
+    assert [f"{p.name} {call}" for p in PACKAGE if p.name != "simulate.py" for call in dynamic_code_calls(p.read_text())] == []
+
+
+def test_scan_finds_a_dynamic_code_call():
+    source = "import re\n\ndef f(tf, s):\n    exec(compile(s, 'x', 'exec'))\n    return eval(s), tf.eval(1), re.compile(s)\n"
+    assert dynamic_code_calls(source) == ["line 4: exec", "line 4: compile", "line 5: eval"]
+
+
+def test_shapers_of_one_order_share_one_compiled_loop():
+    """The loop is compiled once per order, not per shaper or per call."""
+    quant = MidRiseQuantizer(step=0.25, saturation=1.875)
+    x = np.linspace(-2.0, 2.0, 100)
+    first, second = RationalDiscreteTF((1.0, -0.5, 0.25)), RationalDiscreteTF((1.0, 0.3), (1.0, 0.2, 0.1))
+    assert first.order == second.order == 2
+    run_feedback_loop(x, first, quant)
+    loop = _scalar_loop(2)
+    misses = _scalar_loop.cache_info().misses
+    run_feedback_loop(x, second, quant)
+    assert _scalar_loop(2) is loop
+    assert _scalar_loop.cache_info().misses == misses
