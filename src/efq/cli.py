@@ -16,7 +16,8 @@ directory also writes its wall and CPU time, ``design.SOLVE_COUNTS``, the
 samples and CPU time of each loop kernel in ``simulate.LOOP_COUNTS`` and
 the CSV rows, bytes and formatting CPU time of ``CSV_COUNTS`` to
 ``<command>.timings.json`` there. An artifact path that cannot be written
-is a validation error (exit 1) naming the path.
+is a validation error (exit 1) naming the path; a sidecar that cannot be
+written after a failed invariant prints its error and keeps exit 3.
 
 Every CSV table is written through ``_csv_file``, whose cells
 ``csvtext.chunk_bytes`` formats in numpy, a chunk at a time, byte for byte
@@ -27,8 +28,11 @@ The parallel work runs on forked worker processes, at most
 ``MAX_WORKERS`` (one CPU, as under ``taskset -c 0``, keeps everything in
 process): each stage's cells, ``verify``'s design checks, the CSV chunks of
 a large table and the parts of ``simulate``'s lane pass, which
-``simulate.run_lanes`` keeps in process under ``--trace``. The results do
-not depend on how the work splits, so every artifact is the same bytes
+``simulate.run_lanes`` keeps in process under ``--trace``. They are plain
+``os.fork`` children that talk to this process over pipes
+(``_fork_workers``), with no executor and no thread, and none outlives its
+stage: on any failure they are killed and reaped. The results do not
+depend on how the work splits, so every artifact is the same bytes
 whatever the worker count.
 """
 
@@ -38,9 +42,12 @@ import argparse
 import collections
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
+import pickle
+import signal
 import sys
 import time
 from collections.abc import Callable, Iterator
@@ -54,7 +61,7 @@ from .config import ExperimentConfig, SCHEMA_VERSION, config_hash, default_confi
 from .errors import ConfigError, NumericalError, VerificationFailure
 from .transfer import RationalDiscreteTF
 
-MAX_WORKERS = 8  # a pool starts all its workers at once, so their count is bounded
+MAX_WORKERS = 8  # a worker set forks all its children at once, so their count is bounded
 # _csv_file formats CSV_CHUNK_ROWS rows at a time (a few MB of text), and
 # counts what it writes in CSV_COUNTS, which main clears for each stage.
 CSV_CHUNK_ROWS = 1 << 14
@@ -75,55 +82,107 @@ def _max_workers() -> int:
     return min(MAX_WORKERS, cpus)
 
 
+class _Worker:
+    """A forked child that runs ``body(index, requests, results)`` on its ends
+    of two pipes and exits; this process holds the other ends. A message is
+    a pickle, which frames itself; a reply that is an exception is raised."""
+
+    def __init__(self, index: int, body):
+        (inbox, requests), (results, outbox) = os.pipe(), os.pipe()
+        self.pid, self.status = os.fork(), None
+        if self.pid == 0:  # the child: it never returns into the caller
+            try:  # it keeps only its own ends: not this process's, nor those to the children forked before it
+                for fd in (requests, results, *(f.fileno() for w in _forked for f in (w.requests, w.results))):
+                    os.close(fd)
+                body(index, open(inbox, "rb"), open(outbox, "wb", buffering=0))
+                os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(inbox)
+        os.close(outbox)
+        self.requests, self.results = open(requests, "wb", buffering=0), open(results, "rb")
+
+    def receive(self):
+        try:
+            reply = pickle.load(self.results)
+        except (EOFError, pickle.UnpicklingError):  # a signal, or an exit from inside the body
+            raise RuntimeError(f"worker process {self.pid} ended without its results, exit status {self.reap()}") from None
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
+
+    def reap(self, kill: bool = False) -> int:
+        """The child's exit status, or minus the signal that ended it, once it
+        has exited: closing the requests ends a child that waits for them."""
+        if self.status is None:
+            if kill:
+                os.kill(self.pid, signal.SIGKILL)
+            self.requests.close()
+            self.results.close()
+            self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.status
+
+
+# The open worker set. One is open at a time: a second set's children would
+# hold the first's pipe ends, so its children would never see their requests end.
+_forked: list[_Worker] = []
+
+
 @contextlib.contextmanager
-def _fork_pool(workers: int):
-    """A pool of `workers` forked processes; on exit the pending items are
-    cancelled and every worker is joined.
-
-    The workers fork at the first submit and inherit the loaded modules and
-    module state as they are then, so only items and results are pickled.
-    No other thread may run at that fork: no other pool may be open.
-    """
-    import multiprocessing  # only parallel work pays the import
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+def _fork_workers(count: int, body) -> Iterator[list[_Worker]]:
+    """`count` ``_Worker`` children of `body`, indexed 0 to count - 1, which
+    inherit the loaded modules and module state, so only messages are
+    pickled. On exit each is reaped, killed first on an exception, the
+    block's or a child's: none outlives the block."""
+    assert not _forked, "another worker set is open"
+    sys.stdout.flush()  # no buffered output is written twice
+    sys.stderr.flush()
+    failed = True
     try:
-        yield pool
+        for index in range(count):
+            _forked.append(_Worker(index, body))
+        yield list(_forked)
+        failed = False
     finally:
-        pool.shutdown(cancel_futures=True)
-
-
-_mapped = None  # the function _pool_map's workers apply, inherited at the fork
-
-
-def _apply_mapped(item):
-    design_mod.SOLVE_COUNTS.clear()  # the worker returns the counts of this item alone
-    simulate.LOOP_COUNTS.clear()
-    return _mapped(item), design_mod.SOLVE_COUNTS.copy(), simulate.LOOP_COUNTS.copy()
+        for worker in _forked:
+            worker.reap(kill=failed)
+        _forked.clear()
 
 
 def _pool_map(fn, items) -> list:
     """``[fn(item) for item in items]``, on up to ``_max_workers()`` forked
-    processes for two items or more. The workers inherit `fn`, so a closure
-    maps as is; the first exception in item order comes out with its type
-    and message. The workers' ``design.SOLVE_COUNTS`` and
-    ``simulate.LOOP_COUNTS`` are added to this process's."""
-    global _mapped
+    children for two items or more, child w of W taking items w, w + W, ...
+    The first exception in item order comes out with its type and message,
+    and the children's ``design.SOLVE_COUNTS`` and ``simulate.LOOP_COUNTS``
+    add to this process's."""
     items = list(items)
-    workers = min(_max_workers(), len(items))
-    if workers <= 1:
+    count = min(_max_workers(), len(items))
+    if count <= 1:
         return [fn(it) for it in items]
-    _mapped = fn
-    try:
-        with _fork_pool(workers) as pool:
-            outcomes = list(pool.map(_apply_mapped, items))
-        for _, solve_counts, loop_counts in outcomes:
+
+    def body(index, _, results) -> None:
+        design_mod.SOLVE_COUNTS.clear()  # the child returns the counts of its items alone
+        simulate.LOOP_COUNTS.clear()
+        outcomes = []  # (item index, its pickled result or exception)
+        for i in range(index, len(items), count):
+            try:
+                outcomes.append((i, pickle.dumps(fn(items[i]), pickle.HIGHEST_PROTOCOL)))
+            except Exception as exc:  # the child stops at its first failure
+                outcomes.append((i, exc))
+                break
+        pickle.dump((outcomes, design_mod.SOLVE_COUNTS, simulate.LOOP_COUNTS), results, pickle.HIGHEST_PROTOCOL)
+
+    outcomes = []
+    with _fork_workers(count, body) as workers:
+        for worker in workers:
+            part, solve_counts, loop_counts = worker.receive()
+            outcomes += part
             design_mod.SOLVE_COUNTS.update(solve_counts)
             simulate.LOOP_COUNTS.update(loop_counts)
-        return [result for result, *_ in outcomes]
-    finally:
-        _mapped = None
+    failures = [outcome for outcome in outcomes if isinstance(outcome[1], BaseException)]
+    if failures:  # the lowest: a child's items after its failure are missing
+        raise min(failures, key=lambda outcome: outcome[0])[1]
+    return [pickle.loads(result) for _, result in sorted(outcomes)]
 
 
 def _json_safe(value):
@@ -165,6 +224,19 @@ def _format_chunk(columns) -> tuple[bytes, float]:
     return text, time.process_time() - start
 
 
+def _format_chunks(_, requests, results) -> None:
+    """A CSV child's body: it replies to each chunk of columns it reads with
+    its ``_format_chunk``, or the exception that raised, until the requests end."""
+    with contextlib.suppress(EOFError):
+        while True:
+            columns = pickle.load(requests)
+            try:
+                reply = _format_chunk(columns)
+            except Exception as exc:
+                reply = exc
+            pickle.dump(reply, results, pickle.HIGHEST_PROTOCOL)
+
+
 @contextlib.contextmanager
 def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[dict], None]]:
     """Open a CSV file under a config-hash comment line and a header of the
@@ -178,12 +250,12 @@ def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[dict], None
     An append formats and writes CSV_CHUNK_ROWS rows at a time from the
     columns, with ``csvtext.chunk_bytes``. A chunk that starts in the
     file's first CSV_CHUNK_ROWS rows formats in process; each later chunk
-    on a ``_fork_pool`` of ``_max_workers()`` processes, so that a long
-    table formats on the other cores while the stage goes on, at most two
-    chunks a worker ahead of the file, written in row order. An exception
-    in the block or in a worker cancels the pending chunks and joins every
-    worker before the file is removed. The rows, the bytes and the
-    formatting CPU time, a worker's included, add to CSV_COUNTS.
+    on ``_fork_workers`` of ``_max_workers()`` children, in turn, so that a
+    long table formats on the other cores while the stage goes on, one chunk
+    a child ahead of the file, written in row order. An exception in the
+    block or in a child kills and reaps every child before the file is
+    removed. The rows, the bytes and the formatting CPU time, a child's
+    included, add to CSV_COUNTS.
     """
     workers = _max_workers()
     try:
@@ -196,34 +268,35 @@ def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[dict], None
             def write(text: bytes, cpu_s: float) -> None:
                 try:
                     fh.write(text)
-                    fh.flush()  # nothing is left for a forked worker to inherit, or for the close to fail on
+                    fh.flush()  # nothing is left for a forked child to inherit, or for the close to fail on
                 except OSError as exc:
                     raise _unwritable(path, exc) from None
                 CSV_COUNTS.update(csv_bytes=len(text), csv_format_s=cpu_s)
 
             write(f"# config_sha256={cfg_sha}\n{','.join(names)}\n".encode(), 0.0)
-            pending = collections.deque()  # chunks being formatted, in row order
-            pool = None
+            pending = collections.deque()  # the children formatting a chunk, in row order
+            turns = None  # the children, in turn
             rows = 0
 
             def append(columns: dict) -> None:
-                nonlocal pool, rows
+                nonlocal turns, rows
                 for start in range(0, len(next(iter(columns.values()))), CSV_CHUNK_ROWS):
                     chunk = [col[start : start + CSV_CHUNK_ROWS] for col in columns.values()]
                     if rows < CSV_CHUNK_ROWS or workers == 1:
                         write(*_format_chunk(chunk))
                     else:
-                        if pool is None:
-                            pool = stack.enter_context(_fork_pool(workers))
-                        pending.append(pool.submit(_format_chunk, chunk))
-                        if len(pending) > 2 * workers:
-                            write(*pending.popleft().result())
+                        if turns is None:
+                            turns = itertools.cycle(stack.enter_context(_fork_workers(workers, _format_chunks)))
+                        if len(pending) == workers:  # at most one chunk a child: the next child is free
+                            write(*pending.popleft().receive())
+                        pending.append(next(turns))
+                        pickle.dump(chunk, pending[-1].requests, pickle.HIGHEST_PROTOCOL)
                     rows += len(chunk[0])
                     CSV_COUNTS["csv_rows"] += len(chunk[0])
 
             yield append
-            for future in pending:
-                write(*future.result())
+            while pending:
+                write(*pending.popleft().receive())
     except BaseException:
         path.unlink(missing_ok=True)
         raise
@@ -532,8 +605,9 @@ def cmd_simulate(args) -> int:
             columns = {name: getattr(traces, name) for name in TRACE_COLUMNS[1:]}
             append_trace({"k": range(start, start + len(traces.x)), **columns})
 
-        # lane 0's chunks feed the trace writer in this process, whose pool
-        # forks while the pass runs: run_lanes keeps a traced pass here
+        # lane 0's chunks feed the trace writer in this process, whose
+        # children fork while the pass runs, and one worker set is open at a
+        # time: run_lanes keeps a traced pass here
         results = simulate.run_lanes(lanes, trace if args.trace else None, _max_workers(), _pool_map)
 
     seeds = np.array(cfg.sim.seeds)
@@ -753,7 +827,12 @@ def main(argv=None) -> int:
             timings = {"wall_s": time.perf_counter() - wall, "cpu_s": sum(os.times()[:4]) - cpu, **counts}
             timings.update(simulate.LOOP_COUNTS, **CSV_COUNTS)
             header = {"schema_version": SCHEMA_VERSION, "config_sha256": args.config_sha256}
-            _write_json(Path(args.out) / f"{args.command}.timings.json", {**header, **timings})
+            try:
+                _write_json(Path(args.out) / f"{args.command}.timings.json", {**header, **timings})
+            except ConfigError as exc:
+                if code != 3:
+                    raise
+                print(f"configuration error: {exc}", file=sys.stderr)  # a failed invariant keeps its exit code
         return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ responses and run a filter over a signal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,8 @@ class ContinuousTF:
         object.__setattr__(self, "num", _as_float_tuple(num))
         object.__setattr__(self, "den", _as_float_tuple(den))
         object.__setattr__(self, "sample_period", float(sample_period))
-        if self.sample_period <= 0:
-            raise ValueError("sample_period must be positive")
+        if not 0 < self.sample_period < math.inf:
+            raise ValueError("sample_period must be a finite positive number")
         if len(self.num) > len(self.den):
             raise ValueError("transfer function must be proper (deg num <= deg den)")
         if self.den[0] == 0:

@@ -1,6 +1,6 @@
 """Shared fixtures: the benchmark plant and precomputed frequency responses."""
 
-import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -11,9 +11,11 @@ from efq.spectral import AmplitudeResponse, FrequencyGrid, ct_frequency_map
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """The CLI stages fork worker processes; no test may leave one behind."""
+    """The CLI stages fork worker processes; no test may leave one behind,
+    running or unreaped."""
     yield
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

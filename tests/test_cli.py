@@ -4,11 +4,13 @@ import csv
 import inspect
 import json
 import math
-import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -48,15 +50,15 @@ def config_path(tmp_path):
 def set_workers(monkeypatch):
     """``set_workers(n)`` fakes the worker count ``cli._max_workers()`` reads
     from the CPU set, so a test forks 2 or 3 workers on a 1-CPU machine too,
-    and returns the sizes of the pools cli opens from then on, in order."""
+    and returns the sizes of the worker sets cli forks from then on, in order."""
     pools = []
-    fork_pool = cli._fork_pool
+    fork_workers = cli._fork_workers
 
-    def recorded(workers):
-        pools.append(workers)
-        return fork_pool(workers)
+    def recorded(count, body):
+        pools.append(count)
+        return fork_workers(count, body)
 
-    monkeypatch.setattr(cli, "_fork_pool", recorded)
+    monkeypatch.setattr(cli, "_fork_workers", recorded)
 
     def set_count(n):
         monkeypatch.setattr(cli, "_max_workers", lambda: n)
@@ -64,6 +66,12 @@ def set_workers(monkeypatch):
         return pools
 
     return set_count
+
+
+def assert_no_child():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def read_csv(path):
@@ -184,11 +192,11 @@ class TestWriteCsv:
         with pytest.raises(ArithmeticError, match=f"{where} failed"):
             with cli._csv_file(path, "abc", ["x"]) as append:
                 append({"x": np.arange(4 * CSV_CHUNK_ROWS, dtype=float)})
-                assert multiprocessing.active_children()  # the workers are running
+                assert os.waitpid(-1, os.WNOHANG) == (0, 0)  # the workers are running
                 append({"x": np.arange(4 * CSV_CHUNK_ROWS, dtype=float) + 0.5})
                 raise ArithmeticError("block failed")
         assert not path.exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child()
         assert pools == [2]
 
 
@@ -238,7 +246,7 @@ class TestDesignCommand:
                 flags = ["--trace"] if command == "simulate" else []
                 assert main([command, "--config", str(path), "--out", str(out), "--quiet", *flags]) == 0
             artifacts.append({name: (out / name).read_bytes() for names in outputs.values() for name in names})
-            assert multiprocessing.active_children() == []
+            assert_no_child()
             assert max(pools, default=1) == workers
         assert artifacts[0] == artifacts[1] == artifacts[2]
 
@@ -568,7 +576,7 @@ class TestSimulateCommand:
         assert failed_at > CSV_CHUNK_ROWS  # a trace chunk went to the workers
         assert pools == [2]
         assert list(out.iterdir()) == []
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     @pytest.mark.parametrize("method", ["qcqp", "yw"])
     def test_predicted_mse_is_the_fit_score(self, tmp_path, method):
@@ -627,12 +635,28 @@ STAGE_AT_WORKERS = """
 import sys
 from efq import cli
 
-fork_pool, pools = cli._fork_pool, []
-cli._fork_pool = lambda workers: pools.append(workers) or fork_pool(workers)
+fork_workers, pools = cli._fork_workers, []
+cli._fork_workers = lambda count, body: pools.append(count) or fork_workers(count, body)
 cli._max_workers = lambda: int(sys.argv[1])
 code = cli.main(sys.argv[2:])
 print(pools)
 sys.exit(code)
+"""
+
+
+# design and then rd-curve in one process at a faked worker count, printing
+# their progress and then the sizes of the worker sets they forked.
+PROGRESS_AT_WORKERS = """
+import sys
+from efq import cli
+
+fork_workers, pools = cli._fork_workers, []
+cli._fork_workers = lambda count, body: pools.append(count) or fork_workers(count, body)
+cli._max_workers = lambda: int(sys.argv[1])
+for command in ("design", "rd-curve"):
+    if cli.main([command, *sys.argv[2:]]) != 0:
+        sys.exit(f"efq {command} failed")
+print(pools)
 """
 
 
@@ -660,7 +684,7 @@ class TestWorkerProcesses:
             out = tmp_path / f"workers{workers}"
             for command in ("verify", "simulate"):
                 assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 0
-                assert multiprocessing.active_children() == []
+                assert_no_child()
             artifacts.append({name: (out / name).read_bytes() for name in names})
             # verify's cells, then simulate's fits and its lane parts
             assert pools == ([workers] * 3 if workers > 1 else [])
@@ -689,6 +713,120 @@ class TestWorkerProcesses:
             stderr[1],
         )
         assert stderr[2] == stderr[3] == stderr[1]
+
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_first_failure_in_item_order_comes_out(self, set_workers, workers):
+        # Items 4 and 5 fail on different children at either count; item 4's
+        # exception comes out with its type and message.
+        pools = set_workers(workers)
+
+        def fail_from_four(item):
+            if item >= 4:
+                raise (KeyError if item == 4 else ValueError)(f"item {item}")
+            return item
+
+        with pytest.raises(KeyError, match="item 4"):
+            cli._pool_map(fail_from_four, range(7))
+        assert cli._pool_map(lambda item: -item, range(7)) == [-item for item in range(7)]
+        assert pools == [workers, workers]
+        assert_no_child()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_lane_failure_crosses_the_pipe_with_its_start(self, set_workers, workers):
+        # run_lanes returns a part's LaneFailure as its result and raises the
+        # one of the earliest chunk, so it must keep its type and start both
+        # as a result and as a raised exception.
+        set_workers(workers)
+        returned = cli._pool_map(lambda item: simulate.LaneFailure(f"lane {item}", 8192 * item), range(workers))
+        assert [(type(exc), str(exc), exc.start) for exc in returned] == [
+            (simulate.LaneFailure, f"lane {item}", 8192 * item) for item in range(workers)
+        ]
+
+        def fail(item):
+            raise returned[item]
+
+        with pytest.raises(simulate.LaneFailure, match="^lane 0$") as exc:
+            cli._pool_map(fail, range(workers))
+        assert exc.value.start == 0
+        assert_no_child()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_result_that_cannot_be_pickled_fails_the_map_with_that_error(self, set_workers, workers):
+        set_workers(workers)
+        with pytest.raises(TypeError, match="cannot pickle 'generator' object"):
+            cli._pool_map(lambda n: (k for k in range(n)) if n == 2 else n, range(5))
+        assert_no_child()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_killed_child_fails_the_map_and_the_others_are_killed(self, set_workers, workers):
+        # Item 0's child dies; the others would take a minute on their items,
+        # but are killed and reaped as soon as the map fails.
+        pools = set_workers(workers)
+        parent = os.getpid()
+
+        def killed_on_zero(item):
+            if os.getpid() != parent:
+                if item == 0:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                time.sleep(60)
+            return item
+
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"^worker process \d+ ended without its results, exit status -9$"):
+            cli._pool_map(killed_on_zero, range(6))
+        assert time.monotonic() - start < 30
+        assert pools == [workers]
+        assert_no_child()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_killed_chunk_child_fails_the_table_and_removes_it(self, tmp_path, monkeypatch, set_workers, workers):
+        # The first chunk formats here; the child formatting the chunk from
+        # row 2 * CSV_CHUNK_ROWS dies while the others wait or format.
+        pools = set_workers(workers)
+        parent, chunk_bytes = os.getpid(), csvtext.chunk_bytes
+
+        def killed_past_the_second_chunk(columns):
+            if columns[0][0] >= 2 * CSV_CHUNK_ROWS and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return chunk_bytes(columns)
+
+        monkeypatch.setattr(csvtext, "chunk_bytes", killed_past_the_second_chunk)
+        path = tmp_path / "killed.csv"
+        with pytest.raises(RuntimeError, match=r"^worker process \d+ ended without its results, exit status -9$"):
+            with cli._csv_file(path, "abc", ["x"]) as append:
+                append({"x": np.arange(5 * CSV_CHUNK_ROWS, dtype=float)})
+        assert not path.exists()
+        assert pools == [workers]
+        assert_no_child()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_no_stage_starts_a_thread(self, tmp_path, monkeypatch, set_workers, workers):
+        # design maps its cells and writes a 2-chunk table; simulate maps its
+        # fits and, with --trace, writes a 2-chunk trace.csv.
+        def no_thread(thread):
+            raise AssertionError(f"a stage started a thread: {thread}")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        pools = set_workers(workers)
+        sim = dict(SMALL_CONFIG["sim"], length=2 * CSV_CHUNK_ROWS, seeds=[0])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, n_points=8192, sim=sim)))
+        for command, flags in (("design", []), ("simulate", ["--trace"])):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "out"), "--quiet", *flags]) == 0
+        assert pools == [workers] * 4
+        assert_no_child()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_progress_is_printed_once(self, config_path, tmp_path, workers):
+        # stdout to a pipe is block-buffered: design's progress lines are
+        # still in the buffer when rd-curve forks its children.
+        proc = run_python(["-c", PROGRESS_AT_WORKERS, str(workers), "--config", config_path, "--out", str(tmp_path)])
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [line.split()[0] for line in lines[:-1]] == ["design"] * 4 + ["wrote"] + ["rd"] * 4 + ["wrote"]
+        assert lines[-1] == str([workers, workers])  # each stage's cells
+        assert len(set(lines)) == len(lines)
 
 
 class TestVerifyCommand:
@@ -842,6 +980,23 @@ class TestEntryPoints:
         assert timings["config_sha256"] == json.loads((out / "verify.json").read_text())["config_sha256"]
         assert timings["solves"] > 0 and timings["wall_s"] > 0.0
 
+    def test_verify_failure_keeps_exit_three_when_its_timings_cannot_be_written(self, tmp_path, capsys):
+        """The set-up above with verify.timings.json a directory: verify
+        still exits 3 after writing verify.json, and prints the failure and
+        then the sidecar's error."""
+        data = config_to_dict(default_config())
+        data["plant"]["num"] = [*data["plant"]["num"], 0.0]
+        data.update(n_points=2048, bits_list=[8, 16], lambda_list=[1])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        (out / "verify.timings.json").mkdir(parents=True)
+        assert main(["verify", "--config", str(path), "--out", str(out), "--quiet"]) == 3
+        failure, unwritable = capsys.readouterr().err.splitlines()
+        assert failure.startswith("verification failure: ") and "grid_convergence_alpha" in failure
+        assert unwritable.startswith(f"configuration error: cannot write {out / 'verify.timings.json'}: ")
+        assert not json.loads((out / "verify.json").read_text())["all_pass"]
+
     def test_timings_count_csv_rows_bytes_and_format_time(self, tmp_path, set_workers):
         """The sidecar counts the rows and bytes of the tables a stage wrote
         and their formatting CPU time, a worker's included; the counts do not
@@ -913,8 +1068,8 @@ import json, sys
 from efq import cli
 
 qcqp, yw, out = sys.argv[1:]
-fork_pool, pools = cli._fork_pool, []
-cli._fork_pool = lambda workers: pools.append(workers) or fork_pool(workers)
+fork_workers, pools = cli._fork_workers, []
+cli._fork_workers = lambda count, body: pools.append(count) or fork_workers(count, body)
 max_workers = cli._max_workers
 for in_process, argv in (
     (False, ["design", "--config", qcqp]),
@@ -1064,6 +1219,21 @@ class TestErrorHandling:
         path.write_text(json.dumps(cfg))
         assert main(["design", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_sample_period_exits_one_without_a_warning(self, tmp_path, value):
+        # Python's json reads NaN and Infinity. A NaN period passed validation,
+        # and design printed two RuntimeWarnings before a validation error.
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["plant"]["sample_period"] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        proc = run_python(["-m", "efq.cli", "design", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "configuration error: invalid configuration:\n  plant: sample_period must be a finite positive number\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_fit_order_above_the_grid_limit_exits_one(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(SMALL_CONFIG))

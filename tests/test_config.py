@@ -4,10 +4,11 @@ and a valid file hashes as it always has."""
 
 import dataclasses
 import json
+import math
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from efq.config import (
     canonical_json,
@@ -258,6 +259,8 @@ FIELDS = (
 
 
 @settings(max_examples=300, deadline=None)
+@example(field="plant.sample_period", value=math.nan)  # NaN != NaN, so it must not validate
+@example(field="plant.sample_period", value=math.inf)
 @given(field=st.sampled_from(FIELDS), value=st.one_of(SCALARS, st.lists(SCALARS, max_size=3), st.lists(SCALARS, max_size=3).map(tuple)))
 def test_a_config_that_validates_reads_back_from_its_json_text(field, value):
     cfg = replaced(field, value)

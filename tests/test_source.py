@@ -194,3 +194,42 @@ def test_shapers_of_one_order_share_one_compiled_loop():
     run_feedback_loop(x, second, quant)
     assert _scalar_loop(2) is loop
     assert _scalar_loop.cache_info().misses == misses
+
+
+WORKER_MODULES = ("multiprocessing", "concurrent", "threading")
+
+
+def worker_machinery(source: str) -> list[str]:
+    """Each import of ``multiprocessing``, ``concurrent`` or ``threading``,
+    or of a module under them, and each name, attribute or imported name
+    ``fork``, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node, alias.name) for alias in node.names if alias.name.split(".")[0] in WORKER_MODULES]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] in WORKER_MODULES:
+            found.append((node, node.module))
+        elif "fork" in (getattr(node, "attr", None), getattr(node, "id", None)) or isinstance(node, ast.alias) and node.name == "fork":
+            found.append((node, "fork"))
+    return [f"line {n.lineno}: {name}" for n, name in sorted(found, key=lambda item: (item[0].lineno, item[0].col_offset))]
+
+
+def test_only_cli_forks_and_no_module_imports_pools_or_threads():
+    """``cli._fork_workers`` is the one place a process forks, on plain
+    pipes: no executor, no manager or feeder thread."""
+    found = [f"{p.name} {item}" for p in PACKAGE for item in worker_machinery(p.read_text())]
+    assert [item for item in found if not (item.startswith("cli.py ") and item.endswith(": fork"))] == []
+    assert any(item.startswith("cli.py ") for item in found)
+
+
+def test_scan_finds_worker_machinery():
+    source = "import os, threading\nimport concurrent.futures as cf\nfrom multiprocessing import Pool\nfrom os import fork\n\n"
+    source += "def f():\n    return os.fork(), fork(), os.forkpty()\n"
+    assert worker_machinery(source) == [
+        "line 1: threading",
+        "line 2: concurrent.futures",
+        "line 3: multiprocessing",
+        "line 4: fork",
+        "line 7: fork",
+        "line 7: fork",
+    ]
