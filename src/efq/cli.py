@@ -270,6 +270,8 @@ def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[dict], None
                     fh.write(text)
                     fh.flush()  # nothing is left for a forked child to inherit, or for the close to fail on
                 except OSError as exc:
+                    with contextlib.suppress(OSError):  # the close flushes the unwritten bytes again
+                        fh.close()
                     raise _unwritable(path, exc) from None
                 CSV_COUNTS.update(csv_bytes=len(text), csv_format_s=cpu_s)
 

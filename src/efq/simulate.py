@@ -172,61 +172,55 @@ class SimulationResult:
 
 
 class _InputDraw:
-    """A model's seeded Gaussian input, `count` samples a call: white, or
+    """The seeded Gaussian inputs of a lane group, all of one kind: white, or
     the stationary autoregression x_k = pole x_(k-1) + sqrt(1 - pole^2) e_k,
     pole = exp(-ct_pole*T), from x_(-1) ~ N(0, 1), so every sample has unit
-    variance. A colored call scales the chunk's normals at once,
-    s = scale e, and then takes two operations a sample, y = zi + s and
-    zi = pole y: ``linear_filter([scale], [1, -pole])``'s operations in its
-    order. The rng stream and the register zi = pole x_(k-1) carry across
-    calls, so the samples do not depend on how the draws are split."""
+    variance. A call fills a (rows x lanes) buffer, column j from lane j's
+    rng. Colored, it scales the normals at once, s = scale e, and takes two
+    operations a sample, y = zi + s and zi = pole y, ``linear_filter([scale],
+    [1, -pole])``'s in its order: on Python floats a column at a time under
+    MIN_BATCH_LANES lanes, as the scalar loop runs, and a row of lanes at a
+    time from there. Each lane's rng stream and register zi = pole x_(k-1)
+    carry across calls, so its samples do not depend on how draws are split."""
 
-    def __init__(self, model: SignalModel, sample_period: float):
-        self.rng = np.random.default_rng(model.seed)
-        self.colored = model.kind == "colored"
+    def __init__(self, models: Sequence[SignalModel], sample_periods: Sequence[float]):
+        if len({model.kind for model in models}) > 1:
+            raise ValueError("the lanes of a group must share one input kind")
+        self.rngs = [np.random.default_rng(model.seed) for model in models]
+        self.colored = models[0].kind == "colored"
         if self.colored:
-            if sample_period <= 0:
+            if min(sample_periods) <= 0:
                 raise ValueError("sample_period must be positive")
-            self.pole = math.exp(-model.ct_pole * sample_period)
-            self.zi = self.pole * self.rng.standard_normal()
-            self.scale = math.sqrt(1.0 - self.pole * self.pole)
+            self.pole = np.array([math.exp(-model.ct_pole * period) for model, period in zip(models, sample_periods)])
+            self.zi = self.pole * [rng.standard_normal() for rng in self.rngs]
+            self.scale = np.sqrt(1.0 - self.pole * self.pole)
 
-    def __call__(self, count: int) -> np.ndarray:
-        x = self.rng.standard_normal(count)
+    def __call__(self, out: np.ndarray) -> np.ndarray:
+        for j, rng in enumerate(self.rngs):
+            out[:, j] = rng.standard_normal(len(out))
         if not self.colored:
-            return x
-        xs = (x * self.scale).tolist()
+            return out
+        np.multiply(out, self.scale, out=out)
         zi, pole = self.zi, self.pole
-        for k, s in enumerate(xs):
-            xs[k] = y = zi + s
-            zi = pole * y
-        self.zi = zi
-        return np.array(xs)
-
-
-def _draw_columns(draws: Sequence[_InputDraw], out: np.ndarray) -> np.ndarray:
-    """``draw(len(out))`` of each draw as the columns of out, bit for bit:
-    the colored draws' recursion runs in place one row at a time across
-    them, in ``linear_filter``'s order (y = zi + scale e, zi = pole y)."""
-    for j, draw in enumerate(draws):
-        out[:, j] = draw.rng.standard_normal(len(out))
-    colored = [draw.colored for draw in draws]
-    if any(colored):
-        mask = True if all(colored) else np.array(colored)  # a mask costs half a microsecond a row
-        pole, scale, zi = np.array([(d.pole, d.scale, d.zi) if d.colored else (0, 0, 0) for d in draws]).T.copy()
-        np.multiply(out, scale, out=out, where=mask)
-        for row in out:
-            np.add(row, zi, out=row, where=mask)
-            np.multiply(row, pole, out=zi)
-        for draw, z in zip(draws, zi.tolist()):
-            if draw.colored:
-                draw.zi = z
-    return out
+        if len(self.rngs) >= MIN_BATCH_LANES:
+            for row in out:
+                np.add(row, zi, out=row)
+                np.multiply(row, pole, out=zi)
+            return out
+        for j, (z, p) in enumerate(zip(zi.tolist(), pole.tolist())):
+            xs = out[:, j].tolist()
+            for k, s in enumerate(xs):
+                xs[k] = y = z + s
+                z = p * y
+            out[:, j] = xs
+            zi[j] = z
+        return out
 
 
 def gen_input(model: SignalModel, sample_period: float) -> np.ndarray:
-    """The model's seeded Gaussian input, ``_InputDraw``'s whole length."""
-    return _InputDraw(model, sample_period)(model.length)
+    """The model's seeded Gaussian input: a one-lane ``_InputDraw`` of its
+    whole length."""
+    return _InputDraw([model], [sample_period])(np.empty((model.length, 1)))[:, 0]
 
 
 def _feedback_coefficients(r: RationalDiscreteTF) -> tuple[list[float], list[float]]:
@@ -340,10 +334,7 @@ def run_feedback_loop(
 
 
 def run_feedback_lanes(
-    x: np.ndarray,
-    shapers: Sequence[RationalDiscreteTF],
-    quantizers: Sequence[MidRiseQuantizer],
-    state: np.ndarray | None = None,
+    x: np.ndarray, shapers: Sequence[RationalDiscreteTF], quantizers: Sequence[MidRiseQuantizer], state: np.ndarray
 ) -> np.ndarray:
     """``run_feedback_loop`` on many lanes at once: column j of x (shape
     samples x lanes) runs through shapers[j] and quantizers[j].
@@ -353,10 +344,10 @@ def run_feedback_lanes(
     highest order, in the scalar loop's operation order, so each lane's u
     equals ``run_feedback_loop``'s bit for bit (up to the sign of an exactly
     zero u where x holds -0.0). x is overwritten with u and returned;
-    ``loop_traces`` rebuilds v, w and the overload flags. The lanes start at
-    rest, or from `state` (registers x lanes, at least the highest order
-    rows, as ``run_feedback_loop`` takes them per lane), which on return
-    holds the registers after the last sample. Each call adds its
+    ``loop_traces`` rebuilds v, w and the overload flags. The lanes start
+    from `state` (registers x lanes, at least max(1, highest order) rows, as
+    ``run_feedback_loop`` takes them per lane; zeros are rest), which on
+    return holds the registers after the last sample. Each call adds its
     lane-samples and CPU seconds to LOOP_COUNTS (``batched_samples``,
     ``batched_cpu_s``).
     """
@@ -366,7 +357,7 @@ def run_feedback_lanes(
         raise ValueError("need one shaper and one quantizer per lane")
     coeffs = [_feedback_coefficients(r) for r in shapers]
     m = max(1, max(len(f) for f, _ in coeffs) - 1)
-    if state is not None and (state.ndim != 2 or state.shape[0] < m or state.shape[1] != lanes):
+    if state.ndim != 2 or state.shape[0] < m or state.shape[1] != lanes:
         raise ValueError(f"state must have at least {m} rows and one column per lane")
     fd = np.zeros((2, m + 1, lanes))  # R - 1 and the denominator, zero-padded
     for j, (f, den) in enumerate(coeffs):
@@ -381,8 +372,7 @@ def run_feedback_lanes(
     # 1..m hold state[1..m], so rows 0-1 of the current block are (w, y)
     # and one multiply forms f[i] w and den[i] y for every row i.
     blocks = np.zeros((2, m + 1, lanes))
-    if state is not None:
-        blocks[0, 1:] = state[:m]
+    blocks[0, 1:] = state[:m]
     roles = [
         (cur[1], cur[0], cur[:2, None], nxt[1:], nxt[1:-1], cur[2:])
         for cur, nxt in ((blocks[0], blocks[1]), (blocks[1], blocks[0]))
@@ -406,8 +396,7 @@ def run_feedback_lanes(
         multiply(fd, w_y, out=products)
         subtract(f_w, den_y, out=nxt_state)
         add(nxt_low, cur_high, out=nxt_low)
-    if state is not None:
-        state[:m] = blocks[n & 1, 1:]
+    state[:m] = blocks[n & 1, 1:]
     LOOP_COUNTS.update(batched_samples=n * lanes, batched_cpu_s=time.process_time() - cpu)
     return x
 
@@ -437,12 +426,13 @@ def run_lanes(
 
     ``map_parts(fn, parts)`` runs the ``lane_parts`` of `workers` (``map``,
     or a map over worker processes). A part's lanes advance together in
-    BLOCK-sample chunks: through ``run_feedback_lanes`` and ``_draw_columns``,
-    or, under MIN_BATCH_LANES lanes, on the scalar loop and each lane's
-    ``_InputDraw``. Each lane carries its input draw, filter state and
-    ``RunStats``, so a part holds a few BLOCK x lanes arrays and no whole
-    lane. ``trace(start, traces)`` receives each chunk of the first lane in
-    this process: a traced pass splits as for one worker and runs here.
+    BLOCK-sample chunks, each drawn once by the part's ``_InputDraw``:
+    through ``run_feedback_lanes``, or, under MIN_BATCH_LANES lanes, on the
+    scalar loop. The part's draw and filter state and each lane's
+    ``RunStats`` carry across chunks, so a part holds a few BLOCK x lanes
+    arrays and no whole lane. ``trace(start, traces)`` receives each chunk
+    of the first lane in this process: a traced pass splits as for one
+    worker and runs here.
 
     Each part stops at the first chunk in which a lane's u/step is not
     finite; the pass raises the ``LaneFailure`` of the earliest such chunk,
@@ -475,15 +465,14 @@ def _run_group(group: Sequence[Lane], trace) -> list[SimulationResult]:
     shapers = [lane.shaper for lane in group]
     quantizers = [lane.quantizer for lane in group]
     steps = np.array([q.step for q in quantizers])
-    draws = [_InputDraw(lane.model, lane.sample_period) for lane in group]
+    draw = _InputDraw([lane.model for lane in group], [lane.sample_period for lane in group])
     batched = len(group) >= MIN_BATCH_LANES
     state = np.zeros((max(1, max(r.order for r in shapers)), len(group)))
-    if batched:  # time-major, for the lane kernel
-        x_buf, u_buf = np.empty((BLOCK, len(group))), np.empty((BLOCK, len(group)))
+    x_buf, u_buf = np.empty((2, BLOCK, len(group)))  # time-major: a row of lanes a step
     for start in range(0, n, BLOCK):
         rows = min(BLOCK, n - start)
+        x = draw(x_buf[:rows])
         if batched:
-            x = _draw_columns(draws, x_buf[:rows])
             u = u_buf[:rows]
             np.copyto(u, x)
             with np.errstate(over="ignore", invalid="ignore"):  # a diverging lane fails below
@@ -494,12 +483,12 @@ def _run_group(group: Sequence[Lane], trace) -> list[SimulationResult]:
                 if not finite.all():  # stop at the lane and sample where the scalar loop would
                     j = int(np.argmin(finite))
                     raise _lane_failure(group[j], start, _not_finite(int(np.argmin(np.isfinite(u[:, j] / steps[j])))))
-        for j, lane in enumerate(group):
-            if batched:  # fresh arrays: a trace may hold them past this chunk
+        for j, lane in enumerate(group):  # fresh arrays: a trace may hold them past this chunk
+            if batched:
                 traces = loop_traces(x[:, j].copy(), u[:, j].copy(), lane.quantizer)
             else:
                 try:
-                    traces = run_feedback_loop(draws[j](rows), lane.shaper, lane.quantizer, state[:, j])
+                    traces = run_feedback_loop(x[:, j].copy(), lane.shaper, lane.quantizer, state[:, j])
                 except NumericalError as exc:
                     raise _lane_failure(lane, start, exc) from None
             stats[j].add(traces)

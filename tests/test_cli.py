@@ -840,6 +840,24 @@ class TestVerifyCommand:
         assert payload["all_pass"] is True
         assert all(c["pass"] for c in payload["checks"])
 
+    def test_config_without_lambda_one_solves_the_loop_lanes_design(self, tmp_path, set_workers):
+        """With no cell at lambda 1 the loop lane's design is not among the
+        cells', and verify solves it itself: 2 cells with their collapse
+        solves, 2 on the doubled grid and the lane's own make 7 solves, at
+        any worker count, and the lane runs its 20,000 samples."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, lambda_list=[2])))
+        reports = set()
+        for workers in (1, 2, 3):
+            set_workers(workers)
+            out = tmp_path / f"out{workers}"
+            assert main(["verify", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+            reports.add((out / "verify.json").read_bytes())
+            timings = json.loads((out / "verify.timings.json").read_text())
+            assert (timings["solves"], timings["scalar_samples"]) == (7, 20000), workers
+        assert len(reports) == 1
+        assert json.loads(reports.pop())["all_pass"] is True
+
 
 class TestStagesAgree:
     def test_shapers_are_built_only_where_read(self, config_path, tmp_path, monkeypatch, set_workers):
@@ -1185,6 +1203,10 @@ def set_field(name, value):
     return lambda artifact: dict(artifact, cells=[dict(c, **{name: value}) for c in artifact["cells"]])
 
 
+def drop_cell(bits, lam):
+    return lambda artifact: dict(artifact, cells=[c for c in artifact["cells"] if (c["bits"], c["lambda"]) != (bits, lam)])
+
+
 class TestErrorHandling:
     def test_missing_config_file(self, tmp_path):
         rc = main(["design", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
@@ -1411,6 +1433,28 @@ class TestErrorHandling:
         assert err.startswith(f"configuration error: cannot write {out / artifact}: ") and err.count("\n") == 1, err
         assert (out / artifact).is_dir()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "stage, table",
+        [("design", "design_r_opt.csv"), ("rd-curve", "rd_curve.csv"), ("simulate", "simulate_runs.csv"), ("simulate", "trace.csv")],
+    )
+    def test_table_whose_write_fails_after_it_opened_exits_one(self, config_path, tmp_path, capsys, stage, table):
+        # A table that opens but cannot take its bytes: the close flushed
+        # them again after the write's error and raised an OSError
+        # traceback in its place.
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / table).symlink_to("/dev/full")
+        device = os.stat("/dev/full")
+        flags = ["--trace"] if table == "trace.csv" else []
+        assert main([stage, "--config", config_path, "--out", str(out), "--quiet", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write {out / table}: ") and err.count("\n") == 1, err
+        assert not os.path.lexists(out / table)
+        after = os.stat("/dev/full")
+        assert (after.st_mode, after.st_rdev, after.st_size) == (device.st_mode, device.st_rdev, device.st_size)
+        assert_no_child()
+
     @pytest.mark.parametrize("stage, flag", [("design", "--config"), ("fit", "--design"), ("simulate", "--fit")])
     def test_undecodable_json_file_is_named(self, config_path, tmp_path, capsys, stage, flag):
         # 200 random bytes printed "validation error: 'utf-8' codec can't
@@ -1434,8 +1478,14 @@ class TestErrorHandling:
             ("fit", set_field("alpha_opt", 10**400), "'alpha_opt': expected a finite positive number, got an integer too large"),
             ("fit", set_field("norm_r_sq", 10**400), "'norm_r_sq': expected a finite positive number, got an integer too large"),
             ("simulate", set_field("filter", {"num": [1.0, 10**400], "den": [1.0]}), "'filter': coefficient list contains non-finite"),
+            # the right configuration's hash, one of its cells gone
+            ("fit", drop_cell(3, 2), "has no cell for bits=3 lambda=2"),
+            ("simulate", drop_cell(2, 1), "has no cell for bits=2 lambda=1"),
         ],
-        ids=["null_alpha", "norm_below_one", "missing_alpha", "json_array", "missing_filter", "huge_alpha", "huge_norm", "huge_tap"],
+        ids=[
+            "null_alpha", "norm_below_one", "missing_alpha", "json_array", "missing_filter", "huge_alpha", "huge_norm", "huge_tap",
+            "missing_design_cell", "missing_fit_cell",
+        ],
     )
     def test_malformed_upstream_artifact_rejected(self, config_path, tmp_path, capsys, stage, damage, named):
         upstream, flag = {"fit": ("design", "--design"), "simulate": ("fit", "--fit")}[stage]

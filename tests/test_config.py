@@ -212,6 +212,26 @@ def test_cell_with_a_finite_nu_power_validates(bits, lambdas):
     config_from_dict(data)
 
 
+@pytest.mark.parametrize("lambdas, named", [([0], "lambda_list[0]"), ([1, -2], "lambda_list[1]")])
+def test_oversampling_factor_below_one_rejected(lambdas, named):
+    with pytest.raises(ConfigError, match=re.escape(f"{named}: must be a positive integer, got {lambdas[-1]}")):
+        config_from_dict(with_field("lambda_list", lambdas))
+
+
+@pytest.mark.parametrize("root", [[], "config", 1, None])
+def test_config_root_that_is_not_an_object_rejected(tmp_path, root):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(root))
+    with pytest.raises(ConfigError, match="^configuration root must be a JSON object$"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("version", [0, 2, "1", None])
+def test_unsupported_schema_version_rejected(version):
+    with pytest.raises(ConfigError, match=re.escape(f"schema_version: unsupported value {version!r} (expected 1)")):
+        config_from_dict(with_field("schema_version", version))
+
+
 def test_largest_int64_seed_validates():
     cfg = default_config()
     validate_config(dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seeds=(0, 2**63 - 1))))

@@ -1,6 +1,7 @@
 """Time-domain loop: quantizer, signal generators, and loop identities."""
 
 import dataclasses
+import itertools
 import math
 import pickle
 import re
@@ -50,7 +51,7 @@ from efq.simulate import (
     summarize_run,
     t_quantile_975,
 )
-from efq.simulate import _draw_columns, _InputDraw
+from efq.simulate import _InputDraw
 from efq.spectral import FrequencyGrid, amplitude_of_tf, band_mean, ct_frequency_map, oversample_response
 from efq.transfer import RationalDiscreteTF, frequency_response, linear_filter
 
@@ -194,35 +195,51 @@ class TestSignalGenerators:
             SignalModel(kind="pink", seed=0, length=100)
 
     @pytest.mark.parametrize("kind", ["colored", "white"])
-    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, 3 * BLOCK + 5])
-    def test_chunked_draws_equal_gen_input(self, kind, n):
-        # Chunk by chunk, through one lane's draw (the scalar lane pass) and
-        # through _draw_columns beside other lanes (the batched pass), the
-        # draws are gen_input's samples bit for bit.
-        model = SignalModel(kind=kind, seed=n, length=n)
-        draw = _InputDraw(model, 0.1)
-        chunks = [draw(min(BLOCK, n - start)) for start in range(0, n, BLOCK)]
-        assert np.concatenate(chunks).tobytes() == gen_input(model, 0.1).tobytes()
-        models = [model, SignalModel(kind="colored", seed=1, length=n), SignalModel(kind="white", seed=2, length=n)]
-        draws = [_InputDraw(m, 0.1) for m in models]
-        columns = np.concatenate([_draw_columns(draws, np.empty((min(BLOCK, n - start), 3))) for start in range(0, n, BLOCK)])
-        for j, m in enumerate(models):
-            assert columns[:, j].tobytes() == gen_input(m, 0.1).tobytes(), j
+    @pytest.mark.parametrize("lanes", [1, MIN_BATCH_LANES - 1, MIN_BATCH_LANES])
+    @pytest.mark.parametrize("sizes", [(BLOCK,), (1, 777, BLOCK + 3, 5)], ids=["block", "odd"])
+    def test_group_draw_columns_equal_gen_input(self, kind, lanes, sizes):
+        # Chunk by chunk, each column of a group's draw is its lane's
+        # gen_input bit for bit: under MIN_BATCH_LANES lanes the recursion
+        # runs a column at a time (the scalar lane pass), from there a row
+        # of lanes at a time (the batched pass). The lanes' seeds, poles and
+        # sample periods differ; chunks cycle through `sizes`.
+        n = 3 * BLOCK + 5
+        models = [SignalModel(kind=kind, seed=n + j, length=n, ct_pole=2.62 + 0.1 * j) for j in range(lanes)]
+        periods = [0.1 / (1 + j % 4) for j in range(lanes)]
+        draw = _InputDraw(models, periods)
+        chunks, start = [], 0
+        for size in itertools.cycle(sizes):
+            if start == n:
+                break
+            chunks.append(draw(np.empty((min(size, n - start), lanes))))
+            start += len(chunks[-1])
+        columns = np.concatenate(chunks)
+        for j, (model, period) in enumerate(zip(models, periods)):
+            assert columns[:, j].tobytes() == gen_input(model, period).tobytes(), j
 
+    def test_group_of_mixed_kinds_rejected(self):
+        # A config has one sim.input_kind, so no group mixes them.
+        models = [SignalModel(kind="colored", seed=0, length=10), SignalModel(kind="white", seed=1, length=10)]
+        with pytest.raises(ValueError, match="one input kind"):
+            _InputDraw(models, [0.1, 0.1])
+
+    @pytest.mark.parametrize("lanes", [1, MIN_BATCH_LANES])
     @pytest.mark.parametrize("lam", [1, 2, 3, 4])
-    def test_colored_chunks_are_the_first_order_filter(self, lam):
-        # Chunk by chunk, the colored draw is linear_filter([scale], [1, -pole])
-        # of the same normals from the register pole x_(-1), bit for bit, and
+    def test_colored_chunks_are_the_first_order_filter(self, lam, lanes):
+        # Chunk by chunk, each lane of a colored draw is
+        # linear_filter([scale], [1, -pole]) of the same normals from the
+        # register pole x_(-1), bit for bit, by columns and by rows, and
         # test_transfer pins linear_filter to scipy's lfilter.
         n, period = 3 * BLOCK + 5, 0.1 / lam
-        draw = _InputDraw(SignalModel(kind="colored", seed=lam, length=n), period)
-        chunks = np.concatenate([draw(min(BLOCK, n - start)) for start in range(0, n, BLOCK)])
-        rng = np.random.default_rng(lam)
+        draw = _InputDraw([SignalModel(kind="colored", seed=lam + j, length=n) for j in range(lanes)], [period] * lanes)
+        chunks = np.concatenate([draw(np.empty((min(BLOCK, n - start), lanes))) for start in range(0, n, BLOCK)])
         pole = math.exp(-2.62 * period)
-        zi = [pole * rng.standard_normal()]
-        expected, final = linear_filter([math.sqrt(1.0 - pole * pole)], [1.0, -pole], rng.standard_normal(n), zi=zi)
-        assert chunks.tobytes() == expected.tobytes()
-        assert draw.zi == final[0]
+        for j in range(lanes):
+            rng = np.random.default_rng(lam + j)
+            zi = [pole * rng.standard_normal()]
+            expected, final = linear_filter([math.sqrt(1.0 - pole * pole)], [1.0, -pole], rng.standard_normal(n), zi=zi)
+            assert chunks[:, j].tobytes() == expected.tobytes(), j
+            assert draw.zi[j] == final[0], j
 
 
 @pytest.fixture(scope="module")
@@ -369,7 +386,8 @@ def mixed_lanes(plant, p_base):
 
 def _lanes_at_once(lanes):
     x = np.stack([x for x, _, _ in lanes], axis=1)
-    return run_feedback_lanes(x, [r for _, r, _ in lanes], [q for _, _, q in lanes])
+    at_rest = np.zeros((4, len(lanes)))  # registers for the highest order, 4
+    return run_feedback_lanes(x, [r for _, r, _ in lanes], [q for _, _, q in lanes], at_rest)
 
 
 class TestLaneKernel:
@@ -397,7 +415,7 @@ class TestLaneKernel:
     def test_lane_count_mismatch_rejected(self, mixed_lanes):
         x, shaper, quant = mixed_lanes[0]
         with pytest.raises(ValueError):
-            run_feedback_lanes(np.stack([x, x], axis=1), [shaper], [quant, quant])
+            run_feedback_lanes(np.stack([x, x], axis=1), [shaper], [quant, quant], np.zeros((4, 2)))
 
     @pytest.mark.parametrize(
         ("lanes", "size"),

@@ -233,3 +233,32 @@ def test_scan_finds_worker_machinery():
         "line 7: fork",
         "line 7: fork",
     ]
+
+
+def random_draws(source: str) -> list[str]:
+    """Each call of ``default_rng`` or ``standard_normal``, by name or as a
+    method, outside the class ``_InputDraw``, in source order."""
+    tree = ast.parse(source)
+    inside = {id(n) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "_InputDraw" for n in ast.walk(cls)}
+    calls = [
+        (node, name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and id(node) not in inside
+        and (name := getattr(node.func, "attr", getattr(node.func, "id", None))) in ("default_rng", "standard_normal")
+    ]
+    return [f"line {n.lineno}: {name}" for n, name in sorted(calls, key=lambda item: (item[0].lineno, item[0].col_offset))]
+
+
+def test_a_lane_groups_random_streams_live_in_its_draw():
+    """In efq.simulate only ``_InputDraw`` seeds an rng or draws from one, so
+    the streams of a lane group have one home and no code reads another
+    object's rng."""
+    assert random_draws((Path(efq.__file__).parent / "simulate.py").read_text()) == []
+
+
+def test_scan_finds_a_random_draw_outside_the_group_draw():
+    source = "import numpy as np\nfrom numpy.random import default_rng\n\n\nclass _InputDraw:\n"
+    source += "    def __init__(self, seed):\n        self.rng = np.random.default_rng(seed)\n\n"
+    source += "    def __call__(self, n):\n        return self.rng.standard_normal(n)\n\n\n"
+    source += "def f(draw, n):\n    x = draw.rng.standard_normal(n)\n    return x, default_rng(1)\n"
+    assert random_draws(source) == ["line 14: standard_normal", "line 15: default_rng"]
