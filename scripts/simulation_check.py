@@ -30,7 +30,7 @@ chunked pass of ``efq simulate``.
 
 Usage:
     python3 scripts/simulation_check.py [--bits 8] [--lam 1] [--order 4]
-        [--length 1000000] [--seeds 0,1,2,3,4] [--loading 4.0]
+        [--length 1000000] [--seeds 0,1,2,3,4] [--loading 4.0] [--grid 8192]
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def main() -> None:
 
     ratios = {"empirical": [], "granular": []}
     for seed in (int(s) for s in args.seeds.split(",")):
-        model = SignalModel(kind="colored", seed=seed, length=args.length)
+        model = SignalModel(cfg.sim.input_kind, seed, args.length, cfg.sim.ct_pole)
         traces = run_feedback_loop(gen_input(model, period), shaper, quant)
         result = summarize_run(traces, plant_map, score.achieved_mse)
         granular = granular_mse(traces, shaper, quant, plant_map)

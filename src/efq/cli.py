@@ -31,9 +31,10 @@ a large table and the parts of ``simulate``'s lane pass, which
 ``simulate.run_lanes`` keeps in process under ``--trace``. They are plain
 ``os.fork`` children that talk to this process over pipes
 (``_fork_workers``), with no executor and no thread, and none outlives its
-stage: on any failure they are killed and reaped. The results do not
-depend on how the work splits, so every artifact is the same bytes
-whatever the worker count.
+stage: on any failure they are killed and reaped. Each runs ``_serve``,
+whose replies this process reads back in item order. The results do not
+depend on how the work splits, so every artifact is the same bytes whatever
+the worker count.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import argparse
 import collections
 import contextlib
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -66,6 +66,7 @@ MAX_WORKERS = 8  # a worker set forks all its children at once, so their count i
 # counts what it writes in CSV_COUNTS, which main clears for each stage.
 CSV_CHUNK_ROWS = 1 << 14
 CSV_COUNTS: collections.Counter = collections.Counter()
+_COUNTERS = (design_mod.SOLVE_COUNTS, simulate.LOOP_COUNTS, CSV_COUNTS)  # a worker's reply carries what it added
 TRACE_COLUMNS = ("k", "x", "u", "v", "w", "overload")
 
 
@@ -84,8 +85,9 @@ def _max_workers() -> int:
 
 class _Worker:
     """A forked child that runs ``body(index, requests, results)`` on its ends
-    of two pipes and exits; this process holds the other ends. A message is
-    a pickle, which frames itself; a reply that is an exception is raised."""
+    of two pipes and exits; this process holds the other ends. A message is a
+    pickle, which frames itself; ``receive`` raises a reply that is an
+    exception and adds the counts that come with a result to ``_COUNTERS``."""
 
     def __init__(self, index: int, body):
         (inbox, requests), (results, outbox) = os.pipe(), os.pipe()
@@ -94,7 +96,9 @@ class _Worker:
             try:  # it keeps only its own ends: not this process's, nor those to the children forked before it
                 for fd in (requests, results, *(f.fileno() for w in _forked for f in (w.requests, w.results))):
                     os.close(fd)
-                body(index, open(inbox, "rb"), open(outbox, "wb", buffering=0))
+                # replies leave when 1 MiB gathers, before each wait for a request (_requests) and at the close
+                with open(outbox, "wb", buffering=1 << 20) as results:
+                    body(index, open(inbox, "rb"), results)
                 os._exit(0)
             finally:
                 os._exit(1)
@@ -109,7 +113,9 @@ class _Worker:
             raise RuntimeError(f"worker process {self.pid} ended without its results, exit status {self.reap()}") from None
         if isinstance(reply, BaseException):
             raise reply
-        return reply
+        for counter, added in zip(_COUNTERS, reply[1]):
+            counter.update(added)
+        return reply[0]
 
     def reap(self, kill: bool = False) -> int:
         """The child's exit status, or minus the signal that ended it, once it
@@ -149,40 +155,47 @@ def _fork_workers(count: int, body) -> Iterator[list[_Worker]]:
         _forked.clear()
 
 
+def _serve(fn, items=None, count: int = 1):
+    """The one worker body: it replies to each item with ``(fn(item), the
+    counts it added to _COUNTERS)``, or the exception that raised, and stops
+    after an exception. Child w of `count` takes items w, w + count, ... of
+    the `items` it inherited, or with `items` None those of ``_requests``."""
+
+    def body(index, requests, results) -> None:
+        for item in _requests(requests, results) if items is None else items[index::count]:
+            for counter in _COUNTERS:
+                counter.clear()
+            try:
+                reply = pickle.dumps((fn(item), _COUNTERS), pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                results.write(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+                return
+            results.write(reply)
+
+    return body
+
+
+def _requests(requests, results) -> Iterator:
+    """The items a child reads until its requests end, each once its replies so far have left."""
+    while True:
+        results.flush()
+        try:
+            yield pickle.load(requests)
+        except EOFError:
+            return
+
+
 def _pool_map(fn, items) -> list:
     """``[fn(item) for item in items]``, on up to ``_max_workers()`` forked
     children for two items or more, child w of W taking items w, w + W, ...
-    The first exception in item order comes out with its type and message,
-    and the children's ``design.SOLVE_COUNTS`` and ``simulate.LOOP_COUNTS``
-    add to this process's."""
+    Read back from child i mod W in item order, the first exception in item
+    order comes out with its type and message; each item's counts add here."""
     items = list(items)
     count = min(_max_workers(), len(items))
     if count <= 1:
         return [fn(it) for it in items]
-
-    def body(index, _, results) -> None:
-        design_mod.SOLVE_COUNTS.clear()  # the child returns the counts of its items alone
-        simulate.LOOP_COUNTS.clear()
-        outcomes = []  # (item index, its pickled result or exception)
-        for i in range(index, len(items), count):
-            try:
-                outcomes.append((i, pickle.dumps(fn(items[i]), pickle.HIGHEST_PROTOCOL)))
-            except Exception as exc:  # the child stops at its first failure
-                outcomes.append((i, exc))
-                break
-        pickle.dump((outcomes, design_mod.SOLVE_COUNTS, simulate.LOOP_COUNTS), results, pickle.HIGHEST_PROTOCOL)
-
-    outcomes = []
-    with _fork_workers(count, body) as workers:
-        for worker in workers:
-            part, solve_counts, loop_counts = worker.receive()
-            outcomes += part
-            design_mod.SOLVE_COUNTS.update(solve_counts)
-            simulate.LOOP_COUNTS.update(loop_counts)
-    failures = [outcome for outcome in outcomes if isinstance(outcome[1], BaseException)]
-    if failures:  # the lowest: a child's items after its failure are missing
-        raise min(failures, key=lambda outcome: outcome[0])[1]
-    return [pickle.loads(result) for _, result in sorted(outcomes)]
+    with _fork_workers(count, _serve(fn, items, count)) as workers:
+        return [workers[i % count].receive() for i in range(len(items))]
 
 
 def _json_safe(value):
@@ -214,27 +227,15 @@ def _write_json(path: Path, payload: dict) -> None:
         raise _unwritable(path, exc) from None
 
 
-def _format_chunk(columns) -> tuple[bytes, float]:
-    """The CSV bytes of a chunk of columns, and the CPU seconds the process
-    that formats them spent on it."""
+def _format_chunk(columns) -> bytes:
+    """The CSV bytes of a chunk of columns; the CPU seconds the process that
+    formats them spent on it add to its CSV_COUNTS."""
     from . import csvtext  # only a stage that writes a table pays the import
 
     start = time.process_time()
     text = csvtext.chunk_bytes(columns)
-    return text, time.process_time() - start
-
-
-def _format_chunks(_, requests, results) -> None:
-    """A CSV child's body: it replies to each chunk of columns it reads with
-    its ``_format_chunk``, or the exception that raised, until the requests end."""
-    with contextlib.suppress(EOFError):
-        while True:
-            columns = pickle.load(requests)
-            try:
-                reply = _format_chunk(columns)
-            except Exception as exc:
-                reply = exc
-            pickle.dump(reply, results, pickle.HIGHEST_PROTOCOL)
+    CSV_COUNTS["csv_format_s"] += time.process_time() - start
+    return text
 
 
 @contextlib.contextmanager
@@ -249,13 +250,13 @@ def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[dict], None
 
     An append formats and writes CSV_CHUNK_ROWS rows at a time from the
     columns, with ``csvtext.chunk_bytes``. A chunk that starts in the
-    file's first CSV_CHUNK_ROWS rows formats in process; each later chunk
-    on ``_fork_workers`` of ``_max_workers()`` children, in turn, so that a
-    long table formats on the other cores while the stage goes on, one chunk
-    a child ahead of the file, written in row order. An exception in the
-    block or in a child kills and reaps every child before the file is
-    removed. The rows, the bytes and the formatting CPU time, a child's
-    included, add to CSV_COUNTS.
+    file's first CSV_CHUNK_ROWS rows formats in process, and chunk j of the
+    later ones on child j mod W of W = ``_max_workers()`` ``_serve``
+    children once chunk j - W has come back from it and been written, so a
+    long table formats on the other cores while the stage goes on, in row
+    order. An exception in the block or in a child kills and reaps every
+    child before the file is removed. The rows, the bytes and the formatting
+    CPU time, a child's included, add to CSV_COUNTS.
     """
     workers = _max_workers()
     try:
@@ -265,7 +266,7 @@ def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[dict], None
     try:
         with fh, contextlib.ExitStack() as stack:
 
-            def write(text: bytes, cpu_s: float) -> None:
+            def write(text: bytes) -> None:
                 try:
                     fh.write(text)
                     fh.flush()  # nothing is left for a forked child to inherit, or for the close to fail on
@@ -273,32 +274,30 @@ def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[dict], None
                     with contextlib.suppress(OSError):  # the close flushes the unwritten bytes again
                         fh.close()
                     raise _unwritable(path, exc) from None
-                CSV_COUNTS.update(csv_bytes=len(text), csv_format_s=cpu_s)
+                CSV_COUNTS["csv_bytes"] += len(text)
 
-            write(f"# config_sha256={cfg_sha}\n{','.join(names)}\n".encode(), 0.0)
-            pending = collections.deque()  # the children formatting a chunk, in row order
-            turns = None  # the children, in turn
-            rows = 0
+            write(f"# config_sha256={cfg_sha}\n{','.join(names)}\n".encode())
+            children = None  # forked for the first chunk past the file's first
+            sent = rows = 0  # the chunks sent to the children, and the rows appended
 
             def append(columns: dict) -> None:
-                nonlocal turns, rows
+                nonlocal children, sent, rows
                 for start in range(0, len(next(iter(columns.values()))), CSV_CHUNK_ROWS):
                     chunk = [col[start : start + CSV_CHUNK_ROWS] for col in columns.values()]
                     if rows < CSV_CHUNK_ROWS or workers == 1:
-                        write(*_format_chunk(chunk))
+                        write(_format_chunk(chunk))
                     else:
-                        if turns is None:
-                            turns = itertools.cycle(stack.enter_context(_fork_workers(workers, _format_chunks)))
-                        if len(pending) == workers:  # at most one chunk a child: the next child is free
-                            write(*pending.popleft().receive())
-                        pending.append(next(turns))
-                        pickle.dump(chunk, pending[-1].requests, pickle.HIGHEST_PROTOCOL)
+                        children = children or stack.enter_context(_fork_workers(workers, _serve(_format_chunk)))
+                        if sent >= workers:  # the child's chunk sent - workers comes back first
+                            write(children[sent % workers].receive())
+                        pickle.dump(chunk, children[sent % workers].requests, pickle.HIGHEST_PROTOCOL)
+                        sent += 1
                     rows += len(chunk[0])
                     CSV_COUNTS["csv_rows"] += len(chunk[0])
 
             yield append
-            while pending:
-                write(*pending.popleft().receive())
+            for j in range(max(0, sent - workers), sent):
+                write(children[j % workers].receive())
     except BaseException:
         path.unlink(missing_ok=True)
         raise

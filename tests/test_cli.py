@@ -733,6 +733,27 @@ class TestWorkerProcesses:
         assert_no_child()
 
     @pytest.mark.parametrize("workers", [2, 3])
+    def test_replies_larger_than_a_pipe_come_back_in_item_order(self, set_workers, workers):
+        # design maps 64 KiB shapers: here each reply of 160 kB overruns a
+        # pipe's 64 KiB buffer, and item 5's failure comes after items that
+        # crossed the pipe.
+        pools = set_workers(workers)
+        arrays = [np.random.default_rng(item).standard_normal(20000) for item in range(7)]
+        returned = cli._pool_map(lambda item: arrays[item], range(7))
+        assert len(returned) == 7 and all(np.array_equal(got, sent) for got, sent in zip(returned, arrays))
+        assert_no_child()
+
+        def fail_at_five(item):
+            if item == 5:
+                raise ArithmeticError(f"item {item}")
+            return arrays[item]
+
+        with pytest.raises(ArithmeticError, match="^item 5$"):
+            cli._pool_map(fail_at_five, range(7))
+        assert_no_child()
+        assert pools == [workers, workers]
+
+    @pytest.mark.parametrize("workers", [2, 3])
     def test_lane_failure_crosses_the_pipe_with_its_start(self, set_workers, workers):
         # run_lanes returns a part's LaneFailure as its result and raises the
         # one of the earliest chunk, so it must keep its type and start both

@@ -235,6 +235,42 @@ def test_scan_finds_worker_machinery():
     ]
 
 
+def worker_bodies(source: str) -> list[str]:
+    """The body given to each ``_fork_workers`` call, by name or as a
+    method, in source order: the function called to build it, or the
+    source of any other body."""
+    calls = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "_fork_workers"
+    ]
+    found = []
+    for call in sorted(calls, key=lambda n: (n.lineno, n.col_offset)):
+        body = call.args[1] if len(call.args) > 1 else next(k.value for k in call.keywords if k.arg == "body")
+        found.append(f"line {call.lineno}: {ast.unparse(body.func if isinstance(body, ast.Call) else body)}")
+    return found
+
+
+def test_every_worker_set_runs_the_one_child_body():
+    """Every ``_fork_workers`` call is given a ``_serve`` body, so maps and
+    CSV tables speak one protocol: one reply of a result and its counts, or
+    an exception, per item, read back in item order."""
+    bodies = [f"{p.name} {body}" for p in PACKAGE for body in worker_bodies(p.read_text())]
+    assert bodies and [body for body in bodies if not body.endswith(": _serve")] == []
+
+
+def test_scan_finds_a_worker_set_with_another_body():
+    source = "def f(fn, items, body):\n    with cli._fork_workers(2, _serve(fn, items, 2)):\n        pass\n"
+    source += "    with _fork_workers(2, body), _fork_workers(count=3, body=functools.partial(_serve, fn)):\n"
+    source += "        return _fork_workers(2, lambda i, r, w: None)\n"
+    assert worker_bodies(source) == [
+        "line 2: _serve",
+        "line 4: body",
+        "line 4: functools.partial",
+        "line 5: lambda i, r, w: None",
+    ]
+
+
 def random_draws(source: str) -> list[str]:
     """Each call of ``default_rng`` or ``standard_normal``, by name or as a
     method, outside the class ``_InputDraw``, in source order."""
