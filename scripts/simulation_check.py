@@ -31,6 +31,9 @@ chunked pass of ``efq simulate``.
 Usage:
     python3 scripts/simulation_check.py [--bits 8] [--lam 1] [--order 4]
         [--length 1000000] [--seeds 0,1,2,3,4] [--loading 4.0] [--grid 8192]
+
+The defaults of --order, --length, --seeds, --loading and --grid are those
+of ``default_config()``, shown above.
 """
 
 from __future__ import annotations
@@ -61,17 +64,17 @@ from efq.simulate import WELCH_GRID, t_quantile_975
 
 
 def main() -> None:
+    cfg = default_config()
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--bits", type=int, default=8)
     ap.add_argument("--lam", type=int, default=1, help="oversampling factor")
-    ap.add_argument("--order", type=int, default=4, help="FIR shaper order")
-    ap.add_argument("--length", type=int, default=1_000_000)
-    ap.add_argument("--seeds", default="0,1,2,3,4")
-    ap.add_argument("--loading", type=float, default=4.0)
-    ap.add_argument("--grid", type=int, default=8192)
+    ap.add_argument("--order", type=int, default=cfg.fit.order, help="FIR shaper order")
+    ap.add_argument("--length", type=int, default=cfg.sim.length)
+    ap.add_argument("--seeds", default=",".join(map(str, cfg.sim.seeds)))
+    ap.add_argument("--loading", type=float, default=cfg.loading_factor)
+    ap.add_argument("--grid", type=int, default=cfg.n_points)
     args = ap.parse_args()
 
-    cfg = default_config()
     grid = FrequencyGrid(args.grid)
     plant = cfg.plant_tf()
     p_base = ct_frequency_map(plant, 1, grid)

@@ -62,9 +62,9 @@ from .errors import ConfigError, NumericalError, VerificationFailure
 from .transfer import RationalDiscreteTF
 
 MAX_WORKERS = 8  # a worker set forks all its children at once, so their count is bounded
-# _csv_file formats CSV_CHUNK_ROWS rows at a time (a few MB of text), and
-# counts what it writes in CSV_COUNTS, which main clears for each stage.
-CSV_CHUNK_ROWS = 1 << 14
+# _csv_file formats CSV_CHUNK_ROWS rows at a time, one loop block (about 1 MB
+# for trace.csv), and counts what it writes in CSV_COUNTS, which main clears for each stage.
+CSV_CHUNK_ROWS = simulate.BLOCK
 CSV_COUNTS: collections.Counter = collections.Counter()
 _COUNTERS = (design_mod.SOLVE_COUNTS, simulate.LOOP_COUNTS, CSV_COUNTS)  # a worker's reply carries what it added
 TRACE_COLUMNS = ("k", "x", "u", "v", "w", "overload")
@@ -96,8 +96,8 @@ class _Worker:
             try:  # it keeps only its own ends: not this process's, nor those to the children forked before it
                 for fd in (requests, results, *(f.fileno() for w in _forked for f in (w.requests, w.results))):
                     os.close(fd)
-                # replies leave when 1 MiB gathers, before each wait for a request (_requests) and at the close
-                with open(outbox, "wb", buffering=1 << 20) as results:
+                # replies leave when the buffer fills, before each wait for a request (_requests) and at the close
+                with open(outbox, "wb") as results:
                     body(index, open(inbox, "rb"), results)
                 os._exit(0)
             finally:
@@ -129,8 +129,8 @@ class _Worker:
         return self.status
 
 
-# The open worker set. One is open at a time: a second set's children would
-# hold the first's pipe ends, so its children would never see their requests end.
+# The open worker set. One is open at a time because _fork_workers keeps it in
+# this one list, which it reaps and clears; each new child closes the ends listed here.
 _forked: list[_Worker] = []
 
 
@@ -248,10 +248,10 @@ def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[dict], None
     table is left behind; a file that cannot be opened or written raises
     ConfigError naming it, and a path it did not open stays as it was.
 
-    An append formats and writes CSV_CHUNK_ROWS rows at a time from the
-    columns, with ``csvtext.chunk_bytes``. A chunk that starts in the
-    file's first CSV_CHUNK_ROWS rows formats in process, and chunk j of the
-    later ones on child j mod W of W = ``_max_workers()`` ``_serve``
+    An append writes CSV_CHUNK_ROWS rows at a time, one loop block, each
+    chunk formatted in one ``csvtext.chunk_bytes`` pass. A chunk that starts
+    in the file's first CSV_CHUNK_ROWS rows formats in process, and chunk j
+    of the later ones on child j mod W of W = ``_max_workers()`` ``_serve``
     children once chunk j - W has come back from it and been written, so a
     long table formats on the other cores while the stage goes on, in row
     order. An exception in the block or in a child kills and reaps every
@@ -448,13 +448,9 @@ def cmd_design(args) -> int:
 
     _write_json(out / "design.json", {"schema_version": SCHEMA_VERSION, "config_sha256": sha, "cells": cell_payload})
     omegas = p_base.grid.omegas
-    per_append = max(1, CSV_CHUNK_ROWS // len(omegas))  # whole cells to a chunk, so its repeated omegas format once
     with _csv_file(out / "design_r_opt.csv", sha, ("bits", "lambda", "omega", "r_opt")) as append:
-        for start in range(0, len(cells), per_append):
-            part = cells[start : start + per_append]
-            bits, lams = np.repeat(np.array(part).T, len(omegas), axis=1)
-            r_opt = np.concatenate([shaper.values for *_, shaper in solved[start : start + per_append]])
-            append({"bits": bits, "lambda": lams, "omega": np.tile(omegas, len(part)), "r_opt": r_opt})
+        for (bits, lam), (*_, shaper) in zip(cells, solved):
+            append({"bits": np.full(len(omegas), bits), "lambda": np.full(len(omegas), lam), "omega": omegas, "r_opt": shaper.values})
     _say(args, f"wrote {out / 'design.json'} and {out / 'design_r_opt.csv'}")
     return 0
 

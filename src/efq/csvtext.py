@@ -16,11 +16,11 @@ with at least two exponent digits; ``.0`` on an integral value; ``-0.0``,
 ``inf``, ``-inf`` and ``nan``.
 
 Each column writes its cells into a slot of fixed width in one uint8
-matrix of the block's rows, left-aligned pieces at fixed places with zero
+matrix of the chunk's rows, left-aligned pieces at fixed places with zero
 bytes between them, followed by its separator; removing the zero bytes
 gives the rows. A float column of a chunk with at most one distinct bit
 pattern per FEW_DISTINCT rows formats each pattern once and gathers its
-rows. Rows are formatted BLOCK_ROWS at a time, which bounds the memory.
+rows. A chunk is formatted in one pass, its size bounding the memory.
 
 All integer arithmetic on uint64 keeps its constants uint64: under numpy's
 promotion rules, uint64 mixed with int64 gives float64.
@@ -32,7 +32,6 @@ import functools
 
 import numpy as np
 
-BLOCK_ROWS = 1 << 13
 FEW_DISTINCT = 2
 
 _U64 = np.uint64
@@ -208,7 +207,7 @@ def _float_words(col) -> np.ndarray:
 
 class _Column:
     """One column of a chunk: its cells' width in words and a method that
-    writes the words of a block of its rows."""
+    writes the words of its rows."""
 
     def __init__(self, col):
         if isinstance(col, range):
@@ -231,23 +230,21 @@ class _Column:
             new = np.concatenate(([True], patterns[1:] != patterns[:-1]))
             if np.count_nonzero(new) * FEW_DISTINCT <= len(col):
                 patterns = patterns[new]
-                self.patterns = np.concatenate(
-                    [_float_words(patterns[i : i + BLOCK_ROWS].view(np.float64)) for i in range(0, len(patterns), BLOCK_ROWS)]
-                )
+                self.patterns = _float_words(patterns.view(np.float64))
                 self.inverse = np.searchsorted(patterns, bits)
 
-    def write(self, slot, start: int, stop: int) -> None:
-        """Writes rows start:stop into `slot`, a (rows, words) view of zeros."""
+    def write(self, slot) -> None:
+        """Writes the rows into `slot`, a (rows, words) view of zeros."""
         if self.kind == "b":
-            slot.view(np.uint8)[:, 0] = self.col[start:stop].view(np.uint8) + np.uint8(ord("0"))
+            slot.view(np.uint8)[:, 0] = self.col.view(np.uint8) + np.uint8(ord("0"))
         elif self.kind in "iu":
-            slot.view(np.uint8)[:, -1 - self.digits : -1] = _int_text(self.magnitude[start:stop], self.digits)
+            slot.view(np.uint8)[:, -1 - self.digits : -1] = _int_text(self.magnitude, self.digits)
             if self.negative:
-                slot.view(np.uint8)[:, 0] = (self.col[start:stop] < 0) * np.uint8(ord("-"))
+                slot.view(np.uint8)[:, 0] = (self.col < 0) * np.uint8(ord("-"))
         elif self.patterns is not None:
-            slot[:] = self.patterns[self.inverse[start:stop]]
+            slot[:] = self.patterns[self.inverse]
         else:
-            slot[:] = _float_words(self.col[start:stop])
+            slot[:] = _float_words(self.col)
 
 
 def _int_text(magnitude, digits: int) -> np.ndarray:
@@ -269,15 +266,10 @@ def chunk_bytes(columns) -> bytes:
     bool, int or float, or a range), each ended by a newline."""
     prepared = [_Column(col) for col in columns]
     ends = np.cumsum([column.words for column in prepared])
-    rows = len(prepared[0].col)
-    text = []
-    for start in range(0, rows, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, rows)
-        block = np.zeros((stop - start, ends[-1]), _WORD)
-        for column, end in zip(prepared, ends):
-            column.write(block[:, end - column.words : end], start, stop)
-        cells = block.view(np.uint8)
-        cells[:, 8 * ends - 1] = ord(",")
-        cells[:, -1] = ord("\n")
-        text.append(cells.tobytes().translate(None, b"\0"))
-    return b"".join(text)
+    words = np.zeros((len(prepared[0].col), ends[-1]), _WORD)
+    for column, end in zip(prepared, ends):
+        column.write(words[:, end - column.words : end])
+    cells = words.view(np.uint8)
+    cells[:, 8 * ends - 1] = ord(",")
+    cells[:, -1] = ord("\n")
+    return cells.tobytes().translate(None, b"\0")

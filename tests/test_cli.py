@@ -113,9 +113,8 @@ class TestWriteCsv:
         "n",
         [
             *(0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, *(4 * CSV_CHUNK_ROWS + d for d in (-1, 0, 1))),
-            # the kernel's blocks of rows within the first chunk and within a later one
-            *(csvtext.BLOCK_ROWS + d for d in (-1, 0, 1)),
-            *(CSV_CHUNK_ROWS + csvtext.BLOCK_ROWS + d for d in (-1, 0, 1)),
+            # the ends of the second and third chunks
+            *(k * CSV_CHUNK_ROWS + d for k in (2, 3) for d in (-1, 0, 1)),
         ],
     )
     def test_chunk_boundaries_match_row_oracle(self, tmp_path, n):
@@ -199,6 +198,33 @@ class TestWriteCsv:
         assert_no_child()
         assert pools == [2]
 
+    def test_no_chunk_is_larger_than_one_loop_block(self, tmp_path, monkeypatch, set_workers):
+        # chunk_bytes formats its chunk in one pass, so the chunks it is handed
+        # bound its memory: design hands it one cell at a time, and
+        # simulate --trace one loop block at a time.
+        set_workers(1)
+        chunks = []
+        format_chunk = cli._format_chunk
+
+        def recorded(columns):
+            chunks.append(columns)
+            return format_chunk(columns)
+
+        monkeypatch.setattr(cli, "_format_chunk", recorded)
+        sim = dict(SMALL_CONFIG["sim"], length=3 * simulate.BLOCK + 1, seeds=[0])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, n_points=4096, sim=sim)))
+        assert main(["design", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        assert max(len(bits) for bits, *_ in chunks) <= simulate.BLOCK
+        assert [(set(bits), set(lams), len(bits)) for bits, lams, *_ in chunks] == [
+            ({bits}, {lam}, 4096) for bits in (2, 3) for lam in (1, 2)
+        ]
+        chunks.clear()
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path), "--quiet", "--trace"]) == 0
+        block = simulate.BLOCK
+        rows = [chunk[0] for chunk in chunks if len(chunk) == len(cli.TRACE_COLUMNS)]  # trace.csv's row index
+        assert [(k[0], len(k)) for k in rows] == [(0, block), (block, block), (2 * block, block), (3 * block, 1)]
+
 
 class TestDesignCommand:
     def test_writes_artifacts(self, config_path, tmp_path):
@@ -224,8 +250,8 @@ class TestDesignCommand:
 
     def test_thread_count_does_not_change_output(self, tmp_path, set_workers):
         # Every command that maps its cells over the worker pool, and both
-        # tables that format on worker processes: design_r_opt.csv (2 CSV
-        # chunks) and trace.csv (3 chunks and a row). The worker count is
+        # tables that format on worker processes: design_r_opt.csv (4 CSV
+        # chunks, one a cell) and trace.csv (3 chunks and a row). The worker count is
         # faked, so 2 and 3 workers fork on a 1-core machine too.
         sim = dict(SMALL_CONFIG["sim"], length=3 * CSV_CHUNK_ROWS + 1, seeds=[0])
         config = dict(SMALL_CONFIG, n_points=8192, sim=sim)
@@ -251,12 +277,12 @@ class TestDesignCommand:
         assert artifacts[0] == artifacts[1] == artifacts[2]
 
     def test_table_on_a_grid_that_does_not_divide_a_chunk(self, tmp_path, set_workers):
-        # 16 cells of 3,000 rows, appended 5 cells at a time: appends
-        # straddle every 2^14-row chunk boundary, and the two that start past
-        # the first chunk format on the workers.
+        # 16 cells of 3,000 rows, each its own chunk: the chunks start off the
+        # multiples of CSV_CHUNK_ROWS, the three that start in the first
+        # CSV_CHUNK_ROWS rows format in process and the other 13 on the workers.
         pools = set_workers(2)
         config = dict(SMALL_CONFIG, bits_list=list(range(1, 9)), n_points=3000)
-        assert CSV_CHUNK_ROWS % config["n_points"] and 2 * 5 * config["n_points"] > CSV_CHUNK_ROWS
+        assert CSV_CHUNK_ROWS % config["n_points"] and config["n_points"] < CSV_CHUNK_ROWS < 16 * config["n_points"]
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "out"
@@ -823,7 +849,7 @@ class TestWorkerProcesses:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_no_stage_starts_a_thread(self, tmp_path, monkeypatch, set_workers, workers):
-        # design maps its cells and writes a 2-chunk table; simulate maps its
+        # design maps its cells and writes a 4-chunk table; simulate maps its
         # fits and, with --trace, writes a 2-chunk trace.csv.
         def no_thread(thread):
             raise AssertionError(f"a stage started a thread: {thread}")

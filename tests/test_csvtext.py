@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from efq import csvtext
+from efq import csvtext, simulate
 
 
 def float_lines(values) -> list[str]:
@@ -112,10 +112,10 @@ def test_any_int64_reads_as_str(values):
 
 
 def test_mixed_columns_across_blocks_with_few_and_many_distinct_values():
-    # Three blocks of rows; `levels` has few distinct values, so each is
-    # formatted once and gathered, and `x` many.
+    # Two loop blocks and 5 rows, formatted in one pass; `levels` has few
+    # distinct values, so each is formatted once and gathered, and `x` many.
     rng = np.random.default_rng(3)
-    n = 2 * csvtext.BLOCK_ROWS + 5
+    n = 2 * simulate.BLOCK + 5
     x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 20, n)
     levels = rng.integers(-3, 4, n) * 0.1
     flags = rng.random(n) < 0.5

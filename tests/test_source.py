@@ -107,6 +107,38 @@ def test_scan_finds_a_repr_name():
     assert repr_names(source) == ["line 2", "line 3"]
 
 
+def chunk_bytes_callers(source: str) -> list[str]:
+    """The function around each call of ``chunk_bytes``, by name or as a
+    method, in source order: the innermost ``def``, or ``<module>``."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", getattr(child.func, "id", None)) == "chunk_bytes":
+                found.append((child.lineno, child.col_offset, where))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(ast.parse(source), "<module>")
+    return [f"line {line}: {where}" for line, _, where in sorted(found)]
+
+
+def test_one_caller_of_the_digit_kernel():
+    """Only ``cli._format_chunk`` calls ``csvtext.chunk_bytes``, which
+    formats a chunk in one pass: the chunks ``_csv_file`` hands it, one loop
+    block at most, bound its memory, and it counts the formatting time."""
+    callers = [f"{p.name} {caller.split(': ')[1]}" for p in PACKAGE for caller in chunk_bytes_callers(p.read_text())]
+    assert callers == ["cli.py _format_chunk"]
+
+
+def test_scan_finds_a_chunk_bytes_call():
+    source = "from efq import csvtext\nfrom efq.csvtext import chunk_bytes\n\n"
+    source += "def _format_chunk(columns):\n    return csvtext.chunk_bytes(columns)\n\n"
+    source += "class Writer:\n    def write(self, columns):\n        fmt = lambda c: chunk_bytes(c)\n"
+    source += "        return fmt(columns), csvtext.chunk_bytes\n\n"
+    source += "text = chunk_bytes([range(3)])\n"
+    assert chunk_bytes_callers(source) == ["line 5: _format_chunk", "line 9: write", "line 12: <module>"]
+
+
 def test_public_names_resolve_once_in_order():
     """Every name in efq.__all__ is an attribute of efq, listed once, in
     sorted order, so a deleted name cannot stay behind."""
