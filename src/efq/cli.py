@@ -15,13 +15,16 @@ A stage that succeeds, or fails an invariant (exit 3), with an output
 directory also writes its wall and CPU time, ``design.SOLVE_COUNTS``, the
 samples and CPU time of each loop kernel in ``simulate.LOOP_COUNTS`` and
 the CSV rows, bytes and formatting CPU time of ``CSV_COUNTS`` to
-``<command>.timings.json`` there. An artifact path that cannot be written
-is a validation error (exit 1) naming the path; a sidecar that cannot be
-written after a failed invariant prints its error and keeps exit 3.
+``<command>.timings.json`` there.
 
-Every CSV table is written through ``_csv_file``, whose cells
-``csvtext.chunk_bytes`` formats in numpy, a chunk at a time, byte for byte
-as ``repr`` and ``str`` write them.
+Every artifact, JSON file, CSV table or sidecar, is written through
+``_artifact``: a path that cannot be written is a validation error (exit 1)
+naming the path, an artifact whose write fails after it opened is removed,
+and a sidecar that cannot be written after a failed invariant prints its
+error and keeps exit 3. ``_write_json`` stamps each JSON file with the
+schema version and the configuration hash; ``_csv_file`` writes each table,
+whose cells ``csvtext.chunk_bytes`` formats in numpy, a chunk at a time,
+byte for byte as ``repr`` and ``str`` write them.
 
 The parallel work runs on forked worker processes, at most
 ``_max_workers()`` of them, the CPUs this process may run on up to
@@ -214,17 +217,46 @@ def _json_safe(value):
     return value
 
 
-def _unwritable(path: Path, exc: OSError) -> ConfigError:
-    """The failure of a stage that cannot write the artifact at `path`."""
-    return ConfigError(f"cannot write {path}: {exc.strerror or exc}")
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n"
+@contextlib.contextmanager
+def _writing(path: Path) -> Iterator[None]:
+    """Turn an OSError in the block into the one failure of a stage that cannot write `path`."""
     try:
-        path.write_text(text)
+        yield
     except OSError as exc:
-        raise _unwritable(path, exc) from None
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+@contextlib.contextmanager
+def _artifact(path: Path) -> Iterator[Callable[[bytes], None]]:
+    """The one writer of every artifact: open `path` and yield a function that
+    appends bytes, each in the file before it returns (unbuffered, so a forked
+    child inherits no unwritten bytes). An OSError opening, writing or closing
+    it raises ConfigError naming it. Any exception in the block removes the
+    file, so no truncated artifact is left; a path it could not open stays."""
+    with _writing(path):
+        fh = open(path, "wb", buffering=0)
+
+    def append(data: bytes) -> None:
+        view = memoryview(data)
+        with _writing(path):
+            while view:  # a raw write may take only part of its bytes
+                view = view[fh.write(view) :]
+
+    try:
+        yield append
+        with _writing(path):
+            fh.close()
+    except BaseException:
+        fh.close()
+        path.unlink(missing_ok=True)
+        raise
+
+
+def _write_json(path: Path, sha: str, body: dict) -> None:
+    """Write `body` as strict JSON under the schema version and configuration hash."""
+    payload = {"schema_version": SCHEMA_VERSION, "config_sha256": sha, **body}
+    with _artifact(path) as append:
+        append((json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n").encode())
 
 
 def _format_chunk(columns) -> bytes:
@@ -240,13 +272,11 @@ def _format_chunk(columns) -> bytes:
 
 @contextlib.contextmanager
 def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[dict], None]]:
-    """Open a CSV file under a config-hash comment line and a header of the
-    column names; yields a function that appends the rows of a dict of named
-    columns of equal length (1-D arrays, or a range for a row index). Every
-    table is written through it, each stage appending rows as it reaches
-    them. An exception inside the block removes the file, so no truncated
-    table is left behind; a file that cannot be opened or written raises
-    ConfigError naming it, and a path it did not open stays as it was.
+    """An ``_artifact`` CSV file under a config-hash comment line and a header
+    of the column names; yields a function that appends the rows of a dict of
+    named columns of equal length (1-D arrays, or a range for a row index).
+    Every table is written through it, each stage appending rows as it
+    reaches them.
 
     An append writes CSV_CHUNK_ROWS rows at a time, one loop block, each
     chunk formatted in one ``csvtext.chunk_bytes`` pass. A chunk that starts
@@ -259,48 +289,34 @@ def _csv_file(path: Path, cfg_sha: str, names) -> Iterator[Callable[[dict], None
     CPU time, a child's included, add to CSV_COUNTS.
     """
     workers = _max_workers()
-    try:
-        fh = open(path, "wb")
-    except OSError as exc:
-        raise _unwritable(path, exc) from None
-    try:
-        with fh, contextlib.ExitStack() as stack:
+    with _artifact(path) as append_bytes, contextlib.ExitStack() as stack:
 
-            def write(text: bytes) -> None:
-                try:
-                    fh.write(text)
-                    fh.flush()  # nothing is left for a forked child to inherit, or for the close to fail on
-                except OSError as exc:
-                    with contextlib.suppress(OSError):  # the close flushes the unwritten bytes again
-                        fh.close()
-                    raise _unwritable(path, exc) from None
-                CSV_COUNTS["csv_bytes"] += len(text)
+        def write(text: bytes) -> None:
+            append_bytes(text)
+            CSV_COUNTS["csv_bytes"] += len(text)
 
-            write(f"# config_sha256={cfg_sha}\n{','.join(names)}\n".encode())
-            children = None  # forked for the first chunk past the file's first
-            sent = rows = 0  # the chunks sent to the children, and the rows appended
+        write(f"# config_sha256={cfg_sha}\n{','.join(names)}\n".encode())
+        children = None  # forked for the first chunk past the file's first
+        sent = rows = 0  # the chunks sent to the children, and the rows appended
 
-            def append(columns: dict) -> None:
-                nonlocal children, sent, rows
-                for start in range(0, len(next(iter(columns.values()))), CSV_CHUNK_ROWS):
-                    chunk = [col[start : start + CSV_CHUNK_ROWS] for col in columns.values()]
-                    if rows < CSV_CHUNK_ROWS or workers == 1:
-                        write(_format_chunk(chunk))
-                    else:
-                        children = children or stack.enter_context(_fork_workers(workers, _serve(_format_chunk)))
-                        if sent >= workers:  # the child's chunk sent - workers comes back first
-                            write(children[sent % workers].receive())
-                        pickle.dump(chunk, children[sent % workers].requests, pickle.HIGHEST_PROTOCOL)
-                        sent += 1
-                    rows += len(chunk[0])
-                    CSV_COUNTS["csv_rows"] += len(chunk[0])
+        def append(columns: dict) -> None:
+            nonlocal children, sent, rows
+            for start in range(0, len(next(iter(columns.values()))), CSV_CHUNK_ROWS):
+                chunk = [col[start : start + CSV_CHUNK_ROWS] for col in columns.values()]
+                if rows < CSV_CHUNK_ROWS or workers == 1:
+                    write(_format_chunk(chunk))
+                else:
+                    children = children or stack.enter_context(_fork_workers(workers, _serve(_format_chunk)))
+                    if sent >= workers:  # the child's chunk sent - workers comes back first
+                        write(children[sent % workers].receive())
+                    pickle.dump(chunk, children[sent % workers].requests, pickle.HIGHEST_PROTOCOL)
+                    sent += 1
+                rows += len(chunk[0])
+                CSV_COUNTS["csv_rows"] += len(chunk[0])
 
-            yield append
-            for j in range(max(0, sent - workers), sent):
-                write(children[j % workers].receive())
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
+        yield append
+        for j in range(max(0, sent - workers), sent):
+            write(children[j % workers].receive())
 
 
 def _load_setup(args) -> tuple[ExperimentConfig, str, spectral.AmplitudeResponse]:
@@ -327,19 +343,28 @@ def _cells(cfg: ExperimentConfig) -> list[tuple[int, int]]:
     return [(b, lam) for b in sorted(set(cfg.bits_list)) for lam in sorted(set(cfg.lambda_list))]
 
 
-def _in_cell(cell, fn):
-    """fn(cell), a NumericalError's message opened by the (bits, lambda) cell."""
+def _cell_terms(cfg: ExperimentConfig, p_base: spectral.AmplitudeResponse) -> list[tuple]:
+    """(bits, lambda, gamma, p_lambda) of each cell in ``_cells`` order: its
+    noise ratio and the plant's response oversampled by its lambda."""
+    return [
+        (bits, lam, design_mod.gamma_from_bits(bits, cfg.loading_factor), spectral.oversample_response(p_base, lam))
+        for bits, lam in _cells(cfg)
+    ]
+
+
+def _in_cell(terms, fn):
+    """fn(*terms), a NumericalError's message opened by the (bits, lambda) cell that leads `terms`."""
     try:
-        return fn(cell)
+        return fn(*terms)
     except NumericalError as exc:
-        bits, lam = cell
+        bits, lam = terms[:2]
         raise NumericalError(f"bits={bits} lambda={lam}: {exc}") from None
 
 
-def _map_cells(fn, cells) -> list:
-    """``_pool_map`` of fn over (bits, lambda) cells, each failure named by
-    its cell."""
-    return _pool_map(lambda cell: _in_cell(cell, fn), cells)
+def _map_cells(fn, cfg: ExperimentConfig, p_base: spectral.AmplitudeResponse) -> list:
+    """``_pool_map`` of fn(bits, lambda, gamma, p_lambda) over the
+    ``_cell_terms`` of the cells, each failure named by its cell."""
+    return _pool_map(lambda terms: _in_cell(terms, fn), _cell_terms(cfg, p_base))
 
 
 def _base_response(cfg: ExperimentConfig) -> spectral.AmplitudeResponse:
@@ -419,15 +444,12 @@ def cmd_design(args) -> int:
     cfg, sha, p_base = _load_setup(args)
     out = _out_dir(args)
 
-    def solve(cell):
-        bits, lam = cell
-        gamma = design_mod.gamma_from_bits(bits, cfg.loading_factor)
-        p_lam = spectral.oversample_response(p_base, lam)
+    def solve(bits, lam, gamma, p_lam):
         sol = design_mod.solve_min_mse(p_lam, gamma)
         return gamma, sol, design_mod.optimal_shaper(sol.alpha_opt, p_lam)
 
     cells = _cells(cfg)
-    solved = _map_cells(solve, cells)
+    solved = _map_cells(solve, cfg, p_base)
 
     cell_payload = []
     for (bits, lam), (gamma, sol, shaper) in zip(cells, solved):
@@ -446,7 +468,7 @@ def cmd_design(args) -> int:
         )
         _say(args, f"design bits={bits} lambda={lam}: distortion {design_mod.db(sol.distortion):.4f} dB")
 
-    _write_json(out / "design.json", {"schema_version": SCHEMA_VERSION, "config_sha256": sha, "cells": cell_payload})
+    _write_json(out / "design.json", sha, {"cells": cell_payload})
     omegas = p_base.grid.omegas
     with _csv_file(out / "design_r_opt.csv", sha, ("bits", "lambda", "omega", "r_opt")) as append:
         for (bits, lam), (*_, shaper) in zip(cells, solved):
@@ -463,7 +485,7 @@ def cmd_rd_curve(args) -> int:
     cfg, sha, p_base = _load_setup(args)
     out = _out_dir(args)
 
-    rows = _map_cells(lambda cell: design_mod.rd_row(p_base, *cell, cfg.loading_factor), _cells(cfg))
+    rows = _map_cells(lambda bits, lam, *_: design_mod.rd_row(p_base, bits, lam, cfg.loading_factor), cfg, p_base)
 
     names = "bits,lambda,gamma,D,D_uniform,bound,D_db,D_uniform_db,bound_db,identity_residual".split(",")
     table = []
@@ -489,18 +511,15 @@ def _fit_cells(cfg, p_base, designed: dict | None = None) -> list:
     """(gamma, fit report) per cell in ``_cells`` order, fitted to the
     ``designed`` artifact cells, or to designs solved here when it is None."""
 
-    def run(cell):
-        bits, lam = cell
-        gamma = design_mod.gamma_from_bits(bits, cfg.loading_factor)
-        p_lam = spectral.oversample_response(p_base, lam)
+    def run(bits, lam, gamma, p_lam):
         if designed is None:
             sol = design_mod.solve_min_mse(p_lam, gamma)
             alpha, budget = sol.alpha_opt, sol.norm_r_sq
         else:
-            alpha, budget = designed[cell]["alpha_opt"], designed[cell]["norm_r_sq"]
+            alpha, budget = designed[bits, lam]["alpha_opt"], designed[bits, lam]["norm_r_sq"]
         return gamma, fitting.fit_cell(cfg.fit.method, cfg.fit.order, p_lam, gamma, alpha, budget)
 
-    return _map_cells(run, _cells(cfg))
+    return _map_cells(run, cfg, p_base)
 
 
 def _report_payload(bits, lam, gamma, report) -> dict:
@@ -539,16 +558,7 @@ def cmd_fit(args) -> int:
             f"ideal {cell['ideal_mse_db']:.4f} dB, loss {cell['loss_db']:.4f} dB",
         )
 
-    _write_json(
-        out / "fit.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "config_sha256": sha,
-            "method": cfg.fit.method,
-            "order": cfg.fit.order,
-            "cells": payload_cells,
-        },
-    )
+    _write_json(out / "fit.json", sha, {"method": cfg.fit.method, "order": cfg.fit.order, "cells": payload_cells})
     _say(args, f"wrote {out / 'fit.json'}")
     return 0
 
@@ -573,9 +583,7 @@ def cmd_simulate(args) -> int:
 
     cells = []  # payloads without runs
     lanes = []  # one per (cell, seed), in that order
-    for (bits, lam), shaper in zip(cell_list, shapers):
-        gamma = design_mod.gamma_from_bits(bits, cfg.loading_factor)
-        p_lam = spectral.oversample_response(p_base, lam)
+    for (bits, lam, gamma, p_lam), shaper in zip(_cell_terms(cfg, p_base), shapers):
         score, sigma_u_sq, sigma_w_sq, quantizer = simulate.loop_quantizer(shaper, p_lam, bits, cfg.loading_factor)
         cells.append(
             {
@@ -644,7 +652,7 @@ def cmd_simulate(args) -> int:
         columns["seed"] = np.tile(seeds, len(cells))
         append({**columns, **{name: np.array([getattr(r, name) for r in results]) for name in names[3:]}})
 
-    _write_json(out / "simulate.json", {"schema_version": SCHEMA_VERSION, "config_sha256": sha, "cells": cells})
+    _write_json(out / "simulate.json", sha, {"cells": cells})
     _say(args, f"wrote {out / 'simulate.json'} and {out / 'simulate_runs.csv'}")
     return 0
 
@@ -662,16 +670,14 @@ def _verify_checks(cfg: ExperimentConfig, p_base: spectral.AmplitudeResponse) ->
     p_fine = spectral.ct_frequency_map(cfg.plant_tf(), 1, spectral.FrequencyGrid(2 * cfg.n_points))
     lane_bits = max(cfg.bits_list)
 
-    def check_cell(cell):
+    def check_cell(bits, lam, gamma, p_lam):
         """The six design residuals of a cell (its ``rd_row``'s collapse and
         bound among them), and its design if it is the loop lane's cell."""
-        bits, lam = cell
         row = design_mod.rd_row(p_base, bits, lam, cfg.loading_factor)
-        sol, nu = row.design, row.gamma + 1.0
-        p_lam = spectral.oversample_response(p_base, lam)
+        sol, nu = row.design, gamma + 1.0
         shaper = design_mod.optimal_shaper(sol.alpha_opt, p_lam)
         p_fine_lam = spectral.oversample_response(p_fine, lam)
-        alpha_fine = design_mod.solve_min_mse(p_fine_lam, row.gamma, start=sol.alpha_opt).alpha_opt
+        alpha_fine = design_mod.solve_min_mse(p_fine_lam, gamma, start=sol.alpha_opt).alpha_opt
         residuals = (
             abs(sol.theta_opt**2 / sol.alpha_opt - nu) / nu,
             row.identity_residual,
@@ -680,9 +686,9 @@ def _verify_checks(cfg: ExperimentConfig, p_base: spectral.AmplitudeResponse) ->
             abs(spectral.log_geometric_mean(shaper)),
             abs(alpha_fine - sol.alpha_opt) / sol.alpha_opt,
         )
-        return residuals, sol if cell == (lane_bits, 1) else None
+        return residuals, sol if (bits, lam) == (lane_bits, 1) else None
 
-    outcomes = _map_cells(check_cell, _cells(cfg))
+    outcomes = _map_cells(check_cell, cfg, p_base)
     root, identity, bound, margin, logmean, grid = zip(*(residuals for residuals, _ in outcomes))
     # reduced in cell order
     worst_root = max(0.0, *root)
@@ -717,7 +723,7 @@ def _verify_checks(cfg: ExperimentConfig, p_base: spectral.AmplitudeResponse) ->
     gamma = design_mod.gamma_from_bits(lane_bits, cfg.loading_factor)
     lane_design = next((sol for _, sol in outcomes if sol is not None), None)
     if lane_design is None:  # no cell at lambda 1
-        lane_design = _in_cell((lane_bits, 1), lambda _: design_mod.solve_min_mse(p_base, gamma))
+        lane_design = _in_cell((lane_bits, 1), lambda *_: design_mod.solve_min_mse(p_base, gamma))
     shaper = fitting.fit_cell(
         cfg.fit.method, cfg.fit.order, p_base, gamma, lane_design.alpha_opt, lane_design.norm_r_sq
     ).fitted
@@ -743,15 +749,7 @@ def cmd_verify(args) -> int:
         status = "PASS" if c["pass"] else "FAIL"
         _say(args, f"{status} {c['name']}: measured={c['measured']:.6g} tolerance={c['tolerance']:.6g}")
     if out is not None:
-        _write_json(
-            out / "verify.json",
-            {
-                "schema_version": SCHEMA_VERSION,
-                "config_sha256": sha,
-                "checks": checks,
-                "all_pass": not failures,
-            },
-        )
+        _write_json(out / "verify.json", sha, {"checks": checks, "all_pass": not failures})
         _say(args, f"wrote {out / 'verify.json'}")
     if failures:
         details = "; ".join(
@@ -823,9 +821,8 @@ def main(argv=None) -> int:
             counts = {name: design_mod.SOLVE_COUNTS[name] for name in ("solves", "newton", "bisection", "polish")}
             timings = {"wall_s": time.perf_counter() - wall, "cpu_s": sum(os.times()[:4]) - cpu, **counts}
             timings.update(simulate.LOOP_COUNTS, **CSV_COUNTS)
-            header = {"schema_version": SCHEMA_VERSION, "config_sha256": args.config_sha256}
             try:
-                _write_json(Path(args.out) / f"{args.command}.timings.json", {**header, **timings})
+                _write_json(Path(args.out) / f"{args.command}.timings.json", args.config_sha256, timings)
             except ConfigError as exc:
                 if code != 3:
                     raise

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import INPUT_KINDS, SimConfig
 from .design import _levels, balanced_mse, gamma_from_bits
 from .errors import NumericalError
 from .fitting import FitReport, evaluate_fit
@@ -114,11 +115,12 @@ class SignalModel:
     kind: str
     seed: int
     length: int
-    ct_pole: float = 2.62
+    ct_pole: float = SimConfig.ct_pole
 
     def __post_init__(self):
-        if self.kind not in ("colored", "white"):
-            raise ValueError(f"kind must be 'colored' or 'white', got {self.kind!r}")
+        if self.kind not in INPUT_KINDS:
+            kinds = " or ".join(f"'{kind}'" for kind in INPUT_KINDS)
+            raise ValueError(f"kind must be {kinds}, got {self.kind!r}")
         if self.length < 1:
             raise ValueError("length must be positive")
         if self.ct_pole <= 0:

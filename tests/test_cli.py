@@ -963,11 +963,12 @@ REPO = Path(__file__).resolve().parents[1]
 SUBCOMMANDS = ("design", "rd-curve", "fit", "simulate", "verify")
 
 
-def run_python(args, timeout=300):
-    """Run python in a fresh process with this checkout's src on the path."""
+def run_python(args, timeout=300, **kwargs):
+    """Run python in a fresh process with this checkout's src on the path;
+    the keywords go to ``subprocess.run``."""
     src = str(Path(efq.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout, **kwargs)
 
 
 # The report of scripts/simulation_check.py on one short lane, scored on the
@@ -1027,39 +1028,46 @@ class TestEntryPoints:
         assert 0 < quadratures <= 24 * 20
         assert totals[2] == totals[1]
 
-    def test_verify_failure_writes_its_timings(self, tmp_path, capsys):
-        """A verify that fails an invariant (exit 3) has written verify.json,
-        and writes its timings sidecar beside it. A zero at DC (the built-in
-        numerator times s) at 2,048 points misses grid_convergence_alpha at
-        16 bits."""
+    @staticmethod
+    def failing_verify_config(tmp_path) -> str:
+        """A config whose verify fails an invariant: a zero at DC (the
+        built-in numerator times s) at 2,048 points misses
+        grid_convergence_alpha at 16 bits."""
         data = config_to_dict(default_config())
         data["plant"]["num"] = [*data["plant"]["num"], 0.0]
         data.update(n_points=2048, bits_list=[8, 16], lambda_list=[1])
         path = tmp_path / "config.json"
         path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_verify_failure_writes_its_timings(self, tmp_path, capsys):
+        """A verify that fails an invariant (exit 3) has written verify.json,
+        and writes its timings sidecar beside it."""
         out = tmp_path / "out"
-        assert main(["verify", "--config", str(path), "--out", str(out), "--quiet"]) == 3
+        assert main(["verify", "--config", self.failing_verify_config(tmp_path), "--out", str(out), "--quiet"]) == 3
         assert "grid_convergence_alpha" in capsys.readouterr().err
         assert not json.loads((out / "verify.json").read_text())["all_pass"]
         timings = json.loads((out / "verify.timings.json").read_text())
         assert timings["config_sha256"] == json.loads((out / "verify.json").read_text())["config_sha256"]
         assert timings["solves"] > 0 and timings["wall_s"] > 0.0
 
-    def test_verify_failure_keeps_exit_three_when_its_timings_cannot_be_written(self, tmp_path, capsys):
-        """The set-up above with verify.timings.json a directory: verify
-        still exits 3 after writing verify.json, and prints the failure and
-        then the sidecar's error."""
-        data = config_to_dict(default_config())
-        data["plant"]["num"] = [*data["plant"]["num"], 0.0]
-        data.update(n_points=2048, bits_list=[8, 16], lambda_list=[1])
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(data))
+    @pytest.mark.parametrize("target", ["directory", "/dev/full"])
+    def test_verify_failure_keeps_exit_three_when_its_timings_cannot_be_written(self, tmp_path, capsys, target):
+        """The set-up above with verify.timings.json a directory, or a link
+        to /dev/full, which opens and takes no byte: verify still exits 3
+        after writing verify.json and prints the failure and then the
+        sidecar's error. The directory stays and the link is removed."""
+        if target != "directory" and not os.path.exists(target):
+            pytest.skip(f"needs {target}")
         out = tmp_path / "out"
-        (out / "verify.timings.json").mkdir(parents=True)
-        assert main(["verify", "--config", str(path), "--out", str(out), "--quiet"]) == 3
+        out.mkdir()
+        sidecar = out / "verify.timings.json"
+        sidecar.mkdir() if target == "directory" else sidecar.symlink_to(target)
+        assert main(["verify", "--config", self.failing_verify_config(tmp_path), "--out", str(out), "--quiet"]) == 3
         failure, unwritable = capsys.readouterr().err.splitlines()
         assert failure.startswith("verification failure: ") and "grid_convergence_alpha" in failure
-        assert unwritable.startswith(f"configuration error: cannot write {out / 'verify.timings.json'}: ")
+        assert unwritable.startswith(f"configuration error: cannot write {sidecar}: ")
+        assert sidecar.is_dir() if target == "directory" else not os.path.lexists(sidecar)
         assert not json.loads((out / "verify.json").read_text())["all_pass"]
 
     def test_timings_count_csv_rows_bytes_and_format_time(self, tmp_path, set_workers):
@@ -1483,12 +1491,17 @@ class TestErrorHandling:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize(
         "stage, table",
-        [("design", "design_r_opt.csv"), ("rd-curve", "rd_curve.csv"), ("simulate", "simulate_runs.csv"), ("simulate", "trace.csv")],
+        [
+            *[("design", "design_r_opt.csv"), ("rd-curve", "rd_curve.csv"), ("simulate", "simulate_runs.csv"), ("simulate", "trace.csv")],
+            *[("design", "design.json"), ("fit", "fit.json"), ("simulate", "simulate.json"), ("verify", "verify.json")],
+            ("rd-curve", "rd-curve.timings.json"),
+        ],
     )
     def test_table_whose_write_fails_after_it_opened_exits_one(self, config_path, tmp_path, capsys, stage, table):
         # A table that opens but cannot take its bytes: the close flushed
         # them again after the write's error and raised an OSError
-        # traceback in its place.
+        # traceback in its place. A JSON artifact or a sidecar exited 1 but
+        # left its path in place.
         out = tmp_path / "out"
         out.mkdir()
         (out / table).symlink_to("/dev/full")
@@ -1501,6 +1514,24 @@ class TestErrorHandling:
         after = os.stat("/dev/full")
         assert (after.st_mode, after.st_rdev, after.st_size) == (device.st_mode, device.st_rdev, device.st_size)
         assert_no_child()
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE and SIGXFSZ")
+    def test_artifact_cut_short_by_the_file_size_limit_is_removed(self, tmp_path):
+        # The built-in design.json is about 14 KB. Under a 4,096-byte file
+        # size limit design exited 1 and left the first 4,096 bytes, which
+        # no JSON reader takes.
+        import resource
+
+        def limit_file_size():  # in the child only; SIGXFSZ ignored, so the write past the limit fails with EFBIG
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+
+        out = tmp_path / "out"
+        proc = run_python(["-B", "-m", "efq.cli", "design", "--out", str(out), "--quiet"], preexec_fn=limit_file_size)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(f"configuration error: cannot write {out / 'design.json'}: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert not os.path.lexists(out / "design.json")
 
     @pytest.mark.parametrize("stage, flag", [("design", "--config"), ("fit", "--design"), ("simulate", "--fit")])
     def test_undecodable_json_file_is_named(self, config_path, tmp_path, capsys, stage, flag):

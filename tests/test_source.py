@@ -139,6 +139,61 @@ def test_scan_finds_a_chunk_bytes_call():
     assert chunk_bytes_callers(source) == ["line 5: _format_chunk", "line 9: write", "line 12: <module>"]
 
 
+def file_writes(source: str) -> list[str]:
+    """Each call that may open a file for writing, in source order, with the
+    innermost ``def`` around it (or ``<module>``): every ``write_text`` or
+    ``write_bytes`` call, and every ``open``, by name or as a method, whose
+    mode is given and is not a string constant free of ``w``, ``a``, ``x``
+    and ``+`` (so ``os.open``'s flags count as writing). A method ``open``
+    other than ``os.open`` and ``io.open`` takes its mode first, as
+    ``Path.open`` does."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            func = getattr(child, "func", None)
+            name = getattr(func, "attr", getattr(func, "id", None))
+            if isinstance(child, ast.Call) and name in ("write_text", "write_bytes"):
+                found.append((child.lineno, child.col_offset, f"{where}: {ast.unparse(func)}"))
+            elif isinstance(child, ast.Call) and name == "open":
+                method = isinstance(func, ast.Attribute) and ast.unparse(func.value) not in ("os", "io")
+                at = 0 if method else 1  # the mode's place: Path.open(mode), open(file, mode)
+                mode = next((k.value for k in child.keywords if k.arg in ("mode", "flags")), child.args[at] if len(child.args) > at else None)
+                if mode is not None and not (isinstance(mode, ast.Constant) and isinstance(mode.value, str) and not set(mode.value) & set("wax+")):
+                    opened = "" if method or not child.args else f"({ast.unparse(child.args[0])})"
+                    found.append((child.lineno, child.col_offset, f"{where}: {ast.unparse(func)}{opened}"))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(ast.parse(source), "<module>")
+    return [f"line {line}: {what}" for line, _, what in sorted(found)]
+
+
+def test_every_artifact_is_written_through_one_opener():
+    """``cli._artifact`` is the one place efq opens a file path for writing,
+    so every artifact is written and removed on failure by one rule; the
+    other opens for writing are of a worker's pipe ends, from ``os.pipe``,
+    and no module calls ``write_text`` or ``write_bytes``."""
+    found = [f"{p.name} {write.split(': ', 1)[1]}" for p in PACKAGE for write in file_writes(p.read_text())]
+    assert found == ["cli.py __init__: open(outbox)", "cli.py __init__: open(requests)", "cli.py _artifact: open(path)"]
+
+
+def test_scan_finds_a_file_write():
+    source = "import os\nfrom pathlib import Path\n\n"
+    source += "def f(path, mode):\n    Path(path).write_text('x')\n    path.write_bytes(b'x')\n"
+    source += "    with open(path) as a, open(path, 'rb') as b, path.open(mode='r+') as c:\n        pass\n"
+    source += "    return open(path, mode), os.open(path, os.O_RDONLY), path.open('a'), open(path, encoding='utf-8')\n\n"
+    source += "log = open('log.txt', 'w')\n"
+    assert file_writes(source) == [
+        "line 5: f: Path(path).write_text",
+        "line 6: f: path.write_bytes",
+        "line 7: f: path.open",
+        "line 9: f: open(path)",
+        "line 9: f: os.open(path)",
+        "line 9: f: path.open",
+        "line 11: <module>: open('log.txt')",
+    ]
+
+
 def test_public_names_resolve_once_in_order():
     """Every name in efq.__all__ is an attribute of efq, listed once, in
     sorted order, so a deleted name cannot stay behind."""
