@@ -330,7 +330,7 @@ def _out_dir(args) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror or exc}") from None
     return out
 
 
@@ -361,10 +361,32 @@ def _in_cell(terms, fn):
         raise NumericalError(f"bits={bits} lambda={lam}: {exc}") from None
 
 
-def _map_cells(fn, cfg: ExperimentConfig, p_base: spectral.AmplitudeResponse) -> list:
-    """``_pool_map`` of fn(bits, lambda, gamma, p_lambda) over the
-    ``_cell_terms`` of the cells, each failure named by its cell."""
-    return _pool_map(lambda terms: _in_cell(terms, fn), _cell_terms(cfg, p_base))
+def _map_cells(fn, terms: list[tuple]) -> list:
+    """``_pool_map`` of fn(bits, lambda, gamma, p_lambda) over `terms`, the
+    ``_cell_terms`` of the cells, each failure named by its cell; fn returns
+    only its result, and the caller reads each cell's terms from `terms`."""
+    return _pool_map(lambda cell: _in_cell(cell, fn), terms)
+
+
+def _design_cell(bits, lam, gamma, p_lam) -> tuple[dict, np.ndarray]:
+    """A cell's ``design.json`` entry and the values of its optimal shaper:
+    the solve at gamma, nu = gamma + 1, the feasibility margin nu - ||r||^2
+    and the shaper's log-mean, 0 at the optimum. ``design`` writes both and
+    ``verify`` checks the entry."""
+    sol = design_mod.solve_min_mse(p_lam, gamma)
+    shaper = design_mod.optimal_shaper(sol.alpha_opt, p_lam)
+    nu = gamma + 1.0
+    entry = {
+        "bits": bits,
+        "lambda": lam,
+        "gamma": gamma,
+        "nu": nu,
+        **dataclasses.asdict(sol),
+        "distortion_db": design_mod.db(sol.distortion),
+        "feasibility_margin": nu - sol.norm_r_sq,
+        "logmean_check": spectral.log_geometric_mean(shaper),
+    }
+    return entry, shaper.values
 
 
 def _base_response(cfg: ExperimentConfig) -> spectral.AmplitudeResponse:
@@ -443,36 +465,15 @@ def _read_cells(path: str, kind: str, sha: str, cells, fields: dict) -> dict:
 def cmd_design(args) -> int:
     cfg, sha, p_base = _load_setup(args)
     out = _out_dir(args)
+    cells, shapers = zip(*_map_cells(_design_cell, _cell_terms(cfg, p_base)))
+    for cell in cells:
+        _say(args, f"design bits={cell['bits']} lambda={cell['lambda']}: distortion {cell['distortion_db']:.4f} dB")
 
-    def solve(bits, lam, gamma, p_lam):
-        sol = design_mod.solve_min_mse(p_lam, gamma)
-        return gamma, sol, design_mod.optimal_shaper(sol.alpha_opt, p_lam)
-
-    cells = _cells(cfg)
-    solved = _map_cells(solve, cfg, p_base)
-
-    cell_payload = []
-    for (bits, lam), (gamma, sol, shaper) in zip(cells, solved):
-        nu = gamma + 1.0
-        cell_payload.append(
-            {
-                "bits": bits,
-                "lambda": lam,
-                "gamma": gamma,
-                "nu": nu,
-                **dataclasses.asdict(sol),
-                "distortion_db": design_mod.db(sol.distortion),
-                "feasibility_margin": nu - sol.norm_r_sq,
-                "logmean_check": spectral.log_geometric_mean(shaper),
-            }
-        )
-        _say(args, f"design bits={bits} lambda={lam}: distortion {design_mod.db(sol.distortion):.4f} dB")
-
-    _write_json(out / "design.json", sha, {"cells": cell_payload})
+    _write_json(out / "design.json", sha, {"cells": cells})
     omegas = p_base.grid.omegas
     with _csv_file(out / "design_r_opt.csv", sha, ("bits", "lambda", "omega", "r_opt")) as append:
-        for (bits, lam), (*_, shaper) in zip(cells, solved):
-            append({"bits": np.full(len(omegas), bits), "lambda": np.full(len(omegas), lam), "omega": omegas, "r_opt": shaper.values})
+        for cell, r_opt in zip(cells, shapers):
+            append({"bits": np.full(len(omegas), cell["bits"]), "lambda": np.full(len(omegas), cell["lambda"]), "omega": omegas, "r_opt": r_opt})
     _say(args, f"wrote {out / 'design.json'} and {out / 'design_r_opt.csv'}")
     return 0
 
@@ -485,7 +486,7 @@ def cmd_rd_curve(args) -> int:
     cfg, sha, p_base = _load_setup(args)
     out = _out_dir(args)
 
-    rows = _map_cells(lambda bits, lam, *_: design_mod.rd_row(p_base, bits, lam, cfg.loading_factor), cfg, p_base)
+    rows = _map_cells(lambda bits, lam, *_: design_mod.rd_row(p_base, bits, lam, cfg.loading_factor), _cell_terms(cfg, p_base))
 
     names = "bits,lambda,gamma,D,D_uniform,bound,D_db,D_uniform_db,bound_db,identity_residual".split(",")
     table = []
@@ -507,8 +508,8 @@ def cmd_rd_curve(args) -> int:
 # fit
 
 
-def _fit_cells(cfg, p_base, designed: dict | None = None) -> list:
-    """(gamma, fit report) per cell in ``_cells`` order, fitted to the
+def _fit_cells(cfg, terms, designed: dict | None = None) -> list:
+    """The fit report of each cell of `terms` (``_cell_terms``), fitted to the
     ``designed`` artifact cells, or to designs solved here when it is None."""
 
     def run(bits, lam, gamma, p_lam):
@@ -517,9 +518,9 @@ def _fit_cells(cfg, p_base, designed: dict | None = None) -> list:
             alpha, budget = sol.alpha_opt, sol.norm_r_sq
         else:
             alpha, budget = designed[bits, lam]["alpha_opt"], designed[bits, lam]["norm_r_sq"]
-        return gamma, fitting.fit_cell(cfg.fit.method, cfg.fit.order, p_lam, gamma, alpha, budget)
+        return fitting.fit_cell(cfg.fit.method, cfg.fit.order, p_lam, gamma, alpha, budget)
 
-    return _map_cells(run, cfg, p_base)
+    return _map_cells(run, terms)
 
 
 def _report_payload(bits, lam, gamma, report) -> dict:
@@ -542,14 +543,13 @@ def _report_payload(bits, lam, gamma, report) -> dict:
 def cmd_fit(args) -> int:
     cfg, sha, p_base = _load_setup(args)
     out = _out_dir(args)
-    cells = _cells(cfg)
     designed = None
     if args.design:
-        designed = _read_cells(args.design, "design", sha, cells, {"alpha_opt": _positive, "norm_r_sq": _norm_sq})
-    results = _fit_cells(cfg, p_base, designed)
+        designed = _read_cells(args.design, "design", sha, _cells(cfg), {"alpha_opt": _positive, "norm_r_sq": _norm_sq})
+    terms = _cell_terms(cfg, p_base)
 
     payload_cells = []
-    for (bits, lam), (gamma, report) in zip(cells, results):
+    for (bits, lam, gamma, _), report in zip(terms, _fit_cells(cfg, terms, designed)):
         cell = _report_payload(bits, lam, gamma, report)
         payload_cells.append(cell)
         _say(
@@ -573,17 +573,18 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     plant = cfg.plant_tf()
     cell_list = _cells(cfg)
+    terms = _cell_terms(cfg, p_base)
     if args.fit:
         fitted = _read_cells(args.fit, "fit", sha, cell_list, {"filter": _shaper})
         shapers = [fitted[cell]["filter"] for cell in cell_list]
     else:
-        shapers = [report.fitted for _, report in _fit_cells(cfg, p_base)]
+        shapers = [report.fitted for report in _fit_cells(cfg, terms)]
     # a lane is scored on the map its cell was designed on, on the Welch bins
     plant_maps = {lam: spectral.ct_frequency_map(plant, lam, simulate.WELCH_GRID) for lam in set(cfg.lambda_list)}
 
     cells = []  # payloads without runs
     lanes = []  # one per (cell, seed), in that order
-    for (bits, lam, gamma, p_lam), shaper in zip(_cell_terms(cfg, p_base), shapers):
+    for (bits, lam, gamma, p_lam), shaper in zip(terms, shapers):
         score, sigma_u_sq, sigma_w_sq, quantizer = simulate.loop_quantizer(shaper, p_lam, bits, cfg.loading_factor)
         cells.append(
             {
@@ -671,24 +672,23 @@ def _verify_checks(cfg: ExperimentConfig, p_base: spectral.AmplitudeResponse) ->
     lane_bits = max(cfg.bits_list)
 
     def check_cell(bits, lam, gamma, p_lam):
-        """The six design residuals of a cell (its ``rd_row``'s collapse and
-        bound among them), and its design if it is the loop lane's cell."""
-        row = design_mod.rd_row(p_base, bits, lam, cfg.loading_factor)
-        sol, nu = row.design, gamma + 1.0
-        shaper = design_mod.optimal_shaper(sol.alpha_opt, p_lam)
-        p_fine_lam = spectral.oversample_response(p_fine, lam)
-        alpha_fine = design_mod.solve_min_mse(p_fine_lam, gamma, start=sol.alpha_opt).alpha_opt
+        """The six design residuals of a cell and its ``design.json`` entry;
+        the collapse residual and the bound come from the two calls ``rd_row``
+        makes, so ``rd-curve`` and this check define them alike."""
+        cell, _ = _design_cell(bits, lam, gamma, p_lam)
+        alpha, nu = cell["alpha_opt"], cell["nu"]
+        alpha_fine = design_mod.solve_min_mse(spectral.oversample_response(p_fine, lam), gamma, start=alpha).alpha_opt
         residuals = (
-            abs(sol.theta_opt**2 / sol.alpha_opt - nu) / nu,
-            row.identity_residual,
-            row.distortion / row.bound - 1.0,
-            nu - sol.norm_r_sq,
-            abs(spectral.log_geometric_mean(shaper)),
-            abs(alpha_fine - sol.alpha_opt) / sol.alpha_opt,
+            abs(cell["theta_opt"] ** 2 / alpha - nu) / nu,
+            design_mod.collapse_residual(p_base, gamma, lam, cell["distortion"]),
+            cell["distortion"] / design_mod.upper_bound(gamma, lam, p_base) - 1.0,
+            cell["feasibility_margin"],
+            abs(cell["logmean_check"]),
+            abs(alpha_fine - alpha) / alpha,
         )
-        return residuals, sol if (bits, lam) == (lane_bits, 1) else None
+        return residuals, cell
 
-    outcomes = _map_cells(check_cell, cfg, p_base)
+    outcomes = _map_cells(check_cell, _cell_terms(cfg, p_base))
     root, identity, bound, margin, logmean, grid = zip(*(residuals for residuals, _ in outcomes))
     # reduced in cell order
     worst_root = max(0.0, *root)
@@ -721,12 +721,10 @@ def _verify_checks(cfg: ExperimentConfig, p_base: spectral.AmplitudeResponse) ->
     record("fir_kkt_complementary_slackness", worst_slack, 1e-8, worst_slack <= 1e-8)
 
     gamma = design_mod.gamma_from_bits(lane_bits, cfg.loading_factor)
-    lane_design = next((sol for _, sol in outcomes if sol is not None), None)
-    if lane_design is None:  # no cell at lambda 1
-        lane_design = _in_cell((lane_bits, 1), lambda *_: design_mod.solve_min_mse(p_base, gamma))
-    shaper = fitting.fit_cell(
-        cfg.fit.method, cfg.fit.order, p_base, gamma, lane_design.alpha_opt, lane_design.norm_r_sq
-    ).fitted
+    lane = next((cell for _, cell in outcomes if (cell["bits"], cell["lambda"]) == (lane_bits, 1)), None)
+    if lane is None:  # no cell at lambda 1: a bare solve, since no shaper of it is read
+        lane = dataclasses.asdict(_in_cell((lane_bits, 1), lambda *_: design_mod.solve_min_mse(p_base, gamma)))
+    shaper = fitting.fit_cell(cfg.fit.method, cfg.fit.order, p_base, gamma, lane["alpha_opt"], lane["norm_r_sq"]).fitted
     *_, quantizer = simulate.loop_quantizer(shaper, p_base, lane_bits, cfg.loading_factor)
     model = simulate.SignalModel(
         kind=cfg.sim.input_kind, seed=cfg.sim.seeds[0], length=min(cfg.sim.length, 20000), ct_pole=cfg.sim.ct_pole

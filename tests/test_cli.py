@@ -427,7 +427,7 @@ class TestFitCommand:
         out = tmp_path / "out"
         assert main(["fit", "--config", str(path), "--out", str(out), "--quiet"]) == 0
         cfg = efq.load_config(path)
-        reports = [report for _, report in cli._fit_cells(cfg, cli._base_response(cfg))]
+        reports = cli._fit_cells(cfg, cli._cell_terms(cfg, cli._base_response(cfg)))
         for cell, report in zip(json.loads((out / "fit.json").read_text())["cells"], reports, strict=True):
             assert type(report.fitted) is RationalDiscreteTF
             assert (report.fitted.den == (1.0,)) == (method == "qcqp")
@@ -957,6 +957,9 @@ class TestStagesAgree:
         _, rows = read_csv(out / "rd_curve.csv")
         assert measured["oversampling_collapse_identity"] == max(float(r["identity_residual"]) for r in rows)
         assert measured["distortion_upper_bound_slack"] == max(float(r["D"]) / float(r["bound"]) - 1.0 for r in rows)
+        # and verify checks the margins and log-means that design writes.
+        assert measured["feasibility_margin_positive"] == min(cell["feasibility_margin"] for cell in cells)
+        assert measured["shaper_logmean_zero"] == max(abs(cell["logmean_check"]) for cell in cells)
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -1464,6 +1467,7 @@ class TestErrorHandling:
         assert main([stage, "--config", config_path, "--out", str(out), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: cannot create output directory {out}: ") and err.count("\n") == 1, err
+        assert err.count(str(out)) == 1 and err.endswith(": Not a directory\n"), err
         assert design.SOLVE_COUNTS["solves"] == 0
 
     @pytest.mark.parametrize(

@@ -90,6 +90,49 @@ def test_noise_ratio_is_checked_in_one_place(message):
     assert {p.name: p.read_text().count(message) for p in PACKAGE if message in p.read_text()} == {"design.py": 1}
 
 
+def design_cell_terms(source: str) -> list[str]:
+    """Each place a design cell's feasibility margin or shaper log-mean is
+    formed, in source order, with the innermost ``def`` around it (or
+    ``<module>``): every call of ``log_geometric_mean``, by name or as a
+    method, and every subtraction of a ``norm_r_sq`` field or key."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            func = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and getattr(func, "attr", getattr(func, "id", None)) == "log_geometric_mean":
+                found.append((child.lineno, child.col_offset, f"{where}: log-mean"))
+            elif isinstance(child, ast.BinOp) and isinstance(child.op, ast.Sub):
+                right = child.right.slice if isinstance(child.right, ast.Subscript) else child.right
+                if getattr(right, "attr", getattr(right, "value", None)) == "norm_r_sq":
+                    found.append((child.lineno, child.col_offset, f"{where}: margin"))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(ast.parse(source), "<module>")
+    return [f"line {line}: {what}" for line, _, what in sorted(found)]
+
+
+def test_design_cell_margin_and_log_mean_are_formed_in_one_place():
+    """``cli._design_cell`` forms each design cell's feasibility margin
+    nu - ||r||^2 and its shaper's log-mean once; ``design`` writes them and
+    ``verify`` reads them from its entry."""
+    found = [f"{p.name} {term.split(': ', 1)[1]}" for p in PACKAGE for term in design_cell_terms(p.read_text())]
+    assert found == ["cli.py _design_cell: margin", "cli.py _design_cell: log-mean"]
+
+
+def test_scan_finds_a_second_margin_and_log_mean():
+    source = "from efq import spectral\nfrom efq.spectral import log_geometric_mean\n\n"
+    source += "def check(sol, nu, cell, shaper):\n    margin = nu - sol.norm_r_sq\n"
+    source += "    return margin, cell['nu'] - cell['norm_r_sq'], abs(spectral.log_geometric_mean(shaper))\n\n"
+    source += "g = log_geometric_mean\nlogmean = g(None), log_geometric_mean(None), 1.0 - norm_sq\n"
+    assert design_cell_terms(source) == [
+        "line 5: check: margin",
+        "line 6: check: margin",
+        "line 6: check: log-mean",
+        "line 9: <module>: log-mean",
+    ]
+
+
 def repr_names(source: str) -> list[str]:
     """Each place a module names the builtin ``repr``, in source order."""
     names = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name) and node.id == "repr"]
