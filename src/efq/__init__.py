@@ -26,8 +26,8 @@ _EXPORTS = {
     "solve_min_mse upper_bound",
     "errors": "ConfigError NumericalError VerificationFailure",
     "fitting": "FitReport evaluate_fit fir_kkt_residuals fit_cell norm_constrained_fir normalize_head yule_walker_fit",
-    "simulate": "MidRiseQuantizer SignalModel SimulationResult gen_input granular_mse loop_identity_residual "
-    "loop_quantizer quantize_midrise run_feedback_loop summarize_run",
+    "simulate": "MidRiseQuantizer SignalModel SimulationResult gen_input loop_identity_residual loop_quantizer "
+    "quantize_midrise run_feedback_loop summarize_run",
     "spectral": "AmplitudeResponse FrequencyGrid amplitude_of_tf band_integral band_mean ct_frequency_map l2_norm_sq "
     "log_geometric_mean oversample_response",
     "transfer": "ContinuousTF RationalDiscreteTF frequency_response",

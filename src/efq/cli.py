@@ -624,14 +624,16 @@ def cmd_simulate(args) -> int:
         for lane, r in zip(lanes[start:], runs):
             _say(
                 args,
-                f"simulate {lane.name}: empirical {r.empirical_mse:.6g} "
+                f"simulate {lane.name}: empirical {r.empirical_mse:.6g}, granular {r.granular_mse:.6g} "
                 f"vs predicted {r.predicted_mse:.6g}, overload rate {r.overload_rate:.3g}",
             )
         mean = float(np.mean([r.empirical_mse for r in runs]))
+        granular = float(np.mean([r.granular_mse for r in runs]))
         cell["runs"] = [
             {
                 "seed": seed,
                 "empirical_mse": r.empirical_mse,
+                "granular_mse": r.granular_mse,
                 "overload_count": r.overload_count,
                 "overload_rate": r.overload_rate,
                 "w_variance": r.w_variance,
@@ -643,6 +645,7 @@ def cmd_simulate(args) -> int:
         cell["aggregate"] = {
             "mean_empirical_mse": mean,
             "mean_over_predicted": mean / cell["predicted_mse"] if cell["predicted_mse"] > 0 else math.inf,
+            "mean_granular_over_predicted": granular / cell["predicted_mse"] if cell["predicted_mse"] > 0 else math.inf,
         }
         if n > 1:  # one seed has no spread, so it gets no interval
             std = float(np.std([r.empirical_mse for r in runs], ddof=1))

@@ -195,6 +195,8 @@ def _check_problem(p: AmplitudeResponse, gamma: float) -> float:
             f"plant response peak {peak:.6g} is too large: the design integrates p^2,"
             f" which needs p below {MAX_PLANT_AMPLITUDE:.6g}"
         )
+    if peak * peak == 0.0:
+        raise ValueError(f"plant response peak {peak:.6g} is too small: the design integrates p^2, which is zero everywhere")
     return nu
 
 

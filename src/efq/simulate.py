@@ -165,6 +165,7 @@ class SimulationResult:
     """Summary statistics of one loop run against its analytic prediction."""
 
     empirical_mse: float
+    granular_mse: float
     predicted_mse: float
     overload_count: int
     overload_rate: float
@@ -463,7 +464,7 @@ def run_lanes(
 
 def _run_group(group: Sequence[Lane], trace) -> list[SimulationResult]:
     n = group[0].model.length
-    stats = [RunStats(lane.plant_map, n) for lane in group]
+    stats = [RunStats(lane.shaper, lane.quantizer, lane.plant_map, n) for lane in group]
     shapers = [lane.shaper for lane in group]
     quantizers = [lane.quantizer for lane in group]
     steps = np.array([q.step for q in quantizers])
@@ -607,21 +608,27 @@ class _WelchPower:
         self.carry = None  # the last block
         self.power = 0.0
 
-    def add(self, block: np.ndarray) -> None:
+    def add(self, block: np.ndarray, power: float | None = None) -> float | None:
+        """Carry `block` and add the power of the segment it closes, None for
+        the first block: `power` where the caller knows it, else its FFT's."""
         if self.carry is not None:
-            spectrum = np.fft.rfft(np.concatenate((self.carry, block)) * self.window)
-            self.power += float(np.add.reduce(self.weight * (spectrum.real**2 + spectrum.imag**2)))
+            if power is None:
+                spectrum = np.fft.rfft(np.concatenate((self.carry, block)) * self.window)
+                power = float(np.add.reduce(self.weight * (spectrum.real**2 + spectrum.imag**2)))
+            self.power += power
         self.carry = block
+        return power
 
     def mse(self) -> float:
         return self.power / self.segments
 
 
 class RunStats:
-    """Summary statistics of one loop run, fed its traces in order by
-    ``add`` in chunks of whole blocks but the last. Every statistic is
-    defined over BLOCK-sample blocks aligned to the run's first sample, so
-    any such chunking gives the same bits as feeding the whole run:
+    """Summary statistics of one loop run through a shaper and a quantizer,
+    fed its traces in order by ``add`` in chunks of whole blocks but the
+    last. Every statistic is defined over BLOCK-sample blocks aligned to the
+    run's first sample, so any such chunking gives the same bits as feeding
+    the whole run:
 
     * the overload count, exact;
     * the variances of u and w: per block a two-pass count, mean and M2,
@@ -629,13 +636,28 @@ class RunStats:
     * the lag products of w at lags 0..MAX_LAG;
     * the output MSE, the power of P(v - x): ``_WelchPower`` of v - x on
       the plant map. A design's plant map is zero above pi/lambda: this
-      measures its ||p R||^2 sigma_w^2.
+      measures its ||p R||^2 sigma_w^2;
+    * the granular MSE, the same score of (v - x) - R w_o, where
+      w_o = w - clip(w, -d/2, d/2) is each error's excess over half a step,
+      run through ``linear_filter`` block by block from the registers the
+      last block left. A granular error has |w| <= d/2, so w_o is nonzero
+      exactly at the overloads, and as the loop gives v - x = R w, this is
+      the error R clip(w) the loop would show had every overload error been
+      granular, with no sample removed. A block with no excess and zero
+      registers has R w_o = 0 and is not filtered, and a segment of two such
+      blocks adds the output MSE's power: a run with no overload reads the
+      output MSE bit for bit. Registers that are all subnormal after a block
+      are taken as zero.
 
     A statistic that overflows is inf or NaN, without a warning.
     """
 
-    def __init__(self, plant_map: AmplitudeResponse, length: int):
-        self.welch = _WelchPower(plant_map, length)
+    def __init__(self, shaper: RationalDiscreteTF, quantizer: MidRiseQuantizer, plant_map: AmplitudeResponse, length: int):
+        self.welch, self.granular = _WelchPower(plant_map, length), _WelchPower(plant_map, length)
+        self.shaper = shaper
+        self.half_step = 0.5 * quantizer.step
+        self.registers = np.zeros(shaper.order)  # of the R w_o filter
+        self.filtered = False  # whether the last block had a nonzero R w_o
         self.length = length
         self.seen = 0
         self.overloads = 0
@@ -657,7 +679,23 @@ class RunStats:
             self.lags.add(w)
             self.seen += len(x)
             if len(x) == BLOCK:
-                self.welch.add(v - x)
+                self._add_block(v - x, w)
+
+    def _add_block(self, err: np.ndarray, w: np.ndarray) -> None:
+        power = self.welch.add(err)
+        excess = w - np.clip(w, -self.half_step, self.half_step)
+        filtered = bool(excess.any() or self.registers.any())
+        if filtered:
+            shaped, registers = linear_filter(self.shaper.num, self.shaper.den, excess, self.registers)
+            err = err - shaped
+            # A copy, not a view of the filter's whole output. A decaying IIR
+            # state can stay below the normal floats for good (0.9 times the
+            # least subnormal rounds back to it); what it adds lies below the
+            # last bit of a normal v - x, so such a state is taken as zero.
+            subnormal = (np.abs(registers) < np.finfo(float).tiny).all()
+            self.registers = np.zeros_like(registers) if subnormal else registers.copy()
+        self.granular.add(err, None if filtered or self.filtered else power)
+        self.filtered = filtered
 
     @np.errstate(invalid="ignore")
     def result(self, predicted_mse: float) -> SimulationResult:
@@ -665,6 +703,7 @@ class RunStats:
             raise ValueError(f"fed {self.seen} of the run's {self.length} samples")
         return SimulationResult(
             empirical_mse=self.welch.mse(),
+            granular_mse=self.granular.mse(),
             predicted_mse=float(predicted_mse),
             overload_count=self.overloads,
             overload_rate=self.overloads / self.length,
@@ -672,25 +711,6 @@ class RunStats:
             w_autocorr=tuple(self.lags.autocorrelations().tolist()),
             sigma_u_sq=self.u.variance,
         )
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def granular_mse(
-    traces: LoopTraces, shaper: RationalDiscreteTF, quantizer: MidRiseQuantizer, plant_map: AmplitudeResponse
-) -> float:
-    """The output MSE of a run with its overload error taken out: the
-    ``_WelchPower`` estimate on `plant_map`, as ``RunStats`` scores v - x, of
-    (v - x) - R w_o, where w_o = w - clip(w, -d/2, d/2) is each error's excess
-    over half a step. A granular error has |w| <= d/2, so w_o is nonzero
-    exactly at the overloads, and as the loop gives v - x = R w, this is the
-    error R clip(w) the loop would show had every overload error been
-    granular, with no sample removed, at every lambda."""
-    welch = _WelchPower(plant_map, len(traces.x))
-    half = 0.5 * quantizer.step
-    err = (traces.v - traces.x) - linear_filter(shaper.num, shaper.den, traces.w - np.clip(traces.w, -half, half))
-    for start in range(0, len(err) - BLOCK + 1, BLOCK):
-        welch.add(err[start : start + BLOCK])
-    return welch.mse()
 
 
 def loop_identity_residual(traces: LoopTraces, r: RationalDiscreteTF) -> float:
@@ -727,9 +747,15 @@ def loop_quantizer(
     return score, sigma_u_sq, sigma_w_sq, MidRiseQuantizer.for_sigma_u(bits, loading_factor, math.sqrt(sigma_u_sq))
 
 
-def summarize_run(traces: LoopTraces, plant_map: AmplitudeResponse, predicted_mse: float) -> SimulationResult:
-    """``RunStats`` of the whole run on a plant map."""
-    stats = RunStats(plant_map, len(traces.x))
+def summarize_run(
+    traces: LoopTraces,
+    shaper: RationalDiscreteTF,
+    quantizer: MidRiseQuantizer,
+    plant_map: AmplitudeResponse,
+    predicted_mse: float,
+) -> SimulationResult:
+    """``RunStats`` of the whole run through its shaper and quantizer on a plant map."""
+    stats = RunStats(shaper, quantizer, plant_map, len(traces.x))
     stats.add(traces)
     return stats.result(predicted_mse)
 

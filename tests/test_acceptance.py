@@ -31,7 +31,6 @@ from efq.simulate import (
     WELCH_GRID,
     SignalModel,
     gen_input,
-    granular_mse,
     loop_identity_residual,
     loop_quantizer,
     run_feedback_loop,
@@ -191,8 +190,8 @@ def test_07_simulation_within_twenty_percent_in_under_sixty_seconds(plant, p_bas
         model = SignalModel(kind="colored", seed=seed, length=1_000_000)
         x = gen_input(model, plant.sample_period)
         traces = run_feedback_loop(x, shaper, quant)
-        result = summarize_run(traces, plant_map, score.achieved_mse)
-        ratio = granular_mse(traces, shaper, quant, plant_map) / result.predicted_mse
+        result = summarize_run(traces, shaper, quant, plant_map, score.achieved_mse)
+        ratio = result.granular_mse / result.predicted_mse
         raw = result.empirical_mse / result.predicted_mse
         assert 0.8 <= ratio <= 1.2, f"seed {seed}: granular/predicted = {ratio:.4f} (raw {raw:.4f})"
         assert result.overload_rate < 0.05, f"seed {seed}: overload rate {result.overload_rate}"

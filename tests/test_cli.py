@@ -446,8 +446,11 @@ class TestSimulateCommand:
             assert agg["mean_empirical_mse"] > 0.0
             assert 0.3 < agg["mean_over_predicted"] < 3.0
             assert agg["ci95_halfwidth"] == simulate.t_quantile_975(1) * agg["std_empirical_mse"] / math.sqrt(2)
+            granular = [run["granular_mse"] for run in cell["runs"]]
+            assert agg["mean_granular_over_predicted"] == float(np.mean(granular)) / cell["predicted_mse"]
             for run in cell["runs"]:
                 assert run["overload_rate"] < 0.05
+                assert run["overload_count"] > 0 or run["granular_mse"] == run["empirical_mse"]
         _, rows = read_csv(out / "simulate_runs.csv")
         assert len(rows) == 8
 
@@ -463,7 +466,21 @@ class TestSimulateCommand:
         payload = json.loads((out1 / "simulate.json").read_text())
         assert all(len(c["runs"]) == 1 and c["runs"][0]["seed"] == 3 for c in payload["cells"])
         # one seed has no spread, so no interval is printed
-        assert all(set(c["aggregate"]) == {"mean_empirical_mse", "mean_over_predicted"} for c in payload["cells"])
+        names = {"mean_empirical_mse", "mean_over_predicted", "mean_granular_over_predicted"}
+        assert all(set(c["aggregate"]) == names for c in payload["cells"])
+
+    def test_one_lane_reads_its_recorded_mse(self, tmp_path):
+        # At 8 bits and lambda 1, seed 0's 20,000 samples overload twice: the
+        # output MSE reads 1.30 times the prediction, the granular MSE 1.002.
+        sim = dict(SMALL_CONFIG["sim"], seeds=[0])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, bits_list=[8], lambda_list=[1], n_points=1024, sim=sim)))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        cell = json.loads((tmp_path / "out" / "simulate.json").read_text())["cells"][0]
+        run = cell["runs"][0]
+        assert run["overload_count"] == 2
+        mse = (cell["predicted_mse"], run["empirical_mse"], run["granular_mse"])
+        assert [f"{value:.6e}" for value in mse] == ["6.111198e-07", "7.919518e-07", "6.123117e-07"]
 
     def test_trace_export(self, config_path, tmp_path):
         out = tmp_path / "out"
@@ -508,10 +525,11 @@ class TestSimulateCommand:
                     simulate.gen_input(model, plant.sample_period / lam), shaper, quant
                 )
                 oracle_traces.append(traces)
-                result = simulate.summarize_run(traces, plant_map, cell["predicted_mse"])
+                result = simulate.summarize_run(traces, shaper, quant, plant_map, cell["predicted_mse"])
                 assert run == {
                     "seed": run["seed"],
                     "empirical_mse": result.empirical_mse,
+                    "granular_mse": result.granular_mse,
                     "overload_count": result.overload_count,
                     "overload_rate": result.overload_rate,
                     "w_variance": result.w_variance,
@@ -974,38 +992,12 @@ def run_python(args, timeout=300, **kwargs):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout, **kwargs)
 
 
-# The report of scripts/simulation_check.py on one short lane, scored on the
-# design's plant map as efq simulate scores it.
-SIMULATION_CHECK_STDOUT = """\
-cell: bits=8 lambda=1 order=4 loading=4.0
-shaper taps: [1.0, -1.116942, 0.230829, -0.087225, 0.029458]
-predicted MSE 6.111198e-07 (-62.139 dB), ideal 6.108487e-07 (-62.141 dB)
-quantizer: step 3.137423e-02, saturation 4.000215e+00
-
- seed overloads  ovl_rate    empirical   ratio  identity     granular gran_ratio
---------------------------------------------------------------------------------
-    0         2  1.00e-04 7.919518e-07  1.2959  4.44e-16 6.123117e-07     1.0020
-
-empirical/predicted ratio: mean 1.2959, 95% CI half-width nan, range [1.2959, 1.2959]
-granular/predicted ratio: mean 1.0020, 95% CI half-width nan, range [1.0020, 1.0020]
-"""
-
-
 class TestEntryPoints:
     def test_readme_example_runs(self):
         readme = (REPO / "README.md").read_text()
         block = readme.split("```python\n", 1)[1].split("```", 1)[0]
         proc = run_python(["-c", block])
         assert proc.returncode == 0, proc.stderr
-
-    def test_simulation_check_output_is_unchanged(self):
-        """The script sets up its lane with ``loop_quantizer``, runs each seed
-        once and scores the whole traces with ``summarize_run`` and
-        ``granular_mse``; its report is the one recorded above."""
-        command = "--bits 8 --length 20000 --seeds 0 --grid 1024"
-        proc = run_python([str(REPO / "scripts/simulation_check.py"), *command.split()])
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == SIMULATION_CHECK_STDOUT
 
     def test_timings_count_every_solve_by_phase(self, config_path, tmp_path, set_workers):
         """Each stage's timings sidecar counts its solves and their quadratures
@@ -1434,6 +1426,19 @@ class TestErrorHandling:
         assert main([stage, "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err == "numerical failure: bits=511 lambda=1: failed to bracket the optimal alpha from below\n"
+
+    @pytest.mark.parametrize("stage", SUBCOMMANDS)
+    def test_plant_whose_square_underflows_rejected(self, tmp_path, capsys, stage):
+        # p peaks at 1e-200, so p^2 is zero on the whole grid: past a check
+        # of p > 0 alone, each stage failed on a zero distortion, or, in
+        # simulate, predicted an MSE of 0.
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["plant"]["num"], cfg["plant"]["den"] = [1.0], [1.0, 1e200]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main([stage, "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        too_small = "plant response peak 1e-200 is too small: the design integrates p^2, which is zero everywhere"
+        assert capsys.readouterr().err == f"validation error: {too_small}\n"
 
     def test_invalid_bits_rejected(self, tmp_path):
         cfg = json.loads(json.dumps(SMALL_CONFIG))

@@ -326,6 +326,39 @@ def test_shapers_of_one_order_share_one_compiled_loop():
     assert _scalar_loop.cache_info().misses == misses
 
 
+def overload_excesses(source: str) -> list[str]:
+    """Each subtraction of a ``clip`` call, by name or as a method, from
+    another value, as w - clip(w, -d/2, d/2) forms the overload excess, in
+    source order, with the dotted names of the classes and ``def``s around
+    it (or ``<module>``)."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Sub) and isinstance(child.right, ast.Call):
+                if getattr(child.right.func, "attr", getattr(child.right.func, "id", None)) == "clip":
+                    found.append((child.lineno, child.col_offset, ".".join(where) or "<module>"))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, (*where, child.name) if named else where)
+
+    visit(ast.parse(source), ())
+    return [f"line {line}: {where}" for line, _, where in sorted(found)]
+
+
+def test_overload_excess_is_formed_in_one_place():
+    """Only ``simulate.RunStats`` forms the overload excess w_o of a run, so
+    its granular reading has one definition."""
+    found = [f"{p.name} {site.split(': ')[1]}" for p in PACKAGE for site in overload_excesses(p.read_text())]
+    assert [site.rsplit(".", 1)[0] for site in found] == ["simulate.py RunStats"]
+
+
+def test_scan_finds_a_second_overload_excess():
+    source = "import numpy as np\n\n\nclass RunStats:\n    def add(self, w, h):\n        return w - np.clip(w, -h, h)\n\n\n"
+    source += "def granular(w, d, level, sat):\n    level = np.clip(level, -sat, sat)\n    return w - w.clip(-d / 2, d / 2)\n\n\n"
+    source += "excess = w - clip(w, -1, 1), w + np.clip(w, -1, 1)\n"
+    assert overload_excesses(source) == ["line 6: RunStats.add", "line 11: granular", "line 14: <module>"]
+
+
 WORKER_MODULES = ("multiprocessing", "concurrent", "threading")
 
 
