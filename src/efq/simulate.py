@@ -592,35 +592,36 @@ def _welch_of(magnitude: bytes) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _WelchPower:
-    """The Welch estimate of a series' power through a plant map on
-    WELCH_GRID, fed the series' whole BLOCK-sample blocks in order: over
-    ``welch_segments`` periodic Hann segments of two blocks, one block
-    carried, each segment's |rfft|^2 weighted by |P|^2 times the bin's share
-    of the circle (1 at 0 and pi, 2 between) over SEGMENT times the window
-    energy, and summed in segment order. The window and weights are shared
-    by every estimate on the same map."""
+    """The Welch power through a plant map on WELCH_GRID of one segment of
+    two BLOCK-sample blocks: its periodic Hann-windowed |rfft|^2 weighted by
+    |P|^2 times the bin's share of the circle (1 at 0 and pi, 2 between) over
+    SEGMENT times the window energy. The window and weights are shared by
+    every estimate on the same map."""
 
-    def __init__(self, plant_map: AmplitudeResponse, length: int):
-        self.segments = welch_segments(length)
+    def __init__(self, plant_map: AmplitudeResponse):
         if plant_map.grid != WELCH_GRID:
             raise ValueError(f"a plant map must be on the {WELCH_GRID.n_points}-point Welch grid")
         self.window, self.weight = _welch_of(plant_map.values.tobytes())
-        self.carry = None  # the last block
-        self.power = 0.0
 
-    def add(self, block: np.ndarray, power: float | None = None) -> float | None:
-        """Carry `block` and add the power of the segment it closes, None for
-        the first block: `power` where the caller knows it, else its FFT's."""
-        if self.carry is not None:
-            if power is None:
-                spectrum = np.fft.rfft(np.concatenate((self.carry, block)) * self.window)
-                power = float(np.add.reduce(self.weight * (spectrum.real**2 + spectrum.imag**2)))
-            self.power += power
-        self.carry = block
-        return power
+    def __call__(self, first: np.ndarray, second: np.ndarray) -> float:
+        spectrum = np.fft.rfft(np.concatenate((first, second)) * self.window)
+        return float(np.add.reduce(self.weight * (spectrum.real**2 + spectrum.imag**2)))
 
-    def mse(self) -> float:
-        return self.power / self.segments
+
+def _sparse(shaped: np.ndarray) -> tuple:
+    """(indices, values) of a block's nonzero samples where that is smaller
+    than the block, else (every index, the block)."""
+    indices = np.flatnonzero(shaped)
+    return (indices, shaped[indices]) if 2 * len(indices) < len(shaped) else (slice(None), shaped)
+
+
+def _minus(block: np.ndarray, shaped: tuple | None) -> np.ndarray:
+    """block less ``_sparse``'s (indices, values), or block where that is None."""
+    if shaped is None:
+        return block
+    out = block.copy()
+    out[shaped[0]] -= shaped[1]
+    return out
 
 
 class RunStats:
@@ -634,9 +635,10 @@ class RunStats:
     * the variances of u and w: per block a two-pass count, mean and M2,
       merged in block order;
     * the lag products of w at lags 0..MAX_LAG;
-    * the output MSE, the power of P(v - x): ``_WelchPower`` of v - x on
-      the plant map. A design's plant map is zero above pi/lambda: this
-      measures its ||p R||^2 sigma_w^2;
+    * the output MSE, the power of P(v - x): the ``_WelchPower`` of v - x on
+      the plant map, summed over the run's ``welch_segments`` segments in
+      order, over their count. A design's plant map is zero above pi/lambda:
+      this measures its ||p R||^2 sigma_w^2;
     * the granular MSE, the same score of (v - x) - R w_o, where
       w_o = w - clip(w, -d/2, d/2) is each error's excess over half a step,
       run through ``linear_filter`` block by block from the registers the
@@ -647,17 +649,22 @@ class RunStats:
       registers has R w_o = 0 and is not filtered, and a segment of two such
       blocks adds the output MSE's power: a run with no overload reads the
       output MSE bit for bit. Registers that are all subnormal after a block
-      are taken as zero.
+      are taken as zero. Beside the last block of v - x, the open segment
+      needs only that block's R w_o, kept ``_sparse``: a FIR shaper's is
+      nonzero only within its order past each overload.
 
     A statistic that overflows is inf or NaN, without a warning.
     """
 
     def __init__(self, shaper: RationalDiscreteTF, quantizer: MidRiseQuantizer, plant_map: AmplitudeResponse, length: int):
-        self.welch, self.granular = _WelchPower(plant_map, length), _WelchPower(plant_map, length)
+        self.segments = welch_segments(length)
+        self.welch = _WelchPower(plant_map)
+        self.power = self.granular_power = 0.0
+        self.carry = None  # the last block of v - x
+        self.shaped = None  # its R w_o, ``_sparse``; None while zero
         self.shaper = shaper
         self.half_step = 0.5 * quantizer.step
         self.registers = np.zeros(shaper.order)  # of the R w_o filter
-        self.filtered = False  # whether the last block had a nonzero R w_o
         self.length = length
         self.seen = 0
         self.overloads = 0
@@ -682,28 +689,32 @@ class RunStats:
                 self._add_block(v - x, w)
 
     def _add_block(self, err: np.ndarray, w: np.ndarray) -> None:
-        power = self.welch.add(err)
         excess = w - np.clip(w, -self.half_step, self.half_step)
-        filtered = bool(excess.any() or self.registers.any())
-        if filtered:
+        previous, self.shaped = self.shaped, None
+        if excess.any() or self.registers.any():
             shaped, registers = linear_filter(self.shaper.num, self.shaper.den, excess, self.registers)
-            err = err - shaped
             # A copy, not a view of the filter's whole output. A decaying IIR
             # state can stay below the normal floats for good (0.9 times the
             # least subnormal rounds back to it); what it adds lies below the
             # last bit of a normal v - x, so such a state is taken as zero.
             subnormal = (np.abs(registers) < np.finfo(float).tiny).all()
             self.registers = np.zeros_like(registers) if subnormal else registers.copy()
-        self.granular.add(err, None if filtered or self.filtered else power)
-        self.filtered = filtered
+            self.shaped = _sparse(shaped)
+        if self.carry is not None:
+            power = self.welch(self.carry, err)
+            self.power += power
+            if previous is not None or self.shaped is not None:
+                power = self.welch(_minus(self.carry, previous), _minus(err, self.shaped))
+            self.granular_power += power
+        self.carry = err
 
     @np.errstate(invalid="ignore")
     def result(self, predicted_mse: float) -> SimulationResult:
         if self.seen != self.length:
             raise ValueError(f"fed {self.seen} of the run's {self.length} samples")
         return SimulationResult(
-            empirical_mse=self.welch.mse(),
-            granular_mse=self.granular.mse(),
+            empirical_mse=self.power / self.segments,
+            granular_mse=self.granular_power / self.segments,
             predicted_mse=float(predicted_mse),
             overload_count=self.overloads,
             overload_rate=self.overloads / self.length,

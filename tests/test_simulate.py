@@ -688,16 +688,15 @@ class TestRunLanes:
 
 
 # tracemalloc peak of a run_lanes pass over 32 lanes of 2^17 samples, in
-# chunk buffers (BLOCK x lanes float64): the pass holds four of them (the
-# inputs, u, each lane's block of Welch carry and, as every lane here
-# overloads, its block of granular carry) plus per-lane temporaries, about
-# 4.4 in all at any length; a whole-lane buffer of the same lanes would be 16
-# of them.
-PASS_PEAK_BUFFERS = 5
+# chunk buffers (BLOCK x lanes float64): the pass holds three of them (the
+# inputs, u and each lane's block of Welch carry) plus per-lane temporaries,
+# about 3.4 in all at any length; a whole-lane buffer of the same lanes would
+# be 8 of them.
+PASS_PEAK_BUFFERS = 4
 
 
 def test_lane_pass_memory_is_bounded_by_the_chunk(plant):
-    lanes_n, n = 32, 1 << 17
+    lanes_n, n = 32, 1 << 16
     plant_d = ct_frequency_map(plant, 1, WELCH_GRID)
     quant = MidRiseQuantizer(step=0.125, saturation=1.9375)
     lanes = [_lane(seed, n, RationalDiscreteTF((1.0, -0.5)), quant, plant_d) for seed in range(lanes_n)]
@@ -1087,10 +1086,11 @@ class TestGranularMSE:
         registers = linear_filter(shaper.num, shaper.den, excess[: 4 * BLOCK], np.zeros(2))[1]
         assert 0.0 < np.abs(registers).max() < np.finfo(float).tiny
         err = (traces.v - traces.x) - linear_filter(shaper.num, shaper.den, excess)
-        welch = _WelchPower(plant_map, len(err))
-        for start in range(0, 5 * BLOCK, BLOCK):
-            welch.add(err[start : start + BLOCK])
-        assert summarize_run(traces, shaper, self.QUANT, plant_map, 0.0).granular_mse == welch.mse()
+        welch = _WelchPower(plant_map)
+        power = 0.0
+        for start in range(BLOCK, 5 * BLOCK, BLOCK):
+            power += welch(err[start - BLOCK : start], err[start : start + BLOCK])
+        assert summarize_run(traces, shaper, self.QUANT, plant_map, 0.0).granular_mse == power / 4
 
     def test_no_overload_equals_empirical(self, plant, p_base):
         shaper, _ = norm_constrained_fir(p_base, 4, 1.5)
